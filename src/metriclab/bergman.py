@@ -1,10 +1,11 @@
 """Finite-degree Bergman kernel approximation and the induced metric density.
 
 The kernel is built by orthonormalizing monomials against the discrete area
-inner product of a quadrature grid: assemble the Gram matrix G_{jk} =
-sum_nodes zeta^j conj(zeta)^k w, factorize it (Cholesky with positive
-pivots), and take phi_j = sum_k B_{jk} zeta^k with B the inverse of the
-conjugate-transposed factor.  Then
+inner product of a quadrature grid.  With V the Vandermonde matrix of the
+nodes and W the diagonal of weights, the weighted Vandermonde W^{1/2} V is
+factorized by a chunked (stacked) QR, W^{1/2} V = Q R, and the basis is
+phi_j = sum_k B_{jk} zeta^k with B = R^{-H}; the Gram matrix V^H W V is
+never formed.  Then
 
     K(z, w)  = sum_j phi_j(z) conj(phi_j(w))
     rho(z)^2 = d^2/(dz dzbar) log K(z, z)
@@ -14,8 +15,8 @@ with the derivatives taken termwise on the basis (no finite differences,
 which would cancel catastrophically near the boundary).
 
 The monomial variable zeta = (z - center)/scale is an affine renormalization
-of the plane that conditions the Gram matrix for off-center domains; kernel
-and density values are always reported in original z units.
+of the plane that conditions the basis for off-center domains; kernel and
+density values are always reported in original z units.
 """
 
 from __future__ import annotations
@@ -28,19 +29,7 @@ from scipy.linalg import solve_triangular
 from .errors import DomainError, FactorizationError, KernelInstabilityError
 from .geometry import DomainSpec, QuadratureGrid, contains
 
-_GRAM_CHUNK = 65536
-
-
-@dataclass
-class GramMatrix:
-    """Monomial Gram matrix of the discrete area inner product."""
-
-    degree: int
-    matrix: np.ndarray            # (N+1, N+1) complex, Hermitian
-    center: complex = 0.0
-    scale: float = 1.0
-    grid_descriptor: str = ""
-    node_count: int = 0
+_NODE_CHUNK = 65536
 
 
 @dataclass
@@ -76,159 +65,6 @@ class KernelModel:
         V[:, 1:] = np.vander(zeta, n - 1, increasing=True) * np.arange(1, n)
         out = (V @ self.coefficients.T) / self.scale
         return out.reshape(zz.shape + (n,))
-
-
-def compute_gram(grid: QuadratureGrid, N: int, center: complex = 0.0,
-                 scale: float = 1.0) -> GramMatrix:
-    """Assemble G_{jk} = sum_nodes zeta^j conj(zeta)^k weight, Hermitized."""
-    if N < 0:
-        raise ValueError("degree must be >= 0")
-    if grid.nodes.size == 0:
-        raise ValueError("empty quadrature grid")
-    n = N + 1
-    G = np.zeros((n, n), dtype=complex)
-    zeta = (grid.nodes - center) / scale
-    for start in range(0, zeta.size, _GRAM_CHUNK):
-        sl = slice(start, start + _GRAM_CHUNK)
-        V = np.vander(zeta[sl], n, increasing=True)
-        G += V.conj().T @ (grid.weights[sl, None] * V)
-    G = 0.5 * (G + G.conj().T)
-    return GramMatrix(N, G, center=center, scale=scale,
-                      grid_descriptor=grid.descriptor,
-                      node_count=int(grid.nodes.size))
-
-
-def _cholesky_lower(G: np.ndarray) -> np.ndarray:
-    """Cholesky with explicit pivot reporting (which degree went bad)."""
-    n = G.shape[0]
-    L = np.zeros_like(G)
-    for j in range(n):
-        s = (G[j, j].real - np.sum((L[j, :j] * L[j, :j].conj()).real)).real
-        if s <= 0.0:
-            raise FactorizationError(degree=j, pivot=float(s))
-        L[j, j] = np.sqrt(s)
-        if j + 1 < n:
-            L[j + 1:, j] = (G[j + 1:, j] - L[j + 1:, :j] @ L[j, :j].conj()) / L[j, j]
-    return L
-
-
-def _inverse_lower(L: np.ndarray) -> np.ndarray:
-    n = L.shape[0]
-    B = np.zeros_like(L)
-    for j in range(n):
-        B[j, j] = 1.0 / L[j, j]
-        for i in range(j + 1, n):
-            B[i, j] = -(L[i, j:i] @ B[j:i, j]) / L[i, i]
-    return B
-
-
-def _mp_orthonormalize(G: np.ndarray) -> np.ndarray:
-    """Cholesky inverse at 60 decimal digits for ill-conditioned Grams."""
-    import mpmath as mp
-
-    n = G.shape[0]
-    with mp.workdps(60):
-        M = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                M[i, j] = mp.mpc(G[i, j].real, G[i, j].imag)
-        L = mp.matrix(n, n)
-        for j in range(n):
-            s = M[j, j] - mp.fsum(L[j, k] * mp.conj(L[j, k]) for k in range(j))
-            if mp.re(s) <= 0:
-                raise FactorizationError(degree=j, pivot=float(mp.re(s)))
-            L[j, j] = mp.sqrt(mp.re(s))
-            for i in range(j + 1, n):
-                acc = mp.fsum(L[i, k] * mp.conj(L[j, k]) for k in range(j))
-                L[i, j] = (M[i, j] - acc) / L[j, j]
-        B = mp.matrix(n, n)
-        for j in range(n):
-            B[j, j] = 1 / L[j, j]
-            for i in range(j + 1, n):
-                acc = mp.fsum(L[i, k] * B[k, j] for k in range(j, i))
-                B[i, j] = -acc / L[i, i]
-        out = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i + 1):
-                out[i, j] = complex(float(mp.re(B[i, j])), float(mp.im(B[i, j])))
-    return out
-
-
-def _defect(B: np.ndarray, G: np.ndarray) -> float:
-    """max |B G B^H - I|, accumulated in extended precision.
-
-    A plain double-precision product would be dominated by kappa*eps
-    cancellation noise for ill-conditioned G and overstate the defect.
-    """
-    n = B.shape[0]
-    Bl = B.astype(np.clongdouble)
-    R = Bl @ G.astype(np.clongdouble) @ Bl.conj().T - np.eye(n, dtype=np.clongdouble)
-    return float(np.max(np.abs(R)))
-
-
-def _defect_mp(B: np.ndarray, G: np.ndarray) -> float:
-    """Exact orthonormality defect of the stored coefficients (40 digits);
-    used when even the float80 measurement is conditioning-noise bound."""
-    import mpmath as mp
-
-    n = B.shape[0]
-    with mp.workdps(40):
-        Bm = [[mp.mpc(B[i, j].real, B[i, j].imag) for j in range(n)] for i in range(n)]
-        Gm = [[mp.mpc(G[i, j].real, G[i, j].imag) for j in range(n)] for i in range(n)]
-        BG = [[mp.fsum(Bm[i][k] * Gm[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-        worst = mp.mpf(0)
-        for i in range(n):
-            for j in range(n):
-                v = mp.fsum(BG[i][k] * mp.conj(Bm[j][k]) for k in range(n))
-                if i == j:
-                    v -= 1
-                worst = max(worst, abs(v))
-        return float(worst)
-
-
-def fit_kernel(gram: GramMatrix, domain: DomainSpec | None = None,
-               ortho_tol: float = 1e-8) -> KernelModel:
-    """Orthonormalize the monomial basis through a triangular factorization.
-
-    Deterministic: G = L L^H with positive diagonal, B = L^{-1}.  When the
-    Gram matrix is too ill-conditioned for double precision to keep the
-    orthonormality defect under ``ortho_tol`` (eccentric domains at high
-    degree), the factorization is redone in extended precision; the
-    coefficients are always stored as complex128.  A non-positive pivot at
-    the highest precision is the genuine "degree too large for this grid"
-    signal and propagates as :class:`FactorizationError`.
-    """
-    G = gram.matrix
-    B, defect, last_err = None, np.inf, None
-    try:
-        L = _cholesky_lower(G)
-        B = solve_triangular(L, np.eye(gram.degree + 1, dtype=complex), lower=True)
-        defect = _defect(B, G)
-    except FactorizationError as err:
-        last_err = err
-    if defect > ortho_tol:
-        try:
-            Bl = _inverse_lower(_cholesky_lower(G.astype(np.clongdouble))).astype(complex)
-            dl = _defect(Bl, G)
-            if dl < defect:
-                B, defect = Bl, dl
-        except FactorizationError as err:
-            last_err = err
-    if defect > ortho_tol:
-        Bm = _mp_orthonormalize(G)   # raises FactorizationError if truly singular
-        dm = _defect(Bm, G)
-        if dm < defect:
-            B, defect = Bm, dm
-    if B is None:
-        raise last_err
-    if defect > ortho_tol:
-        defect = _defect_mp(B, G)
-    return KernelModel(
-        degree=gram.degree, coefficients=B, center=complex(gram.center),
-        scale=float(gram.scale), grid_descriptor=gram.grid_descriptor,
-        domain=domain, orthonormality_defect=defect,
-    )
 
 
 def kernel_eval(model: KernelModel, z, w):
@@ -299,12 +135,13 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
                          scale: float) -> tuple[np.ndarray, float]:
     """Triangular orthonormalization via QR of the weighted Vandermonde.
 
-    With A = W^{1/2} V one has G = A^H A = R^H R, so B = R^{-H} is exactly
-    the inverse of the conjugate-transposed factor of the Gram matrix -- but
-    computed backward-stably from the node values, which keeps degrees
-    feasible far beyond the point where the explicitly assembled Gram stops
-    being numerically positive definite.  Runs in node chunks (stacked QR),
-    so memory stays bounded for fine grids.
+    With A = W^{1/2} V one has A^H A = R^H R, so B = R^{-H} is the inverse
+    of the conjugate-transposed Cholesky factor of the Gram matrix, computed
+    backward-stably from the node values, which keeps degrees feasible far
+    beyond the point where an explicitly assembled Gram matrix stops being
+    numerically positive definite.  Runs in node chunks (stacked QR), so
+    memory stays bounded for fine grids.  A rank-deficient A (more monomials
+    than the grid resolves) raises :class:`FactorizationError`.
 
     Returns (B, defect) where defect = max |Q^H Q - I| is the orthonormality
     defect of the basis values on the source grid.
@@ -315,17 +152,17 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     zeta = (grid.nodes - center) / scale
     sw = np.sqrt(grid.weights)
     R = None
-    for start in range(0, zeta.size, _GRAM_CHUNK):
-        sl = slice(start, start + _GRAM_CHUNK)
+    for start in range(0, zeta.size, _NODE_CHUNK):
+        sl = slice(start, start + _NODE_CHUNK)
         A = sw[sl, None] * np.vander(zeta[sl], n, increasing=True)
         block = A if R is None else np.vstack([R, A])
         R = qr(block, mode="economic")[1]
     if R.shape[0] < n:
-        raise FactorizationError(degree=int(R.shape[0]), pivot=0.0)
+        raise FactorizationError(degree=int(R.shape[0]))
     diag = np.diag(R)
     bad = np.abs(diag) == 0.0
     if bad.any():
-        raise FactorizationError(degree=int(np.argmax(bad)), pivot=0.0)
+        raise FactorizationError(degree=int(np.argmax(bad)))
     phases = diag / np.abs(diag)
     R = R * np.conj(phases)[:, None]
     B = solve_triangular(R, np.eye(n, dtype=complex), lower=False).conj().T
@@ -333,8 +170,8 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     def grid_overlap(Bcur):
         # S_{jk} = <phi_j, phi_k> from the actual basis values on the grid
         S = np.zeros((n, n), dtype=complex)
-        for start in range(0, zeta.size, _GRAM_CHUNK):
-            sl = slice(start, start + _GRAM_CHUNK)
+        for start in range(0, zeta.size, _NODE_CHUNK):
+            sl = slice(start, start + _NODE_CHUNK)
             Q = (sw[sl, None] * np.vander(zeta[sl], n, increasing=True)) @ Bcur.conj().T
             S += Q.conj().T @ Q
         return S
@@ -363,10 +200,9 @@ def fit_kernel_model(domain: DomainSpec, degree: int = 40,
     """Grid + orthonormalization pipeline with the documented defaults.
 
     The basis is centered at the domain's bounding-box center and scaled by
-    its capacity radius, which keeps the underlying Gram matrix's smallest
-    eigenvalue only polynomially small in the degree; the factorization runs
-    through the weighted-Vandermonde QR route and the default grid is the
-    kernel-grade Gauss rule.
+    its capacity radius, which keeps the smallest singular value of the
+    weighted Vandermonde only polynomially small in the degree; the default
+    grid is the kernel-grade Gauss rule.
     """
     from .geometry import capacity_radius, gauss_quadrature_grid
 

@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .bergman import fit_kernel_model, save_kernel
 from .errors import MetricLabError
@@ -192,7 +190,6 @@ def _cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    np.seterr(over="ignore")
     try:
         if args.command == "kernel":
             code = _cmd_kernel_fit(args)

@@ -14,17 +14,17 @@ class GridError(MetricLabError, RuntimeError):
 
 
 class FactorizationError(MetricLabError, RuntimeError):
-    """Gram matrix factorization hit a non-positive pivot.
+    """The weighted Vandermonde of the kernel fit is rank-deficient.
 
-    Carries the degree at which positivity failed; this usually signals a
-    polynomial degree too large for the grid resolution.
+    Carries the first degree whose monomial the grid cannot separate from
+    the lower ones: the polynomial degree is too large for the grid
+    resolution.
     """
 
-    def __init__(self, degree: int, pivot: float):
+    def __init__(self, degree: int):
         self.degree = degree
-        self.pivot = pivot
         super().__init__(
-            f"non-positive Cholesky pivot {pivot:.3e} at degree {degree}; "
+            f"weighted Vandermonde rank-deficient at degree {degree}; "
             f"degree too large for the grid resolution"
         )
 

@@ -23,6 +23,7 @@ from .errors import (
     DivergentValueError,
     InsufficientDataError,
     KernelInstabilityError,
+    MetricLabError,
 )
 from .geometry import (
     DomainSpec,
@@ -760,7 +761,7 @@ def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
             beta = weighted_distance(omega, z, w, cfg.resolution,
                                      max_sweeps=cfg.refine_sweeps,
                                      full_window=True).distance
-        except Exception:
+        except MetricLabError:
             excluded += 1
             continue
         q = abs(z - w) / math.sqrt(float(curve_distance(domain, z))

@@ -25,9 +25,7 @@ from .geometry import (
     interior_anchor,
     unit_disc,
 )
-from .metrics import MetricDensity, weighted_distance
-
-_GL_X12, _GL_W12 = np.polynomial.legendre.leggauss(12)
+from .metrics import MetricDensity, _line_quad, weighted_distance
 
 
 class AnalyticMap:
@@ -227,14 +225,6 @@ class AffineInto(AnalyticMap):
         return _as_out(out, z)
 
 
-def map_eval(f: AnalyticMap, z):
-    return f(z)
-
-
-def map_derivative(f: AnalyticMap, z):
-    return f.derivative(z)
-
-
 # ---------------------------------------------------------------------------
 # weighted derivative and path bound
 
@@ -247,22 +237,6 @@ def weighted_derivative(f: AnalyticMap, omega: MetricDensity, z):
         raise DomainError("map value leaves the density's domain")
     out = omega.eval_array(val) * np.abs(np.asarray(f.derivative(z)))
     return float(out) if np.asarray(z).ndim == 0 else out
-
-
-def _line_quad(fun, a: complex, b: complex, rtol: float = 1e-10,
-               depth: int = 0) -> float:
-    def gl(lo, hi):
-        t = 0.5 * (_GL_X12 + 1.0)
-        pts = lo + t * (hi - lo)
-        return 0.5 * abs(hi - lo) * float(np.sum(fun(pts) * _GL_W12))
-
-    whole = gl(a, b)
-    mid = 0.5 * (a + b)
-    halves = gl(a, mid) + gl(mid, b)
-    if abs(whole - halves) <= rtol * (abs(halves) + 1e-30) or depth >= 24:
-        return halves
-    return (_line_quad(fun, a, mid, rtol, depth + 1)
-            + _line_quad(fun, mid, b, rtol, depth + 1))
 
 
 def path_upper_bound_check(f: AnalyticMap, omega: MetricDensity,

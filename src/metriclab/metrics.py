@@ -136,6 +136,7 @@ class PolylinePath:
 
 
 _GL_X12, _GL_W12 = np.polynomial.legendre.leggauss(12)
+_GL_T12 = 0.5 * (_GL_X12 + 1.0)
 _GL_X8, _GL_W8 = np.polynomial.legendre.leggauss(8)
 _GL_X6, _GL_W6 = np.polynomial.legendre.leggauss(6)
 
@@ -151,16 +152,25 @@ def _segment_cost(omega: MetricDensity, a, b, nodes=_GL_X8, weights=_GL_W8):
     return 0.5 * np.abs(b - a) * np.sum(vals * weights, axis=-1)
 
 
-def _segment_quad_adaptive(omega: MetricDensity, a: complex, b: complex,
-                           rtol: float = 1e-12, depth: int = 0) -> float:
-    whole = float(_segment_cost(omega, a, b, _GL_X12, _GL_W12))
-    mid = 0.5 * (a + b)
-    left = float(_segment_cost(omega, a, mid, _GL_X12, _GL_W12))
-    right = float(_segment_cost(omega, mid, b, _GL_X12, _GL_W12))
-    if abs(whole - (left + right)) <= rtol * (abs(left + right) + 1e-30) or depth >= 24:
-        return left + right
-    return (_segment_quad_adaptive(omega, a, mid, rtol, depth + 1)
-            + _segment_quad_adaptive(omega, mid, b, rtol, depth + 1))
+def _line_quad(fun, a: complex, b: complex) -> float:
+    """Adaptive 12-point Gauss-Legendre estimate of int_[a,b] fun |dz|.
+
+    Each interval is split in two until the halves agree with the whole to
+    1e-12 relative (or 24 levels deep); a half is evaluated once and handed
+    down as the whole of its own split.
+    """
+    def gl(lo, hi):
+        pts = lo + _GL_T12 * (hi - lo)
+        return 0.5 * float(np.abs(hi - lo)) * float(np.sum(fun(pts) * _GL_W12))
+
+    def split(lo, hi, whole, depth):
+        mid = 0.5 * (lo + hi)
+        left, right = gl(lo, mid), gl(mid, hi)
+        if abs(whole - (left + right)) <= 1e-12 * (abs(left + right) + 1e-30) or depth >= 24:
+            return left + right
+        return split(lo, mid, left, depth + 1) + split(mid, hi, right, depth + 1)
+
+    return split(a, b, gl(a, b), 0)
 
 
 def path_length(omega: MetricDensity, path: PolylinePath) -> float:
@@ -168,7 +178,7 @@ def path_length(omega: MetricDensity, path: PolylinePath) -> float:
     v = path.vertices
     if v.size < 2:
         return 0.0
-    return float(sum(_segment_quad_adaptive(omega, v[i], v[i + 1])
+    return float(sum(_line_quad(omega.eval_array, v[i], v[i + 1])
                      for i in range(v.size - 1)))
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from metriclab import bergman as B
 from metriclab import geometry as G
@@ -17,72 +18,37 @@ def disc_density_exact(z):
 
 
 # ---------------------------------------------------------------------------
-# Gram assembly
-
-
-def test_gram_disc_diagonal(disc):
-    # oracle: int_disc |z|^(2j) dA = pi / (j+1) in polar coordinates
-    grid = G.gauss_quadrature_grid(disc, 0.02)
-    gram = B.compute_gram(grid, 8)
-    jj = np.arange(9)
-    assert np.max(np.abs(np.diag(gram.matrix).real - np.pi / (jj + 1))) < 1e-5
-    off = gram.matrix - np.diag(np.diag(gram.matrix))
-    assert np.max(np.abs(off)) < 1e-5
-
-
-def test_gram_hermitian_exactly(disc):
-    gram = B.compute_gram(G.quadrature_grid(disc, 0.05), 6)
-    assert np.array_equal(gram.matrix, gram.matrix.conj().T)
-
-
-def test_gram_square_odd_moments_vanish(square):
-    # z -> -z symmetry of the square kills odd moments
-    gram = B.compute_gram(G.quadrature_grid(square, 0.05), 4)
-    assert abs(gram.matrix[0, 1]) < 1e-12
-
-
-def test_fit_kernel_diagonal_gram():
-    d = np.array([2.0, 3.0, 4.0, 5.0])
-    gram = B.GramMatrix(3, np.diag(d).astype(complex))
-    model = B.fit_kernel(gram)
-    assert np.allclose(np.diag(model.coefficients), d ** -0.5, atol=1e-14)
-    off = model.coefficients - np.diag(np.diag(model.coefficients))
-    assert np.max(np.abs(off)) == 0.0
+# kernel fit
 
 
 def test_fit_kernel_disc_basis(disc):
     grid = G.gauss_quadrature_grid(disc, 0.02)
-    model = B.fit_kernel(B.compute_gram(grid, 10), domain=disc)
+    model = B.fit_kernel_model(disc, degree=10, grid=grid)
     assert model.coefficients[0, 0] == pytest.approx(1 / math.sqrt(math.pi), abs=1e-4)
     assert model.coefficients[5, 5] == pytest.approx(math.sqrt(6 / math.pi), abs=1e-3)
     assert model.orthonormality_defect < 1e-8
 
 
 def test_factorization_failure_reports_degree():
-    # Hermitian but indefinite: pivot goes negative at degree 1
-    gram = B.GramMatrix(1, np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
-    with pytest.raises(FactorizationError) as err:
-        B.fit_kernel(gram)
-    assert err.value.degree == 1
-
-    # rank-one Gram: the zero pivot is hit exactly at degree 1
-    gram = B.GramMatrix(1, np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
-    with pytest.raises(FactorizationError) as err:
-        B.fit_kernel(gram)
-    assert err.value.degree == 1
-
-    # more monomials than quadrature nodes: singular Gram, degree too large
+    # more monomials than quadrature nodes: the weighted Vandermonde is
+    # rank-deficient, the first unresolved degree is the node count
     disc = G.unit_disc()
     grid = G.quadrature_grid(disc, 0.7)
-    gram = B.compute_gram(grid, grid.nodes.size + 2)
-    with pytest.raises(FactorizationError):
-        B.fit_kernel(gram)
+    with pytest.raises(FactorizationError) as err:
+        B.fit_kernel_model(disc, degree=grid.nodes.size + 2, grid=grid)
+    assert err.value.degree == grid.nodes.size
 
 
 def test_tsqr_and_cholesky_routes_agree(disc):
+    # independent reference: assemble the Gram matrix V^H W V, Cholesky
+    # G = L L^H, basis coefficients B = L^{-1}
     grid = G.gauss_quadrature_grid(disc, 0.02)
     center, scale = disc.center, G.capacity_radius(disc)
-    via_gram = B.fit_kernel(B.compute_gram(grid, 16, center, scale), domain=disc)
+    V = np.vander((grid.nodes - center) / scale, 17, increasing=True)
+    gram = V.conj().T @ (grid.weights[:, None] * V)
+    L = np.linalg.cholesky(0.5 * (gram + gram.conj().T))
+    coeffs = solve_triangular(L, np.eye(17, dtype=complex), lower=True)
+    via_gram = B.KernelModel(16, coeffs, center=center, scale=scale)
     via_qr = B.fit_kernel_model(disc, degree=16, grid=grid)
     zs = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.6])
     K1 = B.kernel_cross(via_gram, zs, zs)

@@ -7,7 +7,7 @@ import pytest
 
 from metriclab import cli
 from metriclab import experiments as E
-from metriclab.errors import ConfigError
+from metriclab.errors import ConfigError, DivergentDistanceError
 
 HL1_CUSP = """
 experiment = hl1
@@ -224,8 +224,7 @@ ring_distances = 0.4 0.2 0.1 0.05
     assert not rep.passed
 
 
-def test_nt_bounds_small_disc():
-    cfg = E.parse_config_text("""
+NT_DISC_SMALL = """
 experiment = nt-bounds
 domain = unit_disc
 density = bergman
@@ -235,13 +234,43 @@ resolution = 0.04
 pairs = 8
 pair_margin = 0.25
 refine_sweeps = 10
-""")
+"""
+
+
+def test_nt_bounds_small_disc():
+    cfg = E.parse_config_text(NT_DISC_SMALL)
     rep = E.run_nt_bound_fit(cfg)
     assert rep.passed
     assert 1.0 <= rep.values["c_star"] <= 10.0
     assert rep.values["excluded_pairs"] == 0
     assert rep.values["upper_margin_min"] >= -1e-12
     assert rep.values["lower_margin_min"] >= -1e-12
+
+
+def test_nt_bounds_excludes_only_metriclab_errors(monkeypatch):
+    cfg = E.parse_config_text(NT_DISC_SMALL)
+    real = E.weighted_distance
+
+    def bug(*args, **kwargs):
+        raise TypeError("a defect, not an excluded pair")
+
+    monkeypatch.setattr(E, "weighted_distance", bug)
+    with pytest.raises(TypeError):
+        E.run_nt_bound_fit(cfg)
+
+    calls = []
+
+    def divergent_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise DivergentDistanceError("endpoint too close to the boundary")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(E, "weighted_distance", divergent_once)
+    rep = E.run_nt_bound_fit(cfg)
+    assert rep.values["excluded_pairs"] == 1
+    assert rep.checks[0]["excluded"] == 1
+    assert rep.checks[0]["pairs"] == 8
 
 
 def test_nt_bounds_requires_bergman():

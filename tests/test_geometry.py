@@ -150,6 +150,17 @@ def test_gauss_grid_accuracy(disc, ellipse15, square):
             assert abs(grid.total_weight() - dom.area()) < 1e-4 * dom.area()
 
 
+def test_gauss_grid_disc_moments(disc):
+    # oracle: int_disc z^j conj(z)^k dA = pi / (j+1) if j == k else 0
+    grid = G.gauss_quadrature_grid(disc, 0.02)
+    V = np.vander(grid.nodes, 9, increasing=True)
+    moments = V.T @ (grid.weights[:, None] * V.conj())
+    jj = np.arange(9)
+    assert np.max(np.abs(np.diag(moments).real - np.pi / (jj + 1))) < 1e-5
+    off = moments - np.diag(np.diag(moments))
+    assert np.max(np.abs(off)) < 1e-5
+
+
 def test_quadrature_too_coarse_raises():
     tiny = G.polygon([0, 0.01, 0.01 + 0.01j])
     with pytest.raises(GridError):

@@ -1,0 +1,39 @@
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "metriclab"
+
+
+def declared_dependencies():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.\-]+", d).group(0).lower().replace("-", "_")
+            for d in deps}
+
+
+def imported_top_level(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_import_is_declared():
+    allowed = set(sys.stdlib_module_names) | {"metriclab"} | declared_dependencies()
+    undeclared = {
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in imported_top_level(path)
+        if name not in allowed
+    }
+    assert not undeclared, f"imports missing from pyproject.toml dependencies: {sorted(undeclared)}"
