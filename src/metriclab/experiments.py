@@ -51,7 +51,7 @@ from .metrics import (
     bergman_metric_density,
     constant_density,
     geodesic_evaluator,
-    hyperbolic_evaluator,
+    hyperbolic_distance_closed,
     quasihyperbolic_density,
     scaled_euclidean_evaluator,
     weighted_distance,
@@ -290,16 +290,14 @@ def _curve_dict(abscissa, values, fit=None) -> dict:
     return out
 
 
-def emit_report(report: VerificationReport, out_dir, fmt: str = "json") -> list[str]:
-    """Write the structured summary plus one two-column file per curve.
+def emit_report(report: VerificationReport, out_dir) -> list[str]:
+    """Write the JSON summary plus one two-column file per curve.
 
     File names derive from the config hash, contents carry 17 significant
     digits; identical configs therefore reproduce byte-identical files.
     """
     import os
 
-    if fmt != "json":
-        raise ValueError(f"unsupported report format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     stem = f"{report.experiment.replace('-', '_')}_{report.config_hash}"
     paths = []
@@ -353,7 +351,7 @@ def _build_density(cfg: ExperimentConfig) -> MetricDensity:
 
 def _distance_evaluator(cfg: ExperimentConfig, omega: MetricDensity):
     if omega.kind == HYPERBOLIC:
-        return hyperbolic_evaluator()
+        return hyperbolic_distance_closed
     if omega.kind == CONSTANT:
         return scaled_euclidean_evaluator(omega.value)
     return geodesic_evaluator(omega, cfg.resolution, max_sweeps=cfg.refine_sweeps)
@@ -412,16 +410,17 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
             if cfg.density_kind in (HYPERBOLIC, CONSTANT):
                 from .growth import mean_modulus_at_shifts, shift_ladder_indices
 
+                # the ladder's first modulus is the probe at the sampling
+                # of ``tr``; only the doubled sampling is computed anew
+                a = float(sc.values[0])
                 h0 = float(cfg.steps[0])
                 tr2 = boundary_trace(f, 2 * cfg.circle_samples, cfg.trace_radius)
                 if p == math.inf:
-                    a = sup_lipschitz_modulus(tr, d, h0)
                     b = sup_lipschitz_modulus(tr2, d, h0)
                 else:
                     # same effective shifts on both traces, so the probe
                     # measures sampling density, not ladder quantization
                     ks = shift_ladder_indices(tr.n, h0)
-                    a = mean_modulus_at_shifts(tr, d, p, ks)
                     b = mean_modulus_at_shifts(tr2, d, p, [2 * k for k in ks])
                 sampling_gap = abs(b - a) / max(abs(b), 1e-300)
     except DivergentValueError as err:

@@ -1,5 +1,5 @@
 """Bounded plane domains: membership, boundary parametrization, boundary
-distance, and quadrature grids over which all area integrals are computed.
+distance, and the quadrature grid over which all area integrals are computed.
 
 Supported domain kinds:
 
@@ -458,17 +458,18 @@ def capacity_radius(domain: DomainSpec) -> float:
 
 
 def interior_anchor(domain: DomainSpec) -> complex:
-    """A deterministic interior reference point (bounding-box center, nudged
-    inward along the grid if the center itself falls outside)."""
+    """A deterministic interior reference point: the bounding-box center if
+    it lies inside, else the lattice cell center farthest from the boundary,
+    the lattice refined until a center lies inside."""
     c = domain.center
     if contains(domain, c):
         return c
     h = domain.half_diagonal / 16
     for _ in range(6):
-        g = quadrature_grid(domain, h)
-        node = g.nodes[np.argmin(np.abs(g.nodes - c))]
-        if contains(domain, node):
-            return complex(node)
+        centers = _lattice(domain, h)
+        inside = centers[contains(domain, centers)]
+        if inside.size:
+            return complex(inside[np.argmax(curve_distance(domain, inside))])
         h /= 2
     raise GridError("could not locate an interior anchor point")
 
@@ -500,53 +501,15 @@ def _lattice(domain: DomainSpec, h: float):
     return (X + 1j * Y).ravel()
 
 
-def quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGrid:
-    """Midpoint-rule grid with one level of boundary refinement.
+def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGrid:
+    """Kernel-grade grid: tensor 2x2 Gauss nodes on the cells of side
+    ``resolution`` that lie inside, plus a recursively refined band along
+    the boundary.
 
-    Cell centers of an axis-aligned grid of side ``resolution`` that lie in
-    the domain carry weight resolution^2; cells within one cell-diagonal of
-    the boundary are split once into 4 subcells to reduce clipping error.
-    """
-    h = float(resolution)
-    if h <= 0:
-        raise ValueError("resolution must be positive")
-    centers = _lattice(domain, h)
-    dist = curve_distance(domain, centers)
-    inside = contains(domain, centers)
-    near = dist < h * math.sqrt(2.0)
-
-    keep = centers[inside & ~near]
-    nodes = [keep]
-    weights = [np.full(keep.size, h * h)]
-
-    refine = centers[near]
-    if refine.size:
-        q = h / 4
-        sub = (refine[:, None] + np.array(
-            [-q - 1j * q, q - 1j * q, -q + 1j * q, q + 1j * q]
-        )[None, :]).ravel()
-        sub_in = contains(domain, sub)
-        nodes.append(sub[sub_in])
-        weights.append(np.full(int(sub_in.sum()), (h / 2) ** 2))
-
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    if nodes.size == 0:
-        raise GridError("no quadrature node falls inside the domain; "
-                        "resolution too coarse")
-    return QuadratureGrid(nodes, weights, h,
-                          descriptor=f"midpoint1:{h!r}:{domain.grid_key()}")
-
-
-def gauss_quadrature_grid(domain: DomainSpec, resolution: float,
-                          boundary_depth: int = 7) -> QuadratureGrid:
-    """Kernel-grade grid: tensor 2x2 Gauss nodes on interior cells plus a
-    recursively refined midpoint band along the boundary.
-
-    The Gauss rule removes the O(h^2) interior error of the midpoint rule;
-    the band recursion (depth ``boundary_depth``) shrinks the boundary
-    clipping error well below kernel accuracy targets at the default
-    resolution.  Same contract as :func:`quadrature_grid`.
+    The Gauss rule removes the O(h^2) interior error of a midpoint rule;
+    the band recursion (7 levels deep) shrinks the boundary clipping error
+    well below kernel accuracy targets at the default resolution.  Raises
+    :class:`GridError` when no node falls inside the domain.
     """
     h = float(resolution)
     if h <= 0:
@@ -569,7 +532,7 @@ def gauss_quadrature_grid(domain: DomainSpec, resolution: float,
 
     active = centers[~fully_inside & (dist <= h * 0.7072)]
     side = h
-    for level in range(boundary_depth):
+    for level in range(7):
         if active.size == 0:
             break
         q = side / 4
@@ -594,4 +557,4 @@ def gauss_quadrature_grid(domain: DomainSpec, resolution: float,
         raise GridError("no quadrature node falls inside the domain; "
                         "resolution too coarse")
     return QuadratureGrid(nodes, weights, h,
-                          descriptor=f"gauss2x2+band{boundary_depth}:{h!r}:{domain.grid_key()}")
+                          descriptor=f"gauss2x2+band7:{h!r}:{domain.grid_key()}")

@@ -11,7 +11,7 @@ to zero, and the returned path is its certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -40,12 +40,17 @@ _BLOW_UP_KINDS = (HYPERBOLIC, QUASIHYPERBOLIC, BERGMAN)
 
 @dataclass
 class MetricDensity:
-    """Positive weight on a domain; pointwise finite and > 0 inside."""
+    """Positive weight on a domain; pointwise finite and > 0 inside.
+
+    The density owns the geodesic grid graphs built under it, at most 8
+    (see :func:`_build_graph`), so they live and die with it.
+    """
 
     domain: DomainSpec
     kind: str
     model: KernelModel | None = None
     value: float | None = None
+    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == HYPERBOLIC and self.domain.kind != UNIT_DISC:
@@ -263,26 +268,12 @@ class _GridGraph:
     xmin: float
     ymin: float
 
-    def nearby_ids(self, z: complex, radius_cells: int = 2) -> np.ndarray:
+    def nearby_ids(self, z: complex) -> np.ndarray:
+        """Sorted ids of the nodes at most 2 lattice cells from z's cell."""
         ci = int(np.floor((z.real - self.xmin) / self.h - 0.5)) - self.i0
         cj = int(np.floor((z.imag - self.ymin) / self.h - 0.5)) - self.j0
-        ni, nj = self.ids.shape
-        out = []
-        for di in range(-radius_cells, radius_cells + 1):
-            for dj in range(-radius_cells, radius_cells + 1):
-                i, j = ci + di, cj + dj
-                if 0 <= i < ni and 0 <= j < nj and self.ids[i, j] >= 0:
-                    out.append(self.ids[i, j])
-        return np.array(sorted(out), dtype=int)
-
-
-_GRAPH_CACHE: dict = {}
-_GRAPH_CACHE_LIMIT = 8
-
-
-def _density_key(omega: MetricDensity):
-    model_key = id(omega.model) if omega.model is not None else None
-    return (omega.domain.grid_key(), omega.kind, omega.value, model_key)
+        block = self.ids[max(ci - 2, 0):max(ci + 3, 0), max(cj - 2, 0):max(cj + 3, 0)]
+        return np.sort(block[block >= 0])
 
 
 def _convex_kind(domain: DomainSpec) -> bool:
@@ -314,8 +305,8 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
     i1 = max(i1, i0)
     j1 = max(j1, j0)
 
-    key = (_density_key(omega), h, i0, i1, j0, j1)
-    cached = _GRAPH_CACHE.get(key)
+    key = (h, i0, i1, j0, j1)
+    cached = omega._graphs.get(key)
     if cached is not None:
         return cached
 
@@ -373,9 +364,9 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
         matrix=csr_matrix((v, (r, c)), shape=(n, n)),
         xmin=xmin, ymin=ymin,
     )
-    if len(_GRAPH_CACHE) >= _GRAPH_CACHE_LIMIT:
-        _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
-    _GRAPH_CACHE[key] = graph
+    if len(omega._graphs) >= 8:   # oldest first out
+        omega._graphs.pop(next(iter(omega._graphs)))
+    omega._graphs[key] = graph
     return graph
 
 
@@ -484,15 +475,16 @@ def _shortcut(omega: MetricDensity, pts: np.ndarray, margin: float) -> np.ndarra
     return pts[np.array(out)]
 
 
-def _resample(pts: np.ndarray, target: float, max_vertices: int = 400) -> np.ndarray:
+def _resample(pts: np.ndarray, target: float) -> np.ndarray:
     """Redistribute vertices along the polyline at equal arclength spacing
-    close to ``target`` (coarsening or subdividing as needed); endpoints are
-    kept exactly and interior vertices stay on the original polyline."""
+    close to ``target``, but no finer than 1/400 of the length (coarsening
+    or subdividing as needed); endpoints are kept exactly and interior
+    vertices stay on the original polyline."""
     seglen = np.abs(np.diff(pts))
     total = float(seglen.sum())
     if total == 0 or pts.size < 2:
         return pts
-    target = max(target, total / max_vertices)
+    target = max(target, total / 400)
     k = max(1, int(math.ceil(total / target)))
     s = np.linspace(0.0, total, k + 1)
     cum = np.concatenate([[0.0], np.cumsum(seglen)])
@@ -505,9 +497,10 @@ def _resample(pts: np.ndarray, target: float, max_vertices: int = 400) -> np.nda
 
 
 def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
-                 margin: float, rel_tol: float, budget) -> np.ndarray:
+                 margin: float, budget) -> np.ndarray:
     """Red-black pattern-search sweeps at one vertex spacing, with the probe
-    step shrinking geometrically from step0."""
+    step shrinking geometrically from step0; a sweep counts as an
+    improvement when it cuts the path cost by more than 1e-8 relative."""
     domain = omega.domain
     dirs = np.array([1, -1, 1j, -1j,
                      (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
@@ -545,7 +538,7 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                 best = np.argmin(cost, axis=1)
                 pts[idx] = cand[np.arange(idx.size), best]
             total = _path_cost(omega, pts)
-            if before - total > rel_tol * max(total, 1e-300):
+            if before - total > 1e-8 * max(total, 1e-300):
                 improved_level = True
             else:
                 break
@@ -555,8 +548,7 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
 
 
 def _refine(omega: MetricDensity, pts: np.ndarray, resolution: float,
-            margin: float, rel_tol: float = 1e-8,
-            max_sweeps: int | None = None) -> np.ndarray:
+            margin: float, max_sweeps: int | None = None) -> np.ndarray:
     """Multiscale polyline relaxation: the global shape is settled on a
     coarsened polyline first (few vertices relax in few sweeps), then the
     spacing is halved down to the grid scale.  This keeps convergence
@@ -579,7 +571,7 @@ def _refine(omega: MetricDensity, pts: np.ndarray, resolution: float,
         if check_segments and not np.all(
                 _segment_inside(omega.domain, cand[:-1], cand[1:], 0.0, 16)):
             cand = pts   # coarsening would leave the domain; keep the mesh
-        pts = _sweep_level(omega, cand, delta / 2.0, margin, rel_tol, budget)
+        pts = _sweep_level(omega, cand, delta / 2.0, margin, budget)
         if budget is not None and budget[0] <= 0:
             break
     return pts
@@ -630,17 +622,6 @@ def weighted_distance(omega: MetricDensity, z: complex, w: complex,
 
 # ---------------------------------------------------------------------------
 # distance evaluators injected into the growth-analysis layer
-
-
-def euclidean_evaluator():
-    def d(u, v):
-        return np.abs(np.asarray(u, dtype=complex) - np.asarray(v, dtype=complex))
-
-    return d
-
-
-def hyperbolic_evaluator():
-    return hyperbolic_distance_closed
 
 
 def scaled_euclidean_evaluator(c: float):

@@ -29,11 +29,15 @@ def test_fit_kernel_disc_basis(disc):
     assert model.orthonormality_defect < 1e-8
 
 
-def test_factorization_failure_reports_degree():
+def test_factorization_failure_reports_degree(disc):
     # more monomials than quadrature nodes: the weighted Vandermonde is
-    # rank-deficient, the first unresolved degree is the node count
-    disc = G.unit_disc()
-    grid = G.quadrature_grid(disc, 0.7)
+    # rank-deficient, the first unresolved degree is the node count.  A
+    # midpoint rule on the inside cell centers of a coarse lattice keeps the
+    # grid at 26 nodes (the Gauss grid's boundary band runs to thousands)
+    h = 0.35
+    centers = G._lattice(disc, h)
+    nodes = centers[G.contains(disc, centers)]
+    grid = G.QuadratureGrid(nodes, np.full(nodes.size, h * h), h)
     with pytest.raises(FactorizationError) as err:
         B.fit_kernel_model(disc, degree=grid.nodes.size + 2, grid=grid)
     assert err.value.degree == grid.nodes.size

@@ -81,14 +81,14 @@ def test_means_cusp_against_quadrature_oracle(hyp, cusp50):
 
 def test_sup_modulus_constant_trace():
     tr = MP.boundary_trace(MP.from_name("const_25"), 512)
-    assert GR.sup_lipschitz_modulus(tr, M.euclidean_evaluator(), 0.3) == 0.0
-    assert GR.mean_lipschitz_modulus(tr, M.euclidean_evaluator(), 2.0, 0.3) == 0.0
+    assert GR.sup_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), 0.3) == 0.0
+    assert GR.mean_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), 2.0, 0.3) == 0.0
 
 
 def test_sup_modulus_identity_chord():
     tr = MP.boundary_trace(MP.from_name("identity"), 4096)
     h = 0.2
-    got = GR.sup_lipschitz_modulus(tr, M.euclidean_evaluator(), h)
+    got = GR.sup_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), h)
     # gaps are strictly below h on the sample grid, so the sup sits one
     # angular step under the chord bound 2 sin(h/2)
     assert 2 * math.sin(h / 2) * (1 - 2 * 2 * np.pi / 4096 / h) <= got <= 2 * math.sin(h / 2)
@@ -102,7 +102,7 @@ def test_mean_modulus_scaled_circle():
     # the largest ladder shift, rounded to the trace's angular grid
     s_eff = round(h * n / (2 * np.pi)) * 2 * np.pi / n
     for p in (1.0, 2.0, 3.5):
-        got = GR.mean_lipschitz_modulus(tr, M.euclidean_evaluator(), p, h)
+        got = GR.mean_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), p, h)
         assert got == pytest.approx(2 * eps * math.sin(s_eff / 2), rel=1e-12)
 
 
@@ -110,7 +110,7 @@ def test_small_circle_hyperbolic_modulus_slope_one(hyp):
     eps = 0.3
     n = 32768
     tr = MP.boundary_trace(MP.PolynomialMap((0.0, eps)), n)
-    d = M.hyperbolic_evaluator()
+    d = M.hyperbolic_distance_closed
     hs = 2.0 ** -np.arange(3, 9)
     curve = GR.modulus_curve(tr, d, hs, math.inf)
     fit = GR.fit_exponent(curve)
@@ -129,14 +129,14 @@ def test_small_circle_hyperbolic_modulus_slope_one(hyp):
 def test_modulus_divergence_reported(hyp):
     tr = MP.boundary_trace(MP.from_name("identity"), 1024)
     with pytest.raises(DivergentValueError):
-        GR.sup_lipschitz_modulus(tr, M.hyperbolic_evaluator(), 0.1)
+        GR.sup_lipschitz_modulus(tr, M.hyperbolic_distance_closed, 0.1)
     with pytest.raises(DivergentValueError):
-        GR.mean_lipschitz_modulus(tr, M.hyperbolic_evaluator(), 1.0, 0.1)
+        GR.mean_lipschitz_modulus(tr, M.hyperbolic_distance_closed, 1.0, 0.1)
 
 
 def test_modulus_monotone_in_h(cusp50):
     tr = MP.boundary_trace(cusp50, 2048)
-    d = M.euclidean_evaluator()
+    d = M.scaled_euclidean_evaluator(1.0)
     sups = [GR.sup_lipschitz_modulus(tr, d, h) for h in (0.05, 0.1, 0.2, 0.4)]
     assert np.all(np.diff(sups) >= 0)
     means = [GR.mean_lipschitz_modulus(tr, d, 1.5, h) for h in (0.05, 0.1, 0.2, 0.4)]
@@ -145,7 +145,7 @@ def test_modulus_monotone_in_h(cusp50):
 
 def test_mean_modulus_below_sup_and_p_monotone(cusp50):
     tr = MP.boundary_trace(cusp50, 2048)
-    d = M.euclidean_evaluator()
+    d = M.scaled_euclidean_evaluator(1.0)
     h = 0.2
     sup = GR.sup_lipschitz_modulus(tr, d, h)
     prev = 0.0
@@ -159,9 +159,9 @@ def test_mean_modulus_below_sup_and_p_monotone(cusp50):
 def test_modulus_step_validation(cusp50):
     tr = MP.boundary_trace(cusp50, 64)
     with pytest.raises(ValueError):
-        GR.sup_lipschitz_modulus(tr, M.euclidean_evaluator(), 4.0)
+        GR.sup_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), 4.0)
     with pytest.raises(ValueError):
-        GR.sup_lipschitz_modulus(tr, M.euclidean_evaluator(), 0.01)  # below grid
+        GR.sup_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), 0.01)  # below grid
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_means_curve_and_modulus_curve_builders(hyp, cusp50):
 def test_modulus_fit_stable_under_sampling(hyp, cusp50):
     # shift quantization at the smallest ladder step dominates the spread,
     # which stays well inside the 0.1 exponent tolerances used downstream
-    d = M.hyperbolic_evaluator()
+    d = M.hyperbolic_distance_closed
     hs = 2.0 ** -np.arange(3, 9)
     slopes = []
     for n in (4096, 16384):

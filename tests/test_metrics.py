@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -220,6 +222,40 @@ def test_nonconvex_domain_routes_around_notch():
     corner_route = abs(z - (1 + 1j)) + abs(w - (1 + 1j))
     assert res.distance <= corner_route + 0.02
     assert bool(G.contains(lshape, res.path.vertices).all())
+
+
+def test_graphs_live_and_die_with_their_density(disc):
+    omega = M.quasihyperbolic_density(disc)
+    graph = M._build_graph(omega, 0.05, disc.bounding_box)
+    assert M._build_graph(omega, 0.05, disc.bounding_box) is graph
+    ref = weakref.ref(graph)
+    del graph, omega
+    gc.collect()
+    assert ref() is None
+
+
+def test_density_keeps_its_eight_newest_graphs(disc):
+    omega = M.quasihyperbolic_density(disc)
+    windows = [(-0.5 + 0.1 * k, 0.5, -0.5, 0.5) for k in range(9)]
+    graphs = [M._build_graph(omega, 0.1, win) for win in windows]
+    kept = list(omega._graphs.values())
+    assert len(kept) == 8
+    assert all(a is b for a, b in zip(kept, graphs[1:]))
+    assert M._build_graph(omega, 0.1, windows[0]) is not graphs[0]
+
+
+def test_nearby_ids_match_a_cell_scan(disc):
+    # reference: scan the 5 x 5 cells around z's cell, keep lattice nodes
+    graph = M._build_graph(M.quasihyperbolic_density(disc), 0.1, (0.2, 0.6, -0.3, 0.4))
+    rng = np.random.default_rng(3)
+    for z in rng.uniform(-1.2, 1.2, 300) + 1j * rng.uniform(-1.2, 1.2, 300):
+        ci = int(np.floor((z.real - graph.xmin) / graph.h - 0.5)) - graph.i0
+        cj = int(np.floor((z.imag - graph.ymin) / graph.h - 0.5)) - graph.j0
+        ref = sorted(graph.ids[i, j]
+                     for i in range(ci - 2, ci + 3) for j in range(cj - 2, cj + 3)
+                     if 0 <= i < graph.ids.shape[0] and 0 <= j < graph.ids.shape[1]
+                     and graph.ids[i, j] >= 0)
+        assert graph.nearby_ids(z).tolist() == ref
 
 
 def test_geodesic_evaluator_divergence_to_inf(hyp):
