@@ -56,15 +56,20 @@ class KernelModel:
         out = V @ self.coefficients.T
         return out.reshape(zz.shape + (self.degree + 1,))
 
-    def basis_derivatives(self, z) -> np.ndarray:
-        """phi_j'(z) for all j (derivative in the original z variable)."""
+    def basis_values_and_derivatives(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(phi_j(z), phi_j'(z)) for all j from one Vandermonde matrix; the
+        derivative is taken in the original z variable."""
         zz = np.asarray(z, dtype=complex)
-        zeta = self._zeta(zz).ravel()
         n = self.degree + 1
-        V = np.zeros((zeta.size, n), dtype=complex)
-        V[:, 1:] = np.vander(zeta, n - 1, increasing=True) * np.arange(1, n)
-        out = (V @ self.coefficients.T) / self.scale
-        return out.reshape(zz.shape + (n,))
+        V = np.vander(self._zeta(zz).ravel(), n, increasing=True)
+        phi = V @ self.coefficients.T
+        # reuse V as the derivative matrix (one N x n array fewer): column k
+        # becomes k zeta^(k-1), column 0 zero
+        V[:, 1:] = V[:, :-1] * np.arange(1, n)
+        V[:, 0] = 0.0
+        dphi = V @ self.coefficients.T
+        dphi /= self.scale
+        return phi.reshape(zz.shape + (n,)), dphi.reshape(zz.shape + (n,))
 
 
 def kernel_eval(model: KernelModel, z, w):
@@ -90,8 +95,7 @@ def bergman_density(model: KernelModel, z, floor: float = 1e-12):
     never clamped, because they flag a degree/grid too coarse at z.
     """
     zz = np.asarray(z, dtype=complex)
-    phi = model.basis_values(zz)
-    dphi = model.basis_derivatives(zz)
+    phi, dphi = model.basis_values_and_derivatives(zz)
     A = np.einsum("...j,...j->...", phi, np.conj(phi)).real
     Az = np.einsum("...j,...j->...", dphi, np.conj(phi))
     Azz = np.einsum("...j,...j->...", dphi, np.conj(dphi)).real

@@ -30,6 +30,9 @@ SMOOTHED_POLYGON = "smoothed_polygon"
 
 _KINDS = (UNIT_DISC, ELLIPSE, POLYGON, SMOOTHED_POLYGON)
 
+# rows per block of the ellipse distance's parameter scan
+_SCAN_CHUNK = 8192
+
 
 @dataclass
 class _Corner:
@@ -362,38 +365,46 @@ def _ellipse_boundary_dist(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """Distance to the ellipse via the footpoint equation.
 
     The query is reduced to the first quadrant; the squared distance is
-    scanned on a parameter grid and the best bracket is polished with a
-    safeguarded Newton iteration (bisection fallback), which stays robust
-    near the major axis where the footpoint equation degenerates.
+    scanned on a parameter grid (in row chunks, so memory stays bounded) and
+    the best bracket is polished with a safeguarded Newton iteration
+    (bisection fallback), which stays robust near the major axis where the
+    footpoint equation degenerates.  Each point stops on its own once its
+    step or its bracket falls to 1e-15, so its result does not depend on
+    the batch it is evaluated in.
     """
     if a == b:
         return np.abs(np.abs(z) - a)
     x, y = np.abs(z.real), np.abs(z.imag)
     ts = np.linspace(0.0, np.pi / 2, 97)
-    dx = a * np.cos(ts)[None, :] - x[:, None]
-    dy = b * np.sin(ts)[None, :] - y[:, None]
-    f2 = dx * dx + dy * dy
-    k = np.argmin(f2, axis=1)
+    gx, gy = a * np.cos(ts), b * np.sin(ts)
+    k = np.empty(x.size, dtype=np.intp)
+    for start in range(0, x.size, _SCAN_CHUNK):
+        sl = slice(start, start + _SCAN_CHUNK)
+        dx = gx[None, :] - x[sl, None]
+        dy = gy[None, :] - y[sl, None]
+        k[sl] = np.argmin(dx * dx + dy * dy, axis=1)
     lo = ts[np.maximum(k - 1, 0)]
     hi = ts[np.minimum(k + 1, len(ts) - 1)]
     t = ts[k]
     # D(t) = d/dt |g(t)-z|^2 / 2;  root gives the footpoint
+    act = np.arange(x.size)
     for _ in range(60):
-        s, c = np.sin(t), np.cos(t)
-        D = (b * b - a * a) * s * c + a * x * s - b * y * c
-        Dp = (b * b - a * a) * (c * c - s * s) + a * x * c + b * y * s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tn = t - D / Dp
-        bad = ~np.isfinite(tn) | (tn < lo) | (tn > hi)
-        tn = np.where(bad, 0.5 * (lo + hi), tn)
-        s, c = np.sin(tn), np.cos(tn)
-        Dn = (b * b - a * a) * s * c + a * x * s - b * y * c
-        lo = np.where(Dn < 0, tn, lo)
-        hi = np.where(Dn < 0, hi, tn)
-        if np.max(hi - lo) < 1e-15:
-            t = tn
+        if act.size == 0:
             break
-        t = tn
+        ta, la, ha, xa, ya = t[act], lo[act], hi[act], x[act], y[act]
+        s, c = np.sin(ta), np.cos(ta)
+        D = (b * b - a * a) * s * c + a * xa * s - b * ya * c
+        Dp = (b * b - a * a) * (c * c - s * s) + a * xa * c + b * ya * s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tn = ta - D / Dp
+        bad = ~np.isfinite(tn) | (tn < la) | (tn > ha)
+        tn = np.where(bad, 0.5 * (la + ha), tn)
+        s, c = np.sin(tn), np.cos(tn)
+        Dn = (b * b - a * a) * s * c + a * xa * s - b * ya * c
+        la = np.where(Dn < 0, tn, la)
+        ha = np.where(Dn < 0, ha, tn)
+        t[act], lo[act], hi[act] = tn, la, ha
+        act = act[(np.abs(tn - ta) > 1e-15) & (ha - la >= 1e-15)]
     cand = np.stack([
         np.hypot(a * np.cos(t) - x, b * np.sin(t) - y),
         np.hypot(a - x, y),          # t = 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from metriclab import geometry as G
 from metriclab.errors import DomainError, GridError
@@ -44,6 +45,63 @@ def test_ellipse_footpoint_against_scan(z):
     e = G.ellipse(2, 1)
     assert G.curve_distance(e, z) == pytest.approx(
         brute_force_boundary_distance(e, z), abs=1e-8)
+
+
+def brentq_ellipse_distance(a, b, z):
+    """Oracle: every root of D(t) = (b^2-a^2) sin t cos t + a x sin t - b y cos t
+    on [0, pi/2] found by brentq from a sign change of a dense scan, plus both
+    endpoints; the nearest of those boundary points gives the distance."""
+    x, y = abs(z.real), abs(z.imag)
+
+    def D(t):
+        return (b * b - a * a) * math.sin(t) * math.cos(t) + a * x * math.sin(t) \
+            - b * y * math.cos(t)
+
+    ts = np.linspace(0.0, np.pi / 2, 4097)
+    vals = [D(t) for t in ts]
+    roots = [0.0, np.pi / 2]
+    for t0, t1, v0, v1 in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
+        if v0 == 0.0:
+            roots.append(t0)
+        elif v0 * v1 < 0:
+            roots.append(brentq(D, t0, t1, xtol=1e-15))
+    return min(math.hypot(a * math.cos(t) - x, b * math.sin(t) - y) for t in roots)
+
+
+@pytest.mark.parametrize("a, b", [(1.5, 1.0), (2.0, 1.0), (3.0, 1.0)])
+def test_ellipse_distance_against_brentq_oracle(a, b):
+    e = G.ellipse(a, b)
+    evolute = (a * a - b * b) / a
+    rng = np.random.default_rng(17)
+    t = rng.uniform(0, 2 * np.pi, 12)
+    g = G.boundary_point(e, t)
+    normal = 1j * (-a * np.sin(t) + 1j * b * np.cos(t))
+    normal /= np.abs(normal)
+    pts = np.concatenate([
+        [0j],
+        evolute * np.array([-0.9, -0.5, 0.3, 0.7, 0.99]),      # major axis, inside the evolute
+        evolute * np.array([1.2, 1.0, -1.1]),                  # major axis, on or past it
+        1j * b * np.array([-0.8, -0.2, 0.4, 0.9]),             # minor axis
+        g + 5e-7 * normal, g - 5e-7 * normal,                  # within 1e-6 of the boundary
+        g * (1 + rng.uniform(0.05, 1.0, 12)),                  # outside
+        rng.uniform(-a, a, 30) + 1j * rng.uniform(-b, b, 30),  # bounding box
+    ])
+    got = G.curve_distance(e, pts)
+    want = np.array([brentq_ellipse_distance(a, b, z) for z in pts])
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
+@pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
+def test_ellipse_distance_independent_of_batch(a):
+    # a batch spanning several scan chunks; each point stops on its own
+    e = G.ellipse(a, 1)
+    rng = np.random.default_rng(29)
+    n = 20000
+    z = rng.uniform(-1.3 * a, 1.3 * a, n) + 1j * rng.uniform(-1.3, 1.3, n)
+    batch = G.curve_distance(e, z)
+    idx = np.arange(0, n, 10)
+    single = np.array([G.curve_distance(e, complex(z[i])) for i in idx])
+    assert np.array_equal(single, batch[idx])
 
 
 def test_boundary_distance_below_any_boundary_point(disc, ellipse15, square):
@@ -108,9 +166,12 @@ def test_smoothed_polygon_membership_consistent_with_boundary():
     t = np.linspace(0, 2 * np.pi, 997)
     bp = G.boundary_point(sp, t)
     assert float(np.max(G.curve_distance(sp, bp))) < 1e-12
-    anchor = G.interior_anchor(sp)
-    inward = bp + 1e-6 * (anchor - bp) / np.abs(anchor - bp)
-    outward = bp - 1e-6 * (anchor - bp) / np.abs(anchor - bp)
+    # inward normal i*gamma'(t) of the counterclockwise parametrization
+    dt = 1e-6
+    tangent = G.boundary_point(sp, t + dt) - G.boundary_point(sp, t - dt)
+    normal = 1j * tangent / np.abs(tangent)
+    inward = bp + 1e-6 * normal
+    outward = bp - 1e-6 * normal
     assert bool(G.contains(sp, inward).all())
     assert not bool(G.contains(sp, outward).any())
     grid = G.gauss_quadrature_grid(sp, 0.01)
