@@ -24,10 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 
 from .errors import DomainError, FactorizationError, KernelInstabilityError
-from .geometry import DomainSpec, QuadratureGrid, contains
+from .geometry import (
+    DomainSpec,
+    QuadratureGrid,
+    capacity_radius,
+    contains,
+    gauss_quadrature_grid,
+)
 
 _NODE_CHUNK = 65536
 
@@ -150,8 +156,6 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     Returns (B, defect) where defect = max |Q^H Q - I| is the orthonormality
     defect of the basis values on the source grid.
     """
-    from scipy.linalg import qr
-
     n = degree + 1
     zeta = (grid.nodes - center) / scale
     sw = np.sqrt(grid.weights)
@@ -208,8 +212,6 @@ def fit_kernel_model(domain: DomainSpec, degree: int = 40,
     weighted Vandermonde only polynomially small in the degree; the default
     grid is the kernel-grade Gauss rule.
     """
-    from .geometry import capacity_radius, gauss_quadrature_grid
-
     if grid is None:
         grid = gauss_quadrature_grid(domain, resolution)
     center = domain.center

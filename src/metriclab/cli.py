@@ -10,7 +10,6 @@ Exit codes: 0 = all criteria passed, 1 = a criterion failed,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -18,6 +17,8 @@ from . import __version__
 from .bergman import fit_kernel_model, save_kernel
 from .errors import MetricLabError
 from .experiments import (
+    _build_density,
+    _distance_evaluator,
     emit_report,
     load_report,
     parse_config_file,
@@ -105,8 +106,6 @@ def _cmd_kernel_fit(args) -> int:
 
 def _cmd_density_eval(args) -> int:
     cfg = _load_config(args)
-    from .experiments import _build_density
-
     omega = _build_density(cfg)
     z = complex(args.point)
     value = density_eval(omega, z)
@@ -116,8 +115,6 @@ def _cmd_density_eval(args) -> int:
 
 def _cmd_distance(args) -> int:
     cfg = _load_config(args)
-    from .experiments import _build_density
-
     omega = _build_density(cfg)
     z, w = complex(args.z), complex(args.w)
     res = weighted_distance(omega, z, w, cfg.resolution)
@@ -133,8 +130,6 @@ def _cmd_distance(args) -> int:
 
 def _cmd_means(args) -> int:
     cfg = _load_config(args)
-    from .experiments import _build_density
-
     omega = _build_density(cfg)
     f = from_name(cfg.map_name, cfg.domain)
     curve = means_curve(lambda zs: weighted_derivative(f, omega, zs),
@@ -149,14 +144,11 @@ def _cmd_means(args) -> int:
 
 def _cmd_modulus(args) -> int:
     cfg = _load_config(args)
-    from .experiments import _build_density, _distance_evaluator
-
     omega = _build_density(cfg)
     f = from_name(cfg.map_name, cfg.domain)
     trace = boundary_trace(f, cfg.circle_samples, cfg.trace_radius)
     d = _distance_evaluator(cfg, omega)
-    p = cfg.p if cfg.p < math.inf else math.inf
-    curve = modulus_curve(trace, d, cfg.steps, p)
+    curve = modulus_curve(trace, d, cfg.steps, cfg.p)
     fit = fit_exponent(curve)
     for h, v in zip(curve.steps, curve.values):
         print(f"h = {h:.6f}  M = {v:.10g}")
@@ -208,10 +200,7 @@ def main(argv=None) -> int:
         else:  # pragma: no cover
             raise AssertionError(args.command)
         return code
-    except MetricLabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (MetricLabError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .geometry import (
     smoothed_polygon,
     unit_disc,
 )
-from .growth import fit_exponent, means_curve, modulus_curve
+from .growth import doubled_sampling_modulus, fit_exponent, means_curve, modulus_curve
 from .maps import (
     boundary_trace,
     from_name,
@@ -51,6 +52,7 @@ from .metrics import (
     bergman_metric_density,
     constant_density,
     geodesic_evaluator,
+    hyperbolic_density,
     hyperbolic_distance_closed,
     quasihyperbolic_density,
     scaled_euclidean_evaluator,
@@ -188,7 +190,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     if not (0 < alpha <= 1):
         raise ConfigError("alpha must lie in (0, 1]")
     p = float(merged["p"])
-    if p < 1:
+    if not p >= 1:  # also rejects nan
         raise ConfigError("p must satisfy p >= 1")
     radii_k = np.array([float(k) for k in merged["radii_k"].split()])
     steps_k = np.array([float(k) for k in merged["steps_k"].split()])
@@ -253,21 +255,6 @@ class VerificationReport:
     seed: int
     tool_version: str = __version__
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "passed": self.passed,
-            "checks": self.checks,
-            "curves": self.curves,
-            "flags": self.flags,
-            "notes": self.notes,
-            "values": self.values,
-            "config_echo": self.config_echo,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-        }
-
 
 def _check(name: str, passed: bool, **detail) -> dict:
     out = {"name": name, "passed": bool(passed)}
@@ -296,14 +283,12 @@ def emit_report(report: VerificationReport, out_dir) -> list[str]:
     File names derive from the config hash, contents carry 17 significant
     digits; identical configs therefore reproduce byte-identical files.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     stem = f"{report.experiment.replace('-', '_')}_{report.config_hash}"
     paths = []
     summary = os.path.join(out_dir, f"{stem}.json")
     with open(summary, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     paths.append(summary)
     for name, curve in report.curves.items():
@@ -331,8 +316,6 @@ def _build_density(cfg: ExperimentConfig) -> MetricDensity:
     if cfg.density_kind == HYPERBOLIC:
         if cfg.domain.kind != "unit_disc":
             raise ConfigError("hyperbolic density requires the unit disc domain")
-        from .metrics import hyperbolic_density
-
         return hyperbolic_density()
     if cfg.density_kind == QUASIHYPERBOLIC:
         return quasihyperbolic_density(cfg.domain)
@@ -370,8 +353,6 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
     the largest-step modulus when the circle sampling doubles (computed for
     closed-form distance evaluators only; None otherwise).
     """
-    from .growth import sup_lipschitz_modulus
-
     omega = _build_density(cfg)
     f = from_name(cfg.map_name, cfg.domain)
     g = _fstar_function(f, omega)
@@ -408,20 +389,11 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
                 flags.append("modulus-fit-failed")
                 curves[f"modulus_{label}"]["error"] = str(err)
             if cfg.density_kind in (HYPERBOLIC, CONSTANT):
-                from .growth import mean_modulus_at_shifts, shift_ladder_indices
-
                 # the ladder's first modulus is the probe at the sampling
                 # of ``tr``; only the doubled sampling is computed anew
                 a = float(sc.values[0])
-                h0 = float(cfg.steps[0])
                 tr2 = boundary_trace(f, 2 * cfg.circle_samples, cfg.trace_radius)
-                if p == math.inf:
-                    b = sup_lipschitz_modulus(tr2, d, h0)
-                else:
-                    # same effective shifts on both traces, so the probe
-                    # measures sampling density, not ladder quantization
-                    ks = shift_ladder_indices(tr.n, h0)
-                    b = mean_modulus_at_shifts(tr2, d, p, [2 * k for k in ks])
+                b = doubled_sampling_modulus(tr2, d, p, float(cfg.steps[0]))
                 sampling_gap = abs(b - a) / max(abs(b), 1e-300)
     except DivergentValueError as err:
         divergent = True

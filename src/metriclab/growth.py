@@ -76,59 +76,63 @@ def integral_means(g, r: float, p: float, n: int = 4096) -> float:
     return float(np.mean(vals ** p) ** (1.0 / p))
 
 
-def _pair_distances(trace: BoundaryTrace, d, k: int) -> np.ndarray:
-    return np.asarray(d(np.roll(trace.values, -k), trace.values), dtype=float)
+def _shift_set(n: int, h: float, p: float) -> list[int]:
+    """Grid shifts that make up the step-h modulus of an n-sample trace.
 
-
-def sup_lipschitz_modulus(trace: BoundaryTrace, d, h: float) -> float:
-    """max over sample pairs with angular gap < h of d(trace(t), trace(s))."""
+    The sup takes every shift k <= min(K(h), n // 2), where K(h) is the
+    largest shift whose angular gap lies strictly below h; a p-mean takes the
+    dyadic ladder {h/8, h/4, h/2, h} rounded to the angular grid.
+    """
     if not (0 < h <= math.pi):
         raise ValueError("step must lie in (0, pi]")
-    n = trace.n
     gap = 2 * np.pi / n
-    K = int(np.ceil(h / gap)) - 1
-    K = min(K, n // 2)
-    if K < 1:
-        raise ValueError(f"step {h} is below the angular resolution {gap} of the trace")
-    best = 0.0
-    for k in range(1, K + 1):
-        dist = _pair_distances(trace, d, k)
-        if not np.all(np.isfinite(dist)):
-            raise DivergentValueError(
-                f"divergent modulus: a trace pair at gap {k * gap:.4g} has infinite "
-                f"distance (boundary values touch the target boundary)")
-        best = max(best, float(dist.max()))
-    return best
-
-
-def shift_ladder_indices(n: int, h: float) -> list[int]:
-    """Dyadic shift ladder {h/8, h/4, h/2, h} rounded to the angular grid."""
-    gap = 2 * np.pi / n
+    if p == math.inf:
+        K = min(int(np.ceil(h / gap)) - 1, n // 2)
+        if K < 1:
+            raise ValueError(f"step {h} is below the angular resolution {gap} of the trace")
+        return list(range(1, K + 1))
+    if p < 1:
+        raise ValueError("exponent p must satisfy p >= 1")
     return sorted({max(1, round(s / gap)) for s in (h / 8, h / 4, h / 2, h)})
 
 
+def _shift_statistic(trace: BoundaryTrace, d, p: float, k: int) -> float:
+    """Max (p = inf) or p-mean of d(trace(t + k gap), trace(t)) over t."""
+    dist = np.asarray(d(np.roll(trace.values, -k), trace.values), dtype=float)
+    if not np.all(np.isfinite(dist)):
+        gap = 2 * np.pi / trace.n
+        raise DivergentValueError(
+            f"divergent modulus: a trace pair at {'gap' if p == math.inf else 'shift'} "
+            f"{k * gap:.4g} has infinite distance "
+            f"(boundary values touch the target boundary)")
+    if p == math.inf:
+        return float(dist.max())
+    return float(np.mean(dist ** p) ** (1.0 / p))
+
+
 def mean_modulus_at_shifts(trace: BoundaryTrace, d, p: float, ks) -> float:
-    """p-mean modulus maximized over explicit grid-shift indices."""
-    gap = 2 * np.pi / trace.n
+    """Max over explicit grid-shift indices of the per-shift p-mean; the
+    inf-mean is the max, so p = inf gives the sup modulus over ``ks``."""
     best = 0.0
     for k in ks:
-        dist = _pair_distances(trace, d, int(k))
-        if not np.all(np.isfinite(dist)):
-            raise DivergentValueError(
-                f"divergent modulus: a trace pair at shift {k * gap:.4g} has infinite "
-                f"distance (boundary values touch the target boundary)")
-        best = max(best, float(np.mean(dist ** p) ** (1.0 / p)))
+        best = max(best, _shift_statistic(trace, d, p, int(k)))
     return best
 
 
-def mean_lipschitz_modulus(trace: BoundaryTrace, d, p: float, h: float) -> float:
-    """sup over the dyadic shift ladder {h/8, h/4, h/2, h} of the p-mean of
-    d(trace(t+s), trace(t)); shifts are rounded to the trace's angular grid."""
-    if not (0 < h <= math.pi):
-        raise ValueError("step must lie in (0, pi]")
-    if p < 1:
-        raise ValueError("exponent p must satisfy p >= 1")
-    return mean_modulus_at_shifts(trace, d, p, shift_ladder_indices(trace.n, h))
+def doubled_sampling_modulus(fine: BoundaryTrace, d, p: float, h: float) -> float:
+    """Step-h modulus of ``fine``, a trace sampled twice as densely as the
+    coarse one a modulus curve was built on.
+
+    The sup uses the shifts of ``fine`` itself; a p-mean uses twice the
+    coarse trace's ladder shifts, so both traces use the same effective
+    shifts and the difference measures sampling density, not ladder
+    quantization.
+    """
+    if p == math.inf:
+        ks = _shift_set(fine.n, h, p)
+    else:
+        ks = [2 * k for k in _shift_set(fine.n // 2, h, p)]
+    return mean_modulus_at_shifts(fine, d, p, ks)
 
 
 def fit_exponent(curve: MeansCurve | ModulusCurve) -> ExponentFit:
@@ -173,10 +177,19 @@ def means_curve(g, radii, p: float, n: int = 4096) -> MeansCurve:
 
 
 def modulus_curve(trace: BoundaryTrace, d, steps, p: float = math.inf) -> ModulusCurve:
-    """Lipschitz modulus along a step ladder (sup for p = inf, p-mean else)."""
+    """Lipschitz modulus along a step ladder (sup for p = inf, p-mean else).
+
+    Steps are taken in ladder order; each step evaluates only the shifts
+    that no earlier step needed, so every trace shift is evaluated once and
+    a step's modulus is the max of its shifts' tabulated statistics.
+    """
     steps = np.asarray(steps, dtype=float)
-    if p == math.inf:
-        vals = np.array([sup_lipschitz_modulus(trace, d, h) for h in steps])
-    else:
-        vals = np.array([mean_lipschitz_modulus(trace, d, p, h) for h in steps])
-    return ModulusCurve(p=p, steps=steps, values=vals)
+    table: dict[int, float] = {}
+    vals = []
+    for h in steps:
+        ks = _shift_set(trace.n, h, p)
+        for k in ks:
+            if k not in table:
+                table[k] = _shift_statistic(trace, d, p, k)
+        vals.append(max([0.0] + [table[k] for k in ks]))
+    return ModulusCurve(p=p, steps=steps, values=np.array(vals))

@@ -24,7 +24,7 @@ from .errors import (
     InvalidPathError,
     ResolutionTooCoarseError,
 )
-from .geometry import UNIT_DISC, DomainSpec, contains, curve_distance
+from .geometry import UNIT_DISC, DomainSpec, contains, curve_distance, unit_disc
 
 HYPERBOLIC = "hyperbolic"
 QUASIHYPERBOLIC = "quasihyperbolic"
@@ -82,8 +82,6 @@ class MetricDensity:
 
 
 def hyperbolic_density() -> MetricDensity:
-    from .geometry import unit_disc
-
     return MetricDensity(unit_disc(), HYPERBOLIC)
 
 
@@ -134,10 +132,6 @@ class PolylinePath:
             samples = a[:, None] + t[None, :] * (b - a)[:, None]
             if not np.all(contains(self.domain, samples.ravel())):
                 raise InvalidPathError("path segment leaves the domain")
-
-    @property
-    def euclidean_length(self) -> float:
-        return float(np.sum(np.abs(np.diff(self.vertices))))
 
 
 _GL_X12, _GL_W12 = np.polynomial.legendre.leggauss(12)
@@ -233,10 +227,6 @@ class DiscAutomorphism:
         out = (np.exp(1j * self.theta) * (abs(self.a) ** 2 - 1.0)
                / (1.0 - np.conj(self.a) * z) ** 2)
         return complex(out) if out.ndim == 0 else out
-
-
-def disc_automorphism(a: complex, theta: float = 0.0) -> DiscAutomorphism:
-    return DiscAutomorphism(a, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -113,14 +113,14 @@ def test_criterion_5_conformal_lemma_and_invariance(acceptance_kernel):
         a = 0.95 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         theta = 2 * np.pi * rng.random()
         z = 0.9 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        phi = M.disc_automorphism(a, theta)
+        phi = M.DiscAutomorphism(a, theta)
         worst_identity = max(worst_identity,
                              abs(abs(phi.derivative(z)) * (1 - abs(z) ** 2)
                                  - (1 - abs(phi(z)) ** 2)))
     model, _ = acceptance_kernel
     omega = M.bergman_metric_density(model)
     worst_inv = 0.0
-    for phi in (M.disc_automorphism(0.3, 1.0), M.disc_automorphism(-0.2 + 0.35j, 2.1)):
+    for phi in (M.DiscAutomorphism(0.3, 1.0), M.DiscAutomorphism(-0.2 + 0.35j, 2.1)):
         pairs = 0
         while pairs < 4:
             z = complex(*(1.2 * (rng.random(2) - 0.5)))

@@ -7,6 +7,7 @@ from scipy.linalg import solve_triangular
 from metriclab import bergman as B
 from metriclab import geometry as G
 from metriclab.errors import FactorizationError, KernelInstabilityError
+from metriclab.metrics import DiscAutomorphism
 
 
 def disc_kernel_exact(z, w):
@@ -132,15 +133,13 @@ def test_reproducing_residual(disc, disc_kernel):
 def test_conformal_derivative_lemma():
     # |phi'(z)| (1 - |z|^2) = 1 - |phi(z)|^2 for disc automorphisms: the
     # conformal-invariance identity specialized to the disc density
-    from metriclab.metrics import disc_automorphism
-
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(100):
         a = 0.95 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         theta = 2 * np.pi * rng.random()
         z = 0.9 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        phi = disc_automorphism(a, theta)
+        phi = DiscAutomorphism(a, theta)
         lhs = abs(phi.derivative(z)) * (1 - abs(z) ** 2)
         rhs = 1 - abs(phi(z)) ** 2
         worst = max(worst, abs(lhs - rhs))

@@ -59,6 +59,9 @@ def test_parse_config_errors():
         E.parse_config_text(HL1_CUSP.replace("hyperbolic", "parabolic"))
     with pytest.raises(ConfigError, match="semi-axes"):
         E.parse_config_text(HL1_CUSP.replace("unit_disc", "ellipse 2"))
+    for p in ("0.5", "nan"):
+        with pytest.raises(ConfigError, match="p must"):
+            E.parse_config_text(HL1_CUSP + f"\np = {p}")
 
 
 def test_config_hash_ignores_out_dir():

@@ -79,16 +79,24 @@ def test_means_cusp_against_quadrature_oracle(hyp, cusp50):
 # moduli
 
 
+def sup_modulus(tr, d, h):
+    return float(GR.modulus_curve(tr, d, [h]).values[0])
+
+
+def mean_modulus(tr, d, p, h):
+    return float(GR.modulus_curve(tr, d, [h], p).values[0])
+
+
 def test_sup_modulus_constant_trace():
     tr = MP.boundary_trace(MP.from_name("const_25"), 512)
-    assert GR.sup_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), 0.3) == 0.0
-    assert GR.mean_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), 2.0, 0.3) == 0.0
+    assert sup_modulus(tr, M.scaled_euclidean_evaluator(1.0), 0.3) == 0.0
+    assert mean_modulus(tr, M.scaled_euclidean_evaluator(1.0), 2.0, 0.3) == 0.0
 
 
 def test_sup_modulus_identity_chord():
     tr = MP.boundary_trace(MP.from_name("identity"), 4096)
     h = 0.2
-    got = GR.sup_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), h)
+    got = sup_modulus(tr, M.scaled_euclidean_evaluator(1.0), h)
     # gaps are strictly below h on the sample grid, so the sup sits one
     # angular step under the chord bound 2 sin(h/2)
     assert 2 * math.sin(h / 2) * (1 - 2 * 2 * np.pi / 4096 / h) <= got <= 2 * math.sin(h / 2)
@@ -102,7 +110,7 @@ def test_mean_modulus_scaled_circle():
     # the largest ladder shift, rounded to the trace's angular grid
     s_eff = round(h * n / (2 * np.pi)) * 2 * np.pi / n
     for p in (1.0, 2.0, 3.5):
-        got = GR.mean_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), p, h)
+        got = mean_modulus(tr, M.scaled_euclidean_evaluator(1.0), p, h)
         assert got == pytest.approx(2 * eps * math.sin(s_eff / 2), rel=1e-12)
 
 
@@ -129,17 +137,18 @@ def test_small_circle_hyperbolic_modulus_slope_one(hyp):
 def test_modulus_divergence_reported(hyp):
     tr = MP.boundary_trace(MP.from_name("identity"), 1024)
     with pytest.raises(DivergentValueError):
-        GR.sup_lipschitz_modulus(tr, M.hyperbolic_distance_closed, 0.1)
+        sup_modulus(tr, M.hyperbolic_distance_closed, 0.1)
     with pytest.raises(DivergentValueError):
-        GR.mean_lipschitz_modulus(tr, M.hyperbolic_distance_closed, 1.0, 0.1)
+        mean_modulus(tr, M.hyperbolic_distance_closed, 1.0, 0.1)
 
 
 def test_modulus_monotone_in_h(cusp50):
     tr = MP.boundary_trace(cusp50, 2048)
     d = M.scaled_euclidean_evaluator(1.0)
-    sups = [GR.sup_lipschitz_modulus(tr, d, h) for h in (0.05, 0.1, 0.2, 0.4)]
+    hs = (0.05, 0.1, 0.2, 0.4)
+    sups = GR.modulus_curve(tr, d, hs).values
     assert np.all(np.diff(sups) >= 0)
-    means = [GR.mean_lipschitz_modulus(tr, d, 1.5, h) for h in (0.05, 0.1, 0.2, 0.4)]
+    means = GR.modulus_curve(tr, d, hs, 1.5).values
     assert np.all(np.diff(means) >= 0)
 
 
@@ -147,10 +156,10 @@ def test_mean_modulus_below_sup_and_p_monotone(cusp50):
     tr = MP.boundary_trace(cusp50, 2048)
     d = M.scaled_euclidean_evaluator(1.0)
     h = 0.2
-    sup = GR.sup_lipschitz_modulus(tr, d, h)
+    sup = sup_modulus(tr, d, h)
     prev = 0.0
     for p in (1.0, 2.0, 4.0, 8.0):
-        mean = GR.mean_lipschitz_modulus(tr, d, p, h)
+        mean = mean_modulus(tr, d, p, h)
         assert mean <= sup + 1e-12
         assert mean >= prev - 1e-12
         prev = mean
@@ -159,9 +168,48 @@ def test_mean_modulus_below_sup_and_p_monotone(cusp50):
 def test_modulus_step_validation(cusp50):
     tr = MP.boundary_trace(cusp50, 64)
     with pytest.raises(ValueError):
-        GR.sup_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), 4.0)
+        sup_modulus(tr, M.scaled_euclidean_evaluator(1.0), 4.0)
     with pytest.raises(ValueError):
-        GR.sup_lipschitz_modulus(tr, M.scaled_euclidean_evaluator(1.0), 0.01)  # below grid
+        sup_modulus(tr, M.scaled_euclidean_evaluator(1.0), 0.01)  # below grid
+    with pytest.raises(ValueError):
+        mean_modulus(tr, M.scaled_euclidean_evaluator(1.0), 2.0, 4.0)
+    with pytest.raises(ValueError):
+        mean_modulus(tr, M.scaled_euclidean_evaluator(1.0), 0.5, 0.3)
+
+
+def test_modulus_curve_evaluates_each_shift_once(cusp50):
+    # the default ladder: the sup needs shifts 1..K(2^-3) = 1..81, the
+    # p-mean the union {1, 3, 5, 10, 20, 41, 81} of the rounded dyadic ladders
+    tr = MP.boundary_trace(cusp50, 4096)
+    hs = 2.0 ** -np.arange(3, 9)
+    d = M.scaled_euclidean_evaluator(1.0)
+    for p, expected in ((math.inf, 81), (1.0, 7)):
+        sizes = []
+
+        def counted(u, v):
+            sizes.append(np.size(u))
+            return d(u, v)
+
+        GR.modulus_curve(tr, counted, hs, p)
+        assert len(sizes) == expected, p
+        assert set(sizes) == {4096}
+
+
+def test_sup_modulus_against_all_pairs_oracle(cusp50):
+    n = 256
+    tr = MP.boundary_trace(cusp50, n)
+    d = M.hyperbolic_distance_closed
+    dist = d(tr.values[:, None], tr.values[None, :])
+    idx = np.arange(n)
+    sep = np.abs(idx[:, None] - idx[None, :])
+    sep = np.minimum(sep, n - sep)
+    hs = (3.0, 1.0, 0.3, 0.1)
+    curve = GR.modulus_curve(tr, d, hs)
+    for h, got in zip(hs, curve.values):
+        # K(h): the largest circular index gap whose angle lies below h
+        K = max(k for k in range(1, n // 2 + 1) if k * 2 * np.pi / n < h)
+        oracle = dist[(sep >= 1) & (sep <= K)].max()
+        assert got == oracle, h
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def test_hyperbolic_distance_closed_forms():
 
 def test_hyperbolic_distance_mobius_invariance():
     rng = np.random.default_rng(7)
-    phi = M.disc_automorphism(0.3, 1.0)
+    phi = M.DiscAutomorphism(0.3, 1.0)
     z = 0.8 * (rng.random(32) - 0.5 + 1j * (rng.random(32) - 0.5))
     w = 0.8 * (rng.random(32) - 0.5 + 1j * (rng.random(32) - 0.5))
     gap = np.abs(M.hyperbolic_distance_closed(phi(z), phi(w))
@@ -100,15 +100,15 @@ def test_hyperbolic_distance_mobius_invariance():
     assert float(gap.max()) < 1e-12
 
 
-def test_disc_automorphism_basics():
-    neg = M.disc_automorphism(0.0, 0.0)
+def test_DiscAutomorphism_basics():
+    neg = M.DiscAutomorphism(0.0, 0.0)
     assert neg(0.4 + 0.1j) == pytest.approx(-(0.4 + 0.1j))
     assert abs(neg.derivative(0.2)) == pytest.approx(1.0)
-    phi = M.disc_automorphism(0.5, 0.7)
+    phi = M.DiscAutomorphism(0.5, 0.7)
     assert phi(0.5) == pytest.approx(0.0)
-    assert abs(M.disc_automorphism(0.5).derivative(0.0)) == pytest.approx(0.75)
+    assert abs(M.DiscAutomorphism(0.5).derivative(0.0)) == pytest.approx(0.75)
     with pytest.raises(ValueError):
-        M.disc_automorphism(1.0)
+        M.DiscAutomorphism(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def test_write_path_file(tmp_path, hyp):
 
 def test_bergman_distance_invariance_small(disc_kernel_coarse):
     omega = M.bergman_metric_density(disc_kernel_coarse)
-    phi = M.disc_automorphism(0.3, 1.0)
+    phi = M.DiscAutomorphism(0.3, 1.0)
     z, w = 0.4 + 0.1j, -0.3 + 0.2j
     d0 = M.weighted_distance(omega, z, w, 0.02, full_window=True).distance
     d1 = M.weighted_distance(omega, complex(phi(z)), complex(phi(w)), 0.02,

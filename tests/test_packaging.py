@@ -37,3 +37,14 @@ def test_every_import_is_declared():
         if name not in allowed
     }
     assert not undeclared, f"imports missing from pyproject.toml dependencies: {sorted(undeclared)}"
+
+
+def test_imports_are_module_level():
+    local = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                local += [f"{path.name}:{node.lineno} in {getattr(fn, 'name', 'lambda')}"
+                          for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not local, f"imports inside functions: {sorted(set(local))}"
