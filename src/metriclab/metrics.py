@@ -434,12 +434,6 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex,
     return pts, float(dist[n + 1])
 
 
-def _path_cost(omega: MetricDensity, pts: np.ndarray) -> float:
-    if pts.size < 2:
-        return 0.0
-    return float(np.sum(_segment_cost(omega, pts[:-1], pts[1:])))
-
-
 def _shortcut(omega: MetricDensity, pts: np.ndarray, margin: float) -> np.ndarray:
     """Replace subpaths by straight segments wherever that does not cost
     more; greedy forward scan, always taking the farthest admissible jump."""
@@ -452,14 +446,14 @@ def _shortcut(omega: MetricDensity, pts: np.ndarray, margin: float) -> np.ndarra
     while i < n - 1:
         js = np.arange(i + 2, n)
         j = i + 1
-        if js.size:
+        if js.size:   # only jumps that stay inside are priced
             a = np.full(js.size, pts[i])
-            ok = _segment_inside(omega.domain, a, pts[js], margin, 16)
-            if ok.any():
-                seg = _segment_cost(omega, a, pts[js])
-                good = ok & (seg <= (cum[js] - cum[i]) * (1 + 1e-12))
-                if good.any():
-                    j = int(js[np.nonzero(good)[0][-1]])
+            js = js[_segment_inside(omega.domain, a, pts[js], margin, 16)]
+        if js.size:
+            seg = _segment_cost(omega, np.full(js.size, pts[i]), pts[js])
+            good = seg <= (cum[js] - cum[i]) * (1 + 1e-12)
+            if good.any():
+                j = int(js[np.nonzero(good)[0][-1]])
         out.append(j)
         i = j
     return pts[np.array(out)]
@@ -497,7 +491,11 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                      (-1 + 1j) / math.sqrt(2), (-1 - 1j) / math.sqrt(2)])
     check_segments = not _convex_kind(domain)
     step = step0
-    total = _path_cost(omega, pts)
+    # seg[i] is the cost of [pts[i], pts[i+1]]; a vertex whose last pricing
+    # at this step chose to stay is settled until it or a neighbour moves
+    seg = _segment_cost(omega, pts[:-1], pts[1:])
+    settled = np.zeros(pts.size, dtype=bool)
+    total = float(np.sum(seg))
     while step > step0 / 64 and (budget is None or budget[0] > 0):
         improved_level = False
         for _ in range(8):
@@ -508,6 +506,7 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
             before = total
             for parity in (1, 2):
                 idx = np.arange(parity, pts.size - 1, 2)
+                idx = idx[~settled[idx]]
                 if idx.size == 0:
                     continue
                 P = pts[idx]
@@ -522,18 +521,36 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                 if check_segments:
                     ok &= _segment_inside(domain, prev_pts[:, None], cand, 0.0, 16)
                     ok &= _segment_inside(domain, cand, next_pts[:, None], 0.0, 16)
-                cost = (_segment_cost(omega, prev_pts[:, None], cand)
-                        + _segment_cost(omega, cand, next_pts[:, None]))
-                cost = np.where(ok, cost, np.inf)
+                # the stay column keeps its known costs; only admissible moves are priced
+                left = np.full(cand.shape, np.inf)
+                right = np.full(cand.shape, np.inf)
+                left[:, 0] = seg[idx - 1]
+                right[:, 0] = seg[idx]
+                rows, cols = np.nonzero(ok[:, 1:])
+                moves = cand[rows, cols + 1]
+                if rows.size:
+                    both = _segment_cost(omega, np.concatenate([prev_pts[rows], moves]),
+                                         np.concatenate([moves, next_pts[rows]]))
+                    left[rows, cols + 1] = both[:rows.size]
+                    right[rows, cols + 1] = both[rows.size:]
+                cost = np.where(ok, left + right, np.inf)
                 best = np.argmin(cost, axis=1)
-                pts[idx] = cand[np.arange(idx.size), best]
-            total = _path_cost(omega, pts)
+                pick = np.arange(idx.size)
+                pts[idx] = cand[pick, best]
+                seg[idx - 1] = left[pick, best]
+                seg[idx] = right[pick, best]
+                moved = best != 0
+                settled[idx] = ~moved
+                settled[idx[moved] - 1] = False
+                settled[idx[moved] + 1] = False
+            total = float(np.sum(seg))
             if before - total > 1e-8 * max(total, 1e-300):
                 improved_level = True
             else:
                 break
         if not improved_level:
             step /= 2
+            settled[:] = False
     return pts
 
 

@@ -281,3 +281,134 @@ def test_bergman_distance_invariance_small(disc_kernel_coarse):
     d1 = M.weighted_distance(omega, complex(phi(z)), complex(phi(w)), 0.02,
                              full_window=True).distance
     assert abs(d1 - d0) / d0 < 0.03
+
+
+# ---------------------------------------------------------------------------
+# refinement pricing
+
+
+def _full_pricing_sweep_level(omega, pts, step0, margin, budget):
+    """Oracle: the pattern search that prices all 9 candidates of every
+    vertex in every sweep and recomputes the path cost after each sweep."""
+    def path_cost(p):
+        return float(np.sum(M._segment_cost(omega, p[:-1], p[1:])))
+
+    domain = omega.domain
+    dirs = np.array([1, -1, 1j, -1j,
+                     (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
+                     (-1 + 1j) / math.sqrt(2), (-1 - 1j) / math.sqrt(2)])
+    check_segments = not M._convex_kind(domain)
+    step = step0
+    total = path_cost(pts)
+    while step > step0 / 64 and (budget is None or budget[0] > 0):
+        improved_level = False
+        for _ in range(8):
+            if budget is not None:
+                if budget[0] <= 0:
+                    break
+                budget[0] -= 1
+            before = total
+            for parity in (1, 2):
+                idx = np.arange(parity, pts.size - 1, 2)
+                if idx.size == 0:
+                    continue
+                P = pts[idx]
+                prev_pts = pts[idx - 1]
+                next_pts = pts[idx + 1]
+                cand = np.concatenate([P[:, None], P[:, None] + step * dirs[None, :]],
+                                      axis=1)
+                ok = G.contains(domain, cand.ravel())
+                if margin > 0:
+                    ok &= G.curve_distance(domain, cand.ravel()) >= margin
+                ok = ok.reshape(cand.shape)
+                if check_segments:
+                    ok &= M._segment_inside(domain, prev_pts[:, None], cand, 0.0, 16)
+                    ok &= M._segment_inside(domain, cand, next_pts[:, None], 0.0, 16)
+                cost = (M._segment_cost(omega, prev_pts[:, None], cand)
+                        + M._segment_cost(omega, cand, next_pts[:, None]))
+                cost = np.where(ok, cost, np.inf)
+                best = np.argmin(cost, axis=1)
+                pts[idx] = cand[np.arange(idx.size), best]
+            total = path_cost(pts)
+            if before - total > 1e-8 * max(total, 1e-300):
+                improved_level = True
+            else:
+                break
+        if not improved_level:
+            step /= 2
+    return pts
+
+
+def _seeded_pairs(domain, count, seed):
+    """Seeded endpoint pairs at least 0.15 from the boundary."""
+    rng = np.random.default_rng(seed)
+    x0, x1, y0, y1 = domain.bounding_box
+    pairs = []
+    while len(pairs) < count:
+        z, w = (complex(x0 + (x1 - x0) * rng.random(), y0 + (y1 - y0) * rng.random())
+                for _ in range(2))
+        if all(G.contains(domain, p) and float(G.curve_distance(domain, p)) >= 0.15
+               for p in (z, w)):
+            pairs.append((z, w))
+    return pairs
+
+
+def test_refine_matches_full_pricing_bit_for_bit(monkeypatch, hyp, ellipse15,
+                                                  disc_kernel_coarse):
+    lshape = G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
+    cases = [
+        (hyp, 0.04),
+        (M.quasihyperbolic_density(ellipse15), 0.05),
+        (M.quasihyperbolic_density(lshape), 0.05),   # non-convex: segment checks run
+        (M.constant_density(lshape, 1.0), 0.05),
+        (M.bergman_metric_density(disc_kernel_coarse), 0.05),
+    ]
+    fast = M._sweep_level
+    for seed, (omega, h) in enumerate(cases):
+        for z, w in _seeded_pairs(omega.domain, 2, seed):
+            pts, _ = M._graph_path(omega, z, w, h)
+            end = min(float(G.curve_distance(omega.domain, p)) for p in (z, w))
+            margin = min(h, 0.999 * end) if omega.blows_up else min(h / 8, 0.5 * end)
+            pts = M._shortcut(omega, pts, margin)
+            for max_sweeps in (None, 6):
+                monkeypatch.setattr(M, "_sweep_level", _full_pricing_sweep_level)
+                want = M._refine(omega, pts.copy(), h, margin, max_sweeps)
+                monkeypatch.setattr(M, "_sweep_level", fast)
+                got = M._refine(omega, pts.copy(), h, margin, max_sweeps)
+                assert np.array_equal(got, want), (omega.kind, z, w, max_sweeps)
+
+
+def _count_points(monkeypatch, omega):
+    """Wrap ``omega.eval_array``; returns the list of every priced batch."""
+    batches = []
+    real = omega.eval_array
+
+    def spy(z):
+        batches.append(np.asarray(z, dtype=complex).ravel())
+        return real(z)
+
+    monkeypatch.setattr(omega, "eval_array", spy)
+    return batches
+
+
+def test_hyperbolic_solve_density_point_count(monkeypatch):
+    omega = M.hyperbolic_density()
+    batches = _count_points(monkeypatch, omega)
+    rng = np.random.default_rng(11)
+    z, w = (complex(*0.75 * (2 * rng.random(2) - 1)) for _ in range(2))
+    M.weighted_distance(omega, z, w, 0.02)
+    # full pricing of every sweep candidate took 529,070 points
+    assert sum(b.size for b in batches) == 425822
+
+
+def test_lshape_solves_price_only_points_inside(monkeypatch):
+    lshape = G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
+    omega = M.quasihyperbolic_density(lshape)
+    batches = _count_points(monkeypatch, omega)
+    for z, w in [(1.8 + 0.5j, 0.5 + 1.8j), (1.5 + 0.8j, 0.8 + 1.5j),
+                 (0.7 + 1.7j, 1.6 + 0.4j)]:
+        M.weighted_distance(omega, z, w, 0.05)
+    priced = np.concatenate(batches)
+    outside = priced[~G.contains(lshape, priced)]
+    assert priced.size > 0
+    assert outside.size == 0, outside[:5]
