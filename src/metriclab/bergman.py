@@ -141,6 +141,31 @@ def reproducing_residual(model: KernelModel, grid: QuadratureGrid,
     return float(abs(f(np.asarray(z)) - integral))
 
 
+def _weighted_vander(zeta: np.ndarray, sw: np.ndarray, n: int) -> np.ndarray:
+    """W^{1/2} V for one node chunk, weighted in place."""
+    A = np.vander(zeta, n, increasing=True)
+    A *= sw[:, None]
+    return A
+
+
+def _stacked_r(zeta: np.ndarray, sw: np.ndarray, n: int) -> np.ndarray:
+    """R of the stacked QR W^{1/2} V = Q R over node chunks; Q is never formed.
+
+    Each chunk's QR input [R; W^{1/2} V_chunk] is assembled in one
+    Fortran-ordered buffer that every chunk reuses and LAPACK overwrites.
+    """
+    buf = np.empty((n + _NODE_CHUNK) * n, dtype=complex)
+    R = np.empty((0, n), dtype=complex)
+    for start in range(0, zeta.size, _NODE_CHUNK):
+        sl = slice(start, start + _NODE_CHUNK)
+        top = R.shape[0]
+        block = buf[:(top + zeta[sl].size) * n].reshape((-1, n), order="F")
+        block[:top] = R
+        block[top:] = _weighted_vander(zeta[sl], sw[sl], n)
+        R = qr(block, overwrite_a=True, mode="raw")[1]
+    return R
+
+
 def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
                          scale: float) -> tuple[np.ndarray, float]:
     """Triangular orthonormalization via QR of the weighted Vandermonde.
@@ -159,12 +184,7 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     n = degree + 1
     zeta = (grid.nodes - center) / scale
     sw = np.sqrt(grid.weights)
-    R = None
-    for start in range(0, zeta.size, _NODE_CHUNK):
-        sl = slice(start, start + _NODE_CHUNK)
-        A = sw[sl, None] * np.vander(zeta[sl], n, increasing=True)
-        block = A if R is None else np.vstack([R, A])
-        R = qr(block, mode="economic")[1]
+    R = _stacked_r(zeta, sw, n)
     if R.shape[0] < n:
         raise FactorizationError(degree=int(R.shape[0]))
     diag = np.diag(R)
@@ -180,8 +200,9 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
         S = np.zeros((n, n), dtype=complex)
         for start in range(0, zeta.size, _NODE_CHUNK):
             sl = slice(start, start + _NODE_CHUNK)
-            Q = (sw[sl, None] * np.vander(zeta[sl], n, increasing=True)) @ Bcur.conj().T
+            Q = _weighted_vander(zeta[sl], sw[sl], n) @ Bcur.conj().T
             S += Q.conj().T @ Q
+            del Q  # freed before the next chunk's values are formed
         return S
 
     S = grid_overlap(B)
@@ -245,26 +266,40 @@ def save_kernel(model: KernelModel, path) -> None:
 
 
 def load_kernel(path, domain: DomainSpec | None = None) -> KernelModel:
+    """Read a model written by :func:`save_kernel`.  A malformed or truncated
+    file raises ValueError naming the path and the line."""
     with open(path) as fh:
-        magic = fh.readline().split()
-        if not magic or magic[0] != "metriclab-kernel":
-            raise ValueError(f"{path} is not a kernel model file")
-        header = {}
-        for _ in range(6):
-            key, *rest = fh.readline().split()
-            header[key] = rest
-        degree = int(header["degree"][0])
-        center = complex(float(header["center"][0]), float(header["center"][1]))
-        scale = float(header["scale"][0])
-        rows = []
-        for _ in range(degree + 1):
-            vals = [float(tok) for tok in fh.readline().split()]
-            rows.append([complex(vals[2 * k], vals[2 * k + 1])
-                         for k in range(degree + 1)])
+        lines = fh.read().splitlines()
+    magic = lines[0].split() if lines else []
+    if not magic or magic[0] != "metriclab-kernel":
+        raise ValueError(f"{path} is not a kernel model file")
+
+    def line(i: int, key: str | None, count: int | None = None, kind=float) -> list:
+        toks = lines[i].split() if i < len(lines) else []
+        where = f"{path}, line {i + 1}"
+        if key is not None:
+            if toks[:1] != [key]:
+                raise ValueError(f"{where}: expected header field {key!r}")
+            toks = toks[1:]
+        if count is not None and len(toks) != count:
+            raise ValueError(f"{where}: expected {count} fields, found {len(toks)}")
+        try:
+            return [kind(tok) for tok in toks]
+        except ValueError:
+            raise ValueError(f"{where}: malformed number") from None
+
+    (degree,) = line(1, "degree", 1, int)
+    cx, cy = line(2, "center", 2)
+    (scale,) = line(3, "scale", 1)
+    grid = line(4, "grid", kind=str)
+    line(5, "domain", kind=str)
+    (defect,) = line(6, "orthonormality_defect", 1)
+    n = degree + 1
+    rows = np.array([line(i, None, 2 * n) for i in range(7, 7 + n)])
     return KernelModel(
-        degree=degree, coefficients=np.array(rows, dtype=complex),
-        center=center, scale=scale,
-        grid_descriptor=" ".join(header["grid"]),
+        degree=degree, coefficients=rows.view(complex),
+        center=complex(cx, cy), scale=scale,
+        grid_descriptor=" ".join(grid),
         domain=domain,
-        orthonormality_defect=float(header["orthonormality_defect"][0]),
+        orthonormality_defect=defect,
     )

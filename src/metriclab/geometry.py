@@ -32,6 +32,9 @@ _KINDS = (UNIT_DISC, ELLIPSE, POLYGON, SMOOTHED_POLYGON)
 
 # rows per block of the ellipse distance's parameter scan
 _SCAN_CHUNK = 8192
+# Shewchuk's relative error bound of the floating-point 2x2 orientation
+# determinant: beyond it the computed sign is exact
+_ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
 
 @dataclass
@@ -163,13 +166,57 @@ def _shoelace(v: np.ndarray) -> float:
     return float(0.5 * np.sum(v.real * w.imag - v.imag * w.real))
 
 
-def _segments_properly_intersect(a, b, c, d) -> bool:
-    def orient(p, q, r):
-        return (q.real - p.real) * (r.imag - p.imag) - (q.imag - p.imag) * (r.real - p.real)
+def _scaled_int(x) -> int:
+    """x * 2**1074, exact: every finite double is an integer multiple of 2**-1074."""
+    num, den = float(x).as_integer_ratio()
+    return num << (1075 - den.bit_length())
 
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    return (o1 * o2 < 0) and (o3 * o4 < 0)
+
+def _orient_sign(p, q, r) -> np.ndarray:
+    """Exact sign of det[q - p, r - p] (1: r left of p->q, -1: right, 0:
+    collinear) for 1-d point arrays, broadcast.  Signs the floating-point
+    determinant cannot certify are recomputed in exact integer arithmetic."""
+    p, q, r = np.broadcast_arrays(p, q, r)
+    left = (q.real - p.real) * (r.imag - p.imag)
+    right = (q.imag - p.imag) * (r.real - p.real)
+    det = left - right
+    sign = np.sign(det)
+    for k in np.flatnonzero(np.abs(det) <= _ORIENT_ERRBOUND * (np.abs(left) + np.abs(right))):
+        (px, py), (qx, qy), (rx, ry) = (
+            (_scaled_int(z.real), _scaled_int(z.imag)) for z in (p[k], q[k], r[k])
+        )
+        exact = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+        sign[k] = (exact > 0) - (exact < 0)
+    return sign
+
+
+def _segments_properly_intersect(a, b, c, d) -> bool:
+    return bool(np.prod(_orient_sign(a, b, np.array([c, d]))) < 0
+                and np.prod(_orient_sign(c, d, np.array([a, b]))) < 0)
+
+
+def segments_meet_boundary(domain: DomainSpec, a, b) -> np.ndarray:
+    """Exact test whether the closed segments [a, b] meet a closed edge of a
+    POLYGON domain; touching a vertex counts as meeting."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    meet = np.zeros(a.shape, dtype=bool)
+    v = np.array(domain.vertices)
+    for c, d in zip(v, np.roll(v, -1)):
+        s1, s2 = _orient_sign(a, b, c), _orient_sign(a, b, d)
+        hit = (s1 * s2 <= 0) & (_orient_sign(c, d, a) * _orient_sign(c, d, b) <= 0)
+        # collinear: the sign test holds for the whole line, so the closed
+        # segments must also overlap along it
+        collinear = (s1 == 0) & (s2 == 0)
+        hit &= ~collinear | (
+            (np.maximum(a.real, b.real) >= min(c.real, d.real))
+            & (np.minimum(a.real, b.real) <= max(c.real, d.real))
+            & (np.maximum(a.imag, b.imag) >= min(c.imag, d.imag))
+            & (np.minimum(a.imag, b.imag) <= max(c.imag, d.imag))
+        )
+        meet |= hit
+    return meet.reshape(shape)
 
 
 def _is_simple(v: np.ndarray) -> bool:

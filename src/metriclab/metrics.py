@@ -24,7 +24,15 @@ from .errors import (
     InvalidPathError,
     ResolutionTooCoarseError,
 )
-from .geometry import UNIT_DISC, DomainSpec, contains, curve_distance, unit_disc
+from .geometry import (
+    POLYGON,
+    UNIT_DISC,
+    DomainSpec,
+    contains,
+    curve_distance,
+    segments_meet_boundary,
+    unit_disc,
+)
 
 HYPERBOLIC = "hyperbolic"
 QUASIHYPERBOLIC = "quasihyperbolic"
@@ -126,12 +134,8 @@ class PolylinePath:
         self.vertices = v
         if not np.all(contains(self.domain, v)):
             raise InvalidPathError("path vertex outside the domain")
-        if v.size > 1:
-            a, b = v[:-1], v[1:]
-            t = (np.arange(16) + 0.5) / 16.0
-            samples = a[:, None] + t[None, :] * (b - a)[:, None]
-            if not np.all(contains(self.domain, samples.ravel())):
-                raise InvalidPathError("path segment leaves the domain")
+        if v.size > 1 and not _segment_inside(self.domain, v[:-1], v[1:], 0.0, 16).all():
+            raise InvalidPathError("path segment leaves the domain")
 
 
 _GL_X12, _GL_W12 = np.polynomial.legendre.leggauss(12)
@@ -271,7 +275,10 @@ def _convex_kind(domain: DomainSpec) -> bool:
 
 
 def _segment_inside(domain: DomainSpec, a, b, margin: float, n_samples: int = 8):
-    """Vectorized check that segments [a,b] stay inside with clearance."""
+    """Vectorized check that segments [a,b] stay inside with clearance.
+
+    Samples are tested for membership (and clearance); a polygon segment
+    must in addition meet no boundary edge, which is tested exactly."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     t = (np.arange(n_samples) + 0.5) / n_samples
@@ -280,7 +287,10 @@ def _segment_inside(domain: DomainSpec, a, b, margin: float, n_samples: int = 8)
     ok = contains(domain, flat)
     if margin > 0:
         ok &= curve_distance(domain, flat) >= margin
-    return ok.reshape(pts.shape).all(axis=-1)
+    ok = ok.reshape(pts.shape).all(axis=-1)
+    if domain.kind == POLYGON:
+        ok &= ~segments_meet_boundary(domain, a, b)
+    return ok
 
 
 def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:

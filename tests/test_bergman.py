@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 
 from metriclab import bergman as B
 from metriclab import geometry as G
@@ -63,6 +64,77 @@ def test_tsqr_and_cholesky_routes_agree(disc):
 
 # ---------------------------------------------------------------------------
 # kernel evaluation and density
+
+
+def _economic_q_route(grid, degree, center, scale):
+    # reference route: each chunk stacked under R with np.vstack and
+    # factorized with an explicit economic Q
+    n = degree + 1
+    zeta = (grid.nodes - center) / scale
+    sw = np.sqrt(grid.weights)
+    R = None
+    for start in range(0, zeta.size, B._NODE_CHUNK):
+        sl = slice(start, start + B._NODE_CHUNK)
+        A = sw[sl, None] * np.vander(zeta[sl], n, increasing=True)
+        block = A if R is None else np.vstack([R, A])
+        R = qr(block, mode="economic")[1]
+    diag = np.diag(R)
+    R = R * np.conj(diag / np.abs(diag))[:, None]
+    Bc = solve_triangular(R, np.eye(n, dtype=complex), lower=False).conj().T
+
+    def grid_overlap(Bcur):
+        S = np.zeros((n, n), dtype=complex)
+        for start in range(0, zeta.size, B._NODE_CHUNK):
+            sl = slice(start, start + B._NODE_CHUNK)
+            Q = (sw[sl, None] * np.vander(zeta[sl], n, increasing=True)) @ Bcur.conj().T
+            S += Q.conj().T @ Q
+        return S
+
+    S = grid_overlap(Bc)
+    defect = float(np.max(np.abs(S - np.eye(n))))
+    sweeps = []
+    for _ in range(3):
+        if defect <= 1e-10:
+            break
+        R2 = np.linalg.cholesky(0.5 * (S + S.conj().T)).conj().T
+        B2 = solve_triangular(R2.conj().T, Bc, lower=True)
+        S2 = grid_overlap(B2)
+        d2 = float(np.max(np.abs(S2 - np.eye(n))))
+        sweeps.append(d2 < defect)
+        if d2 >= defect:
+            break
+        Bc, S, defect = B2, S2, d2
+    return Bc, defect, sweeps
+
+
+@pytest.fixture(scope="module")
+def ellipse21_grid():
+    # 167,656 nodes: three node chunks
+    return G.gauss_quadrature_grid(G.ellipse(2, 1), 0.05)
+
+
+def test_r_only_stacked_qr_is_bit_identical(ellipse21_grid):
+    dom = G.ellipse(2, 1)
+    assert ellipse21_grid.nodes.size > 2 * B._NODE_CHUNK
+    want, want_defect, sweeps = _economic_q_route(
+        ellipse21_grid, 48, dom.center, G.capacity_radius(dom))
+    # the first re-orthonormalization sweep is accepted, the second rejected
+    assert sweeps == [True, False]
+    model = B.fit_kernel_model(dom, degree=48, grid=ellipse21_grid)
+    assert np.array_equal(model.coefficients, want)
+    assert model.orthonormality_defect == want_defect
+
+
+def test_kernel_fit_peak_memory_in_chunk_arrays(ellipse21_grid):
+    # the traced peak of a fit, in arrays of one node chunk: 4.20 with an
+    # economic Q per chunk and np.vstack, 2.08 with the reused block
+    tracemalloc.start()
+    try:
+        B.fit_kernel_model(G.ellipse(2, 1), degree=48, grid=ellipse21_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (B._NODE_CHUNK * 49 * 16) <= 2.5
 
 
 def test_kernel_disc_oracle_values(disc_kernel):
@@ -155,6 +227,20 @@ def test_kernel_save_load_roundtrip(tmp_path, disc, disc_kernel_coarse):
     assert np.array_equal(loaded.coefficients, disc_kernel_coarse.coefficients)
     z = 0.3 + 0.4j
     assert B.kernel_eval(loaded, z, z) == B.kernel_eval(disc_kernel_coarse, z, z)
+
+
+@pytest.mark.parametrize("keep", ["bytes", "lines", "header"])
+def test_load_kernel_truncated_names_path_and_line(tmp_path, disc_kernel_coarse, keep):
+    path = tmp_path / "model.txt"
+    B.save_kernel(disc_kernel_coarse, path)
+    lines = path.read_text().splitlines(keepends=True)
+    cut = {"bytes": "".join(lines)[:3000],     # ends inside a coefficient row
+           "lines": "".join(lines[:20]),       # coefficient rows missing
+           "header": "".join(lines[:3])}[keep]
+    path.write_text(cut)
+    # the first line that is short or missing
+    with pytest.raises(ValueError, match=rf"model\.txt, line {cut.count(chr(10)) + 1}:"):
+        B.load_kernel(path)
 
 
 def test_ellipse_kernel_defect_within_tolerance(ellipse15):

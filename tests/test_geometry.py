@@ -147,6 +147,23 @@ def test_polygon_validation():
         G.polygon([0, 1])
 
 
+def test_segments_meet_boundary_exact(square):
+    a = np.array([0.0, 0.0, 0.0, 0.5 + 0.5j, 1 + 1j, 0.5j, 0.9 + 1j, 2 + 1j])
+    b = np.array([0.5, 2.0, 1 + 1j, 0.5 + 0.5j, 2 + 2j, 1 + 0.5j, 3 + 1j, 3 + 1j])
+    # inside; crosses an edge; ends on a vertex; a point; starts on a vertex;
+    # ends on an edge; overlaps an edge along its line; collinear with an
+    # edge but past its end
+    expected = [False, True, True, False, True, True, True, False]
+    assert G.segments_meet_boundary(square, a, b).tolist() == expected
+    # in floating point q - p and r - p round and the determinant is 0; the
+    # exact determinant is -12 * 2**-52
+    p, q, r = np.array([0.5 + 2.0**-52 + 0.5j]), np.array([12 + 12j]), np.array([24 + 24j])
+    det = (q - p).real * (r - p).imag - (q - p).imag * (r - p).real
+    assert det.tolist() == [0.0]
+    assert G._orient_sign(p, q, r).tolist() == [-1.0]
+    assert G._orient_sign(p, r, q).tolist() == [1.0]
+
+
 def test_smoothed_polygon_radius_guard():
     with pytest.raises(ValueError, match="too large"):
         G.smoothed_polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 1.2)

@@ -76,6 +76,10 @@ def test_invalid_path_rejected(disc):
     with pytest.raises(InvalidPathError):
         # both endpoints inside, but the chord crosses the notch
         M.PolylinePath(lshape, np.array([1.8 + 0.5j, 0.5 + 1.8j]))
+    with pytest.raises(InvalidPathError):
+        # the chord touches the reflex vertex 1+1j between two samples
+        M.PolylinePath(lshape, np.array([1.5 + 0.5j, 0.5 + 1.5j]))
+    M.PolylinePath(lshape, np.array([1.5 + 0.5j, 0.5 + 1.2j]))  # passes below it
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +226,20 @@ def test_nonconvex_domain_routes_around_notch():
     corner_route = abs(z - (1 + 1j)) + abs(w - (1 + 1j))
     assert res.distance <= corner_route + 0.02
     assert bool(G.contains(lshape, res.path.vertices).all())
+
+
+def test_lshape_certificate_stays_inside_around_corner():
+    # sampled segment checks alone let a graph edge cut the reflex corner
+    # 1+1j here (distance 1.600274, 1,216 of 20,001 samples of one segment
+    # outside); no distance may fall below the route around the corner
+    lshape = G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
+    z, w = 1.6210536606344903 + 0.27352810308516307j, 0.8378073018263703 + 1.6305125559900913j
+    res = M.weighted_distance(M.constant_density(lshape, 1.0), z, w, 0.04)
+    assert res.distance >= abs(z - (1 + 1j)) + abs(w - (1 + 1j))
+    v = res.path.vertices
+    t = np.linspace(0.0, 1.0, 20001)
+    samples = v[:-1, None] + t * (v[1:] - v[:-1])[:, None]
+    assert bool(G.contains(lshape, samples.ravel()).all())
 
 
 def test_graphs_live_and_die_with_their_density(disc):

@@ -1,0 +1,68 @@
+"""Run every configs/*.txt through ``metriclab verify``.
+
+    python tools/run_configs.py OUTDIR
+
+Each config runs in its own working directory OUTDIR/<config stem>, from a
+copy of the config there, as
+
+    python -W error::RuntimeWarning -m metriclab.cli verify <experiment> \
+        --config <stem>.txt --out reports
+
+with the experiment read from the config, one BLAS thread
+(OMP_NUM_THREADS=OPENBLAS_NUM_THREADS=1) and this checkout's src/ on
+PYTHONPATH.  The run's stdout and stderr go to OUTDIR/<stem>/output.txt.
+The script prints each run's exit code and exits 1 if any run exits
+non-zero.  Two checkouts produce byte-identical reports when ``diff -r`` of
+their OUTDIRs is empty.
+"""
+
+from __future__ import annotations
+
+import glob
+import os
+import shutil
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def experiment_of(config: str) -> str:
+    """The value of the config's ``experiment`` key."""
+    with open(config) as fh:
+        for line in fh:
+            key, sep, value = line.split("#", 1)[0].partition("=")
+            if sep and key.strip() == "experiment":
+                return value.strip()
+    raise SystemExit(f"{config}: no experiment key")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = os.path.abspath(argv[0])
+    if os.path.isdir(outdir) and os.listdir(outdir):
+        print(f"{outdir} is not empty", file=sys.stderr)
+        return 2
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(ROOT, "src"))
+    failed = 0
+    for config in sorted(glob.glob(os.path.join(ROOT, "configs", "*.txt"))):
+        name = os.path.basename(config)
+        cwd = os.path.join(outdir, os.path.splitext(name)[0])
+        os.makedirs(cwd)
+        shutil.copy(config, cwd)
+        experiment = experiment_of(config)
+        with open(os.path.join(cwd, "output.txt"), "w") as log:
+            code = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "metriclab.cli",
+                 "verify", experiment, "--config", name, "--out", "reports"],
+                cwd=cwd, env=env, stdout=log, stderr=subprocess.STDOUT).returncode
+        print(f"{name}: verify {experiment} exited {code}", flush=True)
+        failed += code != 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
