@@ -36,6 +36,9 @@ from .geometry import (
 )
 
 _NODE_CHUNK = 65536
+# points per block of a density evaluation: keeps its N x (degree+1)
+# temporaries cache-sized
+_DENSITY_BLOCK = 512
 
 
 @dataclass
@@ -93,18 +96,45 @@ def kernel_cross(model: KernelModel, zs, ws) -> np.ndarray:
     return pz @ pw.conj().T
 
 
-def bergman_density(model: KernelModel, z, floor: float = 1e-12):
-    """Metric density rho(z) = sqrt(d^2 log K(z,z) / dz dzbar).
-
-    Raises :class:`KernelInstabilityError` when K(z,z) falls below ``floor``
-    or the curvature radicand goes negative -- tiny negatives are reported,
-    never clamped, because they flag a degree/grid too coarse at z.
-    """
-    zz = np.asarray(z, dtype=complex)
-    phi, dphi = model.basis_values_and_derivatives(zz)
+def _density_terms(model: KernelModel, z: np.ndarray):
+    """(K, K_z, K_zzbar) on the diagonal at the points z, shaped like z."""
+    phi, dphi = model.basis_values_and_derivatives(z)
     A = np.einsum("...j,...j->...", phi, np.conj(phi)).real
     Az = np.einsum("...j,...j->...", dphi, np.conj(phi))
     Azz = np.einsum("...j,...j->...", dphi, np.conj(dphi)).real
+    return A, Az, Azz
+
+
+def _blocks(n: int) -> list[slice]:
+    """Row blocks of at most _DENSITY_BLOCK points covering range(n), none
+    of them a single row when n > 1 (a 1-row matmul rounds differently)."""
+    bounds = list(range(0, n, _DENSITY_BLOCK)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def bergman_density(model: KernelModel, z, floor: float = 1e-12):
+    """Metric density rho(z) = sqrt(d^2 log K(z,z) / dz dzbar).
+
+    Evaluated in blocks of at most _DENSITY_BLOCK points, so memory stays
+    bounded and each point's value does not depend on the batch size (a
+    scalar or 1-point call excepted).  Raises :class:`KernelInstabilityError`
+    when K(z,z) falls below ``floor`` or the curvature radicand goes
+    negative -- tiny negatives are reported, never clamped, because they
+    flag a degree/grid too coarse at z.
+    """
+    zz = np.asarray(z, dtype=complex)
+    if zz.size <= _DENSITY_BLOCK:
+        A, Az, Azz = _density_terms(model, zz)
+    else:
+        flat = zz.ravel()
+        A = np.empty(flat.size)
+        Az = np.empty(flat.size, dtype=complex)
+        Azz = np.empty(flat.size)
+        for sl in _blocks(flat.size):
+            A[sl], Az[sl], Azz[sl] = _density_terms(model, flat[sl])
+        A, Az, Azz = A.reshape(zz.shape), Az.reshape(zz.shape), Azz.reshape(zz.shape)
     if np.any(A <= floor):
         raise KernelInstabilityError(
             f"kernel diagonal {A.min():.3e} at or below positivity floor {floor:.1e}"

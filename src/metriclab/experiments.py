@@ -28,6 +28,7 @@ from .errors import (
 )
 from .geometry import (
     DomainSpec,
+    clear_of_boundary,
     contains,
     curve_distance,
     ellipse,
@@ -694,7 +695,7 @@ def _sample_interior(domain: DomainSpec, rng, count: int, margin: float) -> np.n
     out = []
     while len(out) < count:
         z = complex(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
-        if contains(domain, z) and float(curve_distance(domain, z)) >= margin:
+        if contains(domain, z) and clear_of_boundary(domain, z, margin):
             out.append(z)
     return np.array(out, dtype=complex)
 

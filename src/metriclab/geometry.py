@@ -190,9 +190,20 @@ def _orient_sign(p, q, r) -> np.ndarray:
     return sign
 
 
-def _segments_properly_intersect(a, b, c, d) -> bool:
-    return bool(np.prod(_orient_sign(a, b, np.array([c, d]))) < 0
-                and np.prod(_orient_sign(c, d, np.array([a, b]))) < 0)
+def _closed_segments_meet(a: np.ndarray, b: np.ndarray, c: complex, d: complex) -> np.ndarray:
+    """Exact test whether the closed segments [a, b] (1-d arrays) meet the
+    closed segment [c, d]; touching counts as meeting."""
+    s1, s2 = _orient_sign(a, b, c), _orient_sign(a, b, d)
+    hit = (s1 * s2 <= 0) & (_orient_sign(c, d, a) * _orient_sign(c, d, b) <= 0)
+    # collinear: the sign test holds for the whole line, so the closed
+    # segments must also overlap along it
+    collinear = (s1 == 0) & (s2 == 0)
+    return hit & (~collinear | (
+        (np.maximum(a.real, b.real) >= min(c.real, d.real))
+        & (np.minimum(a.real, b.real) <= max(c.real, d.real))
+        & (np.maximum(a.imag, b.imag) >= min(c.imag, d.imag))
+        & (np.minimum(a.imag, b.imag) <= max(c.imag, d.imag))
+    ))
 
 
 def segments_meet_boundary(domain: DomainSpec, a, b) -> np.ndarray:
@@ -204,31 +215,27 @@ def segments_meet_boundary(domain: DomainSpec, a, b) -> np.ndarray:
     meet = np.zeros(a.shape, dtype=bool)
     v = np.array(domain.vertices)
     for c, d in zip(v, np.roll(v, -1)):
-        s1, s2 = _orient_sign(a, b, c), _orient_sign(a, b, d)
-        hit = (s1 * s2 <= 0) & (_orient_sign(c, d, a) * _orient_sign(c, d, b) <= 0)
-        # collinear: the sign test holds for the whole line, so the closed
-        # segments must also overlap along it
-        collinear = (s1 == 0) & (s2 == 0)
-        hit &= ~collinear | (
-            (np.maximum(a.real, b.real) >= min(c.real, d.real))
-            & (np.minimum(a.real, b.real) <= max(c.real, d.real))
-            & (np.maximum(a.imag, b.imag) >= min(c.imag, d.imag))
-            & (np.minimum(a.imag, b.imag) <= max(c.imag, d.imag))
-        )
-        meet |= hit
+        meet |= _closed_segments_meet(a, b, c, d)
     return meet.reshape(shape)
 
 
 def _is_simple(v: np.ndarray) -> bool:
+    """Edges that are not adjacent never meet, and adjacent edges share only
+    their common vertex (no fold back along a line); both tested exactly."""
     n = len(v)
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = v[j], v[(j + 1) % n]
-            if _segments_properly_intersect(a, b, c, d):
-                return False
+    w = np.roll(v, -1)
+    p = np.roll(v, 1)
+    # the sign of a floating-point difference is exact
+    back, ahead = v - p, w - v
+    fold = (_orient_sign(p, v, w) == 0) & (
+        (np.sign(back.real) * np.sign(ahead.real) < 0)
+        | (np.sign(back.imag) * np.sign(ahead.imag) < 0))
+    if fold.any():
+        return False
+    for i in range(n - 2):
+        j = np.arange(i + 2, n - 1 if i == 0 else n)
+        if _closed_segments_meet(v[j], w[j], v[i], w[i]).any():
+            return False
     return True
 
 
@@ -458,6 +465,28 @@ def _ellipse_boundary_dist(a: float, b: float, z: np.ndarray) -> np.ndarray:
         np.hypot(x, b - y),          # t = pi/2
     ])
     return cand.min(axis=0)
+
+
+def clear_of_boundary(domain: DomainSpec, z, margin: float) -> bool | np.ndarray:
+    """``curve_distance(domain, z) >= margin``, elementwise.
+
+    On an ellipse a point with s = sqrt((x/a)^2 + (y/b)^2) lies on the
+    boundary of sE; E is convex and holds the disc of radius b, so
+    sE + (1 - s) b Disc lies in E and the distance is at least (1 - s) b.
+    Points whose bound clears the margin by 1e-12 are accepted without the
+    footpoint iteration; only the others call :func:`curve_distance`.
+    """
+    zz = np.asarray(z, dtype=complex)
+    if domain.kind != ELLIPSE:
+        return curve_distance(domain, zz) >= margin
+    a, b = domain.semi_axes
+    arr = zz.ravel()
+    s = np.sqrt((arr.real / a) ** 2 + (arr.imag / b) ** 2)
+    ok = (1.0 - s) * b >= margin + 1e-12
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        ok[rest] = curve_distance(domain, arr[rest]) >= margin
+    return bool(ok[0]) if zz.ndim == 0 else ok.reshape(zz.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .geometry import (
     POLYGON,
     UNIT_DISC,
     DomainSpec,
+    clear_of_boundary,
     contains,
     curve_distance,
     segments_meet_boundary,
@@ -80,12 +81,7 @@ class MetricDensity:
         if self.kind == QUASIHYPERBOLIC:
             return 1.0 / curve_distance(self.domain, z)
         if self.kind == BERGMAN:
-            flat = z.ravel()
-            out = np.empty(flat.shape, dtype=float)
-            for start in range(0, flat.size, 131072):
-                sl = slice(start, start + 131072)
-                out[sl] = bergman_density(self.model, flat[sl])
-            return out.reshape(z.shape)
+            return bergman_density(self.model, z.ravel()).reshape(z.shape)
         return np.full(z.shape, self.value, dtype=float)
 
 
@@ -286,7 +282,7 @@ def _segment_inside(domain: DomainSpec, a, b, margin: float, n_samples: int = 8)
     flat = pts.ravel()
     ok = contains(domain, flat)
     if margin > 0:
-        ok &= curve_distance(domain, flat) >= margin
+        ok &= clear_of_boundary(domain, flat, margin)
     ok = ok.reshape(pts.shape).all(axis=-1)
     if domain.kind == POLYGON:
         ok &= ~segments_meet_boundary(domain, a, b)
@@ -526,7 +522,7 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                                       axis=1)
                 ok = contains(domain, cand.ravel())
                 if margin > 0:
-                    ok &= curve_distance(domain, cand.ravel()) >= margin
+                    ok &= clear_of_boundary(domain, cand.ravel(), margin)
                 ok = ok.reshape(cand.shape)
                 if check_segments:
                     ok &= _segment_inside(domain, prev_pts[:, None], cand, 0.0, 16)

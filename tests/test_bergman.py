@@ -8,7 +8,7 @@ from scipy.linalg import qr, solve_triangular
 from metriclab import bergman as B
 from metriclab import geometry as G
 from metriclab.errors import FactorizationError, KernelInstabilityError
-from metriclab.metrics import DiscAutomorphism
+from metriclab.metrics import DiscAutomorphism, bergman_metric_density
 
 
 def disc_kernel_exact(z, w):
@@ -186,6 +186,104 @@ def test_density_boundary_blowup(disc_kernel, ellipse15):
         z = 1j * (1 - d)
         vals.append(B.bergman_density(emodel, z))
     assert np.all(np.diff(vals) > 0)
+
+
+def _one_batch_density(model, z):
+    """bergman_density as one batch: one Vandermonde for every point, the
+    derivative matrix formed in place (the oracle of the blocked form)."""
+    zz = np.asarray(z, dtype=complex)
+    n = model.degree + 1
+    V = np.vander(model._zeta(zz).ravel(), n, increasing=True)
+    phi = V @ model.coefficients.T
+    V[:, 1:] = V[:, :-1] * np.arange(1, n)
+    V[:, 0] = 0.0
+    dphi = V @ model.coefficients.T
+    dphi /= model.scale
+    phi, dphi = phi.reshape(zz.shape + (n,)), dphi.reshape(zz.shape + (n,))
+    A = np.einsum("...j,...j->...", phi, np.conj(phi)).real
+    Az = np.einsum("...j,...j->...", dphi, np.conj(phi))
+    Azz = np.einsum("...j,...j->...", dphi, np.conj(dphi)).real
+    return np.sqrt((A * Azz - (Az * np.conj(Az)).real) / (A * A))
+
+
+@pytest.fixture(scope="module")
+def ellipse15_kernel16(ellipse15):
+    return B.fit_kernel_model(ellipse15, degree=16, resolution=0.03)
+
+
+def _ellipse_points(n, seed):
+    # uniform in the 1.5 x 1 ellipse
+    rng = np.random.default_rng(seed)
+    r = 0.98 * np.sqrt(rng.random(n))
+    t = 2 * np.pi * rng.random(n)
+    return r * (1.5 * np.cos(t) + 1j * np.sin(t))
+
+
+def test_blocked_density_is_bit_identical(ellipse15_kernel16):
+    model = ellipse15_kernel16
+    block = B._DENSITY_BLOCK
+    z = _ellipse_points(2 * block + 1, 41)
+    for n in (2, 3, block - 1, block, block + 1, 2 * block + 1):
+        assert np.array_equal(B.bergman_density(model, z[:n]),
+                              _one_batch_density(model, z[:n])), n
+    # a multi-dimensional batch is evaluated like its flat copy
+    assert np.array_equal(B.bergman_density(model, z[:2 * block].reshape(-1, 8)),
+                          _one_batch_density(model, z[:2 * block]).reshape(-1, 8))
+
+
+def test_density_of_a_point_does_not_depend_on_a_large_batch(ellipse15_kernel16):
+    # 131,073 points: no 1-point tail block, whose 1-row matmul rounds
+    # differently (a 1-point tail gives this last point another value)
+    model = ellipse15_kernel16
+    z = _ellipse_points(131073, 45)
+    omega = bergman_metric_density(model)
+    assert omega.eval_array(z)[-1] == B.bergman_density(model, z[-2:])[-1]
+
+
+def test_density_peak_memory_is_bounded(ellipse15_kernel16):
+    z = _ellipse_points(131072, 47)
+    tracemalloc.start()
+    try:
+        B.bergman_density(ellipse15_kernel16, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
+def _chebyshev_u_kernel(a, b, degree, z):
+    """Exact degree-N kernel diagonal and density of the ellipse with foci
+    +-c: the U_n(z/c) are area-orthogonal with squared norms
+    pi c^2 (R^(2n+2) - R^(-2n-2)) / (4 (n+1)), R = (a+b)/c."""
+    c = math.sqrt(a * a - b * b)
+    R = (a + b) / c
+    k = np.arange(degree + 1)
+    h = math.pi * c * c * (R ** (2 * k + 2) - R ** (-2 * k - 2)) / (4 * (k + 1))
+    x = np.asarray(z, dtype=complex) / c
+    u = np.empty(x.shape + (degree + 1,), dtype=complex)
+    du = np.empty_like(u)
+    u[..., 0], du[..., 0] = 1.0, 0.0
+    u[..., 1], du[..., 1] = 2.0 * x, 2.0
+    for n in range(1, degree):
+        u[..., n + 1] = 2.0 * x * u[..., n] - u[..., n - 1]
+        du[..., n + 1] = 2.0 * u[..., n] + 2.0 * x * du[..., n] - du[..., n - 1]
+    p = u / np.sqrt(h)
+    dp = du / (c * np.sqrt(h))
+    K = np.sum(np.abs(p) ** 2, axis=-1)
+    Kz = np.sum(dp * np.conj(p), axis=-1)
+    Kzz = np.sum(np.abs(dp) ** 2, axis=-1)
+    return K, np.sqrt((K * Kzz - np.abs(Kz) ** 2) / (K * K))
+
+
+def test_ellipse_kernel_against_chebyshev_oracle(ellipse15, ellipse15_kernel16):
+    model = ellipse15_kernel16
+    rng = np.random.default_rng(53)
+    z = rng.uniform(-1.5, 1.5, 2000) + 1j * rng.uniform(-1, 1, 2000)
+    z = z[G.contains(ellipse15, z) & (G.curve_distance(ellipse15, z) >= 0.1)][:200]
+    assert z.size == 200
+    K, rho = _chebyshev_u_kernel(1.5, 1.0, 16, z)
+    assert np.max(np.abs(B.kernel_eval(model, z, z).real / K - 1)) < 1e-4
+    assert np.max(np.abs(B.bergman_density(model, z) / rho - 1)) < 1e-4
 
 
 def test_density_positivity_floor_guard(disc_kernel):

@@ -104,6 +104,69 @@ def test_ellipse_distance_independent_of_batch(a):
     assert np.array_equal(single, batch[idx])
 
 
+def _inward_normal(domain, t):
+    # unit inward normal i * gamma'(t) by a central difference
+    dt = 1e-6
+    tangent = G.boundary_point(domain, t + dt) - G.boundary_point(domain, t - dt)
+    return 1j * tangent / np.abs(tangent)
+
+
+_CLEARANCE_DOMAINS = {
+    "ellipse-1.5": G.ellipse(1.5, 1), "ellipse-2": G.ellipse(2, 1),
+    "ellipse-3": G.ellipse(3, 1), "disc": G.unit_disc(),
+    "lshape": G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLEARANCE_DOMAINS))
+@pytest.mark.parametrize("margin", [0.003, 0.025, 0.1])
+def test_clear_of_boundary_matches_curve_distance(name, margin):
+    dom = _CLEARANCE_DOMAINS[name]
+    rng = np.random.default_rng(61)
+    xmin, xmax, ymin, ymax = dom.bounding_box
+    box = (rng.uniform(1.2 * xmin - 0.1, 1.2 * xmax + 0.1, 4000)
+           + 1j * rng.uniform(1.2 * ymin - 0.1, 1.2 * ymax + 0.1, 4000))
+    # points margin +- 1e-13 from the boundary along the inward normal,
+    # away from corners where the normal is not defined
+    t = rng.uniform(0, 2 * np.pi, 400)
+    g = G.boundary_point(dom, t)
+    if dom.kind == G.POLYGON:
+        keep = np.min(np.abs(g[:, None] - np.array(dom.vertices)[None, :]), axis=1) > 0.2
+        t, g = t[keep], g[keep]
+    nrm = _inward_normal(dom, t)
+    z = np.concatenate([box, g + (margin + 1e-13) * nrm, g + (margin - 1e-13) * nrm,
+                        g + margin * nrm])
+    want = G.curve_distance(dom, z) >= margin
+    assert np.array_equal(G.clear_of_boundary(dom, z, margin), want)
+    for p in z[:50]:
+        assert G.clear_of_boundary(dom, complex(p), margin) == \
+            (float(G.curve_distance(dom, complex(p))) >= margin)
+
+
+@pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
+def test_clear_of_boundary_skips_footpoints_the_bound_clears(monkeypatch, a):
+    e = G.ellipse(a, 1)
+    rng = np.random.default_rng(67)
+    z = rng.uniform(-1.1 * a, 1.1 * a, 5000) + 1j * rng.uniform(-1.1, 1.1, 5000)
+    margin = 0.025
+    want = G.curve_distance(e, z) >= margin
+    seen = []
+    real_curve_distance = G.curve_distance
+
+    def counting(domain, pts):
+        seen.append(np.asarray(pts).copy())
+        return real_curve_distance(domain, pts)
+
+    monkeypatch.setattr(G, "curve_distance", counting)
+    assert np.array_equal(G.clear_of_boundary(e, z, margin), want)
+    reached = np.concatenate(seen)
+    # the inner bound (1 - s) b, s = sqrt((x/a)^2 + y^2): what it clears never
+    # reaches the footpoint iteration, and it clears most points
+    cleared = (1 - np.sqrt((z.real / a) ** 2 + z.imag ** 2)) >= margin + 1e-12
+    assert np.array_equal(np.sort_complex(reached), np.sort_complex(z[~cleared]))
+    assert cleared.sum() > 0.5 * want.sum()
+
+
 def test_boundary_distance_below_any_boundary_point(disc, ellipse15, square):
     rng = np.random.default_rng(11)
     sp = G.smoothed_polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 0.3)
@@ -145,6 +208,22 @@ def test_polygon_validation():
         G.polygon([0, 3, 3 + 2j, 1 - 1j, 2j])  # ccw but self-intersecting
     with pytest.raises(ValueError, match="3 vertices"):
         G.polygon([0, 1])
+
+
+def test_polygon_must_not_touch_itself():
+    # vertex 2 lies on the edge 0 -> 4: two triangles pinched at a point
+    with pytest.raises(ValueError, match="simple"):
+        G.polygon([0, 4, 4 + 4j, 2, 4j])
+    # two squares sharing the corner 1+1j, visited twice
+    with pytest.raises(ValueError, match="simple"):
+        G.polygon([0, 1, 1 + 1j, 2 + 1j, 2 + 2j, 1 + 2j, 1 + 1j, 1j])
+    # adjacent edges folding back along one line
+    with pytest.raises(ValueError, match="simple"):
+        G.polygon([0, 2, 1, 1 + 1j])
+    with pytest.raises(ValueError, match="simple"):
+        G.polygon([0, 2, 2 + 2j, 2 + 1j, 2 + 3j, 3j])
+    # collinear adjacent edges that go on forward are simple
+    assert G.polygon([0, 1, 2, 2 + 1j, 1j]).area() == pytest.approx(2.0)
 
 
 def test_segments_meet_boundary_exact(square):
