@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
+from scipy.linalg.blas import zherk
 
 from .errors import DomainError, FactorizationError, KernelInstabilityError
 from .geometry import (
@@ -35,7 +36,16 @@ from .geometry import (
     gauss_quadrature_grid,
 )
 
-_NODE_CHUNK = 65536
+# grid nodes per block of the kernel fit.  A QR input [R; W^{1/2} V_block]
+# of degree 72 is (4096 + 73) x 73 complex, 4.9 MB, which stays in cache
+# while each Householder reflector sweeps it; 65,536-row panels (75 MB)
+# made the QR and the overlap passes stream memory.  In interleaved
+# degree-72 ellipse fits on a 2-core Xeon (2 MB L2) one BLAS thread runs
+# 1,024-row blocks about 5% faster (median 8.9 against 9.3 CPU s), but two
+# OpenBLAS threads run their small gemm and zherk calls 4-11 times slower,
+# so such a fit takes 28-33 s wall against 14 s for 4,096 rows and 15 s
+# for 65,536; 2,048 and 8,192 rows are slower than 4,096 either way.
+_NODE_CHUNK = 4096
 # points per block of a density evaluation: keeps its N x (degree+1)
 # temporaries cache-sized
 _DENSITY_BLOCK = 512
@@ -118,23 +128,26 @@ def bergman_density(model: KernelModel, z, floor: float = 1e-12):
     """Metric density rho(z) = sqrt(d^2 log K(z,z) / dz dzbar).
 
     Evaluated in blocks of at most _DENSITY_BLOCK points, so memory stays
-    bounded and each point's value does not depend on the batch size (a
-    scalar or 1-point call excepted).  Raises :class:`KernelInstabilityError`
+    bounded and each point's value does not depend on the batch size or on
+    whether it is passed as a scalar.  Raises :class:`KernelInstabilityError`
     when K(z,z) falls below ``floor`` or the curvature radicand goes
     negative -- tiny negatives are reported, never clamped, because they
     flag a degree/grid too coarse at z.
     """
     zz = np.asarray(z, dtype=complex)
-    if zz.size <= _DENSITY_BLOCK:
-        A, Az, Azz = _density_terms(model, zz)
+    flat = zz.ravel()
+    if flat.size == 1:
+        # a 1-row matmul rounds differently: a lone point runs as a pair
+        flat = np.repeat(flat, 2)
+    if flat.size <= _DENSITY_BLOCK:
+        A, Az, Azz = _density_terms(model, flat)
     else:
-        flat = zz.ravel()
         A = np.empty(flat.size)
         Az = np.empty(flat.size, dtype=complex)
         Azz = np.empty(flat.size)
         for sl in _blocks(flat.size):
             A[sl], Az[sl], Azz[sl] = _density_terms(model, flat[sl])
-        A, Az, Azz = A.reshape(zz.shape), Az.reshape(zz.shape), Azz.reshape(zz.shape)
+    A, Az, Azz = (t[:zz.size].reshape(zz.shape) for t in (A, Az, Azz))
     if np.any(A <= floor):
         raise KernelInstabilityError(
             f"kernel diagonal {A.min():.3e} at or below positivity floor {floor:.1e}"
@@ -171,18 +184,20 @@ def reproducing_residual(model: KernelModel, grid: QuadratureGrid,
     return float(abs(f(np.asarray(z)) - integral))
 
 
-def _weighted_vander(zeta: np.ndarray, sw: np.ndarray, n: int) -> np.ndarray:
-    """W^{1/2} V for one node chunk, weighted in place."""
-    A = np.vander(zeta, n, increasing=True)
-    A *= sw[:, None]
-    return A
+def _weighted_vander(zeta: np.ndarray, sw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """W^{1/2} V for one node block, written column by column into ``out``,
+    a (zeta.size, n) array with contiguous columns: column k is sw zeta^k."""
+    out[:, 0] = sw
+    for k in range(1, out.shape[1]):
+        np.multiply(out[:, k - 1], zeta, out=out[:, k])
+    return out
 
 
 def _stacked_r(zeta: np.ndarray, sw: np.ndarray, n: int) -> np.ndarray:
-    """R of the stacked QR W^{1/2} V = Q R over node chunks; Q is never formed.
+    """R of the stacked QR W^{1/2} V = Q R over node blocks; Q is never formed.
 
-    Each chunk's QR input [R; W^{1/2} V_chunk] is assembled in one
-    Fortran-ordered buffer that every chunk reuses and LAPACK overwrites.
+    Each block's QR input [R; W^{1/2} V_block] is assembled in one
+    Fortran-ordered buffer that every block reuses and LAPACK overwrites.
     """
     buf = np.empty((n + _NODE_CHUNK) * n, dtype=complex)
     R = np.empty((0, n), dtype=complex)
@@ -191,7 +206,7 @@ def _stacked_r(zeta: np.ndarray, sw: np.ndarray, n: int) -> np.ndarray:
         top = R.shape[0]
         block = buf[:(top + zeta[sl].size) * n].reshape((-1, n), order="F")
         block[:top] = R
-        block[top:] = _weighted_vander(zeta[sl], sw[sl], n)
+        _weighted_vander(zeta[sl], sw[sl], block[top:])
         R = qr(block, overwrite_a=True, mode="raw")[1]
     return R
 
@@ -204,7 +219,7 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     of the conjugate-transposed Cholesky factor of the Gram matrix, computed
     backward-stably from the node values, which keeps degrees feasible far
     beyond the point where an explicitly assembled Gram matrix stops being
-    numerically positive definite.  Runs in node chunks (stacked QR), so
+    numerically positive definite.  Runs in node blocks (stacked QR), so
     memory stays bounded for fine grids.  A rank-deficient A (more monomials
     than the grid resolves) raises :class:`FactorizationError`.
 
@@ -225,15 +240,20 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     R = R * np.conj(phases)[:, None]
     B = solve_triangular(R, np.eye(n, dtype=complex), lower=False).conj().T
 
+    A = np.empty((_NODE_CHUNK, n), dtype=complex, order="F")
+
     def grid_overlap(Bcur):
         # S_{jk} = <phi_j, phi_k> from the actual basis values on the grid
-        S = np.zeros((n, n), dtype=complex)
+        BH = Bcur.conj().T
+        U = np.zeros((n, n), dtype=complex)
         for start in range(0, zeta.size, _NODE_CHUNK):
             sl = slice(start, start + _NODE_CHUNK)
-            Q = _weighted_vander(zeta[sl], sw[sl], n) @ Bcur.conj().T
-            S += Q.conj().T @ Q
-            del Q  # freed before the next chunk's values are formed
-        return S
+            Q = _weighted_vander(zeta[sl], sw[sl], A[:zeta[sl].size]) @ BH
+            # Q is C-ordered, so Q.T reaches zherk uncopied; the upper
+            # triangle of Q.T Q.T^H = conj(Q^H Q) is summed
+            U += zherk(1.0, Q.T)
+        # S, exactly Hermitian, from the upper triangle of conj(S)
+        return np.triu(U).conj() + np.triu(U, 1).T
 
     S = grid_overlap(B)
     defect = float(np.max(np.abs(S - np.eye(n))))
@@ -243,8 +263,7 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
         # re-orthonormalization sweep: S is near-identity, so its Cholesky
         # factor is perfectly conditioned and each sweep squares the
         # residual; B stays lower-triangular with positive diagonal
-        R2 = np.linalg.cholesky(0.5 * (S + S.conj().T)).conj().T
-        B2 = solve_triangular(R2.conj().T, B, lower=True)
+        B2 = solve_triangular(np.linalg.cholesky(S), B, lower=True)
         S2 = grid_overlap(B2)
         d2 = float(np.max(np.abs(S2 - np.eye(n))))
         if d2 >= defect:

@@ -1,0 +1,54 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPORT_DIFF = ROOT / "tools" / "report_diff.py"
+
+
+def _tree(root: Path, reports: dict) -> Path:
+    # a tools/run_configs.py output tree: <config>/reports/<name>.json
+    for rel, content in reports.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(content))
+    return root
+
+
+def _report_diff(a: Path, b: Path):
+    proc = subprocess.run([sys.executable, str(REPORT_DIFF), str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout.splitlines()
+
+
+def test_report_diff_lists_moved_values(tmp_path):
+    same = {"verdict": True, "values": {"n": 3}}
+    a = _tree(tmp_path / "a", {
+        "ring/reports/qh_1.json": {"values": {"x": 2.0, "y": 1.0}, "curve": [1.0, 4.0],
+                                   "flag": "ok", "gone": 1},
+        "hl/reports/hl_2.json": same,
+    })
+    b = _tree(tmp_path / "b", {
+        "ring/reports/qh_1.json": {"values": {"x": 2.5, "y": 1.0}, "curve": [1.0, 4.004],
+                                   "flag": "bad"},
+        "hl/reports/hl_2.json": same,
+    })
+    code, lines = _report_diff(a, b)
+    assert code == 1
+    assert lines == [
+        "ring/reports/qh_1.json curve[1]: 4.0 -> 4.004 (rel 1.000e-03)",
+        "ring/reports/qh_1.json flag: 'ok' -> 'bad'",
+        "ring/reports/qh_1.json gone: missing in B",
+        "ring/reports/qh_1.json values.x: 2.0 -> 2.5 (rel 2.500e-01)",
+        "hl: identical",
+        "ring: 2 values moved, largest rel 2.500e-01 at qh_1.json values.x; "
+        "2 other differences",
+    ]
+
+
+def test_report_diff_identical_trees_exit_zero(tmp_path):
+    reports = {"c/reports/r.json": {"v": [0.1, 0.2], "ok": False}}
+    code, lines = _report_diff(_tree(tmp_path / "a", reports), _tree(tmp_path / "b", reports))
+    assert code == 0
+    assert lines == ["c: identical"]
