@@ -223,8 +223,10 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     memory stays bounded for fine grids.  A rank-deficient A (more monomials
     than the grid resolves) raises :class:`FactorizationError`.
 
-    Returns (B, defect) where defect = max |Q^H Q - I| is the orthonormality
-    defect of the basis values on the source grid.
+    Returns (B, defect) with defect = max |S - I| for the grid overlap
+    S = <phi_j, phi_k> of the basis.  Above 1e-10 one sweep
+    B <- chol(S)^{-1} B re-orthonormalizes B first, so a fit makes at most
+    two passes over the grid after the QR.
     """
     n = degree + 1
     zeta = (grid.nodes - center) / scale
@@ -257,18 +259,12 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
 
     S = grid_overlap(B)
     defect = float(np.max(np.abs(S - np.eye(n))))
-    for _ in range(3):
-        if defect <= 1e-10:
-            break
-        # re-orthonormalization sweep: S is near-identity, so its Cholesky
-        # factor is perfectly conditioned and each sweep squares the
-        # residual; B stays lower-triangular with positive diagonal
-        B2 = solve_triangular(np.linalg.cholesky(S), B, lower=True)
-        S2 = grid_overlap(B2)
-        d2 = float(np.max(np.abs(S2 - np.eye(n))))
-        if d2 >= defect:
-            break
-        B, S, defect = B2, S2, d2
+    if defect > 1e-10:
+        # S is near-identity, so chol(S) is perfectly conditioned; one sweep
+        # takes the defect to the monomial basis's rounding noise, which
+        # further sweeps only move about
+        B = solve_triangular(np.linalg.cholesky(S), B, lower=True)
+        defect = float(np.max(np.abs(grid_overlap(B) - np.eye(n))))
     return B, defect
 
 

@@ -341,10 +341,6 @@ def _distance_evaluator(cfg: ExperimentConfig, omega: MetricDensity):
     return geodesic_evaluator(omega, cfg.resolution, max_sweeps=cfg.refine_sweeps)
 
 
-def _fstar_function(f, omega):
-    return lambda zs: weighted_derivative(f, omega, zs)
-
-
 def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
     """Means curve of f*, trace modulus curve, and their exponent fits.
 
@@ -356,14 +352,14 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
     """
     omega = _build_density(cfg)
     f = from_name(cfg.map_name, cfg.domain)
-    g = _fstar_function(f, omega)
     d = _distance_evaluator(cfg, omega)
 
     curves: dict[str, dict] = {}
     fits: dict[str, object] = {}
     flags: list[str] = []
 
-    mc = means_curve(g, cfg.radii, p, cfg.circle_samples)
+    mc = means_curve(lambda zs: weighted_derivative(f, omega, zs), cfg.radii, p,
+                     cfg.circle_samples)
     curves[f"means_{label}"] = _curve_dict(mc.abscissa, mc.values)
     zero_means = bool(np.all(mc.values < 1e-14))
     if not zero_means:

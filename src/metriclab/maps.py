@@ -1,7 +1,6 @@
 """Catalog of analytic test maps from the unit disc into a bounded domain,
-with exact derivatives, boundary traces, the weighted derivative
-f*(z) = omega(f(z)) |f'(z)|, and the path upper bound
-d_omega(f(z), f(w)) <= int_gamma f* |dx|.
+with exact derivatives, boundary traces and the weighted derivative
+f*(z) = omega(f(z)) |f'(z)|.
 
 Every map is validated at construction: a dense sample of the open disc must
 land inside the target, and the closed-form derivative is cross-checked
@@ -25,7 +24,7 @@ from .geometry import (
     interior_anchor,
     unit_disc,
 )
-from .metrics import MetricDensity, _line_quad, weighted_distance
+from .metrics import MetricDensity
 
 
 class AnalyticMap:
@@ -127,34 +126,16 @@ class BlaschkeProduct(AnalyticMap):
         return _as_out(out, z)
 
     def derivative(self, z):
-        # logarithmic-derivative sum away from the zeros, explicit product
-        # rule wherever some factor vanishes
+        # product rule, sum_k b_k' prod_{j != k} b_j, exact also at the zeros
         zz = np.asarray(z, dtype=complex)
-        val = np.asarray(self(zz))
-        near = np.zeros(zz.shape, dtype=bool)
-        for a in self.zeros:
-            near |= np.abs(zz - a) < 1e-6
-        out = np.zeros_like(np.atleast_1d(zz))
-        flat_z = np.atleast_1d(zz)
-        flat_near = np.atleast_1d(near)
-        safe = ~flat_near
-        if safe.any():
-            zs = flat_z[safe]
-            logsum = np.zeros_like(zs)
-            for a in self.zeros:
-                logsum += self._factor_derivative(a, zs) / self._factor(a, zs)
-            out[safe] = np.atleast_1d(val)[safe] * logsum
-        if flat_near.any():
-            zs = flat_z[flat_near]
-            acc = np.zeros_like(zs)
-            for k, a in enumerate(self.zeros):
-                term = self._factor_derivative(a, zs)
-                for j, b in enumerate(self.zeros):
-                    if j != k:
-                        term = term * self._factor(b, zs)
-                acc += term
-            out[flat_near] = acc
-        return _as_out(out.reshape(zz.shape), z)
+        out = np.zeros_like(zz)
+        for k, a in enumerate(self.zeros):
+            term = self._factor_derivative(a, zz)
+            for j, b in enumerate(self.zeros):
+                if j != k:
+                    term = term * self._factor(b, zz)
+            out += term
+        return _as_out(out, z)
 
 
 @dataclass
@@ -226,7 +207,7 @@ class AffineInto(AnalyticMap):
 
 
 # ---------------------------------------------------------------------------
-# weighted derivative and path bound
+# weighted derivative
 
 
 def weighted_derivative(f: AnalyticMap, omega: MetricDensity, z):
@@ -237,21 +218,6 @@ def weighted_derivative(f: AnalyticMap, omega: MetricDensity, z):
         raise DomainError("map value leaves the density's domain")
     out = omega.eval_array(val) * np.abs(np.asarray(f.derivative(z)))
     return float(out) if np.asarray(z).ndim == 0 else out
-
-
-def path_upper_bound_check(f: AnalyticMap, omega: MetricDensity,
-                           z: complex, w: complex,
-                           resolution: float = 0.01) -> tuple[float, float]:
-    """(lhs, rhs) with lhs = d_omega(f(z), f(w)) from the geodesic solver and
-    rhs = int over the straight segment [z, w] of f* |dx|; the analytic bound
-    says lhs <= rhs up to solver tolerance."""
-    z, w = complex(z), complex(w)
-    if z == w:
-        return 0.0, 0.0
-    fz, fw = complex(f(z)), complex(f(w))
-    lhs = weighted_distance(omega, fz, fw, resolution).distance
-    rhs = _line_quad(lambda pts: weighted_derivative(f, omega, pts), z, w)
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

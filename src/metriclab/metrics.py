@@ -271,12 +271,18 @@ def _convex_kind(domain: DomainSpec) -> bool:
 
 
 def _segment_inside(domain: DomainSpec, a, b, margin: float, n_samples: int = 8):
-    """Vectorized check that segments [a,b] stay inside with clearance.
+    """Vectorized check that segments [a,b] stay inside with clearance;
+    the result has the broadcast shape of a and b.
 
-    Samples are tested for membership (and clearance); a polygon segment
-    must in addition meet no boundary edge, which is tested exactly."""
+    The endpoints must lie inside the domain.  The disc and an ellipse are
+    convex, so there a chord between interior points lies inside and with
+    margin == 0 nothing is sampled.  Otherwise samples are tested for
+    membership (and clearance); a polygon segment must in addition meet no
+    boundary edge, which is tested exactly."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    if margin == 0 and _convex_kind(domain):
+        return np.ones(np.broadcast(a, b).shape, dtype=bool)
     t = (np.arange(n_samples) + 0.5) / n_samples
     pts = a[..., None] + t * (b - a)[..., None]
     flat = pts.ravel()
@@ -320,7 +326,6 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
     nodes = P[mask]
 
     rows, cols, vals = [], [], []
-    check_segments = not _convex_kind(domain)
     for di, dj in _NEIGHBOR_OFFSETS:
         ni, nj = ids.shape
         if di >= ni or abs(dj) >= nj:
@@ -335,11 +340,10 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
         s, d = src[ok], dst[ok]
         if s.size == 0:
             continue
-        if check_segments:
-            keep = _segment_inside(domain, nodes[s], nodes[d], 0.0)
-            s, d = s[keep], d[keep]
-            if s.size == 0:
-                continue
+        keep = _segment_inside(domain, nodes[s], nodes[d], 0.0)
+        s, d = s[keep], d[keep]
+        if s.size == 0:
+            continue
         cost = _segment_cost(omega, nodes[s], nodes[d], _GL_X6, _GL_W6)
         rows.append(s)
         cols.append(d)
@@ -392,21 +396,17 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex,
                   min(z.imag, w.imag) - pad, max(z.imag, w.imag) + pad)
     graph = _build_graph(omega, resolution, window)
 
-    conn = [graph.nearby_ids(p) for p in (z, w)]
-    sample_check = not _convex_kind(domain)
-    direct_ok = True
-    for p, idx in zip((z, w), conn):
+    conn = []
+    for p in (z, w):
+        idx = graph.nearby_ids(p)
         if idx.size == 0:
             raise ResolutionTooCoarseError(
                 f"no grid node within reach of endpoint {p} at resolution {resolution}")
-    if sample_check:
-        keep0 = _segment_inside(domain, np.full(conn[0].shape, z), graph.nodes[conn[0]], 0.0)
-        keep1 = _segment_inside(domain, np.full(conn[1].shape, w), graph.nodes[conn[1]], 0.0)
-        conn = [conn[0][keep0], conn[1][keep1]]
-        direct_ok = bool(_segment_inside(domain, np.array([z]), np.array([w]), 0.0)[0])
-        if conn[0].size == 0 or conn[1].size == 0:
-            raise ResolutionTooCoarseError(
-                f"endpoint connectors leave the domain at resolution {resolution}")
+        conn.append(idx[_segment_inside(domain, np.full(idx.shape, p), graph.nodes[idx], 0.0)])
+    if conn[0].size == 0 or conn[1].size == 0:
+        raise ResolutionTooCoarseError(
+            f"endpoint connectors leave the domain at resolution {resolution}")
+    direct_ok = bool(_segment_inside(domain, np.array([z]), np.array([w]), 0.0)[0])
 
     n = graph.nodes.size
     cost_z = _segment_cost(omega, np.full(conn[0].shape, z), graph.nodes[conn[0]], _GL_X6, _GL_W6)
@@ -495,7 +495,6 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
     dirs = np.array([1, -1, 1j, -1j,
                      (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
                      (-1 + 1j) / math.sqrt(2), (-1 - 1j) / math.sqrt(2)])
-    check_segments = not _convex_kind(domain)
     step = step0
     # seg[i] is the cost of [pts[i], pts[i+1]]; a vertex whose last pricing
     # at this step chose to stay is settled until it or a neighbour moves
@@ -524,9 +523,9 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                 if margin > 0:
                     ok &= clear_of_boundary(domain, cand.ravel(), margin)
                 ok = ok.reshape(cand.shape)
-                if check_segments:
-                    ok &= _segment_inside(domain, prev_pts[:, None], cand, 0.0, 16)
-                    ok &= _segment_inside(domain, cand, next_pts[:, None], 0.0, 16)
+                # segments count only where ok holds, so both ends are inside
+                ok &= _segment_inside(domain, prev_pts[:, None], cand, 0.0, 16)
+                ok &= _segment_inside(domain, cand, next_pts[:, None], 0.0, 16)
                 # the stay column keeps its known costs; only admissible moves are priced
                 left = np.full(cand.shape, np.inf)
                 right = np.full(cand.shape, np.inf)
@@ -576,13 +575,11 @@ def _refine(omega: MetricDensity, pts: np.ndarray, resolution: float,
     while deltas[-1] > target * 2:
         deltas.append(deltas[-1] / 2)
     deltas.append(target)
-    check_segments = not _convex_kind(omega.domain)
     for delta in deltas:
         if delta >= L:
             continue
         cand = _resample(pts, delta)
-        if check_segments and not np.all(
-                _segment_inside(omega.domain, cand[:-1], cand[1:], 0.0, 16)):
+        if not np.all(_segment_inside(omega.domain, cand[:-1], cand[1:], 0.0, 16)):
             cand = pts   # coarsening would leave the domain; keep the mesh
         pts = _sweep_level(omega, cand, delta / 2.0, margin, budget)
         if budget is not None and budget[0] <= 0:

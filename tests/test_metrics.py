@@ -242,6 +242,27 @@ def test_lshape_certificate_stays_inside_around_corner():
     assert bool(G.contains(lshape, samples.ravel()).all())
 
 
+def test_segment_inside_samples_only_clearance_on_convex_domains(disc, ellipse15):
+    # a chord between interior points of the disc or an ellipse lies
+    # inside: with no margin nothing is sampled, and the result is all-True
+    # in the broadcast shape; a clearance margin is still sampled
+    rng = np.random.default_rng(31)
+    t = (np.arange(16) + 0.5) / 16
+    for dom in (disc, ellipse15):
+        x0, x1, y0, y1 = dom.bounding_box
+        pts = x0 + (x1 - x0) * rng.random(4000) + 1j * (y0 + (y1 - y0) * rng.random(4000))
+        pts = pts[G.contains(dom, pts)]
+        a, b = pts[:60, None], pts[None, 60:100]
+        ok = M._segment_inside(dom, a, b, 0.0, 16)
+        assert ok.shape == (60, 40) and ok.all()
+        assert M._segment_inside(dom, a[0, 0], b[0, 0], 0.0).shape == ()
+        samples = (a[..., None] + t * (b - a)[..., None]).ravel()
+        want = (G.contains(dom, samples) & (G.curve_distance(dom, samples) >= 0.05))
+        want = want.reshape(60, 40, 16).all(axis=-1)
+        assert 0 < want.sum() < want.size
+        assert np.array_equal(M._segment_inside(dom, a, b, 0.05, 16), want)
+
+
 def test_graphs_live_and_die_with_their_density(disc):
     omega = M.quasihyperbolic_density(disc)
     graph = M._build_graph(omega, 0.05, disc.bounding_box)
