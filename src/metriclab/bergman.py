@@ -312,7 +312,8 @@ def save_kernel(model: KernelModel, path) -> None:
 
 def load_kernel(path, domain: DomainSpec | None = None) -> KernelModel:
     """Read a model written by :func:`save_kernel`.  A malformed or truncated
-    file raises ValueError naming the path and the line."""
+    file, or one fitted on another domain than ``domain``, raises ValueError
+    naming the path and the line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     magic = lines[0].split() if lines else []
@@ -337,7 +338,10 @@ def load_kernel(path, domain: DomainSpec | None = None) -> KernelModel:
     cx, cy = line(2, "center", 2)
     (scale,) = line(3, "scale", 1)
     grid = line(4, "grid", kind=str)
-    line(5, "domain", kind=str)
+    stored = " ".join(line(5, "domain", kind=str))
+    if domain is not None and stored not in ("-", domain.grid_key()):
+        raise ValueError(f"{path}, line 6: kernel fitted on {stored!r}, "
+                         f"not on {domain.grid_key()!r}")
     (defect,) = line(6, "orthonormality_defect", 1)
     n = degree + 1
     rows = np.array([line(i, None, 2 * n) for i in range(7, 7 + n)])

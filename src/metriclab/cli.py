@@ -17,6 +17,7 @@ from . import __version__
 from .bergman import fit_kernel_model, save_kernel
 from .errors import MetricLabError
 from .experiments import (
+    _EXPERIMENTS,
     _build_density,
     _distance_evaluator,
     emit_report,
@@ -38,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"metriclab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--resolution", type=float, help="geodesic grid step override")
@@ -49,45 +51,44 @@ def _build_parser() -> argparse.ArgumentParser:
     kernel = sub.add_parser("kernel", help="kernel model operations")
     ksub = kernel.add_subparsers(dest="kernel_command", required=True)
     kfit = ksub.add_parser("fit", help="fit and store a kernel model")
-    common(kfit)
+    common(kfit, _cmd_kernel_fit)
 
     density = sub.add_parser("density", help="metric density operations")
     dsub = density.add_subparsers(dest="density_command", required=True)
     deval = dsub.add_parser("eval", help="evaluate the configured density at a point")
     deval.add_argument("point", help="complex point, e.g. '0.3+0.1j'")
-    common(deval)
+    common(deval, _cmd_density_eval)
 
     dist = sub.add_parser("distance", help="weighted geodesic distance")
     dist.add_argument("z", help="first endpoint, e.g. '0'")
     dist.add_argument("w", help="second endpoint, e.g. '0.5'")
-    common(dist)
+    common(dist, _cmd_distance)
 
     means = sub.add_parser("means", help="integral means curve of f* with fit")
-    common(means)
+    common(means, _cmd_means)
 
     modulus = sub.add_parser("modulus", help="trace Lipschitz modulus curve with fit")
-    common(modulus)
+    common(modulus, _cmd_modulus)
 
     verify = sub.add_parser("verify", help="run a named verification experiment")
-    verify.add_argument("experiment",
-                        choices=["hl1", "hl2", "yamashita", "qh-compare", "nt-bounds"])
-    common(verify)
+    verify.add_argument("experiment", choices=_EXPERIMENTS)
+    common(verify, _cmd_verify)
 
     report = sub.add_parser("report", help="print the verdicts of a stored report")
     report.add_argument("path", help="report summary .json file")
+    report.set_defaults(run=_cmd_report)
     return ap
 
 
-def _load_config(args, force_experiment: str | None = None):
+def _load_config(args):
     overrides = {
+        "experiment": getattr(args, "experiment", None),  # verify only
         "out": args.out,
         "resolution": args.resolution,
         "kernel_degree": args.degree,
         "seed": args.seed,
         "tolerance": args.tolerance,
     }
-    if force_experiment:
-        overrides["experiment"] = force_experiment
     return parse_config_file(args.config, overrides)
 
 
@@ -157,7 +158,7 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args, force_experiment=args.experiment)
+    cfg = _load_config(args)
     report = run_experiment(cfg)
     paths = emit_report(report, cfg.out_dir)
     for check in report.checks:
@@ -183,23 +184,7 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "kernel":
-            code = _cmd_kernel_fit(args)
-        elif args.command == "density":
-            code = _cmd_density_eval(args)
-        elif args.command == "distance":
-            code = _cmd_distance(args)
-        elif args.command == "means":
-            code = _cmd_means(args)
-        elif args.command == "modulus":
-            code = _cmd_modulus(args)
-        elif args.command == "verify":
-            code = _cmd_verify(args)
-        elif args.command == "report":
-            code = _cmd_report(args)
-        else:  # pragma: no cover
-            raise AssertionError(args.command)
-        return code
+        return args.run(args)
     except (MetricLabError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

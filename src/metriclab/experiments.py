@@ -129,25 +129,31 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _number(kind, key: str, text: str):
+    """``kind(text)``; a malformed number is a ConfigError naming the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{key} = {text!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_domain(text: str) -> DomainSpec:
     parts = text.split()
     kind = parts[0]
     if kind == "unit_disc":
         return unit_disc()
+    if kind not in ("ellipse", "polygon", "smoothed_polygon"):
+        raise ConfigError(f"unknown domain kind {kind!r}")
+    nums = [_number(float, "domain", v) for v in parts[1:]]
     if kind == "ellipse":
-        if len(parts) != 3:
+        if len(nums) != 2:
             raise ConfigError("ellipse needs two semi-axes: 'ellipse A B'")
-        return ellipse(float(parts[1]), float(parts[2]))
-    if kind in ("polygon", "smoothed_polygon"):
-        if kind == "smoothed_polygon":
-            radius, coords = float(parts[1]), [float(v) for v in parts[2:]]
-        else:
-            radius, coords = None, [float(v) for v in parts[1:]]
-        if len(coords) < 6 or len(coords) % 2:
-            raise ConfigError("polygon needs a flat list of >= 3 coordinate pairs")
-        verts = [complex(coords[i], coords[i + 1]) for i in range(0, len(coords), 2)]
-        return polygon(verts) if radius is None else smoothed_polygon(verts, radius)
-    raise ConfigError(f"unknown domain kind {kind!r}")
+        return ellipse(*nums)
+    radius = nums.pop(0) if kind == "smoothed_polygon" and nums else None
+    if len(nums) < 6 or len(nums) % 2:
+        raise ConfigError("polygon needs a flat list of >= 3 coordinate pairs")
+    verts = [complex(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)]
+    return polygon(verts) if radius is None else smoothed_polygon(verts, radius)
 
 
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -167,7 +173,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
             if value is not None:
                 items[key] = str(value)
     for key in ("experiment", "domain", "density"):
-        if key not in items:
+        if not items.get(key):
             raise ConfigError(f"missing required config key {key!r}")
     merged = dict(_DEFAULTS)
     merged.update(items)
@@ -185,23 +191,29 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     if density_kind == CONSTANT:
         if len(density_parts) != 2:
             raise ConfigError("constant density needs a value: 'constant C'")
-        density_value = float(density_parts[1])
+        density_value = _number(float, "density", density_parts[1])
 
-    alpha = float(merged["alpha"])
+    def num(kind, key):
+        return _number(kind, key, merged[key])
+
+    def ladder(key):
+        return np.array([_number(float, key, v) for v in merged[key].split()])
+
+    alpha = num(float, "alpha")
     if not (0 < alpha <= 1):
         raise ConfigError("alpha must lie in (0, 1]")
-    p = float(merged["p"])
+    p = num(float, "p")
     if not p >= 1:  # also rejects nan
         raise ConfigError("p must satisfy p >= 1")
-    radii_k = np.array([float(k) for k in merged["radii_k"].split()])
-    steps_k = np.array([float(k) for k in merged["steps_k"].split()])
+    radii_k = ladder("radii_k")
+    steps_k = ladder("steps_k")
     if np.any(np.diff(radii_k) <= 0) or np.any(np.diff(steps_k) <= 0):
         raise ConfigError("ladders radii_k and steps_k must be strictly increasing")
-    ring = np.array([float(v) for v in merged["ring_distances"].split()])
+    ring = ladder("ring_distances")
     if np.any(np.diff(ring) >= 0):
         raise ConfigError("ring_distances must be strictly decreasing")
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         experiment=experiment,
         domain=_parse_domain(merged["domain"]),
         density_kind=density_kind,
@@ -211,26 +223,25 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         p=p,
         radii=1.0 - 2.0 ** (-radii_k),
         steps=2.0 ** (-steps_k),
-        circle_samples=int(merged["circle_samples"]),
-        resolution=float(merged["resolution"]),
-        kernel_degree=int(merged["kernel_degree"]),
-        kernel_resolution=float(merged["kernel_resolution"]),
-        seed=int(merged["seed"]),
-        tolerance=float(merged["tolerance"]),
-        trace_radius=float(merged["trace_radius"]),
-        rays=int(merged["rays"]),
+        circle_samples=num(int, "circle_samples"),
+        resolution=num(float, "resolution"),
+        kernel_degree=num(int, "kernel_degree"),
+        kernel_resolution=num(float, "kernel_resolution"),
+        seed=num(int, "seed"),
+        tolerance=num(float, "tolerance"),
+        trace_radius=num(float, "trace_radius"),
+        rays=num(int, "rays"),
         ring_distances=ring,
-        comparability_cap=float(merged["comparability_cap"]),
-        distance_cap=float(merged["distance_cap"]),
-        compare_pairs=int(merged["compare_pairs"]),
-        pairs=int(merged["pairs"]),
-        nt_cap=float(merged["nt_cap"]),
-        pair_margin=float(merged["pair_margin"]),
-        refine_sweeps=int(merged["refine_sweeps"]),
+        comparability_cap=num(float, "comparability_cap"),
+        distance_cap=num(float, "distance_cap"),
+        compare_pairs=num(int, "compare_pairs"),
+        pairs=num(int, "pairs"),
+        nt_cap=num(float, "nt_cap"),
+        pair_margin=num(float, "pair_margin"),
+        refine_sweeps=num(int, "refine_sweeps"),
         out_dir=merged["out"],
         raw=merged,
     )
-    return cfg
 
 
 def parse_config_file(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -264,18 +275,11 @@ def _check(name: str, passed: bool, **detail) -> dict:
     return out
 
 
-def _curve_dict(abscissa, values, fit=None) -> dict:
-    out = {
+def _curve_dict(abscissa, values) -> dict:
+    return {
         "abscissa": [float(v) for v in abscissa],
         "values": [float(v) for v in values],
     }
-    if fit is not None:
-        out["fit"] = {
-            "slope": fit.slope, "intercept": fit.intercept,
-            "r_squared": fit.r_squared, "max_residual": fit.max_residual,
-            "n_points": fit.n_points, "n_excluded": fit.n_excluded,
-        }
-    return out
 
 
 def emit_report(report: VerificationReport, out_dir) -> list[str]:
@@ -341,65 +345,97 @@ def _distance_evaluator(cfg: ExperimentConfig, omega: MetricDensity):
     return geodesic_evaluator(omega, cfg.resolution, max_sweeps=cfg.refine_sweeps)
 
 
+def _fit_curve(entry: dict, curve, name: str, fits: dict, flags: list) -> None:
+    """Fit ``curve``'s exponent into ``fits[name]`` and ``entry["fit"]``, or
+    record the failure as flag ``<name>-fit-failed`` and ``entry["error"]``."""
+    try:
+        fits[name] = fit_exponent(curve)
+        entry["fit"] = asdict(fits[name])
+    except InsufficientDataError as err:
+        flags.append(f"{name}-fit-failed")
+        entry["error"] = str(err)
+
+
 def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
     """Means curve of f*, trace modulus curve, and their exponent fits.
 
-    Returns (omega, f, curves, fits, flags, divergent, sampling_gap) where
-    ``divergent`` marks a modulus whose pair distances blew up (trace
-    touching the boundary) and ``sampling_gap`` is the relative change of
-    the largest-step modulus when the circle sampling doubles (computed for
-    closed-form distance evaluators only; None otherwise).
+    Returns (curves, fits, flags, checks, notes, gap).  ``checks`` and
+    ``notes`` hold the whole verdict when it is decided before any exponent
+    is compared: a divergent modulus (trace touching the boundary) fails
+    ``modulus_finite``, and two identically vanishing curves pass
+    ``zero_curves_trivial_pass``; otherwise both are empty.  ``gap`` is the
+    relative change of the largest-step modulus when the circle sampling
+    doubles (closed-form distance evaluators only; None otherwise).
     """
     omega = _build_density(cfg)
     f = from_name(cfg.map_name, cfg.domain)
     d = _distance_evaluator(cfg, omega)
-
-    curves: dict[str, dict] = {}
     fits: dict[str, object] = {}
     flags: list[str] = []
+    checks: list[dict] = []
+    notes: list[str] = []
+    gap = None
 
     mc = means_curve(lambda zs: weighted_derivative(f, omega, zs), cfg.radii, p,
                      cfg.circle_samples)
-    curves[f"means_{label}"] = _curve_dict(mc.abscissa, mc.values)
-    zero_means = bool(np.all(mc.values < 1e-14))
-    if not zero_means:
-        try:
-            fits["means"] = fit_exponent(mc)
-            curves[f"means_{label}"]["fit"] = _curve_dict([], [], fits["means"])["fit"]
-        except InsufficientDataError as err:
-            flags.append("means-fit-failed")
-            curves[f"means_{label}"]["error"] = str(err)
+    curves = {f"means_{label}": _curve_dict(mc.abscissa, mc.values)}
+    zero = bool(np.all(mc.values < 1e-14))
+    if not zero:
+        _fit_curve(curves[f"means_{label}"], mc, "means", fits, flags)
 
     tr = boundary_trace(f, cfg.circle_samples, cfg.trace_radius)
-    divergent = False
-    zero_mod = False
-    sampling_gap = None
     try:
         sc = modulus_curve(tr, d, cfg.steps, p)
         curves[f"modulus_{label}"] = _curve_dict(sc.steps, sc.values)
-        zero_mod = bool(np.all(sc.values < 1e-14))
-        if not zero_mod:
-            try:
-                fits["modulus"] = fit_exponent(sc)
-                curves[f"modulus_{label}"]["fit"] = _curve_dict([], [], fits["modulus"])["fit"]
-            except InsufficientDataError as err:
-                flags.append("modulus-fit-failed")
-                curves[f"modulus_{label}"]["error"] = str(err)
+        if not np.all(sc.values < 1e-14):
+            zero = False
+            _fit_curve(curves[f"modulus_{label}"], sc, "modulus", fits, flags)
             if cfg.density_kind in (HYPERBOLIC, CONSTANT):
                 # the ladder's first modulus is the probe at the sampling
                 # of ``tr``; only the doubled sampling is computed anew
                 a = float(sc.values[0])
                 tr2 = boundary_trace(f, 2 * cfg.circle_samples, cfg.trace_radius)
                 b = doubled_sampling_modulus(tr2, d, p, float(cfg.steps[0]))
-                sampling_gap = abs(b - a) / max(abs(b), 1e-300)
+                gap = abs(b - a) / max(abs(b), 1e-300)
     except DivergentValueError as err:
-        divergent = True
         flags.append("divergent-modulus")
         curves[f"modulus_{label}"] = {"abscissa": [], "values": [],
                                       "error": str(err)}
-    if zero_means and not divergent and zero_mod:
+        checks.append(_check("modulus_finite", False,
+                             detail="trace pair distances diverged"))
+        zero = False
+    if zero:
         flags.append("zero-curves")
-    return omega, f, curves, fits, flags, divergent, sampling_gap
+        checks.append(_check("zero_curves_trivial_pass", True))
+        notes.append("both curves vanish identically; equivalence holds trivially")
+    return curves, fits, flags, checks, notes, gap
+
+
+def _curves_fittable(checks: list, fits: dict, flags: list) -> bool:
+    """True when no verdict is decided yet and both exponents were fitted;
+    a missing fit fails ``curves_fittable`` with the flags as its detail."""
+    if checks:
+        return False
+    if "means" in fits and "modulus" in fits:
+        return True
+    checks.append(_check("curves_fittable", False, detail="; ".join(flags)))
+    return False
+
+
+def _circle_sampling_converged(checks: list, values: dict, gap) -> None:
+    if gap is not None:
+        values["sampling_convergence"] = float(gap)
+        checks.append(_check("circle_sampling_converged", gap < 0.005,
+                             observed=gap, tolerance=0.005))
+
+
+def _report(cfg: ExperimentConfig, experiment: str, checks: list, curves: dict,
+            flags: list, notes: list, values: dict) -> VerificationReport:
+    return VerificationReport(
+        experiment=experiment, passed=all(c["passed"] for c in checks),
+        checks=checks, curves=curves, flags=flags, notes=notes, values=values,
+        config_echo=dict(cfg.raw), config_hash=cfg.config_hash(), seed=cfg.seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,28 +453,16 @@ def run_theorem1_check(cfg: ExperimentConfig) -> VerificationReport:
     if cfg.density_kind not in (HYPERBOLIC, QUASIHYPERBOLIC, BERGMAN):
         raise ConfigError("the sup-growth equivalence needs a density that blows "
                           "up at the boundary (hyperbolic, quasihyperbolic, bergman)")
-    omega, f, curves, fits, flags, divergent, sampling_gap = \
-        _exponent_report(cfg, math.inf, "sup")
+    curves, fits, flags, checks, notes, gap = _exponent_report(cfg, math.inf, "sup")
     tol = cfg.tolerance
-    checks = []
-    notes = []
     values = {}
-    zero = "zero-curves" in flags
     if "means" in fits:
         means_alpha = fits["means"].slope + 1.0
         values["implied_alpha_means"] = float(means_alpha)
         # exponents at or beyond the (0, 1] edges (identity map: alpha -> 0)
         if not (tol / 2 < means_alpha <= 1 + tol):
             flags.append("alpha-out-of-range")
-    if divergent:
-        checks.append(_check("modulus_finite", False,
-                             detail="trace pair distances diverged"))
-    elif zero:
-        checks.append(_check("zero_curves_trivial_pass", True))
-        notes.append("both curves vanish identically; equivalence holds trivially")
-    elif "means" not in fits or "modulus" not in fits:
-        checks.append(_check("curves_fittable", False, detail="; ".join(flags)))
-    else:
+    if _curves_fittable(checks, fits, flags):
         mod_alpha = fits["modulus"].slope
         values["implied_alpha_modulus"] = float(mod_alpha)
         checks.append(_check("means_exponent_matches_alpha",
@@ -451,17 +475,8 @@ def run_theorem1_check(cfg: ExperimentConfig) -> VerificationReport:
                              abs(means_alpha - mod_alpha) <= tol,
                              means_side=means_alpha, modulus_side=mod_alpha,
                              tolerance=tol))
-        if sampling_gap is not None:
-            values["sampling_convergence"] = float(sampling_gap)
-            checks.append(_check("circle_sampling_converged",
-                                 sampling_gap < 0.005, observed=sampling_gap,
-                                 tolerance=0.005))
-    passed = all(c["passed"] for c in checks)
-    return VerificationReport(
-        experiment="hl1", passed=passed, checks=checks, curves=curves,
-        flags=flags, notes=notes, values=values,
-        config_echo=dict(cfg.raw), config_hash=cfg.config_hash(), seed=cfg.seed,
-    )
+        _circle_sampling_converged(checks, values, gap)
+    return _report(cfg, "hl1", checks, curves, flags, notes, values)
 
 
 def run_theorem23_check(cfg: ExperimentConfig) -> VerificationReport:
@@ -475,23 +490,12 @@ def run_theorem23_check(cfg: ExperimentConfig) -> VerificationReport:
     """
     if not (cfg.p < math.inf):
         raise ConfigError("the p-mean equivalence needs a finite p")
-    omega, f, curves, fits, flags, divergent, sampling_gap = \
+    curves, fits, flags, checks, notes, gap = \
         _exponent_report(cfg, cfg.p, f"p{cfg.p:g}")
     tol = cfg.tolerance
     alpha = cfg.alpha
-    checks = []
-    notes = []
     values = {}
-    zero = "zero-curves" in flags
-    if divergent:
-        checks.append(_check("modulus_finite", False,
-                             detail="trace pair distances diverged"))
-    elif zero:
-        checks.append(_check("zero_curves_trivial_pass", True))
-        notes.append("both curves vanish identically; equivalence holds trivially")
-    elif "means" not in fits or "modulus" not in fits:
-        checks.append(_check("curves_fittable", False, detail="; ".join(flags)))
-    else:
+    if _curves_fittable(checks, fits, flags):
         means_slope = fits["means"].slope
         mod_slope = fits["modulus"].slope
         values["means_slope"] = float(means_slope)
@@ -526,17 +530,8 @@ def run_theorem23_check(cfg: ExperimentConfig) -> VerificationReport:
                              abs(mod_slope - (means_slope + 1.0)) <= tol,
                              means_plus_one=float(means_slope + 1.0),
                              modulus_slope=mod_slope, tolerance=tol))
-        if sampling_gap is not None:
-            values["sampling_convergence"] = float(sampling_gap)
-            checks.append(_check("circle_sampling_converged",
-                                 sampling_gap < 0.005, observed=sampling_gap,
-                                 tolerance=0.005))
-    passed = all(c["passed"] for c in checks)
-    return VerificationReport(
-        experiment="hl2", passed=passed, checks=checks, curves=curves,
-        flags=flags, notes=notes, values=values,
-        config_echo=dict(cfg.raw), config_hash=cfg.config_hash(), seed=cfg.seed,
-    )
+        _circle_sampling_converged(checks, values, gap)
+    return _report(cfg, "hl2", checks, curves, flags, notes, values)
 
 
 def run_yamashita_check(cfg: ExperimentConfig) -> VerificationReport:
@@ -554,18 +549,11 @@ def run_yamashita_check(cfg: ExperimentConfig) -> VerificationReport:
         weighted_derivative(f, omega, zs) - hyperbolic_derivative_modulus(f, zs))))
 
     sub = run_theorem1_check(cfg)
-    checks = list(sub.checks)
-    checks.insert(0, _check("hyperbolic_derivative_verbatim",
-                            verbatim_gap <= 1e-15, observed=verbatim_gap,
-                            tolerance=1e-15))
+    checks = [_check("hyperbolic_derivative_verbatim", verbatim_gap <= 1e-15,
+                     observed=verbatim_gap, tolerance=1e-15), *sub.checks]
     values = dict(sub.values)
     values["hyperbolic_derivative_at_0"] = float(hyperbolic_derivative_modulus(f, 0.0))
-    passed = all(c["passed"] for c in checks)
-    return VerificationReport(
-        experiment="yamashita", passed=passed, checks=checks, curves=sub.curves,
-        flags=sub.flags, notes=sub.notes, values=values,
-        config_echo=dict(cfg.raw), config_hash=cfg.config_hash(), seed=cfg.seed,
-    )
+    return _report(cfg, "yamashita", checks, sub.curves, sub.flags, sub.notes, values)
 
 
 def _ring_point(domain: DomainSpec, anchor: complex, direction: complex,
@@ -621,7 +609,8 @@ def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
                 ratios[i, j] = float(omega.eval_array(np.array([z]))[0]
                                      * curve_distance(domain, z))
             except KernelInstabilityError:
-                truncated += 1
+                # this ring and every ring nearer the boundary on the ray
+                truncated += ring.size - j
                 flags.append("kernel-instability")
                 break
     finite = np.isfinite(ratios)
@@ -638,36 +627,22 @@ def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
                          lo=float(vals.min()) if vals.size else math.nan,
                          hi=float(vals.max()) if vals.size else math.nan,
                          cap=cap))
-    inner_ok = True
     inner_worst = 1.0
     for i in range(cfg.rays):
         pair = ratios[i, -2:]
         if np.all(np.isfinite(pair)):
-            agreement = float(pair.min() / pair.max())
-            inner_worst = min(inner_worst, agreement)
-            if agreement < 0.75:
-                inner_ok = False
-    checks.append(_check("innermost_rings_agree", inner_ok,
+            inner_worst = min(inner_worst, float(pair.min() / pair.max()))
+    checks.append(_check("innermost_rings_agree", inner_worst >= 0.75,
                          worst_agreement=inner_worst, required=0.75))
     values["worst_inner_ring_agreement"] = float(inner_worst)
 
     # geodesic distances under the density vs the quasihyperbolic one
     qh = quasihyperbolic_density(domain)
-    rng = np.random.default_rng(cfg.seed)
-    margin = max(2 * cfg.resolution, cfg.pair_margin)
     pair_ratios = []
-    attempts = 0
-    while len(pair_ratios) < cfg.compare_pairs and attempts < 200 * cfg.compare_pairs:
-        attempts += 1
-        pts = _sample_interior(domain, rng, 2, margin)
-        z, w = pts
-        if abs(z - w) < 4 * cfg.resolution:
-            continue
-        a = weighted_distance(omega, z, w, cfg.resolution,
-                              max_sweeps=cfg.refine_sweeps, full_window=True).distance
-        b = weighted_distance(qh, z, w, cfg.resolution,
-                              max_sweeps=cfg.refine_sweeps, full_window=True).distance
-        pair_ratios.append(a / b)
+    for z, w in _seeded_pairs(cfg, 200 * cfg.compare_pairs):
+        pair_ratios.append(_pair_distance(cfg, omega, z, w) / _pair_distance(cfg, qh, z, w))
+        if len(pair_ratios) == cfg.compare_pairs:
+            break
     pair_ratios = np.asarray(pair_ratios)
     dcap = cfg.distance_cap
     dist_ok = bool(np.all((pair_ratios >= 1 / dcap) & (pair_ratios <= dcap))) \
@@ -677,13 +652,7 @@ def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
                          hi=float(pair_ratios.max()) if pair_ratios.size else math.nan,
                          cap=dcap, pairs=int(pair_ratios.size)))
     curves["distance_ratios"] = _curve_dict(np.arange(pair_ratios.size), pair_ratios)
-
-    passed = all(c["passed"] for c in checks)
-    return VerificationReport(
-        experiment="qh-compare", passed=passed, checks=checks, curves=curves,
-        flags=sorted(set(flags)), notes=notes, values=values,
-        config_echo=dict(cfg.raw), config_hash=cfg.config_hash(), seed=cfg.seed,
-    )
+    return _report(cfg, "qh-compare", checks, curves, sorted(set(flags)), notes, values)
 
 
 def _sample_interior(domain: DomainSpec, rng, count: int, margin: float) -> np.ndarray:
@@ -694,6 +663,22 @@ def _sample_interior(domain: DomainSpec, rng, count: int, margin: float) -> np.n
         if contains(domain, z) and clear_of_boundary(domain, z, margin):
             out.append(z)
     return np.array(out, dtype=complex)
+
+
+def _seeded_pairs(cfg: ExperimentConfig, draws: int):
+    """The config seed's interior pairs (z, w): ``draws`` draws with the
+    pair margin, skipping pairs less than four grid steps apart."""
+    rng = np.random.default_rng(cfg.seed)
+    margin = max(2 * cfg.resolution, cfg.pair_margin)
+    for _ in range(draws):
+        z, w = _sample_interior(cfg.domain, rng, 2, margin)
+        if abs(z - w) >= 4 * cfg.resolution:
+            yield z, w
+
+
+def _pair_distance(cfg: ExperimentConfig, omega: MetricDensity, z, w) -> float:
+    return weighted_distance(omega, z, w, cfg.resolution, max_sweeps=cfg.refine_sweeps,
+                             full_window=True).distance
 
 
 def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
@@ -710,8 +695,6 @@ def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
                           "kernel-induced density; set 'density = bergman'")
     omega = _build_density(cfg)
     domain = cfg.domain
-    rng = np.random.default_rng(cfg.seed)
-    margin = max(2 * cfg.resolution, cfg.pair_margin)
     root2 = math.sqrt(2.0)
 
     c_required = []
@@ -719,16 +702,9 @@ def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
     betas = []
     qs = []
     target = cfg.pairs
-    attempts = 0
-    while len(betas) < target and attempts < 400 * target:
-        attempts += 1
-        z, w = _sample_interior(domain, rng, 2, margin)
-        if abs(z - w) < 4 * cfg.resolution:
-            continue
+    for z, w in _seeded_pairs(cfg, 400 * target):
         try:
-            beta = weighted_distance(omega, z, w, cfg.resolution,
-                                     max_sweeps=cfg.refine_sweeps,
-                                     full_window=True).distance
+            beta = _pair_distance(cfg, omega, z, w)
         except MetricLabError:
             excluded += 1
             continue
@@ -738,6 +714,8 @@ def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
         c_required.append(max(1.0, e / q, q / e))
         betas.append(beta)
         qs.append(q)
+        if len(betas) == target:
+            break
 
     c_star = float(max(c_required)) if c_required else math.inf
     ok = c_star <= cfg.nt_cap and len(betas) == target
@@ -755,16 +733,8 @@ def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
         "lower_margin_median": float(np.median(margins_lo)) if betas.size else math.nan,
         "excluded_pairs": float(excluded),
     }
-    curves = {
-        "beta_vs_q": {"abscissa": [float(v) for v in qs],
-                      "values": [float(v) for v in betas]},
-    }
-    passed = all(c["passed"] for c in checks)
-    return VerificationReport(
-        experiment="nt-bounds", passed=passed, checks=checks, curves=curves,
-        flags=[], notes=[], values=values,
-        config_echo=dict(cfg.raw), config_hash=cfg.config_hash(), seed=cfg.seed,
-    )
+    curves = {"beta_vs_q": _curve_dict(qs, betas)}
+    return _report(cfg, "nt-bounds", checks, curves, [], [], values)
 
 
 _RUNNERS = {

@@ -643,12 +643,12 @@ def scaled_euclidean_evaluator(c: float):
     return d
 
 
-def geodesic_evaluator(omega: MetricDensity, resolution: float,
-                       max_sweeps: int | None = 40):
+def geodesic_evaluator(omega: MetricDensity, resolution: float, max_sweeps: int | None):
     """Distance evaluator backed by the geodesic solver (slow; loops pairs).
 
-    Divergent pairs evaluate to +inf so that modulus computations can report
-    them instead of crashing.
+    Each pair is one :func:`weighted_distance` solve with the refinement
+    budget ``max_sweeps``.  Divergent pairs evaluate to +inf so that modulus
+    computations can report them instead of crashing.
     """
 
     def d(u, v):

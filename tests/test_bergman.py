@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -419,6 +421,24 @@ def test_load_kernel_truncated_names_path_and_line(tmp_path, disc_kernel_coarse,
     # the first line that is short or missing
     with pytest.raises(ValueError, match=rf"model\.txt, line {cut.count(chr(10)) + 1}:"):
         B.load_kernel(path)
+
+
+def test_load_kernel_checks_the_domain_line(tmp_path, disc, ellipse15, disc_kernel_coarse):
+    path = tmp_path / "model.txt"
+    B.save_kernel(disc_kernel_coarse, path)
+    with pytest.raises(ValueError, match=r"model\.txt, line 6: .*'unit_disc'"):
+        B.load_kernel(path, domain=ellipse15)
+    assert B.load_kernel(path).domain is None
+    # a model saved without a domain writes '-' and loads on any domain
+    B.save_kernel(dataclasses.replace(disc_kernel_coarse, domain=None), path)
+    assert "\ndomain -\n" in path.read_text()
+    assert B.load_kernel(path, domain=ellipse15).domain is ellipse15
+    # the stored benchmark kernel belongs to the 1.5x1 ellipse, not the disc
+    stored = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "ellipse_1.5x1_deg72_h0.01.kernel")
+    with pytest.raises(ValueError, match=r"kernel, line 6: .*'ellipse:1.5:1.0'"):
+        B.load_kernel(stored, domain=disc)
+    assert B.load_kernel(stored, domain=ellipse15).degree == 72
 
 
 def test_ellipse_kernel_defect_within_tolerance(ellipse15):

@@ -7,7 +7,7 @@ import pytest
 
 from metriclab import cli
 from metriclab import experiments as E
-from metriclab.errors import ConfigError, DivergentDistanceError
+from metriclab.errors import ConfigError, DivergentDistanceError, KernelInstabilityError
 
 HL1_CUSP = """
 experiment = hl1
@@ -49,6 +49,10 @@ def test_parse_config_errors():
         E.parse_config_text(HL1_CUSP + "\nbogus = 1")
     with pytest.raises(ConfigError, match="missing required"):
         E.parse_config_text("experiment = hl1\ndensity = hyperbolic")
+    with pytest.raises(ConfigError, match="missing required config key 'domain'"):
+        E.parse_config_text(HL1_CUSP.replace("unit_disc", ""))
+    with pytest.raises(ConfigError, match="coordinate pairs"):
+        E.parse_config_text(HL1_CUSP.replace("unit_disc", "smoothed_polygon"))
     with pytest.raises(ConfigError, match="alpha"):
         E.parse_config_text(HL1_CUSP.replace("alpha = 0.5", "alpha = 1.5"))
     with pytest.raises(ConfigError, match="strictly increasing"):
@@ -62,6 +66,17 @@ def test_parse_config_errors():
     for p in ("0.5", "nan"):
         with pytest.raises(ConfigError, match="p must"):
             E.parse_config_text(HL1_CUSP + f"\np = {p}")
+    # a malformed number names its key and value
+    for old, new, match in [
+            ("unit_disc", "ellipse 1.5 one", "domain = 'one'"),
+            ("unit_disc", "smoothed_polygon 0.3 1 1 -1 1 -1 x", "domain = 'x'"),
+            ("hyperbolic", "constant one", "density = 'one'"),
+            ("alpha = 0.5", "alpha = half", "alpha = 'half'"),
+            ("alpha = 0.5", "circle_samples = 4k", "circle_samples = '4k'"),
+            ("alpha = 0.5", "radii_k = 2 3 x", "radii_k = 'x'"),
+            ("alpha = 0.5", "seed = 12.5", "seed = '12.5'")]:
+        with pytest.raises(ConfigError, match=match):
+            E.parse_config_text(HL1_CUSP.replace(old, new))
 
 
 def test_config_hash_ignores_out_dir():
@@ -84,6 +99,21 @@ def test_hl1_cusp_passes():
     assert 0.45 <= names["modulus_exponent_matches_alpha"]["observed"] <= 0.55
     assert "means_sup" in rep.curves and "modulus_sup" in rep.curves
     assert rep.curves["means_sup"]["fit"]["r_squared"] > 0.99
+    # closed-form hyperbolic distances also probe the doubled circle sampling
+    assert names["circle_sampling_converged"]["passed"]
+    assert rep.values["sampling_convergence"] < 0.005
+
+
+def test_hl1_unfittable_modulus_fails():
+    # three steps are too few points for the modulus fit
+    rep = E.run_theorem1_check(E.parse_config_text(HL1_CUSP + "\nsteps_k = 3 4 5"))
+    assert not rep.passed
+    assert rep.flags == ["modulus-fit-failed"]
+    assert rep.checks == [{"name": "curves_fittable", "passed": False,
+                           "detail": "modulus-fit-failed"}]
+    assert "error" in rep.curves["modulus_sup"]
+    assert "fit" not in rep.curves["modulus_sup"]
+    assert "fit" in rep.curves["means_sup"]
 
 
 def test_hl1_requires_blowup_density():
@@ -96,7 +126,9 @@ def test_hl1_identity_divergent_fails():
     cfg = E.parse_config_text(HL1_CUSP.replace("cusp_a50", "identity"))
     rep = E.run_theorem1_check(cfg)
     assert not rep.passed
-    assert "divergent-modulus" in rep.flags
+    # the out-of-range flag follows the triage flag
+    assert rep.flags == ["divergent-modulus", "alpha-out-of-range"]
+    assert [c["name"] for c in rep.checks] == ["modulus_finite"]
 
 
 def test_hl2_cusp_consistent():
@@ -146,6 +178,11 @@ circle_samples = 256
 """)
     rep = E.run_theorem23_check(cfg)
     assert any("converse direction skipped" in n for n in rep.notes)
+    # geodesic distances: no doubled-sampling probe
+    names = {c["name"] for c in rep.checks}
+    assert "exponents_mutually_consistent" in names
+    assert "circle_sampling_converged" not in names
+    assert "sampling_convergence" not in rep.values
 
 
 def test_yamashita_verbatim_and_report_values():
@@ -212,6 +249,30 @@ ring_distances = 0.5 0.4 0.2
 """)
     rep = E.run_qh_comparability(cfg)
     assert rep.passed
+
+
+def test_qh_compare_counts_every_ring_dropped_on_instability(monkeypatch):
+    cfg = E.parse_config_text("""
+experiment = qh-compare
+domain = unit_disc
+density = constant 1.0
+rays = 4
+ring_distances = 0.4 0.2 0.1 0.05
+compare_pairs = 0
+""")
+    real = E.MetricDensity.eval_array
+
+    def unstable_near_boundary(self, z):
+        if np.any(1.0 - np.abs(z) < 0.15):
+            raise KernelInstabilityError("forced below d = 0.15")
+        return real(self, z)
+
+    monkeypatch.setattr(E.MetricDensity, "eval_array", unstable_near_boundary)
+    rep = E.run_qh_comparability(cfg)
+    # the rings at 0.1 and 0.05 of each of the 4 rays
+    assert rep.notes[0].startswith("8 ring samples dropped")
+    assert rep.flags == ["kernel-instability"]
+    assert sorted(rep.curves) == ["distance_ratios", "ring_0", "ring_1"]
 
 
 def test_qh_compare_constant_control_fails():

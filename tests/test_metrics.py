@@ -298,7 +298,7 @@ def test_nearby_ids_match_a_cell_scan(disc):
 
 
 def test_geodesic_evaluator_divergence_to_inf(hyp):
-    d = M.geodesic_evaluator(hyp, 0.02)
+    d = M.geodesic_evaluator(hyp, 0.02, max_sweeps=40)
     out = d(np.array([0.0, 0.0]), np.array([0.3, 1.0 + 0j]))
     assert out[0] == pytest.approx(math.atanh(0.3), rel=1e-2)
     assert math.isinf(out[1])
