@@ -118,7 +118,7 @@ def _cmd_distance(args) -> int:
     cfg = _load_config(args)
     omega = _build_density(cfg)
     z, w = complex(args.z), complex(args.w)
-    res = weighted_distance(omega, z, w, cfg.resolution)
+    res = weighted_distance(omega, z, w, cfg.resolution, max_sweeps=cfg.refine_sweeps)
     print(f"d({z}, {w}) = {res.distance:.12g}  "
           f"[resolution {res.resolution}, refinement gain {res.refinement_gain:.2e}]")
     if args.out:
@@ -148,8 +148,8 @@ def _cmd_modulus(args) -> int:
     omega = _build_density(cfg)
     f = from_name(cfg.map_name, cfg.domain)
     trace = boundary_trace(f, cfg.circle_samples, cfg.trace_radius)
-    d = _distance_evaluator(cfg, omega)
-    curve = modulus_curve(trace, d, cfg.steps, cfg.p)
+    d, screen = _distance_evaluator(cfg, omega)
+    curve = modulus_curve(trace, d, cfg.steps, cfg.p, screen=screen)
     fit = fit_exponent(curve)
     for h, v in zip(curve.steps, curve.values):
         print(f"h = {h:.6f}  M = {v:.10g}")

@@ -55,6 +55,7 @@ from .metrics import (
     geodesic_evaluator,
     hyperbolic_density,
     hyperbolic_distance_closed,
+    hyperbolic_sup_screen,
     quasihyperbolic_density,
     scaled_euclidean_evaluator,
     weighted_distance,
@@ -338,11 +339,13 @@ def _build_density(cfg: ExperimentConfig) -> MetricDensity:
 
 
 def _distance_evaluator(cfg: ExperimentConfig, omega: MetricDensity):
+    """(d, screen): the distance evaluator, and the sup screen that goes
+    with it (the closed-form hyperbolic one only; None otherwise)."""
     if omega.kind == HYPERBOLIC:
-        return hyperbolic_distance_closed
+        return hyperbolic_distance_closed, hyperbolic_sup_screen
     if omega.kind == CONSTANT:
-        return scaled_euclidean_evaluator(omega.value)
-    return geodesic_evaluator(omega, cfg.resolution, max_sweeps=cfg.refine_sweeps)
+        return scaled_euclidean_evaluator(omega.value), None
+    return geodesic_evaluator(omega, cfg.resolution, max_sweeps=cfg.refine_sweeps), None
 
 
 def _fit_curve(entry: dict, curve, name: str, fits: dict, flags: list) -> None:
@@ -369,7 +372,7 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
     """
     omega = _build_density(cfg)
     f = from_name(cfg.map_name, cfg.domain)
-    d = _distance_evaluator(cfg, omega)
+    d, screen = _distance_evaluator(cfg, omega)
     fits: dict[str, object] = {}
     flags: list[str] = []
     checks: list[dict] = []
@@ -385,7 +388,7 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
 
     tr = boundary_trace(f, cfg.circle_samples, cfg.trace_radius)
     try:
-        sc = modulus_curve(tr, d, cfg.steps, p)
+        sc = modulus_curve(tr, d, cfg.steps, p, screen=screen)
         curves[f"modulus_{label}"] = _curve_dict(sc.steps, sc.values)
         if not np.all(sc.values < 1e-14):
             zero = False
@@ -395,7 +398,8 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
                 # of ``tr``; only the doubled sampling is computed anew
                 a = float(sc.values[0])
                 tr2 = boundary_trace(f, 2 * cfg.circle_samples, cfg.trace_radius)
-                b = doubled_sampling_modulus(tr2, d, p, float(cfg.steps[0]))
+                b = doubled_sampling_modulus(tr2, d, p, float(cfg.steps[0]),
+                                             screen=screen)
                 gap = abs(b - a) / max(abs(b), 1e-300)
     except DivergentValueError as err:
         flags.append("divergent-modulus")

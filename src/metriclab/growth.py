@@ -110,16 +110,46 @@ def _shift_statistic(trace: BoundaryTrace, d, p: float, k: int) -> float:
     return float(np.mean(dist ** p) ** (1.0 / p))
 
 
-def mean_modulus_at_shifts(trace: BoundaryTrace, d, p: float, ks) -> float:
+def _screened_sups(trace: BoundaryTrace, d, ks, screen) -> dict[int, float]:
+    """Per-shift max of ``d`` for the shifts ``screen`` keeps pairs of.
+
+    ``screen(values, ks)`` returns {k: indices t} holding every pair that
+    can attain shift k's max, or None; the kept pairs of all shifts go to
+    ``d`` in one call.  Shifts left out are absent, for the caller to price
+    in full.
+    """
+    kept = screen(trace.values, ks)
+    if not kept:
+        return {}
+    shifts = list(kept)
+    sizes = [kept[k].size for k in shifts]
+    t = np.concatenate([kept[k] for k in shifts])
+    ahead = (t + np.repeat(shifts, sizes)) % trace.n
+    dist = np.asarray(d(trace.values[ahead], trace.values[t]), dtype=float)
+    best = np.full(len(shifts), -np.inf)
+    np.maximum.at(best, np.repeat(np.arange(len(shifts)), sizes), dist)
+    return dict(zip(shifts, best.tolist()))
+
+
+def mean_modulus_at_shifts(trace: BoundaryTrace, d, p: float, ks, screen=None) -> float:
     """Max over explicit grid-shift indices of the per-shift p-mean; the
-    inf-mean is the max, so p = inf gives the sup modulus over ``ks``."""
+    inf-mean is the max, so p = inf gives the sup modulus over ``ks``.
+
+    For p = inf a ``screen`` (see :func:`_screened_sups`) restricts ``d`` to
+    the pairs that can attain each shift's max.
+    """
+    ks = [int(k) for k in ks]
+    table = {}
+    if p == math.inf and screen is not None:
+        table = _screened_sups(trace, d, ks, screen)
     best = 0.0
     for k in ks:
-        best = max(best, _shift_statistic(trace, d, p, int(k)))
+        best = max(best, table[k] if k in table else _shift_statistic(trace, d, p, k))
     return best
 
 
-def doubled_sampling_modulus(fine: BoundaryTrace, d, p: float, h: float) -> float:
+def doubled_sampling_modulus(fine: BoundaryTrace, d, p: float, h: float,
+                             screen=None) -> float:
     """Step-h modulus of ``fine``, a trace sampled twice as densely as the
     coarse one a modulus curve was built on.
 
@@ -132,7 +162,7 @@ def doubled_sampling_modulus(fine: BoundaryTrace, d, p: float, h: float) -> floa
         ks = _shift_set(fine.n, h, p)
     else:
         ks = [2 * k for k in _shift_set(fine.n // 2, h, p)]
-    return mean_modulus_at_shifts(fine, d, p, ks)
+    return mean_modulus_at_shifts(fine, d, p, ks, screen)
 
 
 def fit_exponent(curve: MeansCurve | ModulusCurve) -> ExponentFit:
@@ -176,15 +206,24 @@ def means_curve(g, radii, p: float, n: int = 4096) -> MeansCurve:
     return MeansCurve(p=p, radii=radii, values=vals)
 
 
-def modulus_curve(trace: BoundaryTrace, d, steps, p: float = math.inf) -> ModulusCurve:
+def modulus_curve(trace: BoundaryTrace, d, steps, p: float = math.inf,
+                  screen=None) -> ModulusCurve:
     """Lipschitz modulus along a step ladder (sup for p = inf, p-mean else).
 
     Steps are taken in ladder order; each step evaluates only the shifts
     that no earlier step needed, so every trace shift is evaluated once and
-    a step's modulus is the max of its shifts' tabulated statistics.
+    a step's modulus is the max of its shifts' tabulated statistics.  For
+    p = inf a ``screen`` (see :func:`_screened_sups`) first tabulates the
+    whole ladder's shifts from the pairs that can attain their maxima.
     """
     steps = np.asarray(steps, dtype=float)
     table: dict[int, float] = {}
+    if p == math.inf and screen is not None:
+        try:
+            ks = sorted({k for h in steps for k in _shift_set(trace.n, h, p)})
+        except ValueError:
+            ks = []  # the loop below prices and raises in ladder order
+        table = _screened_sups(trace, d, ks, screen)
     vals = []
     for h in steps:
         ks = _shift_set(trace.n, h, p)

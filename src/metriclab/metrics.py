@@ -205,6 +205,70 @@ def hyperbolic_distance_closed(z, w):
     return float(out) if out.ndim == 0 else out
 
 
+_SCREEN_RADIUS = 0.99
+_SCREEN_TAU = 1e-8
+_SCREEN_ETA = 1e-12
+
+
+def hyperbolic_sup_screen(values, ks) -> dict[int, np.ndarray] | None:
+    """Pairs of a trace that can attain each shift's largest hyperbolic
+    distance; a sup modulus prices only these with the closed form.
+
+    For shift k the pairs are (values[(t + k) % n], values[t]).  Each is
+    ranked by the key q = |z - w|^2 / ((1 - |z|^2)(1 - |w|^2)), which is
+    sinh^2 of its distance, from real and imaginary parts and
+    1/((1 - |z|)(1 + |z|)) held once, padded by max(ks), so a shift is a
+    slice.  With D = arsinh(sqrt(max q)) the shift keeps the t with
+    q >= sinh^2((1 - tau) D - eta), tau = 1e-8, eta = 1e-12.
+
+    Error bound, for |z|, |w| <= 0.99 and eps = 2^-52: the closed form
+    :func:`hyperbolic_distance_closed` is within 2 eps + 1e5 eps d of the
+    true distance d.  The 1e5 eps d comes from about 8 eps of rounding in
+    |1 - conj(z) w| and |z - w|, amplified by at most
+    |1 - conj(z) w|^2 / ((1 - |z|^2)(1 - |w|^2)) <= 1e4; the 2 eps comes
+    from rounding the ratio near 1, the closed form's eps/d relative error
+    at tiny distances.  arsinh(sqrt(q)) is within 105 eps d.  So the pair
+    the closed form ranks first has a key distance of at least
+    D - 4 eps - 2.1e5 eps D.  tau covers the relative part 220 times and
+    eta the absolute part 1,100 times, with room for the rounding of D and
+    of the threshold.  (Seeded pairs near the boundary, against 40-digit
+    arithmetic, reach 2.5e3 eps d and 26 eps d.)
+
+    Returns {k: kept t} for the shifts in order up to the first that keeps
+    more than n/16 pairs (exact ties, as on a circle); that shift and the
+    rest are left out, to be priced in full.  Returns None when some
+    |value| exceeds 0.99 or is not finite: outside that guard the bound
+    fails, and pairs may diverge or leave the disc.
+    """
+    z = np.asarray(values, dtype=complex).ravel()
+    r = np.abs(z)
+    if not np.all(r <= _SCREEN_RADIUS):
+        return None
+    n = z.size
+    ks = [int(k) for k in ks]
+    pad = max(ks, default=0)
+    x, y, c = (np.concatenate([a, a[:pad]])
+               for a in (z.real, z.imag, 1.0 / ((1.0 - r) * (1.0 + r))))
+    dx, dy, q = np.empty(n), np.empty(n), np.empty(n)
+    keep = np.empty(n, dtype=bool)
+    kept: dict[int, np.ndarray] = {}
+    for k in ks:
+        np.subtract(x[k:k + n], x[:n], out=dx)
+        np.subtract(y[k:k + n], y[:n], out=dy)
+        np.multiply(dx, dx, out=q)
+        np.multiply(dy, dy, out=dy)
+        q += dy
+        q *= c[k:k + n]
+        q *= c[:n]
+        top = math.asinh(math.sqrt(q.max()))
+        floor = (1.0 - _SCREEN_TAU) * top - _SCREEN_ETA
+        np.greater_equal(q, math.sinh(floor) ** 2 if floor > 0 else 0.0, out=keep)
+        if np.count_nonzero(keep) > n // 16:
+            break
+        kept[k] = np.flatnonzero(keep)
+    return kept
+
+
 @dataclass
 class DiscAutomorphism:
     """Moebius self-map of the disc: phi(z) = e^{i theta}(a - z)/(1 - conj(a) z)."""

@@ -447,6 +447,17 @@ def test_cli_distance_density_means_modulus(tmp_path, capsys):
     assert cli.main(["modulus", "--config", cfg]) == 0
 
 
+def test_cli_distance_uses_refine_sweeps(tmp_path, capsys):
+    # the config's sweep budget reaches the solve: 0 sweeps and 24 sweeps
+    # give different certified lengths
+    for sweeps, expected in ((0, "1.71449362028"), (24, "1.71027965078")):
+        cfg = _write_config(tmp_path, "experiment = hl1\ndomain = ellipse 1.5 1\n"
+                            "density = quasihyperbolic\nresolution = 0.05\n"
+                            f"refine_sweeps = {sweeps}\n")
+        assert cli.main(["distance", "0", "0.9+0.5j", "--config", cfg]) == 0
+        assert f"= {expected} " in capsys.readouterr().out, sweeps
+
+
 def test_cli_kernel_fit(tmp_path, capsys):
     cfg = _write_config(tmp_path, QH_DISC_SMALL + f"\nout = {tmp_path}/kern")
     assert cli.main(["kernel", "fit", "--config", cfg]) == 0

@@ -204,12 +204,127 @@ def test_sup_modulus_against_all_pairs_oracle(cusp50):
     sep = np.abs(idx[:, None] - idx[None, :])
     sep = np.minimum(sep, n - sep)
     hs = (3.0, 1.0, 0.3, 0.1)
-    curve = GR.modulus_curve(tr, d, hs)
-    for h, got in zip(hs, curve.values):
-        # K(h): the largest circular index gap whose angle lies below h
-        K = max(k for k in range(1, n // 2 + 1) if k * 2 * np.pi / n < h)
-        oracle = dist[(sep >= 1) & (sep <= K)].max()
-        assert got == oracle, h
+    for screen in (None, M.hyperbolic_sup_screen):
+        curve = GR.modulus_curve(tr, d, hs, screen=screen)
+        for h, got in zip(hs, curve.values):
+            # K(h): the largest circular index gap whose angle lies below h
+            K = max(k for k in range(1, n // 2 + 1) if k * 2 * np.pi / n < h)
+            oracle = dist[(sep >= 1) & (sep <= K)].max()
+            assert got == oracle, (h, screen)
+
+
+# the default ladder 2^-3 .. 2^-8 at 4096 samples, scaled to keep its shifts
+LADDER = 2.0 ** -np.arange(3, 9)
+
+
+def _trace(values):
+    n = values.size
+    return MP.BoundaryTrace(values, 2 * np.pi * np.arange(n) / n, 1.0, False)
+
+
+def _trig_trace(seed, n, radius):
+    """Seeded trigonometric polynomial of degree 6 sampled at n angles,
+    scaled so that its largest modulus is ``radius`` (less 1e-15 relative,
+    which keeps a rounded modulus from crossing it)."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(-6, 7)
+    c = (rng.normal(size=j.size) + 1j * rng.normal(size=j.size)) / (1 + j ** 2)
+    z = np.exp(1j * np.outer(2 * np.pi * np.arange(n) / n, j)) @ c
+    return z * (radius * (1 - 1e-15) / np.abs(z).max())
+
+
+def _sups(tr, fine, hs, screen):
+    """Sup modulus curve of ``tr`` and the doubled-sampling modulus of
+    ``fine`` at the ladder's first step."""
+    d = M.hyperbolic_distance_closed
+    curve = GR.modulus_curve(tr, d, hs, math.inf, screen=screen)
+    return list(curve.values), GR.doubled_sampling_modulus(fine, d, math.inf, hs[0],
+                                                            screen=screen)
+
+
+def _assert_screen_exact(tr, fine, hs):
+    assert _sups(tr, fine, hs, M.hyperbolic_sup_screen) == _sups(tr, fine, hs, None)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_screened_sup_bitwise_on_catalog(n):
+    hs = LADDER * (4096 / n)
+    for name, f in MP.catalog().items():
+        tr, fine = MP.boundary_trace(f, n), MP.boundary_trace(f, 2 * n)
+        try:
+            expected = _sups(tr, fine, hs, None)
+        except DivergentValueError as err:
+            # identity, square and the Blaschke pair touch the boundary
+            with pytest.raises(DivergentValueError) as screened:
+                GR.modulus_curve(tr, M.hyperbolic_distance_closed, hs,
+                                 screen=M.hyperbolic_sup_screen)
+            assert str(screened.value) == str(err), name
+            with pytest.raises(DivergentValueError) as screened:
+                GR.doubled_sampling_modulus(fine, M.hyperbolic_distance_closed,
+                                            math.inf, hs[0], screen=M.hyperbolic_sup_screen)
+            with pytest.raises(DivergentValueError) as full:
+                GR.doubled_sampling_modulus(fine, M.hyperbolic_distance_closed,
+                                            math.inf, hs[0])
+            assert str(screened.value) == str(full.value), name
+            continue
+        assert _sups(tr, fine, hs, M.hyperbolic_sup_screen) == expected, name
+
+
+def test_screened_sup_bitwise_on_random_traces():
+    for seed in range(8):
+        for radius in (0.3, 0.9, 0.98, 0.99):
+            z, z2 = _trig_trace(seed, 1024, radius), _trig_trace(seed, 2048, radius)
+            assert M.hyperbolic_sup_screen(z, [1]) is not None  # screened path
+            _assert_screen_exact(_trace(z), _trace(z2), LADDER * 4)
+
+
+def test_screened_sup_bitwise_on_tiny_traces():
+    # a tiny distance carries the closed form's eps/d relative error
+    for seed, diameter in enumerate(10.0 ** -np.arange(6, 13)):
+        centre = 0.9 * np.exp(2j * seed)
+        z, z2 = (centre + diameter * _trig_trace(seed, m, 0.5) for m in (1024, 2048))
+        _assert_screen_exact(_trace(z), _trace(z2), LADDER * 4)
+
+
+def test_screened_sup_bitwise_with_exact_ties():
+    # values rounded to a coarse grid repeat, so many pairs tie exactly
+    for seed in range(4):
+        z, z2 = (np.round(_trig_trace(seed, m, 0.95), 2) for m in (1024, 2048))
+        _assert_screen_exact(_trace(z), _trace(z2), LADDER * 4)
+
+
+def test_screen_prices_in_full_beyond_its_guard():
+    z, z2 = _trig_trace(3, 1024, 0.995), _trig_trace(3, 2048, 0.995)
+    assert M.hyperbolic_sup_screen(z, range(1, 82)) is None
+    _assert_screen_exact(_trace(z), _trace(z2), LADDER * 4)
+
+
+def test_screen_limits_closed_form_pairs(monkeypatch):
+    tr = MP.boundary_trace(MP.from_name("cusp_a50"), 4096)
+    pairs = []
+
+    def counted(u, v):
+        pairs.append(np.size(u))
+        return M.hyperbolic_distance_closed(u, v)
+
+    curve = GR.modulus_curve(tr, counted, LADDER, screen=M.hyperbolic_sup_screen)
+    assert len(pairs) == 1 and sum(pairs) <= 1000  # all 81 shifts: 331,776 pairs
+    assert list(curve.values) == list(
+        GR.modulus_curve(tr, M.hyperbolic_distance_closed, LADDER).values)
+
+    # every pair of a circle ties: the screen gives up at its first shift
+    circle = MP.boundary_trace(MP.from_name("scale_50"), 4096)
+    passes = []
+    count_nonzero = np.count_nonzero
+
+    def counted_passes(a):
+        passes.append(a.size)
+        return count_nonzero(a)
+
+    monkeypatch.setattr(np, "count_nonzero", counted_passes)
+    assert M.hyperbolic_sup_screen(circle.values, range(1, 82)) == {}
+    monkeypatch.undo()
+    assert len(passes) <= 2
 
 
 # ---------------------------------------------------------------------------
