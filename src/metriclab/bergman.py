@@ -139,14 +139,11 @@ def bergman_density(model: KernelModel, z, floor: float = 1e-12):
     if flat.size == 1:
         # a 1-row matmul rounds differently: a lone point runs as a pair
         flat = np.repeat(flat, 2)
-    if flat.size <= _DENSITY_BLOCK:
-        A, Az, Azz = _density_terms(model, flat)
-    else:
-        A = np.empty(flat.size)
-        Az = np.empty(flat.size, dtype=complex)
-        Azz = np.empty(flat.size)
-        for sl in _blocks(flat.size):
-            A[sl], Az[sl], Azz[sl] = _density_terms(model, flat[sl])
+    A = np.empty(flat.size)
+    Az = np.empty(flat.size, dtype=complex)
+    Azz = np.empty(flat.size)
+    for sl in _blocks(flat.size):
+        A[sl], Az[sl], Azz[sl] = _density_terms(model, flat[sl])
     A, Az, Azz = (t[:zz.size].reshape(zz.shape) for t in (A, Az, Azz))
     if np.any(A <= floor):
         raise KernelInstabilityError(
@@ -318,7 +315,7 @@ def load_kernel(path, domain: DomainSpec | None = None) -> KernelModel:
         lines = fh.read().splitlines()
     magic = lines[0].split() if lines else []
     if not magic or magic[0] != "metriclab-kernel":
-        raise ValueError(f"{path} is not a kernel model file")
+        raise ValueError(f"{path}, line 1: not a kernel model file")
 
     def line(i: int, key: str | None, count: int | None = None, kind=float) -> list:
         toks = lines[i].split() if i < len(lines) else []

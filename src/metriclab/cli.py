@@ -44,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--resolution", type=float, help="geodesic grid step override")
-        p.add_argument("--degree", type=int, help="kernel degree override")
+        p.add_argument("--degree", type=int, dest="kernel_degree",
+                       help="kernel degree override")
         p.add_argument("--seed", type=int, help="random seed override")
         p.add_argument("--tolerance", type=float, help="exponent tolerance override")
 
@@ -81,15 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    overrides = {
-        "experiment": getattr(args, "experiment", None),  # verify only
-        "out": args.out,
-        "resolution": args.resolution,
-        "kernel_degree": args.degree,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-    }
-    return parse_config_file(args.config, overrides)
+    keys = ("experiment", "out", "resolution", "kernel_degree", "seed", "tolerance")
+    # ``experiment`` is an argument of verify only
+    return parse_config_file(args.config, {k: getattr(args, k, None) for k in keys})
 
 
 def _cmd_kernel_fit(args) -> int:

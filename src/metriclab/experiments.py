@@ -85,9 +85,10 @@ _DEFAULTS = {
     "pair_margin": "0.1",
     "refine_sweeps": "24",
     "out": "reports",
+    "map": "identity",
 }
 
-_KNOWN_KEYS = set(_DEFAULTS) | {"experiment", "domain", "density", "map"}
+_KNOWN_KEYS = set(_DEFAULTS) | {"experiment", "domain", "density"}
 
 
 @dataclass
@@ -178,8 +179,6 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
             raise ConfigError(f"missing required config key {key!r}")
     merged = dict(_DEFAULTS)
     merged.update(items)
-    if "map" not in merged:
-        merged["map"] = "identity"
 
     experiment = merged["experiment"]
     if experiment not in _EXPERIMENTS:
@@ -660,12 +659,21 @@ def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
 
 
 def _sample_interior(domain: DomainSpec, rng, count: int, margin: float) -> np.ndarray:
+    """``count`` uniform draws from the bounding box that lie inside with
+    clearance ``margin``, out of at most 10,000 draws (configs need a few
+    dozen); a margin that leaves no room is a ConfigError."""
     xmin, xmax, ymin, ymax = domain.bounding_box
     out = []
-    while len(out) < count:
+    for _ in range(10_000):
+        if len(out) == count:
+            break
         z = complex(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
         if contains(domain, z) and clear_of_boundary(domain, z, margin):
             out.append(z)
+    if len(out) < count:
+        raise ConfigError(f"pair_margin: {len(out)} of {count} points in 10,000 draws "
+                          f"clear the boundary by the margin {margin:g} "
+                          f"(max of pair_margin and 2 resolution)")
     return np.array(out, dtype=complex)
 
 

@@ -96,56 +96,47 @@ def _shift_set(n: int, h: float, p: float) -> list[int]:
     return sorted({max(1, round(s / gap)) for s in (h / 8, h / 4, h / 2, h)})
 
 
-def _shift_statistic(trace: BoundaryTrace, d, p: float, k: int) -> float:
-    """Max (p = inf) or p-mean of d(trace(t + k gap), trace(t)) over t."""
-    dist = np.asarray(d(np.roll(trace.values, -k), trace.values), dtype=float)
-    if not np.all(np.isfinite(dist)):
-        gap = 2 * np.pi / trace.n
-        raise DivergentValueError(
-            f"divergent modulus: a trace pair at {'gap' if p == math.inf else 'shift'} "
-            f"{k * gap:.4g} has infinite distance "
-            f"(boundary values touch the target boundary)")
-    if p == math.inf:
-        return float(dist.max())
-    return float(np.mean(dist ** p) ** (1.0 / p))
+def _shift_table(trace: BoundaryTrace, d, p: float, ks, screen=None) -> dict[int, float]:
+    """{k: max (p = inf) or p-mean of d(trace(t + k gap), trace(t)) over t}.
 
-
-def _screened_sups(trace: BoundaryTrace, d, ks, screen) -> dict[int, float]:
-    """Per-shift max of ``d`` for the shifts ``screen`` keeps pairs of.
-
-    ``screen(values, ks)`` returns {k: indices t} holding every pair that
-    can attain shift k's max, or None; the kept pairs of all shifts go to
-    ``d`` in one call.  Shifts left out are absent, for the caller to price
-    in full.
+    For p = inf a ``screen(values, ks)`` returns {k: indices t} holding every
+    pair that can attain shift k's max, or None; the kept pairs of all
+    screened shifts go to ``d`` in one call.  Every other shift is priced in
+    full, in ``ks`` order.
     """
-    kept = screen(trace.values, ks)
-    if not kept:
-        return {}
-    shifts = list(kept)
-    sizes = [kept[k].size for k in shifts]
-    t = np.concatenate([kept[k] for k in shifts])
-    ahead = (t + np.repeat(shifts, sizes)) % trace.n
-    dist = np.asarray(d(trace.values[ahead], trace.values[t]), dtype=float)
-    best = np.full(len(shifts), -np.inf)
-    np.maximum.at(best, np.repeat(np.arange(len(shifts)), sizes), dist)
-    return dict(zip(shifts, best.tolist()))
+    table: dict[int, float] = {}
+    kept = screen(trace.values, ks) if p == math.inf and screen is not None else None
+    if kept:
+        shifts = list(kept)
+        sizes = [kept[k].size for k in shifts]
+        t = np.concatenate([kept[k] for k in shifts])
+        ahead = (t + np.repeat(shifts, sizes)) % trace.n
+        dist = np.asarray(d(trace.values[ahead], trace.values[t]), dtype=float)
+        best = np.full(len(shifts), -np.inf)
+        np.maximum.at(best, np.repeat(np.arange(len(shifts)), sizes), dist)
+        table = dict(zip(shifts, best.tolist()))
+    for k in ks:
+        if k in table:
+            continue
+        dist = np.asarray(d(np.roll(trace.values, -k), trace.values), dtype=float)
+        if not np.all(np.isfinite(dist)):
+            raise DivergentValueError(
+                f"divergent modulus: a trace pair at {'gap' if p == math.inf else 'shift'} "
+                f"{k * (2 * np.pi / trace.n):.4g} has infinite distance "
+                f"(boundary values touch the target boundary)")
+        table[k] = float(dist.max()) if p == math.inf else float(np.mean(dist ** p) ** (1.0 / p))
+    return table
 
 
 def mean_modulus_at_shifts(trace: BoundaryTrace, d, p: float, ks, screen=None) -> float:
     """Max over explicit grid-shift indices of the per-shift p-mean; the
     inf-mean is the max, so p = inf gives the sup modulus over ``ks``.
 
-    For p = inf a ``screen`` (see :func:`_screened_sups`) restricts ``d`` to
+    For p = inf a ``screen`` (see :func:`_shift_table`) restricts ``d`` to
     the pairs that can attain each shift's max.
     """
-    ks = [int(k) for k in ks]
-    table = {}
-    if p == math.inf and screen is not None:
-        table = _screened_sups(trace, d, ks, screen)
-    best = 0.0
-    for k in ks:
-        best = max(best, table[k] if k in table else _shift_statistic(trace, d, p, k))
-    return best
+    table = _shift_table(trace, d, p, [int(k) for k in ks], screen)
+    return max([0.0, *table.values()])
 
 
 def doubled_sampling_modulus(fine: BoundaryTrace, d, p: float, h: float,
@@ -213,8 +204,8 @@ def modulus_curve(trace: BoundaryTrace, d, steps, p: float = math.inf,
     Steps are taken in ladder order; each step evaluates only the shifts
     that no earlier step needed, so every trace shift is evaluated once and
     a step's modulus is the max of its shifts' tabulated statistics.  For
-    p = inf a ``screen`` (see :func:`_screened_sups`) first tabulates the
-    whole ladder's shifts from the pairs that can attain their maxima.
+    p = inf a ``screen`` (see :func:`_shift_table`) first tabulates the
+    whole ladder's shifts, sorted: a sup's shift sets are prefixes.
     """
     steps = np.asarray(steps, dtype=float)
     table: dict[int, float] = {}
@@ -223,12 +214,10 @@ def modulus_curve(trace: BoundaryTrace, d, steps, p: float = math.inf,
             ks = sorted({k for h in steps for k in _shift_set(trace.n, h, p)})
         except ValueError:
             ks = []  # the loop below prices and raises in ladder order
-        table = _screened_sups(trace, d, ks, screen)
+        table = _shift_table(trace, d, p, ks, screen)
     vals = []
     for h in steps:
         ks = _shift_set(trace.n, h, p)
-        for k in ks:
-            if k not in table:
-                table[k] = _shift_statistic(trace, d, p, k)
+        table.update(_shift_table(trace, d, p, [k for k in ks if k not in table]))
         vals.append(max([0.0] + [table[k] for k in ks]))
     return ModulusCurve(p=p, steps=steps, values=np.array(vals))

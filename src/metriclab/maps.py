@@ -10,7 +10,7 @@ against a finite difference at seeded points.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,12 +69,10 @@ class PolynomialMap(AnalyticMap):
     """f(z) = sum_k c_k z^k (coefficients lowest degree first)."""
 
     coefficients: tuple
-    target: DomainSpec = None
+    target: DomainSpec = field(default_factory=unit_disc)
     variant = "polynomial"
 
     def __post_init__(self):
-        if self.target is None:
-            self.target = unit_disc()
         self.coefficients = tuple(complex(c) for c in self.coefficients)
         self._c = np.asarray(self.coefficients, dtype=complex)
         self._dc = self._c[1:] * np.arange(1, self._c.size)
@@ -97,12 +95,10 @@ class BlaschkeProduct(AnalyticMap):
     for a zero at the origin is plain z."""
 
     zeros: tuple
-    target: DomainSpec = None
+    target: DomainSpec = field(default_factory=unit_disc)
     variant = "blaschke"
 
     def __post_init__(self):
-        if self.target is None:
-            self.target = unit_disc()
         self.zeros = tuple(complex(a) for a in self.zeros)
         if any(abs(a) >= 1 for a in self.zeros):
             raise ValueError("blaschke zeros need modulus < 1")
@@ -150,12 +146,10 @@ class PowerCusp(AnalyticMap):
     w0: complex
     c: complex
     alpha: float
-    target: DomainSpec = None
+    target: DomainSpec = field(default_factory=unit_disc)
     variant = "power_cusp"
 
     def __post_init__(self):
-        if self.target is None:
-            self.target = unit_disc()
         if not (0 < self.alpha <= 1):
             raise ValueError("cusp exponent must lie in (0, 1]")
         self.w0 = complex(self.w0)

@@ -434,19 +434,18 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
     return graph
 
 
-def _endpoint_admissible(omega: MetricDensity, z: complex, resolution: float) -> None:
-    inside = contains(omega.domain, z)
-    if omega.blows_up:
-        d = float(curve_distance(omega.domain, z))
-        if inside and d >= resolution:
-            return
-        if d < resolution:
-            raise DivergentDistanceError(
-                f"endpoint {z} is within one resolution step ({resolution}) of the "
-                f"boundary; the weighted distance diverges for a blow-up density"
-            )
-    if not inside:
+def _endpoint_admissible(omega: MetricDensity, z: complex, resolution: float) -> float:
+    """The endpoint's boundary distance, once the endpoint is checked to lie
+    inside and, for a blow-up density, one resolution step clear."""
+    d = float(curve_distance(omega.domain, z))
+    if omega.blows_up and d < resolution:
+        raise DivergentDistanceError(
+            f"endpoint {z} is within one resolution step ({resolution}) of the "
+            f"boundary; the weighted distance diverges for a blow-up density"
+        )
+    if not contains(omega.domain, z):
         raise DomainError(f"endpoint {z} is not inside the domain")
+    return d
 
 
 def _graph_path(omega: MetricDensity, z: complex, w: complex,
@@ -460,36 +459,31 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex,
                   min(z.imag, w.imag) - pad, max(z.imag, w.imag) + pad)
     graph = _build_graph(omega, resolution, window)
 
-    conn = []
-    for p in (z, w):
+    # edges from the endpoints (vertices n and n + 1) to their connectors,
+    # and the direct edge; each goes in both directions
+    n = graph.nodes.size
+    rows, cols, vals = [], [], []
+    for j, p in enumerate((z, w)):
         idx = graph.nearby_ids(p)
         if idx.size == 0:
             raise ResolutionTooCoarseError(
                 f"no grid node within reach of endpoint {p} at resolution {resolution}")
-        conn.append(idx[_segment_inside(domain, np.full(idx.shape, p), graph.nodes[idx], 0.0)])
-    if conn[0].size == 0 or conn[1].size == 0:
+        cols.append(idx[_segment_inside(domain, np.full(idx.shape, p), graph.nodes[idx], 0.0)])
+        rows.append(np.full(cols[-1].size, n + j))
+    if cols[0].size == 0 or cols[1].size == 0:
         raise ResolutionTooCoarseError(
             f"endpoint connectors leave the domain at resolution {resolution}")
-    direct_ok = bool(_segment_inside(domain, np.array([z]), np.array([w]), 0.0)[0])
-
-    n = graph.nodes.size
-    cost_z = _segment_cost(omega, np.full(conn[0].shape, z), graph.nodes[conn[0]], _GL_X6, _GL_W6)
-    cost_w = _segment_cost(omega, np.full(conn[1].shape, w), graph.nodes[conn[1]], _GL_X6, _GL_W6)
-    rows = np.concatenate([np.full(conn[0].size, n), conn[0],
-                           np.full(conn[1].size, n + 1), conn[1]])
-    cols = np.concatenate([conn[0], np.full(conn[0].size, n),
-                           conn[1], np.full(conn[1].size, n + 1)])
-    vals = np.concatenate([cost_z, cost_z, cost_w, cost_w])
-    if direct_ok:
-        dcost = float(_segment_cost(omega, z, w, _GL_X6, _GL_W6))
-        rows = np.concatenate([rows, [n, n + 1]])
-        cols = np.concatenate([cols, [n + 1, n]])
-        vals = np.concatenate([vals, [dcost, dcost]])
+    for p, c in zip((z, w), cols):
+        vals.append(_segment_cost(omega, np.full(c.shape, p), graph.nodes[c], _GL_X6, _GL_W6))
+    if _segment_inside(domain, np.array([z]), np.array([w]), 0.0)[0]:
+        rows.append(np.array([n]))
+        cols.append(np.array([n + 1]))
+        vals.append(np.array([float(_segment_cost(omega, z, w, _GL_X6, _GL_W6))]))
 
     m = graph.matrix.tocoo()
     full = csr_matrix(
-        (np.concatenate([m.data, vals]),
-         (np.concatenate([m.row, rows]), np.concatenate([m.col, cols]))),
+        (np.concatenate([m.data] + vals + vals),
+         (np.concatenate([m.row] + rows + cols), np.concatenate([m.col] + cols + rows))),
         shape=(n + 2, n + 2),
     )
     dist, pred = dijkstra(full, indices=n, return_predecessors=True)
@@ -536,8 +530,6 @@ def _resample(pts: np.ndarray, target: float) -> np.ndarray:
     vertices stay on the original polyline."""
     seglen = np.abs(np.diff(pts))
     total = float(seglen.sum())
-    if total == 0 or pts.size < 2:
-        return pts
     target = max(target, total / 400)
     k = max(1, int(math.ceil(total / target)))
     s = np.linspace(0.0, total, k + 1)
@@ -554,7 +546,8 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                  margin: float, budget) -> np.ndarray:
     """Red-black pattern-search sweeps at one vertex spacing, with the probe
     step shrinking geometrically from step0; a sweep counts as an
-    improvement when it cuts the path cost by more than 1e-8 relative."""
+    improvement when it cuts the path cost by more than 1e-8 relative.
+    ``budget`` is [sweeps left], shared by the levels (inf: unbounded)."""
     domain = omega.domain
     dirs = np.array([1, -1, 1j, -1j,
                      (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
@@ -565,13 +558,12 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
     seg = _segment_cost(omega, pts[:-1], pts[1:])
     settled = np.zeros(pts.size, dtype=bool)
     total = float(np.sum(seg))
-    while step > step0 / 64 and (budget is None or budget[0] > 0):
+    while step > step0 / 64 and budget[0] > 0:
         improved_level = False
         for _ in range(8):
-            if budget is not None:
-                if budget[0] <= 0:
-                    break
-                budget[0] -= 1
+            if budget[0] <= 0:
+                break
+            budget[0] -= 1
             before = total
             for parity in (1, 2):
                 idx = np.arange(parity, pts.size - 1, 2)
@@ -631,9 +623,7 @@ def _refine(omega: MetricDensity, pts: np.ndarray, resolution: float,
     independent of the vertex count, so finer resolutions strictly tighten
     the result."""
     L = float(np.sum(np.abs(np.diff(pts))))
-    if L == 0:
-        return pts
-    budget = None if max_sweeps is None else [max_sweeps]
+    budget = [math.inf if max_sweeps is None else max_sweeps]
     target = 2.0 * resolution
     deltas = [L / 8.0]
     while deltas[-1] > target * 2:
@@ -646,7 +636,7 @@ def _refine(omega: MetricDensity, pts: np.ndarray, resolution: float,
         if not np.all(_segment_inside(omega.domain, cand[:-1], cand[1:], 0.0, 16)):
             cand = pts   # coarsening would leave the domain; keep the mesh
         pts = _sweep_level(omega, cand, delta / 2.0, margin, budget)
-        if budget is not None and budget[0] <= 0:
+        if budget[0] <= 0:
             break
     return pts
 
@@ -667,8 +657,8 @@ def weighted_distance(omega: MetricDensity, z: complex, w: complex,
         raise ValueError("resolution must be positive")
     z = complex(z)
     w = complex(w)
-    _endpoint_admissible(omega, z, resolution)
-    _endpoint_admissible(omega, w, resolution)
+    endpoint_dist = min(_endpoint_admissible(omega, z, resolution),
+                        _endpoint_admissible(omega, w, resolution))
     if z == w:
         return GeodesicResult(0.0, PolylinePath(omega.domain, np.array([z])),
                               resolution, 0.0)
@@ -677,8 +667,6 @@ def weighted_distance(omega: MetricDensity, z: complex, w: complex,
     a, b = (w, z) if swapped else (z, w)
 
     pts, graph_cost = _graph_path(omega, a, b, resolution, full_window)
-    endpoint_dist = min(float(curve_distance(omega.domain, a)),
-                        float(curve_distance(omega.domain, b)))
     if omega.blows_up:
         margin = min(resolution, 0.999 * endpoint_dist)
     else:

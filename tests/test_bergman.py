@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -373,6 +374,29 @@ def test_density_positivity_floor_guard(disc_kernel):
         B.bergman_density(disc_kernel, 0.0, floor=1e9)
 
 
+def test_negative_radicand_is_reported_not_clamped(monkeypatch, disc_kernel_coarse):
+    # K_zzbar shrunk at the second point until the curvature radicand
+    # (K K_zzbar - |K_z|^2) / K^2 is negative there
+    terms = B._density_terms
+
+    def shrunk(model, z):
+        A, Az, Azz = terms(model, z)
+        Azz = Azz.copy()
+        Azz[1] = 0.5 * (Az[1] * np.conj(Az[1])).real / A[1]
+        return A, Az, Azz
+
+    z = np.array([0.1, 0.2 + 0.3j, -0.4j])
+    A, Az, Azz = shrunk(disc_kernel_coarse, z)
+    rad = (A * Azz - (Az * np.conj(Az)).real) / (A * A)
+    assert rad[1] < 0 and rad[0] > 0 and rad[2] > 0
+    monkeypatch.setattr(B, "_density_terms", shrunk)
+    message = re.escape(f"negative curvature radicand {rad[1]:.3e};")
+    with pytest.raises(KernelInstabilityError, match=message):
+        B.bergman_density(disc_kernel_coarse, z)
+    monkeypatch.undo()
+    assert np.all(B.bergman_density(disc_kernel_coarse, z) > 0)
+
+
 def test_reproducing_residual(disc, disc_kernel):
     grid = G.gauss_quadrature_grid(disc, 0.01)
     assert B.reproducing_residual(disc_kernel, grid, [1.0], 0.0) < 1e-4
@@ -421,6 +445,21 @@ def test_load_kernel_truncated_names_path_and_line(tmp_path, disc_kernel_coarse,
     # the first line that is short or missing
     with pytest.raises(ValueError, match=rf"model\.txt, line {cut.count(chr(10)) + 1}:"):
         B.load_kernel(path)
+
+
+def test_load_kernel_bad_magic_and_malformed_number(tmp_path, disc_kernel_coarse):
+    path = tmp_path / "model.txt"
+    B.save_kernel(disc_kernel_coarse, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("metriclab-model 1\n" + "".join(lines[1:]))
+    with pytest.raises(ValueError, match=r"model\.txt, line 1: not a kernel model file"):
+        B.load_kernel(path)
+    for i, tok in ((3, 1), (9, 3)):    # the scale, a coefficient
+        toks = lines[i].split()
+        toks[tok] = "0.5x"
+        path.write_text("".join(lines[:i]) + " ".join(toks) + "\n" + "".join(lines[i + 1:]))
+        with pytest.raises(ValueError, match=rf"model\.txt, line {i + 1}: malformed number"):
+            B.load_kernel(path)
 
 
 def test_load_kernel_checks_the_domain_line(tmp_path, disc, ellipse15, disc_kernel_coarse):

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from metriclab import cli
 from metriclab import experiments as E
+from metriclab import geometry as G
 from metriclab.errors import ConfigError, DivergentDistanceError, KernelInstabilityError
 
 HL1_CUSP = """
@@ -185,6 +188,20 @@ circle_samples = 256
     assert "sampling_convergence" not in rep.values
 
 
+def test_hl2_constant_density_scales_exactly():
+    # the Euclidean evaluator and its doubled-sampling check: doubling the
+    # constant doubles every mean and modulus value exactly
+    reps = [E.run_theorem23_check(E.parse_config_text(
+        HL1_CUSP.replace("hl1", "hl2").replace("hyperbolic", f"constant {c}") + "\np = 1"))
+        for c in (1, 2)]
+    for name in ("means_p1", "modulus_p1"):
+        one, two = (np.array(rep.curves[name]["values"]) for rep in reps)
+        assert np.array_equal(two, 2 * one), name
+    assert reps[1].values["sampling_convergence"] == reps[0].values["sampling_convergence"]
+    for key in ("means_slope", "modulus_slope"):
+        assert abs(reps[1].values[key] - reps[0].values[key]) <= 1e-12, key
+
+
 def test_yamashita_verbatim_and_report_values():
     cfg = E.parse_config_text("""
 experiment = yamashita
@@ -337,6 +354,35 @@ def test_nt_bounds_excludes_only_metriclab_errors(monkeypatch):
     assert rep.checks[0]["pairs"] == 8
 
 
+def test_pair_sampler_keeps_its_stream_and_stops_without_room(disc):
+    # a margin with room draws exactly the points of an uncapped loop
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    got = E._sample_interior(disc, rng, 2, 0.3)
+    want = []
+    while len(want) < 2:
+        z = complex(ref.uniform(-1, 1), ref.uniform(-1, 1))
+        if G.contains(disc, z) and G.clear_of_boundary(disc, z, 0.3):
+            want.append(z)
+    assert list(got) == want and rng.random() == ref.random()
+    # no disc point is 1.0 from the boundary
+    with pytest.raises(ConfigError, match=r"pair_margin: 0 of 2 points .* margin 1 "):
+        E._sample_interior(disc, rng, 2, 1.0)
+
+
+def test_cli_pair_margin_without_room_exits_2(tmp_path):
+    # it used to draw forever; a child process, so that a hang times out
+    cfg = _write_config(tmp_path, "experiment = nt-bounds\ndomain = unit_disc\n"
+                        "density = bergman\nkernel_degree = 10\nkernel_resolution = 0.05\n"
+                        f"resolution = 0.05\npairs = 2\npair_margin = 1.0\nout = {tmp_path}\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(E.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "metriclab.cli", "verify", "nt-bounds",
+                           "--config", cfg], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: pair_margin: 0 of 2 points")
+
+
 def test_nt_bounds_requires_bergman():
     cfg = E.parse_config_text("""
 experiment = nt-bounds
@@ -465,6 +511,14 @@ def test_cli_kernel_fit(tmp_path, capsys):
     assert "orthonormality defect" in out
     files = os.listdir(tmp_path / "kern")
     assert any(f.startswith("kernel_") for f in files)
+
+
+def test_cli_degree_overrides_kernel_degree(tmp_path):
+    cfg = _write_config(tmp_path, QH_DISC_SMALL)
+    for argv, degree in ((["verify", "qh-compare", "--degree", "30"], 30),
+                         (["kernel", "fit"], 24)):
+        args = cli._build_parser().parse_args(argv + ["--config", cfg])
+        assert cli._load_config(args).kernel_degree == degree
 
 
 def test_cli_overrides_change_hash(tmp_path):

@@ -327,6 +327,30 @@ def test_screen_limits_closed_form_pairs(monkeypatch):
     assert len(passes) <= 2
 
 
+def test_screened_ladder_with_an_invalid_step_raises_in_ladder_order(cusp50):
+    # 2^-9 lies below the angular resolution of 1024 samples; the screened
+    # curve prices and raises as the unscreened one, with the same d calls
+    hs = 2.0 ** -np.arange(3, 10)
+    for f, error in ((cusp50, ValueError), (MP.from_name("identity"), DivergentValueError)):
+        tr = MP.boundary_trace(f, 1024)
+        raised, calls = [], []
+        for screen in (None, M.hyperbolic_sup_screen):
+            sizes = []
+
+            def counted(u, v):
+                sizes.append(np.size(u))
+                return M.hyperbolic_distance_closed(u, v)
+
+            with pytest.raises(error) as err:
+                GR.modulus_curve(tr, counted, hs, screen=screen)
+            raised.append((type(err.value), str(err.value)))
+            calls.append(sizes)
+        assert raised[0] == raised[1] and raised[0][0] is error, f.variant
+        assert calls[0] == calls[1], f.variant
+    # identity: the divergent first step comes before the invalid one
+    assert "divergent modulus: a trace pair at gap 0.006136" in raised[0][1]
+
+
 # ---------------------------------------------------------------------------
 # exponent fitting
 

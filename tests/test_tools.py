@@ -1,10 +1,14 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_DIFF = ROOT / "tools" / "report_diff.py"
+RUN_CONFIGS = ROOT / "tools" / "run_configs.py"
 
 
 def _tree(root: Path, reports: dict) -> Path:
@@ -52,3 +56,29 @@ def test_report_diff_identical_trees_exit_zero(tmp_path):
     code, lines = _report_diff(_tree(tmp_path / "a", reports), _tree(tmp_path / "b", reports))
     assert code == 0
     assert lines == ["c: identical"]
+
+
+def _run_configs_module():
+    spec = importlib.util.spec_from_file_location("run_configs", RUN_CONFIGS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_configs_reads_the_experiment_key(tmp_path):
+    tool = _run_configs_module()
+    config = tmp_path / "c.txt"
+    config.write_text("# experiment = hl2\ndomain = unit_disc\nexperiment = hl1  # note\n")
+    assert tool.experiment_of(str(config)) == "hl1"
+    config.write_text("domain = unit_disc\n# experiment = hl1\n")
+    with pytest.raises(SystemExit, match="no experiment key"):
+        tool.experiment_of(str(config))
+
+
+def test_run_configs_refuses_a_non_empty_outdir(tmp_path):
+    (tmp_path / "old.txt").write_text("kept")
+    proc = subprocess.run([sys.executable, str(RUN_CONFIGS), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "is not empty" in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
