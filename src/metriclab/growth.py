@@ -96,28 +96,11 @@ def _shift_set(n: int, h: float, p: float) -> list[int]:
     return sorted({max(1, round(s / gap)) for s in (h / 8, h / 4, h / 2, h)})
 
 
-def _shift_table(trace: BoundaryTrace, d, p: float, ks, screen=None) -> dict[int, float]:
-    """{k: max (p = inf) or p-mean of d(trace(t + k gap), trace(t)) over t}.
-
-    For p = inf a ``screen(values, ks)`` returns {k: indices t} holding every
-    pair that can attain shift k's max, or None; the kept pairs of all
-    screened shifts go to ``d`` in one call.  Every other shift is priced in
-    full, in ``ks`` order.
-    """
+def _shift_table(trace: BoundaryTrace, d, p: float, ks) -> dict[int, float]:
+    """{k: max (p = inf) or p-mean of d(trace(t + k gap), trace(t)) over t},
+    each shift priced in full, in ``ks`` order."""
     table: dict[int, float] = {}
-    kept = screen(trace.values, ks) if p == math.inf and screen is not None else None
-    if kept:
-        shifts = list(kept)
-        sizes = [kept[k].size for k in shifts]
-        t = np.concatenate([kept[k] for k in shifts])
-        ahead = (t + np.repeat(shifts, sizes)) % trace.n
-        dist = np.asarray(d(trace.values[ahead], trace.values[t]), dtype=float)
-        best = np.full(len(shifts), -np.inf)
-        np.maximum.at(best, np.repeat(np.arange(len(shifts)), sizes), dist)
-        table = dict(zip(shifts, best.tolist()))
     for k in ks:
-        if k in table:
-            continue
         dist = np.asarray(d(np.roll(trace.values, -k), trace.values), dtype=float)
         if not np.all(np.isfinite(dist)):
             raise DivergentValueError(
@@ -132,11 +115,19 @@ def mean_modulus_at_shifts(trace: BoundaryTrace, d, p: float, ks, screen=None) -
     """Max over explicit grid-shift indices of the per-shift p-mean; the
     inf-mean is the max, so p = inf gives the sup modulus over ``ks``.
 
-    For p = inf a ``screen`` (see :func:`_shift_table`) restricts ``d`` to
-    the pairs that can attain each shift's max.
+    Each shift must lie in 1..n-1.  For p = inf a ``screen(values, ks)``
+    returns {max(ks): the sup over ``ks``} without calling ``d``, or None to
+    price every shift in full.
     """
-    table = _shift_table(trace, d, p, [int(k) for k in ks], screen)
-    return max([0.0, *table.values()])
+    ks = [int(k) for k in ks]
+    for k in ks:
+        if not 0 < k < trace.n:
+            raise ValueError(f"shift {k} lies outside 1..{trace.n - 1} "
+                             f"for a trace of n = {trace.n} samples")
+    sups = screen(trace.values, ks) if p == math.inf and screen is not None and ks else None
+    if sups is not None:
+        return max(0.0, sups[max(ks)])
+    return max([0.0, *_shift_table(trace, d, p, ks).values()])
 
 
 def doubled_sampling_modulus(fine: BoundaryTrace, d, p: float, h: float,
@@ -203,18 +194,22 @@ def modulus_curve(trace: BoundaryTrace, d, steps, p: float = math.inf,
 
     Steps are taken in ladder order; each step evaluates only the shifts
     that no earlier step needed, so every trace shift is evaluated once and
-    a step's modulus is the max of its shifts' tabulated statistics.  For
-    p = inf a ``screen`` (see :func:`_shift_table`) first tabulates the
-    whole ladder's shifts, sorted: a sup's shift sets are prefixes.
+    a step's modulus is the max of its shifts' tabulated statistics.  A
+    sup's shift sets are the prefixes 1..K(h), so for p = inf a
+    ``screen(values, ks, tops)`` returning {K: sup over shifts 1..K} for
+    each top K, or None, serves the whole ladder at once.
     """
     steps = np.asarray(steps, dtype=float)
-    table: dict[int, float] = {}
     if p == math.inf and screen is not None:
         try:
-            ks = sorted({k for h in steps for k in _shift_set(trace.n, h, p)})
+            tops = [_shift_set(trace.n, h, p)[-1] for h in steps]
         except ValueError:
-            ks = []  # the loop below prices and raises in ladder order
-        table = _shift_table(trace, d, p, ks, screen)
+            tops = []  # the loop below prices and raises in ladder order
+        sups = screen(trace.values, range(1, max(tops) + 1), tops) if tops else None
+        if sups is not None:
+            return ModulusCurve(p=p, steps=steps,
+                                values=np.array([max(0.0, sups[K]) for K in tops]))
+    table: dict[int, float] = {}
     vals = []
     for h in steps:
         ks = _shift_set(trace.n, h, p)

@@ -208,18 +208,69 @@ def hyperbolic_distance_closed(z, w):
 _SCREEN_RADIUS = 0.99
 _SCREEN_TAU = 1e-8
 _SCREEN_ETA = 1e-12
+# pairs per screen cell.  A cell's bound spans the block's inner steps on
+# top of the k steps of a pair, so small blocks prune tighter, but the bound
+# table has one entry per shift and block.  On the default ladder and its
+# doubled check over the circle and the catalog cusps (2-core Xeon), blocks
+# of 32, 64 and 128 pairs take 19.6, 18.6 and 17.6 ms and price 282k, 316k
+# and 398k pairs; 16 and 256 take 28 and 23 ms.
+_SCREEN_BLOCK = 64
 
 
-def hyperbolic_sup_screen(values, ks) -> dict[int, np.ndarray] | None:
-    """Pairs of a trace that can attain each shift's largest hyperbolic
-    distance; a sup modulus prices only these with the closed form.
+def _cell_bounds(step, ks) -> np.ndarray:
+    """Upper bounds on the closed form of every pair of each screen cell.
 
-    For shift k the pairs are (values[(t + k) % n], values[t]).  Each is
-    ranked by the key q = |z - w|^2 / ((1 - |z|^2)(1 - |w|^2)), which is
-    sinh^2 of its distance, from real and imaginary parts and
-    1/((1 - |z|)(1 + |z|)) held once, padded by max(ks), so a shift is a
-    slice.  With D = arsinh(sqrt(max q)) the shift keeps the t with
-    q >= sinh^2((1 - tau) D - eta), tau = 1e-8, eta = 1e-12.
+    ``step`` holds the closed form of the consecutive pairs,
+    step[t] = d(z[t + 1], z[t]), indices mod n.  Cell (i, b) holds the pairs
+    (z[t + ks[i]], z[t]) for t in block b, the t in [a, e] with
+    a = 64 b and e = min(a + 64, n) - 1.  By the triangle inequality such a
+    pair is at most the steps a .. e + k - 1 summed, and at most k times
+    their largest.  Both run on margined steps u = (1 + tau) step + eta,
+    the sums on their running sums P, so the bound is
+    min(P[e + k] - P[a], k max u) + 4 (m + 1) eps P[m], m = n + max(ks)
+    (see :func:`hyperbolic_sup_screen` for the margins and the slack).
+    """
+    n = step.size
+    u = step * (1.0 + _SCREEN_TAU) + _SCREEN_ETA
+    k = np.arange(1, ks[-1] + 1)[:, None]
+    ext = np.concatenate([u, np.resize(u, ks[-1])])  # ext[j] = u[j % n]
+    P = np.concatenate([[0.0], np.cumsum(ext)])
+    a = np.arange(0, n, _SCREEN_BLOCK)
+    e = np.minimum(a + _SCREEN_BLOCK, n) - 1
+    top = np.maximum(np.maximum.accumulate(ext[e + k - 1], axis=0),
+                     np.maximum.reduceat(u, a))
+    rows = np.asarray(ks) - 1
+    span = np.minimum(P[e + k[rows]] - P[a], k[rows] * top[rows])
+    return span + 4.0 * (ext.size + 1) * np.finfo(float).eps * P[-1]
+
+
+def _prefix_floors(z, step, ks, tops) -> list[float]:
+    """L_K for each prefix top K: the largest closed form over shift 1 (when
+    in ``ks``) and the tops up to K, each priced in full; a computed value
+    of the prefix's sup, so it needs no margin."""
+    best = float(step.max()) if ks[0] == 1 else -math.inf
+    floors = []
+    for K in tops:
+        if K != 1:
+            best = max(best, float(hyperbolic_distance_closed(np.roll(z, -K), z).max()))
+        floors.append(best)
+    return floors
+
+
+def hyperbolic_sup_screen(values, ks, tops=None) -> dict[int, float] | None:
+    """Largest hyperbolic distance of a trace's pairs over each prefix of
+    shifts, bit-identical to pricing every pair with the closed form.
+
+    For shift k the pairs are (values[(t + k) % n], values[t]).  ``tops``
+    are shifts of ``ks`` that each end a prefix, max(ks) among them (the
+    default is max(ks) alone); the result maps each K in tops to the max
+    over the pairs of the shifts k <= K of ks.  The consecutive pairs (shift 1's full pass) bound every
+    cell of 64 pairs through the triangle inequality
+    (:func:`_cell_bounds`), and each top's full pass, carried upward, gives
+    its prefix a computed floor L_K (:func:`_prefix_floors`).  A cell of
+    shift k is priced only when its bound reaches the floor of the
+    smallest prefix holding k, in chunks of at most n pairs; every other
+    pair lies strictly below a value the prefix attains.
 
     Error bound, for |z|, |w| <= 0.99 and eps = 2^-52: the closed form
     :func:`hyperbolic_distance_closed` is within 2 eps + 1e5 eps d of the
@@ -227,47 +278,47 @@ def hyperbolic_sup_screen(values, ks) -> dict[int, np.ndarray] | None:
     |1 - conj(z) w| and |z - w|, amplified by at most
     |1 - conj(z) w|^2 / ((1 - |z|^2)(1 - |w|^2)) <= 1e4; the 2 eps comes
     from rounding the ratio near 1, the closed form's eps/d relative error
-    at tiny distances.  arsinh(sqrt(q)) is within 105 eps d.  So the pair
-    the closed form ranks first has a key distance of at least
-    D - 4 eps - 2.1e5 eps D.  tau covers the relative part 220 times and
-    eta the absolute part 1,100 times, with room for the rounding of D and
-    of the threshold.  (Seeded pairs near the boundary, against 40-digit
+    at tiny distances.  (Seeded pairs near the boundary, against 40-digit
     arithmetic, reach 2.5e3 eps d and 26 eps d.)
 
-    Returns {k: kept t} for the shifts in order up to the first that keeps
-    more than n/16 pairs (exact ties, as on a circle); that shift and the
-    rest are left out, to be priced in full.  Returns None when some
-    |value| exceeds 0.99 or is not finite: outside that guard the bound
-    fails, and pairs may diverge or leave the disc.
+    Margins.  A true step is at most (step + 2 eps) / (1 - 1e5 eps), and by
+    the triangle inequality a pair's true distance is at most the true
+    steps it spans, summed.  So the closed form of a pair spanning k steps
+    is at most (1 + 2.0001e5 eps) sum step + 4.0001 k eps.  tau = 1e-8
+    covers the relative part (4.4e-11) 225 times and eta = 1e-12 the
+    absolute part (8.9e-16 per step) 1,100 times, with room for the two
+    roundings of u.  Slack.  The running sum P of the m = n + max(ks)
+    margined steps is within m eps / 2 P[m] of exact at every index; the
+    difference of two sums, the product k max u, the min and adding the
+    slack round by at most 2 eps P[m] more.  So (m + 2) eps P[m] bounds
+    every rounding after the steps, and the slack 4 (m + 1) eps P[m]
+    covers it more than 3 times.  The floors L_K are computed values of
+    pairs in their prefix and need no margin.
+
+    Returns None when some |value| exceeds 0.99 or is not finite: outside
+    that guard the bound fails, and pairs may diverge or leave the disc.
     """
     z = np.asarray(values, dtype=complex).ravel()
-    r = np.abs(z)
-    if not np.all(r <= _SCREEN_RADIUS):
+    if not np.all(np.abs(z) <= _SCREEN_RADIUS):
         return None
     n = z.size
-    ks = [int(k) for k in ks]
-    pad = max(ks, default=0)
-    x, y, c = (np.concatenate([a, a[:pad]])
-               for a in (z.real, z.imag, 1.0 / ((1.0 - r) * (1.0 + r))))
-    dx, dy, q = np.empty(n), np.empty(n), np.empty(n)
-    keep = np.empty(n, dtype=bool)
-    kept: dict[int, np.ndarray] = {}
-    for k in ks:
-        np.subtract(x[k:k + n], x[:n], out=dx)
-        np.subtract(y[k:k + n], y[:n], out=dy)
-        np.multiply(dx, dx, out=q)
-        np.multiply(dy, dy, out=dy)
-        q += dy
-        q *= c[k:k + n]
-        q *= c[:n]
-        top = math.asinh(math.sqrt(q.max()))
-        floor = (1.0 - _SCREEN_TAU) * top - _SCREEN_ETA
-        np.greater_equal(q, math.sinh(floor) ** 2 if floor > 0 else 0.0, out=keep)
-        if np.count_nonzero(keep) > n // 16:
-            break
-        kept[k] = np.flatnonzero(keep)
-    return kept
-
+    ks = np.unique(np.asarray(ks, dtype=int))
+    tops = ks[-1:].tolist() if tops is None else sorted({int(K) for K in tops})
+    step = hyperbolic_distance_closed(np.roll(z, -1), z)
+    best = np.array(_prefix_floors(z, step, ks, tops))
+    group = np.searchsorted(tops, ks)
+    live = _cell_bounds(step, ks) >= best[group][:, None]
+    live[np.isin(ks, [1, *tops])] = False
+    rows, cols = np.nonzero(live)
+    a = cols[:, None] * _SCREEN_BLOCK
+    per = max(1, n // _SCREEN_BLOCK)
+    for lo in range(0, rows.size, per):
+        r, c = rows[lo:lo + per], a[lo:lo + per]
+        # a short last block repeats its last pair, which leaves its max
+        t = np.minimum(c + np.arange(_SCREEN_BLOCK), np.minimum(c + _SCREEN_BLOCK, n) - 1)
+        dist = hyperbolic_distance_closed(z[(t + ks[r][:, None]) % n], z[t])
+        np.maximum.at(best, group[r], dist.max(axis=1))
+    return dict(zip(tops, np.maximum.accumulate(best).tolist()))
 
 @dataclass
 class DiscAutomorphism:

@@ -217,6 +217,31 @@ alpha = 1.0
     assert "hyperbolic_derivative_verbatim" in names
 
 
+# the sup modulus curve (steps 2^-3 .. 2^-8), sampling convergence and
+# implied modulus alpha of two configs, as float.hex: the closed-form sup
+# screen must leave every bit of them
+GOLDEN = {
+    "hl1_cusp50": (
+        ["0x1.69c6b5d37c77dp-4", "0x1.fbea7b4fcc166p-5", "0x1.66f1228489b2dp-5",
+         "0x1.fb77330a24ab8p-6", "0x1.66c6bdd5c76dep-6", "0x1.c5c6f026299f4p-7"],
+        "0x0.0p+0", "0x1.0cbc09d4ed5e4p-1"),
+    "yamashita_scale50": (
+        ["0x1.52b00dd63be32p-4", "0x1.4ef51232ae95fp-5", "0x1.4f1114685ae11p-6",
+         "0x1.4f18164dca8e5p-7", "0x1.4f19d6dcad1aep-8", "0x1.0c15105f18111p-9"],
+        "0x0.0p+0", "0x1.0c5203c41a1bfp+0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_closed_form_config_values_bitwise(name, tmp_path):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.txt")
+    rep = E.run_experiment(E.parse_config_file(path, {"out": str(tmp_path)}))
+    got = ([float.hex(v) for v in rep.curves["modulus_sup"]["values"]],
+           float.hex(rep.values["sampling_convergence"]),
+           float.hex(rep.values["implied_alpha_modulus"]))
+    assert got == GOLDEN[name]
+
+
 def test_yamashita_identity_out_of_range():
     cfg = E.parse_config_text("""
 experiment = yamashita

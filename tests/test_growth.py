@@ -299,32 +299,103 @@ def test_screen_prices_in_full_beyond_its_guard():
     _assert_screen_exact(_trace(z), _trace(z2), LADDER * 4)
 
 
-def test_screen_limits_closed_form_pairs(monkeypatch):
-    tr = MP.boundary_trace(MP.from_name("cusp_a50"), 4096)
+def _closed_form_pairs(monkeypatch):
+    """Count the pairs the closed form prices, inside the screen too."""
     pairs = []
+    closed = M.hyperbolic_distance_closed
 
     def counted(u, v):
-        pairs.append(np.size(u))
-        return M.hyperbolic_distance_closed(u, v)
+        pairs.append(np.broadcast(u, v).size)
+        return closed(u, v)
 
-    curve = GR.modulus_curve(tr, counted, LADDER, screen=M.hyperbolic_sup_screen)
-    assert len(pairs) == 1 and sum(pairs) <= 1000  # all 81 shifts: 331,776 pairs
-    assert list(curve.values) == list(
-        GR.modulus_curve(tr, M.hyperbolic_distance_closed, LADDER).values)
+    monkeypatch.setattr(M, "hyperbolic_distance_closed", counted)
+    return pairs
 
-    # every pair of a circle ties: the screen gives up at its first shift
-    circle = MP.boundary_trace(MP.from_name("scale_50"), 4096)
-    passes = []
-    count_nonzero = np.count_nonzero
 
-    def counted_passes(a):
-        passes.append(a.size)
-        return count_nonzero(a)
+def test_screen_limits_closed_form_pairs(monkeypatch):
+    pairs = _closed_form_pairs(monkeypatch)
+    d = M.hyperbolic_distance_closed
+    counts = {}
+    for name in ("scale_50", "cusp_a50", "const_25"):
+        f = MP.from_name(name)
+        tr, fine = MP.boundary_trace(f, 4096), MP.boundary_trace(f, 8192)
+        pairs.clear()
+        GR.modulus_curve(tr, d, LADDER, screen=M.hyperbolic_sup_screen)
+        curve_pairs = sum(pairs)
+        pairs.clear()
+        GR.doubled_sampling_modulus(fine, d, math.inf, LADDER[0], screen=M.hyperbolic_sup_screen)
+        counts[name] = (curve_pairs, sum(pairs))
+    # every pair of a circle ties within its shift; the steps bound shift
+    # k by k steps, below the top shift's chord (all pairs: 1,658,880)
+    assert sum(counts["scale_50"]) <= 100_000
+    # the cusp's steps concentrate at its tip (doubled check, all pairs:
+    # 162 shifts of 8192)
+    assert counts["cusp_a50"][1] <= 50_000
+    # every pair of a constant trace ties at 0 and no cell can be pruned:
+    # each shift is priced once, shift 1 by the steps themselves
+    assert counts["const_25"] == (81 * 4096, 162 * 8192)
 
-    monkeypatch.setattr(np, "count_nonzero", counted_passes)
-    assert M.hyperbolic_sup_screen(circle.values, range(1, 82)) == {}
-    monkeypatch.undo()
-    assert len(passes) <= 2
+
+def _exact(x) -> int:
+    """x * 2^1074 as an exact integer, for a finite float x >= 0."""
+    num, den = float(x).as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _bound_traces():
+    """The seeded traces of the bitwise tests above, and the catalog cusps."""
+    for seed in range(8):
+        for radius in (0.3, 0.9, 0.98, 0.99):
+            yield f"trig {seed} {radius}", _trig_trace(seed, 1024, radius)
+    for seed, diameter in enumerate(10.0 ** -np.arange(6, 13)):
+        yield f"tiny {diameter}", 0.9 * np.exp(2j * seed) + diameter * _trig_trace(seed, 1024, 0.5)
+    for seed in range(4):
+        yield f"ties {seed}", np.round(_trig_trace(seed, 1024, 0.95), 2)
+    for name in ("cusp_a30", "cusp_a50", "cusp_a70", "cusp_a100"):
+        yield name, MP.boundary_trace(MP.from_name(name), 1024).values
+
+
+def test_sup_screen_bound_covers_every_pair():
+    # the ladder of the bitwise tests at 1024 samples: shifts 1..81
+    tops = sorted({GR._shift_set(1024, h, math.inf)[-1] for h in LADDER * 4})
+    ks = np.arange(1, 82)
+    group = np.searchsorted(tops, ks)
+    block = M._SCREEN_BLOCK
+    for name, z in _bound_traces():
+        d = M.hyperbolic_distance_closed
+        full = np.array([d(np.roll(z, -k), z) for k in ks])
+        cell_max = full.reshape(ks.size, -1, block).max(axis=2)
+        step = full[0]
+        bound = M._cell_bounds(step, ks)
+        assert np.all(cell_max <= bound), name
+        # the bound holds for the margined steps summed exactly, not only
+        # as the running sums rounded them
+        u = step * (1.0 + M._SCREEN_TAU) + M._SCREEN_ETA
+        ext = [_exact(x) for x in np.resize(u, z.size + ks[-1])]
+        P = np.cumsum([0] + ext, dtype=object)
+        for b, a in enumerate(range(0, z.size, block)):
+            e = a + block - 1
+            for i, k in enumerate(ks.tolist()):
+                exact = min(P[e + k] - P[a], k * max(ext[a:e + k]))
+                assert _exact(bound[i, b]) >= exact, (name, k, a)
+        # each floor is a value its prefix attains; every pruned pair lies
+        # strictly below the floor of the smallest prefix holding its shift
+        floors = np.array(M._prefix_floors(z, step, ks, tops))
+        for K, floor in zip(tops, floors):
+            assert floor <= full[:K].max(), (name, K)
+        floor = floors[group][:, None]
+        assert np.all((cell_max < floor)[bound < floor]), name
+
+
+@pytest.mark.parametrize("k", [300, -3, 0])
+def test_out_of_range_shift_raises_before_pricing(monkeypatch, k):
+    tr = MP.boundary_trace(MP.from_name("cusp_a50"), 256)
+    pairs = _closed_form_pairs(monkeypatch)
+    for screen in (None, M.hyperbolic_sup_screen):
+        with pytest.raises(ValueError, match=rf"shift {k} lies outside 1\.\.255 .*n = 256"):
+            GR.mean_modulus_at_shifts(tr, M.hyperbolic_distance_closed, math.inf,
+                                      [1, k], screen=screen)
+    assert pairs == []
 
 
 def test_screened_ladder_with_an_invalid_step_raises_in_ladder_order(cusp50):
