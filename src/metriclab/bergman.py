@@ -223,7 +223,8 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     Returns (B, defect) with defect = max |S - I| for the grid overlap
     S = <phi_j, phi_k> of the basis.  Above 1e-10 one sweep
     B <- chol(S)^{-1} B re-orthonormalizes B first, so a fit makes at most
-    two passes over the grid after the QR.
+    two passes over the grid after the QR.  A final defect above 1e-6 raises
+    :class:`KernelInstabilityError`: such a basis is far from orthonormal.
     """
     n = degree + 1
     zeta = (grid.nodes - center) / scale
@@ -255,13 +256,20 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
         return np.triu(U).conj() + np.triu(U, 1).T
 
     S = grid_overlap(B)
-    defect = float(np.max(np.abs(S - np.eye(n))))
-    if defect > 1e-10:
+    if np.max(np.abs(S - np.eye(n))) > 1e-10:
         # S is near-identity, so chol(S) is perfectly conditioned; one sweep
         # takes the defect to the monomial basis's rounding noise, which
         # further sweeps only move about
         B = solve_triangular(np.linalg.cholesky(S), B, lower=True)
-        defect = float(np.max(np.abs(grid_overlap(B) - np.eye(n))))
+        S = grid_overlap(B)
+    err = np.abs(S - np.eye(n))
+    defect = float(err.max())
+    if defect > 1e-6:
+        # err is symmetric: row k up to the diagonal completes degree k's block
+        first = int(np.argmax(np.max(np.tril(err), axis=1) > 1e-6))
+        raise KernelInstabilityError(
+            f"orthonormality defect {defect:.3e} exceeds 1e-06; the leading block "
+            f"of the basis overlap exceeds it from degree {first} on")
     return B, defect
 
 

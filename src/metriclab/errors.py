@@ -33,8 +33,8 @@ class KernelInstabilityError(MetricLabError, RuntimeError):
     """Kernel-derived quantity became numerically untrustworthy.
 
     Raised instead of clamping: a negative curvature radicand or a kernel
-    value below the positivity floor means the degree or grid is too coarse
-    at the queried point.
+    value below the positivity floor (degree or grid too coarse there), or
+    a fitted basis whose orthonormality defect exceeds 1e-6 (degree too high).
     """
 
 

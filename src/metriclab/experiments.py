@@ -46,7 +46,9 @@ from .maps import (
 )
 from .metrics import (
     BERGMAN,
+    BLOW_UP_KINDS,
     CONSTANT,
+    DENSITY_KINDS,
     HYPERBOLIC,
     QUASIHYPERBOLIC,
     MetricDensity,
@@ -185,7 +187,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         raise ConfigError(f"unknown experiment {experiment!r}; pick one of {_EXPERIMENTS}")
     density_parts = merged["density"].split()
     density_kind = density_parts[0]
-    if density_kind not in (HYPERBOLIC, QUASIHYPERBOLIC, BERGMAN, CONSTANT):
+    if density_kind not in DENSITY_KINDS:
         raise ConfigError(f"unknown density kind {density_kind!r}")
     density_value = None
     if density_kind == CONSTANT:
@@ -453,7 +455,7 @@ def run_theorem1_check(cfg: ExperimentConfig) -> VerificationReport:
     the two implied exponents must agree.  A divergent modulus (trace values
     on the target boundary) fails the run and is flagged.
     """
-    if cfg.density_kind not in (HYPERBOLIC, QUASIHYPERBOLIC, BERGMAN):
+    if cfg.density_kind not in BLOW_UP_KINDS:
         raise ConfigError("the sup-growth equivalence needs a density that blows "
                           "up at the boundary (hyperbolic, quasihyperbolic, bergman)")
     curves, fits, flags, checks, notes, gap = _exponent_report(cfg, math.inf, "sup")
@@ -668,7 +670,7 @@ def _sample_interior(domain: DomainSpec, rng, count: int, margin: float) -> np.n
         if len(out) == count:
             break
         z = complex(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
-        if contains(domain, z) and clear_of_boundary(domain, z, margin):
+        if clear_of_boundary(domain, z, margin):
             out.append(z)
     if len(out) < count:
         raise ConfigError(f"pair_margin: {len(out)} of {count} points in 10,000 draws "

@@ -468,24 +468,27 @@ def _ellipse_boundary_dist(a: float, b: float, z: np.ndarray) -> np.ndarray:
 
 
 def clear_of_boundary(domain: DomainSpec, z, margin: float) -> bool | np.ndarray:
-    """``curve_distance(domain, z) >= margin``, elementwise.
+    """``contains(domain, z) & (curve_distance(domain, z) >= margin)``,
+    elementwise: inside the open domain and, for margin > 0, at least
+    ``margin`` from the boundary; with margin <= 0 it is :func:`contains`.
 
-    On an ellipse a point with s = sqrt((x/a)^2 + (y/b)^2) lies on the
-    boundary of sE; E is convex and holds the disc of radius b, so
-    sE + (1 - s) b Disc lies in E and the distance is at least (1 - s) b.
-    Points whose bound clears the margin by 1e-12 are accepted without the
-    footpoint iteration; only the others call :func:`curve_distance`.
+    Only inside points are tested for clearance.  On an ellipse a point with
+    s = sqrt((x/a)^2 + (y/b)^2) lies on the boundary of sE; E is convex and
+    holds the disc of radius b, so sE + (1 - s) b Disc lies in E and the
+    distance is at least (1 - s) b: points whose bound clears the margin by
+    1e-12 skip the footpoint iteration of :func:`curve_distance`.
     """
     zz = np.asarray(z, dtype=complex)
-    if domain.kind != ELLIPSE:
-        return curve_distance(domain, zz) >= margin
-    a, b = domain.semi_axes
     arr = zz.ravel()
-    s = np.sqrt((arr.real / a) ** 2 + (arr.imag / b) ** 2)
-    ok = (1.0 - s) * b >= margin + 1e-12
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        ok[rest] = curve_distance(domain, arr[rest]) >= margin
+    ok = contains(domain, arr)
+    if margin > 0:
+        rest = np.flatnonzero(ok)
+        if domain.kind == ELLIPSE:
+            a, b = domain.semi_axes
+            s = np.sqrt((arr[rest].real / a) ** 2 + (arr[rest].imag / b) ** 2)
+            rest = rest[(1.0 - s) * b < margin + 1e-12]
+        if rest.size:
+            ok[rest] = curve_distance(domain, arr[rest]) >= margin
     return bool(ok[0]) if zz.ndim == 0 else ok.reshape(zz.shape)
 
 

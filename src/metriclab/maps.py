@@ -32,7 +32,6 @@ class AnalyticMap:
 
     target: DomainSpec
     variant: str = "abstract"
-    continuous_on_closure: bool = True
 
     def __call__(self, z):
         raise NotImplementedError
@@ -234,14 +233,11 @@ class BoundaryTrace:
 
 def boundary_trace(f: AnalyticMap, n: int, r_b: float = 1.0) -> BoundaryTrace:
     """Sample f on the circle of radius r_b; r_b = 1 gives the exact boundary
-    trace for maps continuous up to the closed disc."""
+    trace (every map class extends continuously to the closed disc)."""
     if n < 8:
         raise ValueError("trace needs at least 8 samples")
     if not (0 < r_b <= 1):
         raise ValueError("trace radius must lie in (0, 1]")
-    if r_b == 1.0 and not f.continuous_on_closure:
-        raise DomainError(f"{f.variant} map has no continuous boundary extension; "
-                          f"request a radial approximation with r_b < 1")
     angles = 2 * np.pi * np.arange(n) / n
     values = np.asarray(f(r_b * np.exp(1j * angles)), dtype=complex)
     exact = r_b == 1.0

@@ -40,7 +40,8 @@ QUASIHYPERBOLIC = "quasihyperbolic"
 BERGMAN = "bergman"
 CONSTANT = "constant"
 
-_BLOW_UP_KINDS = (HYPERBOLIC, QUASIHYPERBOLIC, BERGMAN)
+BLOW_UP_KINDS = (HYPERBOLIC, QUASIHYPERBOLIC, BERGMAN)
+DENSITY_KINDS = (*BLOW_UP_KINDS, CONSTANT)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,8 @@ class MetricDensity:
     _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.kind not in DENSITY_KINDS:
+            raise ValueError(f"unknown density kind {self.kind!r}; pick one of {DENSITY_KINDS}")
         if self.kind == HYPERBOLIC and self.domain.kind != UNIT_DISC:
             raise ValueError("the hyperbolic density lives on the unit disc only")
         if self.kind == BERGMAN and self.model is None:
@@ -71,7 +74,7 @@ class MetricDensity:
 
     @property
     def blows_up(self) -> bool:
-        return self.kind in _BLOW_UP_KINDS
+        return self.kind in BLOW_UP_KINDS
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
         """Pointwise density on points assumed to lie inside the domain."""
@@ -369,7 +372,9 @@ class _GridGraph:
     i0: int
     j0: int
     h: float
-    matrix: csr_matrix
+    rows: np.ndarray             # both directions of every lattice edge,
+    cols: np.ndarray             # sorted row-major
+    vals: np.ndarray
     xmin: float
     ymin: float
 
@@ -381,30 +386,21 @@ class _GridGraph:
         return np.sort(block[block >= 0])
 
 
-def _convex_kind(domain: DomainSpec) -> bool:
-    return domain.kind in (UNIT_DISC, "ellipse")
-
-
 def _segment_inside(domain: DomainSpec, a, b, margin: float, n_samples: int = 8):
     """Vectorized check that segments [a,b] stay inside with clearance;
     the result has the broadcast shape of a and b.
 
-    The endpoints must lie inside the domain.  The disc and an ellipse are
-    convex, so there a chord between interior points lies inside and with
-    margin == 0 nothing is sampled.  Otherwise samples are tested for
-    membership (and clearance); a polygon segment must in addition meet no
-    boundary edge, which is tested exactly."""
+    The endpoints must lie inside.  On the convex disc and ellipse a chord
+    between interior points lies inside, so margin == 0 samples nothing;
+    otherwise every sample must pass :func:`clear_of_boundary`, and a
+    polygon segment must also meet no boundary edge (tested exactly)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if margin == 0 and _convex_kind(domain):
+    if margin == 0 and domain.kind in (UNIT_DISC, "ellipse"):
         return np.ones(np.broadcast(a, b).shape, dtype=bool)
     t = (np.arange(n_samples) + 0.5) / n_samples
     pts = a[..., None] + t * (b - a)[..., None]
-    flat = pts.ravel()
-    ok = contains(domain, flat)
-    if margin > 0:
-        ok &= clear_of_boundary(domain, flat, margin)
-    ok = ok.reshape(pts.shape).all(axis=-1)
+    ok = clear_of_boundary(domain, pts, margin).all(axis=-1)
     if domain.kind == POLYGON:
         ok &= ~segments_meet_boundary(domain, a, b)
     return ok
@@ -417,10 +413,8 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
     wx0, wx1, wy0, wy1 = window
     i0 = max(0, int(math.floor((wx0 - xmin) / h - 0.5)))
     j0 = max(0, int(math.floor((wy0 - ymin) / h - 0.5)))
-    i1 = int(math.ceil((min(wx1, xmax) - xmin) / h - 0.5))
-    j1 = int(math.ceil((min(wy1, ymax) - ymin) / h - 0.5))
-    i1 = max(i1, i0)
-    j1 = max(j1, j0)
+    i1 = max(i0, int(math.ceil((min(wx1, xmax) - xmin) / h - 0.5)))
+    j1 = max(j0, int(math.ceil((min(wy1, ymax) - ymin) / h - 0.5)))
 
     key = (h, i0, i1, j0, j1)
     cached = omega._graphs.get(key)
@@ -439,44 +433,28 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
     ids = np.full(P.shape, -1, dtype=int)
     ids[mask] = np.arange(int(mask.sum()))
     nodes = P[mask]
-
-    rows, cols, vals = [], [], []
-    for di, dj in _NEIGHBOR_OFFSETS:
-        ni, nj = ids.shape
-        if di >= ni or abs(dj) >= nj:
-            continue
-        if dj >= 0:
-            src = ids[: ni - di, : nj - dj]
-            dst = ids[di:, dj:]
-        else:
-            src = ids[: ni - di, -dj:]
-            dst = ids[di:, : nj + dj]
-        ok = (src >= 0) & (dst >= 0)
-        s, d = src[ok], dst[ok]
-        if s.size == 0:
-            continue
-        keep = _segment_inside(domain, nodes[s], nodes[d], 0.0)
-        s, d = s[keep], d[keep]
-        if s.size == 0:
-            continue
-        cost = _segment_cost(omega, nodes[s], nodes[d], _GL_X6, _GL_W6)
-        rows.append(s)
-        cols.append(d)
-        vals.append(cost)
-
     if nodes.size == 0:
         raise ResolutionTooCoarseError("no admissible grid node in the search window")
-    n = nodes.size
-    if rows:
-        r = np.concatenate(rows + cols)
-        c = np.concatenate(cols + rows)
-        v = np.concatenate(vals + vals)
-    else:
-        r = c = np.zeros(0, dtype=int)
-        v = np.zeros(0)
+
+    # pad[2 + i + di, 2 + j + dj] is the node at offset (di, dj) from cell
+    # (i, j), -1 off the window; the edges of each offset stay row-major
+    ni, nj = ids.shape
+    pad = np.pad(ids, 2, constant_values=-1)
+    rows, cols, vals = [], [], []
+    for di, dj in _NEIGHBOR_OFFSETS:
+        dst = pad[2 + di:2 + di + ni, 2 + dj:2 + dj + nj]
+        ok = (ids >= 0) & (dst >= 0)
+        ok[ok] = _segment_inside(domain, nodes[ids[ok]], nodes[dst[ok]], 0.0)
+        s, d = ids[ok], dst[ok]
+        rows.append(s)
+        cols.append(d)
+        vals.append(_segment_cost(omega, nodes[s], nodes[d], _GL_X6, _GL_W6))
+    r = np.concatenate(rows + cols)
+    c = np.concatenate(cols + rows)
+    order = np.lexsort((c, r))
     graph = _GridGraph(
         nodes=nodes, ids=ids, i0=i0, j0=j0, h=h,
-        matrix=csr_matrix((v, (r, c)), shape=(n, n)),
+        rows=r[order], cols=c[order], vals=np.concatenate(vals + vals)[order],
         xmin=xmin, ymin=ymin,
     )
     if len(omega._graphs) >= 8:   # oldest first out
@@ -531,10 +509,10 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex,
         cols.append(np.array([n + 1]))
         vals.append(np.array([float(_segment_cost(omega, z, w, _GL_X6, _GL_W6))]))
 
-    m = graph.matrix.tocoo()
+    # rows stay sorted: columns n and n + 1 follow a node's lattice edges
     full = csr_matrix(
-        (np.concatenate([m.data] + vals + vals),
-         (np.concatenate([m.row] + rows + cols), np.concatenate([m.col] + cols + rows))),
+        (np.concatenate([graph.vals] + vals + vals),
+         (np.concatenate([graph.rows] + rows + cols), np.concatenate([graph.cols] + cols + rows))),
         shape=(n + 2, n + 2),
     )
     dist, pred = dijkstra(full, indices=n, return_predecessors=True)
@@ -626,10 +604,7 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                 next_pts = pts[idx + 1]
                 cand = np.concatenate([P[:, None], P[:, None] + step * dirs[None, :]],
                                       axis=1)
-                ok = contains(domain, cand.ravel())
-                if margin > 0:
-                    ok &= clear_of_boundary(domain, cand.ravel(), margin)
-                ok = ok.reshape(cand.shape)
+                ok = clear_of_boundary(domain, cand, margin)
                 # segments count only where ok holds, so both ends are inside
                 ok &= _segment_inside(domain, prev_pts[:, None], cand, 0.0, 16)
                 ok &= _segment_inside(domain, cand, next_pts[:, None], 0.0, 16)

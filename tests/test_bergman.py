@@ -49,6 +49,18 @@ def test_factorization_failure_reports_degree(disc):
     assert err.value.degree == grid.nodes.size
 
 
+def test_far_from_orthonormal_basis_raises():
+    # the 3x1 ellipse on a coarse grid: degree 60 ends its sweep at a
+    # defect of 3.2e-3 to 3.9e-3 (one or two BLAS threads), far above 1e-6;
+    # degree 30 ends below 1e-10
+    dom = G.ellipse(3, 1)
+    with pytest.raises(KernelInstabilityError,
+                       match=r"orthonormality defect \S+ exceeds 1e-06; .* from degree (\d+) on") as err:
+        B.fit_kernel_model(dom, degree=60, resolution=0.2)
+    assert 30 < int(re.search(r"degree (\d+)", str(err.value)).group(1)) <= 60
+    assert B.fit_kernel_model(dom, degree=30, resolution=0.2).orthonormality_defect <= 1e-6
+
+
 def test_tsqr_and_cholesky_routes_agree(disc):
     # independent reference: assemble the Gram matrix V^H W V, Cholesky
     # G = L L^H, basis coefficients B = L^{-1}

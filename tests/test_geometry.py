@@ -136,11 +136,11 @@ def test_clear_of_boundary_matches_curve_distance(name, margin):
     nrm = _inward_normal(dom, t)
     z = np.concatenate([box, g + (margin + 1e-13) * nrm, g + (margin - 1e-13) * nrm,
                         g + margin * nrm])
-    want = G.curve_distance(dom, z) >= margin
+    want = G.contains(dom, z) & (G.curve_distance(dom, z) >= margin)
     assert np.array_equal(G.clear_of_boundary(dom, z, margin), want)
     for p in z[:50]:
         assert G.clear_of_boundary(dom, complex(p), margin) == \
-            (float(G.curve_distance(dom, complex(p))) >= margin)
+            (G.contains(dom, complex(p)) and float(G.curve_distance(dom, complex(p))) >= margin)
 
 
 @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
@@ -149,7 +149,7 @@ def test_clear_of_boundary_skips_footpoints_the_bound_clears(monkeypatch, a):
     rng = np.random.default_rng(67)
     z = rng.uniform(-1.1 * a, 1.1 * a, 5000) + 1j * rng.uniform(-1.1, 1.1, 5000)
     margin = 0.025
-    want = G.curve_distance(e, z) >= margin
+    want = G.contains(e, z) & (G.curve_distance(e, z) >= margin)
     seen = []
     real_curve_distance = G.curve_distance
 
@@ -163,8 +163,38 @@ def test_clear_of_boundary_skips_footpoints_the_bound_clears(monkeypatch, a):
     # the inner bound (1 - s) b, s = sqrt((x/a)^2 + y^2): what it clears never
     # reaches the footpoint iteration, and it clears most points
     cleared = (1 - np.sqrt((z.real / a) ** 2 + z.imag ** 2)) >= margin + 1e-12
-    assert np.array_equal(np.sort_complex(reached), np.sort_complex(z[~cleared]))
+    assert np.array_equal(np.sort_complex(reached),
+                          np.sort_complex(z[G.contains(e, z) & ~cleared]))
     assert cleared.sum() > 0.5 * want.sum()
+
+
+@pytest.mark.parametrize("name", list(_CLEARANCE_DOMAINS))
+def test_clear_of_boundary_is_inside_and_clear(monkeypatch, name):
+    dom = _CLEARANCE_DOMAINS[name]
+    rng = np.random.default_rng(71)
+    xmin, xmax, ymin, ymax = dom.bounding_box
+    z = (rng.uniform(1.2 * xmin - 0.1, 1.2 * xmax + 0.1, 3000)
+         + 1j * rng.uniform(1.2 * ymin - 0.1, 1.2 * ymax + 0.1, 3000))
+    inside = G.contains(dom, z)
+    assert 0 < inside.sum() < z.size
+    seen = []
+    real_curve_distance = G.curve_distance
+
+    def counting(domain, pts):
+        seen.append(np.asarray(pts).copy())
+        return real_curve_distance(domain, pts)
+
+    monkeypatch.setattr(G, "curve_distance", counting)
+    for margin in (-1.0, 0.0, 1e-9, 0.05, 0.4):
+        clear = G.clear_of_boundary(dom, z, margin)
+        # an outside point is never clear, whatever the margin
+        assert not clear[~inside].any()
+        if margin <= 0:
+            assert np.array_equal(clear, inside)
+        for p in z[:20]:
+            assert G.clear_of_boundary(dom, complex(p), margin) is bool(clear[z == p][0])
+    # the footpoint iteration sees inside points only
+    assert seen and all(G.contains(dom, pts).all() for pts in seen)
 
 
 def test_boundary_distance_below_any_boundary_point(disc, ellipse15, square):

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from metriclab import geometry as G
 from metriclab import metrics as M
@@ -42,6 +43,12 @@ def test_density_eval_outside_raises(hyp):
 def test_hyperbolic_density_needs_disc(ellipse15):
     with pytest.raises(ValueError):
         M.MetricDensity(ellipse15, M.HYPERBOLIC)
+
+
+def test_unknown_density_kind_is_rejected(disc):
+    with pytest.raises(ValueError, match="unknown density kind 'hyperbolc'"):
+        M.MetricDensity(disc, "hyperbolc")
+    assert M.DENSITY_KINDS == (*M.BLOW_UP_KINDS, M.CONSTANT)
 
 
 def test_bergman_density_wrapper(disc_kernel_coarse):
@@ -283,6 +290,118 @@ def test_density_keeps_its_eight_newest_graphs(disc):
     assert M._build_graph(omega, 0.1, windows[0]) is not graphs[0]
 
 
+def _four_branch_edges(omega, graph):
+    """(vals, (rows, cols)) of the graph's lattice edges by the per-offset
+    slicing with a branch per sign of dj and a guard for offsets wider than
+    the window, from the graph's own ids and nodes."""
+    ids, nodes = graph.ids, graph.nodes
+    rows, cols, vals = [], [], []
+    for di, dj in M._NEIGHBOR_OFFSETS:
+        ni, nj = ids.shape
+        if di >= ni or abs(dj) >= nj:
+            continue
+        if dj >= 0:
+            src, dst = ids[: ni - di, : nj - dj], ids[di:, dj:]
+        else:
+            src, dst = ids[: ni - di, -dj:], ids[di:, : nj + dj]
+        ok = (src >= 0) & (dst >= 0)
+        s, d = src[ok], dst[ok]
+        if s.size == 0:
+            continue
+        keep = M._segment_inside(omega.domain, nodes[s], nodes[d], 0.0)
+        s, d = s[keep], d[keep]
+        rows.append(s)
+        cols.append(d)
+        vals.append(M._segment_cost(omega, nodes[s], nodes[d], M._GL_X6, M._GL_W6))
+    if not rows:
+        return np.zeros(0), (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    return (np.concatenate(vals + vals),
+            (np.concatenate(rows + cols), np.concatenate(cols + rows)))
+
+
+_LSHAPE = G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
+# (domain, window, lattice shape): the whole box, windows clipped at each
+# side of the box, and windows one and two cells wide
+_GRAPH_WINDOWS = [
+    (G.unit_disc(), (-1, 1, -1, 1), (21, 21)),
+    (G.unit_disc(), (-2, 0.3, -0.4, 0.5), (14, 11)),
+    (G.unit_disc(), (-0.3, 2, -0.4, 0.5), (15, 11)),
+    (G.unit_disc(), (-0.4, 0.5, -2, 0.3), (11, 14)),
+    (G.unit_disc(), (-0.4, 0.5, -0.3, 2), (11, 15)),
+    (G.unit_disc(), (-0.45, -0.45, -0.45, -0.45), (1, 1)),
+    (G.unit_disc(), (-0.44, -0.44, -0.45, -0.45), (2, 1)),
+    (G.unit_disc(), (-0.5, 0.5, -0.45, -0.45), (12, 1)),
+    (G.unit_disc(), (-0.45, -0.45, -0.5, 0.5), (1, 12)),
+    (G.unit_disc(), (-0.5, 0.5, -0.44, -0.44), (12, 2)),
+    (G.ellipse(1.5, 1), (-1.5, 1.5, -1, 1), (31, 21)),
+    (G.ellipse(1.5, 1), (-3, -0.2, -2, 0.1), (14, 12)),
+    (G.ellipse(1.5, 1), (0.9, 0.9, -0.6, 0.6), (2, 14)),
+    (_LSHAPE, (0, 2, 0, 2), (21, 21)),
+    (_LSHAPE, (0.5, 3, 0.5, 3), (17, 17)),
+    (_LSHAPE, (-1, 0.15, -1, 1.5), (2, 16)),
+]
+
+
+@pytest.mark.parametrize("dom, window, shape", _GRAPH_WINDOWS)
+def test_graph_edges_match_the_four_branch_slicing(dom, window, shape):
+    omega = M.quasihyperbolic_density(dom)
+    graph = M._build_graph(omega, 0.1, window)
+    assert graph.ids.shape == shape
+    n = graph.nodes.size
+    # one row-major list, both directions of each edge, no edge twice
+    assert np.all(np.diff(graph.rows * n + graph.cols) > 0)
+    want = csr_matrix(_four_branch_edges(omega, graph), shape=(n, n))
+    got = csr_matrix((graph.vals, (graph.rows, graph.cols)), shape=(n, n))
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    # the cached list is the canonical matrix's own COO form
+    m = want.tocoo()
+    assert np.array_equal(graph.rows, m.row)
+    assert np.array_equal(graph.cols, m.col)
+    assert np.array_equal(graph.vals, m.data)
+
+
+@pytest.mark.parametrize("dom, z, w", [
+    (G.ellipse(1.5, 1), -0.9 + 0.2j, 0.7 - 0.4j),
+    (_LSHAPE, 0.3 + 1.6j, 1.7 + 0.4j),
+])
+def test_query_csr_matches_the_coo_route(monkeypatch, dom, z, w):
+    omega = M.quasihyperbolic_density(dom)
+    seen = []
+    real_dijkstra = M.dijkstra
+
+    def capture(matrix, **kwargs):
+        seen.append(matrix)
+        return real_dijkstra(matrix, **kwargs)
+
+    monkeypatch.setattr(M, "dijkstra", capture)
+    M._graph_path(omega, z, w, 0.1, full_window=True)
+    graph = M._build_graph(omega, 0.1, dom.bounding_box)
+    n = graph.nodes.size
+    # the endpoint edges and the direct edge, appended to the COO form of
+    # the graph's canonical CSR matrix
+    m = csr_matrix(_four_branch_edges(omega, graph), shape=(n, n)).tocoo()
+    rows, cols, vals = [m.row], [m.col], [m.data]
+    for j, p in enumerate((z, w)):
+        idx = graph.nearby_ids(p)
+        c = idx[M._segment_inside(dom, np.full(idx.shape, p), graph.nodes[idx], 0.0)]
+        cost = M._segment_cost(omega, np.full(c.shape, p), graph.nodes[c], M._GL_X6, M._GL_W6)
+        rows += [np.full(c.size, n + j), c]
+        cols += [c, np.full(c.size, n + j)]
+        vals += [cost, cost]
+    if M._segment_inside(dom, np.array([z]), np.array([w]), 0.0)[0]:
+        cost = float(M._segment_cost(omega, z, w, M._GL_X6, M._GL_W6))
+        rows += [[n], [n + 1]]
+        cols += [[n + 1], [n]]
+        vals += [[cost], [cost]]
+    want = csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n + 2, n + 2))
+    (full,) = seen
+    assert full.has_sorted_indices
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(full, attr), getattr(want, attr))
+
+
 def test_nearby_ids_match_a_cell_scan(disc):
     # reference: scan the 5 x 5 cells around z's cell, keep lattice nodes
     graph = M._build_graph(M.quasihyperbolic_density(disc), 0.1, (0.2, 0.6, -0.3, 0.4))
@@ -336,7 +455,7 @@ def _full_pricing_sweep_level(omega, pts, step0, margin, budget):
     dirs = np.array([1, -1, 1j, -1j,
                      (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
                      (-1 + 1j) / math.sqrt(2), (-1 - 1j) / math.sqrt(2)])
-    check_segments = not M._convex_kind(domain)
+    check_segments = domain.kind not in (G.UNIT_DISC, G.ELLIPSE)   # the convex kinds
     step = step0
     total = path_cost(pts)
     while step > step0 / 64 and (budget is None or budget[0] > 0):

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -82,3 +83,30 @@ def test_run_configs_refuses_a_non_empty_outdir(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == "" and "is not empty" in proc.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
+
+
+def test_run_configs_prints_wall_times_on_stdout_only(tmp_path, monkeypatch, capsys):
+    tool = _run_configs_module()
+    ticks = iter([0.0, 2.5] * 100)
+    monkeypatch.setattr(tool, "perf_counter", lambda: next(ticks))
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        return SimpleNamespace(returncode=3 if "hl2" in cmd else 0)
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    out = tmp_path / "out"
+    assert tool.main([str(out)]) == 1
+    configs = sorted((ROOT / "configs").glob("*.txt"))
+    experiments = [tool.experiment_of(str(c)) for c in configs]
+    assert [cmd[cmd.index("verify") + 1] for cmd in commands] == experiments
+    assert capsys.readouterr().out.splitlines() == [
+        f"{c.name}: verify {e} exited {3 if e == 'hl2' else 0} in 2.5 s"
+        for c, e in zip(configs, experiments)
+    ]
+    # OUTDIR holds each config's copy and its (here empty) output, no timing
+    assert sorted(p.name for p in out.iterdir()) == [c.stem for c in configs]
+    for c in configs:
+        assert sorted(p.name for p in (out / c.stem).iterdir()) == sorted([c.name, "output.txt"])
+        assert (out / c.stem / "output.txt").read_text() == ""

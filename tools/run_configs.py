@@ -11,9 +11,9 @@ copy of the config there, as
 with the experiment read from the config, one BLAS thread
 (OMP_NUM_THREADS=OPENBLAS_NUM_THREADS=1) and this checkout's src/ on
 PYTHONPATH.  The run's stdout and stderr go to OUTDIR/<stem>/output.txt.
-The script prints each run's exit code and exits 1 if any run exits
-non-zero.  Two checkouts produce byte-identical reports when ``diff -r`` of
-their OUTDIRs is empty.
+The script prints each run's exit code and wall time on stdout (no timing
+goes into OUTDIR) and exits 1 if any run exits non-zero.  Two checkouts
+produce byte-identical reports when ``diff -r`` of their OUTDIRs is empty.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import os
 import shutil
 import subprocess
 import sys
+from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -54,12 +55,14 @@ def main(argv: list[str]) -> int:
         os.makedirs(cwd)
         shutil.copy(config, cwd)
         experiment = experiment_of(config)
+        start = perf_counter()
         with open(os.path.join(cwd, "output.txt"), "w") as log:
             code = subprocess.run(
                 [sys.executable, "-W", "error::RuntimeWarning", "-m", "metriclab.cli",
                  "verify", experiment, "--config", name, "--out", "reports"],
                 cwd=cwd, env=env, stdout=log, stderr=subprocess.STDOUT).returncode
-        print(f"{name}: verify {experiment} exited {code}", flush=True)
+        print(f"{name}: verify {experiment} exited {code} in {perf_counter() - start:.1f} s",
+              flush=True)
         failed += code != 0
     return 1 if failed else 0
 
