@@ -131,7 +131,7 @@ def _cmd_means(args) -> int:
     curve = means_curve(lambda zs: weighted_derivative(f, omega, zs),
                         cfg.radii, cfg.p, cfg.circle_samples)
     fit = fit_exponent(curve)
-    for r, v in zip(curve.radii, curve.values):
+    for r, v in zip(cfg.radii, curve.values):
         print(f"r = {r:.6f}  m_p = {v:.10g}")
     print(f"slope vs log(1-r): {fit.slope:+.4f}  (R^2 = {fit.r_squared:.6f}); "
           f"implied exponent {fit.slope + 1:+.4f}")
@@ -146,7 +146,7 @@ def _cmd_modulus(args) -> int:
     d, screen = _distance_evaluator(cfg, omega)
     curve = modulus_curve(trace, d, cfg.steps, cfg.p, screen=screen)
     fit = fit_exponent(curve)
-    for h, v in zip(curve.steps, curve.values):
+    for h, v in zip(cfg.steps, curve.values):
         print(f"h = {h:.6f}  M = {v:.10g}")
     print(f"slope vs log h: {fit.slope:+.4f}  (R^2 = {fit.r_squared:.6f})")
     return 0

@@ -390,7 +390,7 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
     tr = boundary_trace(f, cfg.circle_samples, cfg.trace_radius)
     try:
         sc = modulus_curve(tr, d, cfg.steps, p, screen=screen)
-        curves[f"modulus_{label}"] = _curve_dict(sc.steps, sc.values)
+        curves[f"modulus_{label}"] = _curve_dict(sc.abscissa, sc.values)
         if not np.all(sc.values < 1e-14):
             zero = False
             _fit_curve(curves[f"modulus_{label}"], sc, "modulus", fits, flags)
@@ -586,6 +586,11 @@ def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
     the products density * boundary_distance stay in [1/C, C] without
     drifting, and compares geodesic distances under both densities on seeded
     pairs."""
+    # fewer would leave the ring-drift or distance check nothing to measure
+    if cfg.ring_distances.size < 2:
+        raise ConfigError("ring_distances needs at least 2 distances")
+    if cfg.compare_pairs < 1:
+        raise ConfigError("compare_pairs must be at least 1")
     omega = _build_density(cfg)
     domain = cfg.domain
     anchor = interior_anchor(domain)

@@ -15,33 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentValueError, InsufficientDataError
-from .maps import BoundaryTrace
 
 
 @dataclass
-class MeansCurve:
-    """Integral means m_p(r) on an increasing radius ladder; p may be inf."""
+class Curve:
+    """Values on a ladder of abscissae: integral means against 1 - r, or a
+    trace modulus against the step h."""
 
-    p: float
-    radii: np.ndarray
+    abscissa: np.ndarray
     values: np.ndarray
-
-    @property
-    def abscissa(self) -> np.ndarray:
-        return 1.0 - self.radii
-
-
-@dataclass
-class ModulusCurve:
-    """Lipschitz-type modulus M(h) on a decreasing step ladder."""
-
-    p: float
-    steps: np.ndarray
-    values: np.ndarray
-
-    @property
-    def abscissa(self) -> np.ndarray:
-        return self.steps
 
 
 @dataclass
@@ -96,58 +78,38 @@ def _shift_set(n: int, h: float, p: float) -> list[int]:
     return sorted({max(1, round(s / gap)) for s in (h / 8, h / 4, h / 2, h)})
 
 
-def _shift_table(trace: BoundaryTrace, d, p: float, ks) -> dict[int, float]:
+def _shift_table(trace: np.ndarray, d, p: float, ks) -> dict[int, float]:
     """{k: max (p = inf) or p-mean of d(trace(t + k gap), trace(t)) over t},
     each shift priced in full, in ``ks`` order."""
     table: dict[int, float] = {}
     for k in ks:
-        dist = np.asarray(d(np.roll(trace.values, -k), trace.values), dtype=float)
+        dist = np.asarray(d(np.roll(trace, -k), trace), dtype=float)
         if not np.all(np.isfinite(dist)):
             raise DivergentValueError(
                 f"divergent modulus: a trace pair at {'gap' if p == math.inf else 'shift'} "
-                f"{k * (2 * np.pi / trace.n):.4g} has infinite distance "
+                f"{k * (2 * np.pi / trace.size):.4g} has infinite distance "
                 f"(boundary values touch the target boundary)")
         table[k] = float(dist.max()) if p == math.inf else float(np.mean(dist ** p) ** (1.0 / p))
     return table
 
 
-def mean_modulus_at_shifts(trace: BoundaryTrace, d, p: float, ks, screen=None) -> float:
-    """Max over explicit grid-shift indices of the per-shift p-mean; the
-    inf-mean is the max, so p = inf gives the sup modulus over ``ks``.
-
-    Each shift must lie in 1..n-1.  For p = inf a ``screen(values, ks)``
-    returns {max(ks): the sup over ``ks``} without calling ``d``, or None to
-    price every shift in full.
-    """
-    ks = [int(k) for k in ks]
-    for k in ks:
-        if not 0 < k < trace.n:
-            raise ValueError(f"shift {k} lies outside 1..{trace.n - 1} "
-                             f"for a trace of n = {trace.n} samples")
-    sups = screen(trace.values, ks) if p == math.inf and screen is not None and ks else None
-    if sups is not None:
-        return max(0.0, sups[max(ks)])
-    return max([0.0, *_shift_table(trace, d, p, ks).values()])
-
-
-def doubled_sampling_modulus(fine: BoundaryTrace, d, p: float, h: float,
+def doubled_sampling_modulus(fine: np.ndarray, d, p: float, h: float,
                              screen=None) -> float:
     """Step-h modulus of ``fine``, a trace sampled twice as densely as the
     coarse one a modulus curve was built on.
 
-    The sup uses the shifts of ``fine`` itself; a p-mean uses twice the
-    coarse trace's ladder shifts, so both traces use the same effective
-    shifts and the difference measures sampling density, not ladder
-    quantization.
+    The sup is the step-h point of ``fine``'s own modulus curve; a p-mean
+    uses twice the coarse trace's ladder shifts, so both traces use the
+    same effective shifts and the difference measures sampling density,
+    not ladder quantization.
     """
     if p == math.inf:
-        ks = _shift_set(fine.n, h, p)
-    else:
-        ks = [2 * k for k in _shift_set(fine.n // 2, h, p)]
-    return mean_modulus_at_shifts(fine, d, p, ks, screen)
+        return float(modulus_curve(fine, d, [h], p, screen).values[0])
+    ks = [2 * k for k in _shift_set(fine.size // 2, h, p)]
+    return max([0.0, *_shift_table(fine, d, p, ks).values()])
 
 
-def fit_exponent(curve: MeansCurve | ModulusCurve) -> ExponentFit:
+def fit_exponent(curve: Curve) -> ExponentFit:
     """Least-squares line through (log abscissa, log value).
 
     The slope estimates alpha - 1 for means curves (abscissa 1 - r) and
@@ -181,15 +143,15 @@ def fit_exponent(curve: MeansCurve | ModulusCurve) -> ExponentFit:
     )
 
 
-def means_curve(g, radii, p: float, n: int = 4096) -> MeansCurve:
-    """Integral means along a radius ladder."""
+def means_curve(g, radii, p: float, n: int = 4096) -> Curve:
+    """Integral means along a radius ladder, against 1 - r."""
     radii = np.asarray(radii, dtype=float)
     vals = np.array([integral_means(g, r, p, n) for r in radii])
-    return MeansCurve(p=p, radii=radii, values=vals)
+    return Curve(abscissa=1.0 - radii, values=vals)
 
 
-def modulus_curve(trace: BoundaryTrace, d, steps, p: float = math.inf,
-                  screen=None) -> ModulusCurve:
+def modulus_curve(trace: np.ndarray, d, steps, p: float = math.inf,
+                  screen=None) -> Curve:
     """Lipschitz modulus along a step ladder (sup for p = inf, p-mean else).
 
     Steps are taken in ladder order; each step evaluates only the shifts
@@ -202,17 +164,16 @@ def modulus_curve(trace: BoundaryTrace, d, steps, p: float = math.inf,
     steps = np.asarray(steps, dtype=float)
     if p == math.inf and screen is not None:
         try:
-            tops = [_shift_set(trace.n, h, p)[-1] for h in steps]
+            tops = [_shift_set(trace.size, h, p)[-1] for h in steps]
         except ValueError:
             tops = []  # the loop below prices and raises in ladder order
-        sups = screen(trace.values, range(1, max(tops) + 1), tops) if tops else None
+        sups = screen(trace, range(1, max(tops) + 1), tops) if tops else None
         if sups is not None:
-            return ModulusCurve(p=p, steps=steps,
-                                values=np.array([max(0.0, sups[K]) for K in tops]))
+            return Curve(abscissa=steps, values=np.array([max(0.0, sups[K]) for K in tops]))
     table: dict[int, float] = {}
     vals = []
     for h in steps:
-        ks = _shift_set(trace.n, h, p)
+        ks = _shift_set(trace.size, h, p)
         table.update(_shift_table(trace, d, p, [k for k in ks if k not in table]))
         vals.append(max([0.0] + [table[k] for k in ks]))
-    return ModulusCurve(p=p, steps=steps, values=np.array(vals))
+    return Curve(abscissa=steps, values=np.array(vals))

@@ -217,43 +217,22 @@ def weighted_derivative(f: AnalyticMap, omega: MetricDensity, z):
 # boundary traces
 
 
-@dataclass
-class BoundaryTrace:
-    """Samples of the boundary function at uniform angles t_j = 2 pi j / n."""
-
-    values: np.ndarray
-    angles: np.ndarray
-    radius: float
-    exact: bool
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-
-def boundary_trace(f: AnalyticMap, n: int, r_b: float = 1.0) -> BoundaryTrace:
-    """Sample f on the circle of radius r_b; r_b = 1 gives the exact boundary
-    trace (every map class extends continuously to the closed disc)."""
+def boundary_trace(f: AnalyticMap, n: int, r_b: float = 1.0) -> np.ndarray:
+    """Samples f(r_b e^{i t_j}) at the uniform angles t_j = 2 pi j / n;
+    r_b = 1 gives the exact boundary trace (every map class extends
+    continuously to the closed disc)."""
     if n < 8:
         raise ValueError("trace needs at least 8 samples")
     if not (0 < r_b <= 1):
         raise ValueError("trace radius must lie in (0, 1]")
-    angles = 2 * np.pi * np.arange(n) / n
-    values = np.asarray(f(r_b * np.exp(1j * angles)), dtype=complex)
-    exact = r_b == 1.0
-    if exact:
+    t = 2 * np.pi * np.arange(n) / n
+    values = np.asarray(f(r_b * np.exp(1j * t)), dtype=complex)
+    if r_b == 1.0:
         inside = contains(f.target, values)
         on_boundary = curve_distance(f.target, values) <= 1e-9
         if not np.all(inside | on_boundary):
             raise DomainError("exact trace leaves the closure of the target")
-    return BoundaryTrace(values=values, angles=angles, radius=float(r_b), exact=exact)
-
-
-def write_trace_file(trace: BoundaryTrace, file_path) -> None:
-    """Angle / real / imaginary text table."""
-    with open(file_path, "w") as fh:
-        for t, v in zip(trace.angles, trace.values):
-            fh.write(f"{float(t):.17g} {float(v.real):.17g} {float(v.imag):.17g}\n")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -260,14 +260,14 @@ def _prefix_floors(z, step, ks, tops) -> list[float]:
     return floors
 
 
-def hyperbolic_sup_screen(values, ks, tops=None) -> dict[int, float] | None:
+def hyperbolic_sup_screen(values, ks, tops) -> dict[int, float] | None:
     """Largest hyperbolic distance of a trace's pairs over each prefix of
     shifts, bit-identical to pricing every pair with the closed form.
 
     For shift k the pairs are (values[(t + k) % n], values[t]).  ``tops``
-    are shifts of ``ks`` that each end a prefix, max(ks) among them (the
-    default is max(ks) alone); the result maps each K in tops to the max
-    over the pairs of the shifts k <= K of ks.  The consecutive pairs (shift 1's full pass) bound every
+    are shifts of ``ks`` that each end a prefix, max(ks) among them; the
+    result maps each K in tops to the max over the pairs of the shifts
+    k <= K of ks.  The consecutive pairs (shift 1's full pass) bound every
     cell of 64 pairs through the triangle inequality
     (:func:`_cell_bounds`), and each top's full pass, carried upward, gives
     its prefix a computed floor L_K (:func:`_prefix_floors`).  A cell of
@@ -306,7 +306,7 @@ def hyperbolic_sup_screen(values, ks, tops=None) -> dict[int, float] | None:
         return None
     n = z.size
     ks = np.unique(np.asarray(ks, dtype=int))
-    tops = ks[-1:].tolist() if tops is None else sorted({int(K) for K in tops})
+    tops = sorted({int(K) for K in tops})
     step = hyperbolic_distance_closed(np.roll(z, -1), z)
     best = np.array(_prefix_floors(z, step, ks, tops))
     group = np.searchsorted(tops, ks)

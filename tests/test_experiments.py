@@ -300,7 +300,7 @@ domain = unit_disc
 density = constant 1.0
 rays = 4
 ring_distances = 0.4 0.2 0.1 0.05
-compare_pairs = 0
+compare_pairs = 1
 """)
     real = E.MetricDensity.eval_array
 
@@ -310,11 +310,31 @@ compare_pairs = 0
         return real(self, z)
 
     monkeypatch.setattr(E.MetricDensity, "eval_array", unstable_near_boundary)
+    # the pair solves would meet the forced instability too; they are not
+    # the subject here
+    monkeypatch.setattr(E, "_pair_distance", lambda cfg, omega, z, w: 1.0)
     rep = E.run_qh_comparability(cfg)
     # the rings at 0.1 and 0.05 of each of the 4 rays
     assert rep.notes[0].startswith("8 ring samples dropped")
     assert rep.flags == ["kernel-instability"]
     assert sorted(rep.curves) == ["distance_ratios", "ring_0", "ring_1"]
+
+
+@pytest.mark.parametrize("line, key", [
+    ("ring_distances = 0.4", "ring_distances"),  # no inner ring pair to compare
+    ("ring_distances =", "ring_distances"),
+    ("compare_pairs = 0", "compare_pairs"),  # no distance ratio to bound
+])
+def test_qh_compare_rejects_checks_with_nothing_to_measure(monkeypatch, line, key):
+    cfg = E.parse_config_text(f"experiment = qh-compare\ndomain = unit_disc\n"
+                              f"density = hyperbolic\n{line}\n")
+
+    def no_work(cfg):
+        raise AssertionError("built a density before checking the config")
+
+    monkeypatch.setattr(E, "_build_density", no_work)
+    with pytest.raises(ConfigError, match=key):
+        E.run_qh_comparability(cfg)
 
 
 def test_qh_compare_constant_control_fails():
@@ -516,6 +536,16 @@ def test_cli_distance_density_means_modulus(tmp_path, capsys):
     assert cli.main(["means", "--config", cfg]) == 0
     capsys.readouterr()
     assert cli.main(["modulus", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("config", ["hl1_cusp50", "hl2_cusp50_p1", "yamashita_scale50"])
+@pytest.mark.parametrize("command", ["means", "modulus"])
+def test_cli_means_and_modulus_stdout_is_pinned(capsys, config, command):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = os.path.join(root, "configs", f"{config}.txt")
+    assert cli.main([command, "--config", cfg]) == 0
+    with open(os.path.join(root, "tests", "data", "cli_stdout", f"{config}_{command}.txt")) as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_cli_distance_uses_refine_sweeps(tmp_path, capsys):

@@ -199,7 +199,7 @@ def test_sup_modulus_against_all_pairs_oracle(cusp50):
     n = 256
     tr = MP.boundary_trace(cusp50, n)
     d = M.hyperbolic_distance_closed
-    dist = d(tr.values[:, None], tr.values[None, :])
+    dist = d(tr[:, None], tr[None, :])
     idx = np.arange(n)
     sep = np.abs(idx[:, None] - idx[None, :])
     sep = np.minimum(sep, n - sep)
@@ -215,11 +215,6 @@ def test_sup_modulus_against_all_pairs_oracle(cusp50):
 
 # the default ladder 2^-3 .. 2^-8 at 4096 samples, scaled to keep its shifts
 LADDER = 2.0 ** -np.arange(3, 9)
-
-
-def _trace(values):
-    n = values.size
-    return MP.BoundaryTrace(values, 2 * np.pi * np.arange(n) / n, 1.0, False)
 
 
 def _trig_trace(seed, n, radius):
@@ -270,12 +265,57 @@ def test_screened_sup_bitwise_on_catalog(n):
         assert _sups(tr, fine, hs, M.hyperbolic_sup_screen) == expected, name
 
 
+def _doubled_oracle(fine, d, p, h, screen=None):
+    """The doubled-sampling modulus along its former route: explicit shifts,
+    one screen call over them for p = inf, or each shift priced in full."""
+    if p == math.inf:
+        ks = GR._shift_set(fine.size, h, p)
+        sups = screen(fine, ks, [max(ks)]) if screen is not None else None
+        if sups is not None:
+            return max(0.0, sups[max(ks)])
+    else:
+        ks = [2 * k for k in GR._shift_set(fine.size // 2, h, p)]
+    stats = [0.0]
+    for k in ks:
+        dist = np.asarray(d(np.roll(fine, -k), fine), dtype=float)
+        if not np.all(np.isfinite(dist)):
+            raise DivergentValueError(
+                f"divergent modulus: a trace pair at {'gap' if p == math.inf else 'shift'} "
+                f"{k * (2 * np.pi / fine.size):.4g} has infinite distance "
+                f"(boundary values touch the target boundary)")
+        stats.append(float(dist.max()) if p == math.inf
+                     else float(np.mean(dist ** p) ** (1.0 / p)))
+    return max(stats)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DivergentValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_doubled_sampling_modulus_bitwise_against_shift_route(n):
+    # the doubled check of an n-sample curve, at each step of its ladder
+    hyperbolic = (M.hyperbolic_distance_closed, M.hyperbolic_sup_screen)
+    evaluators = (hyperbolic, (hyperbolic[0], None), (M.scaled_euclidean_evaluator(1.0), None))
+    for name, f in MP.catalog().items():
+        fine = MP.boundary_trace(f, 2 * n)
+        for d, screen in evaluators:
+            for p in (1.0, 2.0, math.inf):
+                for h in LADDER * (4096 / n):
+                    got = _outcome(GR.doubled_sampling_modulus, fine, d, p, h, screen=screen)
+                    want = _outcome(_doubled_oracle, fine, d, p, h, screen)
+                    assert got == want, (name, p, h, screen)
+
+
 def test_screened_sup_bitwise_on_random_traces():
     for seed in range(8):
         for radius in (0.3, 0.9, 0.98, 0.99):
             z, z2 = _trig_trace(seed, 1024, radius), _trig_trace(seed, 2048, radius)
-            assert M.hyperbolic_sup_screen(z, [1]) is not None  # screened path
-            _assert_screen_exact(_trace(z), _trace(z2), LADDER * 4)
+            assert M.hyperbolic_sup_screen(z, [1], [1]) is not None  # screened path
+            _assert_screen_exact(z, z2, LADDER * 4)
 
 
 def test_screened_sup_bitwise_on_tiny_traces():
@@ -283,20 +323,20 @@ def test_screened_sup_bitwise_on_tiny_traces():
     for seed, diameter in enumerate(10.0 ** -np.arange(6, 13)):
         centre = 0.9 * np.exp(2j * seed)
         z, z2 = (centre + diameter * _trig_trace(seed, m, 0.5) for m in (1024, 2048))
-        _assert_screen_exact(_trace(z), _trace(z2), LADDER * 4)
+        _assert_screen_exact(z, z2, LADDER * 4)
 
 
 def test_screened_sup_bitwise_with_exact_ties():
     # values rounded to a coarse grid repeat, so many pairs tie exactly
     for seed in range(4):
         z, z2 = (np.round(_trig_trace(seed, m, 0.95), 2) for m in (1024, 2048))
-        _assert_screen_exact(_trace(z), _trace(z2), LADDER * 4)
+        _assert_screen_exact(z, z2, LADDER * 4)
 
 
 def test_screen_prices_in_full_beyond_its_guard():
     z, z2 = _trig_trace(3, 1024, 0.995), _trig_trace(3, 2048, 0.995)
-    assert M.hyperbolic_sup_screen(z, range(1, 82)) is None
-    _assert_screen_exact(_trace(z), _trace(z2), LADDER * 4)
+    assert M.hyperbolic_sup_screen(z, range(1, 82), [81]) is None
+    _assert_screen_exact(z, z2, LADDER * 4)
 
 
 def _closed_form_pairs(monkeypatch):
@@ -352,7 +392,7 @@ def _bound_traces():
     for seed in range(4):
         yield f"ties {seed}", np.round(_trig_trace(seed, 1024, 0.95), 2)
     for name in ("cusp_a30", "cusp_a50", "cusp_a70", "cusp_a100"):
-        yield name, MP.boundary_trace(MP.from_name(name), 1024).values
+        yield name, MP.boundary_trace(MP.from_name(name), 1024)
 
 
 def test_sup_screen_bound_covers_every_pair():
@@ -387,17 +427,6 @@ def test_sup_screen_bound_covers_every_pair():
         assert np.all((cell_max < floor)[bound < floor]), name
 
 
-@pytest.mark.parametrize("k", [300, -3, 0])
-def test_out_of_range_shift_raises_before_pricing(monkeypatch, k):
-    tr = MP.boundary_trace(MP.from_name("cusp_a50"), 256)
-    pairs = _closed_form_pairs(monkeypatch)
-    for screen in (None, M.hyperbolic_sup_screen):
-        with pytest.raises(ValueError, match=rf"shift {k} lies outside 1\.\.255 .*n = 256"):
-            GR.mean_modulus_at_shifts(tr, M.hyperbolic_distance_closed, math.inf,
-                                      [1, k], screen=screen)
-    assert pairs == []
-
-
 def test_screened_ladder_with_an_invalid_step_raises_in_ladder_order(cusp50):
     # 2^-9 lies below the angular resolution of 1024 samples; the screened
     # curve prices and raises as the unscreened one, with the same d calls
@@ -428,13 +457,13 @@ def test_screened_ladder_with_an_invalid_step_raises_in_ladder_order(cusp50):
 
 def test_fit_exact_power_laws():
     r = np.array([0.9, 0.99, 0.999, 0.9999, 0.99999])
-    curve = GR.MeansCurve(1.0, r, (1 - r) ** -0.5)
+    curve = GR.Curve(1 - r, (1 - r) ** -0.5)
     fit = GR.fit_exponent(curve)
     assert fit.slope == pytest.approx(-0.5, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.max_residual < 1e-12
     hs = 2.0 ** -np.arange(3, 9)
-    mfit = GR.fit_exponent(GR.ModulusCurve(1.0, hs, 3.0 * hs))
+    mfit = GR.fit_exponent(GR.Curve(hs, 3.0 * hs))
     assert mfit.slope == pytest.approx(1.0, abs=1e-12)
     assert mfit.intercept == pytest.approx(math.log(3.0), abs=1e-12)
 
@@ -443,7 +472,7 @@ def test_fit_excludes_zero_values():
     hs = 2.0 ** -np.arange(2, 9)
     vals = 2.0 * hs
     vals[3] = 0.0
-    fit = GR.fit_exponent(GR.ModulusCurve(1.0, hs, vals))
+    fit = GR.fit_exponent(GR.Curve(hs, vals))
     assert fit.n_excluded == 1
     assert fit.n_points == hs.size - 1
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
@@ -451,18 +480,17 @@ def test_fit_excludes_zero_values():
 
 def test_fit_insufficient_data():
     with pytest.raises(InsufficientDataError):
-        GR.fit_exponent(GR.ModulusCurve(1.0, np.array([0.1, 0.05, 0.001]),
-                                        np.array([1.0, 2.0, 3.0])))
+        GR.fit_exponent(GR.Curve(np.array([0.1, 0.05, 0.001]), np.array([1.0, 2.0, 3.0])))
     with pytest.raises(InsufficientDataError):
         # five points but only one decade of span
-        GR.fit_exponent(GR.ModulusCurve(
-            1.0, np.geomspace(0.1, 0.01, 5), np.geomspace(1, 2, 5)))
+        GR.fit_exponent(GR.Curve(np.geomspace(0.1, 0.01, 5), np.geomspace(1, 2, 5)))
 
 
 def test_means_curve_and_modulus_curve_builders(hyp, cusp50):
     g = lambda zs: MP.weighted_derivative(cusp50, hyp, zs)
     radii = 1 - 2.0 ** -np.arange(2, 10)
     mc = GR.means_curve(g, radii, math.inf, 512)
+    assert np.array_equal(mc.abscissa, 1.0 - radii)
     assert mc.values.size == radii.size
     fit = GR.fit_exponent(mc)
     # sup means of the alpha = 1/2 cusp grow like (1-r)^(-1/2)

@@ -162,16 +162,15 @@ def test_path_upper_bound_random_triples(hyp):
 def test_boundary_trace_values():
     ident = MP.from_name("identity")
     tr = MP.boundary_trace(ident, 8, 1.0)
-    assert np.allclose(tr.values[::2], [1, 1j, -1, -1j])
-    assert tr.exact
+    assert np.allclose(tr[::2], [1, 1j, -1, -1j])
     const = MP.from_name("const_25")
     trc = MP.boundary_trace(const, 16)
-    assert np.allclose(trc.values, 0.25)
+    assert np.allclose(trc, 0.25)
     cusp = MP.boundary_trace(MP.PowerCusp(0.0, 0.25, 0.5), 16, 1.0)
-    assert cusp.values[0] == pytest.approx(0.0, abs=1e-12)
-    assert cusp.values[8] == pytest.approx(0.25 * math.sqrt(2), abs=1e-12)
+    assert cusp[0] == pytest.approx(0.0, abs=1e-12)
+    assert cusp[8] == pytest.approx(0.25 * math.sqrt(2), abs=1e-12)
     # compactly contained image: the whole trace stays strictly inside
-    assert bool(G.contains(G.unit_disc(), cusp.values).all())
+    assert bool(G.contains(G.unit_disc(), cusp).all())
 
 
 def test_boundary_trace_validation():
@@ -181,16 +180,7 @@ def test_boundary_trace_validation():
     with pytest.raises(ValueError):
         MP.boundary_trace(ident, 16, 1.5)
     approx = MP.boundary_trace(ident, 16, 1 - 1e-4)
-    assert not approx.exact
-    assert approx.radius == 1 - 1e-4
-
-
-def test_trace_export(tmp_path):
-    tr = MP.boundary_trace(MP.from_name("identity"), 16)
-    out = tmp_path / "trace.dat"
-    MP.write_trace_file(tr, out)
-    data = np.loadtxt(out)
-    assert np.array_equal(data[:, 1] + 1j * data[:, 2], tr.values)
+    assert np.allclose(approx, (1 - 1e-4) * MP.boundary_trace(ident, 16), rtol=0, atol=1e-15)
 
 
 def test_catalog_resolution(ellipse15):

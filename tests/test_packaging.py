@@ -48,3 +48,18 @@ def test_imports_are_module_level():
                           for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not local, f"imports inside functions: {sorted(set(local))}"
+
+
+def test_growth_imports_only_errors_from_metriclab():
+    # growth takes traces and distance evaluators as plain arrays and
+    # callables, so it stays independent of maps, metrics and the solver
+    path = SRC / "growth.py"
+    internal = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            internal.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "metriclab":
+            internal.add(node.module.removeprefix("metriclab").lstrip(".") or "metriclab")
+        elif isinstance(node, ast.Import):
+            internal.update(a.name for a in node.names if a.name.split(".")[0] == "metriclab")
+    assert internal == {"errors"}
