@@ -154,25 +154,46 @@ def _segment_cost(omega: MetricDensity, a, b, nodes=_GL_X8, weights=_GL_W8):
     return 0.5 * np.abs(b - a) * np.sum(vals * weights, axis=-1)
 
 
-def _line_quad(fun, a: complex, b: complex) -> float:
-    """Adaptive 12-point Gauss-Legendre estimate of int_[a,b] fun |dz|.
+def _line_quad(fun, a, b) -> np.ndarray:
+    """Adaptive 12-point Gauss-Legendre estimates of int_[a_k,b_k] fun |dz|
+    for the segments between matching entries of the endpoint arrays.
 
     Each interval is split in two until the halves agree with the whole to
     1e-12 relative (or 24 levels deep); a half is evaluated once and handed
-    down as the whole of its own split.
+    down as the whole of its own split.  The segments are refined breadth
+    first, so each bisection level of all of them is one ``fun`` call, and
+    the leaves are summed back in the depth-first recursion's order.  A
+    value of ``fun`` does not depend on its batch, so each estimate is bit
+    for bit that of its segment refined alone.
     """
+    lo = np.asarray(a, dtype=complex)
+    hi = np.asarray(b, dtype=complex)
+
     def gl(lo, hi):
-        pts = lo + _GL_T12 * (hi - lo)
-        return 0.5 * float(np.abs(hi - lo)) * float(np.sum(fun(pts) * _GL_W12))
+        pts = lo[:, None] + _GL_T12 * (hi - lo)[:, None]
+        vals = fun(pts.ravel()).reshape(pts.shape)
+        return 0.5 * np.abs(hi - lo) * np.sum(vals * _GL_W12, axis=1)
 
-    def split(lo, hi, whole, depth):
+    whole = gl(lo, hi)
+    levels = []
+    for depth in range(25):
         mid = 0.5 * (lo + hi)
-        left, right = gl(lo, mid), gl(mid, hi)
-        if abs(whole - (left + right)) <= 1e-12 * (abs(left + right) + 1e-30) or depth >= 24:
-            return left + right
-        return split(lo, mid, left, depth + 1) + split(mid, hi, right, depth + 1)
-
-    return split(a, b, gl(a, b), 0)
+        halves = gl(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = halves[:lo.size], halves[lo.size:]
+        both = left + right
+        split = ~(np.abs(whole - both) <= 1e-12 * (np.abs(both) + 1e-30)) & (depth < 24)
+        levels.append((both, split))
+        # the split intervals' halves, each left half before its right
+        lo = np.stack([lo[split], mid[split]], axis=1).ravel()
+        hi = np.stack([mid[split], hi[split]], axis=1).ravel()
+        whole = np.stack([left[split], right[split]], axis=1).ravel()
+        if not lo.size:
+            break
+    value = levels[-1][0]
+    for both, split in reversed(levels[:-1]):
+        both[split] = value[0::2] + value[1::2]
+        value = both
+    return value
 
 
 def path_length(omega: MetricDensity, path: PolylinePath) -> float:
@@ -180,8 +201,7 @@ def path_length(omega: MetricDensity, path: PolylinePath) -> float:
     v = path.vertices
     if v.size < 2:
         return 0.0
-    return float(sum(_line_quad(omega.eval_array, v[i], v[i + 1])
-                     for i in range(v.size - 1)))
+    return float(sum(_line_quad(omega.eval_array, v[:-1], v[1:]).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +485,19 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
 
 def _endpoint_admissible(omega: MetricDensity, z: complex, resolution: float) -> float:
     """The endpoint's boundary distance, once the endpoint is checked to lie
-    inside and, for a blow-up density, one resolution step clear."""
+    inside and, for a blow-up density, one resolution step clear.  A point
+    off the boundary by no more than rounding counts as a boundary point,
+    where a blow-up density's distance diverges; any other point that
+    ``contains`` rejects is outside the domain."""
     d = float(curve_distance(omega.domain, z))
-    if omega.blows_up and d < resolution:
+    inside = contains(omega.domain, z)
+    inside_or_on = inside or d <= 1e-12 * max(1.0, abs(z))
+    if omega.blows_up and d < resolution and inside_or_on:
         raise DivergentDistanceError(
             f"endpoint {z} is within one resolution step ({resolution}) of the "
             f"boundary; the weighted distance diverges for a blow-up density"
         )
-    if not contains(omega.domain, z):
+    if not inside:
         raise DomainError(f"endpoint {z} is not inside the domain")
     return d
 

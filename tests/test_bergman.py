@@ -270,8 +270,44 @@ def test_density_boundary_blowup(disc_kernel, ellipse15):
 
 
 def _one_batch_density(model, z):
-    """bergman_density as one batch: one Vandermonde for every point, the
-    derivative matrix formed in place (the oracle of the blocked form)."""
+    """bergman_density as one batch (the oracle of the blocked form): the
+    powers of zeta by doubling for every point at once, one product per
+    degree panel with [B^T | D] written into an array laid out like the
+    workspace's, and the same sums over it."""
+    zz = np.asarray(z, dtype=complex)
+    p, n, k = zz.size, model.degree + 1, B._DENSITY_PANELS
+    w = -(-n // k)
+    V = np.empty((p, n), dtype=complex, order="F")
+    V[:, 0] = 1.0
+    V[:, 1] = zz.ravel() - model.center
+    V[:, 1] /= model.scale
+    s = 2
+    while s < n:
+        e = min(2 * s - 1, n)
+        # written in place: a product into a fresh array may round otherwise
+        np.multiply(V[:, 1:e - s + 1], V[:, s - 1:s], out=V[:, s:e])
+        s = e
+    bt = np.zeros((n, k * w), dtype=complex)
+    bt[:, :n] = model.coefficients.T
+    d = np.zeros_like(bt)
+    for m in range(n - 1):
+        d[m] = (m + 1) * bt[m + 1] / model.scale
+    out = np.empty((p, k, 2, w), dtype=complex)
+    for j in range(k):
+        hi = min((j + 1) * w, n)
+        cols = slice(j * w, (j + 1) * w)
+        out[:, j] = (V[:, :hi] @ np.hstack([bt[:hi, cols], d[:hi, cols]])).reshape(p, 2, w)
+    flat = out.view(float)
+    A = np.einsum("ikj,ikj->i", flat[:, :, 0], flat[:, :, 0])
+    Azz = np.einsum("ikj,ikj->i", flat[:, :, 1], flat[:, :, 1])
+    Az = np.vecdot(out[:, :, 0], out[:, :, 1]).sum(axis=1)
+    rho = np.sqrt((A * Azz - (Az * np.conj(Az)).real) / (A * A))
+    return rho.reshape(zz.shape)
+
+
+def _two_product_density(model, z):
+    """The density by two full products with the Vandermonde and its
+    derivative matrix (the formula before the stacked panels)."""
     zz = np.asarray(z, dtype=complex)
     n = model.degree + 1
     V = np.vander(model._zeta(zz).ravel(), n, increasing=True)
@@ -280,11 +316,10 @@ def _one_batch_density(model, z):
     V[:, 0] = 0.0
     dphi = V @ model.coefficients.T
     dphi /= model.scale
-    phi, dphi = phi.reshape(zz.shape + (n,)), dphi.reshape(zz.shape + (n,))
     A = np.einsum("...j,...j->...", phi, np.conj(phi)).real
     Az = np.einsum("...j,...j->...", dphi, np.conj(phi))
     Azz = np.einsum("...j,...j->...", dphi, np.conj(dphi)).real
-    return np.sqrt((A * Azz - (Az * np.conj(Az)).real) / (A * A))
+    return np.sqrt((A * Azz - (Az * np.conj(Az)).real) / (A * A)).reshape(zz.shape)
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +379,50 @@ def test_density_peak_memory_is_bounded(ellipse15_kernel16):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+@pytest.fixture(scope="module")
+def ellipse15_kernel48(ellipse15):
+    return B.fit_kernel_model(ellipse15, degree=48, resolution=0.015)
+
+
+def test_panel_density_matches_the_two_product_formula(ellipse15, ellipse15_kernel48):
+    # the stacked panels and the doubled powers change only the rounding:
+    # 2,000 points at least 0.01 from the boundary, degree 48
+    model = ellipse15_kernel48
+    rng = np.random.default_rng(67)
+    z = rng.uniform(-1.5, 1.5, 6000) + 1j * rng.uniform(-1, 1, 6000)
+    z = z[G.contains(ellipse15, z) & (G.curve_distance(ellipse15, z) >= 0.01)][:2000]
+    assert z.size == 2000
+    rho = B.bergman_density(model, z)
+    assert np.max(np.abs(rho / _two_product_density(model, z) - 1)) < 1e-7
+
+
+def test_density_block_allocates_no_block_arrays(monkeypatch, ellipse15_kernel48):
+    # one 512 x 49 complex block array is 401 KB; after the first call the
+    # powers, products and conjugates live in the model's workspace
+    built = []
+    make = B._density_workspace
+    monkeypatch.setattr(B, "_density_workspace", lambda m: built.append(m) or make(m))
+    model = dataclasses.replace(ellipse15_kernel48)
+    z = _ellipse_points(2 * B._DENSITY_BLOCK + 1, 73)
+    B.bergman_density(model, z[:B._DENSITY_BLOCK])
+    workspace = model._workspace
+    tracemalloc.start()
+    try:
+        B.bergman_density(model, z[:B._DENSITY_BLOCK])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10
+    for zs in (z[0], z[:12], z):
+        B.bergman_density(model, zs)
+    assert model._workspace is workspace and built == [model]
+    # a copy of the model builds its own
+    other = dataclasses.replace(model)
+    assert other._workspace is None
+    B.bergman_density(other, z[:3])
+    assert len(built) == 2 and other._workspace is not workspace
 
 
 def _chebyshev_u_kernel(a, b, degree, z):
@@ -492,6 +571,5 @@ def test_load_kernel_checks_the_domain_line(tmp_path, disc, ellipse15, disc_kern
     assert B.load_kernel(stored, domain=ellipse15).degree == 72
 
 
-def test_ellipse_kernel_defect_within_tolerance(ellipse15):
-    model = B.fit_kernel_model(ellipse15, degree=48, resolution=0.015)
-    assert model.orthonormality_defect < 1e-8
+def test_ellipse_kernel_defect_within_tolerance(ellipse15_kernel48):
+    assert ellipse15_kernel48.orthonormality_defect < 1e-8

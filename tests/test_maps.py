@@ -124,7 +124,8 @@ def _path_upper_bound_check(f, omega, z, w, resolution=0.01):
     if z == w:
         return 0.0, 0.0
     lhs = M.weighted_distance(omega, complex(f(z)), complex(f(w)), resolution).distance
-    rhs = M._line_quad(lambda pts: MP.weighted_derivative(f, omega, pts), z, w)
+    rhs = float(M._line_quad(lambda pts: MP.weighted_derivative(f, omega, pts),
+                             np.array([z]), np.array([w]))[0])
     return lhs, rhs
 
 

@@ -89,6 +89,56 @@ def test_invalid_path_rejected(disc):
     M.PolylinePath(lshape, np.array([1.5 + 0.5j, 0.5 + 1.2j]))  # passes below it
 
 
+def _recursive_line_quad(fun, a, b):
+    """The depth-first adaptive quadrature of one segment: each half
+    refined in turn, one ``fun`` call per 12-node interval."""
+    def gl(lo, hi):
+        pts = lo + M._GL_T12 * (hi - lo)
+        return 0.5 * float(np.abs(hi - lo)) * float(np.sum(fun(pts) * M._GL_W12))
+
+    def split(lo, hi, whole, depth):
+        mid = 0.5 * (lo + hi)
+        left, right = gl(lo, mid), gl(mid, hi)
+        if abs(whole - (left + right)) <= 1e-12 * (abs(left + right) + 1e-30) or depth >= 24:
+            return left + right
+        return split(lo, mid, left, depth + 1) + split(mid, hi, right, depth + 1)
+
+    return split(a, b, gl(a, b), 0)
+
+
+def test_path_length_matches_the_recursive_quadrature(monkeypatch, hyp, ellipse15,
+                                                      disc_kernel_coarse):
+    lshape = G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
+    cases = [
+        hyp,
+        M.quasihyperbolic_density(ellipse15),
+        M.quasihyperbolic_density(lshape),
+        M.constant_density(lshape, 1.5),
+        M.bergman_metric_density(disc_kernel_coarse),
+    ]
+    for seed, omega in enumerate(cases):
+        for z, w in _seeded_pairs(omega.domain, 2, 70 + seed):
+            # a certificate path of the solver
+            path = M.weighted_distance(omega, z, w, 0.05, max_sweeps=2).path
+            v = path.vertices
+            want = sum(_recursive_line_quad(omega.eval_array, v[i], v[i + 1])
+                       for i in range(v.size - 1))
+            batches = _count_points(monkeypatch, omega)
+            assert M.path_length(omega, path) == want, (omega.kind, z, w)
+            assert len(batches) <= 26
+            monkeypatch.undo()
+    # a density with a jump: the segment across it splits down to the
+    # depth cap, so the path takes all 25 bisection levels in 26 calls
+    const = M.constant_density(lshape, 1.0)
+    monkeypatch.setattr(const, "eval_array", lambda z: np.where(np.real(z) < 0.7, 1.0, 2.0))
+    path = M.PolylinePath(lshape, np.array([0.2 + 0.5j, 1.5 + 0.5j, 1.7 + 0.3j, 0.5 + 0.2j]))
+    v = path.vertices
+    want = sum(_recursive_line_quad(const.eval_array, v[i], v[i + 1]) for i in range(v.size - 1))
+    batches = _count_points(monkeypatch, const)
+    assert M.path_length(const, path) == want
+    assert len(batches) == 26
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -194,6 +244,28 @@ def test_weighted_distance_divergent_near_boundary(hyp, disc):
 def test_weighted_distance_outside_domain(hyp):
     with pytest.raises(DomainError):
         M.weighted_distance(hyp, 1.5, 0.0, 0.01)
+
+
+def test_endpoint_just_outside_is_outside_not_divergent(hyp, disc, ellipse15):
+    # closer to the boundary than one resolution step, but outside
+    for z, w in ((1.01, 0.2), (0.2, 1.01), (0.3, -1.0001j)):
+        with pytest.raises(DomainError, match="not inside the domain"):
+            M.weighted_distance(hyp, z, w, 0.05)
+    with pytest.raises(DomainError, match="not inside the domain"):
+        M.weighted_distance(M.quasihyperbolic_density(ellipse15), 1.51, 0.0, 0.05)
+    # a boundary point, exactly or off it by rounding, stays divergent
+    rounded = np.exp(0.7j) * (1 + 2.0 ** -52)
+    assert not G.contains(disc, rounded)
+    for z in (1.0, 1j, rounded):
+        with pytest.raises(DivergentDistanceError):
+            M.weighted_distance(hyp, z, 0.2, 0.05)
+    # and a constant density has no divergence: its boundary point is outside
+    with pytest.raises(DomainError):
+        M.weighted_distance(M.constant_density(disc, 1.0), 1.0, 0.2, 0.05)
+    # the evaluator raises on an outside point, not reading it as inf
+    d = M.geodesic_evaluator(hyp, 0.05, max_sweeps=4)
+    with pytest.raises(DomainError):
+        d(np.array([0.0, 1.01]), np.array([0.3, 0.2]))
 
 
 def test_weighted_distance_resolution_too_coarse(disc):
