@@ -371,14 +371,16 @@ def save_kernel(model: KernelModel, path) -> None:
 
 
 def load_kernel(path, domain: DomainSpec | None = None) -> KernelModel:
-    """Read a model written by :func:`save_kernel`.  A malformed or truncated
-    file, or one fitted on another domain than ``domain``, raises ValueError
-    naming the path and the line."""
+    """Read a model written by :func:`save_kernel`.  A malformed, truncated
+    or overlong file, one of a format other than 1, or one fitted on another
+    domain than ``domain`` raises ValueError naming the path and the line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     magic = lines[0].split() if lines else []
     if not magic or magic[0] != "metriclab-kernel":
         raise ValueError(f"{path}, line 1: not a kernel model file")
+    if magic[1:] != ["1"]:
+        raise ValueError(f"{path}, line 1: kernel file format {' '.join(magic[1:])!r}, not 1")
 
     def line(i: int, key: str | None, count: int | None = None, kind=float) -> list:
         toks = lines[i].split() if i < len(lines) else []
@@ -405,6 +407,8 @@ def load_kernel(path, domain: DomainSpec | None = None) -> KernelModel:
     (defect,) = line(6, "orthonormality_defect", 1)
     n = degree + 1
     rows = np.array([line(i, None, 2 * n) for i in range(7, 7 + n)])
+    if len(lines) > 7 + n:
+        raise ValueError(f"{path}, line {8 + n}: unexpected line after the last coefficient row")
     return KernelModel(
         degree=degree, coefficients=rows.view(complex),
         center=complex(cx, cy), scale=scale,

@@ -637,11 +637,9 @@ def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
                          lo=float(vals.min()) if vals.size else math.nan,
                          hi=float(vals.max()) if vals.size else math.nan,
                          cap=cap))
-    inner_worst = 1.0
-    for i in range(cfg.rays):
-        pair = ratios[i, -2:]
-        if np.all(np.isfinite(pair)):
-            inner_worst = min(inner_worst, float(pair.min() / pair.max()))
+    # a ray counts when it measured both innermost rings; with none, nothing agreed
+    inner = ratios[np.all(finite[:, -2:], axis=1), -2:]
+    inner_worst = float((inner.min(axis=1) / inner.max(axis=1)).min()) if inner.size else math.nan
     checks.append(_check("innermost_rings_agree", inner_worst >= 0.75,
                          worst_agreement=inner_worst, required=0.75))
     values["worst_inner_ring_agreement"] = float(inner_worst)

@@ -383,6 +383,8 @@ _NEIGHBOR_OFFSETS = np.array([
     (1, 0), (0, 1), (1, 1), (1, -1),
     (2, 1), (1, 2), (2, -1), (1, -2),
 ])
+# the most nodes :meth:`_GridGraph.nearby_ids` returns, from its 5 x 5 cells
+_NEARBY_MAX = 25
 
 
 @dataclass
@@ -392,9 +394,7 @@ class _GridGraph:
     i0: int
     j0: int
     h: float
-    rows: np.ndarray             # both directions of every lattice edge,
-    cols: np.ndarray             # sorted row-major
-    vals: np.ndarray
+    edges: csr_matrix            # (n + 1)-square: lattice edges in rows < n, z in row n
     xmin: float
     ymin: float
 
@@ -445,10 +445,7 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
     ys = ymin + (np.arange(j0, j1 + 1) + 0.5) * h
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     P = X + 1j * Y
-    mask = contains(domain, P.ravel()).reshape(P.shape)
-    margin = h if omega.blows_up else h / 8.0
-    dist = curve_distance(domain, P.ravel()).reshape(P.shape)
-    mask &= dist >= margin
+    mask = clear_of_boundary(domain, P, h if omega.blows_up else h / 8.0)
 
     ids = np.full(P.shape, -1, dtype=int)
     ids[mask] = np.arange(int(mask.sum()))
@@ -456,8 +453,7 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
     if nodes.size == 0:
         raise ResolutionTooCoarseError("no admissible grid node in the search window")
 
-    # pad[2 + i + di, 2 + j + dj] is the node at offset (di, dj) from cell
-    # (i, j), -1 off the window; the edges of each offset stay row-major
+    # pad[2 + i + di, 2 + j + dj] is cell (i, j)'s neighbour at (di, dj), -1 off the window
     ni, nj = ids.shape
     pad = np.pad(ids, 2, constant_values=-1)
     rows, cols, vals = [], [], []
@@ -469,14 +465,16 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
         rows.append(s)
         cols.append(d)
         vals.append(_segment_cost(omega, nodes[s], nodes[d], _GL_X6, _GL_W6))
-    r = np.concatenate(rows + cols)
-    c = np.concatenate(cols + rows)
-    order = np.lexsort((c, r))
-    graph = _GridGraph(
-        nodes=nodes, ids=ids, i0=i0, j0=j0, h=h,
-        rows=r[order], cols=c[order], vals=np.concatenate(vals + vals)[order],
-        xmin=xmin, ymin=ymin,
-    )
+    # row n, the query's source, starts empty; its room for the connectors is
+    # appended after construction, which trims the arrays to the stored entries
+    n = nodes.size
+    edges = csr_matrix((np.concatenate(vals + vals),
+                        (np.concatenate(rows + cols), np.concatenate(cols + rows))),
+                       shape=(n + 1, n + 1))
+    edges.data = np.append(edges.data, np.zeros(_NEARBY_MAX))
+    edges.indices = np.append(edges.indices, np.zeros(_NEARBY_MAX, edges.indices.dtype))
+    graph = _GridGraph(nodes=nodes, ids=ids, i0=i0, j0=j0, h=h, edges=edges,
+                       xmin=xmin, ymin=ymin)
     if len(omega._graphs) >= 8:   # oldest first out
         omega._graphs.pop(next(iter(omega._graphs)))
     omega._graphs[key] = graph
@@ -513,43 +511,43 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex,
                   min(z.imag, w.imag) - pad, max(z.imag, w.imag) + pad)
     graph = _build_graph(omega, resolution, window)
 
-    # edges from the endpoints (vertices n and n + 1) to their connectors,
-    # and the direct edge; each goes in both directions
+    # z is the source row n of the graph's matrix; w is reached after the
+    # search, through its connectors or the direct edge
     n = graph.nodes.size
-    rows, cols, vals = [], [], []
-    for j, p in enumerate((z, w)):
+    conn = []
+    for p in (z, w):
         idx = graph.nearby_ids(p)
         if idx.size == 0:
             raise ResolutionTooCoarseError(
                 f"no grid node within reach of endpoint {p} at resolution {resolution}")
-        cols.append(idx[_segment_inside(domain, np.full(idx.shape, p), graph.nodes[idx], 0.0)])
-        rows.append(np.full(cols[-1].size, n + j))
-    if cols[0].size == 0 or cols[1].size == 0:
+        conn.append(idx[_segment_inside(domain, np.full(idx.shape, p), graph.nodes[idx], 0.0)])
+    cz, cw = conn
+    if cz.size == 0 or cw.size == 0:
         raise ResolutionTooCoarseError(
             f"endpoint connectors leave the domain at resolution {resolution}")
-    for p, c in zip((z, w), cols):
-        vals.append(_segment_cost(omega, np.full(c.shape, p), graph.nodes[c], _GL_X6, _GL_W6))
-    if _segment_inside(domain, np.array([z]), np.array([w]), 0.0)[0]:
-        rows.append(np.array([n]))
-        cols.append(np.array([n + 1]))
-        vals.append(np.array([float(_segment_cost(omega, z, w, _GL_X6, _GL_W6))]))
-
-    # rows stay sorted: columns n and n + 1 follow a node's lattice edges
-    full = csr_matrix(
-        (np.concatenate([graph.vals] + vals + vals),
-         (np.concatenate([graph.rows] + rows + cols), np.concatenate([graph.cols] + cols + rows))),
-        shape=(n + 2, n + 2),
-    )
-    dist, pred = dijkstra(full, indices=n, return_predecessors=True)
-    if not np.isfinite(dist[n + 1]):
+    cost_z, cost_w = (_segment_cost(omega, np.full(c.shape, p), graph.nodes[c], _GL_X6, _GL_W6)
+                      for p, c in ((z, cz), (w, cw)))
+    inside = _segment_inside(domain, np.array([z]), np.array([w]), 0.0)[0]
+    direct = float(_segment_cost(omega, z, w, _GL_X6, _GL_W6)) if inside else math.inf
+    edges, start = graph.edges, graph.edges.indptr[n]
+    edges.indices[start:start + cz.size] = cz
+    edges.data[start:start + cz.size] = cost_z
+    edges.indptr[n + 1] = start + cz.size
+    dist, pred = dijkstra(edges, indices=n, return_predecessors=True)
+    # the cheapest reach of w; on a tie the connector the search settled
+    # first, and the direct edge, relaxed as z is settled, before any
+    reach = dist[cw] + cost_w
+    best = np.lexsort((dist[cw], reach))[0]
+    if math.isinf(min(direct, reach[best])):
         raise ResolutionTooCoarseError(
             f"grid graph at resolution {resolution} does not connect the endpoints")
-    chain = [n + 1]
+    if direct <= reach[best]:
+        return np.array([z, w]), direct
+    chain = [int(cw[best])]
     while chain[-1] != n:
         chain.append(int(pred[chain[-1]]))
-    chain.reverse()
-    pts = np.array([z] + [graph.nodes[i] for i in chain[1:-1]] + [w], dtype=complex)
-    return pts, float(dist[n + 1])
+    pts = np.array([z, *graph.nodes[chain[-2::-1]], w], dtype=complex)
+    return pts, float(reach[best])
 
 
 def _shortcut(omega: MetricDensity, pts: np.ndarray, margin: float) -> np.ndarray:

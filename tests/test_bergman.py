@@ -553,6 +553,23 @@ def test_load_kernel_bad_magic_and_malformed_number(tmp_path, disc_kernel_coarse
             B.load_kernel(path)
 
 
+def test_load_kernel_rejects_other_formats_and_trailing_lines(tmp_path, disc_kernel_coarse):
+    path = tmp_path / "model.txt"
+    B.save_kernel(disc_kernel_coarse, path)
+    text = path.read_text()
+    for head, shown in (("metriclab-kernel 2", "'2'"), ("metriclab-kernel", "''")):
+        path.write_text(text.replace("metriclab-kernel 1", head, 1))
+        with pytest.raises(ValueError,
+                           match=rf"model\.txt, line 1: kernel file format {shown}, not 1"):
+            B.load_kernel(path)
+    # the line after row N, the last coefficient row
+    last = 7 + disc_kernel_coarse.degree + 1
+    for extra in ("0.5 0.5\n", "\n"):
+        path.write_text(text + extra)
+        with pytest.raises(ValueError, match=rf"model\.txt, line {last + 1}: unexpected line"):
+            B.load_kernel(path)
+
+
 def test_load_kernel_checks_the_domain_line(tmp_path, disc, ellipse15, disc_kernel_coarse):
     path = tmp_path / "model.txt"
     B.save_kernel(disc_kernel_coarse, path)

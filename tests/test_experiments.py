@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from metriclab import bergman as B
 from metriclab import cli
 from metriclab import experiments as E
 from metriclab import geometry as G
@@ -318,6 +319,27 @@ compare_pairs = 1
     assert rep.notes[0].startswith("8 ring samples dropped")
     assert rep.flags == ["kernel-instability"]
     assert sorted(rep.curves) == ["distance_ratios", "ring_0", "ring_1"]
+    # no ray measured both innermost rings, so they cannot pass as agreeing
+    (inner,) = [c for c in rep.checks if c["name"] == "innermost_rings_agree"]
+    assert not inner["passed"] and math.isnan(inner["worst_agreement"])
+    assert math.isnan(rep.values["worst_inner_ring_agreement"])
+
+
+def test_build_density_uses_the_cached_kernel_without_a_refit(monkeypatch):
+    # the nt-pairs benchmark loads its stored kernel into this cache, under
+    # this key, in set-up; a run that refits instead fails its check
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    cfg = E.parse_config_file(os.path.join(root, "configs", "nt_bounds_ellipse.txt"))
+    model = B.load_kernel(os.path.join(root, "perfbench", "ellipse_1.5x1_deg72_h0.01.kernel"),
+                          cfg.domain)
+    monkeypatch.setitem(E._KERNEL_CACHE,
+                        (cfg.domain.grid_key(), cfg.kernel_degree, cfg.kernel_resolution), model)
+
+    def refit(*args, **kwargs):
+        raise AssertionError("refitted a cached kernel")
+
+    monkeypatch.setattr(E, "fit_kernel_model", refit)
+    assert E._build_density(cfg).model is model
 
 
 @pytest.mark.parametrize("line, key", [

@@ -1,13 +1,17 @@
 import gc
 import math
+import os
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from metriclab import geometry as G
 from metriclab import metrics as M
+from metriclab.bergman import load_kernel
 from metriclab.errors import (
     DivergentDistanceError,
     DomainError,
@@ -420,58 +424,109 @@ def test_graph_edges_match_the_four_branch_slicing(dom, window, shape):
     graph = M._build_graph(omega, 0.1, window)
     assert graph.ids.shape == shape
     n = graph.nodes.size
-    # one row-major list, both directions of each edge, no edge twice
-    assert np.all(np.diff(graph.rows * n + graph.cols) > 0)
+    edges = graph.edges
+    assert edges.shape == (n + 1, n + 1)
+    # rows 0..n-1 are the canonical lattice matrix: sorted rows, both
+    # directions of each edge, no edge twice
     want = csr_matrix(_four_branch_edges(omega, graph), shape=(n, n))
-    got = csr_matrix((graph.vals, (graph.rows, graph.cols)), shape=(n, n))
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, attr), getattr(want, attr))
-    # the cached list is the canonical matrix's own COO form
-    m = want.tocoo()
-    assert np.array_equal(graph.rows, m.row)
-    assert np.array_equal(graph.cols, m.col)
-    assert np.array_equal(graph.vals, m.data)
+    assert want.has_canonical_format
+    nnz = want.nnz
+    assert np.array_equal(edges.indptr[:n + 1], want.indptr)
+    assert np.array_equal(edges.indices[:nnz], want.indices)
+    assert np.array_equal(edges.data[:nnz], want.data)
+    # row n, a query's source, starts empty with room for every connector
+    assert edges.indptr[n + 1] == nnz
+    assert edges.indices.size == edges.data.size == nnz + M._NEARBY_MAX
 
 
-@pytest.mark.parametrize("dom, z, w", [
-    (G.ellipse(1.5, 1), -0.9 + 0.2j, 0.7 - 0.4j),
-    (_LSHAPE, 0.3 + 1.6j, 1.7 + 0.4j),
-])
-def test_query_csr_matches_the_coo_route(monkeypatch, dom, z, w):
-    omega = M.quasihyperbolic_density(dom)
-    seen = []
-    real_dijkstra = M.dijkstra
-
-    def capture(matrix, **kwargs):
-        seen.append(matrix)
-        return real_dijkstra(matrix, **kwargs)
-
-    monkeypatch.setattr(M, "dijkstra", capture)
-    M._graph_path(omega, z, w, 0.1, full_window=True)
-    graph = M._build_graph(omega, 0.1, dom.bounding_box)
+def _n_plus_2_graph_path(omega, z, w, resolution, full_window=False):
+    """The search the solver ran while its graph was an edge list: z and w
+    are nodes n and n + 1, every endpoint edge and the direct edge go both
+    ways, and each query converts its own (n + 2)-node COO list to CSR."""
+    domain = omega.domain
+    if full_window:
+        window = domain.bounding_box
+    else:
+        pad = max(3.0 * abs(z - w), 4.0 * resolution)
+        window = (min(z.real, w.real) - pad, max(z.real, w.real) + pad,
+                  min(z.imag, w.imag) - pad, max(z.imag, w.imag) + pad)
+    graph = M._build_graph(omega, resolution, window)
     n = graph.nodes.size
-    # the endpoint edges and the direct edge, appended to the COO form of
-    # the graph's canonical CSR matrix
-    m = csr_matrix(_four_branch_edges(omega, graph), shape=(n, n)).tocoo()
-    rows, cols, vals = [m.row], [m.col], [m.data]
+    lattice = graph.edges[:n, :n].tocoo()
+    rows, cols, vals = [lattice.row], [lattice.col], [lattice.data]
     for j, p in enumerate((z, w)):
         idx = graph.nearby_ids(p)
-        c = idx[M._segment_inside(dom, np.full(idx.shape, p), graph.nodes[idx], 0.0)]
+        c = idx[M._segment_inside(domain, np.full(idx.shape, p), graph.nodes[idx], 0.0)]
         cost = M._segment_cost(omega, np.full(c.shape, p), graph.nodes[c], M._GL_X6, M._GL_W6)
         rows += [np.full(c.size, n + j), c]
         cols += [c, np.full(c.size, n + j)]
         vals += [cost, cost]
-    if M._segment_inside(dom, np.array([z]), np.array([w]), 0.0)[0]:
+    if M._segment_inside(domain, np.array([z]), np.array([w]), 0.0)[0]:
         cost = float(M._segment_cost(omega, z, w, M._GL_X6, M._GL_W6))
         rows += [[n], [n + 1]]
         cols += [[n + 1], [n]]
         vals += [[cost], [cost]]
-    want = csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    full = csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n + 2, n + 2))
-    (full,) = seen
-    assert full.has_sorted_indices
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(full, attr), getattr(want, attr))
+    dist, pred = dijkstra(full, indices=n, return_predecessors=True)
+    chain = [n + 1]
+    while chain[-1] != n:
+        chain.append(int(pred[chain[-1]]))
+    pts = np.array([z, *graph.nodes[chain[-2:0:-1]], w], dtype=complex)
+    return pts, float(dist[n + 1])
+
+
+def _graph_path_cases():
+    """(density, resolution, full_window, pairs) covering each domain kind
+    and density kind, windowed and full-window."""
+    disc = G.unit_disc()
+    qh_disc = M.quasihyperbolic_density(disc)
+    # exact ties along the diagonal of the quasihyperbolic disc
+    diagonal = [(0.2 + 0.2j, -0.2 - 0.2j)]
+    # endpoints closer than a lattice cell: the direct edge is the search's path
+    close = [(0.1 + 0.1j, 0.12 + 0.11j)]
+    cases = [(qh_disc, h, full, diagonal) for h in (0.05, 0.04, 0.02) for full in (False, True)]
+    cases += [(qh_disc, 0.05, False, close)]
+    for omega, h in ((M.hyperbolic_density(), 0.05), (qh_disc, 0.04),
+                     (M.constant_density(disc, 1.0), 0.05),
+                     (M.quasihyperbolic_density(G.ellipse(1.5, 1)), 0.05),
+                     (M.quasihyperbolic_density(_LSHAPE), 0.05),
+                     (M.constant_density(_LSHAPE, 1.0), 0.05)):
+        for full in (False, True):
+            cases.append((omega, h, full, _seeded_pairs(omega.domain, 4, 40 + len(cases))))
+    return cases
+
+
+def test_graph_path_matches_the_n_plus_2_node_search():
+    direct = routed = 0
+    for omega, h, full, pairs in _graph_path_cases():
+        for z, w in pairs:
+            want = _n_plus_2_graph_path(omega, z, w, h, full)
+            got = M._graph_path(omega, z, w, h, full)
+            assert np.array_equal(got[0], want[0]), (omega.kind, omega.domain.kind, h, full, z, w)
+            assert got[1] == want[1]
+            direct += got[0].size == 2
+            routed += got[0].size > 2
+    assert direct and routed
+
+
+def test_warm_full_window_query_allocates_no_graph_sized_array(ellipse15):
+    # nt-bounds' graph (7,228 nodes) under the stored degree-72 kernel, which
+    # needs no fit.  A query writes z's connectors into the cached matrix's
+    # spare row; a per-query copy of the graph's edges peaked at 4.9 MB.
+    # (The ellipse's quasihyperbolic density would not do: its boundary
+    # distance scan allocates about 590 KB to price 25 connectors.)
+    stored = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "ellipse_1.5x1_deg72_h0.01.kernel")
+    omega = M.bergman_metric_density(load_kernel(stored, ellipse15))
+    M._graph_path(omega, -0.9 + 0.2j, 0.7 - 0.4j, 0.025, full_window=True)
+    tracemalloc.start()
+    try:
+        M._graph_path(omega, -0.3 - 0.6j, 1.1 + 0.3j, 0.025, full_window=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10
 
 
 def test_nearby_ids_match_a_cell_scan(disc):
