@@ -510,6 +510,47 @@ def test_graph_path_matches_the_n_plus_2_node_search():
     assert direct and routed
 
 
+@pytest.mark.parametrize("dom, z, w", [
+    (G.ellipse(1.5, 1), -0.9 + 0.2j, 0.7 - 0.4j),
+    (_LSHAPE, 0.3 + 1.6j, 1.7 + 0.4j),
+])
+def test_query_csr_matches_the_coo_route(monkeypatch, dom, z, w):
+    omega = M.quasihyperbolic_density(dom)
+    seen = []
+    real_dijkstra = M.dijkstra
+
+    def capture(matrix, **kwargs):
+        # row n is rewritten by the next query: keep the arrays as searched
+        seen.append((matrix, matrix.indptr.copy(), matrix.indices.copy(), matrix.data.copy()))
+        return real_dijkstra(matrix, **kwargs)
+
+    monkeypatch.setattr(M, "dijkstra", capture)
+    got = M._graph_path(omega, z, w, 0.1, full_window=True)
+    graph = M._build_graph(omega, 0.1, dom.bounding_box)
+    n = graph.nodes.size
+    ((full, indptr, indices, data),) = seen
+    # the search runs on the graph's cached matrix, not a per-query copy
+    assert full is graph.edges
+    assert full.shape == (n + 1, n + 1)
+    # rows 0..n-1: the canonical lattice matrix
+    want = csr_matrix(_four_branch_edges(omega, graph), shape=(n, n))
+    nnz = want.nnz
+    assert np.array_equal(indptr[:n + 1], want.indptr)
+    assert np.array_equal(indices[:nnz], want.indices)
+    assert np.array_equal(data[:nnz], want.data)
+    # row n: z's connectors and their costs, and nothing of w
+    idx = graph.nearby_ids(z)
+    c = idx[M._segment_inside(dom, np.full(idx.shape, z), graph.nodes[idx], 0.0)]
+    cost = M._segment_cost(omega, np.full(c.shape, z), graph.nodes[c], M._GL_X6, M._GL_W6)
+    assert indptr[n + 1] == nnz + c.size
+    assert np.array_equal(indices[nnz:nnz + c.size], c)
+    assert np.array_equal(data[nnz:nnz + c.size], cost)
+    # the path and its cost are those of the (n + 2)-node COO route
+    want_pts, want_cost = _n_plus_2_graph_path(omega, z, w, 0.1, full_window=True)
+    assert np.array_equal(got[0], want_pts)
+    assert got[1] == want_cost
+
+
 def test_warm_full_window_query_allocates_no_graph_sized_array(ellipse15):
     # nt-bounds' graph (7,228 nodes) under the stored degree-72 kernel, which
     # needs no fit.  A query writes z's connectors into the cached matrix's
