@@ -3,9 +3,10 @@
 The kernel is built by orthonormalizing monomials against the discrete area
 inner product of a quadrature grid.  With V the Vandermonde matrix of the
 nodes and W the diagonal of weights, the weighted Vandermonde W^{1/2} V is
-factorized by a chunked (stacked) QR, W^{1/2} V = Q R, and the basis is
-phi_j = sum_k B_{jk} zeta^k with B = R^{-H}; the Gram matrix V^H W V is
-never formed.  Then
+factorized by a stacked QR, W^{1/2} V = Q R, which merges one node block at
+a time into the triangle R (LAPACK's triangular-pentagonal ``ztpqrt``), and
+the basis is phi_j = sum_k B_{jk} zeta^k with B = R^{-H}; neither Q nor the
+Gram matrix V^H W V is ever formed.  Then
 
     K(z, w)  = sum_j phi_j(z) conj(phi_j(w))
     rho(z)^2 = d^2/(dz dzbar) log K(z, z)
@@ -24,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import ztpqrt
 
 from .errors import DomainError, FactorizationError, KernelInstabilityError
 from .geometry import (
@@ -36,16 +38,23 @@ from .geometry import (
     gauss_quadrature_grid,
 )
 
-# grid nodes per block of the kernel fit.  A QR input [R; W^{1/2} V_block]
-# of degree 72 is (4096 + 73) x 73 complex, 4.9 MB, which stays in cache
-# while each Householder reflector sweeps it; 65,536-row panels (75 MB)
-# made the QR and the overlap passes stream memory.  In interleaved
-# degree-72 ellipse fits on a 2-core Xeon (2 MB L2) one BLAS thread runs
-# 1,024-row blocks about 5% faster (median 8.9 against 9.3 CPU s), but two
-# OpenBLAS threads run their small gemm and zherk calls 4-11 times slower,
-# so such a fit takes 28-33 s wall against 14 s for 4,096 rows and 15 s
-# for 65,536; 2,048 and 8,192 rows are slower than 4,096 either way.
+# grid nodes per block of the kernel fit, in the stacked QR and in every
+# grid_overlap pass.  A degree-72 block of W^{1/2} V is 4096 x 73 complex,
+# 4.8 MB, which stays in cache while ztpqrt merges it into R; 65,536-row
+# panels (75 MB) made the fit stream memory.  Interleaved degree-72 fits
+# of the 1.5 x 1 ellipse at h = 0.01 (834,380 nodes) on a 2-core Xeon with
+# 2 MB L2: with one BLAS thread the orthonormalization took a median of
+# 4.27, 4.20, 4.53 and 5.47 CPU s for 1,024, 2,048, 4,096 and 8,192 rows,
+# but with two OpenBLAS threads, whose threading of the small gemm and
+# zherk calls costs more than it saves, 20.5, 11.0 and 6.6 s wall for
+# 1,024, 2,048 and 4,096 rows.  The whole fit with its grid build, 4,096
+# rows, took 4.2-4.8 CPU s with one thread and 6.8-6.9 s wall with two,
+# where the stacked geqrf of [R; W^{1/2} V_block] took 6.6-7.1 and 8.4-9.1.
 _NODE_CHUNK = 4096
+# column block of ztpqrt's compact WY updates.  The degree-72 QR pass above
+# in 4,096-row blocks took a median of 1.8 CPU s for 8 columns, 1.7-1.8 for
+# 12 to 24, 2.1 for 32 and 4.9 for all 73 (the stacked geqrf: 3.6 s)
+_TPQRT_BLOCK = 16
 # points per block of a density evaluation: keeps its N x (degree+1)
 # temporaries cache-sized
 _DENSITY_BLOCK = 512
@@ -248,18 +257,21 @@ def _weighted_vander(zeta: np.ndarray, sw: np.ndarray, out: np.ndarray) -> np.nd
 def _stacked_r(zeta: np.ndarray, sw: np.ndarray, n: int) -> np.ndarray:
     """R of the stacked QR W^{1/2} V = Q R over node blocks; Q is never formed.
 
-    Each block's QR input [R; W^{1/2} V_block] is assembled in one
-    Fortran-ordered buffer that every block reuses and LAPACK overwrites.
+    R starts at 0, and each block's W^{1/2} V_block, written into one
+    Fortran-ordered buffer that every block reuses, is merged into it by
+    LAPACK's triangular-pentagonal QR ``ztpqrt``, which updates R in place
+    and never touches its zero lower triangle.
     """
-    buf = np.empty((n + _NODE_CHUNK) * n, dtype=complex)
-    R = np.empty((0, n), dtype=complex)
+    R = np.zeros((n, n), dtype=complex, order="F")
+    buf = np.empty(_NODE_CHUNK * n, dtype=complex)
+    nb = min(_TPQRT_BLOCK, n)
     for start in range(0, zeta.size, _NODE_CHUNK):
         sl = slice(start, start + _NODE_CHUNK)
-        top = R.shape[0]
-        block = buf[:(top + zeta[sl].size) * n].reshape((-1, n), order="F")
-        block[:top] = R
-        _weighted_vander(zeta[sl], sw[sl], block[top:])
-        R = qr(block, overwrite_a=True, mode="raw")[1]
+        block = buf[:zeta[sl].size * n].reshape((-1, n), order="F")
+        _weighted_vander(zeta[sl], sw[sl], block)
+        info = ztpqrt(0, nb, R, block, overwrite_a=True, overwrite_b=True)[3]
+        if info:
+            raise ValueError(f"ztpqrt rejected argument {-info}")
     return R
 
 
@@ -271,9 +283,10 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     of the conjugate-transposed Cholesky factor of the Gram matrix, computed
     backward-stably from the node values, which keeps degrees feasible far
     beyond the point where an explicitly assembled Gram matrix stops being
-    numerically positive definite.  Runs in node blocks (stacked QR), so
-    memory stays bounded for fine grids.  A rank-deficient A (more monomials
-    than the grid resolves) raises :class:`FactorizationError`.
+    numerically positive definite.  Runs in node blocks (stacked QR: each
+    block merged into R in place), so memory stays bounded for fine grids.
+    A grid with fewer nodes than monomials, or an R with a zero diagonal
+    entry (a rank-deficient A), raises :class:`FactorizationError`.
 
     Returns (B, defect) with defect = max |S - I| for the grid overlap
     S = <phi_j, phi_k> of the basis.  Above 1e-10 one sweep
@@ -284,9 +297,9 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     n = degree + 1
     zeta = (grid.nodes - center) / scale
     sw = np.sqrt(grid.weights)
+    if zeta.size < n:
+        raise FactorizationError(degree=zeta.size)
     R = _stacked_r(zeta, sw, n)
-    if R.shape[0] < n:
-        raise FactorizationError(degree=int(R.shape[0]))
     diag = np.diag(R)
     bad = np.abs(diag) == 0.0
     if bad.any():

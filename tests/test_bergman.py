@@ -142,16 +142,59 @@ def ellipse21_grid():
     return G.gauss_quadrature_grid(G.ellipse(2, 1), 0.05)
 
 
-def test_r_only_stacked_qr_is_bit_identical(ellipse21_grid):
+def _clear_points(dom):
+    # 200 seeded points at least 0.1 inside the domain
+    rng = np.random.default_rng(59)
+    xmin, xmax, ymin, ymax = dom.bounding_box
+    z = rng.uniform(xmin, xmax, 2000) + 1j * rng.uniform(ymin, ymax, 2000)
+    z = z[G.contains(dom, z) & (G.curve_distance(dom, z) >= 0.1)][:200]
+    assert z.size == 200
+    return z
+
+
+def _assert_same_kernel(model, ref, z):
+    K_ref, K = B.kernel_eval(ref, z, z).real, B.kernel_eval(model, z, z).real
+    assert np.max(np.abs(K / K_ref - 1)) < 1e-10
+    rho_ref, rho = B.bergman_density(ref, z), B.bergman_density(model, z)
+    assert np.max(np.abs(rho / rho_ref - 1)) < 1e-9
+
+
+def test_r_only_stacked_qr_matches_the_explicit_q_route(ellipse21_grid):
+    # the fit merges each node block into R with ztpqrt, starting from R = 0;
+    # the reference stacks R on each node block with np.vstack and runs
+    # geqrf with an explicit economic Q.  Both do Householder QR of the same
+    # rows, so the kernels differ by rounding only: K by 1.3e-11 and rho by
+    # 2.6e-10, defects 6.9e-9 against 4.8e-9 (one BLAS thread)
     dom = G.ellipse(2, 1)
     assert ellipse21_grid.nodes.size > 2 * B._NODE_CHUNK
     want, want_defect, swept = _economic_q_route(
         ellipse21_grid, 48, dom.center, G.capacity_radius(dom),
         B._NODE_CHUNK, _vander_by_columns, _gram_by_zherk)
     assert swept
+    ref = B.KernelModel(48, want, center=dom.center, scale=G.capacity_radius(dom))
     model = B.fit_kernel_model(dom, degree=48, grid=ellipse21_grid)
-    assert np.array_equal(model.coefficients, want)
-    assert model.orthonormality_defect == want_defect
+    _assert_same_kernel(model, ref, _clear_points(dom))
+    assert max(model.orthonormality_defect, want_defect) < 1e-8
+
+
+def test_stacked_r_matches_a_one_shot_qr(disc):
+    # independent oracle: one QR of the whole weighted Vandermonde.  R is
+    # unique up to the phases of its rows, so both are taken with a
+    # positive real diagonal
+    grid = G.gauss_quadrature_grid(disc, 0.2)
+    assert grid.nodes.size > 2 * B._NODE_CHUNK
+    n = 17
+    sw = np.sqrt(grid.weights)
+    want = qr(sw[:, None] * np.vander(grid.nodes, n, increasing=True), mode="r")[0][:n]
+    got = B._stacked_r(grid.nodes, sw, n)
+    assert np.all(np.tril(got, -1) == 0)
+
+    def positive_diagonal(R):
+        d = np.diag(R)
+        return R * np.conj(d / np.abs(d))[:, None]
+
+    err = np.abs(positive_diagonal(got) - positive_diagonal(want))
+    assert np.max(err / np.abs(np.diag(want))[:, None]) < 1e-13
 
 
 def test_node_block_changes_the_kernel_only_by_rounding(ellipse21_grid):
@@ -159,21 +202,14 @@ def test_node_block_changes_the_kernel_only_by_rounding(ellipse21_grid):
     # the fit in cache-sized node blocks.  Any re-blocking moves this
     # degree-48 monomial kernel by its rounding noise: the reference itself
     # in 32,768-node chunks moves K by 1.8e-11 and rho by 2.0e-10, the
-    # cache-sized blocks by 4.2e-12 and 1.2e-10
+    # cache-sized blocks merged by ztpqrt by 4.7e-12 and 1.0e-10
     dom = G.ellipse(2, 1)
     coeffs, _, _ = _economic_q_route(
         ellipse21_grid, 48, dom.center, G.capacity_radius(dom),
         65536, _vander_65536, _gram_65536)
     ref = B.KernelModel(48, coeffs, center=dom.center, scale=G.capacity_radius(dom))
     model = B.fit_kernel_model(dom, degree=48, grid=ellipse21_grid)
-    rng = np.random.default_rng(59)
-    z = rng.uniform(-2, 2, 2000) + 1j * rng.uniform(-1, 1, 2000)
-    z = z[G.contains(dom, z) & (G.curve_distance(dom, z) >= 0.1)][:200]
-    assert z.size == 200
-    K_ref, K = B.kernel_eval(ref, z, z).real, B.kernel_eval(model, z, z).real
-    assert np.max(np.abs(K / K_ref - 1)) < 1e-10
-    rho_ref, rho = B.bergman_density(ref, z), B.bergman_density(model, z)
-    assert np.max(np.abs(rho / rho_ref - 1)) < 1e-9
+    _assert_same_kernel(model, ref, _clear_points(dom))
 
 
 def _count_grid_passes(monkeypatch, fit):
@@ -189,8 +225,8 @@ def _count_grid_passes(monkeypatch, fit):
 
 
 def test_fit_sweeps_at_most_once(monkeypatch, ellipse21_grid, disc):
-    # the degree-48 fit's QR defect (1.4e-6) is above 1e-10: one sweep,
-    # so two overlap passes (defect 4.8e-9 with one BLAS thread); a second
+    # the degree-48 fit's QR defect (9.2e-8) is above 1e-10: one sweep,
+    # so two overlap passes (defect 6.9e-9 with one BLAS thread); a second
     # sweep would only move the defect about within its rounding noise
     dom = G.ellipse(2, 1)
     blocks = math.ceil(ellipse21_grid.nodes.size / B._NODE_CHUNK)
@@ -198,7 +234,7 @@ def test_fit_sweeps_at_most_once(monkeypatch, ellipse21_grid, disc):
         monkeypatch, lambda: B.fit_kernel_model(dom, degree=48, grid=ellipse21_grid))
     assert calls == 2 * blocks
     assert model.orthonormality_defect < 1e-8
-    # the disc at degree 10 needs no sweep: one pass (defect 1.8e-14)
+    # the disc at degree 10 needs no sweep: one pass (defect 3.1e-15)
     grid = G.gauss_quadrature_grid(disc, 0.02)
     model, calls = _count_grid_passes(
         monkeypatch, lambda: B.fit_kernel_model(disc, degree=10, grid=grid))
@@ -207,7 +243,7 @@ def test_fit_sweeps_at_most_once(monkeypatch, ellipse21_grid, disc):
 
 
 def test_kernel_fit_peak_memory_is_bounded(ellipse21_grid):
-    # traced peak of the degree-48 fit on 167,656 nodes: 14.0 MB in node
+    # traced peak of the degree-48 fit on 167,656 nodes: 13.2 MB in node
     # blocks, 107 MB in 65,536-node chunks
     tracemalloc.start()
     try:

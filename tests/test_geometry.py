@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,56 @@ def test_clear_of_boundary_skips_footpoints_the_bound_clears(monkeypatch, a):
     assert np.array_equal(np.sort_complex(reached),
                           np.sort_complex(z[G.contains(e, z) & ~cleared]))
     assert cleared.sum() > 0.5 * want.sum()
+
+
+@pytest.mark.parametrize("a, h", [(1.5, 0.05), (2.0, 0.05), (3.0, 0.1)])
+def test_grid_build_skips_footpoints_the_bound_settles(monkeypatch, a, h):
+    # the band tests need a point's distance only near their threshold:
+    # where the bound |1 - s| b clears it, inside or outside, the footpoint
+    # iteration is skipped and the grid is the one every footpoint gives
+    e = G.ellipse(a, 1)
+    rng = np.random.default_rng(79)
+    z = rng.uniform(-1.5 * a, 1.5 * a, 4000) + 1j * rng.uniform(-1.5, 1.5, 4000)
+    for threshold in (1e-3, 0.01, 0.1, 0.3):
+        settled = G._clear_by_bound(e, z, threshold)
+        assert settled.any() and (settled & ~G.contains(e, z)).any()
+        assert np.all(G.curve_distance(e, z[settled]) > threshold)
+    reached = []
+    real_curve_distance = G.curve_distance
+
+    def counting(domain, pts):
+        reached.append(np.asarray(pts).size)
+        return real_curve_distance(domain, pts)
+
+    monkeypatch.setattr(G, "curve_distance", counting)
+    grid = G.gauss_quadrature_grid(e, h)
+    skipping = sum(reached)
+    reached.clear()
+    monkeypatch.setattr(G, "_clear_by_bound",
+                        lambda domain, pts, threshold: np.zeros(pts.shape, dtype=bool))
+    want = G.gauss_quadrature_grid(e, h)
+    assert np.array_equal(grid.nodes, want.nodes)
+    assert np.array_equal(grid.weights, want.weights)
+    assert skipping < 0.7 * sum(reached)
+
+
+def test_ellipse_scan_allocates_two_rows_per_point():
+    # the 150 quadrature points of one query's 25 graph connectors.  The
+    # scan forms |g(t) - z|^2 in two reused rows of 97 doubles per point;
+    # numpy adds its broadcast iterator buffers (128 KiB) and the Newton
+    # loop its temporaries.  Five fresh scan temporaries per point peak at
+    # 589 KB here
+    e = G.ellipse(1.5, 1)
+    rng = np.random.default_rng(83)
+    z = rng.uniform(-1.5, 1.5, 150) + 1j * rng.uniform(-1, 1, 150)
+    G.curve_distance(e, z)
+    tracemalloc.start()
+    try:
+        G.curve_distance(e, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= z.size * 2 * 97 * 8 + 160 * 2**10
 
 
 @pytest.mark.parametrize("name", list(_CLEARANCE_DOMAINS))
