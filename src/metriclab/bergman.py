@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import ztpqrt
+from scipy.linalg.lapack import zpotrf, ztpqrt
 
 from .errors import DomainError, FactorizationError, KernelInstabilityError
 from .geometry import (
@@ -42,18 +42,17 @@ from .geometry import (
 # grid_overlap pass.  A degree-72 block of W^{1/2} V is 4096 x 73 complex,
 # 4.8 MB, which stays in cache while ztpqrt merges it into R; 65,536-row
 # panels (75 MB) made the fit stream memory.  Interleaved degree-72 fits
-# of the 1.5 x 1 ellipse at h = 0.01 (834,380 nodes) on a 2-core Xeon with
+# of the 1.5 x 1 ellipse at h = 0.01 (271,617 nodes) on a 2-core Xeon with
 # 2 MB L2: with one BLAS thread the orthonormalization took a median of
-# 4.27, 4.20, 4.53 and 5.47 CPU s for 1,024, 2,048, 4,096 and 8,192 rows,
+# 1.66, 1.64, 1.63 and 1.83 CPU s for 1,024, 2,048, 4,096 and 8,192 rows,
 # but with two OpenBLAS threads, whose threading of the small gemm and
-# zherk calls costs more than it saves, 20.5, 11.0 and 6.6 s wall for
-# 1,024, 2,048 and 4,096 rows.  The whole fit with its grid build, 4,096
-# rows, took 4.2-4.8 CPU s with one thread and 6.8-6.9 s wall with two,
-# where the stacked geqrf of [R; W^{1/2} V_block] took 6.6-7.1 and 8.4-9.1.
+# zherk calls costs more than it saves, 6.1, 3.4, 2.2 and 2.6 s wall.
+# The whole fit with its grid build, 4,096 rows, took 1.3-1.9 CPU s with
+# one thread and 2.2-2.8 s wall with two.
 _NODE_CHUNK = 4096
 # column block of ztpqrt's compact WY updates.  The degree-72 QR pass above
-# in 4,096-row blocks took a median of 1.8 CPU s for 8 columns, 1.7-1.8 for
-# 12 to 24, 2.1 for 32 and 4.9 for all 73 (the stacked geqrf: 3.6 s)
+# in 4,096-row blocks took a median of 0.53 CPU s for 8 columns, 0.42-0.43
+# for 12 and 16, 0.52-0.55 for 24 and 32 and 1.34 for all 73
 _TPQRT_BLOCK = 16
 # points per block of a density evaluation: keeps its N x (degree+1)
 # temporaries cache-sized
@@ -285,8 +284,10 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     beyond the point where an explicitly assembled Gram matrix stops being
     numerically positive definite.  Runs in node blocks (stacked QR: each
     block merged into R in place), so memory stays bounded for fine grids.
-    A grid with fewer nodes than monomials, or an R with a zero diagonal
-    entry (a rank-deficient A), raises :class:`FactorizationError`.
+    A grid with fewer nodes than monomials, an R with a zero diagonal entry,
+    or a sweep whose overlap S is not positive definite (a rank-deficient A)
+    raises :class:`FactorizationError` naming the first degree it cannot
+    resolve.
 
     Returns (B, defect) with defect = max |S - I| for the grid overlap
     S = <phi_j, phi_k> of the basis.  Above 1e-10 one sweep
@@ -327,8 +328,13 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     if np.max(np.abs(S - np.eye(n))) > 1e-10:
         # S is near-identity, so chol(S) is perfectly conditioned; one sweep
         # takes the defect to the monomial basis's rounding noise, which
-        # further sweeps only move about
-        B = solve_triangular(np.linalg.cholesky(S), B, lower=True)
+        # further sweeps only move about.  A rank-deficient A leaves R a
+        # rounding-sized diagonal entry instead of a zero one, and S then
+        # fails at the leading block of order info: degree info - 1
+        L, info = zpotrf(S, lower=1)
+        if info:
+            raise FactorizationError(degree=info - 1)
+        B = solve_triangular(L, B, lower=True)
         S = grid_overlap(B)
     err = np.abs(S - np.eye(n))
     defect = float(err.max())

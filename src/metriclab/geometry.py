@@ -38,6 +38,20 @@ _SCAN_CHUNK = 1024
 # Shewchuk's relative error bound of the floating-point 2x2 orientation
 # determinant: beyond it the computed sign is exact
 _ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+# halvings of a boundary cell of the quadrature grid before it becomes a
+# clipped leaf.  Degree-72 fits of the 1.5 x 1 ellipse at h = 0.01 against
+# the exact degree-72 kernel (perfbench/oracle.py, 2,000 points at boundary
+# distance d >= 0.1 from seeds 1-10, then 11-20), largest relative errors:
+#   depth 3: 226,809 nodes; K 5.5e-6, 5.2e-6; rho 8.4e-6, 7.5e-6;
+#            at d >= 0.4 K 8.3e-7, rho 4.3e-7
+#   depth 4: 271,617 nodes; K 2.1e-6, 1.9e-6; rho 5.4e-6, 5.5e-6;
+#            at d >= 0.4 K 2.1e-7, rho 1.1e-7
+#   depth 5: 360,105 nodes; K 1.5e-6, 1.6e-6; rho 5.1e-6, 5.2e-6;
+#            at d >= 0.4 K 5.2e-8, rho 3.4e-8
+# 4 is the smallest depth no worse in any band than 7 halvings with a
+# full-weight midpoint node per leaf whose center is inside (834,380 nodes;
+# K 2.0e-5, rho 7.3e-6, 6.6e-6; at d >= 0.4 K 1.4e-6, rho 6.9e-7)
+_BAND_DEPTH = 4
 
 
 @dataclass
@@ -330,15 +344,13 @@ def contains(domain: DomainSpec, z) -> bool | np.ndarray:
         res = _polygon_contains(np.asarray(domain.vertices, dtype=complex), arr)
         if domain.kind == SMOOTHED_POLYGON:
             for c in domain._corners:
+                # the closed corner triangle: on its polygon edges the
+                # circle decides, not the polygon test's half-open rule
                 in_tri = _in_triangle(c.t_in, c.vertex, c.t_out, arr)
                 if not in_tri.any():
                     continue
-                inside_circle = np.abs(arr - c.center) < c.radius
-                res = np.where(
-                    in_tri,
-                    inside_circle if c.turn > 0 else ~inside_circle,
-                    res,
-                )
+                r = np.abs(arr - c.center)
+                res = np.where(in_tri, r < c.radius if c.turn > 0 else r > c.radius, res)
     return bool(res[0]) if zz.ndim == 0 else res.reshape(zz.shape)
 
 
@@ -363,7 +375,7 @@ def _in_triangle(a, b, c, z: np.ndarray) -> np.ndarray:
     s1 = cross(a, b, z)
     s2 = cross(b, c, z)
     s3 = cross(c, a, z)
-    return ((s1 > 0) & (s2 > 0) & (s3 > 0)) | ((s1 < 0) & (s2 < 0) & (s3 < 0))
+    return ((s1 >= 0) & (s2 >= 0) & (s3 >= 0)) | ((s1 <= 0) & (s2 <= 0) & (s3 <= 0))
 
 
 # ---------------------------------------------------------------------------
@@ -623,20 +635,65 @@ def _band_distance(domain: DomainSpec, z: np.ndarray, threshold: float) -> np.nd
     return dist
 
 
+def _clipped_cells(corners: np.ndarray, values: np.ndarray):
+    """Area and centroid of each square cell clipped to where ``values``,
+    taken at its four counterclockwise ``corners`` (rows of L x 4 arrays)
+    and interpolated linearly along its edges, is at least 0.
+
+    The clipped polygon keeps each corner with a value >= 0 and adds the
+    zero crossing of each edge whose end values have strictly opposite
+    signs.  Its vertices sit in 8 slots, corner k then edge k's crossing;
+    an empty slot repeats the last filled one, a zero-length edge that adds
+    nothing to the shoelace sums.  The sums are taken about the polygon's
+    first vertex, so a sliver at a corner keeps its few digits.  A cell
+    with no filled slot has area NaN.
+    """
+    fa, fb = values, np.roll(values, -1, axis=1)
+    a, b = corners, np.roll(corners, -1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        verts = np.stack([a, a + fa / (fa - fb) * (b - a)], axis=2).reshape(-1, 8)
+        filled = np.stack([fa >= 0, fa * fb < 0], axis=2).reshape(-1, 8)
+        slot = np.maximum.accumulate(np.where(filled, np.arange(8), -1), axis=1)
+        slot = np.where(slot < 0, slot[:, -1:], slot)
+        p = np.take_along_axis(verts, slot, axis=1)
+        origin = p[:, 0].copy()
+        p -= origin[:, None]
+        q = np.roll(p, -1, axis=1)
+        cross = p.real * q.imag - q.real * p.imag
+        area = 0.5 * cross.sum(axis=1)
+        centroid = ((p + q) * cross).sum(axis=1) / (6 * area)
+    return area, origin + centroid
+
+
 def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGrid:
     """Kernel-grade grid: tensor 2x2 Gauss nodes on the cells of side
-    ``resolution`` that lie inside, plus a recursively refined band along
-    the boundary.
+    ``resolution`` that lie inside, plus a boundary band refined
+    _BAND_DEPTH times, whose last cells are clipped to the domain.
 
-    The Gauss rule removes the O(h^2) interior error of a midpoint rule;
-    the band recursion (7 levels deep) shrinks the boundary clipping error
-    well below kernel accuracy targets at the default resolution.  Raises
+    The Gauss rule removes the O(h^2) interior error of a midpoint rule.  A
+    band cell halves while it straddles the boundary; its quarters that lie
+    inside take 2x2 Gauss nodes, and a quarter that still straddles after
+    _BAND_DEPTH halvings is a leaf.  A leaf is clipped where the signed
+    boundary distance at its four corners (>= 0 on the closed domain),
+    interpolated linearly along its edges, changes sign, and takes one node
+    at the clipped polygon's centroid weighted by its area: a rule exact
+    for linear functions on the clipped polygon.  A leaf whose centroid
+    falls outside the domain takes no node: a sliver at a lattice point on
+    the boundary, or the notch at a sharp reflex vertex on the lattice,
+    whose leaf lies outside.
+
+    Only ``contains`` and ``curve_distance`` see the domain.  A corner
+    distance is computed once per lattice point shared by neighbouring
+    leaves, the leaf's parent center reuses its band test's distance, and
+    a corner the ellipse bound puts one leaf side from the boundary keeps
+    only its sign, because no edge through it changes sign.  Raises
     :class:`GridError` when no node falls inside the domain.
     """
     h = float(resolution)
     if h <= 0:
         raise ValueError("resolution must be positive")
     g = 0.5 / math.sqrt(3.0)
+    quarters = np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j])
     centers = _lattice(domain, h)
     dist = _band_distance(domain, centers, h * 0.7072)
     inside = contains(domain, centers)
@@ -645,33 +702,54 @@ def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGr
     nodes, weights = [], []
 
     def emit_gauss(cells: np.ndarray, side: float):
-        off = np.array([-g - 1j * g, g - 1j * g, -g + 1j * g, g + 1j * g]) * side
-        pts = (cells[:, None] + off[None, :]).ravel()
+        pts = (cells[:, None] + quarters[None, :] * (g * side)).ravel()
         nodes.append(pts)
         weights.append(np.full(pts.size, side * side / 4))
 
     emit_gauss(centers[fully_inside], h)
 
-    active = centers[~fully_inside & (dist <= h * 0.7072)]
+    # signed boundary distance, >= 0 on the closed domain: a boundary
+    # point's -0.0 counts as inside
+    band = ~fully_inside & (dist <= h * 0.7072)
+    active, value = centers[band], np.where(inside, dist, -dist)[band]
     side = h
-    for level in range(7):
+    for _ in range(_BAND_DEPTH):
         if active.size == 0:
             break
-        q = side / 4
-        sub = (active[:, None] + np.array(
-            [-q - 1j * q, q - 1j * q, -q + 1j * q, q + 1j * q]
-        )[None, :]).ravel()
+        sub = (active[:, None] + quarters[None, :] * (side / 4)).ravel()
         side /= 2
         d = _band_distance(domain, sub, side * 0.7072)
         ins = contains(domain, sub)
         full = ins & (d > side * 0.7072)
         emit_gauss(sub[full], side)
-        active = sub[~full & (d <= side * 0.7072)]
+        straddle = np.flatnonzero(~full & (d <= side * 0.7072))
+        parent_value, quadrant = value[straddle // 4], straddle % 4
+        active, value = sub[straddle], np.where(ins, d, -d)[straddle]
+
     if active.size:
-        ins = contains(domain, active)
-        leaf = active[ins]
-        nodes.append(leaf)
-        weights.append(np.full(leaf.size, side * side))
+        # leaf corners on the lattice of spacing ``side``, counterclockwise
+        # (i, j), (i+1, j), (i+1, j+1), (i, j+1); each lattice point once
+        xmin, _, ymin, _ = domain.bounding_box
+        i = np.rint((active.real - xmin) / side - 0.5).astype(np.int64)
+        j = np.rint((active.imag - ymin) / side - 0.5).astype(np.int64)
+        ci = i[:, None] + np.array([0, 1, 1, 0])
+        cj = j[:, None] + np.array([0, 0, 1, 1])
+        rows = int(j.max()) + 2
+        keys, inverse = np.unique(ci * rows + cj, return_inverse=True)
+        inverse = inverse.reshape(ci.shape)
+        corner = np.full(keys.size, np.nan)
+        # the parent's center is the leaf corner opposite its quadrant
+        corner[inverse[np.arange(active.size), np.array([2, 3, 1, 0])[quadrant]]] = parent_value
+        rest = np.flatnonzero(np.isnan(corner))
+        z = (xmin + keys[rest] // rows * side) + 1j * (ymin + keys[rest] % rows * side)
+        d = _band_distance(domain, z, side)
+        corner[rest] = np.where(contains(domain, z), d, -d)
+        area, centroid = _clipped_cells(
+            (xmin + ci * side) + 1j * (ymin + cj * side), corner[inverse])
+        keep = area > 0
+        keep[keep] = contains(domain, centroid[keep])
+        nodes.append(centroid[keep])
+        weights.append(area[keep])
 
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
@@ -679,4 +757,4 @@ def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGr
         raise GridError("no quadrature node falls inside the domain; "
                         "resolution too coarse")
     return QuadratureGrid(nodes, weights, h,
-                          descriptor=f"gauss2x2+band7:{h!r}:{domain.grid_key()}")
+                          descriptor=f"gauss2x2+clip{_BAND_DEPTH}:{h!r}:{domain.grid_key()}")

@@ -15,8 +15,13 @@ from metriclab.errors import FactorizationError, KernelInstabilityError
 from metriclab.metrics import DiscAutomorphism, bergman_metric_density, density_eval
 
 
-def disc_kernel_exact(z, w):
-    return 1.0 / (math.pi * (1.0 - z * np.conj(w)) ** 2)
+def disc_kernel_exact(z, w, degree=None):
+    """The disc's Bergman kernel 1/(pi (1 - z conj(w))^2), or with ``degree``
+    its exact degree-N part sum_{n <= N} (n + 1) (z conj(w))^n / pi."""
+    t = z * np.conj(w)
+    if degree is None:
+        return 1.0 / (math.pi * (1.0 - t) ** 2)
+    return sum((n + 1) * t ** n for n in range(degree + 1)) / math.pi
 
 
 def disc_density_exact(z):
@@ -39,7 +44,7 @@ def test_factorization_failure_reports_degree(disc):
     # more monomials than quadrature nodes: the weighted Vandermonde is
     # rank-deficient, the first unresolved degree is the node count.  A
     # midpoint rule on the inside cell centers of a coarse lattice keeps the
-    # grid at 26 nodes (the Gauss grid's boundary band runs to thousands)
+    # grid at 26 nodes (the Gauss grid has 1,850 here)
     h = 0.35
     centers = G._lattice(disc, h)
     nodes = centers[G.contains(disc, centers)]
@@ -49,9 +54,25 @@ def test_factorization_failure_reports_degree(disc):
     assert err.value.degree == grid.nodes.size
 
 
+def test_rank_deficient_overlap_reports_degree(disc):
+    # as many nodes as monomials, but each of the 26 inside cell centers of
+    # the h = 0.35 lattice taken three times: rank 26.  Householder QR
+    # leaves rounding-sized diagonal entries, not zeros, so the rank shows
+    # first where the sweep factors the overlap: its leading block stops
+    # being positive definite at degree 26
+    h = 0.35
+    centers = G._lattice(disc, h)
+    nodes = np.repeat(centers[G.contains(disc, centers)], 3)
+    assert nodes.size == 78
+    grid = G.QuadratureGrid(nodes, np.full(nodes.size, h * h), h)
+    with pytest.raises(FactorizationError) as err:
+        B.fit_kernel_model(disc, degree=31, grid=grid)
+    assert err.value.degree == 26
+
+
 def test_far_from_orthonormal_basis_raises():
     # the 3x1 ellipse on a coarse grid: degree 60 ends its sweep at a
-    # defect of 3.2e-3 to 3.9e-3 (one or two BLAS threads), far above 1e-6;
+    # defect of 7.7e-4 to 1.4e-3 (one or two BLAS threads), far above 1e-6;
     # degree 30 ends below 1e-10
     dom = G.ellipse(3, 1)
     with pytest.raises(KernelInstabilityError,
@@ -138,7 +159,7 @@ def _economic_q_route(grid, degree, center, scale, chunk, vander, gram):
 
 @pytest.fixture(scope="module")
 def ellipse21_grid():
-    # 167,656 nodes: many node blocks, three 65,536-node chunks
+    # 30,528 nodes: 8 node blocks of the fit, one 65,536-node chunk
     return G.gauss_quadrature_grid(G.ellipse(2, 1), 0.05)
 
 
@@ -163,8 +184,8 @@ def test_r_only_stacked_qr_matches_the_explicit_q_route(ellipse21_grid):
     # the fit merges each node block into R with ztpqrt, starting from R = 0;
     # the reference stacks R on each node block with np.vstack and runs
     # geqrf with an explicit economic Q.  Both do Householder QR of the same
-    # rows, so the kernels differ by rounding only: K by 1.3e-11 and rho by
-    # 2.6e-10, defects 6.9e-9 against 4.8e-9 (one BLAS thread)
+    # rows, so the kernels differ by rounding only: K by 8.8e-12 and rho by
+    # 4.2e-10, defects 8.6e-9 against 3.8e-9 (one BLAS thread)
     dom = G.ellipse(2, 1)
     assert ellipse21_grid.nodes.size > 2 * B._NODE_CHUNK
     want, want_defect, swept = _economic_q_route(
@@ -180,8 +201,9 @@ def test_r_only_stacked_qr_matches_the_explicit_q_route(ellipse21_grid):
 def test_stacked_r_matches_a_one_shot_qr(disc):
     # independent oracle: one QR of the whole weighted Vandermonde.  R is
     # unique up to the phases of its rows, so both are taken with a
-    # positive real diagonal
-    grid = G.gauss_quadrature_grid(disc, 0.2)
+    # positive real diagonal.  The h = 0.05 grid has 17,980 nodes, so the
+    # stack merges 5 blocks
+    grid = G.gauss_quadrature_grid(disc, 0.05)
     assert grid.nodes.size > 2 * B._NODE_CHUNK
     n = 17
     sw = np.sqrt(grid.weights)
@@ -198,11 +220,11 @@ def test_stacked_r_matches_a_one_shot_qr(disc):
 
 
 def test_node_block_changes_the_kernel_only_by_rounding(ellipse21_grid):
-    # the fit in 65,536-node chunks with np.vander and a gemm Q^H Q against
-    # the fit in cache-sized node blocks.  Any re-blocking moves this
-    # degree-48 monomial kernel by its rounding noise: the reference itself
-    # in 32,768-node chunks moves K by 1.8e-11 and rho by 2.0e-10, the
-    # cache-sized blocks merged by ztpqrt by 4.7e-12 and 1.0e-10
+    # the fit in 65,536-node chunks (here one) with np.vander and a gemm
+    # Q^H Q against the fit in cache-sized node blocks.  Any re-blocking
+    # moves this degree-48 monomial kernel by its rounding noise: the
+    # reference itself in 16,384-node chunks moves K by 1.4e-11 and rho by
+    # 3.1e-10, the cache-sized blocks merged by ztpqrt by 1.4e-11 and 6.2e-10
     dom = G.ellipse(2, 1)
     coeffs, _, _ = _economic_q_route(
         ellipse21_grid, 48, dom.center, G.capacity_radius(dom),
@@ -225,8 +247,8 @@ def _count_grid_passes(monkeypatch, fit):
 
 
 def test_fit_sweeps_at_most_once(monkeypatch, ellipse21_grid, disc):
-    # the degree-48 fit's QR defect (9.2e-8) is above 1e-10: one sweep,
-    # so two overlap passes (defect 6.9e-9 with one BLAS thread); a second
+    # the degree-48 fit's QR defect (3.4e-8) is above 1e-10: one sweep,
+    # so two overlap passes (defect 8.6e-9 with one BLAS thread); a second
     # sweep would only move the defect about within its rounding noise
     dom = G.ellipse(2, 1)
     blocks = math.ceil(ellipse21_grid.nodes.size / B._NODE_CHUNK)
@@ -234,7 +256,7 @@ def test_fit_sweeps_at_most_once(monkeypatch, ellipse21_grid, disc):
         monkeypatch, lambda: B.fit_kernel_model(dom, degree=48, grid=ellipse21_grid))
     assert calls == 2 * blocks
     assert model.orthonormality_defect < 1e-8
-    # the disc at degree 10 needs no sweep: one pass (defect 3.1e-15)
+    # the disc at degree 10 needs no sweep: one pass (defect 1.1e-15)
     grid = G.gauss_quadrature_grid(disc, 0.02)
     model, calls = _count_grid_passes(
         monkeypatch, lambda: B.fit_kernel_model(disc, degree=10, grid=grid))
@@ -243,8 +265,8 @@ def test_fit_sweeps_at_most_once(monkeypatch, ellipse21_grid, disc):
 
 
 def test_kernel_fit_peak_memory_is_bounded(ellipse21_grid):
-    # traced peak of the degree-48 fit on 167,656 nodes: 13.2 MB in node
-    # blocks, 107 MB in 65,536-node chunks
+    # traced peak of the degree-48 fit on 30,528 nodes: 10.7 MB in node
+    # blocks, 72.9 MB for the reference route's one 65,536-node chunk
     tracemalloc.start()
     try:
         B.fit_kernel_model(G.ellipse(2, 1), degree=48, grid=ellipse21_grid)
@@ -258,6 +280,16 @@ def test_kernel_disc_oracle_values(disc_kernel):
     assert abs(B.kernel_eval(disc_kernel, 0.0, 0.0) - 1 / math.pi) < 1e-6
     assert abs(B.kernel_eval(disc_kernel, 0.5, 0.5)
                - disc_kernel_exact(0.5, 0.5)) < 1e-5
+
+
+def test_disc_kernel_matches_the_exact_degree_40_kernel(disc_kernel):
+    # the production fit against the exact degree-40 kernel on 2,000 seeded
+    # points with |z| <= 0.9: 1.9e-6 relative (the clipped band; 1.6e-5
+    # with 7 halvings and a midpoint leaf rule)
+    rng = np.random.default_rng(97)
+    z = 0.9 * np.sqrt(rng.uniform(0, 1, 2000)) * np.exp(2j * np.pi * rng.uniform(0, 1, 2000))
+    K = B.kernel_eval(disc_kernel, z, z).real
+    assert np.max(np.abs(K / disc_kernel_exact(z, z, degree=40).real - 1)) < 3e-6
 
 
 def test_kernel_hermitian_symmetry(disc_kernel):

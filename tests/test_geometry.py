@@ -355,6 +355,79 @@ def test_smoothed_polygon_membership_consistent_with_boundary():
     assert grid.total_weight() == pytest.approx(sp.area(), abs=2e-4)
 
 
+def test_contains_decides_rounded_corner_edges_by_the_circle():
+    # a point on a polygon edge inside a corner's triangle lies on the arc's
+    # side that the circle gives, not the polygon test's half-open side
+    rounded = G.smoothed_polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 0.3)
+    outside = np.array([-0.99 - 1j, -1 - 0.99j])      # on both edges of a corner
+    assert not G.contains(rounded, outside).any()
+    assert np.all(np.abs(G.curve_distance(rounded, outside) - 0.117) < 1e-3)
+    lshape = G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15)
+    inside = np.array([1.05 + 1j, 1 + 1.05j])          # in the reflex fillet
+    assert G.contains(lshape, inside).all()
+    assert np.all(np.abs(G.curve_distance(lshape, inside) - 0.030) < 1e-3)
+
+
+_GRID_DOMAINS = {
+    "disc": G.unit_disc(),
+    "ellipse": G.ellipse(1.5, 1),
+    "square": G.polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]),
+    "rounded square": G.smoothed_polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 0.3),
+    "smoothed L": G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15),
+    "sharp L": G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]),
+}
+
+
+@pytest.mark.parametrize("name", list(_GRID_DOMAINS))
+def test_clipped_band_grid_invariants(monkeypatch, name):
+    # every node strictly inside with a positive weight, the area error
+    # within the grid tests' bounds (lattice-aligned polygons exact).  A
+    # leaf whose clipped centroid falls outside takes no node: each such
+    # leaf lies outside, so a midpoint rule would give it none either; on
+    # the sharp L that is the one leaf in the notch at the reflex vertex
+    dom = _GRID_DOMAINS[name]
+    leaves = []
+    clipped_cells = G._clipped_cells
+
+    def recording(corners, values):
+        area, centroid = clipped_cells(corners, values)
+        leaves.append((corners.mean(axis=1), area, centroid))
+        return area, centroid
+
+    monkeypatch.setattr(G, "_clipped_cells", recording)
+    for h in (0.05, 0.02):
+        leaves.clear()
+        grid = G.gauss_quadrature_grid(dom, h)
+        assert grid.descriptor.startswith(f"gauss2x2+clip{G._BAND_DEPTH}:")
+        assert bool(G.contains(dom, grid.nodes).all())
+        assert np.all(grid.weights > 0)
+        error = abs(grid.total_weight() - dom.area())
+        if dom.kind == G.POLYGON:
+            assert error < 1e-12
+        elif dom.kind == G.SMOOTHED_POLYGON:
+            assert error < 2e-4
+        else:
+            assert error < 1e-4 * dom.area()
+        (centers, area, centroid), = leaves
+        placed = area > 0
+        dropped = placed.copy()
+        dropped[placed] = ~G.contains(dom, centroid[placed])
+        assert not G.contains(dom, centers[dropped]).any()
+        if name == "sharp L":
+            assert dropped.sum() == 1
+            assert abs(centers[dropped][0] - (1 + 1j)) < h / 16
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse", "rounded square", "smoothed L"])
+def test_clipped_band_area_error_is_second_order(name):
+    # the clipped leaves cut the boundary along chords of side h / 16: the
+    # area error falls as h^2, (0.02 / 0.05)^2 = 0.16 from h 0.05 to 0.02
+    dom = _GRID_DOMAINS[name]
+    coarse, fine = (abs(G.gauss_quadrature_grid(dom, h).total_weight() - dom.area())
+                    for h in (0.05, 0.02))
+    assert fine < 0.2 * coarse
+
+
 def test_quadrature_square_exact(square):
     grid = G.gauss_quadrature_grid(square, 0.5)
     assert grid.total_weight() == pytest.approx(4.0, abs=1e-12)
