@@ -682,12 +682,13 @@ def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGr
     the boundary, or the notch at a sharp reflex vertex on the lattice,
     whose leaf lies outside.
 
-    Only ``contains`` and ``curve_distance`` see the domain.  A corner
-    distance is computed once per lattice point shared by neighbouring
-    leaves, the leaf's parent center reuses its band test's distance, and
-    a corner the ellipse bound puts one leaf side from the boundary keeps
-    only its sign, because no edge through it changes sign.  Raises
-    :class:`GridError` when no node falls inside the domain.
+    The domain is seen only through ``contains`` and ``curve_distance``
+    (and the ellipse's distance bound), so every kind gets the same rule.
+    A corner distance is computed once per lattice point that neighbouring
+    leaves share, the leaf's parent center reuses its band test's
+    distance, and a corner the ellipse bound puts one leaf side from the
+    boundary keeps only its sign, because no edge through it changes sign.
+    Raises :class:`GridError` when no node falls inside the domain.
     """
     h = float(resolution)
     if h <= 0:
