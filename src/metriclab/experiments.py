@@ -321,7 +321,7 @@ _KERNEL_CACHE: dict = {}
 
 def _build_density(cfg: ExperimentConfig) -> MetricDensity:
     if cfg.density_kind == HYPERBOLIC:
-        if cfg.domain.kind != "unit_disc":
+        if cfg.domain != unit_disc():
             raise ConfigError("hyperbolic density requires the unit disc domain")
         return hyperbolic_density()
     if cfg.density_kind == QUASIHYPERBOLIC:
@@ -518,7 +518,7 @@ def run_theorem23_check(cfg: ExperimentConfig) -> VerificationReport:
         checks.append(_check("forward_growth_implies_modulus", forward_ok,
                              premise=bool(forward_premise), means_slope=means_slope,
                              modulus_slope=mod_slope, alpha=alpha, tolerance=tol))
-        converse_applicable = (cfg.domain.kind == "unit_disc"
+        converse_applicable = (cfg.domain == unit_disc()
                                and cfg.density_kind in (HYPERBOLIC, BERGMAN))
         if converse_applicable:
             converse_premise = abs(mod_slope - alpha) <= tol
@@ -543,7 +543,7 @@ def run_yamashita_check(cfg: ExperimentConfig) -> VerificationReport:
     """Hyperbolic specialization: the weighted derivative must equal the
     hyperbolic derivative modulus |f'| / (1 - |f|^2) verbatim, and the sup
     pipeline must behave as in the general boundary-growth check."""
-    if cfg.domain.kind != "unit_disc" or cfg.density_kind != HYPERBOLIC:
+    if cfg.domain != unit_disc() or cfg.density_kind != HYPERBOLIC:
         raise ConfigError("the hyperbolic specialization runs on the unit disc "
                           "with the hyperbolic density")
     omega = _build_density(cfg)

@@ -1,14 +1,15 @@
 """Bounded plane domains: membership, boundary parametrization, boundary
 distance, and the quadrature grid over which all area integrals are computed.
 
-Supported domain kinds:
+Two boundary families:
 
-* ``unit_disc``            -- the open unit disc
-* ``ellipse(a, b)``        -- open ellipse with semi-axes a >= b > 0
-* ``polygon(vertices)``    -- open simple polygon, counterclockwise
-* ``smoothed_polygon``     -- polygon with corners replaced by tangent
-                              circular arcs of a fixed radius (a cheap,
-                              explicitly constructed smooth Jordan domain)
+* ``ellipse(a, b)``    -- open ellipse with semi-axes a >= b > 0; the open
+                          unit disc ``unit_disc()`` is ellipse(1, 1)
+* ``polygon``          -- open simple polygon, counterclockwise, whose
+                          corners ``smoothed_polygon(vertices, r)`` replaces
+                          by tangent circular arcs of radius r (a cheap,
+                          explicitly constructed smooth Jordan domain) and
+                          ``polygon(vertices)`` keeps sharp
 
 All point-wise operations accept either a complex scalar or a complex
 ndarray and are vectorized over the latter.
@@ -23,12 +24,8 @@ import numpy as np
 
 from .errors import DomainError, GridError
 
-UNIT_DISC = "unit_disc"
 ELLIPSE = "ellipse"
 POLYGON = "polygon"
-SMOOTHED_POLYGON = "smoothed_polygon"
-
-_KINDS = (UNIT_DISC, ELLIPSE, POLYGON, SMOOTHED_POLYGON)
 
 # rows per block of the ellipse distance's parameter scan, whose two reused
 # (rows, 97) buffers are 0.8 MB each.  200,000 points on the 1.5 x 1
@@ -71,7 +68,8 @@ class _Corner:
 
 @dataclass
 class DomainSpec:
-    """A bounded plane domain with an explicitly parametrized boundary."""
+    """A bounded plane domain with an explicitly parametrized boundary: an
+    ellipse, or a polygon whose corners are rounded if ``corner_radius`` is set."""
 
     kind: str
     semi_axes: tuple[float, float] | None = None
@@ -81,35 +79,33 @@ class DomainSpec:
     bounding_box: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == UNIT_DISC:
-            self.bounding_box = (-1.0, 1.0, -1.0, 1.0)
-        elif self.kind == ELLIPSE:
+        if self.kind == ELLIPSE:
             a, b = self.semi_axes
             if not (a >= b > 0):
                 raise ValueError("ellipse requires semi-axes a >= b > 0")
             self.bounding_box = (-a, a, -b, b)
-        else:
-            v = np.asarray(self.vertices, dtype=complex)
-            if v.size < 3:
-                raise ValueError("polygon needs at least 3 vertices")
-            if np.min(np.abs(np.roll(v, -1) - v)) < 1e-12:
-                raise ValueError("polygon has a zero-length edge")
-            if _shoelace(v) <= 0:
-                raise ValueError("polygon vertices must be counterclockwise")
-            if not _is_simple(v):
-                raise ValueError("polygon must be simple (non-self-intersecting)")
-            self.bounding_box = (
-                float(v.real.min()), float(v.real.max()),
-                float(v.imag.min()), float(v.imag.max()),
-            )
-            if self.kind == SMOOTHED_POLYGON:
-                if not (self.corner_radius and self.corner_radius > 0):
-                    raise ValueError("smoothed_polygon needs corner_radius > 0")
-                self._corners = _build_corners(v, self.corner_radius)
-            self._pieces = _boundary_pieces(self)
-            self._cumlen = _cumulative_lengths(self._pieces)
+            return
+        if self.kind != POLYGON:
+            raise ValueError(f"unknown domain kind {self.kind!r}")
+        v = np.asarray(self.vertices, dtype=complex)
+        if v.size < 3:
+            raise ValueError("polygon needs at least 3 vertices")
+        if np.min(np.abs(np.roll(v, -1) - v)) < 1e-12:
+            raise ValueError("polygon has a zero-length edge")
+        if _shoelace(v) <= 0:
+            raise ValueError("polygon vertices must be counterclockwise")
+        if not _is_simple(v):
+            raise ValueError("polygon must be simple (non-self-intersecting)")
+        self.bounding_box = (
+            float(v.real.min()), float(v.real.max()),
+            float(v.imag.min()), float(v.imag.max()),
+        )
+        r = self.corner_radius
+        if r is not None and not r > 0:
+            raise ValueError("smoothed_polygon needs corner_radius > 0")
+        self._corners = [] if r is None else _build_corners(v, r)
+        self._pieces = _boundary_pieces(self)
+        self._cumlen = _cumulative_lengths(self._pieces)
 
     # -- derived geometry -------------------------------------------------
 
@@ -125,37 +121,29 @@ class DomainSpec:
 
     def area(self) -> float:
         """Exact area, used as the oracle for grid refinement studies."""
-        if self.kind == UNIT_DISC:
-            return math.pi
         if self.kind == ELLIPSE:
             a, b = self.semi_axes
             return math.pi * a * b
-        v = np.asarray(self.vertices, dtype=complex)
-        base = _shoelace(v)
-        if self.kind == POLYGON:
-            return base
-        r = self.corner_radius
         corr = 0.0
         for c in self._corners:
             t = abs(c.turn)
-            corr += math.copysign(r * r * (math.tan(t / 2) - t / 2), c.turn)
-        return base - corr
+            corr += math.copysign(c.radius * c.radius * (math.tan(t / 2) - t / 2), c.turn)
+        return _shoelace(np.asarray(self.vertices, dtype=complex)) - corr
 
     def grid_key(self) -> str:
-        """Stable descriptor used in kernel-model files and report echoes."""
-        if self.kind == UNIT_DISC:
-            return UNIT_DISC
+        """Stable descriptor of the domain: its fitted kernels' cache key, a
+        kernel file's ``domain`` line and the end of its ``grid`` line."""
         if self.kind == ELLIPSE:
             a, b = self.semi_axes
             return f"ellipse:{a!r}:{b!r}"
         vs = ",".join(f"{z.real!r}:{z.imag!r}" for z in self.vertices)
-        if self.kind == POLYGON:
+        if self.corner_radius is None:
             return f"polygon:{vs}"
         return f"smoothed_polygon:{self.corner_radius!r}:{vs}"
 
 
 def unit_disc() -> DomainSpec:
-    return DomainSpec(UNIT_DISC)
+    return ellipse(1.0, 1.0)
 
 
 def ellipse(a: float, b: float) -> DomainSpec:
@@ -168,7 +156,7 @@ def polygon(vertices) -> DomainSpec:
 
 def smoothed_polygon(vertices, corner_radius: float) -> DomainSpec:
     return DomainSpec(
-        SMOOTHED_POLYGON,
+        POLYGON,
         vertices=tuple(complex(z) for z in vertices),
         corner_radius=float(corner_radius),
     )
@@ -225,7 +213,7 @@ def _closed_segments_meet(a: np.ndarray, b: np.ndarray, c: complex, d: complex) 
 
 def segments_meet_boundary(domain: DomainSpec, a, b) -> np.ndarray:
     """Exact test whether the closed segments [a, b] meet a closed edge of a
-    POLYGON domain; touching a vertex counts as meeting."""
+    polygon with sharp corners; touching a vertex counts as meeting."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     shape = a.shape
     a, b = a.ravel(), b.ravel()
@@ -297,8 +285,6 @@ def _build_corners(v: np.ndarray, r: float) -> list[_Corner]:
 def _boundary_pieces(dom: DomainSpec):
     v = np.asarray(dom.vertices, dtype=complex)
     n = len(v)
-    if dom.kind == POLYGON:
-        return [("seg", v[i], v[(i + 1) % n]) for i in range(n)]
     by_vertex = {c.vertex: c for c in dom._corners}
     points = []       # (exit point of corner i, entry point of corner i+1) per edge
     for i in range(n):
@@ -335,22 +321,19 @@ def contains(domain: DomainSpec, z) -> bool | np.ndarray:
     """True iff z lies in the open domain; boundary points are outside."""
     zz = np.asarray(z, dtype=complex)
     arr = zz.ravel()
-    if domain.kind == UNIT_DISC:
-        res = np.abs(arr) < 1.0
-    elif domain.kind == ELLIPSE:
+    if domain.kind == ELLIPSE:
         a, b = domain.semi_axes
         res = (arr.real / a) ** 2 + (arr.imag / b) ** 2 < 1.0
     else:
         res = _polygon_contains(np.asarray(domain.vertices, dtype=complex), arr)
-        if domain.kind == SMOOTHED_POLYGON:
-            for c in domain._corners:
-                # the closed corner triangle: on its polygon edges the
-                # circle decides, not the polygon test's half-open rule
-                in_tri = _in_triangle(c.t_in, c.vertex, c.t_out, arr)
-                if not in_tri.any():
-                    continue
-                r = np.abs(arr - c.center)
-                res = np.where(in_tri, r < c.radius if c.turn > 0 else r > c.radius, res)
+        for c in domain._corners:
+            # the closed corner triangle: on its polygon edges the
+            # circle decides, not the polygon test's half-open rule
+            in_tri = _in_triangle(c.t_in, c.vertex, c.t_out, arr)
+            if not in_tri.any():
+                continue
+            r = np.abs(arr - c.center)
+            res = np.where(in_tri, r < c.radius if c.turn > 0 else r > c.radius, res)
     return bool(res[0]) if zz.ndim == 0 else res.reshape(zz.shape)
 
 
@@ -397,9 +380,7 @@ def curve_distance(domain: DomainSpec, z) -> float | np.ndarray:
     """
     zz = np.asarray(z, dtype=complex)
     arr = zz.ravel()
-    if domain.kind == UNIT_DISC:
-        res = np.abs(1.0 - np.abs(arr))
-    elif domain.kind == ELLIPSE:
+    if domain.kind == ELLIPSE:
         res = _ellipse_boundary_dist(*domain.semi_axes, arr)
     else:
         res = None
@@ -492,7 +473,7 @@ def _ellipse_boundary_dist(a: float, b: float, z: np.ndarray) -> np.ndarray:
 def _clear_by_bound(domain: DomainSpec, z: np.ndarray, threshold: float) -> np.ndarray:
     """Points of z whose distance to the boundary curve a closed-form lower
     bound shows to exceed ``threshold``, with no footpoint iteration; all
-    False for kinds other than the ellipse.
+    False on a polygon.
 
     On an ellipse a point with s = sqrt((x/a)^2 + (y/b)^2) lies on the
     boundary of sE.  E is convex and holds the disc of radius b, so
@@ -534,46 +515,35 @@ def clear_of_boundary(domain: DomainSpec, z, margin: float) -> bool | np.ndarray
 def boundary_point(domain: DomainSpec, t) -> complex | np.ndarray:
     """Boundary parametrization gamma(t), 2*pi-periodic, counterclockwise."""
     tt = np.atleast_1d(np.asarray(t, dtype=float)) % (2 * np.pi)
-    if domain.kind == UNIT_DISC:
-        res = np.exp(1j * tt)
-    elif domain.kind == ELLIPSE:
+    if domain.kind == ELLIPSE:
         a, b = domain.semi_axes
         res = a * np.cos(tt) + 1j * b * np.sin(tt)
     else:
-        res = _piecewise_boundary_point(domain, tt)
+        # proportional to arc length along the pieces
+        cum = domain._cumlen
+        s = tt / (2 * np.pi) * cum[-1]
+        idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(cum) - 2)
+        res = np.empty(tt.shape, dtype=complex)
+        for i, piece in enumerate(domain._pieces):
+            sel = idx == i
+            u = (s[sel] - cum[i]) / (cum[i + 1] - cum[i])
+            if piece[0] == "seg":
+                res[sel] = piece[1] + u * (piece[2] - piece[1])
+            else:
+                _, c, r, ang0, sweep = piece
+                res[sel] = c + r * np.exp(1j * (ang0 + u * sweep))
     return complex(res[0]) if np.asarray(t).ndim == 0 else res
-
-
-def _piecewise_boundary_point(domain: DomainSpec, tt: np.ndarray) -> np.ndarray:
-    cum = domain._cumlen
-    total = cum[-1]
-    s = tt / (2 * np.pi) * total
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(cum) - 2)
-    out = np.empty(tt.shape, dtype=complex)
-    for i, piece in enumerate(domain._pieces):
-        sel = idx == i
-        if not sel.any():
-            continue
-        u = (s[sel] - cum[i]) / (cum[i + 1] - cum[i])
-        if piece[0] == "seg":
-            out[sel] = piece[1] + u * (piece[2] - piece[1])
-        else:
-            _, c, r, ang0, sweep = piece
-            out[sel] = c + r * np.exp(1j * (ang0 + u * sweep))
-    return out
 
 
 def capacity_radius(domain: DomainSpec) -> float:
     """Geometric-mean radius of the boundary around the bounding-box center.
 
-    Equals the logarithmic capacity for discs and ellipses ((a+b)/2) and
-    approximates it for the polygonal kinds.  Monomial bases scaled by this
+    Equals the logarithmic capacity for ellipses ((a+b)/2, 1 on the unit
+    disc) and approximates it for polygons.  Monomial bases scaled by this
     radius keep the Gram matrix's smallest eigenvalue polynomially small in
     the degree instead of exponentially small, which is what makes
     high-degree kernel fits on eccentric domains factorizable at all.
     """
-    if domain.kind == UNIT_DISC:
-        return 1.0
     if domain.kind == ELLIPSE:
         a, b = domain.semi_axes
         return 0.5 * (a + b)
@@ -683,7 +653,7 @@ def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGr
     whose leaf lies outside.
 
     The domain is seen only through ``contains`` and ``curve_distance``
-    (and the ellipse's distance bound), so every kind gets the same rule.
+    (and the ellipse's distance bound), so every domain gets the same rule.
     A corner distance is computed once per lattice point that neighbouring
     leaves share, the leaf's parent center reuses its band test's
     distance, and a corner the ellipse bound puts one leaf side from the

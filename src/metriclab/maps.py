@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DivergentValueError, DomainError
 from .geometry import (
-    UNIT_DISC,
     DomainSpec,
     boundary_distance,
     contains,
@@ -182,7 +181,7 @@ class AffineInto(AnalyticMap):
     def __post_init__(self):
         if not (0 < self.contraction < 1):
             raise ValueError("contraction must lie in (0, 1)")
-        if self.inner.target.kind != UNIT_DISC:
+        if self.inner.target != unit_disc():
             raise ValueError("inner map must take values in the unit disc")
         self.anchor = interior_anchor(self.target)
         self.radius = boundary_distance(self.target, self.anchor)
@@ -264,7 +263,7 @@ def from_name(name: str, target: DomainSpec | None = None) -> AnalyticMap:
         inner = BlaschkeProduct((0.5, -0.3j), disc)
     else:
         raise ValueError(f"unknown map name {name!r}")
-    if target is None or target.kind == UNIT_DISC:
+    if target is None or target == disc:
         return inner
     return AffineInto(target, inner, 0.5)
 

@@ -25,8 +25,8 @@ from .errors import (
     ResolutionTooCoarseError,
 )
 from .geometry import (
+    ELLIPSE,
     POLYGON,
-    UNIT_DISC,
     DomainSpec,
     clear_of_boundary,
     contains,
@@ -65,7 +65,7 @@ class MetricDensity:
     def __post_init__(self):
         if self.kind not in DENSITY_KINDS:
             raise ValueError(f"unknown density kind {self.kind!r}; pick one of {DENSITY_KINDS}")
-        if self.kind == HYPERBOLIC and self.domain.kind != UNIT_DISC:
+        if self.kind == HYPERBOLIC and self.domain != unit_disc():
             raise ValueError("the hyperbolic density lives on the unit disc only")
         if self.kind == BERGMAN and self.model is None:
             raise ValueError("bergman density needs a fitted KernelModel")
@@ -410,18 +410,18 @@ def _segment_inside(domain: DomainSpec, a, b, margin: float, n_samples: int = 8)
     """Vectorized check that segments [a,b] stay inside with clearance;
     the result has the broadcast shape of a and b.
 
-    The endpoints must lie inside.  On the convex disc and ellipse a chord
-    between interior points lies inside, so margin == 0 samples nothing;
-    otherwise every sample must pass :func:`clear_of_boundary`, and a
-    polygon segment must also meet no boundary edge (tested exactly)."""
+    The endpoints must lie inside.  On a convex ellipse a chord between
+    interior points lies inside, so margin == 0 samples nothing; otherwise
+    every sample must pass :func:`clear_of_boundary`, and a sharp polygon's
+    segment must also meet no boundary edge (tested exactly)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if margin == 0 and domain.kind in (UNIT_DISC, "ellipse"):
+    if margin == 0 and domain.kind == ELLIPSE:
         return np.ones(np.broadcast(a, b).shape, dtype=bool)
     t = (np.arange(n_samples) + 0.5) / n_samples
     pts = a[..., None] + t * (b - a)[..., None]
     ok = clear_of_boundary(domain, pts, margin).all(axis=-1)
-    if domain.kind == POLYGON:
+    if domain.kind == POLYGON and domain.corner_radius is None:
         ok &= ~segments_meet_boundary(domain, a, b)
     return ok
 

@@ -641,7 +641,9 @@ def test_load_kernel_rejects_other_formats_and_trailing_lines(tmp_path, disc_ker
 def test_load_kernel_checks_the_domain_line(tmp_path, disc, ellipse15, disc_kernel_coarse):
     path = tmp_path / "model.txt"
     B.save_kernel(disc_kernel_coarse, path)
-    with pytest.raises(ValueError, match=r"model\.txt, line 6: .*'unit_disc'"):
+    # the disc is the ellipse with semi-axes 1 and 1
+    assert "\ndomain ellipse:1.0:1.0\n" in path.read_text()
+    with pytest.raises(ValueError, match=r"model\.txt, line 6: .*'ellipse:1\.0:1\.0'"):
         B.load_kernel(path, domain=ellipse15)
     assert B.load_kernel(path).domain is None
     # a model saved without a domain writes '-' and loads on any domain

@@ -116,6 +116,7 @@ _CLEARANCE_DOMAINS = {
     "ellipse-1.5": G.ellipse(1.5, 1), "ellipse-2": G.ellipse(2, 1),
     "ellipse-3": G.ellipse(3, 1), "disc": G.unit_disc(),
     "lshape": G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]),
+    "rounded-lshape": G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15),
 }
 
 
@@ -128,10 +129,10 @@ def test_clear_of_boundary_matches_curve_distance(name, margin):
     box = (rng.uniform(1.2 * xmin - 0.1, 1.2 * xmax + 0.1, 4000)
            + 1j * rng.uniform(1.2 * ymin - 0.1, 1.2 * ymax + 0.1, 4000))
     # points margin +- 1e-13 from the boundary along the inward normal,
-    # away from corners where the normal is not defined
+    # away from sharp corners, where the normal is not defined
     t = rng.uniform(0, 2 * np.pi, 400)
     g = G.boundary_point(dom, t)
-    if dom.kind == G.POLYGON:
+    if dom.kind == G.POLYGON and dom.corner_radius is None:
         keep = np.min(np.abs(g[:, None] - np.array(dom.vertices)[None, :]), axis=1) > 0.2
         t, g = t[keep], g[keep]
     nrm = _inward_normal(dom, t)
@@ -402,12 +403,12 @@ def test_clipped_band_grid_invariants(monkeypatch, name):
         assert bool(G.contains(dom, grid.nodes).all())
         assert np.all(grid.weights > 0)
         error = abs(grid.total_weight() - dom.area())
-        if dom.kind == G.POLYGON:
-            assert error < 1e-12
-        elif dom.kind == G.SMOOTHED_POLYGON:
-            assert error < 2e-4
-        else:
+        if dom.kind == G.ELLIPSE:
             assert error < 1e-4 * dom.area()
+        elif dom.corner_radius is None:
+            assert error < 1e-12
+        else:
+            assert error < 2e-4
         (centers, area, centroid), = leaves
         placed = area > 0
         dropped = placed.copy()

@@ -623,7 +623,7 @@ def _full_pricing_sweep_level(omega, pts, step0, margin, budget):
     dirs = np.array([1, -1, 1j, -1j,
                      (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
                      (-1 + 1j) / math.sqrt(2), (-1 - 1j) / math.sqrt(2)])
-    check_segments = domain.kind not in (G.UNIT_DISC, G.ELLIPSE)   # the convex kinds
+    check_segments = domain.kind != G.ELLIPSE   # a convex ellipse needs no segment test
     step = step0
     total = path_cost(pts)
     while step > step0 / 64 and (budget is None or budget[0] > 0):
