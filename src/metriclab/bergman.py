@@ -5,8 +5,9 @@ inner product of a quadrature grid.  With V the Vandermonde matrix of the
 nodes and W the diagonal of weights, the weighted Vandermonde W^{1/2} V is
 factorized by a stacked QR, W^{1/2} V = Q R, which merges one node block at
 a time into the triangle R (LAPACK's triangular-pentagonal ``ztpqrt``), and
-the basis is phi_j = sum_k B_{jk} zeta^k with B = R^{-H}; neither Q nor the
-Gram matrix V^H W V is ever formed.  Then
+the basis is phi_j = sum_k B_{jk} zeta^k with B = R^{-T}: its values at the
+nodes are the columns of Q = W^{1/2} V R^{-1}.  Neither Q nor the Gram matrix
+V^H W V is ever formed.  Then
 
     K(z, w)  = sum_j phi_j(z) conj(phi_j(w))
     rho(z)^2 = d^2/(dz dzbar) log K(z, z)
@@ -278,8 +279,9 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
                          scale: float) -> tuple[np.ndarray, float]:
     """Triangular orthonormalization via QR of the weighted Vandermonde.
 
-    With A = W^{1/2} V one has A^H A = R^H R, so B = R^{-H} is the inverse
-    of the conjugate-transposed Cholesky factor of the Gram matrix, computed
+    With A = W^{1/2} V the columns of Q = A R^{-1} are the orthonormal
+    basis's values at the nodes, so its coefficients are B = R^{-T}; since
+    A^H A = R^H R, R^H is the Cholesky factor of the Gram matrix, computed
     backward-stably from the node values, which keeps degrees feasible far
     beyond the point where an explicitly assembled Gram matrix stops being
     numerically positive definite.  Runs in node blocks (stacked QR: each
@@ -307,17 +309,16 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
         raise FactorizationError(degree=int(np.argmax(bad)))
     phases = diag / np.abs(diag)
     R = R * np.conj(phases)[:, None]
-    B = solve_triangular(R, np.eye(n, dtype=complex), lower=False).conj().T
+    B = solve_triangular(R, np.eye(n, dtype=complex), lower=False).T
 
     A = np.empty((_NODE_CHUNK, n), dtype=complex, order="F")
 
     def grid_overlap(Bcur):
-        # S_{jk} = <phi_j, phi_k> from the actual basis values on the grid
-        BH = Bcur.conj().T
+        # S = Q^H Q from the actual basis values Q = A B^T on the grid
         U = np.zeros((n, n), dtype=complex)
         for start in range(0, zeta.size, _NODE_CHUNK):
             sl = slice(start, start + _NODE_CHUNK)
-            Q = _weighted_vander(zeta[sl], sw[sl], A[:zeta[sl].size]) @ BH
+            Q = _weighted_vander(zeta[sl], sw[sl], A[:zeta[sl].size]) @ Bcur.T
             # Q is C-ordered, so Q.T reaches zherk uncopied; the upper
             # triangle of Q.T Q.T^H = conj(Q^H Q) is summed
             U += zherk(1.0, Q.T)
@@ -327,14 +328,15 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     S = grid_overlap(B)
     if np.max(np.abs(S - np.eye(n))) > 1e-10:
         # S is near-identity, so chol(S) is perfectly conditioned; one sweep
-        # takes the defect to the monomial basis's rounding noise, which
-        # further sweeps only move about.  A rank-deficient A leaves R a
-        # rounding-sized diagonal entry instead of a zero one, and S then
-        # fails at the leading block of order info: degree info - 1
+        # Q <- Q L^{-H}, that is B <- conj(L)^{-1} B, takes the defect to the
+        # monomial basis's rounding noise, which further sweeps only move
+        # about.  A rank-deficient A leaves R a rounding-sized diagonal
+        # entry instead of a zero one, and S then fails at the leading
+        # block of order info: degree info - 1
         L, info = zpotrf(S, lower=1)
         if info:
             raise FactorizationError(degree=info - 1)
-        B = solve_triangular(L, B, lower=True)
+        B = solve_triangular(L.conj(), B, lower=True)
         S = grid_overlap(B)
     err = np.abs(S - np.eye(n))
     defect = float(err.max())

@@ -82,21 +82,58 @@ def test_far_from_orthonormal_basis_raises():
     assert B.fit_kernel_model(dom, degree=30, resolution=0.2).orthonormality_defect <= 1e-6
 
 
-def test_tsqr_and_cholesky_routes_agree(disc):
-    # independent reference: assemble the Gram matrix V^H W V, Cholesky
-    # G = L L^H, basis coefficients B = L^{-1}
-    grid = G.gauss_quadrature_grid(disc, 0.02)
-    center, scale = disc.center, G.capacity_radius(disc)
-    V = np.vander((grid.nodes - center) / scale, 17, increasing=True)
+def _gram_cholesky_model(domain, grid, degree):
+    # independent reference: assemble the Gram matrix G = V^H W V and factor
+    # G = L L^H.  The basis phi = V B^T is orthonormal when conj(B) G B^T =
+    # I, so its coefficients are B = conj(L^{-1})
+    center, scale = domain.center, G.capacity_radius(domain)
+    V = np.vander((grid.nodes - center) / scale, degree + 1, increasing=True)
     gram = V.conj().T @ (grid.weights[:, None] * V)
     L = np.linalg.cholesky(0.5 * (gram + gram.conj().T))
-    coeffs = solve_triangular(L, np.eye(17, dtype=complex), lower=True)
-    via_gram = B.KernelModel(16, coeffs, center=center, scale=scale)
+    coeffs = solve_triangular(L, np.eye(degree + 1, dtype=complex), lower=True).conj()
+    return B.KernelModel(degree, coeffs, center=center, scale=scale)
+
+
+def test_tsqr_and_cholesky_routes_agree(disc):
+    grid = G.gauss_quadrature_grid(disc, 0.02)
+    via_gram = _gram_cholesky_model(disc, grid, 16)
     via_qr = B.fit_kernel_model(disc, degree=16, grid=grid)
     zs = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.6])
     K1 = B.kernel_cross(via_gram, zs, zs)
     K2 = B.kernel_cross(via_qr, zs, zs)
     assert np.max(np.abs(K1 - K2)) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def lshape_fit():
+    # the rounded L is symmetric under the swap (x, y) -> (y, x) but not
+    # under conjugation, so a kernel of the mirror image conj(domain) shows
+    dom = G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15)
+    grid = G.gauss_quadrature_grid(dom, 0.02)
+    return dom, grid, B.fit_kernel_model(dom, degree=20, grid=grid)
+
+
+def test_lshape_kernel_is_symmetric_under_the_swap(lshape_fit):
+    # the swap maps 1.5 + 0.5i to 0.5 + 1.5i.  The kernel of the mirror
+    # image read 1.100 and 2.116 there; the kernel of the L reads 2.331 at both
+    dom, grid, model = lshape_fit
+    rho = B.bergman_density(model, np.array([1.5 + 0.5j, 0.5 + 1.5j]))
+    assert abs(rho[0] / rho[1] - 1) < 1e-10
+    assert rho[0] == pytest.approx(2.331, abs=1e-3)
+    # against the kernel assembled from the Gram matrix
+    zs = np.array([1.5 + 0.5j, 0.5 + 1.5j, 0.3 + 0.3j, 1.2 + 0.8j])
+    ref = _gram_cholesky_model(dom, grid, 20)
+    K, K_ref = B.kernel_cross(model, zs, zs), B.kernel_cross(ref, zs, zs)
+    assert np.max(np.abs(K / K_ref - 1)) < 1e-8
+
+
+@pytest.mark.parametrize("coeffs", [[0, 2j, 0, 1], [1, -1, 0.5j], [0, 0, 0, 0, 0, 0, 0, 1 - 1j]])
+def test_lshape_kernel_reproduces_polynomials(lshape_fit, coeffs):
+    # 2iz + z^3, 1 - z + iz^2/2 and (1 - i) z^7: the mirror-image kernel
+    # left a residual of 884 for the first at degree 10
+    dom, grid, model = lshape_fit
+    for z in (1.5 + 0.5j, 0.5 + 1.5j, 0.4 + 0.3j):
+        assert B.reproducing_residual(model, grid, coeffs, z) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +161,10 @@ def _gram_by_zherk(Q):
 def _economic_q_route(grid, degree, center, scale, chunk, vander, gram):
     # reference route: each chunk of ``chunk`` nodes stacked under R with
     # np.vstack and factorized with an explicit economic Q; ``vander`` and
-    # ``gram`` give a chunk's weighted Vandermonde and Q^H Q.  A defect
-    # above 1e-10 takes one re-orthonormalization sweep; returns
-    # (B, defect, whether it swept)
+    # ``gram`` give a chunk's weighted Vandermonde and Q^H Q.  The basis
+    # values Q = A R^{-1} = A B^T give B = R^{-T}.  A defect above 1e-10
+    # takes one re-orthonormalization sweep Q <- Q L^{-H} with S = L L^H;
+    # returns (B, defect, whether it swept)
     n = degree + 1
     zeta = (grid.nodes - center) / scale
     sw = np.sqrt(grid.weights)
@@ -138,21 +176,21 @@ def _economic_q_route(grid, degree, center, scale, chunk, vander, gram):
         R = qr(block, mode="economic")[1]
     diag = np.diag(R)
     R = R * np.conj(diag / np.abs(diag))[:, None]
-    Bc = solve_triangular(R, np.eye(n, dtype=complex), lower=False).conj().T
+    Bc = solve_triangular(R, np.eye(n, dtype=complex), lower=False).T
 
     def grid_overlap(Bcur):
         S = np.zeros((n, n), dtype=complex)
         for start in range(0, zeta.size, chunk):
             sl = slice(start, start + chunk)
-            S += gram(vander(zeta[sl], sw[sl], n) @ Bcur.conj().T)
+            S += gram(vander(zeta[sl], sw[sl], n) @ Bcur.T)
         return S
 
     S = grid_overlap(Bc)
     defect = float(np.max(np.abs(S - np.eye(n))))
     swept = defect > 1e-10
     if swept:
-        R2 = np.linalg.cholesky(0.5 * (S + S.conj().T)).conj().T
-        Bc = solve_triangular(R2.conj().T, Bc, lower=True)
+        L = np.linalg.cholesky(0.5 * (S + S.conj().T))
+        Bc = solve_triangular(L.conj(), Bc, lower=True)
         defect = float(np.max(np.abs(grid_overlap(Bc) - np.eye(n))))
     return Bc, defect, swept
 
