@@ -286,10 +286,10 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     beyond the point where an explicitly assembled Gram matrix stops being
     numerically positive definite.  Runs in node blocks (stacked QR: each
     block merged into R in place), so memory stays bounded for fine grids.
-    A grid with fewer nodes than monomials, an R with a zero diagonal entry,
-    or a sweep whose overlap S is not positive definite (a rank-deficient A)
-    raises :class:`FactorizationError` naming the first degree it cannot
-    resolve.
+    A grid with fewer nodes than monomials, an R diagonal entry at most
+    n eps times its largest (a rank-deficient A), or a sweep whose overlap
+    S is not positive definite raises :class:`FactorizationError` naming
+    the first degree it cannot resolve.
 
     Returns (B, defect) with defect = max |S - I| for the grid overlap
     S = <phi_j, phi_k> of the basis.  Above 1e-10 one sweep
@@ -304,7 +304,7 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
         raise FactorizationError(degree=zeta.size)
     R = _stacked_r(zeta, sw, n)
     diag = np.diag(R)
-    bad = np.abs(diag) == 0.0
+    bad = np.abs(diag) <= n * np.finfo(float).eps * np.abs(diag).max()
     if bad.any():
         raise FactorizationError(degree=int(np.argmax(bad)))
     phases = diag / np.abs(diag)
@@ -330,8 +330,7 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
         # S is near-identity, so chol(S) is perfectly conditioned; one sweep
         # Q <- Q L^{-H}, that is B <- conj(L)^{-1} B, takes the defect to the
         # monomial basis's rounding noise, which further sweeps only move
-        # about.  A rank-deficient A leaves R a rounding-sized diagonal
-        # entry instead of a zero one, and S then fails at the leading
+        # about.  An S that is not positive definite fails at the leading
         # block of order info: degree info - 1
         L, info = zpotrf(S, lower=1)
         if info:

@@ -55,19 +55,19 @@ def test_factorization_failure_reports_degree(disc):
 
 
 def test_rank_deficient_overlap_reports_degree(disc):
-    # as many nodes as monomials, but each of the 26 inside cell centers of
+    # more nodes than monomials, but each of the 26 inside cell centers of
     # the h = 0.35 lattice taken three times: rank 26.  Householder QR
-    # leaves rounding-sized diagonal entries, not zeros, so the rank shows
-    # first where the sweep factors the overlap: its leading block stops
-    # being positive definite at degree 26
+    # leaves a rounding-sized diagonal entry, not a zero: at degree 26 it
+    # reads 9.4e-17 of R's largest, the next one up 6.0e-6
     h = 0.35
     centers = G._lattice(disc, h)
     nodes = np.repeat(centers[G.contains(disc, centers)], 3)
     assert nodes.size == 78
     grid = G.QuadratureGrid(nodes, np.full(nodes.size, h * h), h)
-    with pytest.raises(FactorizationError) as err:
-        B.fit_kernel_model(disc, degree=31, grid=grid)
-    assert err.value.degree == 26
+    for degree in (26, 31):
+        with pytest.raises(FactorizationError) as err:
+            B.fit_kernel_model(disc, degree=degree, grid=grid)
+        assert err.value.degree == 26
 
 
 def test_far_from_orthonormal_basis_raises():
