@@ -323,7 +323,12 @@ def contains(domain: DomainSpec, z) -> bool | np.ndarray:
     arr = zz.ravel()
     if domain.kind == ELLIPSE:
         a, b = domain.semi_axes
-        res = (arr.real / a) ** 2 + (arr.imag / b) ** 2 < 1.0
+        # a circle tests |z| < a, which keeps 1 - |z|^2 positive inside the
+        # unit disc; x^2 + y^2 < 1 holds at boundary points where it is 0
+        if a == b:
+            res = np.abs(arr) < a
+        else:
+            res = (arr.real / a) ** 2 + (arr.imag / b) ** 2 < 1.0
     else:
         res = _polygon_contains(np.asarray(domain.vertices, dtype=complex), arr)
         for c in domain._corners:

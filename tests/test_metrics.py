@@ -49,6 +49,22 @@ def test_hyperbolic_density_needs_disc(ellipse15):
         M.MetricDensity(ellipse15, M.HYPERBOLIC)
 
 
+def test_hyperbolic_density_is_finite_wherever_the_disc_contains(hyp):
+    # points on the circle and a few ulps inside it.  The disc is the
+    # ellipse with a = b = 1, whose membership test on a circle is |z| < 1,
+    # so 1 - |z|^2 > 0 wherever it holds; x^2 + y^2 < 1 held at 10.7% of
+    # the points e^{it} with 1 - |z|^2 rounding to 0
+    rng = np.random.default_rng(89)
+    t = rng.uniform(0, 2 * np.pi, 100_000)
+    circle = np.exp(1j * t)
+    z = np.concatenate([circle, (1 - rng.uniform(0, 4e-16, t.size)) * circle])
+    inside = G.contains(G.unit_disc(), z)
+    assert 0 < inside.sum() < z.size
+    with np.errstate(divide="raise"):
+        rho = hyp.eval_array(z[inside])
+    assert np.all(np.isfinite(rho) & (rho > 0))
+
+
 def test_unknown_density_kind_is_rejected(disc):
     with pytest.raises(ValueError, match="unknown density kind 'hyperbolc'"):
         M.MetricDensity(disc, "hyperbolc")
