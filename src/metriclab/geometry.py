@@ -5,11 +5,11 @@ Two boundary families:
 
 * ``ellipse(a, b)``    -- open ellipse with semi-axes a >= b > 0; the open
                           unit disc ``unit_disc()`` is ellipse(1, 1)
-* ``polygon``          -- open simple polygon, counterclockwise, whose
-                          corners ``smoothed_polygon(vertices, r)`` replaces
-                          by tangent circular arcs of radius r (a cheap,
-                          explicitly constructed smooth Jordan domain) and
-                          ``polygon(vertices)`` keeps sharp
+* ``polygon``          -- open simple polygon, counterclockwise, with sharp
+                          corners (``polygon(vertices)``) or each corner
+                          replaced by the tangent circular arc of radius r
+                          (``smoothed_polygon(vertices, r)``: a cheap,
+                          explicitly constructed smooth Jordan domain)
 
 All point-wise operations accept either a complex scalar or a complex
 ndarray and are vectorized over the latter.
@@ -325,10 +325,8 @@ def contains(domain: DomainSpec, z) -> bool | np.ndarray:
         a, b = domain.semi_axes
         # a circle tests |z| < a, which keeps 1 - |z|^2 positive inside the
         # unit disc; x^2 + y^2 < 1 holds at boundary points where it is 0
-        if a == b:
-            res = np.abs(arr) < a
-        else:
-            res = (arr.real / a) ** 2 + (arr.imag / b) ** 2 < 1.0
+        res = (np.abs(arr) < a if a == b
+               else (arr.real / a) ** 2 + (arr.imag / b) ** 2 < 1.0)
     else:
         res = _polygon_contains(np.asarray(domain.vertices, dtype=complex), arr)
         for c in domain._corners:

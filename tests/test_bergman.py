@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import qr, solve_triangular
 from scipy.linalg.blas import zherk
+from scipy.spatial import cKDTree
 
 from metriclab import bergman as B
 from metriclab import geometry as G
@@ -125,6 +126,30 @@ def test_lshape_kernel_is_symmetric_under_the_swap(lshape_fit):
     ref = _gram_cholesky_model(dom, grid, 20)
     K, K_ref = B.kernel_cross(model, zs, zs), B.kernel_cross(ref, zs, zs)
     assert np.max(np.abs(K / K_ref - 1)) < 1e-8
+
+
+def test_lshape_density_is_invariant_under_a_quarter_turn(lshape_fit):
+    # the quarter turn z -> c + i (z - c) about the bounding-box center c
+    # maps the L onto an L with the same bounding box, and its grid onto
+    # the turned L's grid: each node of weight above 1e-20 lands within
+    # 1e-12 of its own node there, of the same weight (one sliver of weight
+    # 2.5e-32 has no image).  The mirror-image kernel missed by 92%
+    dom, grid, model = lshape_fit
+    c = dom.center
+    turned = G.smoothed_polygon([c + 1j * (v - c) for v in dom.vertices], 0.15)
+    assert turned.bounding_box == dom.bounding_box
+    turned_grid = G.gauss_quadrature_grid(turned, 0.02)
+    keep = grid.weights > 1e-20
+    image = c + 1j * (grid.nodes[keep] - c)
+    gap, k = cKDTree(np.c_[turned_grid.nodes.real, turned_grid.nodes.imag]).query(
+        np.c_[image.real, image.imag])
+    assert np.unique(k).size == image.size == np.count_nonzero(turned_grid.weights > 1e-20)
+    assert gap.max() < 1e-12
+    assert np.max(np.abs(turned_grid.weights[k] - grid.weights[keep])) < 1e-12 * grid.weights.max()
+    z = np.array([1.5 + 0.5j, 0.5 + 1.5j, 0.3 + 0.3j, 1.2 + 0.8j, 0.6 + 0.9j])
+    rho = B.bergman_density(model, z)
+    rho_turned = B.bergman_density(B.fit_kernel_model(turned, 20, grid=turned_grid), c + 1j * (z - c))
+    assert np.max(np.abs(rho_turned / rho - 1)) < 1e-10
 
 
 @pytest.mark.parametrize("coeffs", [[0, 2j, 0, 1], [1, -1, 0.5j], [0, 0, 0, 0, 0, 0, 0, 1 - 1j]])

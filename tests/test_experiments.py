@@ -11,6 +11,7 @@ from metriclab import bergman as B
 from metriclab import cli
 from metriclab import experiments as E
 from metriclab import geometry as G
+from metriclab import maps
 from metriclab.errors import ConfigError, DivergentDistanceError, KernelInstabilityError
 
 HL1_CUSP = """
@@ -241,6 +242,26 @@ def test_closed_form_config_values_bitwise(name, tmp_path):
            float.hex(rep.values["sampling_convergence"]),
            float.hex(rep.values["implied_alpha_modulus"]))
     assert got == GOLDEN[name]
+
+
+def test_ellipse_1_1_is_the_unit_disc(tmp_path):
+    # the disc is the ellipse with semi-axes 1 and 1, whatever the config
+    # calls it: the hyperbolic density lives on it, a catalog map needs no
+    # affine squeeze into it, and hl1 reports what it reports on unit_disc
+    f = maps.from_name("cusp_a50", G.ellipse(1, 1))
+    assert isinstance(f, maps.PowerCusp) and f.target == G.unit_disc()
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "hl1_cusp50.txt")
+    disc = E.run_experiment(E.parse_config_file(path, {"out": str(tmp_path)}))
+    with open(path) as fh:
+        text = fh.read().replace("domain = unit_disc", "domain = ellipse 1 1")
+    assert "ellipse 1 1" in text
+    cfg = E.parse_config_text(text, {"out": str(tmp_path)})
+    assert cfg.domain == G.unit_disc()
+    ellipse = E.run_experiment(cfg)
+    assert ellipse.config_echo["domain"] == "ellipse 1 1"
+    assert ellipse.config_hash != disc.config_hash
+    for field in ("passed", "checks", "curves", "flags", "notes", "values", "seed"):
+        assert getattr(ellipse, field) == getattr(disc, field), field
 
 
 def test_yamashita_identity_out_of_range():
