@@ -295,8 +295,9 @@ def emit_report(report: VerificationReport, out_dir) -> list[str]:
     paths = []
     summary = os.path.join(out_dir, f"{stem}.json")
     with open(summary, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # the report holds only plain dicts and lists: its fields need no
+        # deep copy to be encoded
+        fh.write(json.dumps(vars(report), indent=2, sort_keys=True) + "\n")
     paths.append(summary)
     for name, curve in report.curves.items():
         data_path = os.path.join(out_dir, f"{stem}.{name}.dat")
@@ -387,7 +388,10 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
     if not zero:
         _fit_curve(curves[f"means_{label}"], mc, "means", fits, flags)
 
-    tr = boundary_trace(f, cfg.circle_samples, cfg.trace_radius)
+    # the n-sample trace is the even samples of the 2n-sample one, bit for
+    # bit: angle 2j of 2n rounds exactly like angle j of n
+    fine = boundary_trace(f, 2 * cfg.circle_samples, cfg.trace_radius)
+    tr = fine[::2].copy()
     try:
         sc = modulus_curve(tr, d, cfg.steps, p, screen=screen)
         curves[f"modulus_{label}"] = _curve_dict(sc.abscissa, sc.values)
@@ -396,10 +400,9 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
             _fit_curve(curves[f"modulus_{label}"], sc, "modulus", fits, flags)
             if cfg.density_kind in (HYPERBOLIC, CONSTANT):
                 # the ladder's first modulus is the probe at the sampling
-                # of ``tr``; only the doubled sampling is computed anew
+                # of ``tr``; only the doubled sampling's modulus is computed
                 a = float(sc.values[0])
-                tr2 = boundary_trace(f, 2 * cfg.circle_samples, cfg.trace_radius)
-                b = doubled_sampling_modulus(tr2, d, p, float(cfg.steps[0]),
+                b = doubled_sampling_modulus(fine, d, p, float(cfg.steps[0]),
                                              screen=screen)
                 gap = abs(b - a) / max(abs(b), 1e-300)
     except DivergentValueError as err:

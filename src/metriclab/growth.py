@@ -37,25 +37,9 @@ class ExponentFit:
 
 
 def integral_means(g, r: float, p: float, n: int = 4096) -> float:
-    """p-mean of g over the circle of radius r: (sum g(r e^{it_j})^p / n)^{1/p}.
-
-    Uniform angles make the trapezoid and midpoint rules coincide by
-    periodicity.  ``p = inf`` gives the sup over the sampled circle.
-    Non-finite samples raise :class:`DivergentValueError`.
-    """
-    if not (0 < r < 1):
-        raise ValueError("radius must lie in (0, 1)")
-    if n < 64:
-        raise ValueError("need at least 64 circle samples")
-    if not (p == math.inf or p >= 1):
-        raise ValueError("exponent p must satisfy p >= 1 (or inf)")
-    t = 2 * np.pi * np.arange(n) / n
-    vals = np.asarray(g(r * np.exp(1j * t)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise DivergentValueError(f"integral mean diverges at r = {r}")
-    if p == math.inf:
-        return float(np.max(vals))
-    return float(np.mean(vals ** p) ** (1.0 / p))
+    """p-mean of g over the circle of radius r: (sum g(r e^{it_j})^p / n)^{1/p};
+    the one-radius case of :func:`means_curve`."""
+    return float(means_curve(g, [r], p, n).values[0])
 
 
 def _shift_set(n: int, h: float, p: float) -> list[int]:
@@ -81,13 +65,16 @@ def _shift_set(n: int, h: float, p: float) -> list[int]:
 def _shift_table(trace: np.ndarray, d, p: float, ks) -> dict[int, float]:
     """{k: max (p = inf) or p-mean of d(trace(t + k gap), trace(t)) over t},
     each shift priced in full, in ``ks`` order."""
+    n = trace.size
+    doubled = np.concatenate([trace, trace])
     table: dict[int, float] = {}
     for k in ks:
-        dist = np.asarray(d(np.roll(trace, -k), trace), dtype=float)
+        # trace(t + k gap) is a slice of the trace written twice over
+        dist = np.asarray(d(doubled[k % n:k % n + n], trace), dtype=float)
         if not np.all(np.isfinite(dist)):
             raise DivergentValueError(
                 f"divergent modulus: a trace pair at {'gap' if p == math.inf else 'shift'} "
-                f"{k * (2 * np.pi / trace.size):.4g} has infinite distance "
+                f"{k * (2 * np.pi / n):.4g} has infinite distance "
                 f"(boundary values touch the target boundary)")
         table[k] = float(dist.max()) if p == math.inf else float(np.mean(dist ** p) ** (1.0 / p))
     return table
@@ -144,10 +131,29 @@ def fit_exponent(curve: Curve) -> ExponentFit:
 
 
 def means_curve(g, radii, p: float, n: int = 4096) -> Curve:
-    """Integral means along a radius ladder, against 1 - r."""
+    """Integral means along a radius ladder, against 1 - r.
+
+    The mean at r is (sum g(r e^{it_j})^p / n)^{1/p} over the uniform angles
+    t_j = 2 pi j / n, whose e^{it_j} are formed once for all radii; uniform
+    angles make the trapezoid and midpoint rules coincide by periodicity.
+    ``p = inf`` gives the sup over the sampled circle.  Non-finite samples
+    raise :class:`DivergentValueError`.
+    """
     radii = np.asarray(radii, dtype=float)
-    vals = np.array([integral_means(g, r, p, n) for r in radii])
-    return Curve(abscissa=1.0 - radii, values=vals)
+    if not np.all((radii > 0) & (radii < 1)):
+        raise ValueError("radius must lie in (0, 1)")
+    if n < 64:
+        raise ValueError("need at least 64 circle samples")
+    if not (p == math.inf or p >= 1):
+        raise ValueError("exponent p must satisfy p >= 1 (or inf)")
+    circle = np.exp(1j * (2 * np.pi * np.arange(n) / n))
+    vals = []
+    for r in radii:
+        v = np.asarray(g(r * circle), dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise DivergentValueError(f"integral mean diverges at r = {r}")
+        vals.append(np.max(v) if p == math.inf else np.mean(v ** p) ** (1.0 / p))
+    return Curve(abscissa=1.0 - radii, values=np.array(vals, dtype=float))
 
 
 def modulus_curve(trace: np.ndarray, d, steps, p: float = math.inf,

@@ -38,6 +38,10 @@ class AnalyticMap:
     def derivative(self, z):
         raise NotImplementedError
 
+    def value_and_derivative(self, z):
+        """(f(z), f'(z)); a map whose two share work forms them together."""
+        return self(z), self.derivative(z)
+
     # -- construction-time checks ------------------------------------------
 
     def _validate(self):
@@ -155,16 +159,26 @@ class PowerCusp(AnalyticMap):
         self._validate()
 
     def __call__(self, z):
+        # u is named as in value_and_derivative: numpy multiplies a temporary
+        # in place above 256 KiB, which rounds c u differently
         zz = np.asarray(z, dtype=complex)
-        return _as_out(self.w0 + self.c * (1.0 - zz) ** self.alpha, z)
+        u = (1.0 - zz) ** self.alpha
+        return _as_out(self.w0 + self.c * u, z)
 
     def derivative(self, z):
+        return self.value_and_derivative(z)[1]
+
+    def value_and_derivative(self, z):
+        # one power u = (1 - z)^alpha serves both: f' = -alpha c u / (1 - z),
+        # where u / (1 - z) takes its removable value 1 at z = 1 (alpha = 1)
         zz = np.asarray(z, dtype=complex)
         if self.alpha < 1 and np.any(zz == 1.0):
             raise DivergentValueError(
                 "power_cusp derivative diverges at z = 1 for alpha < 1")
-        out = -self.alpha * self.c * (1.0 - zz) ** (self.alpha - 1.0)
-        return _as_out(out, z)
+        w = 1.0 - zz
+        u = w ** self.alpha
+        ratio = np.divide(u, w, out=np.ones_like(u), where=w != 0)
+        return _as_out(self.w0 + self.c * u, z), _as_out(-self.alpha * self.c * ratio, z)
 
 
 @dataclass
@@ -197,6 +211,13 @@ class AffineInto(AnalyticMap):
         out = self.contraction * self.radius * np.asarray(self.inner.derivative(zz))
         return _as_out(out, z)
 
+    def value_and_derivative(self, z):
+        zz = np.asarray(z, dtype=complex)
+        val, der = self.inner.value_and_derivative(zz)
+        scale = self.contraction * self.radius
+        return (_as_out(self.anchor + scale * np.asarray(val), z),
+                _as_out(scale * np.asarray(der), z))
+
 
 # ---------------------------------------------------------------------------
 # weighted derivative
@@ -205,10 +226,11 @@ class AffineInto(AnalyticMap):
 def weighted_derivative(f: AnalyticMap, omega: MetricDensity, z):
     """f*(z) = omega(f(z)) |f'(z)|; for the hyperbolic density this is the
     modulus of the hyperbolic derivative |f'| / (1 - |f|^2)."""
-    val = np.asarray(f(z), dtype=complex)
+    val, der = f.value_and_derivative(z)
+    val = np.asarray(val, dtype=complex)
     if not np.all(contains(omega.domain, val)):
         raise DomainError("map value leaves the density's domain")
-    out = omega.eval_array(val) * np.abs(np.asarray(f.derivative(z)))
+    out = omega.eval_array(val) * np.abs(np.asarray(der))
     return float(out) if np.asarray(z).ndim == 0 else out
 
 
@@ -278,6 +300,6 @@ def catalog(target: DomainSpec | None = None) -> dict[str, AnalyticMap]:
 def hyperbolic_derivative_modulus(f: AnalyticMap, z):
     """|f'(z)| / (1 - |f(z)|^2) spelled out verbatim; must agree exactly with
     weighted_derivative under the hyperbolic density."""
-    val = np.asarray(f(z), dtype=complex)
-    out = np.abs(np.asarray(f.derivative(z))) / (1.0 - np.abs(val) ** 2)
+    val, der = f.value_and_derivative(z)
+    out = np.abs(np.asarray(der)) / (1.0 - np.abs(np.asarray(val)) ** 2)
     return float(out) if np.asarray(z).ndim == 0 else out

@@ -221,10 +221,11 @@ def hyperbolic_distance_closed(z, w):
         raise DomainError("hyperbolic distance needs points in the closed disc")
     cross = np.abs(1.0 - np.conj(z) * w)
     sep = np.abs(z - w)
+    gap = cross - sep
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = 0.5 * np.log((cross + sep) / (cross - sep))
+        out = 0.5 * np.log((cross + sep) / gap)
     out = np.where(sep == 0.0, 0.0, out)
-    out = np.where(cross - sep <= 0.0, np.inf, out)
+    out = np.where(gap <= 0.0, np.inf, out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -507,6 +508,19 @@ def test_emit_report_roundtrip(tmp_path):
         # 17 significant digits round-trip to the same floats
         assert np.array_equal(data[:, 0], np.asarray(curve["abscissa"]))
         assert np.array_equal(data[:, 1], np.asarray(curve["values"]))
+
+
+@pytest.mark.parametrize("text", [HL1_CUSP, QH_DISC_SMALL], ids=["hl1", "qh-compare"])
+def test_emit_report_bytes_against_the_asdict_route(text, tmp_path):
+    # one json.dumps of the report's fields writes what json.dump of its
+    # deep copy by dataclasses.asdict wrote
+    rep = E.run_experiment(E.parse_config_text(text))
+    paths = E.emit_report(rep, tmp_path)
+    ref = tmp_path / "asdict.json"
+    with open(ref, "w") as fh:
+        json.dump(asdict(rep), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert open(paths[0], "rb").read() == open(ref, "rb").read()
 
 
 def test_reports_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,50 @@ def test_means_cusp_against_quadrature_oracle(hyp, cusp50):
             oracle = quad_mean_oracle(cusp50, hyp, r, p)
             got = GR.integral_means(g, r, p, 4096)
             assert got == pytest.approx(oracle, rel=2e-3), (r, p)
+
+
+def _means_per_radius(g, radii, p, n):
+    """The means curve as one integral mean per radius, each forming its own
+    e^{it}: the route that means_curve replaces."""
+    vals = []
+    for r in np.asarray(radii, dtype=float):
+        if not (0 < r < 1):
+            raise ValueError("radius must lie in (0, 1)")
+        if n < 64:
+            raise ValueError("need at least 64 circle samples")
+        if not (p == math.inf or p >= 1):
+            raise ValueError("exponent p must satisfy p >= 1 (or inf)")
+        t = 2 * np.pi * np.arange(n) / n
+        v = np.asarray(g(r * np.exp(1j * t)), dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise DivergentValueError(f"integral mean diverges at r = {r}")
+        vals.append(float(np.max(v)) if p == math.inf else float(np.mean(v ** p) ** (1.0 / p)))
+    return np.array(vals)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_means_curve_bitwise_against_the_per_radius_route(hyp, p):
+    radii = 1 - 2.0 ** -np.arange(2, 10)
+    for name, f in MP.catalog().items():
+        g = lambda zs: MP.weighted_derivative(f, hyp, zs)
+        for n in (64, 4096):
+            got = GR.means_curve(g, radii, p, n)
+            assert np.array_equal(got.values, _means_per_radius(g, radii, p, n)), (name, n)
+            assert np.array_equal(got.abscissa, 1.0 - radii)
+            assert GR.integral_means(g, radii[3], p, n) == got.values[3]
+    for args in (([0.5, 1.0], p, 128), ([0.0], p, 128), ([0.5], p, 32), ([0.5], 0.5, 128)):
+        with pytest.raises(ValueError) as want:
+            _means_per_radius(np.abs, *args)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            GR.means_curve(np.abs, *args)
+
+    def g(z):
+        return np.where(np.abs(z) > 0.6, np.inf, 1.0)
+
+    with pytest.raises(DivergentValueError) as want:
+        _means_per_radius(g, radii, p, 128)
+    with pytest.raises(DivergentValueError, match=f"^{re.escape(str(want.value))}$"):
+        GR.means_curve(g, radii, p, 128)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +353,37 @@ def test_doubled_sampling_modulus_bitwise_against_shift_route(n):
                     got = _outcome(GR.doubled_sampling_modulus, fine, d, p, h, screen=screen)
                     want = _outcome(_doubled_oracle, fine, d, p, h, screen)
                     assert got == want, (name, p, h, screen)
+
+
+def _roll_table(trace, d, p, ks):
+    """The shift table along its former route: each shift a rolled copy."""
+    table = {}
+    for k in ks:
+        dist = np.asarray(d(np.roll(trace, -k), trace), dtype=float)
+        if not np.all(np.isfinite(dist)):
+            raise DivergentValueError(
+                f"divergent modulus: a trace pair at {'gap' if p == math.inf else 'shift'} "
+                f"{k * (2 * np.pi / trace.size):.4g} has infinite distance "
+                f"(boundary values touch the target boundary)")
+        table[k] = float(dist.max()) if p == math.inf else float(np.mean(dist ** p) ** (1.0 / p))
+    return table
+
+
+def test_shift_table_bitwise_against_the_roll_route():
+    n = 1024
+    ks = [1, 2, 3, 7, 64, 255, n // 2, n - 1, n, n + 5]
+    for name, f in MP.catalog().items():
+        tr = MP.boundary_trace(f, n, 1 - 1e-4)
+        for d in (M.hyperbolic_distance_closed, M.scaled_euclidean_evaluator(1.0)):
+            for p in (1.0, 2.0, math.inf):
+                assert GR._shift_table(tr, d, p, ks) == _roll_table(tr, d, p, ks), (name, p)
+    # the identity's exact trace has pairs at infinite hyperbolic distance
+    tr = MP.boundary_trace(MP.from_name("identity"), n)
+    for p in (1.0, math.inf):
+        with pytest.raises(DivergentValueError) as want:
+            _roll_table(tr, M.hyperbolic_distance_closed, p, ks)
+        with pytest.raises(DivergentValueError, match=f"^{re.escape(str(want.value))}$"):
+            GR._shift_table(tr, M.hyperbolic_distance_closed, p, ks)
 
 
 def test_screened_sup_bitwise_on_random_traces():

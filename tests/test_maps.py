@@ -32,6 +32,35 @@ def test_power_cusp_values():
     assert g.derivative(1.0) == pytest.approx(-0.25)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
+def test_power_cusp_derivative_from_its_one_power(alpha):
+    # f' = -alpha c u / (1 - z) with u = (1 - z)^alpha, against the direct
+    # power (1 - z)^(alpha - 1).  Over 1e6 such points the gap reached 5.7,
+    # 2.6, 4.5 and 0.6 eps at alpha 0.3, 0.5, 0.7 and 1
+    f = MP.PowerCusp(0.1 - 0.2j, 0.25 + 0.05j, alpha)
+    rng = np.random.default_rng(7)
+    z = (1 - 2.0**-9) * np.sqrt(rng.random(100_000)) * np.exp(2j * np.pi * rng.random(100_000))
+    val, der = f.value_and_derivative(z)
+    direct = -alpha * f.c * (1.0 - z) ** (alpha - 1.0)
+    assert np.max(np.abs(der / direct - 1)) <= 16 * np.finfo(float).eps
+    assert np.array_equal(val, f(z))
+    assert np.array_equal(der, f.derivative(z))
+    v0, d0 = f.value_and_derivative(0.5j)
+    assert isinstance(v0, complex) and isinstance(d0, complex)
+    assert d0 == f.derivative(0.5j)
+
+
+@pytest.mark.parametrize("name", ["identity", "square", "blaschke_pair", "const_25", "cusp_a70"])
+def test_value_and_derivative_equals_the_two_calls(name, ellipse15):
+    # the default route and the affine squeeze return exactly f(z) and f'(z)
+    rng = np.random.default_rng(8)
+    z = 0.999 * np.sqrt(rng.random(4096)) * np.exp(2j * np.pi * rng.random(4096))
+    for f in (MP.from_name(name), MP.from_name(name, ellipse15)):
+        val, der = f.value_and_derivative(z)
+        assert np.array_equal(val, f(z)) and np.array_equal(der, f.derivative(z))
+        assert f.value_and_derivative(0.3 - 0.4j) == (f(0.3 - 0.4j), f.derivative(0.3 - 0.4j))
+
+
 def test_blaschke_conventions():
     b = MP.BlaschkeProduct((0.0,))
     assert b(0.37 + 0.1j) == pytest.approx(0.37 + 0.1j)
@@ -182,6 +211,16 @@ def test_boundary_trace_validation():
         MP.boundary_trace(ident, 16, 1.5)
     approx = MP.boundary_trace(ident, 16, 1 - 1e-4)
     assert np.allclose(approx, (1 - 1e-4) * MP.boundary_trace(ident, 16), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("r_b", [1.0, 1 - 1e-4])
+def test_boundary_trace_even_samples_of_the_doubled_trace(n, r_b):
+    # angle 2j of 2n samples rounds exactly like angle j of n, so the
+    # n-sample trace is the 2n-sample one's even samples, bit for bit
+    for name, f in MP.catalog().items():
+        assert np.array_equal(MP.boundary_trace(f, 2 * n, r_b)[::2],
+                              MP.boundary_trace(f, n, r_b)), name
 
 
 def test_catalog_resolution(ellipse15):
