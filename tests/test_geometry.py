@@ -419,6 +419,18 @@ def test_clipped_band_grid_invariants(monkeypatch, name):
             assert abs(centers[dropped][0] - (1 + 1j)) < h / 16
 
 
+@pytest.mark.parametrize("name, h", [("ellipse", 0.01), ("rounded square", 0.02),
+                                     ("smoothed L", 0.02), ("disc", 0.01)])
+def test_clipped_band_emits_no_sliver(name, h):
+    # a leaf corner on a curved boundary (-1.2 - 0.6i on the ellipse) reads
+    # 0, not its rounded distance of about 1e-16: it gave 1, 4 and 10
+    # nodes of weight at most 2.5e-32 on the first three.  The smallest real
+    # weights are 4.4e-13, 3.7e-10, 6.0e-10 and 3.5e-13, at least 8.9e-7 of
+    # a leaf's side^2
+    grid = G.gauss_quadrature_grid(_GRID_DOMAINS[name], h)
+    assert grid.weights.min() > 1e-7 * (h / 2**G._BAND_DEPTH) ** 2
+
+
 @pytest.mark.parametrize("name", ["disc", "ellipse", "rounded square", "smoothed L"])
 def test_clipped_band_area_error_is_second_order(name):
     # the clipped leaves cut the boundary along chords of side h / 16: the
