@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -155,3 +156,80 @@ def test_tier1_compares_failures_with_the_known_red_list(monkeypatch, capsys):
     assert tool.main([]) == 2
     assert capsys.readouterr().out.splitlines()[-1] == \
         "pytest exited 2: the suite did not run to the end"
+
+
+BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
+
+_STUB_RUN = '''import json, sys
+args = sys.argv[1:]
+seed = int(args[args.index("--seed") + 1])
+with open({log!r}, "a") as fh:
+    fh.write(json.dumps([{side!r}] + args) + "\\n")
+if seed in {fail}:
+    sys.exit(1)
+run_s = {run_s}[seed % 10]
+print("run_s", run_s, "s")
+print(json.dumps({{"correct": seed not in {wrong}, "attempted": 1, "failed": 0, "metrics": {{
+    "setup_s": {{"value": 0.5, "unit": "s"}}, "run_s": {{"value": run_s, "unit": "s"}},
+    "peak_rss_mb": {{"value": {rss}, "unit": "MiB"}}, "ok_ratio": {{"value": 1.0, "unit": "ratio"}}}}}}))
+'''
+
+
+def _stub_checkout(root: Path, side: str, log: Path, run_s, rss, fail=(), wrong=()) -> Path:
+    # a checkout whose perfbench/run.py prints fixed results by seed
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(_STUB_RUN.format(
+        log=str(log), side=side, run_s=list(run_s), rss=rss, fail=set(fail) or "()",
+        wrong=set(wrong) or "()"))
+    return root
+
+
+def _bench_pairs(parent: Path, change: Path, pairs: int, first_seed: int):
+    proc = subprocess.run(
+        [sys.executable, str(BENCH_PAIRS), str(parent), str(change), "--workload", "hl-closed",
+         "--pairs", str(pairs), "--first-seed", str(first_seed)],
+        capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_bench_pairs_alternates_sides_and_prints_the_bench_block(tmp_path):
+    log = tmp_path / "log.jsonl"
+    parent = _stub_checkout(tmp_path / "p", "parent", log, [4.0, 4.2, 3.9, 4.4, 4.1] * 2, 68.0)
+    change = _stub_checkout(tmp_path / "c", "change", log, [2.5, 4.3, 2.4, 2.8, 2.6] * 2, 68.5)
+    code, out, err = _bench_pairs(parent, change, 4, 21)
+    assert code == 0, err
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent",
+                                     "parent", "change", "change", "parent"]
+    for c in calls:
+        assert c[1:] == ["--workload", "hl-closed", "--seed", c[c.index("--seed") + 1],
+                         "--seconds", "1", "--trace", "0"]
+    assert [int(c[c.index("--seed") + 1]) for c in calls] == [21, 21, 22, 22, 23, 23, 24, 24]
+    block = json.loads(out)
+    assert block["seeds"] == [21, 22, 23, 24]
+    assert block["first_side"] == ["parent", "change", "parent", "change"]
+    # seeds 21-24 read entries 1-4 of each stub's table
+    q1, _, q3 = statistics.quantiles([4.2, 3.9, 4.4, 4.1], n=4)
+    assert (q1, q3) == pytest.approx((3.95, 4.35))
+    assert block["parent"]["run_s"] == {"runs": [4.2, 3.9, 4.4, 4.1], "median": 4.15,
+                                        "q1": q1, "q3": q3, "n": 4}
+    assert block["change"]["run_s"]["runs"] == [4.3, 2.4, 2.8, 2.6]
+    assert block["change"]["peak_rss_mb"]["median"] == 68.5
+    assert block["parent"]["correct"] == block["change"]["correct"] == [True] * 4
+    assert block["change_better_in_pairs"] == {
+        "setup_s": "0 of 4", "run_s": "3 of 4", "peak_rss_mb": "0 of 4", "ok_ratio": "0 of 4"}
+    assert len(err.splitlines()) == 8 and err.splitlines()[0].startswith("pair 0 seed 21 parent:")
+
+
+def test_bench_pairs_counts_a_failed_run_as_not_correct(tmp_path):
+    log = tmp_path / "log.jsonl"
+    parent = _stub_checkout(tmp_path / "p", "parent", log, [4.0] * 10, 68.0, wrong=[6])
+    change = _stub_checkout(tmp_path / "c", "change", log, [3.0] * 10, 68.0, fail=[5])
+    code, out, _ = _bench_pairs(parent, change, 2, 5)
+    assert code == 1
+    block = json.loads(out)
+    assert block["parent"]["correct"] == [True, False]
+    assert block["change"]["correct"] == [False, True]
+    assert block["change"]["run_s"] == {"runs": [None, 3.0], "median": 3.0, "q1": 3.0,
+                                        "q3": 3.0, "n": 1}
+    assert block["change_better_in_pairs"]["run_s"] == "1 of 2"
