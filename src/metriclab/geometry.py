@@ -718,15 +718,13 @@ def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGr
         z = (xmin + keys[rest] // rows * side) + 1j * (ymin + keys[rest] % rows * side)
         d = _band_distance(domain, z, side)
         corner[rest] = np.where(contains(domain, z), d, -d)
-        # a corner's coordinates round by eps |z| and curve_distance adds a
-        # few eps |z| more (at most 2.1 eps at 200,000 boundary points of
-        # each test domain, boundary_point's own rounding included), so a
-        # corner within 16 eps R of the boundary, R the bounding box's
-        # largest coordinate modulus, cannot be told from a boundary point.
-        # It reads 0: a vertex of its leaf's clipped polygon that adds no
-        # crossing, so a leaf that such a corner alone holds inside has
-        # area 0 and takes no node, where the rounding had made a sliver
-        # of area 1e-32 lying outside the domain
+        # a corner's coordinates round by eps |z|, and curve_distance adds a
+        # few eps |z| (at most 2.1 eps at 200,000 boundary points of each
+        # test domain, boundary_point's rounding included).  So a corner
+        # within 16 eps R of the boundary, R the bounding box's largest
+        # coordinate modulus, is on it: it reads 0, a vertex that adds no
+        # crossing, and a leaf it alone holds has area 0 and no node, not
+        # a sliver of area 1e-32 outside the domain
         corner[np.abs(corner) <= 16 * np.finfo(float).eps * max(map(abs, domain.bounding_box))] = 0.0
         area, centroid = _clipped_cells(
             (xmin + ci * side) + 1j * (ymin + cj * side), corner[inverse])

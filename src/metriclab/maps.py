@@ -207,9 +207,7 @@ class AffineInto(AnalyticMap):
         return _as_out(out, z)
 
     def derivative(self, z):
-        zz = np.asarray(z, dtype=complex)
-        out = self.contraction * self.radius * np.asarray(self.inner.derivative(zz))
-        return _as_out(out, z)
+        return self.value_and_derivative(z)[1]
 
     def value_and_derivative(self, z):
         zz = np.asarray(z, dtype=complex)
