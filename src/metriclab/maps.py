@@ -159,8 +159,9 @@ class PowerCusp(AnalyticMap):
         self._validate()
 
     def __call__(self, z):
-        # u is named as in value_and_derivative: numpy multiplies a temporary
-        # in place above 256 KiB, which rounds c u differently
+        # u is named as in value_and_derivative: numpy computes c times a
+        # temporary of 256 KiB or more in place as u * c, which rounds
+        # otherwise than c * u
         zz = np.asarray(z, dtype=complex)
         u = (1.0 - zz) ** self.alpha
         return _as_out(self.w0 + self.c * u, z)
