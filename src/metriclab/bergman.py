@@ -245,30 +245,35 @@ def reproducing_residual(model: KernelModel, grid: QuadratureGrid,
     return float(abs(f(np.asarray(z)) - integral))
 
 
-def _weighted_vander(zeta: np.ndarray, sw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """W^{1/2} V for one node block, written column by column into ``out``,
-    a (zeta.size, n) array with contiguous columns: column k is sw zeta^k."""
-    out[:, 0] = sw
-    for k in range(1, out.shape[1]):
-        np.multiply(out[:, k - 1], zeta, out=out[:, k])
-    return out
+def _weighted_vander_blocks(grid: QuadratureGrid, center: complex, scale: float,
+                           buf: np.ndarray):
+    """W^{1/2} V of each node block of the grid in turn, in the monomials
+    of zeta = (z - center) / scale, written into the flat buffer ``buf``
+    of _NODE_CHUNK * n complex numbers as a (rows, n) Fortran-ordered
+    block: column k is sqrt(w) zeta^k.  Each block is overwritten by the
+    next, and zeta and sqrt(w) are formed for one block at a time."""
+    n = buf.size // _NODE_CHUNK
+    for start in range(0, grid.nodes.size, _NODE_CHUNK):
+        sl = slice(start, start + _NODE_CHUNK)
+        zeta = (grid.nodes[sl] - center) / scale
+        block = buf[:zeta.size * n].reshape((-1, n), order="F")
+        np.sqrt(grid.weights[sl], out=block[:, 0])
+        for k in range(1, n):
+            np.multiply(block[:, k - 1], zeta, out=block[:, k])
+        yield block
 
 
-def _stacked_r(zeta: np.ndarray, sw: np.ndarray, n: int) -> np.ndarray:
-    """R of the stacked QR W^{1/2} V = Q R over node blocks; Q is never formed.
+def _stacked_r(blocks, n: int) -> np.ndarray:
+    """R of the stacked QR W^{1/2} V = Q R over the node ``blocks`` of
+    :func:`_weighted_vander_blocks`; Q is never formed.
 
-    R starts at 0, and each block's W^{1/2} V_block, written into one
-    Fortran-ordered buffer that every block reuses, is merged into it by
+    R starts at 0, and each Fortran-ordered block is merged into it by
     LAPACK's triangular-pentagonal QR ``ztpqrt``, which updates R in place
     and never touches its zero lower triangle.
     """
     R = np.zeros((n, n), dtype=complex, order="F")
-    buf = np.empty(_NODE_CHUNK * n, dtype=complex)
     nb = min(_TPQRT_BLOCK, n)
-    for start in range(0, zeta.size, _NODE_CHUNK):
-        sl = slice(start, start + _NODE_CHUNK)
-        block = buf[:zeta[sl].size * n].reshape((-1, n), order="F")
-        _weighted_vander(zeta[sl], sw[sl], block)
+    for block in blocks:
         info = ztpqrt(0, nb, R, block, overwrite_a=True, overwrite_b=True)[3]
         if info:
             raise ValueError(f"ztpqrt rejected argument {-info}")
@@ -284,8 +289,11 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     A^H A = R^H R, R^H is the Cholesky factor of the Gram matrix, computed
     backward-stably from the node values, which keeps degrees feasible far
     beyond the point where an explicitly assembled Gram matrix stops being
-    numerically positive definite.  Runs in node blocks (stacked QR: each
-    block merged into R in place), so memory stays bounded for fine grids.
+    numerically positive definite.  Runs in node blocks of _NODE_CHUNK
+    (stacked QR: each block merged into R in place), so beyond the grid
+    the fit holds two block buffers of _NODE_CHUNK x (degree + 1) complex
+    numbers: one for the blocks of A, which the QR and every overlap pass
+    reuse, and one for a block's basis values in the overlap passes.
     A grid with fewer nodes than monomials, an R diagonal entry at most
     n eps times its largest (a rank-deficient A), or a sweep whose overlap
     S is not positive definite raises :class:`FactorizationError` naming
@@ -298,11 +306,10 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     :class:`KernelInstabilityError`: such a basis is far from orthonormal.
     """
     n = degree + 1
-    zeta = (grid.nodes - center) / scale
-    sw = np.sqrt(grid.weights)
-    if zeta.size < n:
-        raise FactorizationError(degree=zeta.size)
-    R = _stacked_r(zeta, sw, n)
+    if grid.nodes.size < n:
+        raise FactorizationError(degree=grid.nodes.size)
+    vander = np.empty(_NODE_CHUNK * n, dtype=complex)
+    R = _stacked_r(_weighted_vander_blocks(grid, center, scale, vander), n)
     diag = np.diag(R)
     bad = np.abs(diag) <= n * np.finfo(float).eps * np.abs(diag).max()
     if bad.any():
@@ -311,14 +318,13 @@ def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
     R = R * np.conj(phases)[:, None]
     B = solve_triangular(R, np.eye(n, dtype=complex), lower=False).T
 
-    A = np.empty((_NODE_CHUNK, n), dtype=complex, order="F")
+    values = np.empty(_NODE_CHUNK * n, dtype=complex)
 
     def grid_overlap(Bcur):
         # S = Q^H Q from the actual basis values Q = A B^T on the grid
         U = np.zeros((n, n), dtype=complex)
-        for start in range(0, zeta.size, _NODE_CHUNK):
-            sl = slice(start, start + _NODE_CHUNK)
-            Q = _weighted_vander(zeta[sl], sw[sl], A[:zeta[sl].size]) @ Bcur.T
+        for A in _weighted_vander_blocks(grid, center, scale, vander):
+            Q = np.matmul(A, Bcur.T, out=values[:A.size].reshape(A.shape))
             # Q is C-ordered, so Q.T reaches zherk uncopied; the upper
             # triangle of Q.T Q.T^H = conj(Q^H Q) is summed
             U += zherk(1.0, Q.T)

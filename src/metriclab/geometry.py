@@ -638,6 +638,52 @@ def _clipped_cells(corners: np.ndarray, values: np.ndarray):
     return area, origin + centroid
 
 
+def _clipped_leaves(domain: DomainSpec, active: np.ndarray, parent_value: np.ndarray,
+                    quadrant: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the band's leaves: the cells of side ``side``
+    centered at ``active`` that still straddle the boundary, each the
+    ``quadrant`` of a parent whose center has signed boundary distance
+    ``parent_value``.  A leaf takes one node at the centroid of its clipped
+    polygon, weighted by its area, where that area is positive and the
+    centroid inside; leaves are clipped in blocks of 4,096, whose
+    temporaries take about 1 KB a leaf."""
+    # leaf corners on the lattice of spacing ``side``, counterclockwise
+    # (i, j), (i+1, j), (i+1, j+1), (i, j+1); each lattice point once
+    xmin, _, ymin, _ = domain.bounding_box
+    i = np.rint((active.real - xmin) / side - 0.5).astype(np.int64)
+    j = np.rint((active.imag - ymin) / side - 0.5).astype(np.int64)
+    ci = i[:, None] + np.array([0, 1, 1, 0])
+    cj = j[:, None] + np.array([0, 0, 1, 1])
+    rows = int(j.max()) + 2
+    keys, inverse = np.unique(ci * rows + cj, return_inverse=True)
+    inverse = inverse.reshape(ci.shape)
+    corner = np.full(keys.size, np.nan)
+    # the parent's center is the leaf corner opposite its quadrant
+    corner[inverse[np.arange(active.size), np.array([2, 3, 1, 0])[quadrant]]] = parent_value
+    rest = np.flatnonzero(np.isnan(corner))
+    z = (xmin + keys[rest] // rows * side) + 1j * (ymin + keys[rest] % rows * side)
+    d = _band_distance(domain, z, side)
+    corner[rest] = np.where(contains(domain, z), d, -d)
+    # a corner's coordinates round by eps |z|, and curve_distance adds a
+    # few eps |z| (at most 2.1 eps at 200,000 boundary points of each
+    # test domain, boundary_point's rounding included).  So a corner
+    # within 16 eps R of the boundary, R the bounding box's largest
+    # coordinate modulus, is on it: it reads 0, a vertex that adds no
+    # crossing, and a leaf it alone holds has area 0 and no node, not
+    # a sliver of area 1e-32 outside the domain
+    corner[np.abs(corner) <= 16 * np.finfo(float).eps * max(map(abs, domain.bounding_box))] = 0.0
+    nodes, weights = [], []
+    for start in range(0, active.size, 4096):
+        sl = slice(start, start + 4096)
+        area, centroid = _clipped_cells(
+            (xmin + ci[sl] * side) + 1j * (ymin + cj[sl] * side), corner[inverse[sl]])
+        keep = area > 0
+        keep[keep] = contains(domain, centroid[keep])
+        nodes.append(centroid[keep])
+        weights.append(area[keep])
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGrid:
     """Kernel-grade grid: tensor 2x2 Gauss nodes on the cells of side
     ``resolution`` that lie inside, plus a boundary band refined
@@ -654,6 +700,13 @@ def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGr
     falls outside the domain takes no node: a sliver at a lattice point on
     the boundary, or the notch at a sharp reflex vertex on the lattice,
     whose leaf lies outside.
+
+    The nodes come in this order: the inside lattice cells' Gauss nodes,
+    then each band level's, coarsest first, then the leaves' (each cell's
+    four Gauss nodes together).  The band levels and the clipped leaves are
+    built first, beside the lattice arrays only; ``nodes`` and ``weights``
+    are then allocated once and filled in that order, so the build holds
+    little more than the grid it returns.
 
     The domain is seen only through ``contains`` and ``curve_distance``
     (and the ellipse's distance bound), so every domain gets the same rule.
@@ -672,15 +725,8 @@ def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGr
     dist = _band_distance(domain, centers, h * 0.7072)
     inside = contains(domain, centers)
     fully_inside = inside & (dist > h * 0.7072)
-
-    nodes, weights = [], []
-
-    def emit_gauss(cells: np.ndarray, side: float):
-        pts = (cells[:, None] + quarters[None, :] * (g * side)).ravel()
-        nodes.append(pts)
-        weights.append(np.full(pts.size, side * side / 4))
-
-    emit_gauss(centers[fully_inside], h)
+    # (cells, side) of each level's Gauss cells
+    gauss = [(centers[fully_inside], h)]
 
     # signed boundary distance, >= 0 on the closed domain: a boundary
     # point's -0.0 counts as inside
@@ -695,48 +741,28 @@ def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGr
         d = _band_distance(domain, sub, side * 0.7072)
         ins = contains(domain, sub)
         full = ins & (d > side * 0.7072)
-        emit_gauss(sub[full], side)
+        gauss.append((sub[full], side))
         straddle = np.flatnonzero(~full & (d <= side * 0.7072))
         parent_value, quadrant = value[straddle // 4], straddle % 4
         active, value = sub[straddle], np.where(ins, d, -d)[straddle]
-
+    leaf_nodes = leaf_weights = np.empty(0)
     if active.size:
-        # leaf corners on the lattice of spacing ``side``, counterclockwise
-        # (i, j), (i+1, j), (i+1, j+1), (i, j+1); each lattice point once
-        xmin, _, ymin, _ = domain.bounding_box
-        i = np.rint((active.real - xmin) / side - 0.5).astype(np.int64)
-        j = np.rint((active.imag - ymin) / side - 0.5).astype(np.int64)
-        ci = i[:, None] + np.array([0, 1, 1, 0])
-        cj = j[:, None] + np.array([0, 0, 1, 1])
-        rows = int(j.max()) + 2
-        keys, inverse = np.unique(ci * rows + cj, return_inverse=True)
-        inverse = inverse.reshape(ci.shape)
-        corner = np.full(keys.size, np.nan)
-        # the parent's center is the leaf corner opposite its quadrant
-        corner[inverse[np.arange(active.size), np.array([2, 3, 1, 0])[quadrant]]] = parent_value
-        rest = np.flatnonzero(np.isnan(corner))
-        z = (xmin + keys[rest] // rows * side) + 1j * (ymin + keys[rest] % rows * side)
-        d = _band_distance(domain, z, side)
-        corner[rest] = np.where(contains(domain, z), d, -d)
-        # a corner's coordinates round by eps |z|, and curve_distance adds a
-        # few eps |z| (at most 2.1 eps at 200,000 boundary points of each
-        # test domain, boundary_point's rounding included).  So a corner
-        # within 16 eps R of the boundary, R the bounding box's largest
-        # coordinate modulus, is on it: it reads 0, a vertex that adds no
-        # crossing, and a leaf it alone holds has area 0 and no node, not
-        # a sliver of area 1e-32 outside the domain
-        corner[np.abs(corner) <= 16 * np.finfo(float).eps * max(map(abs, domain.bounding_box))] = 0.0
-        area, centroid = _clipped_cells(
-            (xmin + ci * side) + 1j * (ymin + cj * side), corner[inverse])
-        keep = area > 0
-        keep[keep] = contains(domain, centroid[keep])
-        nodes.append(centroid[keep])
-        weights.append(area[keep])
+        leaf_nodes, leaf_weights = _clipped_leaves(domain, active, parent_value, quadrant, side)
 
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    if nodes.size == 0:
+    size = 4 * sum(cells.size for cells, _ in gauss) + leaf_nodes.size
+    if size == 0:
         raise GridError("no quadrature node falls inside the domain; "
                         "resolution too coarse")
+    nodes = np.empty(size, dtype=complex)
+    weights = np.empty(size)
+    at = 0
+    for cells, cell_side in gauss:
+        end = at + 4 * cells.size
+        np.add(cells[:, None], quarters[None, :] * (g * cell_side),
+               out=nodes[at:end].reshape(-1, 4))
+        weights[at:end] = cell_side * cell_side / 4
+        at = end
+    nodes[at:] = leaf_nodes
+    weights[at:] = leaf_weights
     return QuadratureGrid(nodes, weights, h,
                           descriptor=f"gauss2x2+clip{_BAND_DEPTH}:{h!r}:{domain.grid_key()}")

@@ -169,7 +169,12 @@ def _vander_65536(zeta, sw, n):
 
 
 def _vander_by_columns(zeta, sw, n):
-    return B._weighted_vander(zeta, sw, np.empty((zeta.size, n), dtype=complex, order="F"))
+    # the fit's Vandermonde: column k is sw zeta^k, one product per column
+    out = np.empty((zeta.size, n), dtype=complex, order="F")
+    out[:, 0] = sw
+    for k in range(1, n):
+        np.multiply(out[:, k - 1], zeta, out=out[:, k])
+    return out
 
 
 def _gram_65536(Q):
@@ -269,7 +274,8 @@ def test_stacked_r_matches_a_one_shot_qr(disc):
     n = 17
     sw = np.sqrt(grid.weights)
     want = qr(sw[:, None] * np.vander(grid.nodes, n, increasing=True), mode="r")[0][:n]
-    got = B._stacked_r(grid.nodes, sw, n)
+    buf = np.empty(B._NODE_CHUNK * n, dtype=complex)
+    got = B._stacked_r(B._weighted_vander_blocks(grid, 0.0, 1.0, buf), n)
     assert np.all(np.tril(got, -1) == 0)
 
     def positive_diagonal(R):
@@ -326,15 +332,18 @@ def test_fit_sweeps_at_most_once(monkeypatch, ellipse21_grid, disc):
 
 
 def test_kernel_fit_peak_memory_is_bounded(ellipse21_grid):
-    # traced peak of the degree-48 fit on 30,528 nodes: 10.7 MB in node
-    # blocks, 72.9 MB for the reference route's one 65,536-node chunk
+    # traced peak of the degree-48 fit on 30,528 nodes: 6.55 MiB, its two
+    # 4,096 x 49 block buffers (6.1 MiB) and small change.  Forming zeta and
+    # sqrt(w) for the whole grid, with separate QR and overlap buffers and a
+    # fresh basis block per overlap block, peaked at 10.1 MiB; the reference
+    # route's one 65,536-node chunk at 72.9 MB
     tracemalloc.start()
     try:
         B.fit_kernel_model(G.ellipse(2, 1), degree=48, grid=ellipse21_grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2**20
+    assert peak <= 2 * B._NODE_CHUNK * 49 * 16 + 2**20
 
 
 def test_kernel_disc_oracle_values(disc_kernel):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -391,6 +392,7 @@ def test_clipped_band_grid_invariants(monkeypatch, name):
     clipped_cells = G._clipped_cells
 
     def recording(corners, values):
+        # called once per block of leaves
         area, centroid = clipped_cells(corners, values)
         leaves.append((corners.mean(axis=1), area, centroid))
         return area, centroid
@@ -409,7 +411,7 @@ def test_clipped_band_grid_invariants(monkeypatch, name):
             assert error < 1e-12
         else:
             assert error < 2e-4
-        (centers, area, centroid), = leaves
+        centers, area, centroid = map(np.concatenate, zip(*leaves))
         placed = area > 0
         dropped = placed.copy()
         dropped[placed] = ~G.contains(dom, centroid[placed])
@@ -481,6 +483,43 @@ def test_grids_deterministic(disc):
     g2 = G.gauss_quadrature_grid(disc, 0.07)
     assert np.array_equal(g1.nodes, g2.nodes)
     assert np.array_equal(g1.weights, g2.weights)
+
+
+# sha256 of the nodes' and weights' bytes, recorded when the grid build
+# still clipped every leaf at once and concatenated its pieces: filling
+# the arrays in place keeps every node, weight and their order
+_GRID_DIGESTS = {
+    ("ellipse", 0.01): (
+        "aaac6805519b9cca2656ec02d9b64cd9c19f72a7fda009c0a7136a3d01cd366c",
+        "8a73003a33203d6a1aff3350507198e019d5ea3130a165c796d299efe19f286c"),
+    ("sharp L", 0.02): (
+        "28c72c8beb486c607073792e7675d325f204bca74dd510d9a34e7450fde03cb8",
+        "57af6b30b5e2140cc48147cfe1faf4d8b1fb73b6c53d4bba5f754f284ef60b6c"),
+    ("smoothed L", 0.02): (
+        "23bada331cca0fe33efc4d288551a8e7149a550c6e2ece6c910c6c9ae6686868",
+        "57aad78fb43ceaf0d3fb3e5f3442cc09b3766faf0db4b6405f62a4e4d28b9940"),
+}
+
+
+@pytest.mark.parametrize("name, h", list(_GRID_DIGESTS))
+def test_grid_is_bit_identical_to_its_recorded_digest(name, h):
+    grid = G.gauss_quadrature_grid(_GRID_DOMAINS[name], h)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (grid.nodes, grid.weights))
+    assert digests == _GRID_DIGESTS[name, h]
+
+
+def test_grid_build_peak_memory_is_bounded(ellipse15):
+    # traced peak of the E(1.5, 1) grid at h = 0.01, 271,616 nodes in
+    # 6.2 MiB: 13.2 MiB, at the corner distances of its 17,808 leaves.
+    # Clipping every leaf at once beside the interior nodes and then
+    # concatenating the pieces peaked at 27.0 MiB
+    tracemalloc.start()
+    try:
+        grid = G.gauss_quadrature_grid(ellipse15, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid.nodes.nbytes + grid.weights.nbytes + 8 * 2**20
 
 
 def test_capacity_radius(disc, ellipse15):
