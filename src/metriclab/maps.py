@@ -120,7 +120,11 @@ class BlaschkeProduct(AnalyticMap):
         zz = np.asarray(z, dtype=complex)
         out = np.ones_like(zz)
         for a in self.zeros:
-            out = out * self._factor(a, zz)
+            # the factor is named: numpy computes out times a temporary of
+            # 256 KiB or more in place as factor * out, which rounds
+            # otherwise, so a value would depend on the batch size
+            factor = self._factor(a, zz)
+            out = out * factor
         return _as_out(out, z)
 
     def derivative(self, z):
@@ -131,7 +135,8 @@ class BlaschkeProduct(AnalyticMap):
             term = self._factor_derivative(a, zz)
             for j, b in enumerate(self.zeros):
                 if j != k:
-                    term = term * self._factor(b, zz)
+                    factor = self._factor(b, zz)
+                    term = term * factor
             out += term
         return _as_out(out, z)
 

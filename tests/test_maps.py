@@ -213,7 +213,7 @@ def test_boundary_trace_validation():
     assert np.allclose(approx, (1 - 1e-4) * MP.boundary_trace(ident, 16), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("n", [64, 4096, 8192])
 @pytest.mark.parametrize("r_b", [1.0, 1 - 1e-4])
 def test_boundary_trace_even_samples_of_the_doubled_trace(n, r_b):
     # angle 2j of 2n samples rounds exactly like angle j of n, so the
@@ -221,6 +221,20 @@ def test_boundary_trace_even_samples_of_the_doubled_trace(n, r_b):
     for name, f in MP.catalog().items():
         assert np.array_equal(MP.boundary_trace(f, 2 * n, r_b)[::2],
                               MP.boundary_trace(f, n, r_b)), name
+
+
+@pytest.mark.parametrize("target", [None, G.ellipse(1.5, 1)])
+def test_map_values_do_not_depend_on_the_batch_size(target):
+    # 40,000 points make temporaries of 625 KiB, which numpy may reuse in
+    # place; 1,000-point blocks make none.  Each value must not care
+    rng = np.random.default_rng(29)
+    z = np.sqrt(rng.random(40000)) * np.exp(2j * np.pi * rng.random(40000))
+    blocks = [z[i:i + 1000] for i in range(0, z.size, 1000)]
+    for name, f in MP.catalog(target).items():
+        pair = f.value_and_derivative(z)
+        for got, method in ((f(z), f), (f.derivative(z), f.derivative),
+                            (pair[0], f), (pair[1], f.derivative)):
+            assert np.array_equal(got, np.concatenate([method(b) for b in blocks])), name
 
 
 def test_catalog_resolution(ellipse15):
