@@ -556,16 +556,15 @@ def capacity_radius(domain: DomainSpec) -> float:
 
 
 def interior_anchor(domain: DomainSpec) -> complex:
-    """A deterministic interior reference point: the bounding-box center if
-    it lies inside, else the lattice cell center farthest from the boundary,
-    the lattice refined until a center lies inside."""
-    c = domain.center
-    if contains(domain, c):
-        return c
+    """A deterministic interior reference point: of the bounding-box center
+    and the lattice cell centers, the inside one farthest from the
+    boundary, the center on a tie; the lattice is refined until a point
+    lies inside.  The center alone can sit in a reflex corner's fillet."""
     h = domain.half_diagonal / 16
     for _ in range(6):
-        centers = _lattice(domain, h)
-        inside = centers[contains(domain, centers)]
+        # the center first, so that argmax keeps it on a tie
+        points = np.concatenate([[domain.center], _lattice(domain, h)])
+        inside = points[contains(domain, points)]
         if inside.size:
             return complex(inside[np.argmax(curve_distance(domain, inside))])
         h /= 2

@@ -316,6 +316,42 @@ ring_distances = 0.5 0.4 0.2
     assert rep.passed
 
 
+def test_qh_compare_smoothed_lshape_bergman_values():
+    # the fitted kernel of a domain that is not its own mirror image, on
+    # rays from its anchor on the diagonal (clearance 0.575, not the 0.062
+    # of the bounding-box center in the reflex corner's fillet).  Pinned by
+    # value, as tools/report_diff.py lists them, not by verdict: the ring
+    # checks fail on degree truncation at degree 24, the distance ratios
+    # stay within their band
+    cfg = E.parse_config_text("""
+experiment = qh-compare
+domain = smoothed_polygon 0.15 0 0 2 0 2 1 1 1 1 2 0 2
+density = bergman
+kernel_degree = 24
+kernel_resolution = 0.02
+resolution = 0.04
+rays = 16
+compare_pairs = 4
+ring_distances = 0.4 0.2 0.1
+""")
+    rep = E.run_qh_comparability(cfg)
+    got = {f"checks[{i}].{key}": value for i, check in enumerate(rep.checks)
+           for key, value in check.items() if key in ("lo", "hi", "worst_agreement")}
+    got.update({f"values.{key}": value for key, value in rep.values.items()})
+    assert got == pytest.approx({
+        "checks[0].lo": 0.1744265683737186,
+        "checks[0].hi": 1.0424456918411094,
+        "checks[1].worst_agreement": 0.5084011299795687,
+        "checks[2].lo": 0.5645535414047824,
+        "checks[2].hi": 0.9209031804247464,
+        "values.worst_inner_ring_agreement": 0.5084011299795687,
+    }, rel=1e-6)
+    assert [c["passed"] for c in rep.checks] == [False, False, True]
+    assert rep.curves["distance_ratios"]["values"] == pytest.approx(
+        [0.9209031804247464, 0.5645535414047824, 0.8634996961616586, 0.6507032751035632],
+        rel=1e-6)
+
+
 def test_qh_compare_counts_every_ring_dropped_on_instability(monkeypatch):
     cfg = E.parse_config_text("""
 experiment = qh-compare

@@ -531,10 +531,15 @@ def test_capacity_radius(disc, ellipse15):
 
 
 def test_interior_anchor(disc, ellipse15):
+    # where the bounding-box center is the deepest point it stays the anchor
     assert G.interior_anchor(disc) == 0
     assert G.interior_anchor(ellipse15) == 0
-    lshape = G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
-    anchor = G.interior_anchor(lshape)
-    assert G.contains(lshape, anchor)
-    # the deepest lattice center, not a point hugging the reflex corner
-    assert float(G.curve_distance(lshape, anchor)) > 0.5
+    assert G.interior_anchor(G.ellipse(2, 1)) == 0
+    vertices = [0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]
+    for lshape in (G.polygon(vertices), G.smoothed_polygon(vertices, 0.15)):
+        anchor = G.interior_anchor(lshape)
+        assert G.contains(lshape, anchor)
+        # the deepest lattice center, not a point hugging the reflex corner:
+        # the smoothed L's center 1+1j lies in its fillet, 0.062 from the
+        # boundary
+        assert float(G.curve_distance(lshape, anchor)) >= 0.5
