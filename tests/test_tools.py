@@ -93,18 +93,18 @@ def test_run_configs_prints_wall_times_on_stdout_only(tmp_path, monkeypatch, cap
     monkeypatch.setattr(tool, "perf_counter", lambda: next(ticks))
     commands = []
 
-    def fake_run(cmd, **kwargs):
+    def fake_run_child(cmd, **kwargs):
         commands.append(cmd)
-        return SimpleNamespace(returncode=3 if "hl2" in cmd else 0)
+        return 3 if "hl2" in cmd else 0, 101.25
 
-    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    monkeypatch.setattr(tool, "run_child", fake_run_child)
     out = tmp_path / "out"
     assert tool.main([str(out)]) == 1
     configs = sorted((ROOT / "configs").glob("*.txt"))
     experiments = [tool.experiment_of(str(c)) for c in configs]
     assert [cmd[cmd.index("verify") + 1] for cmd in commands] == experiments
     assert capsys.readouterr().out.splitlines() == [
-        f"{c.name}: verify {e} exited {3 if e == 'hl2' else 0} in 2.5 s"
+        f"{c.name}: verify {e} exited {3 if e == 'hl2' else 0} in 2.5 s, peak RSS 101.2 MiB"
         for c, e in zip(configs, experiments)
     ]
     # OUTDIR holds each config's copy and its (here empty) output, no timing
@@ -112,6 +112,21 @@ def test_run_configs_prints_wall_times_on_stdout_only(tmp_path, monkeypatch, cap
     for c in configs:
         assert sorted(p.name for p in (out / c.stem).iterdir()) == sorted([c.name, "output.txt"])
         assert (out / c.stem / "output.txt").read_text() == ""
+
+
+def test_run_child_reports_each_child_s_own_peak_rss():
+    # a child that touches 64 MiB, then one that touches nothing: the
+    # second's peak is its own, not the largest of every child so far.
+    # A child's peak starts at its forking process's, so a small runner
+    # process starts both, not this test's process
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); import run_configs as t; "
+              "print(json.dumps([t.run_child([sys.executable, '-c', c]) for c in "
+              "(\"b = b'x' * (64 * 2**20)\", 'import sys; sys.exit(3)')]))")
+    proc = subprocess.run([sys.executable, "-c", script, str(RUN_CONFIGS.parent)],
+                          capture_output=True, text=True, timeout=60)
+    (big_code, big), (small_code, small) = json.loads(proc.stdout)
+    assert big_code == 0 and big >= 64
+    assert small_code == 3 and small < big - 48
 
 
 def _tier1_module():

@@ -11,9 +11,10 @@ copy of the config there, as
 with the experiment read from the config, one BLAS thread
 (OMP_NUM_THREADS=OPENBLAS_NUM_THREADS=1) and this checkout's src/ on
 PYTHONPATH.  The run's stdout and stderr go to OUTDIR/<stem>/output.txt.
-The script prints each run's exit code and wall time on stdout (no timing
-goes into OUTDIR) and exits 1 if any run exits non-zero.  Two checkouts
-produce byte-identical reports when ``diff -r`` of their OUTDIRs is empty.
+The script prints each run's exit code, wall time and peak RSS on stdout
+(no timing goes into OUTDIR) and exits 1 if any run exits non-zero.  Two
+checkouts produce byte-identical reports when ``diff -r`` of their OUTDIRs
+is empty.
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ def experiment_of(config: str) -> str:
     raise SystemExit(f"{config}: no experiment key")
 
 
+def run_child(cmd: list[str], **kwargs) -> tuple[int, float]:
+    """Run ``cmd`` (``kwargs`` go to ``subprocess.Popen``) to its end: its
+    exit code and its own peak RSS in MiB, from the rusage that
+    ``os.wait4`` returns for it; RUSAGE_CHILDREN would be the largest of
+    every child so far.  On Linux the peak counts this process's RSS at
+    the fork, which exec keeps."""
+    proc = subprocess.Popen(cmd, **kwargs)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -57,12 +70,12 @@ def main(argv: list[str]) -> int:
         experiment = experiment_of(config)
         start = perf_counter()
         with open(os.path.join(cwd, "output.txt"), "w") as log:
-            code = subprocess.run(
+            code, peak = run_child(
                 [sys.executable, "-W", "error::RuntimeWarning", "-m", "metriclab.cli",
                  "verify", experiment, "--config", name, "--out", "reports"],
-                cwd=cwd, env=env, stdout=log, stderr=subprocess.STDOUT).returncode
-        print(f"{name}: verify {experiment} exited {code} in {perf_counter() - start:.1f} s",
-              flush=True)
+                cwd=cwd, env=env, stdout=log, stderr=subprocess.STDOUT)
+        print(f"{name}: verify {experiment} exited {code} in {perf_counter() - start:.1f} s,"
+              f" peak RSS {peak:.1f} MiB", flush=True)
         failed += code != 0
     return 1 if failed else 0
 
