@@ -757,8 +757,7 @@ def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGr
     at = 0
     for cells, cell_side in gauss:
         end = at + 4 * cells.size
-        np.add(cells[:, None], quarters[None, :] * (g * cell_side),
-               out=nodes[at:end].reshape(-1, 4))
+        np.add(cells[:, None], quarters * (g * cell_side), out=nodes[at:end].reshape(-1, 4))
         weights[at:end] = cell_side * cell_side / 4
         at = end
     nodes[at:] = leaf_nodes
