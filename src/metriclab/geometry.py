@@ -559,7 +559,11 @@ def interior_anchor(domain: DomainSpec) -> complex:
     """A deterministic interior reference point: of the bounding-box center
     and the lattice cell centers, the inside one farthest from the
     boundary, the center on a tie; the lattice is refined until a point
-    lies inside.  The center alone can sit in a reflex corner's fillet."""
+    lies inside.  The center alone can sit in a reflex corner's fillet.
+    An ellipse's center is its unique deepest point, so it is returned
+    without pricing the lattice."""
+    if domain.kind == ELLIPSE:
+        return domain.center
     h = domain.half_diagonal / 16
     for _ in range(6):
         # the center first, so that argmax keeps it on a tie

@@ -535,6 +535,11 @@ def test_interior_anchor(disc, ellipse15):
     assert G.interior_anchor(disc) == 0
     assert G.interior_anchor(ellipse15) == 0
     assert G.interior_anchor(G.ellipse(2, 1)) == 0
+    # the ellipse shortcut skips the lattice search, which would agree
+    for e in (disc, ellipse15, G.ellipse(2, 1), G.ellipse(3, 0.5)):
+        lattice = G._lattice(e, e.half_diagonal / 16)
+        lattice = lattice[G.contains(e, lattice)]
+        assert np.max(G.curve_distance(e, lattice)) < G.curve_distance(e, 0j)
     vertices = [0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]
     for lshape in (G.polygon(vertices), G.smoothed_polygon(vertices, 0.15)):
         anchor = G.interior_anchor(lshape)
@@ -542,4 +547,4 @@ def test_interior_anchor(disc, ellipse15):
         # the deepest lattice center, not a point hugging the reflex corner:
         # the smoothed L's center 1+1j lies in its fillet, 0.062 from the
         # boundary
-        assert float(G.curve_distance(lshape, anchor)) >= 0.5
+        assert float(G.curve_distance(lshape, anchor)) > 0.5
