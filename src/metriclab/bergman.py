@@ -1,13 +1,14 @@
 """Finite-degree Bergman kernel approximation and the induced metric density.
 
-The kernel is built by orthonormalizing monomials against the discrete area
-inner product of a quadrature grid.  With V the Vandermonde matrix of the
-nodes and W the diagonal of weights, the weighted Vandermonde W^{1/2} V is
-factorized by a stacked QR, W^{1/2} V = Q R, which merges one node block at
-a time into the triangle R (LAPACK's triangular-pentagonal ``ztpqrt``), and
-the basis is phi_j = sum_k B_{jk} zeta^k with B = R^{-T}: its values at the
-nodes are the columns of Q = W^{1/2} V R^{-1}.  Neither Q nor the Gram matrix
-V^H W V is ever formed.  Then
+The kernel is built by orthonormalizing polynomials against the area inner
+product, taken exactly on the boundary: by Green's theorem
+<p, q> = (1/2i) oint p conj(Q) dz with Q' = q, under the contour rule of
+:func:`geometry.boundary_rule`.  Arnoldi in zeta = (z - center)/scale on
+the rule's nodes (Vandermonde with Arnoldi) multiplies the last basis
+polynomial by zeta and orthogonalizes it against the others, carrying its
+boundary primitive and its monomial coefficients along, so the Gram matrix
+of the monomials is never formed.  The model keeps the coefficients:
+phi_j = sum_k B_{jk} zeta^k.  Then
 
     K(z, w)  = sum_j phi_j(z) conj(phi_j(w))
     rho(z)^2 = d^2/(dz dzbar) log K(z, z)
@@ -26,35 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import zpotrf, ztpqrt
 
 from .errors import DomainError, FactorizationError, KernelInstabilityError
-from .geometry import (
-    DomainSpec,
-    QuadratureGrid,
-    capacity_radius,
-    contains,
-    gauss_quadrature_grid,
-)
+from .geometry import BoundaryRule, DomainSpec, boundary_rule, capacity_radius, contains
 
-# grid nodes per block of the kernel fit, in the stacked QR and in every
-# grid_overlap pass.  A degree-72 block of W^{1/2} V is 4096 x 73 complex,
-# 4.8 MB, which stays in cache while ztpqrt merges it into R; 65,536-row
-# panels (75 MB) made the fit stream memory.  Interleaved degree-72 fits
-# of the 1.5 x 1 ellipse at h = 0.01 (271,617 nodes) on a 2-core Xeon with
-# 2 MB L2: with one BLAS thread the orthonormalization took a median of
-# 1.66, 1.64, 1.63 and 1.83 CPU s for 1,024, 2,048, 4,096 and 8,192 rows,
-# but with two OpenBLAS threads, whose threading of the small gemm and
-# zherk calls costs more than it saves, 6.1, 3.4, 2.2 and 2.6 s wall.
-# The whole fit with its grid build, 4,096 rows, took 1.3-1.9 CPU s with
-# one thread and 2.2-2.8 s wall with two.
-_NODE_CHUNK = 4096
-# column block of ztpqrt's compact WY updates.  The degree-72 QR pass above
-# in 4,096-row blocks took a median of 0.53 CPU s for 8 columns, 0.42-0.43
-# for 12 and 16, 0.52-0.55 for 24 and 32 and 1.34 for all 73
-_TPQRT_BLOCK = 16
 # points per block of a density evaluation: keeps its N x (degree+1)
 # temporaries cache-sized
 _DENSITY_BLOCK = 512
@@ -196,7 +172,7 @@ def bergman_density(model: KernelModel, z, floor: float = 1e-12):
     whether it is passed as a scalar.  Raises :class:`KernelInstabilityError`
     when K(z,z) falls below ``floor`` or the curvature radicand goes
     negative -- tiny negatives are reported, never clamped, because they
-    flag a degree/grid too coarse at z.
+    flag a degree too low at z.
     """
     zz = np.asarray(z, dtype=complex)
     flat = zz.ravel()
@@ -218,15 +194,16 @@ def bergman_density(model: KernelModel, z, floor: float = 1e-12):
         worst = float(rad.min())
         raise KernelInstabilityError(
             f"negative curvature radicand {worst:.3e}; "
-            f"kernel degree or grid resolution too coarse here"
+            f"kernel degree too low here"
         )
     rho = np.sqrt(rad)
     return float(rho) if rho.ndim == 0 else rho
 
 
-def reproducing_residual(model: KernelModel, grid: QuadratureGrid,
+def reproducing_residual(model: KernelModel, rule: BoundaryRule,
                          coeffs, z: complex) -> float:
-    """|f(z) - sum_nodes K(z, node) f(node) w| for a polynomial f.
+    """|f(z) - int int K(z, w) f(w) dA(w)| for a polynomial f, the area
+    integral <f, K(., z)> taken under the boundary ``rule``.
 
     ``coeffs`` are polynomial coefficients in the original variable z,
     lowest degree first; deg f must not exceed the model degree.
@@ -236,143 +213,103 @@ def reproducing_residual(model: KernelModel, grid: QuadratureGrid,
         raise ValueError("polynomial degree exceeds kernel degree")
     if model.domain is not None and not contains(model.domain, z):
         raise DomainError(f"{z} is not inside the kernel's domain")
-
-    def f(pts):
-        return np.polynomial.polynomial.polyval(pts, c)
-
-    Kzw = kernel_cross(model, np.array([z]), grid.nodes)[0]
-    integral = np.sum(Kzw * f(grid.nodes) * grid.weights)
-    return float(abs(f(np.asarray(z)) - integral))
+    f = np.polynomial.polynomial.polyval(rule.nodes, c)
+    # <f, K(., z)> = conj(<K(., z), f>), with a primitive of f
+    Kwz = kernel_cross(model, rule.nodes, np.array([z]))[:, 0]
+    integral = np.conj(rule.area_inner(Kwz, rule.primitive(f)))
+    return float(abs(np.polynomial.polynomial.polyval(z, c) - integral))
 
 
-def _weighted_vander_blocks(grid: QuadratureGrid, center: complex, scale: float,
-                           buf: np.ndarray):
-    """W^{1/2} V of each node block of the grid in turn, in the monomials
-    of zeta = (z - center) / scale, written into the flat buffer ``buf``
-    of _NODE_CHUNK * n complex numbers as a (rows, n) Fortran-ordered
-    block: column k is sqrt(w) zeta^k.  Each block is overwritten by the
-    next, and zeta and sqrt(w) are formed for one block at a time."""
-    n = buf.size // _NODE_CHUNK
-    for start in range(0, grid.nodes.size, _NODE_CHUNK):
-        sl = slice(start, start + _NODE_CHUNK)
-        zeta = (grid.nodes[sl] - center) / scale
-        block = buf[:zeta.size * n].reshape((-1, n), order="F")
-        np.sqrt(grid.weights[sl], out=block[:, 0])
-        for k in range(1, n):
-            np.multiply(block[:, k - 1], zeta, out=block[:, k])
-        yield block
+def _arnoldi(rule: BoundaryRule, degree: int, center: complex,
+             scale: float) -> np.ndarray:
+    """Monomial coefficients B (lower-triangular, phi_j = sum_k B[j, k]
+    zeta^k) of the basis orthonormal under ``rule``'s area inner product,
+    by Arnoldi in zeta = (z - center)/scale on the boundary values.
 
-
-def _stacked_r(blocks, n: int) -> np.ndarray:
-    """R of the stacked QR W^{1/2} V = Q R over the node ``blocks`` of
-    :func:`_weighted_vander_blocks`; Q is never formed.
-
-    R starts at 0, and each Fortran-ordered block is merged into it by
-    LAPACK's triangular-pentagonal QR ``ztpqrt``, which updates R in place
-    and never touches its zero lower triangle.
+    Step k forms v = zeta phi_{k-1} (v = 1 at k = 0) with its primitive V
+    and coefficient vector, takes h_j = <v, phi_j> from v and the primitive
+    of phi_j, and subtracts sum_j h_j phi_j from all three, twice
+    (classical Gram-Schmidt with reorthogonalization); then
+    phi_k = v / sqrt(<v, v>), with <v, v> from v and V.  The inner
+    products are those of the z plane, dA_z = scale^2 dA_zeta, so the basis
+    is orthonormal in z units as it stands.  A <v, v> at most
+    (n eps)^2 times its value before the subtraction, n = degree + 1,
+    raises :class:`FactorizationError` naming degree k: the rule cannot
+    tell zeta^k from the lower degrees.
     """
-    R = np.zeros((n, n), dtype=complex, order="F")
-    nb = min(_TPQRT_BLOCK, n)
-    for block in blocks:
-        info = ztpqrt(0, nb, R, block, overwrite_a=True, overwrite_b=True)[3]
-        if info:
-            raise ValueError(f"ztpqrt rejected argument {-info}")
-    return R
+    n, m = degree + 1, rule.nodes.size
+    zeta = (rule.nodes - center) / scale
+    # column k: phi_k's values, its primitive and its coefficients.  Row-
+    # major, so that the subtraction's product sums each row in one dot
+    # product; the primitives also column-major, so that the inner
+    # products' product does.  So no product splits a sum among BLAS
+    # threads, whose partial sums would round by the thread count
+    basis = np.zeros((2 * m + n, n), dtype=complex)
+    prims = np.empty((m, n), dtype=complex, order="F")
+    floor = (n * np.finfo(float).eps) ** 2
+    for k in range(n):
+        w = np.zeros(2 * m + n, dtype=complex)
+        v, V, c = w[:m], w[m:2 * m], w[2 * m:]
+        if k:
+            np.multiply(zeta, basis[:m, k - 1], out=v)
+            c[1:] = basis[2 * m:-1, k - 1]
+        else:
+            v[:] = c[0] = 1.0
+        V[:] = rule.primitive(v)
+        before = rule.area_inner(v, V).real
+        for _ in range(2):
+            w -= basis[:, :k] @ rule.area_inner(v, prims[:, :k])
+        norm2 = rule.area_inner(v, V).real
+        if not norm2 > floor * abs(before):
+            raise FactorizationError(degree=k)
+        basis[:, k] = w / np.sqrt(norm2)
+        prims[:, k] = basis[m:2 * m, k]
+    return basis[2 * m:].T.copy()
 
 
-def _tsqr_orthonormalize(grid: QuadratureGrid, degree: int, center: complex,
-                         scale: float) -> tuple[np.ndarray, float]:
-    """Triangular orthonormalization via QR of the weighted Vandermonde.
-
-    With A = W^{1/2} V the columns of Q = A R^{-1} are the orthonormal
-    basis's values at the nodes, so its coefficients are B = R^{-T}; since
-    A^H A = R^H R, R^H is the Cholesky factor of the Gram matrix, computed
-    backward-stably from the node values, which keeps degrees feasible far
-    beyond the point where an explicitly assembled Gram matrix stops being
-    numerically positive definite.  Runs in node blocks of _NODE_CHUNK
-    (stacked QR: each block merged into R in place), so beyond the grid
-    the fit holds two block buffers of _NODE_CHUNK x (degree + 1) complex
-    numbers: one for the blocks of A, which the QR and every overlap pass
-    reuse, and one for a block's basis values in the overlap passes.
-    A grid with fewer nodes than monomials, an R diagonal entry at most
-    n eps times its largest (a rank-deficient A), or a sweep whose overlap
-    S is not positive definite raises :class:`FactorizationError` naming
-    the first degree it cannot resolve.
-
-    Returns (B, defect) with defect = max |S - I| for the grid overlap
-    S = <phi_j, phi_k> of the basis.  Above 1e-10 one sweep
-    B <- chol(S)^{-1} B re-orthonormalizes B first, so a fit makes at most
-    two passes over the grid after the QR.  A final defect above 1e-6 raises
-    :class:`KernelInstabilityError`: such a basis is far from orthonormal.
-    """
-    n = degree + 1
-    if grid.nodes.size < n:
-        raise FactorizationError(degree=grid.nodes.size)
-    vander = np.empty(_NODE_CHUNK * n, dtype=complex)
-    R = _stacked_r(_weighted_vander_blocks(grid, center, scale, vander), n)
-    diag = np.diag(R)
-    bad = np.abs(diag) <= n * np.finfo(float).eps * np.abs(diag).max()
-    if bad.any():
-        raise FactorizationError(degree=int(np.argmax(bad)))
-    phases = diag / np.abs(diag)
-    R = R * np.conj(phases)[:, None]
-    B = solve_triangular(R, np.eye(n, dtype=complex), lower=False).T
-
-    values = np.empty(_NODE_CHUNK * n, dtype=complex)
-
-    def grid_overlap(Bcur):
-        # S = Q^H Q from the actual basis values Q = A B^T on the grid
-        U = np.zeros((n, n), dtype=complex)
-        for A in _weighted_vander_blocks(grid, center, scale, vander):
-            Q = np.matmul(A, Bcur.T, out=values[:A.size].reshape(A.shape))
-            # Q is C-ordered, so Q.T reaches zherk uncopied; the upper
-            # triangle of Q.T Q.T^H = conj(Q^H Q) is summed
-            U += zherk(1.0, Q.T)
-        # S, exactly Hermitian, from the upper triangle of conj(S)
-        return np.triu(U).conj() + np.triu(U, 1).T
-
-    S = grid_overlap(B)
-    if np.max(np.abs(S - np.eye(n))) > 1e-10:
-        # S is near-identity, so chol(S) is perfectly conditioned; one sweep
-        # Q <- Q L^{-H}, that is B <- conj(L)^{-1} B, takes the defect to the
-        # monomial basis's rounding noise, which further sweeps only move
-        # about.  An S that is not positive definite fails at the leading
-        # block of order info: degree info - 1
-        L, info = zpotrf(S, lower=1)
-        if info:
-            raise FactorizationError(degree=info - 1)
-        B = solve_triangular(L.conj(), B, lower=True)
-        S = grid_overlap(B)
+def _orthonormality_defect(B: np.ndarray, rule: BoundaryRule, center: complex,
+                           scale: float) -> float:
+    """max |S - I| for the overlap S = <phi_j, phi_k> of the basis under
+    ``rule``, with phi_j and its primitive sum_k B[j, k] scale
+    zeta^(k+1) / (k+1) evaluated from the monomial coefficients B.  Above
+    1e-6 it raises :class:`KernelInstabilityError` naming the first degree
+    whose leading block exceeds it: the degree is too high for the
+    monomial basis in double precision."""
+    n = B.shape[0]
+    V = np.vander((rule.nodes - center) / scale, n + 1, increasing=True)
+    prims = np.asfortranarray(V[:, 1:] @ (B * (scale / np.arange(1, n + 1))).T)
+    # one column at a time: a product over all nodes at once would split
+    # its sums among BLAS threads
+    S = np.stack([rule.area_inner(phi, prims) for phi in (V[:, :n] @ B.T).T], axis=1)
     err = np.abs(S - np.eye(n))
     defect = float(err.max())
     if defect > 1e-6:
-        # err is symmetric: row k up to the diagonal completes degree k's block
-        first = int(np.argmax(np.max(np.tril(err), axis=1) > 1e-6))
+        # degree k completes the leading block with row k and column k
+        lead = np.maximum(np.max(np.tril(err), axis=1), np.max(np.triu(err), axis=0))
+        first = int(np.argmax(lead > 1e-6))
         raise KernelInstabilityError(
             f"orthonormality defect {defect:.3e} exceeds 1e-06; the leading block "
             f"of the basis overlap exceeds it from degree {first} on")
-    return B, defect
+    return defect
 
 
 def fit_kernel_model(domain: DomainSpec, degree: int = 40,
-                     resolution: float = 0.01,
-                     grid: QuadratureGrid | None = None) -> KernelModel:
-    """Grid + orthonormalization pipeline with the documented defaults.
+                     resolution: float = 0.01) -> KernelModel:
+    """The basis orthonormal under the domain's boundary rule with nodes
+    ``resolution`` apart (:func:`geometry.boundary_rule`), as a kernel model.
 
     The basis is centered at the domain's bounding-box center and scaled by
-    its capacity radius, which keeps the smallest singular value of the
-    weighted Vandermonde only polynomially small in the degree; the default
-    grid is the kernel-grade Gauss rule.
+    its capacity radius, which keeps the monomial coefficients only
+    polynomially large in the degree.
     """
-    if grid is None:
-        grid = gauss_quadrature_grid(domain, resolution)
+    rule = boundary_rule(domain, degree, resolution)
     center = domain.center
     scale = capacity_radius(domain)
-    B, defect = _tsqr_orthonormalize(grid, degree, center, scale)
+    B = _arnoldi(rule, degree, center, scale)
     return KernelModel(
         degree=degree, coefficients=B, center=complex(center),
-        scale=float(scale), grid_descriptor=grid.descriptor,
-        domain=domain, orthonormality_defect=defect,
+        scale=float(scale), grid_descriptor=rule.descriptor, domain=domain,
+        orthonormality_defect=_orthonormality_defect(B, rule, center, scale),
     )
 
 

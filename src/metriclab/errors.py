@@ -10,22 +10,22 @@ class DomainError(MetricLabError, ValueError):
 
 
 class GridError(MetricLabError, RuntimeError):
-    """Quadrature grid construction failed (e.g. no node falls inside the domain)."""
+    """A lattice search found no point inside the domain (the interior anchor)."""
 
 
 class FactorizationError(MetricLabError, RuntimeError):
-    """The weighted Vandermonde of the kernel fit is rank-deficient.
+    """The kernel fit's inner product is rank-deficient.
 
-    Carries the first degree whose monomial the grid cannot separate from
-    the lower ones: the polynomial degree is too large for the grid
-    resolution.
+    Carries the first degree whose monomial the boundary rule cannot
+    separate from the lower ones: the polynomial degree is too large for
+    the rule.
     """
 
     def __init__(self, degree: int):
         self.degree = degree
         super().__init__(
-            f"weighted Vandermonde rank-deficient at degree {degree}; "
-            f"degree too large for the grid resolution"
+            f"inner product rank-deficient at degree {degree}; "
+            f"degree too large for the boundary rule"
         )
 
 
@@ -33,7 +33,7 @@ class KernelInstabilityError(MetricLabError, RuntimeError):
     """Kernel-derived quantity became numerically untrustworthy.
 
     Raised instead of clamping: a negative curvature radicand or a kernel
-    value below the positivity floor (degree or grid too coarse there), or
+    value below the positivity floor (degree too low there), or
     a fitted basis whose orthonormality defect exceeds 1e-6 (degree too high).
     """
 

@@ -1,5 +1,6 @@
 """Bounded plane domains: membership, boundary parametrization, boundary
-distance, and the quadrature grid over which all area integrals are computed.
+distance, and the boundary rule through which the kernel fit takes its area
+inner products (Green's theorem turns them into contour integrals).
 
 Two boundary families:
 
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import DomainError, GridError
 
@@ -35,20 +37,6 @@ _SCAN_CHUNK = 1024
 # Shewchuk's relative error bound of the floating-point 2x2 orientation
 # determinant: beyond it the computed sign is exact
 _ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
-# halvings of a boundary cell of the quadrature grid before it becomes a
-# clipped leaf.  Degree-72 fits of the 1.5 x 1 ellipse at h = 0.01 against
-# the exact degree-72 kernel (perfbench/oracle.py, 2,000 points at boundary
-# distance d >= 0.1 from seeds 1-10, then 11-20), largest relative errors:
-#   depth 3: 226,809 nodes; K 5.5e-6, 5.2e-6; rho 8.4e-6, 7.5e-6;
-#            at d >= 0.4 K 8.3e-7, rho 4.3e-7
-#   depth 4: 271,617 nodes; K 2.1e-6, 1.9e-6; rho 5.4e-6, 5.5e-6;
-#            at d >= 0.4 K 2.1e-7, rho 1.1e-7
-#   depth 5: 360,105 nodes; K 1.5e-6, 1.6e-6; rho 5.1e-6, 5.2e-6;
-#            at d >= 0.4 K 5.2e-8, rho 3.4e-8
-# 4 is the smallest depth no worse in any band than 7 halvings with a
-# full-weight midpoint node per leaf whose center is inside (834,380 nodes;
-# K 2.0e-5, rho 7.3e-6, 6.6e-6; at d >= 0.4 K 1.4e-6, rho 6.9e-7)
-_BAND_DEPTH = 4
 
 
 @dataclass
@@ -106,6 +94,7 @@ class DomainSpec:
         self._corners = [] if r is None else _build_corners(v, r)
         self._pieces = _boundary_pieces(self)
         self._cumlen = _cumulative_lengths(self._pieces)
+        self._anchor: complex | None = None
 
     # -- derived geometry -------------------------------------------------
 
@@ -120,7 +109,7 @@ class DomainSpec:
         return math.hypot(0.5 * (xmax - xmin), 0.5 * (ymax - ymin))
 
     def area(self) -> float:
-        """Exact area, used as the oracle for grid refinement studies."""
+        """Exact area, the oracle of the boundary rule's <1, 1>."""
         if self.kind == ELLIPSE:
             a, b = self.semi_axes
             return math.pi * a * b
@@ -378,8 +367,8 @@ def boundary_distance(domain: DomainSpec, z: complex) -> float:
 def curve_distance(domain: DomainSpec, z) -> float | np.ndarray:
     """Unsigned distance to the boundary curve, defined for any point.
 
-    Internal workhorse behind :func:`boundary_distance`; also used for grid
-    construction and divergence checks where points may sit outside.
+    Internal workhorse behind :func:`boundary_distance`; also used for
+    admissibility and divergence checks where points may sit outside.
     """
     zz = np.asarray(z, dtype=complex)
     arr = zz.ravel()
@@ -561,35 +550,22 @@ def interior_anchor(domain: DomainSpec) -> complex:
     boundary, the center on a tie; the lattice is refined until a point
     lies inside.  The center alone can sit in a reflex corner's fillet.
     An ellipse's center is its unique deepest point, so it is returned
-    without pricing the lattice."""
+    without pricing the lattice; a polygon's anchor is searched once and
+    kept on the domain."""
     if domain.kind == ELLIPSE:
         return domain.center
+    if domain._anchor is not None:
+        return domain._anchor
     h = domain.half_diagonal / 16
     for _ in range(6):
         # the center first, so that argmax keeps it on a tie
         points = np.concatenate([[domain.center], _lattice(domain, h)])
         inside = points[contains(domain, points)]
         if inside.size:
-            return complex(inside[np.argmax(curve_distance(domain, inside))])
+            domain._anchor = complex(inside[np.argmax(curve_distance(domain, inside))])
+            return domain._anchor
         h /= 2
     raise GridError("could not locate an interior anchor point")
-
-
-# ---------------------------------------------------------------------------
-# quadrature grids
-
-
-@dataclass
-class QuadratureGrid:
-    """Nodes and positive weights discretizing the area measure of a domain."""
-
-    nodes: np.ndarray       # complex, strictly inside the domain
-    weights: np.ndarray     # positive, units length^2
-    resolution: float
-    descriptor: str = ""
-
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
 
 
 def _lattice(domain: DomainSpec, h: float):
@@ -602,169 +578,122 @@ def _lattice(domain: DomainSpec, h: float):
     return (X + 1j * Y).ravel()
 
 
-def _band_distance(domain: DomainSpec, z: np.ndarray, threshold: float) -> np.ndarray:
-    """curve_distance(domain, z), or inf where the distance bound alone
-    shows it to exceed ``threshold``: all a band test needs to know."""
-    dist = np.full(z.shape, np.inf)
-    near = ~_clear_by_bound(domain, z, threshold)
-    dist[near] = curve_distance(domain, z[near])
-    return dist
+# ---------------------------------------------------------------------------
+# boundary rule
 
 
-def _clipped_cells(corners: np.ndarray, values: np.ndarray):
-    """Area and centroid of each square cell clipped to where ``values``,
-    taken at its four counterclockwise ``corners`` (rows of L x 4 arrays)
-    and interpolated linearly along its edges, is at least 0.
+@dataclass
+class BoundaryRule:
+    """A contour rule on the boundary, traversed counterclockwise: nodes
+    z_i and complex weights dz_i, so that sum_i f(z_i) dz_i approximates
+    the contour integral of f dz, and :meth:`primitive`, the running
+    integral of f dz along the boundary at the nodes.
 
-    The clipped polygon keeps each corner with a value >= 0 and adds the
-    zero crossing of each edge whose end values have strictly opposite
-    signs.  Its vertices sit in 8 slots, corner k then edge k's crossing;
-    an empty slot repeats the last filled one, a zero-length edge that adds
-    nothing to the shoelace sums.  The sums are taken about the polygon's
-    first vertex, so a sliver at a corner keeps its few digits.  A cell
-    with no filled slot has area NaN.
+    By Green's theorem the area inner product of polynomials is a contour
+    integral: with Q' = q, d(p conj(Q))/d(zbar) = p conj(q), so
+
+        <p, q> = int int p conj(q) dA = (1/2i) oint p conj(Q) dz,
+
+    which :meth:`area_inner` forms.  The constant of Q drops out, because
+    oint p dz = 0.
     """
-    fa, fb = values, np.roll(values, -1, axis=1)
-    a, b = corners, np.roll(corners, -1, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        verts = np.stack([a, a + fa / (fa - fb) * (b - a)], axis=2).reshape(-1, 8)
-        filled = np.stack([fa >= 0, fa * fb < 0], axis=2).reshape(-1, 8)
-        slot = np.maximum.accumulate(np.where(filled, np.arange(8), -1), axis=1)
-        slot = np.where(slot < 0, slot[:, -1:], slot)
-        p = np.take_along_axis(verts, slot, axis=1)
-        origin = p[:, 0].copy()
-        p -= origin[:, None]
-        q = np.roll(p, -1, axis=1)
-        cross = p.real * q.imag - q.real * p.imag
-        area = 0.5 * cross.sum(axis=1)
-        centroid = ((p + q) * cross).sum(axis=1) / (6 * area)
-    return area, origin + centroid
+
+    nodes: np.ndarray            # complex, in boundary order
+    dz: np.ndarray               # complex weights of the contour integral
+    descriptor: str
+    # (m, m) running integral within a panel of m Gauss-Legendre nodes,
+    # acting on f dz; None for the periodic trapezoid rule
+    panel: np.ndarray | None = None
+
+    def primitive(self, f: np.ndarray) -> np.ndarray:
+        """F(z_i), the integral of f dz from the first node (or, on the
+        trapezoid rule, from a point whose F has zero mean) to z_i."""
+        g = f * self.dz
+        if self.panel is None:
+            # g = f(z(t)) z'(t) 2 pi / n: divide each Fourier mode k != 0
+            # of f z' by ik; the mean, 0 for a polynomial f, and the
+            # Nyquist mode, which has no antiderivative on the nodes, go
+            n = g.size
+            k = np.fft.fftfreq(n, 1.0 / n)
+            inv = np.zeros(n, dtype=complex)
+            inv[1:] = n / (2 * np.pi) / (1j * k[1:])
+            if n % 2 == 0:
+                inv[n // 2] = 0.0
+            return np.fft.ifft(np.fft.fft(g) * inv)
+        g = g.reshape(-1, self.panel.shape[0])
+        totals = g.sum(axis=1)
+        starts = np.cumsum(totals) - totals
+        return (g @ self.panel.T + starts[:, None]).ravel()
+
+    def area_inner(self, p: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """(1/2i) sum_i p(z_i) conj(P(z_i)) dz_i: the area inner product
+        <p, q> for P a primitive of q; for a 2-d P, one q_j per column,
+        the vector of <p, q_j>."""
+        return np.conj(P.T @ np.conj(p * self.dz)) / 2j
 
 
-def _clipped_leaves(domain: DomainSpec, active: np.ndarray, parent_value: np.ndarray,
-                    quadrant: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the band's leaves: the cells of side ``side``
-    centered at ``active`` that still straddle the boundary, each the
-    ``quadrant`` of a parent whose center has signed boundary distance
-    ``parent_value``.  A leaf takes one node at the centroid of its clipped
-    polygon, weighted by its area, where that area is positive and the
-    centroid inside; leaves are clipped in blocks of 4,096, whose
-    temporaries take about 1 KB a leaf."""
-    # leaf corners on the lattice of spacing ``side``, counterclockwise
-    # (i, j), (i+1, j), (i+1, j+1), (i, j+1); each lattice point once
-    xmin, _, ymin, _ = domain.bounding_box
-    i = np.rint((active.real - xmin) / side - 0.5).astype(np.int64)
-    j = np.rint((active.imag - ymin) / side - 0.5).astype(np.int64)
-    ci = i[:, None] + np.array([0, 1, 1, 0])
-    cj = j[:, None] + np.array([0, 0, 1, 1])
-    rows = int(j.max()) + 2
-    keys, inverse = np.unique(ci * rows + cj, return_inverse=True)
-    inverse = inverse.reshape(ci.shape)
-    corner = np.full(keys.size, np.nan)
-    # the parent's center is the leaf corner opposite its quadrant
-    corner[inverse[np.arange(active.size), np.array([2, 3, 1, 0])[quadrant]]] = parent_value
-    rest = np.flatnonzero(np.isnan(corner))
-    z = (xmin + keys[rest] // rows * side) + 1j * (ymin + keys[rest] % rows * side)
-    d = _band_distance(domain, z, side)
-    corner[rest] = np.where(contains(domain, z), d, -d)
-    # a corner's coordinates round by eps |z|, and curve_distance adds a
-    # few eps |z| (at most 2.1 eps at 200,000 boundary points of each
-    # test domain, boundary_point's rounding included).  So a corner
-    # within 16 eps R of the boundary, R the bounding box's largest
-    # coordinate modulus, is on it: it reads 0, a vertex that adds no
-    # crossing, and a leaf it alone holds has area 0 and no node, not
-    # a sliver of area 1e-32 outside the domain
-    corner[np.abs(corner) <= 16 * np.finfo(float).eps * max(map(abs, domain.bounding_box))] = 0.0
-    nodes, weights = [], []
-    for start in range(0, active.size, 4096):
-        sl = slice(start, start + 4096)
-        area, centroid = _clipped_cells(
-            (xmin + ci[sl] * side) + 1j * (ymin + cj[sl] * side), corner[inverse[sl]])
-        keep = area > 0
-        keep[keep] = contains(domain, centroid[keep])
-        nodes.append(centroid[keep])
-        weights.append(area[keep])
-    return np.concatenate(nodes), np.concatenate(weights)
+def _legendre_panel(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes x and weights w on [-1, 1], and the matrix M
+    with (M (f w))_i = int_{-1}^{x_i} f(u) du, exact for polynomials f of
+    degree < m.  The Legendre polynomials are discretely orthogonal on the
+    nodes, sum_i w_i P_k(x_i) P_l(x_i) = 2 / (2k + 1) [k = l], so f has
+    Legendre coefficients (2k + 1)/2 sum_i w_i f(x_i) P_k(x_i), and M takes
+    them to the integrals int_{-1}^{x} P_k."""
+    x, w = legendre.leggauss(m)
+    integrals = legendre.legvander(x, m) @ legendre.legint(np.eye(m), lbnd=-1)
+    coeffs = (np.arange(m) + 0.5)[:, None] * legendre.legvander(x, m - 1).T
+    return x, w, integrals @ coeffs
 
 
-def gauss_quadrature_grid(domain: DomainSpec, resolution: float) -> QuadratureGrid:
-    """Kernel-grade grid: tensor 2x2 Gauss nodes on the cells of side
-    ``resolution`` that lie inside, plus a boundary band refined
-    _BAND_DEPTH times, whose last cells are clipped to the domain.
+def boundary_rule(domain: DomainSpec, degree: int, resolution: float) -> BoundaryRule:
+    """The contour rule that makes the area inner products of polynomials
+    of degree <= ``degree`` exact or spectrally accurate, with nodes about
+    ``resolution`` apart.
 
-    The Gauss rule removes the O(h^2) interior error of a midpoint rule.  A
-    band cell halves while it straddles the boundary; its quarters that lie
-    inside take 2x2 Gauss nodes, and a quarter that still straddles after
-    _BAND_DEPTH halvings is a leaf.  A leaf is clipped where the signed
-    boundary distance at its four corners (>= 0 on the closed domain),
-    interpolated linearly along its edges, changes sign, and takes one node
-    at the clipped polygon's centroid weighted by its area: a rule exact
-    for linear functions on the clipped polygon.  A leaf whose centroid
-    falls outside the domain takes no node: a sliver at a lattice point on
-    the boundary, or the notch at a sharp reflex vertex on the lattice,
-    whose leaf lies outside.
-
-    The nodes come in this order: the inside lattice cells' Gauss nodes,
-    then each band level's, coarsest first, then the leaves' (each cell's
-    four Gauss nodes together).  The band levels and the clipped leaves are
-    built first, beside the lattice arrays only; ``nodes`` and ``weights``
-    are then allocated once and filled in that order, so the build holds
-    little more than the grid it returns.
-
-    The domain is seen only through ``contains`` and ``curve_distance``
-    (and the ellipse's distance bound), so every domain gets the same rule.
-    A corner distance is computed once per lattice point that neighbouring
-    leaves share, the leaf's parent center reuses its band test's
-    distance, and a corner the ellipse bound puts one leaf side from the
-    boundary keeps only its sign, because no edge through it changes sign.
-    Raises :class:`GridError` when no node falls inside the domain.
+    * An ellipse takes the trapezoid rule in t on z(t) = a cos t + i b sin t
+      with n = max(2 degree + 4, ceil(perimeter / resolution)) nodes, and
+      primitives by FFT.  For p, q of degree <= degree, p(z(t)) conj(Q) z'(t)
+      is a trigonometric polynomial of degree <= 2 degree + 2 < n, so the
+      rule is exact.
+    * A polygon's pieces (segments and corner arcs) each take
+      max(1, ceil(length / (m resolution))) equal panels of m = degree + 2
+      Gauss-Legendre nodes, with primitives from the Legendre integration
+      matrix within a panel plus the totals of the panels before it.  On a
+      segment z is linear in the panel variable, so the rule is exact; on
+      an arc it converges spectrally.
     """
     h = float(resolution)
-    if h <= 0:
+    if not h > 0:
         raise ValueError("resolution must be positive")
-    g = 0.5 / math.sqrt(3.0)
-    quarters = np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j])
-    centers = _lattice(domain, h)
-    dist = _band_distance(domain, centers, h * 0.7072)
-    inside = contains(domain, centers)
-    fully_inside = inside & (dist > h * 0.7072)
-    # (cells, side) of each level's Gauss cells
-    gauss = [(centers[fully_inside], h)]
-
-    # signed boundary distance, >= 0 on the closed domain: a boundary
-    # point's -0.0 counts as inside
-    band = ~fully_inside & (dist <= h * 0.7072)
-    active, value = centers[band], np.where(inside, dist, -dist)[band]
-    side = h
-    for _ in range(_BAND_DEPTH):
-        if active.size == 0:
-            break
-        sub = (active[:, None] + quarters[None, :] * (side / 4)).ravel()
-        side /= 2
-        d = _band_distance(domain, sub, side * 0.7072)
-        ins = contains(domain, sub)
-        full = ins & (d > side * 0.7072)
-        gauss.append((sub[full], side))
-        straddle = np.flatnonzero(~full & (d <= side * 0.7072))
-        parent_value, quadrant = value[straddle // 4], straddle % 4
-        active, value = sub[straddle], np.where(ins, d, -d)[straddle]
-    leaf_nodes = leaf_weights = np.empty(0)
-    if active.size:
-        leaf_nodes, leaf_weights = _clipped_leaves(domain, active, parent_value, quadrant, side)
-
-    size = 4 * sum(cells.size for cells, _ in gauss) + leaf_nodes.size
-    if size == 0:
-        raise GridError("no quadrature node falls inside the domain; "
-                        "resolution too coarse")
-    nodes = np.empty(size, dtype=complex)
-    weights = np.empty(size)
-    at = 0
-    for cells, cell_side in gauss:
-        end = at + 4 * cells.size
-        np.add(cells[:, None], quarters * (g * cell_side), out=nodes[at:end].reshape(-1, 4))
-        weights[at:end] = cell_side * cell_side / 4
-        at = end
-    nodes[at:] = leaf_nodes
-    weights[at:] = leaf_weights
-    return QuadratureGrid(nodes, weights, h,
-                          descriptor=f"gauss2x2+clip{_BAND_DEPTH}:{h!r}:{domain.grid_key()}")
+    key = domain.grid_key()
+    if domain.kind == ELLIPSE:
+        a, b = domain.semi_axes
+        # the perimeter by the same rule on 4,096 nodes: its error falls
+        # geometrically, to rounding for b/a >= 0.01
+        t = 2 * np.pi * np.arange(4096) / 4096
+        perimeter = float(np.sum(np.hypot(a * np.sin(t), b * np.cos(t)))) * 2 * np.pi / 4096
+        n = max(2 * degree + 4, math.ceil(perimeter / h))
+        t = 2 * np.pi * np.arange(n) / n
+        return BoundaryRule(a * np.cos(t) + 1j * b * np.sin(t),
+                            (-a * np.sin(t) + 1j * b * np.cos(t)) * (2 * np.pi / n),
+                            f"trapezoid:{n}:{key}")
+    m = degree + 2
+    x, w, panel = _legendre_panel(m)
+    nodes, dz = [], []
+    for piece in domain._pieces:
+        count = max(1, math.ceil(_piece_length(piece) / (m * h)))
+        # the piece's parameter s in [0, 1] at each panel's nodes
+        s = ((np.arange(count)[:, None] + 0.5 * (x + 1)) / count).ravel()
+        if piece[0] == "seg":
+            _, p0, p1 = piece
+            nodes.append(p0 + s * (p1 - p0))
+            dzdu = np.full(s.size, (p1 - p0) / (2 * count))
+        else:
+            _, c, r, ang0, sweep = piece
+            e = np.exp(1j * (ang0 + s * sweep))
+            nodes.append(c + r * e)
+            dzdu = 1j * r * e * sweep / (2 * count)
+        dz.append(dzdu * np.tile(w, count))
+    nodes = np.concatenate(nodes)
+    return BoundaryRule(nodes, np.concatenate(dz),
+                        f"gauss-legendre:{m}x{nodes.size // m}:{key}", panel)

@@ -1,13 +1,15 @@
 import dataclasses
+import importlib.util
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import qr, solve_triangular
-from scipy.linalg.blas import zherk
+from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 
 from metriclab import bergman as B
@@ -34,47 +36,47 @@ def disc_density_exact(z):
 
 
 def test_fit_kernel_disc_basis(disc):
-    grid = G.gauss_quadrature_grid(disc, 0.02)
-    model = B.fit_kernel_model(disc, degree=10, grid=grid)
+    model = B.fit_kernel_model(disc, degree=10, resolution=0.02)
     assert model.coefficients[0, 0] == pytest.approx(1 / math.sqrt(math.pi), abs=1e-4)
     assert model.coefficients[5, 5] == pytest.approx(math.sqrt(6 / math.pi), abs=1e-3)
     assert model.orthonormality_defect < 1e-8
 
 
-def test_factorization_failure_reports_degree(disc):
-    # more monomials than quadrature nodes: the weighted Vandermonde is
-    # rank-deficient, the first unresolved degree is the node count.  A
-    # midpoint rule on the inside cell centers of a coarse lattice keeps the
-    # grid at 26 nodes (the Gauss grid has 1,850 here)
-    h = 0.35
-    centers = G._lattice(disc, h)
-    nodes = centers[G.contains(disc, centers)]
-    grid = G.QuadratureGrid(nodes, np.full(nodes.size, h * h), h)
-    with pytest.raises(FactorizationError) as err:
-        B.fit_kernel_model(disc, degree=grid.nodes.size + 2, grid=grid)
-    assert err.value.degree == grid.nodes.size
+def _coarse_rule(monkeypatch, degree):
+    # every fit gets the boundary rule made for ``degree``, whatever its own
+    real_rule = G.boundary_rule
+    monkeypatch.setattr(B, "boundary_rule", lambda dom, _, res: real_rule(dom, degree, res))
 
 
-def test_rank_deficient_overlap_reports_degree(disc):
-    # more nodes than monomials, but each of the 26 inside cell centers of
-    # the h = 0.35 lattice taken three times: rank 26.  Householder QR
-    # leaves a rounding-sized diagonal entry, not a zero: at degree 26 it
-    # reads 9.4e-17 of R's largest, the next one up 6.0e-6
-    h = 0.35
-    centers = G._lattice(disc, h)
-    nodes = np.repeat(centers[G.contains(disc, centers)], 3)
-    assert nodes.size == 78
-    grid = G.QuadratureGrid(nodes, np.full(nodes.size, h * h), h)
-    for degree in (26, 31):
+def test_factorization_failure_reports_degree(monkeypatch, disc):
+    # more monomials than the rule resolves: the disc's trapezoid rule made
+    # for degree 8 has 20 nodes, on which the primitive z^10 / 10 of z^9 is
+    # the Nyquist mode, which the FFT drops.  So degree 9's <v, v> is
+    # rounding, far under its relative rank threshold
+    _coarse_rule(monkeypatch, 8)
+    assert G.boundary_rule(disc, 8, 10.0).nodes.size == 20
+    for degree in (10, 16):
         with pytest.raises(FactorizationError) as err:
-            B.fit_kernel_model(disc, degree=degree, grid=grid)
-        assert err.value.degree == 26
+            B.fit_kernel_model(disc, degree=degree, resolution=10.0)
+        assert err.value.degree == 9
+
+
+def test_rank_deficient_overlap_reports_degree(monkeypatch, disc):
+    # 21 nodes, an odd count: no Nyquist mode, but z^11 takes the values of
+    # z^-10 on the nodes, so the FFT reads the primitive z^11 / 11 of z^10
+    # as -z^11 / 10 and degree 10's <v, v> comes out negative: the rule's
+    # inner product is indefinite from degree 10 on
+    _coarse_rule(monkeypatch, 8)
+    assert G.boundary_rule(disc, 8, 0.3).nodes.size == 21
+    for degree in (10, 14):
+        with pytest.raises(FactorizationError) as err:
+            B.fit_kernel_model(disc, degree=degree, resolution=0.3)
+        assert err.value.degree == 10
 
 
 def test_far_from_orthonormal_basis_raises():
-    # the 3x1 ellipse on a coarse grid: degree 60 ends its sweep at a
-    # defect of 7.7e-4 to 1.4e-3 (one or two BLAS threads), far above 1e-6;
-    # degree 30 ends below 1e-10
+    # the 3x1 ellipse on a coarse rule: degree 60 ends at a defect of
+    # 7.7e-3 of the stored monomial basis, far above 1e-6; degree 30 at 3.9e-10
     dom = G.ellipse(3, 1)
     with pytest.raises(KernelInstabilityError,
                        match=r"orthonormality defect \S+ exceeds 1e-06; .* from degree (\d+) on") as err:
@@ -83,25 +85,28 @@ def test_far_from_orthonormal_basis_raises():
     assert B.fit_kernel_model(dom, degree=30, resolution=0.2).orthonormality_defect <= 1e-6
 
 
-def _gram_cholesky_model(domain, grid, degree):
-    # independent reference: assemble the Gram matrix G = V^H W V and factor
-    # G = L L^H.  The basis phi = V B^T is orthonormal when conj(B) G B^T =
-    # I, so its coefficients are B = conj(L^{-1})
+def _gram_cholesky_model(domain, rule, degree):
+    # independent reference: assemble the monomial Gram matrix
+    # G[j, k] = <zeta^k, zeta^j> under the rule, with the primitives
+    # scale zeta^(k+1) / (k+1), and factor G = L L^H.  The basis phi = V B^T
+    # is orthonormal when conj(B) G B^T = I, so its coefficients are
+    # B = conj(L^{-1})
     center, scale = domain.center, G.capacity_radius(domain)
-    V = np.vander((grid.nodes - center) / scale, degree + 1, increasing=True)
-    gram = V.conj().T @ (grid.weights[:, None] * V)
+    V = np.vander((rule.nodes - center) / scale, degree + 2, increasing=True)
+    prims = V[:, 1:] * (scale / np.arange(1, degree + 2))
+    gram = np.stack([rule.area_inner(p, prims) for p in V[:, :-1].T], axis=1)
     L = np.linalg.cholesky(0.5 * (gram + gram.conj().T))
     coeffs = solve_triangular(L, np.eye(degree + 1, dtype=complex), lower=True).conj()
     return B.KernelModel(degree, coeffs, center=center, scale=scale)
 
 
-def test_tsqr_and_cholesky_routes_agree(disc):
-    grid = G.gauss_quadrature_grid(disc, 0.02)
-    via_gram = _gram_cholesky_model(disc, grid, 16)
-    via_qr = B.fit_kernel_model(disc, degree=16, grid=grid)
+def test_arnoldi_and_cholesky_routes_agree(disc):
+    rule = G.boundary_rule(disc, 16, 0.02)
+    via_gram = _gram_cholesky_model(disc, rule, 16)
+    via_arnoldi = B.fit_kernel_model(disc, degree=16, resolution=0.02)
     zs = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.6])
     K1 = B.kernel_cross(via_gram, zs, zs)
-    K2 = B.kernel_cross(via_qr, zs, zs)
+    K2 = B.kernel_cross(via_arnoldi, zs, zs)
     assert np.max(np.abs(K1 - K2)) < 1e-9
 
 
@@ -110,43 +115,43 @@ def lshape_fit():
     # the rounded L is symmetric under the swap (x, y) -> (y, x) but not
     # under conjugation, so a kernel of the mirror image conj(domain) shows
     dom = G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15)
-    grid = G.gauss_quadrature_grid(dom, 0.02)
-    return dom, grid, B.fit_kernel_model(dom, degree=20, grid=grid)
+    return dom, G.boundary_rule(dom, 20, 0.02), B.fit_kernel_model(dom, degree=20, resolution=0.02)
 
 
 def test_lshape_kernel_is_symmetric_under_the_swap(lshape_fit):
     # the swap maps 1.5 + 0.5i to 0.5 + 1.5i.  The kernel of the mirror
     # image read 1.100 and 2.116 there; the kernel of the L reads 2.331 at both
-    dom, grid, model = lshape_fit
+    dom, rule, model = lshape_fit
     rho = B.bergman_density(model, np.array([1.5 + 0.5j, 0.5 + 1.5j]))
     assert abs(rho[0] / rho[1] - 1) < 1e-10
     assert rho[0] == pytest.approx(2.331, abs=1e-3)
     # against the kernel assembled from the Gram matrix
     zs = np.array([1.5 + 0.5j, 0.5 + 1.5j, 0.3 + 0.3j, 1.2 + 0.8j])
-    ref = _gram_cholesky_model(dom, grid, 20)
+    ref = _gram_cholesky_model(dom, rule, 20)
     K, K_ref = B.kernel_cross(model, zs, zs), B.kernel_cross(ref, zs, zs)
     assert np.max(np.abs(K / K_ref - 1)) < 1e-8
 
 
 def test_lshape_density_is_invariant_under_a_quarter_turn(lshape_fit):
     # the quarter turn z -> c + i (z - c) about the bounding-box center c
-    # maps the L onto an L with the same bounding box, and its grid onto
-    # the turned L's grid: each node lands within 1e-12 of its own node
-    # there, of the same weight.  The mirror-image kernel missed by 92%
-    dom, grid, model = lshape_fit
+    # maps the L onto an L with the same bounding box, and its boundary
+    # rule onto the turned L's: each node lands within 1e-12 of its own
+    # node there, whose weight dz is i times its own.  The mirror-image
+    # kernel missed by 92%
+    dom, rule, model = lshape_fit
     c = dom.center
     turned = G.smoothed_polygon([c + 1j * (v - c) for v in dom.vertices], 0.15)
     assert turned.bounding_box == dom.bounding_box
-    turned_grid = G.gauss_quadrature_grid(turned, 0.02)
-    image = c + 1j * (grid.nodes - c)
-    gap, k = cKDTree(np.c_[turned_grid.nodes.real, turned_grid.nodes.imag]).query(
+    turned_rule = G.boundary_rule(turned, 20, 0.02)
+    image = c + 1j * (rule.nodes - c)
+    gap, k = cKDTree(np.c_[turned_rule.nodes.real, turned_rule.nodes.imag]).query(
         np.c_[image.real, image.imag])
-    assert np.unique(k).size == image.size == turned_grid.nodes.size
+    assert np.unique(k).size == image.size == turned_rule.nodes.size
     assert gap.max() < 1e-12
-    assert np.max(np.abs(turned_grid.weights[k] - grid.weights)) < 1e-12 * grid.weights.max()
+    assert np.max(np.abs(turned_rule.dz[k] - 1j * rule.dz)) < 1e-12 * np.abs(rule.dz).max()
     z = np.array([1.5 + 0.5j, 0.5 + 1.5j, 0.3 + 0.3j, 1.2 + 0.8j, 0.6 + 0.9j])
     rho = B.bergman_density(model, z)
-    rho_turned = B.bergman_density(B.fit_kernel_model(turned, 20, grid=turned_grid), c + 1j * (z - c))
+    rho_turned = B.bergman_density(B.fit_kernel_model(turned, 20, 0.02), c + 1j * (z - c))
     assert np.max(np.abs(rho_turned / rho - 1)) < 1e-10
 
 
@@ -154,196 +159,29 @@ def test_lshape_density_is_invariant_under_a_quarter_turn(lshape_fit):
 def test_lshape_kernel_reproduces_polynomials(lshape_fit, coeffs):
     # 2iz + z^3, 1 - z + iz^2/2 and (1 - i) z^7: the mirror-image kernel
     # left a residual of 884 for the first at degree 10
-    dom, grid, model = lshape_fit
+    dom, rule, model = lshape_fit
     for z in (1.5 + 0.5j, 0.5 + 1.5j, 0.4 + 0.3j):
-        assert B.reproducing_residual(model, grid, coeffs, z) < 1e-10
+        assert B.reproducing_residual(model, rule, coeffs, z) < 1e-10
 
 
 # ---------------------------------------------------------------------------
 # kernel evaluation and density
 
 
-def _vander_65536(zeta, sw, n):
-    # the Vandermonde of the 65,536-row route: np.vander, then weighted
-    return sw[:, None] * np.vander(zeta, n, increasing=True)
-
-
-def _vander_by_columns(zeta, sw, n):
-    # the fit's Vandermonde: column k is sw zeta^k, one product per column
-    out = np.empty((zeta.size, n), dtype=complex, order="F")
-    out[:, 0] = sw
-    for k in range(1, n):
-        np.multiply(out[:, k - 1], zeta, out=out[:, k])
-    return out
-
-
-def _gram_65536(Q):
-    return Q.conj().T @ Q
-
-
-def _gram_by_zherk(Q):
-    U = zherk(1.0, Q.T)
-    return np.triu(U).conj() + np.triu(U, 1).T
-
-
-def _economic_q_route(grid, degree, center, scale, chunk, vander, gram):
-    # reference route: each chunk of ``chunk`` nodes stacked under R with
-    # np.vstack and factorized with an explicit economic Q; ``vander`` and
-    # ``gram`` give a chunk's weighted Vandermonde and Q^H Q.  The basis
-    # values Q = A R^{-1} = A B^T give B = R^{-T}.  A defect above 1e-10
-    # takes one re-orthonormalization sweep Q <- Q L^{-H} with S = L L^H;
-    # returns (B, defect, whether it swept)
-    n = degree + 1
-    zeta = (grid.nodes - center) / scale
-    sw = np.sqrt(grid.weights)
-    R = None
-    for start in range(0, zeta.size, chunk):
-        sl = slice(start, start + chunk)
-        A = vander(zeta[sl], sw[sl], n)
-        block = A if R is None else np.vstack([R, A])
-        R = qr(block, mode="economic")[1]
-    diag = np.diag(R)
-    R = R * np.conj(diag / np.abs(diag))[:, None]
-    Bc = solve_triangular(R, np.eye(n, dtype=complex), lower=False).T
-
-    def grid_overlap(Bcur):
-        S = np.zeros((n, n), dtype=complex)
-        for start in range(0, zeta.size, chunk):
-            sl = slice(start, start + chunk)
-            S += gram(vander(zeta[sl], sw[sl], n) @ Bcur.T)
-        return S
-
-    S = grid_overlap(Bc)
-    defect = float(np.max(np.abs(S - np.eye(n))))
-    swept = defect > 1e-10
-    if swept:
-        L = np.linalg.cholesky(0.5 * (S + S.conj().T))
-        Bc = solve_triangular(L.conj(), Bc, lower=True)
-        defect = float(np.max(np.abs(grid_overlap(Bc) - np.eye(n))))
-    return Bc, defect, swept
-
-
-@pytest.fixture(scope="module")
-def ellipse21_grid():
-    # 30,528 nodes: 8 node blocks of the fit, one 65,536-node chunk
-    return G.gauss_quadrature_grid(G.ellipse(2, 1), 0.05)
-
-
-def _clear_points(dom):
-    # 200 seeded points at least 0.1 inside the domain
-    rng = np.random.default_rng(59)
-    xmin, xmax, ymin, ymax = dom.bounding_box
-    z = rng.uniform(xmin, xmax, 2000) + 1j * rng.uniform(ymin, ymax, 2000)
-    z = z[G.contains(dom, z) & (G.curve_distance(dom, z) >= 0.1)][:200]
-    assert z.size == 200
-    return z
-
-
-def _assert_same_kernel(model, ref, z):
-    K_ref, K = B.kernel_eval(ref, z, z).real, B.kernel_eval(model, z, z).real
-    assert np.max(np.abs(K / K_ref - 1)) < 1e-10
-    rho_ref, rho = B.bergman_density(ref, z), B.bergman_density(model, z)
-    assert np.max(np.abs(rho / rho_ref - 1)) < 1e-9
-
-
-def test_r_only_stacked_qr_matches_the_explicit_q_route(ellipse21_grid):
-    # the fit merges each node block into R with ztpqrt, starting from R = 0;
-    # the reference stacks R on each node block with np.vstack and runs
-    # geqrf with an explicit economic Q.  Both do Householder QR of the same
-    # rows, so the kernels differ by rounding only: K by 8.8e-12 and rho by
-    # 4.2e-10, defects 8.6e-9 against 3.8e-9 (one BLAS thread)
-    dom = G.ellipse(2, 1)
-    assert ellipse21_grid.nodes.size > 2 * B._NODE_CHUNK
-    want, want_defect, swept = _economic_q_route(
-        ellipse21_grid, 48, dom.center, G.capacity_radius(dom),
-        B._NODE_CHUNK, _vander_by_columns, _gram_by_zherk)
-    assert swept
-    ref = B.KernelModel(48, want, center=dom.center, scale=G.capacity_radius(dom))
-    model = B.fit_kernel_model(dom, degree=48, grid=ellipse21_grid)
-    _assert_same_kernel(model, ref, _clear_points(dom))
-    assert max(model.orthonormality_defect, want_defect) < 1e-8
-
-
-def test_stacked_r_matches_a_one_shot_qr(disc):
-    # independent oracle: one QR of the whole weighted Vandermonde.  R is
-    # unique up to the phases of its rows, so both are taken with a
-    # positive real diagonal.  The h = 0.05 grid has 17,980 nodes, so the
-    # stack merges 5 blocks
-    grid = G.gauss_quadrature_grid(disc, 0.05)
-    assert grid.nodes.size > 2 * B._NODE_CHUNK
-    n = 17
-    sw = np.sqrt(grid.weights)
-    want = qr(sw[:, None] * np.vander(grid.nodes, n, increasing=True), mode="r")[0][:n]
-    buf = np.empty(B._NODE_CHUNK * n, dtype=complex)
-    got = B._stacked_r(B._weighted_vander_blocks(grid, 0.0, 1.0, buf), n)
-    assert np.all(np.tril(got, -1) == 0)
-
-    def positive_diagonal(R):
-        d = np.diag(R)
-        return R * np.conj(d / np.abs(d))[:, None]
-
-    err = np.abs(positive_diagonal(got) - positive_diagonal(want))
-    assert np.max(err / np.abs(np.diag(want))[:, None]) < 1e-13
-
-
-def test_node_block_changes_the_kernel_only_by_rounding(ellipse21_grid):
-    # the fit in 65,536-node chunks (here one) with np.vander and a gemm
-    # Q^H Q against the fit in cache-sized node blocks.  Any re-blocking
-    # moves this degree-48 monomial kernel by its rounding noise: the
-    # reference itself in 16,384-node chunks moves K by 1.4e-11 and rho by
-    # 3.1e-10, the cache-sized blocks merged by ztpqrt by 1.4e-11 and 6.2e-10
-    dom = G.ellipse(2, 1)
-    coeffs, _, _ = _economic_q_route(
-        ellipse21_grid, 48, dom.center, G.capacity_radius(dom),
-        65536, _vander_65536, _gram_65536)
-    ref = B.KernelModel(48, coeffs, center=dom.center, scale=G.capacity_radius(dom))
-    model = B.fit_kernel_model(dom, degree=48, grid=ellipse21_grid)
-    _assert_same_kernel(model, ref, _clear_points(dom))
-
-
-def _count_grid_passes(monkeypatch, fit):
-    # every node block of a grid_overlap pass makes one zherk call
-    calls = []
-
-    def counting_zherk(*args, **kwargs):
-        calls.append(1)
-        return zherk(*args, **kwargs)
-
-    monkeypatch.setattr(B, "zherk", counting_zherk)
-    return fit(), len(calls)
-
-
-def test_fit_sweeps_at_most_once(monkeypatch, ellipse21_grid, disc):
-    # the degree-48 fit's QR defect (3.4e-8) is above 1e-10: one sweep,
-    # so two overlap passes (defect 8.6e-9 with one BLAS thread); a second
-    # sweep would only move the defect about within its rounding noise
-    dom = G.ellipse(2, 1)
-    blocks = math.ceil(ellipse21_grid.nodes.size / B._NODE_CHUNK)
-    model, calls = _count_grid_passes(
-        monkeypatch, lambda: B.fit_kernel_model(dom, degree=48, grid=ellipse21_grid))
-    assert calls == 2 * blocks
-    assert model.orthonormality_defect < 1e-8
-    # the disc at degree 10 needs no sweep: one pass (defect 1.1e-15)
-    grid = G.gauss_quadrature_grid(disc, 0.02)
-    model, calls = _count_grid_passes(
-        monkeypatch, lambda: B.fit_kernel_model(disc, degree=10, grid=grid))
-    assert calls == math.ceil(grid.nodes.size / B._NODE_CHUNK)
-    assert model.orthonormality_defect <= 1e-10
-
-
-def test_kernel_fit_peak_memory_is_bounded(ellipse21_grid):
-    # traced peak of the degree-48 fit on 30,528 nodes: 6.55 MiB, its two
-    # 4,096 x 49 block buffers (6.1 MiB) and small change.  Forming zeta and
-    # sqrt(w) for the whole grid, with separate QR and overlap buffers and a
-    # fresh basis block per overlap block, peaked at 10.1 MiB; the reference
-    # route's one 65,536-node chunk at 72.9 MB
+def test_kernel_fit_peak_memory_is_bounded(ellipse15):
+    # traced peak of the degree-72 fit of the 1.5 x 1 ellipse at resolution
+    # 0.01, on 794 nodes: 4.5 MiB, about five arrays of 794 x 74 complex
+    # (0.94 MB each): the basis values with their primitives and
+    # coefficients, the primitives again, and the defect's Vandermonde and
+    # products.  The grid fit held its 6.2 MiB grid and two 4.8 MB block
+    # buffers
     tracemalloc.start()
     try:
-        B.fit_kernel_model(G.ellipse(2, 1), degree=48, grid=ellipse21_grid)
+        B.fit_kernel_model(ellipse15, degree=72, resolution=0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * B._NODE_CHUNK * 49 * 16 + 2**20
+    assert peak <= 8 * 794 * 74 * 16 + 2**20
 
 
 def test_kernel_disc_oracle_values(disc_kernel):
@@ -627,12 +465,12 @@ def test_negative_radicand_is_reported_not_clamped(monkeypatch, disc_kernel_coar
 
 
 def test_reproducing_residual(disc, disc_kernel):
-    grid = G.gauss_quadrature_grid(disc, 0.01)
-    assert B.reproducing_residual(disc_kernel, grid, [1.0], 0.0) < 1e-4
-    assert B.reproducing_residual(disc_kernel, grid, [0.0], 0.37 + 0.1j) == 0.0
-    assert B.reproducing_residual(disc_kernel, grid, [0, 0, 0, 1.0], 0.3) < 1e-4
+    rule = G.boundary_rule(disc, 40, 0.01)
+    assert B.reproducing_residual(disc_kernel, rule, [1.0], 0.0) < 1e-4
+    assert B.reproducing_residual(disc_kernel, rule, [0.0], 0.37 + 0.1j) == 0.0
+    assert B.reproducing_residual(disc_kernel, rule, [0, 0, 0, 1.0], 0.3) < 1e-4
     with pytest.raises(ValueError):
-        B.reproducing_residual(disc_kernel, grid, np.ones(disc_kernel.degree + 2), 0.0)
+        B.reproducing_residual(disc_kernel, rule, np.ones(disc_kernel.degree + 2), 0.0)
 
 
 def test_conformal_derivative_lemma():
@@ -726,6 +564,65 @@ def test_load_kernel_checks_the_domain_line(tmp_path, disc, ellipse15, disc_kern
     with pytest.raises(ValueError, match=r"kernel, line 6: .*'ellipse:1.5:1.0'"):
         B.load_kernel(stored, domain=disc)
     assert B.load_kernel(stored, domain=ellipse15).degree == 72
+
+
+def _perfbench_oracle():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "oracle.py")
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ellipse_kernel_oracle
+
+
+def _seeded_points(dom, seed, count, min_dist):
+    rng = np.random.default_rng(seed)
+    xmin, xmax, ymin, ymax = dom.bounding_box
+    z = rng.uniform(xmin, xmax, 4 * count) + 1j * rng.uniform(ymin, ymax, 4 * count)
+    z = z[G.clear_of_boundary(dom, z, min_dist)][:count]
+    assert z.size == count
+    return z
+
+
+def test_fit_matches_the_exact_degree_n_kernels(ellipse15, disc, disc_kernel):
+    # the boundary rule is exact, so the fit is the exact degree-N kernel
+    # up to the rounding of its monomial basis.  Degree-72 E(1.5, 1) at
+    # resolution 0.01 on 2,000 points with d >= 0.01: K within 5.2e-9 and
+    # rho within 1.0e-8 of perfbench's oracle (the grid fit: 1.7e-6 and
+    # 4.9e-6 at d >= 0.1)
+    z = _seeded_points(ellipse15, 1, 2000, 0.01)
+    K, rho = _perfbench_oracle()(1.5, 1.0, 72, z)
+    model = B.fit_kernel_model(ellipse15, degree=72, resolution=0.01)
+    assert np.max(np.abs(B.kernel_eval(model, z, z).real / K - 1)) <= 1e-7
+    assert np.max(np.abs(B.bergman_density(model, z) / rho - 1)) <= 1e-7
+    # the degree-40 disc against 1/(pi (1 - z conj(w))^2) truncated at
+    # degree 40, at pairs of points with d >= 0.01: 8.6e-14
+    z = _seeded_points(disc, 2, 2000, 0.01)
+    w = z[::-1]
+    got = B.kernel_eval(disc_kernel, z, w)
+    assert np.max(np.abs(got - disc_kernel_exact(z, w, degree=40))
+                  / np.abs(disc_kernel_exact(z, w, degree=40))) <= 1e-12
+
+
+def test_fit_does_not_depend_on_the_blas_thread_count():
+    # each product of the fit sums every entry in one BLAS dot product, so
+    # one and two OpenBLAS threads give the same bits
+    script = (
+        "import hashlib\n"
+        "from metriclab import bergman as B, geometry as G\n"
+        "for dom, degree in ((G.ellipse(1.5, 1), 72),\n"
+        "                    (G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15), 24)):\n"
+        "    m = B.fit_kernel_model(dom, degree, 0.01)\n"
+        "    print(hashlib.sha256(m.coefficients.tobytes()).hexdigest(),\n"
+        "          m.orthonormality_defect.hex())\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        out.append(run.stdout)
+    assert out[0] == out[1] and len(out[0].splitlines()) == 2
 
 
 def test_ellipse_kernel_defect_within_tolerance(ellipse15_kernel48):

@@ -339,16 +339,16 @@ ring_distances = 0.4 0.2 0.1
            for key, value in check.items() if key in ("lo", "hi", "worst_agreement")}
     got.update({f"values.{key}": value for key, value in rep.values.items()})
     assert got == pytest.approx({
-        "checks[0].lo": 0.1744265683737186,
-        "checks[0].hi": 1.0424456918411094,
-        "checks[1].worst_agreement": 0.5084011299795687,
-        "checks[2].lo": 0.5645535414047824,
-        "checks[2].hi": 0.9209031804247464,
-        "values.worst_inner_ring_agreement": 0.5084011299795687,
+        "checks[0].lo": 0.17442609743097748,
+        "checks[0].hi": 1.0424446305128519,
+        "checks[1].worst_agreement": 0.5084008468207267,
+        "checks[2].lo": 0.5645526837590381,
+        "checks[2].hi": 0.9209018999197137,
+        "values.worst_inner_ring_agreement": 0.5084008468207267,
     }, rel=1e-6)
     assert [c["passed"] for c in rep.checks] == [False, False, True]
     assert rep.curves["distance_ratios"]["values"] == pytest.approx(
-        [0.9209031804247464, 0.5645535414047824, 0.8634996961616586, 0.6507032751035632],
+        [0.9209018999197137, 0.5645526837590381, 0.8634983123165737, 0.6507017570871336],
         rel=1e-6)
 
 

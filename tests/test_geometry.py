@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from metriclab import bergman
 from metriclab import geometry as G
-from metriclab.errors import DomainError, GridError
+from metriclab.errors import DomainError
 
 
 def brute_force_boundary_distance(domain, z, n=200001):
@@ -171,37 +172,6 @@ def test_clear_of_boundary_skips_footpoints_the_bound_clears(monkeypatch, a):
     assert cleared.sum() > 0.5 * want.sum()
 
 
-@pytest.mark.parametrize("a, h", [(1.5, 0.05), (2.0, 0.05), (3.0, 0.1)])
-def test_grid_build_skips_footpoints_the_bound_settles(monkeypatch, a, h):
-    # the band tests need a point's distance only near their threshold:
-    # where the bound |1 - s| b clears it, inside or outside, the footpoint
-    # iteration is skipped and the grid is the one every footpoint gives
-    e = G.ellipse(a, 1)
-    rng = np.random.default_rng(79)
-    z = rng.uniform(-1.5 * a, 1.5 * a, 4000) + 1j * rng.uniform(-1.5, 1.5, 4000)
-    for threshold in (1e-3, 0.01, 0.1, 0.3):
-        settled = G._clear_by_bound(e, z, threshold)
-        assert settled.any() and (settled & ~G.contains(e, z)).any()
-        assert np.all(G.curve_distance(e, z[settled]) > threshold)
-    reached = []
-    real_curve_distance = G.curve_distance
-
-    def counting(domain, pts):
-        reached.append(np.asarray(pts).size)
-        return real_curve_distance(domain, pts)
-
-    monkeypatch.setattr(G, "curve_distance", counting)
-    grid = G.gauss_quadrature_grid(e, h)
-    skipping = sum(reached)
-    reached.clear()
-    monkeypatch.setattr(G, "_clear_by_bound",
-                        lambda domain, pts, threshold: np.zeros(pts.shape, dtype=bool))
-    want = G.gauss_quadrature_grid(e, h)
-    assert np.array_equal(grid.nodes, want.nodes)
-    assert np.array_equal(grid.weights, want.weights)
-    assert skipping < 0.7 * sum(reached)
-
-
 def test_ellipse_scan_allocates_two_rows_per_point():
     # the 150 quadrature points of one query's 25 graph connectors.  The
     # scan forms |g(t) - z|^2 in two reused rows of 97 doubles per point;
@@ -336,8 +306,7 @@ def test_smoothed_polygon_area_formula():
     sp = G.smoothed_polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], r)
     # square minus four corner cuts of area r^2 (tan(pi/4) - pi/4) each
     assert sp.area() == pytest.approx(4 - (4 - math.pi) * r * r, rel=1e-12)
-    grid = G.gauss_quadrature_grid(sp, 0.02)
-    assert grid.total_weight() == pytest.approx(sp.area(), abs=2e-4)
+    assert _rule_area(sp, 0.02) == pytest.approx(sp.area(), abs=2e-4)
 
 
 def test_smoothed_polygon_membership_consistent_with_boundary():
@@ -353,8 +322,7 @@ def test_smoothed_polygon_membership_consistent_with_boundary():
     outward = bp - 1e-6 * normal
     assert bool(G.contains(sp, inward).all())
     assert not bool(G.contains(sp, outward).any())
-    grid = G.gauss_quadrature_grid(sp, 0.01)
-    assert grid.total_weight() == pytest.approx(sp.area(), abs=2e-4)
+    assert _rule_area(sp, 0.01) == pytest.approx(sp.area(), abs=2e-4)
 
 
 def test_contains_decides_rounded_corner_edges_by_the_circle():
@@ -377,149 +345,150 @@ _GRID_DOMAINS = {
     "rounded square": G.smoothed_polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 0.3),
     "smoothed L": G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15),
     "sharp L": G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]),
+    # non-convex and not symmetric under conjugation
+    "hexagon": G.polygon([0, 2, 2.5 + 1.5j, 1 + 1j, 0.5 + 2.5j, -0.5 + 1j]),
 }
 
 
-@pytest.mark.parametrize("name", list(_GRID_DOMAINS))
-def test_clipped_band_grid_invariants(monkeypatch, name):
-    # every node strictly inside with a positive weight, the area error
-    # within the grid tests' bounds (lattice-aligned polygons exact).  A
-    # leaf whose clipped centroid falls outside takes no node: each such
-    # leaf lies outside, so a midpoint rule would give it none either; on
-    # the sharp L that is the one leaf in the notch at the reflex vertex
+def _rule_area(dom, h, degree=0):
+    # <1, 1> under the boundary rule: (1/2i) oint conj(z) dz
+    rule = G.boundary_rule(dom, degree, h)
+    one = np.ones(rule.nodes.size, dtype=complex)
+    return float(rule.area_inner(one, rule.primitive(one)).real)
+
+
+def _rule_moments(rule, center, scale, n):
+    # M[j, k] = <zeta^k, zeta^j> under the rule, zeta = (z - center) / scale,
+    # each primitive from the rule's own running integral
+    V = np.vander((rule.nodes - center) / scale, n, increasing=True)
+    prims = np.stack([rule.primitive(col) for col in V.T], axis=1)
+    return np.stack([rule.area_inner(col, prims) for col in V.T], axis=1)
+
+
+def _fan_moments(dom, center, scale, n, order):
+    # the exact moments as a sum over the triangles (c, v_i, v_(i+1)) of a
+    # fan around the bounding-box center c, signed by orientation, each
+    # integrated by a Duffy-collapsed tensor Gauss rule: z = c + u (a - c)
+    # + u t (b - a) on the unit square, dA = 2 |T| u du dt.  Exact for
+    # the degree-2(n - 1) integrands, with order >= n + 1 nodes a side
+    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = 0.5 * (x + 1), 0.5 * w
+    u, t = np.meshgrid(x, x, indexing="ij")
+    wt = np.outer(w, w) * u
+    c = dom.center
+    v = np.asarray(dom.vertices)
+    M = np.zeros((n, n), dtype=complex)
+    for a, b in zip(v, np.roll(v, -1)):
+        z = (c + u * (a - c) + u * t * (b - a)).ravel()
+        area2 = ((a - c).real * (b - c).imag - (a - c).imag * (b - c).real)
+        V = np.vander((z - center) / scale, n, increasing=True)
+        M += (V.conj().T * (area2 * wt.ravel())) @ V
+    return M
+
+
+@pytest.mark.parametrize("name", ["sharp L", "hexagon"])
+def test_boundary_rule_moments_match_triangle_fans(name):
+    # a sharp polygon's rule is exact: its moments <zeta^j, zeta^k>,
+    # j, k <= 20, match the Duffy fan's within 1e-12 of the largest (6.8e-14
+    # and 5.7e-14 of 3.1e6 and 1.4e6)
     dom = _GRID_DOMAINS[name]
-    leaves = []
-    clipped_cells = G._clipped_cells
-
-    def recording(corners, values):
-        # called once per block of leaves
-        area, centroid = clipped_cells(corners, values)
-        leaves.append((corners.mean(axis=1), area, centroid))
-        return area, centroid
-
-    monkeypatch.setattr(G, "_clipped_cells", recording)
-    for h in (0.05, 0.02):
-        leaves.clear()
-        grid = G.gauss_quadrature_grid(dom, h)
-        assert grid.descriptor.startswith(f"gauss2x2+clip{G._BAND_DEPTH}:")
-        assert bool(G.contains(dom, grid.nodes).all())
-        assert np.all(grid.weights > 0)
-        error = abs(grid.total_weight() - dom.area())
-        if dom.kind == G.ELLIPSE:
-            assert error < 1e-4 * dom.area()
-        elif dom.corner_radius is None:
-            assert error < 1e-12
-        else:
-            assert error < 2e-4
-        centers, area, centroid = map(np.concatenate, zip(*leaves))
-        placed = area > 0
-        dropped = placed.copy()
-        dropped[placed] = ~G.contains(dom, centroid[placed])
-        assert not G.contains(dom, centers[dropped]).any()
-        if name == "sharp L":
-            assert dropped.sum() == 1
-            assert abs(centers[dropped][0] - (1 + 1j)) < h / 16
+    center, scale = dom.center, G.capacity_radius(dom)
+    got = _rule_moments(G.boundary_rule(dom, 20, 0.01), center, scale, 21)
+    want = _fan_moments(dom, center, scale, 21, 2 * 20 + 4)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("name, h", [("ellipse", 0.01), ("rounded square", 0.02),
-                                     ("smoothed L", 0.02), ("disc", 0.01)])
-def test_clipped_band_emits_no_sliver(name, h):
-    # a leaf corner on a curved boundary (-1.2 - 0.6i on the ellipse) reads
-    # 0, not its rounded distance of about 1e-16: it gave 1, 4 and 10
-    # nodes of weight at most 2.5e-32 on the first three.  The smallest real
-    # weights are 4.4e-13, 3.7e-10, 6.0e-10 and 3.5e-13, at least 8.9e-7 of
-    # a leaf's side^2
-    grid = G.gauss_quadrature_grid(_GRID_DOMAINS[name], h)
-    assert grid.weights.min() > 1e-7 * (h / 2**G._BAND_DEPTH) ** 2
-
-
-@pytest.mark.parametrize("name", ["disc", "ellipse", "rounded square", "smoothed L"])
-def test_clipped_band_area_error_is_second_order(name):
-    # the clipped leaves cut the boundary along chords of side h / 16: the
-    # area error falls as h^2, (0.02 / 0.05)^2 = 0.16 from h 0.05 to 0.02
-    dom = _GRID_DOMAINS[name]
-    coarse, fine = (abs(G.gauss_quadrature_grid(dom, h).total_weight() - dom.area())
-                    for h in (0.05, 0.02))
-    assert fine < 0.2 * coarse
+def test_boundary_rule_arcs_converge():
+    # the corner arcs are the rule's only approximation: at degree 24,
+    # halving the smoothed L's resolution from 0.02 (22 panels) to 0.01 (32)
+    # moves rho by 6.8e-13 at 500 points with d >= 0.05, the rounding of
+    # the fit
+    dom = _GRID_DOMAINS["smoothed L"]
+    rng = np.random.default_rng(83)
+    z = rng.uniform(0, 2, 4000) + 1j * rng.uniform(0, 2, 4000)
+    z = z[G.clear_of_boundary(dom, z, 0.05)][:500]
+    assert z.size == 500
+    coarse, fine = (bergman.bergman_density(bergman.fit_kernel_model(dom, 24, h), z)
+                    for h in (0.02, 0.01))
+    assert np.max(np.abs(fine / coarse - 1)) <= 1e-10
 
 
 def test_quadrature_square_exact(square):
-    grid = G.gauss_quadrature_grid(square, 0.5)
-    assert grid.total_weight() == pytest.approx(4.0, abs=1e-12)
-    assert np.all(grid.weights > 0)
-    assert bool(G.contains(square, grid.nodes).all())
+    rule = G.boundary_rule(square, 4, 0.5)
+    assert _rule_area(square, 0.5, 4) == pytest.approx(4.0, abs=1e-12)
+    assert np.max(G.curve_distance(square, rule.nodes)) == 0.0
 
 
-def test_gauss_grid_accuracy(disc, ellipse15, square):
-    # higher-order rule: the area error sits at the boundary-band noise
-    # floor, orders of magnitude under a midpoint rule's O(h) at the same h
-    for dom in (disc, ellipse15, square):
-        for h in (0.1, 0.05):
-            grid = G.gauss_quadrature_grid(dom, h)
-            assert np.all(grid.weights > 0)
-            assert bool(G.contains(dom, grid.nodes).all())
-            assert abs(grid.total_weight() - dom.area()) < 1e-4 * dom.area()
+def test_gauss_grid_accuracy():
+    # the Gauss-Legendre panels give the area to rounding on segments and
+    # spectrally on the arcs, already with one panel per piece
+    for name in ("square", "sharp L", "rounded square", "smoothed L"):
+        dom = _GRID_DOMAINS[name]
+        for h in (10.0, 0.05):
+            assert abs(_rule_area(dom, h, 8) - dom.area()) < 1e-12 * dom.area()
 
 
-def test_gauss_grid_disc_moments(disc):
-    # oracle: int_disc z^j conj(z)^k dA = pi / (j+1) if j == k else 0
-    grid = G.gauss_quadrature_grid(disc, 0.02)
-    V = np.vander(grid.nodes, 9, increasing=True)
-    moments = V.T @ (grid.weights[:, None] * V.conj())
+def test_boundary_rule_disc_moments(disc):
+    # oracle: int_disc z^j conj(z)^k dA = pi / (j+1) if j == k else 0; the
+    # trapezoid rule is exact through its degree
+    moments = _rule_moments(G.boundary_rule(disc, 8, 0.02), 0.0, 1.0, 9)
     jj = np.arange(9)
-    assert np.max(np.abs(np.diag(moments).real - np.pi / (jj + 1))) < 1e-5
-    off = moments - np.diag(np.diag(moments))
-    assert np.max(np.abs(off)) < 1e-5
+    assert np.max(np.abs(moments - np.diag(np.pi / (jj + 1)))) < 1e-13
 
 
-def test_quadrature_too_coarse_raises():
-    tiny = G.polygon([0, 0.01, 0.01 + 0.01j])
-    with pytest.raises(GridError):
-        G.gauss_quadrature_grid(tiny, 5.0)
+def test_boundary_rule_node_counts(ellipse15):
+    # the trapezoid rule: max(2 degree + 4, ceil(perimeter / resolution))
+    # nodes, perimeter 7.9327 of the 1.5 x 1 ellipse; a polygon piece:
+    # ceil(length / ((degree + 2) resolution)) panels, at least one
+    assert G.boundary_rule(ellipse15, 72, 0.01).descriptor == "trapezoid:794:ellipse:1.5:1.0"
+    assert G.boundary_rule(ellipse15, 400, 0.01).nodes.size == 804
+    square = _GRID_DOMAINS["square"]
+    assert G.boundary_rule(square, 8, 0.1).descriptor.startswith("gauss-legendre:10x8:polygon:")
+    assert G.boundary_rule(square, 8, 10.0).nodes.size == 40
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        G.boundary_rule(square, 8, 0.0)
 
 
 def test_grids_deterministic(disc):
-    g1 = G.gauss_quadrature_grid(disc, 0.07)
-    g2 = G.gauss_quadrature_grid(disc, 0.07)
-    assert np.array_equal(g1.nodes, g2.nodes)
-    assert np.array_equal(g1.weights, g2.weights)
+    for dom in (disc, _GRID_DOMAINS["smoothed L"]):
+        r1, r2 = G.boundary_rule(dom, 20, 0.07), G.boundary_rule(dom, 20, 0.07)
+        assert np.array_equal(r1.nodes, r2.nodes)
+        assert np.array_equal(r1.dz, r2.dz)
 
 
-# sha256 of the nodes' and weights' bytes, recorded when the grid build
-# still clipped every leaf at once and concatenated its pieces: filling
-# the arrays in place keeps every node, weight and their order
+# sha256 of the boundary rules' nodes' and weights' bytes at degree 20
 _GRID_DIGESTS = {
     ("ellipse", 0.01): (
-        "aaac6805519b9cca2656ec02d9b64cd9c19f72a7fda009c0a7136a3d01cd366c",
-        "8a73003a33203d6a1aff3350507198e019d5ea3130a165c796d299efe19f286c"),
+        "ac82ca4ede57404db125cf41e5d55f360724a8c8a4943afb9637367773f33e09",
+        "d5ea60289d1ce58bd2a575f0ee93373d7f72778af5b4d7fc90e5845d2414a29e"),
     ("sharp L", 0.02): (
-        "28c72c8beb486c607073792e7675d325f204bca74dd510d9a34e7450fde03cb8",
-        "57af6b30b5e2140cc48147cfe1faf4d8b1fb73b6c53d4bba5f754f284ef60b6c"),
+        "6efaef13f5ebc786174091b5b70aba42b084d898475ce1b0cd3644ae339010f4",
+        "2621a4dd3548ec90f642b3932d5ca9dedb1caa1fd77f42db34806cfd0111dfda"),
     ("smoothed L", 0.02): (
-        "23bada331cca0fe33efc4d288551a8e7149a550c6e2ece6c910c6c9ae6686868",
-        "57aad78fb43ceaf0d3fb3e5f3442cc09b3766faf0db4b6405f62a4e4d28b9940"),
+        "084bd55959662f22bdbf65ffba439b7d9f50bd4fa8511b7e3b3793de368ebbff",
+        "a4974d6fe11c15a06e6d5756e081654c46d1e89edf57e1e17c280fac783b5583"),
 }
 
 
 @pytest.mark.parametrize("name, h", list(_GRID_DIGESTS))
 def test_grid_is_bit_identical_to_its_recorded_digest(name, h):
-    grid = G.gauss_quadrature_grid(_GRID_DOMAINS[name], h)
-    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (grid.nodes, grid.weights))
+    rule = G.boundary_rule(_GRID_DOMAINS[name], 20, h)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (rule.nodes, rule.dz))
     assert digests == _GRID_DIGESTS[name, h]
 
 
 def test_grid_build_peak_memory_is_bounded(ellipse15):
-    # traced peak of the E(1.5, 1) grid at h = 0.01, 271,616 nodes in
-    # 6.2 MiB: 13.2 MiB, at the corner distances of its 17,808 leaves.
-    # Clipping every leaf at once beside the interior nodes and then
-    # concatenating the pieces peaked at 27.0 MiB
+    # the boundary rule of the degree-72 fit of the 1.5 x 1 ellipse at
+    # resolution 0.01: 794 nodes in 25 KB, a traced peak of 129 KB, at the
+    # perimeter's 4,096-node sums.  The clipped-band grid of the same fit
+    # peaked at 13.2 MiB
     tracemalloc.start()
     try:
-        grid = G.gauss_quadrature_grid(ellipse15, 0.01)
+        rule = G.boundary_rule(ellipse15, 72, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= grid.nodes.nbytes + grid.weights.nbytes + 8 * 2**20
+    assert peak <= rule.nodes.nbytes + rule.dz.nbytes + 2**18
 
 
 def test_capacity_radius(disc, ellipse15):

@@ -247,3 +247,22 @@ def test_catalog_resolution(ellipse15):
     assert bool(G.contains(ellipse15, np.asarray(f(zs))).all())
     with pytest.raises(ValueError):
         MP.from_name("no_such_map")
+
+
+def test_catalog_searches_a_polygon_anchor_once(monkeypatch):
+    # every AffineInto map asks for its target's anchor; a polygon's is
+    # searched once and kept on the domain, so a 9-map catalog on the
+    # smoothed L prices the lattice as often as one search does
+    calls = []
+    lattice = G._lattice
+    monkeypatch.setattr(G, "_lattice", lambda *args: calls.append(1) or lattice(*args))
+    vertices = [0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]
+    G.interior_anchor(G.smoothed_polygon(vertices, 0.15))
+    one_search = len(calls)
+    assert one_search >= 1
+    calls.clear()
+    lshape = G.smoothed_polygon(vertices, 0.15)
+    cat = MP.catalog(lshape)
+    assert len(cat) == 9 and all(f.anchor == cat["identity"].anchor for f in cat.values())
+    assert len(calls) == one_search
+    assert G.interior_anchor(lshape) == cat["identity"].anchor and len(calls) == one_search
