@@ -100,7 +100,9 @@ def _gram_cholesky_model(domain, rule, degree):
     return B.KernelModel(degree, coeffs, center=center, scale=scale)
 
 
-def test_arnoldi_and_cholesky_routes_agree(disc):
+def test_tsqr_and_cholesky_routes_agree(disc):
+    # the fit's route (Arnoldi on the boundary rule) against the Gram-
+    # Cholesky reference under the same rule
     rule = G.boundary_rule(disc, 16, 0.02)
     via_gram = _gram_cholesky_model(disc, rule, 16)
     via_arnoldi = B.fit_kernel_model(disc, degree=16, resolution=0.02)
@@ -108,6 +110,49 @@ def test_arnoldi_and_cholesky_routes_agree(disc):
     K1 = B.kernel_cross(via_gram, zs, zs)
     K2 = B.kernel_cross(via_arnoldi, zs, zs)
     assert np.max(np.abs(K1 - K2)) < 1e-9
+
+
+def _assert_same_kernel(model, ref, z):
+    K_ref, K = B.kernel_eval(ref, z, z).real, B.kernel_eval(model, z, z).real
+    assert np.max(np.abs(K / K_ref - 1)) < 1e-10
+    rho_ref, rho = B.bergman_density(ref, z), B.bergman_density(model, z)
+    assert np.max(np.abs(rho / rho_ref - 1)) < 1e-9
+
+
+def test_node_block_changes_the_kernel_only_by_rounding():
+    # the rule is exact at every node count it allows, so how the boundary
+    # is cut into nodes moves the kernel by its rounding only: the degree-48
+    # 2 x 1 ellipse on 194 and 969 trapezoid nodes, K by 5.1e-11 and rho by
+    # 2.1e-10; the non-convex hexagon in 6 and 25 panels of 22 nodes, K by
+    # 4.6e-14 and rho by 8.4e-14 (200 points with d >= 0.1)
+    hexagon = G.polygon([0, 2, 2.5 + 1.5j, 1 + 1j, 0.5 + 2.5j, -0.5 + 1j])
+    for dom, degree, coarse, fine in ((G.ellipse(2, 1), 48, 0.05, 0.01),
+                                      (hexagon, 20, 0.2, 0.02)):
+        ref, model = (B.fit_kernel_model(dom, degree, h) for h in (coarse, fine))
+        assert ref.grid_descriptor != model.grid_descriptor
+        _assert_same_kernel(model, ref, _seeded_points(dom, 5, 200, 0.1))
+
+
+def test_fit_sweeps_at_most_once(monkeypatch, disc):
+    # Gram-Schmidt with one reorthogonalization: each of the n = degree + 1
+    # Arnoldi steps takes one primitive and four inner-product sweeps over
+    # the nodes (<v, v> before, two subtractions, <v, v> after), and the
+    # defect one more per basis function.  The defects: 4.0e-9 for the
+    # degree-48 2 x 1 ellipse and 1.0e-15 for the degree-10 disc
+    calls = {"primitive": 0, "area_inner": 0}
+    for name in calls:
+        real = getattr(G.BoundaryRule, name)
+
+        def counting(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(G.BoundaryRule, name, counting)
+    for dom, degree, bound in ((G.ellipse(2, 1), 48, 1e-8), (disc, 10, 1e-10)):
+        calls.update(primitive=0, area_inner=0)
+        model = B.fit_kernel_model(dom, degree, 0.02)
+        assert calls == {"primitive": degree + 1, "area_inner": 5 * (degree + 1)}
+        assert model.orthonormality_defect <= bound
 
 
 @pytest.fixture(scope="module")

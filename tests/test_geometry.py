@@ -172,6 +172,28 @@ def test_clear_of_boundary_skips_footpoints_the_bound_clears(monkeypatch, a):
     assert cleared.sum() > 0.5 * want.sum()
 
 
+@pytest.mark.parametrize("a, h", [(1.5, 0.05), (2.0, 0.05), (3.0, 0.1)])
+def test_grid_build_skips_footpoints_the_bound_settles(monkeypatch, a, h):
+    # the bound |1 - s| b settles a point's distance against a threshold,
+    # inside or outside, without the footpoint iteration; the kernel fit's
+    # boundary rule needs no distance at all: its nodes are the curve's own
+    # points, so building it reaches neither the bound nor a footpoint
+    e = G.ellipse(a, 1)
+    rng = np.random.default_rng(79)
+    z = rng.uniform(-1.5 * a, 1.5 * a, 4000) + 1j * rng.uniform(-1.5, 1.5, 4000)
+    for threshold in (1e-3, 0.01, 0.1, 0.3):
+        settled = G._clear_by_bound(e, z, threshold)
+        assert settled.any() and (settled & ~G.contains(e, z)).any()
+        assert np.all(G.curve_distance(e, z[settled]) > threshold)
+    reached = []
+    monkeypatch.setattr(G, "curve_distance", lambda domain, pts: reached.append(pts))
+    monkeypatch.setattr(G, "_clear_by_bound",
+                        lambda domain, pts, threshold: reached.append(pts))
+    rule = G.boundary_rule(e, 20, h)
+    assert reached == []
+    assert np.max(np.abs((rule.nodes.real / a) ** 2 + rule.nodes.imag ** 2 - 1)) < 1e-14
+
+
 def test_ellipse_scan_allocates_two_rows_per_point():
     # the 150 quadrature points of one query's 25 graph connectors.  The
     # scan forms |g(t) - z|^2 in two reused rows of 97 doubles per point;
@@ -413,6 +435,65 @@ def test_boundary_rule_arcs_converge():
     assert np.max(np.abs(fine / coarse - 1)) <= 1e-10
 
 
+def _poly_primitive_error(rule, center, scale):
+    # the rule's running integral of a fixed polynomial f against its exact
+    # antiderivative F, up to the constant the two start from, relative
+    # to max |F|
+    coeffs = np.array([0.3 - 1j, 2, -1j, 0.5, 1 + 1j, 0, -0.25j, 0.75])
+    zeta = (rule.nodes - center) / scale
+    f = np.polynomial.polynomial.polyval(zeta, coeffs)
+    F = scale * np.polynomial.polynomial.polyval(zeta, np.polynomial.polynomial.polyint(coeffs))
+    diff = rule.primitive(f) - F
+    return np.max(np.abs(diff - diff[0])) / np.abs(F).max()
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse", "square", "rounded square",
+                                  "smoothed L", "sharp L"])
+def test_clipped_band_grid_invariants(name):
+    # the boundary rule, which replaced the clipped-band area grid: every
+    # node on the boundary curve, the contour closed (oint dz = 0), the
+    # area (1/2i) oint conj(z) dz and a degree-7 primitive exact, the
+    # trapezoid rule on an ellipse and m = degree + 2 Gauss-Legendre nodes
+    # a panel on a polygon
+    dom = _GRID_DOMAINS[name]
+    center, scale = dom.center, G.capacity_radius(dom)
+    for h in (0.05, 0.02):
+        rule = G.boundary_rule(dom, 20, h)
+        if dom.kind == G.ELLIPSE:
+            assert rule.descriptor.startswith(f"trapezoid:{rule.nodes.size}:")
+            assert rule.panel is None
+        else:
+            assert rule.descriptor.startswith(f"gauss-legendre:22x{rule.nodes.size // 22}:")
+            assert rule.nodes.size % 22 == 0 and rule.panel.shape == (22, 22)
+        assert np.max(G.curve_distance(dom, rule.nodes)) < 1e-14
+        assert np.all(rule.dz != 0)
+        assert abs(rule.dz.sum()) < 1e-13
+        assert abs((np.conj(rule.nodes) @ rule.dz / 2j) - dom.area()) < 1e-13 * dom.area()
+        assert _poly_primitive_error(rule, center, scale) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse", "rounded square", "smoothed L"])
+def test_clipped_band_area_error_is_second_order(name):
+    # resolution alone must resolve what the rule's degree does not: the
+    # weighted areas <zeta^j, zeta^j> = int int |zeta|^2j dA, j <= 96, under
+    # the rule made for degree 0, against the rule made for degree 96, fall
+    # at least as h^2, (0.02 / 0.05)^2 = 0.16, from h 0.05 to 0.02.  The
+    # trapezoid rule's 126 and 159 nodes alias them and its 315 and 397
+    # are exact (2 x 96 + 2 < n); the two-node Gauss panels fall by 0.07
+    # and 0.11
+    dom = _GRID_DOMAINS[name]
+    center, scale = dom.center, G.capacity_radius(dom)
+
+    def weighted_areas(rule):
+        V = np.vander((rule.nodes - center) / scale, 97, increasing=True)
+        return np.array([rule.area_inner(col, rule.primitive(col)).real for col in V.T])
+
+    want = weighted_areas(G.boundary_rule(dom, 96, 0.005))
+    coarse, fine = (np.max(np.abs(weighted_areas(G.boundary_rule(dom, 0, h)) / want - 1))
+                    for h in (0.05, 0.02))
+    assert fine < 0.2 * coarse
+
+
 def test_quadrature_square_exact(square):
     rule = G.boundary_rule(square, 4, 0.5)
     assert _rule_area(square, 0.5, 4) == pytest.approx(4.0, abs=1e-12)
@@ -428,7 +509,7 @@ def test_gauss_grid_accuracy():
             assert abs(_rule_area(dom, h, 8) - dom.area()) < 1e-12 * dom.area()
 
 
-def test_boundary_rule_disc_moments(disc):
+def test_gauss_grid_disc_moments(disc):
     # oracle: int_disc z^j conj(z)^k dA = pi / (j+1) if j == k else 0; the
     # trapezoid rule is exact through its degree
     moments = _rule_moments(G.boundary_rule(disc, 8, 0.02), 0.0, 1.0, 9)
