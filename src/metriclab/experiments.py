@@ -91,6 +91,9 @@ _DEFAULTS = {
 }
 
 _KNOWN_KEYS = set(_DEFAULTS) | {"experiment", "domain", "density"}
+# the smallest value of each bounded numeric key; the resolutions must be positive
+_AT_LEAST = {"p": 1, "kernel_degree": 0, "rays": 1, "circle_samples": 64, "pairs": 1,
+             "refine_sweeps": 0, "pair_margin": 0}
 
 
 @dataclass
@@ -196,7 +199,12 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         density_value = _number(float, "density", density_parts[1])
 
     def num(kind, key):
-        return _number(kind, key, merged[key])
+        value = _number(kind, key, merged[key])
+        if key.endswith("resolution") and not value > 0:
+            raise ConfigError(f"{key} must be positive, not {merged[key]}")
+        if key in _AT_LEAST and not value >= _AT_LEAST[key]:
+            raise ConfigError(f"{key} must be at least {_AT_LEAST[key]}, not {merged[key]}")
+        return value
 
     def ladder(key):
         return np.array([_number(float, key, v) for v in merged[key].split()])
@@ -205,8 +213,6 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     if not (0 < alpha <= 1):
         raise ConfigError("alpha must lie in (0, 1]")
     p = num(float, "p")
-    if not p >= 1:  # also rejects nan
-        raise ConfigError("p must satisfy p >= 1")
     radii_k = ladder("radii_k")
     steps_k = ladder("steps_k")
     if np.any(np.diff(radii_k) <= 0) or np.any(np.diff(steps_k) <= 0):

@@ -2,15 +2,22 @@
 distance, and the boundary rule through which the kernel fit takes its area
 inner products (Green's theorem turns them into contour integrals).
 
-Two boundary families:
+A domain is its boundary pieces, traversed once counterclockwise:
 
-* ``ellipse(a, b)``    -- open ellipse with semi-axes a >= b > 0; the open
-                          unit disc ``unit_disc()`` is ellipse(1, 1)
-* ``polygon``          -- open simple polygon, counterclockwise, with sharp
-                          corners (``polygon(vertices)``) or each corner
-                          replaced by the tangent circular arc of radius r
-                          (``smoothed_polygon(vertices, r)``: a cheap,
-                          explicitly constructed smooth Jordan domain)
+* ``ellipse(a, b)``    -- one ``_Ellipse``: the open ellipse with semi-axes
+                          a >= b > 0; the open unit disc ``unit_disc()`` is
+                          ellipse(1, 1)
+* ``polygon``          -- an open simple polygon, counterclockwise: one
+                          ``_Segment`` per edge (``polygon(vertices)``), or
+                          each corner replaced by the tangent ``_Arc`` of
+                          radius r (``smoothed_polygon(vertices, r)``: a
+                          cheap, explicitly constructed smooth Jordan domain)
+
+Each piece states once its point and derivative in its own parameter, which
+runs over [0, span], its length, the distance to it and its Green's-theorem
+area term (1/2) Im int conj(z) dz; the operations below walk the pieces.
+Boundary points are outside: a polygon counts ray crossings with an exact
+orientation test, so a point on an edge is outside, in exact arithmetic.
 
 All point-wise operations accept either a complex scalar or a complex
 ndarray and are vectorized over the latter.
@@ -18,6 +25,7 @@ ndarray and are vectorized over the latter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,10 +48,43 @@ _ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
 
 @dataclass
-class _Corner:
-    """Rounded corner of a smoothed polygon: arc of radius r tangent to the
-    two incident edges.  ``turn`` is the signed exterior turning angle;
-    positive = convex corner, negative = reflex corner."""
+class _Segment:
+    """The segment z(s) = p0 + s (p1 - p0), s in [0, 1]."""
+
+    p0: complex
+    p1: complex
+    span = 1.0
+
+    def point(self, s):
+        return self.p0 + s * (self.p1 - self.p0)
+
+    def derivative(self, s):
+        return self.p1 - self.p0
+
+    @property
+    def length(self) -> float:
+        return abs(self.p1 - self.p0)
+
+    @property
+    def area_term(self) -> float:
+        return 0.5 * (np.conj(self.p0) * self.p1).imag
+
+    def distance(self, z: np.ndarray) -> np.ndarray:
+        d = self.p1 - self.p0
+        return np.abs(z - self.point(np.clip(((z - self.p0) * np.conj(d)).real / abs(d) ** 2,
+                                             0.0, 1.0)))
+
+    def settle(self, z: np.ndarray, inside: np.ndarray) -> None:
+        """The polygon test has decided every point near a straight piece."""
+
+
+@dataclass
+class _Arc:
+    """Rounded corner of a smoothed polygon: the arc of radius r tangent to
+    the two edges at ``vertex``, z(s) = center + r e^{i(ang_in + s turn)},
+    s in [0, 1], from t_in on the incoming edge to t_out on the outgoing
+    one.  ``turn`` is the signed exterior turning angle; positive = convex
+    corner, negative = reflex corner."""
 
     vertex: complex
     center: complex
@@ -52,6 +93,123 @@ class _Corner:
     t_out: complex       # tangent point on the outgoing edge
     turn: float
     ang_in: float        # angle of t_in as seen from center
+    span = 1.0
+
+    def point(self, s):
+        return self.center + self.radius * np.exp(1j * (self.ang_in + s * self.turn))
+
+    def derivative(self, s):
+        return 1j * self.radius * np.exp(1j * (self.ang_in + s * self.turn)) * self.turn
+
+    @property
+    def length(self) -> float:
+        return self.radius * abs(self.turn)
+
+    @property
+    def area_term(self) -> float:
+        return 0.5 * (self.radius**2 * self.turn
+                      + (np.conj(self.center) * (self.t_out - self.t_in)).imag)
+
+    def distance(self, z: np.ndarray) -> np.ndarray:
+        w = z - self.center
+        rel = (np.angle(w) - self.ang_in) % (2 * np.pi)
+        on_arc = rel <= self.turn if self.turn >= 0 else rel - 2 * np.pi >= self.turn
+        ends = np.minimum(np.abs(z - self.point(0.0)), np.abs(z - self.point(1.0)))
+        return np.where(on_arc, np.abs(np.abs(w) - self.radius), ends)
+
+    def settle(self, z: np.ndarray, inside: np.ndarray) -> None:
+        """In the closed corner triangle (t_in, vertex, t_out), on its polygon
+        edges too, the circle decides ``inside``, not the polygon test."""
+        odd, on_edge = _crossings(np.array([self.t_in, self.vertex, self.t_out]), z)
+        k = np.flatnonzero(odd | on_edge)
+        r = np.abs(z[k] - self.center)
+        inside[k] = r < self.radius if self.turn > 0 else r > self.radius
+
+
+@dataclass
+class _Ellipse:
+    """The whole ellipse z(t) = a cos t + i b sin t, t in [0, 2 pi]."""
+
+    a: float
+    b: float
+    span = 2 * math.pi
+
+    def point(self, t):
+        return self.a * np.cos(t) + 1j * self.b * np.sin(t)
+
+    def derivative(self, t):
+        return -self.a * np.sin(t) + 1j * self.b * np.cos(t)
+
+    @functools.cached_property
+    def length(self) -> float:
+        # the perimeter by the trapezoid rule on 4,096 nodes: its error falls
+        # geometrically, to rounding for b/a >= 0.01.  Summed on first use,
+        # because the unit disc is built far more often than measured
+        t = 2 * np.pi * np.arange(4096) / 4096
+        return float(np.sum(np.hypot(self.a * np.sin(t), self.b * np.cos(t)))) * 2 * np.pi / 4096
+
+    @property
+    def area_term(self) -> float:
+        return math.pi * self.a * self.b
+
+    def distance(self, z: np.ndarray) -> np.ndarray:
+        """Distance to the ellipse via the footpoint equation.
+
+        The query is reduced to the first quadrant; the squared distance is
+        scanned on a parameter grid (in row chunks formed in place in two
+        reused buffers, so memory stays bounded per point) and the best
+        bracket is polished with a safeguarded Newton iteration (bisection
+        fallback), which stays robust near the major axis where the
+        footpoint equation degenerates.  Each point stops on its own once
+        its step or its bracket falls to 1e-15, so its result does not
+        depend on the batch it is evaluated in.
+        """
+        a, b = self.a, self.b
+        if a == b:
+            return np.abs(np.abs(z) - a)
+        x, y = np.abs(z.real), np.abs(z.imag)
+        ts = np.linspace(0.0, np.pi / 2, 97)
+        gx, gy = a * np.cos(ts), b * np.sin(ts)
+        k = np.empty(x.size, dtype=np.intp)
+        # |g(t) - z|^2 = dx^2 + dy^2
+        buf_x = np.empty((min(x.size, _SCAN_CHUNK), ts.size))
+        buf_y = np.empty_like(buf_x)
+        for start in range(0, x.size, _SCAN_CHUNK):
+            sl = slice(start, start + _SCAN_CHUNK)
+            dx, dy = buf_x[:x[sl].size], buf_y[:x[sl].size]
+            np.subtract(gx, x[sl, None], out=dx)
+            np.multiply(dx, dx, out=dx)
+            np.subtract(gy, y[sl, None], out=dy)
+            np.multiply(dy, dy, out=dy)
+            k[sl] = np.argmin(np.add(dx, dy, out=dx), axis=1)
+        lo = ts[np.maximum(k - 1, 0)]
+        hi = ts[np.minimum(k + 1, len(ts) - 1)]
+        t = ts[k]
+        # D(t) = d/dt |g(t)-z|^2 / 2;  root gives the footpoint
+        act = np.arange(x.size)
+        for _ in range(60):
+            if act.size == 0:
+                break
+            ta, la, ha, xa, ya = t[act], lo[act], hi[act], x[act], y[act]
+            s, c = np.sin(ta), np.cos(ta)
+            D = (b * b - a * a) * s * c + a * xa * s - b * ya * c
+            Dp = (b * b - a * a) * (c * c - s * s) + a * xa * c + b * ya * s
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tn = ta - D / Dp
+            bad = ~np.isfinite(tn) | (tn < la) | (tn > ha)
+            tn = np.where(bad, 0.5 * (la + ha), tn)
+            s, c = np.sin(tn), np.cos(tn)
+            Dn = (b * b - a * a) * s * c + a * xa * s - b * ya * c
+            la = np.where(Dn < 0, tn, la)
+            ha = np.where(Dn < 0, ha, tn)
+            t[act], lo[act], hi[act] = tn, la, ha
+            act = act[(np.abs(tn - ta) > 1e-15) & (ha - la >= 1e-15)]
+        cand = np.stack([
+            np.hypot(a * np.cos(t) - x, b * np.sin(t) - y),
+            np.hypot(a - x, y),          # t = 0
+            np.hypot(x, b - y),          # t = pi/2
+        ])
+        return cand.min(axis=0)
 
 
 @dataclass
@@ -72,6 +230,7 @@ class DomainSpec:
             if not (a >= b > 0):
                 raise ValueError("ellipse requires semi-axes a >= b > 0")
             self.bounding_box = (-a, a, -b, b)
+            self._pieces = [_Ellipse(a, b)]
             return
         if self.kind != POLYGON:
             raise ValueError(f"unknown domain kind {self.kind!r}")
@@ -80,7 +239,7 @@ class DomainSpec:
             raise ValueError("polygon needs at least 3 vertices")
         if np.min(np.abs(np.roll(v, -1) - v)) < 1e-12:
             raise ValueError("polygon has a zero-length edge")
-        if _shoelace(v) <= 0:
+        if np.sum((np.conj(v) * np.roll(v, -1)).imag) <= 0:   # twice the signed area
             raise ValueError("polygon vertices must be counterclockwise")
         if not _is_simple(v):
             raise ValueError("polygon must be simple (non-self-intersecting)")
@@ -91,9 +250,7 @@ class DomainSpec:
         r = self.corner_radius
         if r is not None and not r > 0:
             raise ValueError("smoothed_polygon needs corner_radius > 0")
-        self._corners = [] if r is None else _build_corners(v, r)
-        self._pieces = _boundary_pieces(self)
-        self._cumlen = _cumulative_lengths(self._pieces)
+        self._pieces = _boundary_pieces(v, r)
         self._anchor: complex | None = None
 
     # -- derived geometry -------------------------------------------------
@@ -109,15 +266,9 @@ class DomainSpec:
         return math.hypot(0.5 * (xmax - xmin), 0.5 * (ymax - ymin))
 
     def area(self) -> float:
-        """Exact area, the oracle of the boundary rule's <1, 1>."""
-        if self.kind == ELLIPSE:
-            a, b = self.semi_axes
-            return math.pi * a * b
-        corr = 0.0
-        for c in self._corners:
-            t = abs(c.turn)
-            corr += math.copysign(c.radius * c.radius * (math.tan(t / 2) - t / 2), c.turn)
-        return _shoelace(np.asarray(self.vertices, dtype=complex)) - corr
+        """Exact area, (1/2) Im oint conj(z) dz summed over the pieces: the
+        oracle of the boundary rule's <1, 1>."""
+        return sum(piece.area_term for piece in self._pieces)
 
     def grid_key(self) -> str:
         """Stable descriptor of the domain: its fitted kernels' cache key, a
@@ -153,11 +304,6 @@ def smoothed_polygon(vertices, corner_radius: float) -> DomainSpec:
 
 # ---------------------------------------------------------------------------
 # polygon helpers
-
-
-def _shoelace(v: np.ndarray) -> float:
-    w = np.roll(v, -1)
-    return float(0.5 * np.sum(v.real * w.imag - v.imag * w.real))
 
 
 def _scaled_int(x) -> int:
@@ -207,9 +353,8 @@ def segments_meet_boundary(domain: DomainSpec, a, b) -> np.ndarray:
     shape = a.shape
     a, b = a.ravel(), b.ravel()
     meet = np.zeros(a.shape, dtype=bool)
-    v = np.array(domain.vertices)
-    for c, d in zip(v, np.roll(v, -1)):
-        meet |= _closed_segments_meet(a, b, c, d)
+    for edge in domain._pieces:
+        meet |= _closed_segments_meet(a, b, edge.p0, edge.p1)
     return meet.reshape(shape)
 
 
@@ -233,73 +378,37 @@ def _is_simple(v: np.ndarray) -> bool:
     return True
 
 
-def _build_corners(v: np.ndarray, r: float) -> list[_Corner]:
-    n = len(v)
-    corners = []
-    offsets = np.zeros(n)
-    for i in range(n):
-        prev_v, V, next_v = v[i - 1], v[i], v[(i + 1) % n]
-        u = (V - prev_v) / abs(V - prev_v)
-        w = (next_v - V) / abs(next_v - V)
-        cross = u.real * w.imag - u.imag * w.real
-        dot = u.real * w.real + u.imag * w.imag
-        turn = math.atan2(cross, dot)
-        if abs(turn) < 1e-12:
-            corners.append(None)
-            continue
-        d = r * math.tan(abs(turn) / 2)
-        offsets[i] = d
-        m = (w - u) / abs(w - u)
-        center = V + m * (r / math.cos(turn / 2))
-        t_in = V - u * d
-        t_out = V + w * d
-        corners.append(_Corner(
-            vertex=V, center=center, radius=r, t_in=t_in, t_out=t_out,
-            turn=turn, ang_in=math.atan2((t_in - center).imag, (t_in - center).real),
-        ))
-    for i in range(n):
-        edge_len = abs(v[(i + 1) % n] - v[i])
-        if offsets[i] + offsets[(i + 1) % n] > edge_len * (1 - 1e-9):
-            raise ValueError(
-                f"corner_radius {r} too large: rounded corners overlap on edge {i}"
-            )
-    return [c for c in corners if c is not None]
+def _corner_arc(prev_v: complex, V: complex, next_v: complex, r: float) -> _Arc | None:
+    """The arc of radius r tangent to both edges at V; None where they are
+    collinear."""
+    u = (V - prev_v) / abs(V - prev_v)
+    w = (next_v - V) / abs(next_v - V)
+    turn = math.atan2(u.real * w.imag - u.imag * w.real, u.real * w.real + u.imag * w.imag)
+    if abs(turn) < 1e-12:
+        return None
+    d = r * math.tan(abs(turn) / 2)
+    center = V + (w - u) / abs(w - u) * (r / math.cos(turn / 2))
+    t_in = V - u * d
+    return _Arc(V, center, r, t_in, V + w * d, turn,
+                math.atan2((t_in - center).imag, (t_in - center).real))
 
 
-# ---------------------------------------------------------------------------
-# boundary representation: list of pieces, each ("seg", p0, p1) or
-# ("arc", center, radius, ang0, sweep); traversed once counterclockwise
-
-
-def _boundary_pieces(dom: DomainSpec):
-    v = np.asarray(dom.vertices, dtype=complex)
-    n = len(v)
-    by_vertex = {c.vertex: c for c in dom._corners}
-    points = []       # (exit point of corner i, entry point of corner i+1) per edge
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        ca, cb = by_vertex.get(a), by_vertex.get(b)
-        points.append((ca.t_out if ca else a, cb.t_in if cb else b))
+def _boundary_pieces(v: np.ndarray, r: float | None) -> list:
+    """Each edge's segment between its corners' tangent points, then the arc
+    at its end vertex if the corners are rounded."""
+    arcs = [None] * len(v) if r is None else [
+        _corner_arc(*corner, r) for corner in zip(np.roll(v, 1), v, np.roll(v, -1))]
     pieces = []
-    for i in range(n):
-        p0, p1 = points[i]
+    for i, (a, b, start, end) in enumerate(zip(v, np.roll(v, -1), arcs, arcs[1:] + arcs[:1])):
+        p0 = a if start is None else start.t_out
+        p1 = b if end is None else end.t_in
+        if abs(p0 - a) + abs(p1 - b) > abs(b - a) * (1 - 1e-9):
+            raise ValueError(f"corner_radius {r} too large: rounded corners overlap on edge {i}")
         if abs(p1 - p0) > 1e-15:
-            pieces.append(("seg", p0, p1))
-        cb = by_vertex.get(v[(i + 1) % n])
-        if cb is not None:
-            pieces.append(("arc", cb.center, cb.radius, cb.ang_in, cb.turn))
+            pieces.append(_Segment(p0, p1))
+        if end is not None:
+            pieces.append(end)
     return pieces
-
-
-def _piece_length(piece) -> float:
-    if piece[0] == "seg":
-        return abs(piece[2] - piece[1])
-    return piece[2] * abs(piece[4])
-
-
-def _cumulative_lengths(pieces) -> np.ndarray:
-    lens = np.array([_piece_length(p) for p in pieces])
-    return np.concatenate([[0.0], np.cumsum(lens)])
 
 
 # ---------------------------------------------------------------------------
@@ -317,40 +426,31 @@ def contains(domain: DomainSpec, z) -> bool | np.ndarray:
         res = (np.abs(arr) < a if a == b
                else (arr.real / a) ** 2 + (arr.imag / b) ** 2 < 1.0)
     else:
-        res = _polygon_contains(np.asarray(domain.vertices, dtype=complex), arr)
-        for c in domain._corners:
-            # the closed corner triangle: on its polygon edges the
-            # circle decides, not the polygon test's half-open rule
-            in_tri = _in_triangle(c.t_in, c.vertex, c.t_out, arr)
-            if not in_tri.any():
-                continue
-            r = np.abs(arr - c.center)
-            res = np.where(in_tri, r < c.radius if c.turn > 0 else r > c.radius, res)
+        odd, on_edge = _crossings(np.asarray(domain.vertices, dtype=complex), arr)
+        res = odd & ~on_edge
+        for piece in domain._pieces:
+            piece.settle(arr, res)
     return bool(res[0]) if zz.ndim == 0 else res.reshape(zz.shape)
 
 
-def _polygon_contains(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _crossings(v: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ray crossings of the polygon v: the points z from which the ray
+    toward +x crosses an odd number of edges, each edge taken with its lower
+    end and without its upper one, and the points on an edge.  z's side of
+    an edge comes from the exact orientation test."""
     x, y = z.real, z.imag
-    inside = np.zeros(z.shape, dtype=bool)
-    n = len(v)
-    for i in range(n):
-        x1, y1 = v[i].real, v[i].imag
-        x2, y2 = v[(i + 1) % n].real, v[(i + 1) % n].imag
-        cond = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= cond & (x < xint)
-    return inside
-
-
-def _in_triangle(a, b, c, z: np.ndarray) -> np.ndarray:
-    def cross(p, q, r):
-        return (q - p).real * (r - p).imag - (q - p).imag * (r - p).real
-
-    s1 = cross(a, b, z)
-    s2 = cross(b, c, z)
-    s3 = cross(c, a, z)
-    return ((s1 >= 0) & (s2 >= 0) & (s3 >= 0)) | ((s1 <= 0) & (s2 <= 0) & (s3 <= 0))
+    odd = np.zeros(z.shape, dtype=bool)
+    on_edge = np.zeros(z.shape, dtype=bool)
+    for p, q in zip(v, np.roll(v, -1)):
+        lo, hi = min(p.imag, q.imag), max(p.imag, q.imag)
+        # only the points level with an edge can cross it or lie on it
+        k = np.flatnonzero((lo <= y) & (y <= hi))
+        if k.size == 0:
+            continue
+        side = _orient_sign(p, q, z[k])
+        odd[k] ^= (y[k] < hi) & (side * (q.imag - p.imag) > 0)
+        on_edge[k] |= (side == 0) & (min(p.real, q.real) <= x[k]) & (x[k] <= max(p.real, q.real))
+    return odd, on_edge
 
 
 # ---------------------------------------------------------------------------
@@ -372,94 +472,8 @@ def curve_distance(domain: DomainSpec, z) -> float | np.ndarray:
     """
     zz = np.asarray(z, dtype=complex)
     arr = zz.ravel()
-    if domain.kind == ELLIPSE:
-        res = _ellipse_boundary_dist(*domain.semi_axes, arr)
-    else:
-        res = None
-        for piece in domain._pieces:
-            d = _piece_distance(piece, arr)
-            res = d if res is None else np.minimum(res, d)
+    res = functools.reduce(np.minimum, (piece.distance(arr) for piece in domain._pieces))
     return float(res[0]) if zz.ndim == 0 else res.reshape(zz.shape)
-
-
-def _piece_distance(piece, z: np.ndarray) -> np.ndarray:
-    if piece[0] == "seg":
-        _, p0, p1 = piece
-        d = p1 - p0
-        t = np.clip(((z - p0) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
-        return np.abs(z - (p0 + t * d))
-    _, c, r, ang0, sweep = piece
-    w = z - c
-    ang = np.angle(w)
-    rel = (ang - ang0) % (2 * np.pi)
-    if sweep >= 0:
-        on_arc = rel <= sweep
-    else:
-        on_arc = (rel - 2 * np.pi) >= sweep
-    d_arc = np.abs(np.abs(w) - r)
-    e0 = c + r * np.exp(1j * ang0)
-    e1 = c + r * np.exp(1j * (ang0 + sweep))
-    d_end = np.minimum(np.abs(z - e0), np.abs(z - e1))
-    return np.where(on_arc, d_arc, d_end)
-
-
-def _ellipse_boundary_dist(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """Distance to the ellipse via the footpoint equation.
-
-    The query is reduced to the first quadrant; the squared distance is
-    scanned on a parameter grid (in row chunks formed in place in two reused
-    buffers, so memory stays bounded per point) and
-    the best bracket is polished with a safeguarded Newton iteration
-    (bisection fallback), which stays robust near the major axis where the
-    footpoint equation degenerates.  Each point stops on its own once its
-    step or its bracket falls to 1e-15, so its result does not depend on
-    the batch it is evaluated in.
-    """
-    if a == b:
-        return np.abs(np.abs(z) - a)
-    x, y = np.abs(z.real), np.abs(z.imag)
-    ts = np.linspace(0.0, np.pi / 2, 97)
-    gx, gy = a * np.cos(ts), b * np.sin(ts)
-    k = np.empty(x.size, dtype=np.intp)
-    # |g(t) - z|^2 = dx^2 + dy^2
-    buf_x = np.empty((min(x.size, _SCAN_CHUNK), ts.size))
-    buf_y = np.empty_like(buf_x)
-    for start in range(0, x.size, _SCAN_CHUNK):
-        sl = slice(start, start + _SCAN_CHUNK)
-        dx, dy = buf_x[:x[sl].size], buf_y[:x[sl].size]
-        np.subtract(gx, x[sl, None], out=dx)
-        np.multiply(dx, dx, out=dx)
-        np.subtract(gy, y[sl, None], out=dy)
-        np.multiply(dy, dy, out=dy)
-        k[sl] = np.argmin(np.add(dx, dy, out=dx), axis=1)
-    lo = ts[np.maximum(k - 1, 0)]
-    hi = ts[np.minimum(k + 1, len(ts) - 1)]
-    t = ts[k]
-    # D(t) = d/dt |g(t)-z|^2 / 2;  root gives the footpoint
-    act = np.arange(x.size)
-    for _ in range(60):
-        if act.size == 0:
-            break
-        ta, la, ha, xa, ya = t[act], lo[act], hi[act], x[act], y[act]
-        s, c = np.sin(ta), np.cos(ta)
-        D = (b * b - a * a) * s * c + a * xa * s - b * ya * c
-        Dp = (b * b - a * a) * (c * c - s * s) + a * xa * c + b * ya * s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tn = ta - D / Dp
-        bad = ~np.isfinite(tn) | (tn < la) | (tn > ha)
-        tn = np.where(bad, 0.5 * (la + ha), tn)
-        s, c = np.sin(tn), np.cos(tn)
-        Dn = (b * b - a * a) * s * c + a * xa * s - b * ya * c
-        la = np.where(Dn < 0, tn, la)
-        ha = np.where(Dn < 0, ha, tn)
-        t[act], lo[act], hi[act] = tn, la, ha
-        act = act[(np.abs(tn - ta) > 1e-15) & (ha - la >= 1e-15)]
-    cand = np.stack([
-        np.hypot(a * np.cos(t) - x, b * np.sin(t) - y),
-        np.hypot(a - x, y),          # t = 0
-        np.hypot(x, b - y),          # t = pi/2
-    ])
-    return cand.min(axis=0)
 
 
 def _clear_by_bound(domain: DomainSpec, z: np.ndarray, threshold: float) -> np.ndarray:
@@ -505,25 +519,17 @@ def clear_of_boundary(domain: DomainSpec, z, margin: float) -> bool | np.ndarray
 
 
 def boundary_point(domain: DomainSpec, t) -> complex | np.ndarray:
-    """Boundary parametrization gamma(t), 2*pi-periodic, counterclockwise."""
+    """Boundary parametrization gamma(t), 2*pi-periodic, counterclockwise:
+    the pieces in turn, each on a share of the period proportional to its
+    length and in its own parameter there."""
     tt = np.atleast_1d(np.asarray(t, dtype=float)) % (2 * np.pi)
-    if domain.kind == ELLIPSE:
-        a, b = domain.semi_axes
-        res = a * np.cos(tt) + 1j * b * np.sin(tt)
-    else:
-        # proportional to arc length along the pieces
-        cum = domain._cumlen
-        s = tt / (2 * np.pi) * cum[-1]
-        idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(cum) - 2)
-        res = np.empty(tt.shape, dtype=complex)
-        for i, piece in enumerate(domain._pieces):
-            sel = idx == i
-            u = (s[sel] - cum[i]) / (cum[i + 1] - cum[i])
-            if piece[0] == "seg":
-                res[sel] = piece[1] + u * (piece[2] - piece[1])
-            else:
-                _, c, r, ang0, sweep = piece
-                res[sel] = c + r * np.exp(1j * (ang0 + u * sweep))
+    cum = np.cumsum([0.0] + [piece.length for piece in domain._pieces])
+    s = tt / (2 * np.pi) * cum[-1]
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(cum) - 2)
+    res = np.empty(tt.shape, dtype=complex)
+    for i, piece in enumerate(domain._pieces):
+        sel = idx == i
+        res[sel] = piece.point((s[sel] - cum[i]) / (cum[i + 1] - cum[i]) * piece.span)
     return complex(res[0]) if np.asarray(t).ndim == 0 else res
 
 
@@ -531,10 +537,11 @@ def capacity_radius(domain: DomainSpec) -> float:
     """Geometric-mean radius of the boundary around the bounding-box center.
 
     Equals the logarithmic capacity for ellipses ((a+b)/2, 1 on the unit
-    disc) and approximates it for polygons.  Monomial bases scaled by this
-    radius keep the Gram matrix's smallest eigenvalue polynomially small in
-    the degree instead of exponentially small, which is what makes
-    high-degree kernel fits on eccentric domains factorizable at all.
+    disc) and approximates it for polygons.  It scales the kernel fit's
+    monomials zeta^k, zeta = (z - center) / radius, to about 1 on the
+    boundary, so the stored coefficients B of the orthonormal basis grow
+    only polynomially in the degree and the orthonormality defect measured
+    from B stays small up to higher degrees.
     """
     if domain.kind == ELLIPSE:
         a, b = domain.semi_axes
@@ -667,33 +674,20 @@ def boundary_rule(domain: DomainSpec, degree: int, resolution: float) -> Boundar
         raise ValueError("resolution must be positive")
     key = domain.grid_key()
     if domain.kind == ELLIPSE:
-        a, b = domain.semi_axes
-        # the perimeter by the same rule on 4,096 nodes: its error falls
-        # geometrically, to rounding for b/a >= 0.01
-        t = 2 * np.pi * np.arange(4096) / 4096
-        perimeter = float(np.sum(np.hypot(a * np.sin(t), b * np.cos(t)))) * 2 * np.pi / 4096
-        n = max(2 * degree + 4, math.ceil(perimeter / h))
+        (curve,) = domain._pieces
+        n = max(2 * degree + 4, math.ceil(curve.length / h))
         t = 2 * np.pi * np.arange(n) / n
-        return BoundaryRule(a * np.cos(t) + 1j * b * np.sin(t),
-                            (-a * np.sin(t) + 1j * b * np.cos(t)) * (2 * np.pi / n),
+        return BoundaryRule(curve.point(t), curve.derivative(t) * (2 * np.pi / n),
                             f"trapezoid:{n}:{key}")
     m = degree + 2
     x, w, panel = _legendre_panel(m)
     nodes, dz = [], []
     for piece in domain._pieces:
-        count = max(1, math.ceil(_piece_length(piece) / (m * h)))
+        count = max(1, math.ceil(piece.length / (m * h)))
         # the piece's parameter s in [0, 1] at each panel's nodes
         s = ((np.arange(count)[:, None] + 0.5 * (x + 1)) / count).ravel()
-        if piece[0] == "seg":
-            _, p0, p1 = piece
-            nodes.append(p0 + s * (p1 - p0))
-            dzdu = np.full(s.size, (p1 - p0) / (2 * count))
-        else:
-            _, c, r, ang0, sweep = piece
-            e = np.exp(1j * (ang0 + s * sweep))
-            nodes.append(c + r * e)
-            dzdu = 1j * r * e * sweep / (2 * count)
-        dz.append(dzdu * np.tile(w, count))
+        nodes.append(piece.point(s))
+        dz.append(piece.derivative(s) / (2 * count) * np.tile(w, count))
     nodes = np.concatenate(nodes)
     return BoundaryRule(nodes, np.concatenate(dz),
                         f"gauss-legendre:{m}x{nodes.size // m}:{key}", panel)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -83,6 +84,35 @@ def test_parse_config_errors():
             ("alpha = 0.5", "seed = 12.5", "seed = '12.5'")]:
         with pytest.raises(ConfigError, match=match):
             E.parse_config_text(HL1_CUSP.replace(old, new))
+
+
+@pytest.mark.parametrize("key, lowest, below", [
+    ("kernel_degree", "0", "-1"), ("rays", "1", "-3"), ("circle_samples", "64", "63"),
+    ("pairs", "1", "0"), ("refine_sweeps", "0", "-1"), ("pair_margin", "0", "-0.1"),
+    ("pair_margin", "0", "nan"), ("resolution", "1e-300", "0"),
+    ("kernel_resolution", "1e-300", "-1")])
+def test_parse_config_rejects_out_of_range_values(tmp_path, capsys, key, lowest, below):
+    # the lowest value parses; one below it is a ConfigError naming the key,
+    # which verify reports on one line before any work
+    assert E.parse_config_text(HL1_CUSP + f"\n{key} = {lowest}").raw[key] == lowest
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        E.parse_config_text(HL1_CUSP + f"\n{key} = {below}")
+    cfg = _write_config(tmp_path, QH_DISC_SMALL + f"\n{key} = {below}\nout = {tmp_path}\n")
+    assert cli.main(["verify", "qh-compare", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    assert os.listdir(tmp_path) == ["exp.txt"]
+
+
+def test_readme_config_keys_table_matches_the_parser():
+    # every key the parser accepts, with its default ("–" for a required
+    # key), so the documented ranges sit beside the keys the code reads
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        section = fh.read().split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*?) \|", section, re.M)
+    assert len(rows) == len(E._KNOWN_KEYS)
+    assert {key: default.strip("`") for key, default in rows} == {
+        key: E._DEFAULTS.get(key, "–") for key in E._KNOWN_KEYS}
 
 
 def test_config_hash_ignores_out_dir():

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -598,3 +601,72 @@ def test_interior_anchor(disc, ellipse15):
         # the smoothed L's center 1+1j lies in its fillet, 0.062 from the
         # boundary
         assert float(G.curve_distance(lshape, anchor)) > 0.5
+
+
+def test_polygon_boundary_points_are_outside(tmp_path):
+    # membership is exact on a polygon's edges: every edge point is outside,
+    # and a point 1e-12 off an edge keeps its side
+    square = G.polygon([0, 1, 1 + 1j, 1j])
+    v = np.array(square.vertices)
+    mids = 0.5 * (v + np.roll(v, -1))
+    assert not G.contains(square, np.concatenate([v, mids])).any()
+    rounded = G.smoothed_polygon([0, 1, 1 + 1j, 1j], 0.2)
+    # the straight pieces run from 0.2 to 0.8 along each edge
+    assert not G.contains(rounded, mids).any()
+    inward = 1j * (np.roll(v, -1) - v)
+    for dom in (square, rounded):
+        assert G.contains(dom, mids + 1e-12 * inward).all()
+        assert not G.contains(dom, mids - 1e-12 * inward).any()
+    with pytest.raises(DomainError):
+        G.boundary_distance(square, 0.5j)
+    # the quasihyperbolic density at an edge point is a domain error, not 1/0
+    cfg = tmp_path / "edge.txt"
+    cfg.write_text("experiment = hl1\ndomain = polygon 0 0 1 0 1 1 0 1\n"
+                   "density = quasihyperbolic\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(G.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "metriclab.cli", "density", "eval", "0.5j",
+                           "--config", str(cfg)], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse", "sharp L", "smoothed L", "rounded square"])
+def test_boundary_pieces_form_a_closed_chain(name):
+    dom = _GRID_DOMAINS[name]
+    pieces = dom._pieces
+    size = dom.half_diagonal
+    # each piece ends where the next starts, and the last where the first does
+    for piece, after in zip(pieces, pieces[1:] + pieces[:1]):
+        assert abs(piece.point(piece.span) - after.point(0.0)) <= 1e-15 * size
+    # the derivative against a central difference of the point
+    for piece in pieces:
+        s = piece.span * np.linspace(0.05, 0.95, 7)
+        step = 1e-6 * piece.span
+        diff = (piece.point(s + step) - piece.point(s - step)) / (2 * step)
+        assert np.max(np.abs(piece.derivative(s) - diff)) <= 1e-8 * np.max(np.abs(diff))
+    # the lengths against the boundary polyline through 2**16 points
+    g = G.boundary_point(dom, np.linspace(0, 2 * np.pi, 2**16 + 1))
+    length = sum(piece.length for piece in pieces)
+    assert abs(np.sum(np.abs(np.diff(g))) - length) <= 1e-8 * length
+    # the area from the pieces' Green's-theorem terms: pi a b on an ellipse,
+    # the shoelace sum on a sharp polygon, and each of the four convex
+    # corners of side-2 rounded squares and the L cutting r^2 (1 - pi/4),
+    # which the L's reflex corner gives back once
+    want = {"disc": math.pi, "ellipse": 1.5 * math.pi, "sharp L": 3.0,
+            "smoothed L": 3 - (4 - math.pi) * 0.15**2,
+            "rounded square": 4 - (4 - math.pi) * 0.3**2}[name]
+    assert abs(dom.area() - want) <= 1e-13 * want
+
+
+def test_building_an_ellipse_allocates_no_boundary_samples():
+    # the perimeter is summed on first use: building the domain, which an
+    # hl run does thousands of times, samples nothing
+    G.ellipse(1.5, 1)
+    tracemalloc.start()
+    try:
+        G.ellipse(1.5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
