@@ -1,6 +1,9 @@
 import gc
 import math
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -533,14 +536,14 @@ def test_graph_path_matches_the_n_plus_2_node_search():
 def test_query_csr_matches_the_coo_route(monkeypatch, dom, z, w):
     omega = M.quasihyperbolic_density(dom)
     seen = []
-    real_dijkstra = M.dijkstra
+    real_dijkstra = dijkstra
 
     def capture(matrix, **kwargs):
         # row n is rewritten by the next query: keep the arrays as searched
         seen.append((matrix, matrix.indptr.copy(), matrix.indices.copy(), matrix.data.copy()))
         return real_dijkstra(matrix, **kwargs)
 
-    monkeypatch.setattr(M, "dijkstra", capture)
+    monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", capture)
     got = M._graph_path(omega, z, w, 0.1, full_window=True)
     graph = M._build_graph(omega, 0.1, dom.bounding_box)
     n = graph.nodes.size
@@ -565,6 +568,31 @@ def test_query_csr_matches_the_coo_route(monkeypatch, dom, z, w):
     want_pts, want_cost = _n_plus_2_graph_path(omega, z, w, 0.1, full_window=True)
     assert np.array_equal(got[0], want_pts)
     assert got[1] == want_cost
+
+
+def test_only_a_geodesic_search_loads_the_sparse_graph_stack(tmp_path):
+    # pytest has scipy.sparse loaded already, so a fresh interpreter runs a
+    # closed-form hl1 config, then one search under the hyperbolic density
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    z, w = 0.3 + 0.2j, -0.4 - 0.5j
+    script = (
+        "import json, sys\n"
+        "import metriclab\n"
+        "from metriclab import experiments as E, metrics as M\n"
+        "E.run_experiment(E.parse_config_file(sys.argv[1], {'out': sys.argv[2]}))\n"
+        "def sparse(): return sorted(m for m in sys.modules if m.startswith('scipy.sparse'))\n"
+        "before = sparse()\n"
+        f"d = M.weighted_distance(M.hyperbolic_density(), {z!r}, {w!r}, 0.05).distance\n"
+        "print(json.dumps([before, sparse(), d.hex()]))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(root, "src"))
+    run = subprocess.run([sys.executable, "-c", script,
+                          os.path.join(root, "configs", "hl1_cusp50.txt"), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    before, after, d = json.loads(run.stdout.splitlines()[-1])
+    assert before == []
+    assert {"scipy.sparse", "scipy.sparse.csgraph"} <= set(after)
+    assert d == M.weighted_distance(M.hyperbolic_density(), z, w, 0.05).distance.hex()
 
 
 def test_warm_full_window_query_allocates_no_graph_sized_array(ellipse15):
@@ -739,8 +767,9 @@ def test_hyperbolic_solve_density_point_count(monkeypatch):
     rng = np.random.default_rng(11)
     z, w = (complex(*0.75 * (2 * rng.random(2) - 1)) for _ in range(2))
     M.weighted_distance(omega, z, w, 0.02)
-    # full pricing of every sweep candidate took 529,070 points
-    assert sum(b.size for b in batches) == 425822
+    # full pricing of every sweep candidate took 529,070 points, and
+    # re-pricing both sides of an unsettled vertex's moves 425,822
+    assert sum(b.size for b in batches) == 421406
 
 
 def test_lshape_solves_price_only_points_inside(monkeypatch):

@@ -95,7 +95,7 @@ def test_run_configs_prints_wall_times_on_stdout_only(tmp_path, monkeypatch, cap
 
     def fake_run_child(cmd, **kwargs):
         commands.append(cmd)
-        return 3 if "hl2" in cmd else 0, 101.25
+        return 3 if "hl2" in cmd else 0, 101.25, 0.371
 
     monkeypatch.setattr(tool, "run_child", fake_run_child)
     out = tmp_path / "out"
@@ -104,7 +104,8 @@ def test_run_configs_prints_wall_times_on_stdout_only(tmp_path, monkeypatch, cap
     experiments = [tool.experiment_of(str(c)) for c in configs]
     assert [cmd[cmd.index("verify") + 1] for cmd in commands] == experiments
     assert capsys.readouterr().out.splitlines() == [
-        f"{c.name}: verify {e} exited {3 if e == 'hl2' else 0} in 2.5 s, peak RSS 101.2 MiB"
+        f"{c.name}: verify {e} exited {3 if e == 'hl2' else 0} in 2.5 s, CPU 0.37 s,"
+        " peak RSS 101.2 MiB"
         for c, e in zip(configs, experiments)
     ]
     # OUTDIR holds each config's copy and its (here empty) output, no timing
@@ -124,9 +125,10 @@ def test_run_child_reports_each_child_s_own_peak_rss():
               "(\"b = b'x' * (64 * 2**20)\", 'import sys; sys.exit(3)')]))")
     proc = subprocess.run([sys.executable, "-c", script, str(RUN_CONFIGS.parent)],
                           capture_output=True, text=True, timeout=60)
-    (big_code, big), (small_code, small) = json.loads(proc.stdout)
+    (big_code, big, big_cpu), (small_code, small, small_cpu) = json.loads(proc.stdout)
     assert big_code == 0 and big >= 64
     assert small_code == 3 and small < big - 48
+    assert big_cpu > 0 and small_cpu > 0
 
 
 def _tier1_module():
