@@ -1,6 +1,6 @@
 import gc
-import math
 import json
+import math
 import os
 import subprocess
 import sys
@@ -536,12 +536,11 @@ def test_graph_path_matches_the_n_plus_2_node_search():
 def test_query_csr_matches_the_coo_route(monkeypatch, dom, z, w):
     omega = M.quasihyperbolic_density(dom)
     seen = []
-    real_dijkstra = dijkstra
 
     def capture(matrix, **kwargs):
         # row n is rewritten by the next query: keep the arrays as searched
         seen.append((matrix, matrix.indptr.copy(), matrix.indices.copy(), matrix.data.copy()))
-        return real_dijkstra(matrix, **kwargs)
+        return dijkstra(matrix, **kwargs)
 
     monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", capture)
     got = M._graph_path(omega, z, w, 0.1, full_window=True)

@@ -12,9 +12,9 @@ with the experiment read from the config, one BLAS thread
 (OMP_NUM_THREADS=OPENBLAS_NUM_THREADS=1) and this checkout's src/ on
 PYTHONPATH.  The run's stdout and stderr go to OUTDIR/<stem>/output.txt.
 The script prints each run's exit code, wall time, CPU time and peak RSS
-on stdout (no timing goes into OUTDIR) and exits 1 if any run exits non-zero.  Two
-checkouts produce byte-identical reports when ``diff -r`` of their OUTDIRs
-is empty.
+on stdout (no timing goes into OUTDIR) and exits 1 if any run exits
+non-zero.  Two checkouts produce byte-identical reports when ``diff -r``
+of their OUTDIRs is empty.
 """
 
 from __future__ import annotations
