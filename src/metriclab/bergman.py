@@ -43,6 +43,7 @@ _DENSITY_BLOCK = 512
 # 1.84, 1.84 and 1.93; 3 ties with 2 and does less arithmetic, which
 # counts for more at higher degrees
 _DENSITY_PANELS = 3
+_POSITIVITY_FLOOR = 1e-12   # K(z, z) at or below it is no kernel value to trust
 
 
 @dataclass
@@ -164,13 +165,13 @@ def _blocks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def bergman_density(model: KernelModel, z, floor: float = 1e-12):
+def bergman_density(model: KernelModel, z):
     """Metric density rho(z) = sqrt(d^2 log K(z,z) / dz dzbar).
 
     Evaluated in blocks of at most _DENSITY_BLOCK points, so memory stays
     bounded and each point's value does not depend on the batch size or on
     whether it is passed as a scalar.  Raises :class:`KernelInstabilityError`
-    when K(z,z) falls below ``floor`` or the curvature radicand goes
+    when K(z,z) falls to _POSITIVITY_FLOOR or the curvature radicand goes
     negative -- tiny negatives are reported, never clamped, because they
     flag a degree too low at z.
     """
@@ -185,10 +186,9 @@ def bergman_density(model: KernelModel, z, floor: float = 1e-12):
     for sl in _blocks(flat.size):
         A[sl], Az[sl], Azz[sl] = _density_terms(model, flat[sl])
     A, Az, Azz = (t[:zz.size].reshape(zz.shape) for t in (A, Az, Azz))
-    if np.any(A <= floor):
-        raise KernelInstabilityError(
-            f"kernel diagonal {A.min():.3e} at or below positivity floor {floor:.1e}"
-        )
+    if np.any(A <= _POSITIVITY_FLOOR):
+        raise KernelInstabilityError(f"kernel diagonal {A.min():.3e} at or below "
+                                     f"positivity floor {_POSITIVITY_FLOOR:.1e}")
     rad = (A * Azz - (Az * np.conj(Az)).real) / (A * A)
     if np.any(rad < 0):
         worst = float(rad.min())

@@ -94,7 +94,7 @@ def _cmd_kernel_fit(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"kernel_{cfg.config_hash()}.txt")
     save_kernel(model, path)
-    print(f"kernel degree {model.degree} on {cfg.domain.kind}: "
+    print(f"kernel degree {model.degree} on {cfg.domain.grid_key()}: "
           f"orthonormality defect {model.orthonormality_defect:.3e}")
     print(f"wrote {path}")
     return 0

@@ -145,22 +145,26 @@ def _number(kind, key: str, text: str):
 
 
 def _parse_domain(text: str) -> DomainSpec:
-    parts = text.split()
-    kind = parts[0]
-    if kind == "unit_disc":
-        return unit_disc()
-    if kind not in ("ellipse", "polygon", "smoothed_polygon"):
+    kind, *tokens = text.split()
+    if kind not in ("unit_disc", "ellipse", "polygon", "smoothed_polygon"):
         raise ConfigError(f"unknown domain kind {kind!r}")
-    nums = [_number(float, "domain", v) for v in parts[1:]]
-    if kind == "ellipse":
-        if len(nums) != 2:
-            raise ConfigError("ellipse needs two semi-axes: 'ellipse A B'")
-        return ellipse(*nums)
-    radius = nums.pop(0) if kind == "smoothed_polygon" and nums else None
-    if len(nums) < 6 or len(nums) % 2:
-        raise ConfigError("polygon needs a flat list of >= 3 coordinate pairs")
-    verts = [complex(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)]
-    return polygon(verts) if radius is None else smoothed_polygon(verts, radius)
+    nums = [_number(float, "domain", v) for v in tokens]
+    try:
+        if kind == "unit_disc":
+            if nums:
+                raise ValueError(f"unit_disc takes no numbers, not {' '.join(tokens)!r}")
+            return unit_disc()
+        if kind == "ellipse":
+            if len(nums) != 2:
+                raise ValueError("ellipse needs two semi-axes: 'ellipse A B'")
+            return ellipse(*nums)
+        radius = nums.pop(0) if kind == "smoothed_polygon" and nums else None
+        if len(nums) < 6 or len(nums) % 2:
+            raise ValueError("polygon needs a flat list of >= 3 coordinate pairs")
+        verts = [complex(nums[i], nums[i + 1]) for i in range(0, len(nums), 2)]
+        return polygon(verts) if radius is None else smoothed_polygon(verts, radius)
+    except ValueError as exc:
+        raise ConfigError(f"domain: {exc}") from None
 
 
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -572,23 +576,22 @@ def run_yamashita_check(cfg: ExperimentConfig) -> VerificationReport:
     return _report(cfg, "yamashita", checks, sub.curves, sub.flags, sub.notes, values)
 
 
-def _ring_point(domain: DomainSpec, anchor: complex, direction: complex,
-                target_dist: float) -> complex | None:
-    """Point on the ray anchor + s*direction with boundary distance close to
-    ``target_dist``; bisection on the inside-with-clearance predicate."""
+def _ring_points(domain: DomainSpec, anchor: complex, directions: np.ndarray,
+                 targets: np.ndarray) -> np.ndarray:
+    """Points on the rays anchor + s * direction (rows) at boundary distances
+    close to the targets (columns), nan where one misses by more than 2%:
+    bisection on the inside-with-clearance predicate, all points at once."""
     span = 4.0 * domain.half_diagonal
-    lo, hi = 0.0, 1.0
+    want = np.broadcast_to(targets, (directions.size, targets.size))
+    lo, hi = np.zeros(want.shape), np.ones(want.shape)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        z = anchor + mid * span * direction
-        if contains(domain, z) and curve_distance(domain, z) > target_dist:
-            lo = mid
-        else:
-            hi = mid
-    z = anchor + lo * span * direction
-    if abs(float(curve_distance(domain, z)) - target_dist) > 0.02 * target_dist:
-        return None
-    return z
+        z = anchor + mid * span * directions[:, None]
+        ok = contains(domain, z)
+        ok[ok] = curve_distance(domain, z[ok]) > want[ok]
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    z = anchor + lo * span * directions[:, None]
+    return np.where(np.abs(curve_distance(domain, z) - want) > 0.02 * want, np.nan, z)
 
 
 def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
@@ -619,11 +622,11 @@ def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
                           f"boundary clearance {max_ring:.3f}")
     ratios = np.full((cfg.rays, ring.size), np.nan)
     truncated = 0
+    directions = np.exp(1j * (2 * np.pi * np.arange(cfg.rays) / cfg.rays))
+    points = _ring_points(domain, anchor, directions, ring)
     for i in range(cfg.rays):
-        theta = 2 * np.pi * i / cfg.rays
-        for j, dd in enumerate(ring):
-            z = _ring_point(domain, anchor, np.exp(1j * theta), float(dd))
-            if z is None:
+        for j, z in enumerate(points[i]):
+            if np.isnan(z):
                 truncated += 1
                 continue
             try:

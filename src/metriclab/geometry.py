@@ -2,7 +2,8 @@
 distance, and the boundary rule through which the kernel fit takes its area
 inner products (Green's theorem turns them into contour integrals).
 
-A domain is its boundary pieces, traversed once counterclockwise:
+A domain is its boundary pieces, traversed once counterclockwise, and what
+its family fixes once when it is built:
 
 * ``ellipse(a, b)``    -- one ``_Ellipse``: the open ellipse with semi-axes
                           a >= b > 0; the open unit disc ``unit_disc()`` is
@@ -27,15 +28,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
 
 from .errors import DomainError, GridError
-
-ELLIPSE = "ellipse"
-POLYGON = "polygon"
 
 # rows per block of the ellipse distance's parameter scan, whose two reused
 # (rows, 97) buffers are 0.8 MB each.  200,000 points on the 1.5 x 1
@@ -152,6 +151,20 @@ class _Ellipse:
     def area_term(self) -> float:
         return math.pi * self.a * self.b
 
+    def inside(self, z: np.ndarray) -> np.ndarray:
+        # a circle tests |z| < a, which keeps 1 - |z|^2 positive inside the
+        # unit disc; x^2 + y^2 < 1 holds at boundary points where it is 0
+        a, b = self.a, self.b
+        return np.abs(z) < a if a == b else (z.real / a) ** 2 + (z.imag / b) ** 2 < 1.0
+
+    def clears(self, z: np.ndarray, threshold: float) -> np.ndarray:
+        """Where |1 - s| b, s = sqrt((x/a)^2 + (y/b)^2), clears the threshold
+        by 1e-12.  z lies on the boundary of sE; E is convex and holds the
+        disc of radius b, so sE + (1 - s) b Disc lies in E for s < 1 and
+        E + (s - 1) b Disc in sE for s > 1: |1 - s| b bounds the distance."""
+        s = np.sqrt((z.real / self.a) ** 2 + (z.imag / self.b) ** 2)
+        return np.abs(1.0 - s) * self.b >= threshold + 1e-12
+
     def distance(self, z: np.ndarray) -> np.ndarray:
         """Distance to the ellipse via the footpoint equation.
 
@@ -212,48 +225,27 @@ class _Ellipse:
         return cand.min(axis=0)
 
 
-@dataclass
+@dataclass(eq=False)
 class DomainSpec:
-    """A bounded plane domain with an explicitly parametrized boundary: an
-    ellipse, or a polygon whose corners are rounded if ``corner_radius`` is set."""
+    """A bounded plane domain, built by :func:`ellipse`, :func:`polygon` or
+    :func:`smoothed_polygon`: its boundary pieces and what its family fixes
+    once.  Two domains are equal when their grid keys are."""
 
-    kind: str
-    semi_axes: tuple[float, float] | None = None
-    vertices: tuple[complex, ...] | None = None
-    corner_radius: float | None = None
+    _key: str
+    _pieces: list
+    bounding_box: tuple[float, float, float, float]
+    _inside: Callable            # membership of a flat complex array
+    _rule: Callable              # boundary_rule's layout: (domain, degree, h)
+    vertices: tuple[complex, ...] = ()      # a polygon's, walked by its crossing test
+    # (z, threshold): the points a closed-form distance bound clears
+    _clears: Callable = lambda z, threshold: np.zeros(z.shape, dtype=bool)
+    convex: bool = False
+    edges: list = ()             # a sharp polygon's edges, which a chord must not meet
+    _anchor: complex | None = None   # interior_anchor: fixed, or searched on first use
+    _scale: float | None = None      # capacity_radius: fixed, or averaged on first use
 
-    bounding_box: tuple[float, float, float, float] = field(init=False)
-
-    def __post_init__(self):
-        if self.kind == ELLIPSE:
-            a, b = self.semi_axes
-            if not (a >= b > 0):
-                raise ValueError("ellipse requires semi-axes a >= b > 0")
-            self.bounding_box = (-a, a, -b, b)
-            self._pieces = [_Ellipse(a, b)]
-            return
-        if self.kind != POLYGON:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        v = np.asarray(self.vertices, dtype=complex)
-        if v.size < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        if np.min(np.abs(np.roll(v, -1) - v)) < 1e-12:
-            raise ValueError("polygon has a zero-length edge")
-        if np.sum((np.conj(v) * np.roll(v, -1)).imag) <= 0:   # twice the signed area
-            raise ValueError("polygon vertices must be counterclockwise")
-        if not _is_simple(v):
-            raise ValueError("polygon must be simple (non-self-intersecting)")
-        self.bounding_box = (
-            float(v.real.min()), float(v.real.max()),
-            float(v.imag.min()), float(v.imag.max()),
-        )
-        r = self.corner_radius
-        if r is not None and not r > 0:
-            raise ValueError("smoothed_polygon needs corner_radius > 0")
-        self._pieces = _boundary_pieces(v, r)
-        self._anchor: complex | None = None
-
-    # -- derived geometry -------------------------------------------------
+    def __eq__(self, other):
+        return isinstance(other, DomainSpec) and self._key == other._key
 
     @property
     def center(self) -> complex:
@@ -273,13 +265,7 @@ class DomainSpec:
     def grid_key(self) -> str:
         """Stable descriptor of the domain: its fitted kernels' cache key, a
         kernel file's ``domain`` line and the end of its ``grid`` line."""
-        if self.kind == ELLIPSE:
-            a, b = self.semi_axes
-            return f"ellipse:{a!r}:{b!r}"
-        vs = ",".join(f"{z.real!r}:{z.imag!r}" for z in self.vertices)
-        if self.corner_radius is None:
-            return f"polygon:{vs}"
-        return f"smoothed_polygon:{self.corner_radius!r}:{vs}"
+        return self._key
 
 
 def unit_disc() -> DomainSpec:
@@ -287,23 +273,52 @@ def unit_disc() -> DomainSpec:
 
 
 def ellipse(a: float, b: float) -> DomainSpec:
-    return DomainSpec(ELLIPSE, semi_axes=(float(a), float(b)))
+    """The open ellipse with semi-axes a >= b > 0, and its closed forms:
+    membership, anchor, capacity, distance bound, trapezoid rule, convexity."""
+    a, b = float(a), float(b)
+    if not (a >= b > 0):
+        raise ValueError("ellipse requires semi-axes a >= b > 0")
+    curve = _Ellipse(a, b)
+    return DomainSpec(f"ellipse:{a!r}:{b!r}", [curve], (-a, a, -b, b), curve.inside,
+                      _trapezoid_rule, _clears=curve.clears, convex=True, _anchor=0j,
+                      _scale=0.5 * (a + b))
 
 
 def polygon(vertices) -> DomainSpec:
-    return DomainSpec(POLYGON, vertices=tuple(complex(z) for z in vertices))
+    """The open simple polygon with these counterclockwise vertices."""
+    domain = _polygon("polygon", vertices, None)
+    domain.edges = domain._pieces   # its sharp corners need the exact chord test
+    return domain
 
 
 def smoothed_polygon(vertices, corner_radius: float) -> DomainSpec:
-    return DomainSpec(
-        POLYGON,
-        vertices=tuple(complex(z) for z in vertices),
-        corner_radius=float(corner_radius),
-    )
+    """The polygon with its corners rounded by tangent arcs of that radius."""
+    r = float(corner_radius)
+    if not r > 0:
+        raise ValueError("smoothed_polygon needs corner_radius > 0")
+    return _polygon(f"smoothed_polygon:{r!r}", vertices, r)
 
 
 # ---------------------------------------------------------------------------
 # polygon helpers
+
+
+def _polygon(name: str, vertices, r: float | None) -> DomainSpec:
+    """The simple counterclockwise polygon, its corners rounded to r if set."""
+    v = np.array([complex(z) for z in vertices], dtype=complex)
+    if v.size < 3:
+        raise ValueError("polygon needs at least 3 vertices")
+    if np.min(np.abs(np.roll(v, -1) - v)) < 1e-12:
+        raise ValueError("polygon has a zero-length edge")
+    if np.sum((np.conj(v) * np.roll(v, -1)).imag) <= 0:   # twice the signed area
+        raise ValueError("polygon vertices must be counterclockwise")
+    if not _is_simple(v):
+        raise ValueError("polygon must be simple (non-self-intersecting)")
+    pieces = _boundary_pieces(v, r)
+    key = ",".join(f"{z.real!r}:{z.imag!r}" for z in v.tolist())
+    box = (float(v.real.min()), float(v.real.max()), float(v.imag.min()), float(v.imag.max()))
+    return DomainSpec(f"{name}:{key}", pieces, box, functools.partial(_polygon_inside, v, pieces),
+                      _panel_rule, tuple(v.tolist()))
 
 
 def _scaled_int(x) -> int:
@@ -347,13 +362,13 @@ def _closed_segments_meet(a: np.ndarray, b: np.ndarray, c: complex, d: complex) 
 
 
 def segments_meet_boundary(domain: DomainSpec, a, b) -> np.ndarray:
-    """Exact test whether the closed segments [a, b] meet a closed edge of a
-    polygon with sharp corners; touching a vertex counts as meeting."""
+    """Exact test whether the closed segments [a, b] meet a sharp polygon's
+    closed edges (a smooth boundary has none); touching a vertex counts."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     shape = a.shape
     a, b = a.ravel(), b.ravel()
     meet = np.zeros(a.shape, dtype=bool)
-    for edge in domain._pieces:
+    for edge in domain.edges:
         meet |= _closed_segments_meet(a, b, edge.p0, edge.p1)
     return meet.reshape(shape)
 
@@ -418,19 +433,18 @@ def _boundary_pieces(v: np.ndarray, r: float | None) -> list:
 def contains(domain: DomainSpec, z) -> bool | np.ndarray:
     """True iff z lies in the open domain; boundary points are outside."""
     zz = np.asarray(z, dtype=complex)
-    arr = zz.ravel()
-    if domain.kind == ELLIPSE:
-        a, b = domain.semi_axes
-        # a circle tests |z| < a, which keeps 1 - |z|^2 positive inside the
-        # unit disc; x^2 + y^2 < 1 holds at boundary points where it is 0
-        res = (np.abs(arr) < a if a == b
-               else (arr.real / a) ** 2 + (arr.imag / b) ** 2 < 1.0)
-    else:
-        odd, on_edge = _crossings(np.asarray(domain.vertices, dtype=complex), arr)
-        res = odd & ~on_edge
-        for piece in domain._pieces:
-            piece.settle(arr, res)
+    res = domain._inside(zz.ravel())
     return bool(res[0]) if zz.ndim == 0 else res.reshape(zz.shape)
+
+
+def _polygon_inside(v: np.ndarray, pieces: list, z: np.ndarray) -> np.ndarray:
+    """The crossing test of the polygon v, which each rounded corner then
+    settles near itself."""
+    odd, on_edge = _crossings(v, z)
+    res = odd & ~on_edge
+    for piece in pieces:
+        piece.settle(z, res)
+    return res
 
 
 def _crossings(v: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,39 +490,21 @@ def curve_distance(domain: DomainSpec, z) -> float | np.ndarray:
     return float(res[0]) if zz.ndim == 0 else res.reshape(zz.shape)
 
 
-def _clear_by_bound(domain: DomainSpec, z: np.ndarray, threshold: float) -> np.ndarray:
-    """Points of z whose distance to the boundary curve a closed-form lower
-    bound shows to exceed ``threshold``, with no footpoint iteration; all
-    False on a polygon.
-
-    On an ellipse a point with s = sqrt((x/a)^2 + (y/b)^2) lies on the
-    boundary of sE.  E is convex and holds the disc of radius b, so
-    sE + (1 - s) b Disc lies in E for s < 1 and E + (s - 1) b Disc in sE
-    for s > 1: the distance is at least |1 - s| b, inside and outside.  The
-    bound decides where it clears the threshold by 1e-12.
-    """
-    if domain.kind != ELLIPSE:
-        return np.zeros(z.shape, dtype=bool)
-    a, b = domain.semi_axes
-    s = np.sqrt((z.real / a) ** 2 + (z.imag / b) ** 2)
-    return np.abs(1.0 - s) * b >= threshold + 1e-12
-
-
 def clear_of_boundary(domain: DomainSpec, z, margin: float) -> bool | np.ndarray:
     """``contains(domain, z) & (curve_distance(domain, z) >= margin)``,
     elementwise: inside the open domain and, for margin > 0, at least
     ``margin`` from the boundary; with margin <= 0 it is :func:`contains`.
 
     Only inside points are tested for clearance, and points that the
-    ellipse's distance bound already clears skip the footpoint iteration of
-    :func:`curve_distance`.
+    ellipse's distance bound (:meth:`_Ellipse.clears`) already clears skip
+    the footpoint iteration of :func:`curve_distance`.
     """
     zz = np.asarray(z, dtype=complex)
     arr = zz.ravel()
     ok = contains(domain, arr)
     if margin > 0:
         rest = np.flatnonzero(ok)
-        rest = rest[~_clear_by_bound(domain, arr[rest], margin)]
+        rest = rest[~domain._clears(arr[rest], margin)]
         if rest.size:
             ok[rest] = curve_distance(domain, arr[rest]) >= margin
     return bool(ok[0]) if zz.ndim == 0 else ok.reshape(zz.shape)
@@ -536,19 +532,18 @@ def boundary_point(domain: DomainSpec, t) -> complex | np.ndarray:
 def capacity_radius(domain: DomainSpec) -> float:
     """Geometric-mean radius of the boundary around the bounding-box center.
 
-    Equals the logarithmic capacity for ellipses ((a+b)/2, 1 on the unit
-    disc) and approximates it for polygons.  It scales the kernel fit's
-    monomials zeta^k, zeta = (z - center) / radius, to about 1 on the
-    boundary, so the stored coefficients B of the orthonormal basis grow
-    only polynomially in the degree and the orthonormality defect measured
-    from B stays small up to higher degrees.
+    Equals the logarithmic capacity for ellipses ((a+b)/2, fixed when built)
+    and approximates it for polygons (averaged once and kept).  It scales
+    the kernel fit's monomials zeta^k, zeta = (z - center) / radius, to
+    about 1 on the boundary, so the stored coefficients B of the orthonormal
+    basis grow only polynomially in the degree and the orthonormality defect
+    measured from B stays small up to higher degrees.
     """
-    if domain.kind == ELLIPSE:
-        a, b = domain.semi_axes
-        return 0.5 * (a + b)
-    t = 2 * np.pi * (np.arange(4096) + 0.5) / 4096
-    g = boundary_point(domain, t)
-    return float(np.exp(np.mean(np.log(np.abs(g - domain.center)))))
+    if domain._scale is None:
+        t = 2 * np.pi * (np.arange(4096) + 0.5) / 4096
+        g = boundary_point(domain, t)
+        domain._scale = float(np.exp(np.mean(np.log(np.abs(g - domain.center)))))
+    return domain._scale
 
 
 def interior_anchor(domain: DomainSpec) -> complex:
@@ -556,11 +551,9 @@ def interior_anchor(domain: DomainSpec) -> complex:
     and the lattice cell centers, the inside one farthest from the
     boundary, the center on a tie; the lattice is refined until a point
     lies inside.  The center alone can sit in a reflex corner's fillet.
-    An ellipse's center is its unique deepest point, so it is returned
-    without pricing the lattice; a polygon's anchor is searched once and
-    kept on the domain."""
-    if domain.kind == ELLIPSE:
-        return domain.center
+    An ellipse's center is its unique deepest point, so the ellipse fixes
+    it when built, without pricing the lattice; a polygon's anchor is
+    searched once and kept on the domain."""
     if domain._anchor is not None:
         return domain._anchor
     h = domain.half_diagonal / 16
@@ -672,13 +665,18 @@ def boundary_rule(domain: DomainSpec, degree: int, resolution: float) -> Boundar
     h = float(resolution)
     if not h > 0:
         raise ValueError("resolution must be positive")
-    key = domain.grid_key()
-    if domain.kind == ELLIPSE:
-        (curve,) = domain._pieces
-        n = max(2 * degree + 4, math.ceil(curve.length / h))
-        t = 2 * np.pi * np.arange(n) / n
-        return BoundaryRule(curve.point(t), curve.derivative(t) * (2 * np.pi / n),
-                            f"trapezoid:{n}:{key}")
+    return domain._rule(domain, degree, h)
+
+
+def _trapezoid_rule(domain: DomainSpec, degree: int, h: float) -> BoundaryRule:
+    (curve,) = domain._pieces
+    n = max(2 * degree + 4, math.ceil(curve.length / h))
+    t = 2 * np.pi * np.arange(n) / n
+    return BoundaryRule(curve.point(t), curve.derivative(t) * (2 * np.pi / n),
+                        f"trapezoid:{n}:{domain._key}")
+
+
+def _panel_rule(domain: DomainSpec, degree: int, h: float) -> BoundaryRule:
     m = degree + 2
     x, w, panel = _legendre_panel(m)
     nodes, dz = [], []
@@ -690,4 +688,4 @@ def boundary_rule(domain: DomainSpec, degree: int, resolution: float) -> Boundar
         dz.append(piece.derivative(s) / (2 * count) * np.tile(w, count))
     nodes = np.concatenate(nodes)
     return BoundaryRule(nodes, np.concatenate(dz),
-                        f"gauss-legendre:{m}x{nodes.size // m}:{key}", panel)
+                        f"gauss-legendre:{m}x{nodes.size // m}:{domain._key}", panel)

@@ -27,8 +27,6 @@ from .errors import (
     ResolutionTooCoarseError,
 )
 from .geometry import (
-    ELLIPSE,
-    POLYGON,
     DomainSpec,
     clear_of_boundary,
     contains,
@@ -413,18 +411,18 @@ def _segment_inside(domain: DomainSpec, a, b, margin: float, n_samples: int = 8)
     """Vectorized check that segments [a,b] stay inside with clearance;
     the result has the broadcast shape of a and b.
 
-    The endpoints must lie inside.  On a convex ellipse a chord between
-    interior points lies inside, so margin == 0 samples nothing; otherwise
-    every sample must pass :func:`clear_of_boundary`, and a sharp polygon's
-    segment must also meet no boundary edge (tested exactly)."""
+    The endpoints must lie inside.  On a convex domain (an ellipse) a chord
+    between interior points lies inside, so margin == 0 samples nothing;
+    otherwise every sample must pass :func:`clear_of_boundary`, and a sharp
+    polygon's segment must also meet none of its edges (tested exactly)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if margin == 0 and domain.kind == ELLIPSE:
+    if margin == 0 and domain.convex:
         return np.ones(np.broadcast(a, b).shape, dtype=bool)
     t = (np.arange(n_samples) + 0.5) / n_samples
     pts = a[..., None] + t * (b - a)[..., None]
     ok = clear_of_boundary(domain, pts, margin).all(axis=-1)
-    if domain.kind == POLYGON and domain.corner_radius is None:
+    if domain.edges:
         ok &= ~segments_meet_boundary(domain, a, b)
     return ok
 

@@ -481,9 +481,22 @@ def test_ellipse_kernel_against_chebyshev_oracle(ellipse15, ellipse15_kernel16):
     assert np.max(np.abs(B.bergman_density(model, z) / rho - 1)) < 1e-4
 
 
-def test_density_positivity_floor_guard(disc_kernel):
-    with pytest.raises(KernelInstabilityError):
-        B.bergman_density(disc_kernel, 0.0, floor=1e9)
+def test_density_positivity_floor_guard(monkeypatch, disc_kernel):
+    # K(z, z) lowered to the positivity floor at the second point
+    terms = B._density_terms
+
+    def floored(model, z):
+        A, Az, Azz = terms(model, z)
+        A = A.copy()
+        A[1] = B._POSITIVITY_FLOOR
+        return A, Az, Azz
+
+    z = np.array([0.1, 0.2 + 0.3j, -0.4j])
+    monkeypatch.setattr(B, "_density_terms", floored)
+    with pytest.raises(KernelInstabilityError, match="at or below positivity floor 1.0e-12"):
+        B.bergman_density(disc_kernel, z)
+    monkeypatch.undo()
+    assert np.all(B.bergman_density(disc_kernel, z) > 0)
 
 
 def test_negative_radicand_is_reported_not_clamped(monkeypatch, disc_kernel_coarse):

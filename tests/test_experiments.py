@@ -73,6 +73,14 @@ def test_parse_config_errors():
     for p in ("0.5", "nan"):
         with pytest.raises(ConfigError, match="p must"):
             E.parse_config_text(HL1_CUSP + f"\np = {p}")
+    # a domain value its constructor rejects names the key
+    for new, match in [
+            ("unit_disc 2 3", "domain: unit_disc takes no numbers, not '2 3'"),
+            ("ellipse 1 2", "domain: ellipse requires semi-axes a >= b > 0"),
+            ("polygon 0 0 0 1 1 0", "domain: polygon vertices must be counterclockwise"),
+            ("smoothed_polygon 0.6 0 0 1 0 1 1 0 1", "domain: corner_radius 0.6 too large")]:
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            E.parse_config_text(HL1_CUSP.replace("unit_disc", new))
     # a malformed number names its key and value
     for old, new, match in [
             ("unit_disc", "ellipse 1.5 one", "domain = 'one'"),
@@ -273,6 +281,70 @@ def test_closed_form_config_values_bitwise(name, tmp_path):
            float.hex(rep.values["sampling_convergence"]),
            float.hex(rep.values["implied_alpha_modulus"]))
     assert got == GOLDEN[name]
+
+
+_L = [0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]
+
+
+def test_domain_constructors_fix_the_grid_key_and_equality_follows_it():
+    e15 = G.ellipse(1.5, 1)
+    assert e15.grid_key() == "ellipse:1.5:1.0"
+    # the domain line of the stored benchmark kernel
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    kernel = os.path.join(root, "perfbench", "ellipse_1.5x1_deg72_h0.01.kernel")
+    assert B.load_kernel(kernel, e15).degree == 72
+    parsed = E.parse_config_text(HL1_CUSP.replace("unit_disc", "ellipse 1 1")).domain
+    discs = [G.unit_disc(), G.ellipse(1, 1), parsed]
+    assert [d.grid_key() for d in discs] == ["ellipse:1.0:1.0"] * 3
+    sharp, rounded = G.polygon(_L), G.smoothed_polygon(_L, 0.15)
+    corners = "0.0:0.0,2.0:0.0,2.0:1.0,1.0:1.0,1.0:2.0,0.0:2.0"
+    assert sharp.grid_key() == f"polygon:{corners}"
+    assert rounded.grid_key() == f"smoothed_polygon:0.15:{corners}"
+    domains = [*discs, e15, sharp, rounded, G.smoothed_polygon(_L, 0.2),
+               G.polygon(_L), G.ellipse(1.5, 1.0), G.smoothed_polygon(np.array(_L), 0.15)]
+    for d in domains:
+        for other in domains:
+            assert (d == other) == (d.grid_key() == other.grid_key())
+            assert (d != other) == (d.grid_key() != other.grid_key())
+        assert d != d.grid_key()
+
+
+def _scalar_ring_point(domain, anchor, direction, target):
+    # the reference: one point at a time, through the scalar contains and
+    # curve_distance
+    span = 4.0 * domain.half_diagonal
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        z = anchor + mid * span * direction
+        if G.contains(domain, z) and G.curve_distance(domain, z) > target:
+            lo = mid
+        else:
+            hi = mid
+    z = anchor + lo * span * direction
+    if abs(float(G.curve_distance(domain, z)) - target) > 0.02 * target:
+        return None
+    return z
+
+
+@pytest.mark.parametrize("domain", [G.unit_disc(), G.ellipse(1.5, 1), G.polygon(_L),
+                                    G.smoothed_polygon(_L, 0.15)], ids=lambda d: d.grid_key())
+def test_ring_points_equal_the_scalar_bisection(domain):
+    anchor = G.interior_anchor(domain)
+    # 3.0 lies beyond every domain's anchor clearance: its bisection misses
+    targets = np.array([3.0, 0.2, 0.05, 0.0125, 0.003125])
+    rays = 9
+    directions = np.exp(1j * (2 * np.pi * np.arange(rays) / rays))
+    got = E._ring_points(domain, anchor, directions, targets)
+    assert got.shape == (rays, targets.size)
+    for i, direction in enumerate(directions):
+        for j, target in enumerate(targets):
+            want = _scalar_ring_point(domain, anchor, direction, float(target))
+            if want is None:
+                assert np.isnan(got[i, j]), (i, j)
+            else:
+                assert got[i, j] == want, (i, j)
+    assert np.isnan(got[:, 0]).all() and not np.isnan(got[:, 1:]).any()
 
 
 def test_ellipse_1_1_is_the_unit_disc(tmp_path):

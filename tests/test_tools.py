@@ -236,6 +236,25 @@ def test_bench_pairs_alternates_sides_and_prints_the_bench_block(tmp_path):
     assert block["change_better_in_pairs"] == {
         "setup_s": "0 of 4", "run_s": "3 of 4", "peak_rss_mb": "0 of 4", "ok_ratio": "0 of 4"}
     assert len(err.splitlines()) == 8 and err.splitlines()[0].startswith("pair 0 seed 21 parent:")
+    # run_s moved 35% the better way, and RSS 0.7% the worse way, 5% allowed
+    assert block["verdicts"]["run_s"] == {"moved": pytest.approx((2.7 - 4.15) / 4.15),
+                                          "bound": 0.25, "verdict": "within"}
+    assert block["verdicts"]["peak_rss_mb"] == {"moved": pytest.approx(0.5 / 68.0),
+                                                "bound": 0.05, "verdict": "within"}
+
+    # parent runs that spread by more than run_s's bound (interquartile
+    # range 2.5 on a median of 3.5) under change runs that do not all beat
+    # them, and an RSS 5.9% worse
+    parent = _stub_checkout(tmp_path / "p2", "parent", log, [2.0, 4.0, 3.0, 5.0] + [0] * 6, 68.0)
+    change = _stub_checkout(tmp_path / "c2", "change", log, [3.1, 3.2, 3.3, 3.4] + [0] * 6, 72.0)
+    code, out, err = _bench_pairs(parent, change, 4, 0)
+    assert code == 0, err
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts["run_s"] == {"moved": pytest.approx(-0.25 / 3.5), "bound": 0.25,
+                                 "verdict": "unresolved"}
+    assert verdicts["peak_rss_mb"] == {"moved": pytest.approx(4.0 / 68.0), "bound": 0.05,
+                                       "verdict": "worse"}
+    assert verdicts["ok_ratio"] == {"moved": 0.0, "bound": 0.001, "verdict": "within"}
 
 
 def test_bench_pairs_counts_a_failed_run_as_not_correct(tmp_path):

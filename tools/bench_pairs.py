@@ -15,7 +15,14 @@ gets one JSON object, the workload's block of a BENCH file:
   its ``runs`` in seed order with their ``median``, ``q1`` and ``q3``
   (``statistics.quantiles(n=4)``) and ``n``;
 * ``change_better_in_pairs``: per metric, the pairs where CHANGE is
-  strictly better, in the direction BENCHMARK.json gives it.
+  strictly better, in the direction BENCHMARK.json gives it;
+* ``verdicts``: per metric, ``moved``, how far the CHANGE median moved
+  from the PARENT median relative to it, the metric's ``bound`` from
+  BENCHMARK.json, and one ``verdict``: ``worse`` when CHANGE's median is
+  worse than PARENT's by more than the bound, else ``unresolved`` when
+  PARENT's interquartile range, relative to its median, exceeds the bound
+  and not every CHANGE run beats every PARENT run (or a side has no
+  value), else ``within``.
 
 A run that exits non-zero or prints no result counts as not correct and has
 no metric values.  Exits 0 when every run is correct, 1 when one is not, 2
@@ -35,10 +42,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 
 
-def better_directions(path: str = os.path.join(ROOT, "BENCHMARK.json")) -> dict[str, str]:
-    """{metric: "lower" or "higher"} of BENCHMARK.json's end-to-end metrics."""
+def end_to_end(path: str = os.path.join(ROOT, "BENCHMARK.json")) -> dict[str, tuple[str, float]]:
+    """{metric: ("lower" or "higher", relative bound)} of BENCHMARK.json's
+    end-to-end metrics."""
     with open(path) as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict | None:
@@ -67,8 +75,28 @@ def summary(runs: list) -> dict:
     return out
 
 
+def verdict(parent: dict, change: dict, better: str, bound: float) -> dict:
+    """How the CHANGE summary of one metric compares with the PARENT one
+    (see the module docstring)."""
+    p, c = parent["median"], change["median"]
+    out = {"moved": None, "bound": bound, "verdict": "unresolved"}
+    if p is None or c is None or p == 0:
+        return out
+    out["moved"] = (c - p) / abs(p)
+    # signed so that lower is better
+    sign = 1 if better == "lower" else -1
+    worst_change = max(sign * v for v in change["runs"] if v is not None)
+    best_parent = min(sign * v for v in parent["runs"] if v is not None)
+    if sign * out["moved"] > bound:
+        out["verdict"] = "worse"
+    elif (parent["q3"] - parent["q1"]) / abs(p) <= bound or worst_change < best_parent:
+        out["verdict"] = "within"
+    return out
+
+
 def bench_pairs(checkouts: dict, workload: str, pairs: int, first_seed: int) -> dict:
-    better = better_directions()
+    metrics = end_to_end()
+    better = {name: direction for name, (direction, _) in metrics.items()}
     seeds = list(range(first_seed, first_seed + pairs))
     results = {side: [] for side in SIDES}
     for k, seed in enumerate(seeds):
@@ -92,6 +120,8 @@ def bench_pairs(checkouts: dict, workload: str, pairs: int, first_seed: int) -> 
             for p, c in zip(values["parent"][name], values["change"][name]))
         won[name] = f"{pairs_won} of {pairs}"
     block["change_better_in_pairs"] = won
+    block["verdicts"] = {name: verdict(block["parent"][name], block["change"][name], *spec)
+                         for name, spec in metrics.items()}
     return block
 
 
