@@ -240,7 +240,7 @@ class DomainSpec:
     # (z, threshold): the points a closed-form distance bound clears
     _clears: Callable = lambda z, threshold: np.zeros(z.shape, dtype=bool)
     convex: bool = False
-    edges: list = ()             # a sharp polygon's edges, which a chord must not meet
+    edges: list | tuple = ()     # a sharp polygon's edges, which a chord must not meet
     _anchor: complex | None = None   # interior_anchor: fixed, or searched on first use
     _scale: float | None = None      # capacity_radius: fixed, or averaged on first use
 
