@@ -19,7 +19,6 @@ from .errors import MetricLabError
 from .experiments import (
     _EXPERIMENTS,
     _build_density,
-    _distance_evaluator,
     emit_report,
     load_report,
     parse_config_file,
@@ -27,7 +26,7 @@ from .experiments import (
 )
 from .growth import fit_exponent, means_curve, modulus_curve
 from .maps import boundary_trace, from_name, weighted_derivative
-from .metrics import density_eval, weighted_distance, write_path_file
+from .metrics import density_eval, geodesic_evaluator, weighted_distance, write_path_file
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,8 +142,9 @@ def _cmd_modulus(args) -> int:
     omega = _build_density(cfg)
     f = from_name(cfg.map_name, cfg.domain)
     trace = boundary_trace(f, cfg.circle_samples, cfg.trace_radius)
-    d, screen = _distance_evaluator(cfg, omega)
-    curve = modulus_curve(trace, d, cfg.steps, cfg.p, screen=screen)
+    d = omega.closed_form or geodesic_evaluator(omega, cfg.resolution,
+                                                max_sweeps=cfg.refine_sweeps)
+    curve = modulus_curve(trace, d, cfg.steps, cfg.p, screen=omega.sup_screen)
     fit = fit_exponent(curve)
     for h, v in zip(cfg.steps, curve.values):
         print(f"h = {h:.6f}  M = {v:.10g}")

@@ -45,25 +45,25 @@ from .maps import (
     weighted_derivative,
 )
 from .metrics import (
-    BERGMAN,
-    BLOW_UP_KINDS,
-    CONSTANT,
-    DENSITY_KINDS,
-    HYPERBOLIC,
-    QUASIHYPERBOLIC,
     MetricDensity,
     bergman_metric_density,
     constant_density,
     geodesic_evaluator,
     hyperbolic_density,
-    hyperbolic_distance_closed,
-    hyperbolic_sup_screen,
     quasihyperbolic_density,
-    scaled_euclidean_evaluator,
     weighted_distance,
 )
 
 _EXPERIMENTS = ("hl1", "hl2", "yamashita", "qh-compare", "nt-bounds")
+
+# the values of the ``density`` key, by constructor
+HYPERBOLIC = "hyperbolic"
+QUASIHYPERBOLIC = "quasihyperbolic"
+BERGMAN = "bergman"
+CONSTANT = "constant"
+
+BLOW_UP_KINDS = (HYPERBOLIC, QUASIHYPERBOLIC, BERGMAN)
+DENSITY_KINDS = (*BLOW_UP_KINDS, CONSTANT)
 
 _DEFAULTS = {
     "alpha": "0.5",
@@ -167,6 +167,26 @@ def _parse_domain(text: str) -> DomainSpec:
         raise ConfigError(f"domain: {exc}") from None
 
 
+def _parse_density(text: str, domain: DomainSpec) -> tuple[str, float | None]:
+    """(kind, value) of a ``density`` value: a kind of DENSITY_KINDS, with
+    one number 0 < C < inf after ``constant`` and none after the others."""
+    kind, *tokens = text.split()
+    if kind not in DENSITY_KINDS:
+        raise ConfigError(f"density: unknown density kind {kind!r}; pick one of {DENSITY_KINDS}")
+    if kind != CONSTANT:
+        if tokens:
+            raise ConfigError(f"density: {kind} takes no value, not {' '.join(tokens)!r}")
+        if kind == HYPERBOLIC and domain != unit_disc():
+            raise ConfigError("density: hyperbolic lives on the unit disc only")
+        return kind, None
+    if len(tokens) != 1:
+        raise ConfigError("density: constant needs one value: 'constant C'")
+    value = _number(float, "density", tokens[0])
+    if not 0 < value < math.inf:
+        raise ConfigError(f"density: constant C needs 0 < C < inf, not {tokens[0]}")
+    return kind, value
+
+
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     items: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -192,15 +212,8 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     experiment = merged["experiment"]
     if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; pick one of {_EXPERIMENTS}")
-    density_parts = merged["density"].split()
-    density_kind = density_parts[0]
-    if density_kind not in DENSITY_KINDS:
-        raise ConfigError(f"unknown density kind {density_kind!r}")
-    density_value = None
-    if density_kind == CONSTANT:
-        if len(density_parts) != 2:
-            raise ConfigError("constant density needs a value: 'constant C'")
-        density_value = _number(float, "density", density_parts[1])
+    domain = _parse_domain(merged["domain"])
+    density_kind, density_value = _parse_density(merged["density"], domain)
 
     def num(kind, key):
         value = _number(kind, key, merged[key])
@@ -227,7 +240,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
 
     return ExperimentConfig(
         experiment=experiment,
-        domain=_parse_domain(merged["domain"]),
+        domain=domain,
         density_kind=density_kind,
         density_value=density_value,
         map_name=merged["map"],
@@ -332,8 +345,6 @@ _KERNEL_CACHE: dict = {}
 
 def _build_density(cfg: ExperimentConfig) -> MetricDensity:
     if cfg.density_kind == HYPERBOLIC:
-        if cfg.domain != unit_disc():
-            raise ConfigError("hyperbolic density requires the unit disc domain")
         return hyperbolic_density()
     if cfg.density_kind == QUASIHYPERBOLIC:
         return quasihyperbolic_density(cfg.domain)
@@ -348,16 +359,6 @@ def _build_density(cfg: ExperimentConfig) -> MetricDensity:
             _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
         _KERNEL_CACHE[key] = model
     return bergman_metric_density(model)
-
-
-def _distance_evaluator(cfg: ExperimentConfig, omega: MetricDensity):
-    """(d, screen): the distance evaluator, and the sup screen that goes
-    with it (the closed-form hyperbolic one only; None otherwise)."""
-    if omega.kind == HYPERBOLIC:
-        return hyperbolic_distance_closed, hyperbolic_sup_screen
-    if omega.kind == CONSTANT:
-        return scaled_euclidean_evaluator(omega.value), None
-    return geodesic_evaluator(omega, cfg.resolution, max_sweeps=cfg.refine_sweeps), None
 
 
 def _fit_curve(entry: dict, curve, name: str, fits: dict, flags: list) -> None:
@@ -384,7 +385,8 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
     """
     omega = _build_density(cfg)
     f = from_name(cfg.map_name, cfg.domain)
-    d, screen = _distance_evaluator(cfg, omega)
+    d = omega.closed_form or geodesic_evaluator(omega, cfg.resolution,
+                                                max_sweeps=cfg.refine_sweeps)
     fits: dict[str, object] = {}
     flags: list[str] = []
     checks: list[dict] = []
@@ -400,22 +402,21 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
 
     # the n-sample trace is the even samples of the 2n-sample one: angle 2j
     # of 2n rounds exactly like angle j of n, and the map values agree bit
-    # for bit while 2n < 16,384 (from there numpy reorders a temporary's
-    # complex products)
+    # for bit (test_boundary_trace_even_samples_of_the_doubled_trace)
     fine = boundary_trace(f, 2 * cfg.circle_samples, cfg.trace_radius)
     tr = fine[::2].copy()
     try:
-        sc = modulus_curve(tr, d, cfg.steps, p, screen=screen)
+        sc = modulus_curve(tr, d, cfg.steps, p, screen=omega.sup_screen)
         curves[f"modulus_{label}"] = _curve_dict(sc.abscissa, sc.values)
         if not np.all(sc.values < 1e-14):
             zero = False
             _fit_curve(curves[f"modulus_{label}"], sc, "modulus", fits, flags)
-            if cfg.density_kind in (HYPERBOLIC, CONSTANT):
+            if omega.closed_form is not None:
                 # the ladder's first modulus is the probe at the sampling
                 # of ``tr``; only the doubled sampling's modulus is computed
                 a = float(sc.values[0])
                 b = doubled_sampling_modulus(fine, d, p, float(cfg.steps[0]),
-                                             screen=screen)
+                                             screen=omega.sup_screen)
                 gap = abs(b - a) / max(abs(b), 1e-300)
     except DivergentValueError as err:
         flags.append("divergent-modulus")

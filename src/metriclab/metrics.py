@@ -11,6 +11,7 @@ to zero, and the returned path is its certificate.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,75 +36,71 @@ from .geometry import (
     unit_disc,
 )
 
-HYPERBOLIC = "hyperbolic"
-QUASIHYPERBOLIC = "quasihyperbolic"
-BERGMAN = "bergman"
-CONSTANT = "constant"
-
-BLOW_UP_KINDS = (HYPERBOLIC, QUASIHYPERBOLIC, BERGMAN)
-DENSITY_KINDS = (*BLOW_UP_KINDS, CONSTANT)
-
 
 # ---------------------------------------------------------------------------
 # densities
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricDensity:
     """Positive weight on a domain; pointwise finite and > 0 inside.
+
+    Built by :func:`hyperbolic_density`, :func:`quasihyperbolic_density`,
+    :func:`bergman_metric_density` or :func:`constant_density`, each of which
+    fixes once its values, whether it blows up at the boundary, its
+    closed-form distance ``closed_form(u, v)`` (None: only the geodesic
+    solver measures it) and the ``sup_screen`` that goes with that distance
+    (None: every pair is priced).  A density equals only itself.
 
     The density owns the geodesic grid graphs built under it, at most 8
     (see :func:`_build_graph`), so they live and die with it.
     """
 
     domain: DomainSpec
-    kind: str
+    _values: Callable = field(repr=False)   # of a complex array inside the domain
+    blows_up: bool
+    closed_form: Callable | None = None
+    sup_screen: Callable | None = None
     model: KernelModel | None = None
-    value: float | None = None
-    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in DENSITY_KINDS:
-            raise ValueError(f"unknown density kind {self.kind!r}; pick one of {DENSITY_KINDS}")
-        if self.kind == HYPERBOLIC and self.domain != unit_disc():
-            raise ValueError("the hyperbolic density lives on the unit disc only")
-        if self.kind == BERGMAN and self.model is None:
-            raise ValueError("bergman density needs a fitted KernelModel")
-        if self.kind == CONSTANT and not (self.value and self.value > 0):
-            raise ValueError("constant density needs value > 0")
-
-    @property
-    def blows_up(self) -> bool:
-        return self.kind in BLOW_UP_KINDS
+    _graphs: dict = field(default_factory=dict, init=False, repr=False)
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
         """Pointwise density on points assumed to lie inside the domain."""
-        z = np.asarray(z, dtype=complex)
-        if self.kind == HYPERBOLIC:
-            return 1.0 / (1.0 - np.abs(z) ** 2)
-        if self.kind == QUASIHYPERBOLIC:
-            return 1.0 / curve_distance(self.domain, z)
-        if self.kind == BERGMAN:
-            return bergman_density(self.model, z.ravel()).reshape(z.shape)
-        return np.full(z.shape, self.value, dtype=float)
+        return self._values(np.asarray(z, dtype=complex))
 
 
 def hyperbolic_density() -> MetricDensity:
-    return MetricDensity(unit_disc(), HYPERBOLIC)
+    """1 / (1 - |z|^2) on the unit disc, with its closed-form distance and
+    that distance's triangle-inequality sup screen."""
+    return MetricDensity(unit_disc(), lambda z: 1.0 / (1.0 - np.abs(z) ** 2), blows_up=True,
+                         closed_form=hyperbolic_distance_closed,
+                         sup_screen=hyperbolic_sup_screen)
 
 
 def quasihyperbolic_density(domain: DomainSpec) -> MetricDensity:
-    return MetricDensity(domain, QUASIHYPERBOLIC)
+    """1 / d(z), the reciprocal boundary distance."""
+    return MetricDensity(domain, lambda z: 1.0 / curve_distance(domain, z), blows_up=True)
 
 
 def bergman_metric_density(model: KernelModel) -> MetricDensity:
+    """The metric density of a fitted kernel, on the model's domain."""
     if model.domain is None:
         raise ValueError("kernel model must carry its domain")
-    return MetricDensity(model.domain, BERGMAN, model=model)
+    return MetricDensity(model.domain,
+                         lambda z: bergman_density(model, z.ravel()).reshape(z.shape),
+                         blows_up=True, model=model)
 
 
 def constant_density(domain: DomainSpec, value: float) -> MetricDensity:
-    return MetricDensity(domain, CONSTANT, value=float(value))
+    """The constant c, 0 < c < inf.  Its distance is c |u - v| between
+    points whose chord lies inside the domain (any two points of a convex
+    one), which every trace of a catalog map keeps: into a domain other than
+    the disc, ``maps.AffineInto`` maps into a disc inside it."""
+    c = float(value)
+    if not 0 < c < math.inf:
+        raise ValueError(f"constant density needs 0 < c < inf, not {value}")
+    return MetricDensity(domain, lambda z: np.full(z.shape, c), blows_up=False,
+                         closed_form=scaled_euclidean_evaluator(c))
 
 
 def density_eval(omega: MetricDensity, z) -> float | np.ndarray:
@@ -746,7 +743,8 @@ def weighted_distance(omega: MetricDensity, z: complex, w: complex,
 
 
 def scaled_euclidean_evaluator(c: float):
-    """Weighted distance for a constant density on a convex domain."""
+    """c |u - v|: the distance of the constant density c between points
+    whose chord lies inside the domain (see :func:`constant_density`)."""
 
     def d(u, v):
         return c * np.abs(np.asarray(u, dtype=complex) - np.asarray(v, dtype=complex))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -68,6 +69,7 @@ def test_parse_config_errors():
         E.parse_config_text(HL1_CUSP.replace("hl1", "hl9"))
     with pytest.raises(ConfigError, match="unknown density"):
         E.parse_config_text(HL1_CUSP.replace("hyperbolic", "parabolic"))
+    assert E.DENSITY_KINDS == (*E.BLOW_UP_KINDS, E.CONSTANT)
     with pytest.raises(ConfigError, match="semi-axes"):
         E.parse_config_text(HL1_CUSP.replace("unit_disc", "ellipse 2"))
     for p in ("0.5", "nan"):
@@ -109,6 +111,17 @@ def test_parse_config_rejects_out_of_range_values(tmp_path, capsys, key, lowest,
     assert cli.main(["verify", "qh-compare", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key} must be ")
     assert os.listdir(tmp_path) == ["exp.txt"]
+
+
+@pytest.mark.parametrize("domain, density", [
+    ("unit_disc", "hyperbolic 3"), ("unit_disc", "bergman 7"),
+    ("unit_disc", "quasihyperbolic x"), ("unit_disc", "constant inf"),
+    ("unit_disc", "constant 0"), ("unit_disc", "constant -1"),
+    ("unit_disc", "constant nan"), ("ellipse 1.5 1", "hyperbolic")])
+def test_parse_config_rejects_bad_density_values(domain, density):
+    # each is a ConfigError naming the key before any density is built
+    with pytest.raises(ConfigError, match="^density"):
+        E.parse_config_text(f"experiment = hl1\ndomain = {domain}\ndensity = {density}\n")
 
 
 def test_readme_config_keys_table_matches_the_parser():
@@ -281,6 +294,52 @@ def test_closed_form_config_values_bitwise(name, tmp_path):
            float.hex(rep.values["sampling_convergence"]),
            float.hex(rep.values["implied_alpha_modulus"]))
     assert got == GOLDEN[name]
+
+
+# sha256 of every report file of the fast configs, as tools/run_configs.py
+# writes them; the in-process reports equal those byte for byte, under 1 and
+# 2 BLAS threads
+REPORT_DIGESTS = {
+    "hl1_cusp50": {
+        "hl1_f0c0df00bc39.json": "49804910a2a136d6e723cb3a39fda912022d8776b1f1c57e084cff4b750e1c31",
+        "hl1_f0c0df00bc39.means_sup.dat": "164ff5b703c9bc5a3a7569798a36a57eebbd03b72162165f184a2b7f49fcbe3b",
+        "hl1_f0c0df00bc39.modulus_sup.dat": "912f2736ad812f4c1b42e35758df7484bbbabf958bd3d509d889cf2b54d26be7",
+    },
+    "hl2_cusp50_p1": {
+        "hl2_1548eea0de26.json": "bf083879d66711513fef5bdd8c006c49de2c8dbe56ace02f8db4280508330d68",
+        "hl2_1548eea0de26.means_p1.dat": "329f77c729a5ef97911738d94e75ab1387d373c89b9351987056133018d6b0b7",
+        "hl2_1548eea0de26.modulus_p1.dat": "6bff384a5dda8051bc1fe9e698884cf1fe1dd709bdf370ef40416f19fa8bb432",
+    },
+    "yamashita_scale50": {
+        "yamashita_9599e852c80c.json": "c09fa4bf9fa851241cc4fd78ff5120121494d3185b78c8b6c11a432de1db4e8c",
+        "yamashita_9599e852c80c.means_sup.dat": "addc20fce375939b9625fc8d9c9cc6914fb2e79e702766d171b3df37b2ee9e04",
+        "yamashita_9599e852c80c.modulus_sup.dat": "80395e28b142e12a506087d1d9d57b3b7839f4ad225795e369cef2121870a2fa",
+    },
+    "qh_compare_disc_quick": {
+        "qh_compare_7e0f3b70929c.distance_ratios.dat": "d7063f7722c5dc88b63c123119cb36997476baf375c868717a3a4eb263311f87",
+        "qh_compare_7e0f3b70929c.json": "a3fbf24d780e02ed44fe73e2a3e950539d9682f08757d187f30a4b1043a540d5",
+        "qh_compare_7e0f3b70929c.ring_0.dat": "f27fb6cbf56546cdc7629e24913103beffc1172eb00efc3f9f937432d5c5bd8f",
+        "qh_compare_7e0f3b70929c.ring_1.dat": "9962c6de8bd27e747ad138248f1b0dbb62d596edc14eaf436ca6a495059f118b",
+        "qh_compare_7e0f3b70929c.ring_2.dat": "733d925374f55a0ecb9af606ca87d42cac822c7e975fe68f7c477169d6d18c3b",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_fast_config_reports_are_byte_identical(name, tmp_path, monkeypatch):
+    # the config keeps its own ``out = reports``, so its config echo holds
+    # no temporary path
+    path = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                        "configs", f"{name}.txt"))
+    monkeypatch.chdir(tmp_path)
+    cfg = E.parse_config_file(path)
+    written = E.emit_report(E.run_experiment(cfg), cfg.out_dir)
+    got = {}
+    for f in written:
+        with open(f, "rb") as fh:
+            got[os.path.basename(f)] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == REPORT_DIGESTS[name]
+    assert sorted(os.listdir("reports")) == sorted(got)
 
 
 _L = [0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]

@@ -47,11 +47,6 @@ def test_density_eval_outside_raises(hyp):
         M.density_eval(hyp, 1.5)
 
 
-def test_hyperbolic_density_needs_disc(ellipse15):
-    with pytest.raises(ValueError):
-        M.MetricDensity(ellipse15, M.HYPERBOLIC)
-
-
 def test_hyperbolic_density_is_finite_wherever_the_disc_contains(hyp):
     # points on the circle and a few ulps inside it.  The disc is the
     # ellipse with a = b = 1, whose membership test on a circle is |z| < 1,
@@ -68,10 +63,18 @@ def test_hyperbolic_density_is_finite_wherever_the_disc_contains(hyp):
     assert np.all(np.isfinite(rho) & (rho > 0))
 
 
-def test_unknown_density_kind_is_rejected(disc):
-    with pytest.raises(ValueError, match="unknown density kind 'hyperbolc'"):
-        M.MetricDensity(disc, "hyperbolc")
-    assert M.DENSITY_KINDS == (*M.BLOW_UP_KINDS, M.CONSTANT)
+def test_a_density_equals_only_itself(disc, disc_kernel_coarse):
+    # two densities built alike are still two densities, each with its own
+    # graph cache; comparing them never looks at their arrays
+    a, b = (M.bergman_metric_density(disc_kernel_coarse) for _ in range(2))
+    assert a == a and a != b
+    assert M.constant_density(disc, 2.0) != M.constant_density(disc, 2.0)
+
+
+@pytest.mark.parametrize("c", [0, -1, math.inf, math.nan])
+def test_constant_density_needs_a_finite_positive_value(disc, c):
+    with pytest.raises(ValueError, match="0 < c < inf"):
+        M.constant_density(disc, c)
 
 
 def test_bergman_density_wrapper(disc_kernel_coarse):
