@@ -204,7 +204,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
             if value is not None:
                 items[key] = str(value)
     for key in ("experiment", "domain", "density"):
-        if not items.get(key):
+        if not items.get(key, "").strip():
             raise ConfigError(f"missing required config key {key!r}")
     merged = dict(_DEFAULTS)
     merged.update(items)

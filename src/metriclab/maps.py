@@ -9,6 +9,7 @@ against a finite difference at seeded points.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -64,6 +65,16 @@ class AnalyticMap:
 
 def _as_out(arr, z):
     return complex(arr) if np.asarray(z).ndim == 0 else arr
+
+
+def _polar_power(w, alpha):
+    # |w|^alpha (cos + i sin)(alpha arg w) in vectorized real ufuncs, where
+    # numpy's complex power calls the scalar cpow per point; 0 at w = 0
+    u = np.empty_like(w)
+    rho, phi = np.power(np.abs(w), alpha), alpha * np.arctan2(w.imag, w.real)
+    np.multiply(rho, np.cos(phi), out=u.real)
+    np.multiply(rho, np.sin(phi), out=u.imag)
+    return u
 
 
 @dataclass
@@ -161,6 +172,8 @@ class PowerCusp(AnalyticMap):
             raise ValueError("cusp exponent must lie in (0, 1]")
         self.w0 = complex(self.w0)
         self.c = complex(self.c)
+        # numpy's w ** alpha is exact at alpha 1/2 (sqrt) and 1 (a copy)
+        self._power = operator.pow if self.alpha in (0.5, 1.0) else _polar_power
         self._validate()
 
     def __call__(self, z):
@@ -168,7 +181,7 @@ class PowerCusp(AnalyticMap):
         # temporary of 256 KiB or more in place as u * c, which rounds
         # otherwise than c * u
         zz = np.asarray(z, dtype=complex)
-        u = (1.0 - zz) ** self.alpha
+        u = self._power(1.0 - zz, self.alpha)
         return _as_out(self.w0 + self.c * u, z)
 
     def derivative(self, z):
@@ -182,7 +195,7 @@ class PowerCusp(AnalyticMap):
             raise DivergentValueError(
                 "power_cusp derivative diverges at z = 1 for alpha < 1")
         w = 1.0 - zz
-        u = w ** self.alpha
+        u = self._power(w, self.alpha)
         ratio = np.divide(u, w, out=np.ones_like(u), where=w != 0)
         return _as_out(self.w0 + self.c * u, z), _as_out(-self.alpha * self.c * ratio, z)
 

@@ -113,6 +113,14 @@ def test_parse_config_rejects_out_of_range_values(tmp_path, capsys, key, lowest,
     assert os.listdir(tmp_path) == ["exp.txt"]
 
 
+@pytest.mark.parametrize("override", [{"density": " "}, {"domain": "\t"}])
+def test_parse_config_rejects_a_blank_required_override(override):
+    # a blank override replaces the file's value and names its key
+    (key,) = override
+    with pytest.raises(ConfigError, match=f"missing required config key '{key}'"):
+        E.parse_config_text(HL1_CUSP, override)
+
+
 @pytest.mark.parametrize("domain, density", [
     ("unit_disc", "hyperbolic 3"), ("unit_disc", "bergman 7"),
     ("unit_disc", "quasihyperbolic x"), ("unit_disc", "constant inf"),

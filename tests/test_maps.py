@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,80 @@ def test_power_cusp_derivative_from_its_one_power(alpha):
     v0, d0 = f.value_and_derivative(0.5j)
     assert isinstance(v0, complex) and isinstance(d0, complex)
     assert d0 == f.derivative(0.5j)
+
+
+# the polar route's cusps: the catalog's two, and complex w0 and c
+POLAR_CUSPS = [(0.0, 0.25, 0.3), (0.0, 0.25, 0.7), (0.1 - 0.2j, 0.25 + 0.05j, 0.37)]
+
+
+def _cusp_samples():
+    # r = 1 - 2^-k for k = 2..9 at 64 angles, and the boundary at 256
+    # angles with z = 1 and its two neighbours of a 4096-sample trace
+    t = 2 * np.pi * np.arange(64) / 64 + 0.1
+    inner = ((1 - 2.0 ** -np.arange(2, 10))[:, None] * np.exp(1j * t)).ravel()
+    edge = np.exp(2j * np.pi * np.r_[0, 1, -1, np.arange(1, 256) * 16 + 3] / 4096)
+    return np.concatenate([inner, edge])
+
+
+@pytest.mark.parametrize("w0, c, alpha", POLAR_CUSPS)
+def test_power_cusp_polar_route_is_accurate(w0, c, alpha):
+    mpmath = pytest.importorskip("mpmath")
+    f = MP.PowerCusp(w0, c, alpha)
+    z = _cusp_samples()
+    val, der = f(z), f.derivative(z[z != 1])
+    with mpmath.workprec(120):
+        a, mw0, mc = mpmath.mpf(alpha), mpmath.mpc(w0), mpmath.mpc(c)
+        err = [0.0]
+        for zk, got in zip(z, val):
+            want = mw0 + mc * (1 - mpmath.mpc(zk)) ** a
+            if want == 0:  # f(1) = w0 = 0
+                assert got == 0
+            else:
+                err.append(abs(mpmath.mpc(got) - want) / abs(want))
+        for zk, got in zip(z[z != 1], der):
+            want = -a * mc * (1 - mpmath.mpc(zk)) ** (a - 1)
+            err.append(abs(mpmath.mpc(got) - want) / abs(want))
+    assert float(max(err)) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_power_cusp_keeps_numpy_exact_powers(alpha):
+    w0, c = 0.1 - 0.2j, 0.25 + 0.05j
+    f = MP.PowerCusp(w0, c, alpha)
+    z = _cusp_samples()
+    u = np.sqrt(1 - z) if alpha == 0.5 else 1 - z
+    assert np.array_equal(f(z), w0 + c * u)
+
+
+@pytest.mark.parametrize("w0, c, alpha", POLAR_CUSPS)
+def test_power_cusp_polar_route_does_not_depend_on_the_batch(w0, c, alpha):
+    # numpy's SIMD loops take a batch's tail apart from its body: a point
+    # must round alike alone, in 7 points and anywhere in 65,536
+    f = MP.PowerCusp(w0, c, alpha)
+    rng = np.random.default_rng(31)
+    batch = np.sqrt(rng.random(65536)) * np.exp(2j * np.pi * rng.random(65536))
+    for z in _cusp_samples()[::37]:
+        alone = f(z), (f.derivative(z) if z != 1 else None)
+        for pos in (3, 0, 4095, 65535):
+            zz = batch[:7].copy() if pos == 3 else batch.copy()
+            zz[pos] = z
+            assert f(zz)[pos] == alone[0]
+            if z != 1:
+                assert f.value_and_derivative(zz)[1][pos] == alone[1]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.37, 0.5, 0.7, 1.0])
+def test_power_cusp_warns_nowhere_at_z_1(alpha):
+    f = MP.PowerCusp(0.0, 0.25, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f(1.0) == 0 and f(np.array([1.0, 0.5]))[0] == 0
+        assert MP.boundary_trace(f, 64)[0] == 0
+        if alpha == 1.0:
+            assert f.derivative(1.0) == -0.25
+        else:
+            with pytest.raises(DivergentValueError):
+                f.value_and_derivative(np.array([0.5, 1.0]))
 
 
 @pytest.mark.parametrize("name", ["identity", "square", "blaschke_pair", "const_25", "cusp_a70"])

@@ -150,7 +150,7 @@ def test_path_length_matches_the_recursive_quadrature(monkeypatch, hyp, ellipse1
             want = sum(_recursive_line_quad(omega.eval_array, v[i], v[i + 1])
                        for i in range(v.size - 1))
             batches = _count_points(monkeypatch, omega)
-            assert M.path_length(omega, path) == want, (omega.kind, z, w)
+            assert M.path_length(omega, path) == want, (omega.domain.grid_key(), z, w)
             assert len(batches) <= 26
             monkeypatch.undo()
     # a density with a jump: the segment across it splits down to the
@@ -525,7 +525,7 @@ def test_graph_path_matches_the_n_plus_2_node_search():
         for z, w in pairs:
             want = _n_plus_2_graph_path(omega, z, w, h, full)
             got = M._graph_path(omega, z, w, h, full)
-            assert np.array_equal(got[0], want[0]), (omega.kind, omega.domain.kind, h, full, z, w)
+            assert np.array_equal(got[0], want[0]), (omega.domain.grid_key(), h, full, z, w)
             assert got[1] == want[1]
             direct += got[0].size == 2
             routed += got[0].size > 2
@@ -747,7 +747,7 @@ def test_refine_matches_full_pricing_bit_for_bit(monkeypatch, hyp, ellipse15,
                 want = M._refine(omega, pts.copy(), h, margin, max_sweeps)
                 monkeypatch.setattr(M, "_sweep_level", fast)
                 got = M._refine(omega, pts.copy(), h, margin, max_sweeps)
-                assert np.array_equal(got, want), (omega.kind, z, w, max_sweeps)
+                assert np.array_equal(got, want), (omega.domain.grid_key(), z, w, max_sweeps)
 
 
 def _count_points(monkeypatch, omega):

@@ -236,9 +236,10 @@ def test_bench_pairs_alternates_sides_and_prints_the_bench_block(tmp_path):
     assert block["change_better_in_pairs"] == {
         "setup_s": "0 of 4", "run_s": "3 of 4", "peak_rss_mb": "0 of 4", "ok_ratio": "0 of 4"}
     assert len(err.splitlines()) == 8 and err.splitlines()[0].startswith("pair 0 seed 21 parent:")
-    # run_s moved 35% the better way, and RSS 0.7% the worse way, 5% allowed
+    # run_s moved 35% the better way, 25% allowed, though one change run is
+    # slower than three parent runs; and RSS 0.7% the worse way, 5% allowed
     assert block["verdicts"]["run_s"] == {"moved": pytest.approx((2.7 - 4.15) / 4.15),
-                                          "bound": 0.25, "verdict": "within"}
+                                          "bound": 0.25, "verdict": "better"}
     assert block["verdicts"]["peak_rss_mb"] == {"moved": pytest.approx(0.5 / 68.0),
                                                 "bound": 0.05, "verdict": "within"}
 
@@ -255,6 +256,18 @@ def test_bench_pairs_alternates_sides_and_prints_the_bench_block(tmp_path):
     assert verdicts["peak_rss_mb"] == {"moved": pytest.approx(4.0 / 68.0), "bound": 0.05,
                                        "verdict": "worse"}
     assert verdicts["ok_ratio"] == {"moved": 0.0, "bound": 0.001, "verdict": "within"}
+
+    # every change run beats every parent run, by less than the bound
+    parent = _stub_checkout(tmp_path / "p3", "parent", log, [4.0, 4.1, 4.2, 4.3] + [0] * 6, 68.0)
+    change = _stub_checkout(tmp_path / "c3", "change", log, [3.9, 3.8, 3.95, 3.85] + [0] * 6, 67.9)
+    code, out, err = _bench_pairs(parent, change, 4, 0)
+    assert code == 0, err
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts["run_s"] == {"moved": pytest.approx((3.875 - 4.15) / 4.15), "bound": 0.25,
+                                 "verdict": "better"}
+    assert verdicts["peak_rss_mb"] == {"moved": pytest.approx(-0.1 / 68.0), "bound": 0.05,
+                                       "verdict": "better"}
+    assert verdicts["setup_s"] == {"moved": 0.0, "bound": 0.25, "verdict": "within"}
 
 
 def test_bench_pairs_counts_a_failed_run_as_not_correct(tmp_path):

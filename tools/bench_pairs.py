@@ -19,10 +19,10 @@ gets one JSON object, the workload's block of a BENCH file:
 * ``verdicts``: per metric, ``moved``, how far the CHANGE median moved
   from the PARENT median relative to it, the metric's ``bound`` from
   BENCHMARK.json, and one ``verdict``: ``worse`` when CHANGE's median is
-  worse than PARENT's by more than the bound, else ``unresolved`` when
-  PARENT's interquartile range, relative to its median, exceeds the bound
-  and not every CHANGE run beats every PARENT run (or a side has no
-  value), else ``within``.
+  worse than PARENT's by more than the bound, else ``better`` when it is
+  better by more than the bound or every CHANGE run beats every PARENT
+  run, else ``unresolved`` when PARENT's interquartile range, relative to
+  its median, exceeds the bound (or a side has no value), else ``within``.
 
 A run that exits non-zero or prints no result counts as not correct and has
 no metric values.  Exits 0 when every run is correct, 1 when one is not, 2
@@ -89,7 +89,9 @@ def verdict(parent: dict, change: dict, better: str, bound: float) -> dict:
     best_parent = min(sign * v for v in parent["runs"] if v is not None)
     if sign * out["moved"] > bound:
         out["verdict"] = "worse"
-    elif (parent["q3"] - parent["q1"]) / abs(p) <= bound or worst_change < best_parent:
+    elif -sign * out["moved"] > bound or worst_change < best_parent:
+        out["verdict"] = "better"
+    elif (parent["q3"] - parent["q1"]) / abs(p) <= bound:
         out["verdict"] = "within"
     return out
 
