@@ -24,7 +24,7 @@ density values are always reported in original z units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,55 +46,40 @@ _DENSITY_PANELS = 3
 _POSITIVITY_FLOOR = 1e-12   # K(z, z) at or below it is no kernel value to trust
 
 
-@dataclass
-class _DensityWorkspace:
-    """What every density block of one model reuses: the stacked
-    coefficients of each degree panel and the block's buffers."""
-
-    panels: list            # (hi, [B^T | D] rows :hi of the panel's columns)
-    vander: np.ndarray      # flat room for a block's powers of zeta
-    out: np.ndarray         # (_DENSITY_BLOCK, panels, 2, width): phi, phi'
-
-
-def _density_workspace(model: KernelModel) -> _DensityWorkspace:
-    """Panels of [B^T | D], D[m, j] = (m+1) B[j, m+1] / scale, so that
-    phi_j = sum_m zeta^m B^T[m, j] and phi_j' = sum_m zeta^m D[m, j], the
-    derivative taken in the original z variable.  The panels are equally
-    wide; columns past degree N are zero and add nothing."""
-    n = model.degree + 1
-    width = -(-n // _DENSITY_PANELS)
-    bt = np.zeros((n, _DENSITY_PANELS * width), dtype=complex)
-    bt[:, :n] = model.coefficients.T
-    d = np.zeros_like(bt)
-    d[:-1] = np.arange(1, n)[:, None] * bt[1:] / model.scale
-    panels = []
-    for lo in range(0, _DENSITY_PANELS * width, width):
-        hi = min(lo + width, n)
-        panels.append((hi, np.hstack([bt[:hi, lo:lo + width], d[:hi, lo:lo + width]])))
-    return _DensityWorkspace(
-        panels=panels,
-        vander=np.empty(_DENSITY_BLOCK * n, dtype=complex),
-        out=np.empty((_DENSITY_BLOCK, _DENSITY_PANELS, 2, width), dtype=complex),
-    )
-
-
-@dataclass
+@dataclass(eq=False)
 class KernelModel:
-    """Orthonormalized kernel basis: phi_j(z) = sum_{k<=j} B[j,k] zeta(z)^k.
+    """Orthonormalized kernel basis: phi_j(z) = sum_{k<=j} B[j,k] zeta(z)^k,
+    on the domain it was fitted on.  A model equals only itself.
 
-    The density workspace is built from ``coefficients`` on the first
-    density call, so the coefficients are not to be changed after it.
+    The constructor builds what every density block reuses: panels of
+    [B^T | D], D[m, j] = (m+1) B[j, m+1] / scale, so that
+    phi_j = sum_m zeta^m B^T[m, j] and phi_j' = sum_m zeta^m D[m, j], the
+    derivative taken in the original z variable, and the block's buffers.
+    The panels are equally wide; columns past degree N are zero and add
+    nothing.
     """
 
     degree: int
     coefficients: np.ndarray      # (N+1, N+1) complex lower-triangular
+    domain: DomainSpec
     center: complex = 0.0
     scale: float = 1.0
     grid_descriptor: str = ""
-    domain: DomainSpec | None = None
-    orthonormality_defect: float = field(default=0.0)
-    _workspace: _DensityWorkspace | None = field(
-        default=None, init=False, repr=False, compare=False)
+    orthonormality_defect: float = 0.0
+
+    def __post_init__(self):
+        n = self.degree + 1
+        width = -(-n // _DENSITY_PANELS)
+        bt = np.zeros((n, _DENSITY_PANELS * width), dtype=complex)
+        bt[:, :n] = self.coefficients.T
+        d = np.zeros_like(bt)
+        d[:-1] = np.arange(1, n)[:, None] * bt[1:] / self.scale
+        self._panels = []   # (hi, [B^T | D] rows :hi of the panel's columns)
+        for lo in range(0, _DENSITY_PANELS * width, width):
+            hi = min(lo + width, n)
+            self._panels.append((hi, np.hstack([bt[:hi, lo:lo + width], d[:hi, lo:lo + width]])))
+        self._vander = np.empty(_DENSITY_BLOCK * n, dtype=complex)   # a block's powers
+        self._out = np.empty((_DENSITY_BLOCK, _DENSITY_PANELS, 2, width), dtype=complex)
 
     # -- basis evaluation --------------------------------------------------
 
@@ -126,15 +111,12 @@ def kernel_cross(model: KernelModel, zs, ws) -> np.ndarray:
 
 def _density_terms(model: KernelModel, z: np.ndarray):
     """(K, K_z, K_zzbar) on the diagonal at the points z (at most
-    _DENSITY_BLOCK of them), from one product per degree panel in the
-    model's workspace."""
-    if model._workspace is None:
-        model._workspace = _density_workspace(model)
-    ws = model._workspace
+    _DENSITY_BLOCK of them), from one product per degree panel, in the
+    model's buffers."""
     p, n = z.size, model.degree + 1
     # column-major and contiguous, so each power is one run of memory:
     # numpy would buffer a strided 2-D operand in fresh arrays
-    V = ws.vander[:p * n].reshape((p, n), order="F")
+    V = model._vander[:p * n].reshape((p, n), order="F")
     V[:, 0] = 1.0
     if n > 1:
         np.subtract(z, model.center, out=V[:, 1])
@@ -145,8 +127,8 @@ def _density_terms(model: KernelModel, z: np.ndarray):
         e = min(2 * s - 1, n)
         np.multiply(V[:, 1:e - s + 1], V[:, s - 1:s], out=V[:, s:e])
         s = e
-    out = ws.out[:p]
-    for k, (hi, C) in enumerate(ws.panels):
+    out = model._out[:p]
+    for k, (hi, C) in enumerate(model._panels):
         np.matmul(V[:, :hi], C, out=out[:, k].reshape(p, -1))
     flat = out.view(float)
     A = np.einsum("ikj,ikj->i", flat[:, :, 0], flat[:, :, 0])
@@ -154,15 +136,6 @@ def _density_terms(model: KernelModel, z: np.ndarray):
     # vecdot conjugates its first argument: sum_j conj(phi_j) phi_j'
     Az = np.vecdot(out[:, :, 0], out[:, :, 1]).sum(axis=1)
     return A, Az, Azz
-
-
-def _blocks(n: int) -> list[slice]:
-    """Row blocks of at most _DENSITY_BLOCK points covering range(n), none
-    of them a single row when n > 1 (a 1-row matmul rounds differently)."""
-    bounds = list(range(0, n, _DENSITY_BLOCK)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        bounds[-2] -= 1
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def bergman_density(model: KernelModel, z):
@@ -177,13 +150,15 @@ def bergman_density(model: KernelModel, z):
     """
     zz = np.asarray(z, dtype=complex)
     flat = zz.ravel()
-    if flat.size == 1:
-        # a 1-row matmul rounds differently: a lone point runs as a pair
-        flat = np.repeat(flat, 2)
+    if flat.size % _DENSITY_BLOCK == 1:
+        # a 1-row matmul rounds differently: a last block of one point runs
+        # as a pair, with a copy of the point
+        flat = np.append(flat, flat[-1])
     A = np.empty(flat.size)
     Az = np.empty(flat.size, dtype=complex)
     Azz = np.empty(flat.size)
-    for sl in _blocks(flat.size):
+    for lo in range(0, flat.size, _DENSITY_BLOCK):
+        sl = slice(lo, lo + _DENSITY_BLOCK)
         A[sl], Az[sl], Azz[sl] = _density_terms(model, flat[sl])
     A, Az, Azz = (t[:zz.size].reshape(zz.shape) for t in (A, Az, Azz))
     if np.any(A <= _POSITIVITY_FLOOR):
@@ -211,7 +186,7 @@ def reproducing_residual(model: KernelModel, rule: BoundaryRule,
     c = np.asarray(coeffs, dtype=complex)
     if c.size - 1 > model.degree:
         raise ValueError("polynomial degree exceeds kernel degree")
-    if model.domain is not None and not contains(model.domain, z):
+    if not contains(model.domain, z):
         raise DomainError(f"{z} is not inside the kernel's domain")
     f = np.polynomial.polynomial.polyval(rule.nodes, c)
     # <f, K(., z)> = conj(<K(., z), f>), with a primitive of f
@@ -326,17 +301,18 @@ def save_kernel(model: KernelModel, path) -> None:
         fh.write(f"center {float(model.center.real)!r} {float(model.center.imag)!r}\n")
         fh.write(f"scale {float(model.scale)!r}\n")
         fh.write(f"grid {model.grid_descriptor or '-'}\n")
-        fh.write(f"domain {model.domain.grid_key() if model.domain else '-'}\n")
+        fh.write(f"domain {model.domain.grid_key()}\n")
         fh.write(f"orthonormality_defect {float(model.orthonormality_defect)!r}\n")
         for j in range(n):
             row = model.coefficients[j]
             fh.write(" ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row) + "\n")
 
 
-def load_kernel(path, domain: DomainSpec | None = None) -> KernelModel:
-    """Read a model written by :func:`save_kernel`.  A malformed, truncated
-    or overlong file, one of a format other than 1, or one fitted on another
-    domain than ``domain`` raises ValueError naming the path and the line."""
+def load_kernel(path, domain: DomainSpec) -> KernelModel:
+    """Read a model written by :func:`save_kernel` on ``domain``.  A
+    malformed, truncated or overlong file, one of a format other than 1, or
+    one fitted on another domain raises ValueError naming the path and the
+    line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     magic = lines[0].split() if lines else []
@@ -364,7 +340,7 @@ def load_kernel(path, domain: DomainSpec | None = None) -> KernelModel:
     (scale,) = line(3, "scale", 1)
     grid = line(4, "grid", kind=str)
     stored = " ".join(line(5, "domain", kind=str))
-    if domain is not None and stored not in ("-", domain.grid_key()):
+    if stored != domain.grid_key():
         raise ValueError(f"{path}, line 6: kernel fitted on {stored!r}, "
                          f"not on {domain.grid_key()!r}")
     (defect,) = line(6, "orthonormality_defect", 1)
@@ -373,9 +349,8 @@ def load_kernel(path, domain: DomainSpec | None = None) -> KernelModel:
     if len(lines) > 7 + n:
         raise ValueError(f"{path}, line {8 + n}: unexpected line after the last coefficient row")
     return KernelModel(
-        degree=degree, coefficients=rows.view(complex),
+        degree=degree, coefficients=rows.view(complex), domain=domain,
         center=complex(cx, cy), scale=scale,
         grid_descriptor=" ".join(grid),
-        domain=domain,
         orthonormality_defect=defect,
     )

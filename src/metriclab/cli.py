@@ -25,7 +25,7 @@ from .experiments import (
     run_experiment,
 )
 from .growth import fit_exponent, means_curve, modulus_curve
-from .maps import boundary_trace, from_name, weighted_derivative
+from .maps import boundary_trace, weighted_derivative
 from .metrics import density_eval, geodesic_evaluator, weighted_distance, write_path_file
 
 
@@ -126,8 +126,7 @@ def _cmd_distance(args) -> int:
 def _cmd_means(args) -> int:
     cfg = _load_config(args)
     omega = _build_density(cfg)
-    f = from_name(cfg.map_name, cfg.domain)
-    curve = means_curve(lambda zs: weighted_derivative(f, omega, zs),
+    curve = means_curve(lambda zs: weighted_derivative(cfg.map, omega, zs),
                         cfg.radii, cfg.p, cfg.circle_samples)
     fit = fit_exponent(curve)
     for r, v in zip(cfg.radii, curve.values):
@@ -140,8 +139,7 @@ def _cmd_means(args) -> int:
 def _cmd_modulus(args) -> int:
     cfg = _load_config(args)
     omega = _build_density(cfg)
-    f = from_name(cfg.map_name, cfg.domain)
-    trace = boundary_trace(f, cfg.circle_samples, cfg.trace_radius)
+    trace = boundary_trace(cfg.map, cfg.circle_samples, cfg.trace_radius)
     d = omega.closed_form or geodesic_evaluator(omega, cfg.resolution,
                                                 max_sweeps=cfg.refine_sweeps)
     curve = modulus_curve(trace, d, cfg.steps, cfg.p, screen=omega.sup_screen)

@@ -39,6 +39,7 @@ from .geometry import (
 )
 from .growth import doubled_sampling_modulus, fit_exponent, means_curve, modulus_curve
 from .maps import (
+    AnalyticMap,
     boundary_trace,
     from_name,
     hyperbolic_derivative_modulus,
@@ -105,7 +106,7 @@ class ExperimentConfig:
     domain: DomainSpec
     density_kind: str
     density_value: float | None
-    map_name: str
+    map: AnalyticMap
     alpha: float
     p: float
     radii: np.ndarray
@@ -187,6 +188,15 @@ def _parse_density(text: str, domain: DomainSpec) -> tuple[str, float | None]:
     return kind, value
 
 
+def _parse_map(name: str, domain: DomainSpec) -> AnalyticMap:
+    """The catalog map of a ``map`` value, into the domain; an unknown name
+    or a map that leaves its target is a ConfigError naming the key."""
+    try:
+        return from_name(name, domain)
+    except ValueError as exc:
+        raise ConfigError(f"map: {exc}") from None
+
+
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     items: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -243,7 +253,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         domain=domain,
         density_kind=density_kind,
         density_value=density_value,
-        map_name=merged["map"],
+        map=_parse_map(merged["map"], domain),
         alpha=alpha,
         p=p,
         radii=1.0 - 2.0 ** (-radii_k),
@@ -384,7 +394,6 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
     doubles (closed-form distance evaluators only; None otherwise).
     """
     omega = _build_density(cfg)
-    f = from_name(cfg.map_name, cfg.domain)
     d = omega.closed_form or geodesic_evaluator(omega, cfg.resolution,
                                                 max_sweeps=cfg.refine_sweeps)
     fits: dict[str, object] = {}
@@ -393,7 +402,7 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
     notes: list[str] = []
     gap = None
 
-    mc = means_curve(lambda zs: weighted_derivative(f, omega, zs), cfg.radii, p,
+    mc = means_curve(lambda zs: weighted_derivative(cfg.map, omega, zs), cfg.radii, p,
                      cfg.circle_samples)
     curves = {f"means_{label}": _curve_dict(mc.abscissa, mc.values)}
     zero = bool(np.all(mc.values < 1e-14))
@@ -403,7 +412,7 @@ def _exponent_report(cfg: ExperimentConfig, p: float, label: str):
     # the n-sample trace is the even samples of the 2n-sample one: angle 2j
     # of 2n rounds exactly like angle j of n, and the map values agree bit
     # for bit (test_boundary_trace_even_samples_of_the_doubled_trace)
-    fine = boundary_trace(f, 2 * cfg.circle_samples, cfg.trace_radius)
+    fine = boundary_trace(cfg.map, 2 * cfg.circle_samples, cfg.trace_radius)
     tr = fine[::2].copy()
     try:
         sc = modulus_curve(tr, d, cfg.steps, p, screen=omega.sup_screen)
@@ -563,7 +572,7 @@ def run_yamashita_check(cfg: ExperimentConfig) -> VerificationReport:
         raise ConfigError("the hyperbolic specialization runs on the unit disc "
                           "with the hyperbolic density")
     omega = _build_density(cfg)
-    f = from_name(cfg.map_name, cfg.domain)
+    f = cfg.map
     rng = np.random.default_rng(cfg.seed)
     zs = 0.9 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
     verbatim_gap = float(np.max(np.abs(

@@ -236,7 +236,7 @@ class DomainSpec:
     bounding_box: tuple[float, float, float, float]
     _inside: Callable            # membership of a flat complex array
     _rule: Callable              # boundary_rule's layout: (domain, degree, h)
-    vertices: tuple[complex, ...] = ()      # a polygon's, walked by its crossing test
+    vertices: tuple[complex, ...] = ()      # a polygon's; ``_inside`` binds its own copy
     # (z, threshold): the points a closed-form distance bound clears
     _clears: Callable = lambda z, threshold: np.zeros(z.shape, dtype=bool)
     convex: bool = False

@@ -164,8 +164,8 @@ def modulus_curve(trace: np.ndarray, d, steps, p: float = math.inf,
     that no earlier step needed, so every trace shift is evaluated once and
     a step's modulus is the max of its shifts' tabulated statistics.  A
     sup's shift sets are the prefixes 1..K(h), so for p = inf a
-    ``screen(values, ks, tops)`` returning {K: sup over shifts 1..K} for
-    each top K, or None, serves the whole ladder at once.
+    ``screen(values, tops)`` returning {K: sup over shifts 1..K} for each
+    top K, or None, serves the whole ladder at once.
     """
     steps = np.asarray(steps, dtype=float)
     if p == math.inf and screen is not None:
@@ -173,7 +173,7 @@ def modulus_curve(trace: np.ndarray, d, steps, p: float = math.inf,
             tops = [_shift_set(trace.size, h, p)[-1] for h in steps]
         except ValueError:
             tops = []  # the loop below prices and raises in ladder order
-        sups = screen(trace, range(1, max(tops) + 1), tops) if tops else None
+        sups = screen(trace, tops) if tops else None
         if sups is not None:
             return Curve(abscissa=steps, values=np.array([max(0.0, sups[K]) for K in tops]))
     table: dict[int, float] = {}

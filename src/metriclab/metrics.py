@@ -61,7 +61,6 @@ class MetricDensity:
     blows_up: bool
     closed_form: Callable | None = None
     sup_screen: Callable | None = None
-    model: KernelModel | None = None
     _graphs: dict = field(default_factory=dict, init=False, repr=False)
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
@@ -84,11 +83,9 @@ def quasihyperbolic_density(domain: DomainSpec) -> MetricDensity:
 
 def bergman_metric_density(model: KernelModel) -> MetricDensity:
     """The metric density of a fitted kernel, on the model's domain."""
-    if model.domain is None:
-        raise ValueError("kernel model must carry its domain")
     return MetricDensity(model.domain,
                          lambda z: bergman_density(model, z.ravel()).reshape(z.shape),
-                         blows_up=True, model=model)
+                         blows_up=True)
 
 
 def constant_density(domain: DomainSpec, value: float) -> MetricDensity:
@@ -238,38 +235,37 @@ _SCREEN_ETA = 1e-12
 _SCREEN_BLOCK = 64
 
 
-def _cell_bounds(step, ks) -> np.ndarray:
+def _cell_bounds(step, K: int) -> np.ndarray:
     """Upper bounds on the closed form of every pair of each screen cell.
 
     ``step`` holds the closed form of the consecutive pairs,
-    step[t] = d(z[t + 1], z[t]), indices mod n.  Cell (i, b) holds the pairs
-    (z[t + ks[i]], z[t]) for t in block b, the t in [a, e] with
-    a = 64 b and e = min(a + 64, n) - 1.  By the triangle inequality such a
-    pair is at most the steps a .. e + k - 1 summed, and at most k times
-    their largest.  Both run on margined steps u = (1 + tau) step + eta,
-    the sums on their running sums P, so the bound is
-    min(P[e + k] - P[a], k max u) + 4 (m + 1) eps P[m], m = n + max(ks)
+    step[t] = d(z[t + 1], z[t]), indices mod n.  Cell (k - 1, b) holds the
+    pairs (z[t + k], z[t]) of shift k <= K for t in block b, the t in
+    [a, e] with a = 64 b and e = min(a + 64, n) - 1.  By the triangle
+    inequality such a pair is at most the steps a .. e + k - 1 summed, and
+    at most k times their largest.  Both run on margined steps
+    u = (1 + tau) step + eta, the sums on their running sums P, so the bound is
+    min(P[e + k] - P[a], k max u) + 4 (m + 1) eps P[m], m = n + K
     (see :func:`hyperbolic_sup_screen` for the margins and the slack).
     """
     n = step.size
     u = step * (1.0 + _SCREEN_TAU) + _SCREEN_ETA
-    k = np.arange(1, ks[-1] + 1)[:, None]
-    ext = np.concatenate([u, np.resize(u, ks[-1])])  # ext[j] = u[j % n]
+    k = np.arange(1, K + 1)[:, None]
+    ext = np.concatenate([u, np.resize(u, K)])  # ext[j] = u[j % n]
     P = np.concatenate([[0.0], np.cumsum(ext)])
     a = np.arange(0, n, _SCREEN_BLOCK)
     e = np.minimum(a + _SCREEN_BLOCK, n) - 1
     top = np.maximum(np.maximum.accumulate(ext[e + k - 1], axis=0),
                      np.maximum.reduceat(u, a))
-    rows = np.asarray(ks) - 1
-    span = np.minimum(P[e + k[rows]] - P[a], k[rows] * top[rows])
+    span = np.minimum(P[e + k] - P[a], k * top)
     return span + 4.0 * (ext.size + 1) * np.finfo(float).eps * P[-1]
 
 
-def _prefix_floors(z, step, ks, tops) -> list[float]:
-    """L_K for each prefix top K: the largest closed form over shift 1 (when
-    in ``ks``) and the tops up to K, each priced in full; a computed value
-    of the prefix's sup, so it needs no margin."""
-    best = float(step.max()) if ks[0] == 1 else -math.inf
+def _prefix_floors(z, step, tops) -> list[float]:
+    """L_K for each prefix top K: the largest closed form over shift 1 and
+    the tops up to K, each priced in full; a computed value of the prefix's
+    sup, so it needs no margin."""
+    best = float(step.max())
     floors = []
     for K in tops:
         if K != 1:
@@ -278,15 +274,14 @@ def _prefix_floors(z, step, ks, tops) -> list[float]:
     return floors
 
 
-def hyperbolic_sup_screen(values, ks, tops) -> dict[int, float] | None:
+def hyperbolic_sup_screen(values, tops) -> dict[int, float] | None:
     """Largest hyperbolic distance of a trace's pairs over each prefix of
     shifts, bit-identical to pricing every pair with the closed form.
 
-    For shift k the pairs are (values[(t + k) % n], values[t]).  ``tops``
-    are shifts of ``ks`` that each end a prefix, max(ks) among them; the
-    result maps each K in tops to the max over the pairs of the shifts
-    k <= K of ks.  The consecutive pairs (shift 1's full pass) bound every
-    cell of 64 pairs through the triangle inequality
+    For shift k the pairs are (values[(t + k) % n], values[t]).  Each shift
+    K of ``tops`` ends a prefix; the result maps it to the max over the
+    pairs of the shifts k = 1 .. K.  The consecutive pairs (shift 1's full
+    pass) bound every cell of 64 pairs through the triangle inequality
     (:func:`_cell_bounds`), and each top's full pass, carried upward, gives
     its prefix a computed floor L_K (:func:`_prefix_floors`).  A cell of
     shift k is priced only when its bound reaches the floor of the
@@ -308,7 +303,7 @@ def hyperbolic_sup_screen(values, ks, tops) -> dict[int, float] | None:
     is at most (1 + 2.0001e5 eps) sum step + 4.0001 k eps.  tau = 1e-8
     covers the relative part (4.4e-11) 225 times and eta = 1e-12 the
     absolute part (8.9e-16 per step) 1,100 times, with room for the two
-    roundings of u.  Slack.  The running sum P of the m = n + max(ks)
+    roundings of u.  Slack.  The running sum P of the m = n + max(tops)
     margined steps is within m eps / 2 P[m] of exact at every index; the
     difference of two sums, the product k max u, the min and adding the
     slack round by at most 2 eps P[m] more.  So (m + 2) eps P[m] bounds
@@ -323,13 +318,13 @@ def hyperbolic_sup_screen(values, ks, tops) -> dict[int, float] | None:
     if not np.all(np.abs(z) <= _SCREEN_RADIUS):
         return None
     n = z.size
-    ks = np.unique(np.asarray(ks, dtype=int))
     tops = sorted({int(K) for K in tops})
     step = hyperbolic_distance_closed(np.roll(z, -1), z)
-    best = np.array(_prefix_floors(z, step, ks, tops))
-    group = np.searchsorted(tops, ks)
-    live = _cell_bounds(step, ks) >= best[group][:, None]
-    live[np.isin(ks, [1, *tops])] = False
+    best = np.array(_prefix_floors(z, step, tops))
+    # row k - 1 holds shift k; shift 1 and the tops are priced by the floors
+    group = np.searchsorted(tops, np.arange(1, tops[-1] + 1))
+    live = _cell_bounds(step, tops[-1]) >= best[group][:, None]
+    live[np.subtract([1, *tops], 1)] = False
     rows, cols = np.nonzero(live)
     a = cols[:, None] * _SCREEN_BLOCK
     per = max(1, n // _SCREEN_BLOCK)
@@ -337,7 +332,7 @@ def hyperbolic_sup_screen(values, ks, tops) -> dict[int, float] | None:
         r, c = rows[lo:lo + per], a[lo:lo + per]
         # a short last block repeats its last pair, which leaves its max
         t = np.minimum(c + np.arange(_SCREEN_BLOCK), np.minimum(c + _SCREEN_BLOCK, n) - 1)
-        dist = hyperbolic_distance_closed(z[(t + ks[r][:, None]) % n], z[t])
+        dist = hyperbolic_distance_closed(z[(t + 1 + r[:, None]) % n], z[t])
         np.maximum.at(best, group[r], dist.max(axis=1))
     return dict(zip(tops, np.maximum.accumulate(best).tolist()))
 

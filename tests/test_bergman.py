@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import math
 import os
@@ -97,7 +96,7 @@ def _gram_cholesky_model(domain, rule, degree):
     gram = np.stack([rule.area_inner(p, prims) for p in V[:, :-1].T], axis=1)
     L = np.linalg.cholesky(0.5 * (gram + gram.conj().T))
     coeffs = solve_triangular(L, np.eye(degree + 1, dtype=complex), lower=True).conj()
-    return B.KernelModel(degree, coeffs, center=center, scale=scale)
+    return B.KernelModel(degree, coeffs, domain, center=center, scale=scale)
 
 
 def test_tsqr_and_cholesky_routes_agree(disc):
@@ -419,31 +418,25 @@ def test_panel_density_matches_the_two_product_formula(ellipse15, ellipse15_kern
     assert np.max(np.abs(rho / _two_product_density(model, z) - 1)) < 1e-7
 
 
-def test_density_block_allocates_no_block_arrays(monkeypatch, ellipse15_kernel48):
-    # one 512 x 49 complex block array is 401 KB; after the first call the
-    # powers, products and conjugates live in the model's workspace
-    built = []
-    make = B._density_workspace
-    monkeypatch.setattr(B, "_density_workspace", lambda m: built.append(m) or make(m))
-    model = dataclasses.replace(ellipse15_kernel48)
-    z = _ellipse_points(2 * B._DENSITY_BLOCK + 1, 73)
-    B.bergman_density(model, z[:B._DENSITY_BLOCK])
-    workspace = model._workspace
+def test_density_block_allocates_no_block_arrays(ellipse15_kernel48):
+    # one 512 x 49 complex block array is 401 KB; the powers, products and
+    # conjugates live in the buffers the model's constructor built
+    model = ellipse15_kernel48
+    z = _ellipse_points(B._DENSITY_BLOCK, 73)
+    B.bergman_density(model, z)
     tracemalloc.start()
     try:
-        B.bergman_density(model, z[:B._DENSITY_BLOCK])
+        B.bergman_density(model, z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 256 * 2**10
-    for zs in (z[0], z[:12], z):
-        B.bergman_density(model, zs)
-    assert model._workspace is workspace and built == [model]
-    # a copy of the model builds its own
-    other = dataclasses.replace(model)
-    assert other._workspace is None
-    B.bergman_density(other, z[:3])
-    assert len(built) == 2 and other._workspace is not workspace
+
+
+def test_a_kernel_model_equals_only_itself(disc):
+    # two fits hold equal but distinct arrays, which == compared elementwise
+    a, b = (B.fit_kernel_model(disc, degree=8, resolution=0.05) for _ in range(2))
+    assert a == a and a != b and a in [b, a]
 
 
 def _chebyshev_u_kernel(a, b, degree, z):
@@ -559,7 +552,7 @@ def test_kernel_save_load_roundtrip(tmp_path, disc, disc_kernel_coarse):
 
 
 @pytest.mark.parametrize("keep", ["bytes", "lines", "header"])
-def test_load_kernel_truncated_names_path_and_line(tmp_path, disc_kernel_coarse, keep):
+def test_load_kernel_truncated_names_path_and_line(tmp_path, disc, disc_kernel_coarse, keep):
     path = tmp_path / "model.txt"
     B.save_kernel(disc_kernel_coarse, path)
     lines = path.read_text().splitlines(keepends=True)
@@ -569,25 +562,25 @@ def test_load_kernel_truncated_names_path_and_line(tmp_path, disc_kernel_coarse,
     path.write_text(cut)
     # the first line that is short or missing
     with pytest.raises(ValueError, match=rf"model\.txt, line {cut.count(chr(10)) + 1}:"):
-        B.load_kernel(path)
+        B.load_kernel(path, disc)
 
 
-def test_load_kernel_bad_magic_and_malformed_number(tmp_path, disc_kernel_coarse):
+def test_load_kernel_bad_magic_and_malformed_number(tmp_path, disc, disc_kernel_coarse):
     path = tmp_path / "model.txt"
     B.save_kernel(disc_kernel_coarse, path)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("metriclab-model 1\n" + "".join(lines[1:]))
     with pytest.raises(ValueError, match=r"model\.txt, line 1: not a kernel model file"):
-        B.load_kernel(path)
+        B.load_kernel(path, disc)
     for i, tok in ((3, 1), (9, 3)):    # the scale, a coefficient
         toks = lines[i].split()
         toks[tok] = "0.5x"
         path.write_text("".join(lines[:i]) + " ".join(toks) + "\n" + "".join(lines[i + 1:]))
         with pytest.raises(ValueError, match=rf"model\.txt, line {i + 1}: malformed number"):
-            B.load_kernel(path)
+            B.load_kernel(path, disc)
 
 
-def test_load_kernel_rejects_other_formats_and_trailing_lines(tmp_path, disc_kernel_coarse):
+def test_load_kernel_rejects_other_formats_and_trailing_lines(tmp_path, disc, disc_kernel_coarse):
     path = tmp_path / "model.txt"
     B.save_kernel(disc_kernel_coarse, path)
     text = path.read_text()
@@ -595,27 +588,28 @@ def test_load_kernel_rejects_other_formats_and_trailing_lines(tmp_path, disc_ker
         path.write_text(text.replace("metriclab-kernel 1", head, 1))
         with pytest.raises(ValueError,
                            match=rf"model\.txt, line 1: kernel file format {shown}, not 1"):
-            B.load_kernel(path)
+            B.load_kernel(path, disc)
     # the line after row N, the last coefficient row
     last = 7 + disc_kernel_coarse.degree + 1
     for extra in ("0.5 0.5\n", "\n"):
         path.write_text(text + extra)
         with pytest.raises(ValueError, match=rf"model\.txt, line {last + 1}: unexpected line"):
-            B.load_kernel(path)
+            B.load_kernel(path, disc)
 
 
 def test_load_kernel_checks_the_domain_line(tmp_path, disc, ellipse15, disc_kernel_coarse):
     path = tmp_path / "model.txt"
     B.save_kernel(disc_kernel_coarse, path)
     # the disc is the ellipse with semi-axes 1 and 1
-    assert "\ndomain ellipse:1.0:1.0\n" in path.read_text()
+    text = path.read_text()
+    assert "\ndomain ellipse:1.0:1.0\n" in text
     with pytest.raises(ValueError, match=r"model\.txt, line 6: .*'ellipse:1\.0:1\.0'"):
         B.load_kernel(path, domain=ellipse15)
-    assert B.load_kernel(path).domain is None
-    # a model saved without a domain writes '-' and loads on any domain
-    B.save_kernel(dataclasses.replace(disc_kernel_coarse, domain=None), path)
-    assert "\ndomain -\n" in path.read_text()
-    assert B.load_kernel(path, domain=ellipse15).domain is ellipse15
+    assert B.load_kernel(path, domain=disc).domain is disc
+    # a '-' line, which no model writes, names no domain and loads on none
+    path.write_text(text.replace("\ndomain ellipse:1.0:1.0\n", "\ndomain -\n"))
+    with pytest.raises(ValueError, match=r"model\.txt, line 6: kernel fitted on '-'"):
+        B.load_kernel(path, domain=disc)
     # the stored benchmark kernel belongs to the 1.5x1 ellipse, not the disc
     stored = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                           "ellipse_1.5x1_deg72_h0.01.kernel")

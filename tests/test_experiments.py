@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -44,7 +45,7 @@ ring_distances = 0.6 0.4 0.2
 def test_parse_config_defaults():
     cfg = E.parse_config_text(HL1_CUSP)
     assert cfg.experiment == "hl1"
-    assert cfg.map_name == "cusp_a50"
+    assert cfg.map == maps.from_name("cusp_a50")
     assert cfg.alpha == 0.5
     assert cfg.radii[0] == pytest.approx(1 - 2.0 ** -2)
     assert cfg.steps[0] == pytest.approx(2.0 ** -3)
@@ -132,6 +133,18 @@ def test_parse_config_rejects_bad_density_values(domain, density):
         E.parse_config_text(f"experiment = hl1\ndomain = {domain}\ndensity = {density}\n")
 
 
+@pytest.mark.parametrize("name", ["nonsense", "scale_150"])
+@pytest.mark.parametrize("text", [
+    HL1_CUSP, QH_DISC_SMALL,
+    "experiment = nt-bounds\ndomain = ellipse 1.5 1\ndensity = bergman\n"],
+    ids=["hl1", "qh-compare", "nt-bounds"])
+def test_parse_config_rejects_a_bad_map(text, name):
+    # an unknown name, or a map that leaves its target, is a ConfigError
+    # naming the key at parse time, whether or not the experiment draws f
+    with pytest.raises(ConfigError, match="^map: "):
+        E.parse_config_text(text + f"\nmap = {name}\n")
+
+
 def test_readme_config_keys_table_matches_the_parser():
     # every key the parser accepts, with its default ("–" for a required
     # key), so the documented ranges sit beside the keys the code reads
@@ -142,6 +155,23 @@ def test_readme_config_keys_table_matches_the_parser():
     assert len(rows) == len(E._KNOWN_KEYS)
     assert {key: default.strip("`") for key, default in rows} == {
         key: E._DEFAULTS.get(key, "–") for key in E._KNOWN_KEYS}
+
+
+def test_readme_command_line_block_lists_the_parser_subcommands():
+    # one line per subcommand path of the CLI parser, e.g. "kernel fit"
+    def paths(parser):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return [""]
+        return [f"{name} {rest}".strip()
+                for name, sub in subs[0].choices.items() for rest in paths(sub)]
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    listed = [" ".join(re.match(r"metriclab((?: +[a-z]+)+)", line).group(1).split())
+              for line in block.strip().splitlines()]
+    assert sorted(listed) == sorted(paths(cli._build_parser()))
 
 
 def test_config_hash_ignores_out_dir():
@@ -559,14 +589,15 @@ def test_build_density_uses_the_cached_kernel_without_a_refit(monkeypatch):
     cfg = E.parse_config_file(os.path.join(root, "configs", "nt_bounds_ellipse.txt"))
     model = B.load_kernel(os.path.join(root, "perfbench", "ellipse_1.5x1_deg72_h0.01.kernel"),
                           cfg.domain)
-    monkeypatch.setitem(E._KERNEL_CACHE,
-                        (cfg.domain.grid_key(), cfg.kernel_degree, cfg.kernel_resolution), model)
+    key = (cfg.domain.grid_key(), cfg.kernel_degree, cfg.kernel_resolution)
+    monkeypatch.setitem(E._KERNEL_CACHE, key, model)
 
     def refit(*args, **kwargs):
         raise AssertionError("refitted a cached kernel")
 
     monkeypatch.setattr(E, "fit_kernel_model", refit)
-    assert E._build_density(cfg).model is model
+    E._build_density(cfg)
+    assert E._KERNEL_CACHE[key] is model
 
 
 @pytest.mark.parametrize("line, key", [

@@ -36,8 +36,8 @@ def test_power_cusp_values():
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
 def test_power_cusp_derivative_from_its_one_power(alpha):
     # f' = -alpha c u / (1 - z) with u = (1 - z)^alpha, against the direct
-    # power (1 - z)^(alpha - 1).  Over 1e6 such points the gap reached 5.7,
-    # 2.6, 4.5 and 0.6 eps at alpha 0.3, 0.5, 0.7 and 1
+    # power (1 - z)^(alpha - 1).  On these 100,000 seed-7 points the gap
+    # reaches 4.0, 4.0, 3.5 and 1.1 eps at alpha 0.3, 0.5, 0.7 and 1
     f = MP.PowerCusp(0.1 - 0.2j, 0.25 + 0.05j, alpha)
     rng = np.random.default_rng(7)
     z = (1 - 2.0**-9) * np.sqrt(rng.random(100_000)) * np.exp(2j * np.pi * rng.random(100_000))
