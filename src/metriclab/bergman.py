@@ -270,8 +270,8 @@ def _orthonormality_defect(B: np.ndarray, rule: BoundaryRule, center: complex,
 
 def fit_kernel_model(domain: DomainSpec, degree: int = 40,
                      resolution: float = 0.01) -> KernelModel:
-    """The basis orthonormal under the domain's boundary rule with nodes
-    ``resolution`` apart (:func:`geometry.boundary_rule`), as a kernel model.
+    """The basis orthonormal under the domain's boundary rule for ``degree``
+    and ``resolution`` (:func:`geometry.boundary_rule`), as a kernel model.
 
     The basis is centered at the domain's bounding-box center and scaled by
     its capacity radius, which keeps the monomial coefficients only

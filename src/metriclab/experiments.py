@@ -97,10 +97,11 @@ _AT_LEAST = {"p": 1, "kernel_degree": 0, "rays": 1, "circle_samples": 64, "pairs
              "refine_sweeps": 0, "pair_margin": 0}
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentConfig:
     """Parsed experiment description; ``raw`` holds the normalized key-value
-    lines that the config hash and the report echo are derived from."""
+    lines that the config hash and the report echo are derived from.  A
+    config equals only itself."""
 
     experiment: str
     domain: DomainSpec

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -604,22 +604,27 @@ class BoundaryRule:
     # (m, m) running integral within a panel of m Gauss-Legendre nodes,
     # acting on f dz; None for the periodic trapezoid rule
     panel: np.ndarray | None = None
+    # the trapezoid rule's Fourier divisor, built once for all primitives:
+    # g = f(z(t)) z'(t) 2 pi / n, so each mode k != 0 of f z' is divided by
+    # ik; the mean, 0 for a polynomial f, and the Nyquist mode, which has
+    # no antiderivative on the nodes, go
+    divisor: np.ndarray | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        if self.panel is None:
+            n = self.nodes.size
+            k = np.fft.fftfreq(n, 1.0 / n)
+            self.divisor = np.zeros(n, dtype=complex)
+            self.divisor[1:] = n / (2 * np.pi) / (1j * k[1:])
+            if n % 2 == 0:
+                self.divisor[n // 2] = 0.0
 
     def primitive(self, f: np.ndarray) -> np.ndarray:
         """F(z_i), the integral of f dz from the first node (or, on the
         trapezoid rule, from a point whose F has zero mean) to z_i."""
         g = f * self.dz
         if self.panel is None:
-            # g = f(z(t)) z'(t) 2 pi / n: divide each Fourier mode k != 0
-            # of f z' by ik; the mean, 0 for a polynomial f, and the
-            # Nyquist mode, which has no antiderivative on the nodes, go
-            n = g.size
-            k = np.fft.fftfreq(n, 1.0 / n)
-            inv = np.zeros(n, dtype=complex)
-            inv[1:] = n / (2 * np.pi) / (1j * k[1:])
-            if n % 2 == 0:
-                inv[n // 2] = 0.0
-            return np.fft.ifft(np.fft.fft(g) * inv)
+            return np.fft.ifft(np.fft.fft(g) * self.divisor)
         g = g.reshape(-1, self.panel.shape[0])
         totals = g.sum(axis=1)
         starts = np.cumsum(totals) - totals
@@ -647,14 +652,14 @@ def _legendre_panel(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def boundary_rule(domain: DomainSpec, degree: int, resolution: float) -> BoundaryRule:
     """The contour rule that makes the area inner products of polynomials
-    of degree <= ``degree`` exact or spectrally accurate, with nodes about
-    ``resolution`` apart.
+    of degree <= ``degree`` exact or spectrally accurate; ``resolution``
+    sets the panel length on a polygon's pieces.
 
     * An ellipse takes the trapezoid rule in t on z(t) = a cos t + i b sin t
-      with n = max(2 degree + 4, ceil(perimeter / resolution)) nodes, and
-      primitives by FFT.  For p, q of degree <= degree, p(z(t)) conj(Q) z'(t)
-      is a trigonometric polynomial of degree <= 2 degree + 2 < n, so the
-      rule is exact.
+      with n = 2 degree + 4 nodes, whatever the resolution, and primitives
+      by FFT.  For p, q of degree <= degree, p(z(t)) conj(Q) z'(t) is a
+      trigonometric polynomial of degree <= 2 degree + 2 < n, so the rule
+      is exact; more nodes only add rounding and FFT length.
     * A polygon's pieces (segments and corner arcs) each take
       max(1, ceil(length / (m resolution))) equal panels of m = degree + 2
       Gauss-Legendre nodes, with primitives from the Legendre integration
@@ -670,7 +675,7 @@ def boundary_rule(domain: DomainSpec, degree: int, resolution: float) -> Boundar
 
 def _trapezoid_rule(domain: DomainSpec, degree: int, h: float) -> BoundaryRule:
     (curve,) = domain._pieces
-    n = max(2 * degree + 4, math.ceil(curve.length / h))
+    n = 2 * degree + 4
     t = 2 * np.pi * np.arange(n) / n
     return BoundaryRule(curve.point(t), curve.derivative(t) * (2 * np.pi / n),
                         f"trapezoid:{n}:{domain._key}")

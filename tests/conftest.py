@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from metriclab import bergman, geometry
@@ -16,6 +17,18 @@ def ellipse15():
 @pytest.fixture(scope="session")
 def square():
     return geometry.polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+
+
+@pytest.fixture(scope="session")
+def trapezoid_rule():
+    # an ellipse's trapezoid rule on any n nodes, laid out as boundary_rule
+    # lays out its 2 degree + 4
+    def build(domain, n):
+        (curve,) = domain._pieces
+        t = 2 * np.pi * np.arange(n) / n
+        return geometry.BoundaryRule(curve.point(t), curve.derivative(t) * (2 * np.pi / n),
+                                     f"trapezoid:{n}:{domain.grid_key()}")
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -60,22 +60,27 @@ def test_factorization_failure_reports_degree(monkeypatch, disc):
         assert err.value.degree == 9
 
 
-def test_rank_deficient_overlap_reports_degree(monkeypatch, disc):
+def _fit_on(monkeypatch, rule, domain, degree):
+    # the fit of ``domain`` on a hand-built ``rule``, whatever its degree
+    monkeypatch.setattr(B, "boundary_rule", lambda *args: rule)
+    return B.fit_kernel_model(domain, degree)
+
+
+def test_rank_deficient_overlap_reports_degree(monkeypatch, disc, trapezoid_rule):
     # 21 nodes, an odd count: no Nyquist mode, but z^11 takes the values of
     # z^-10 on the nodes, so the FFT reads the primitive z^11 / 11 of z^10
     # as -z^11 / 10 and degree 10's <v, v> comes out negative: the rule's
     # inner product is indefinite from degree 10 on
-    _coarse_rule(monkeypatch, 8)
-    assert G.boundary_rule(disc, 8, 0.3).nodes.size == 21
+    rule = trapezoid_rule(disc, 21)
     for degree in (10, 14):
         with pytest.raises(FactorizationError) as err:
-            B.fit_kernel_model(disc, degree=degree, resolution=0.3)
+            _fit_on(monkeypatch, rule, disc, degree)
         assert err.value.degree == 10
 
 
 def test_far_from_orthonormal_basis_raises():
-    # the 3x1 ellipse on a coarse rule: degree 60 ends at a defect of
-    # 7.7e-3 of the stored monomial basis, far above 1e-6; degree 30 at 3.9e-10
+    # the 3x1 ellipse: degree 60 ends at a defect of 4.2e-3 of the stored
+    # monomial basis, far above 1e-6; degree 30 at 1.7e-10
     dom = G.ellipse(3, 1)
     with pytest.raises(KernelInstabilityError,
                        match=r"orthonormality defect \S+ exceeds 1e-06; .* from degree (\d+) on") as err:
@@ -118,18 +123,23 @@ def _assert_same_kernel(model, ref, z):
     assert np.max(np.abs(rho / rho_ref - 1)) < 1e-9
 
 
-def test_node_block_changes_the_kernel_only_by_rounding():
+def test_node_block_changes_the_kernel_only_by_rounding(monkeypatch, trapezoid_rule):
     # the rule is exact at every node count it allows, so how the boundary
-    # is cut into nodes moves the kernel by its rounding only: the degree-48
-    # 2 x 1 ellipse on 194 and 969 trapezoid nodes, K by 5.1e-11 and rho by
-    # 2.1e-10; the non-convex hexagon in 6 and 25 panels of 22 nodes, K by
-    # 4.6e-14 and rho by 8.4e-14 (200 points with d >= 0.1)
+    # is cut into nodes moves the kernel by its rounding only: the non-convex
+    # hexagon in 6 and 25 panels of 22 nodes, K by 4.6e-14 and rho by
+    # 8.4e-14; the degree-48 2 x 1 ellipse on its 100 trapezoid nodes and
+    # on 969 built by hand, K by 3.9e-11 and rho by 2.7e-10 (200 points
+    # with d >= 0.1)
     hexagon = G.polygon([0, 2, 2.5 + 1.5j, 1 + 1j, 0.5 + 2.5j, -0.5 + 1j])
-    for dom, degree, coarse, fine in ((G.ellipse(2, 1), 48, 0.05, 0.01),
-                                      (hexagon, 20, 0.2, 0.02)):
-        ref, model = (B.fit_kernel_model(dom, degree, h) for h in (coarse, fine))
-        assert ref.grid_descriptor != model.grid_descriptor
-        _assert_same_kernel(model, ref, _seeded_points(dom, 5, 200, 0.1))
+    ref, model = (B.fit_kernel_model(hexagon, 20, h) for h in (0.2, 0.02))
+    assert ref.grid_descriptor != model.grid_descriptor
+    _assert_same_kernel(model, ref, _seeded_points(hexagon, 5, 200, 0.1))
+    ellipse = G.ellipse(2, 1)
+    model = B.fit_kernel_model(ellipse, 48, 0.01)
+    ref = _fit_on(monkeypatch, trapezoid_rule(ellipse, 969), ellipse, 48)
+    assert (model.grid_descriptor, ref.grid_descriptor) == (
+        "trapezoid:100:ellipse:2.0:1.0", "trapezoid:969:ellipse:2.0:1.0")
+    _assert_same_kernel(model, ref, _seeded_points(ellipse, 5, 200, 0.1))
 
 
 def test_fit_sweeps_at_most_once(monkeypatch, disc):
@@ -213,19 +223,19 @@ def test_lshape_kernel_reproduces_polynomials(lshape_fit, coeffs):
 
 
 def test_kernel_fit_peak_memory_is_bounded(ellipse15):
-    # traced peak of the degree-72 fit of the 1.5 x 1 ellipse at resolution
-    # 0.01, on 794 nodes: 4.5 MiB, about five arrays of 794 x 74 complex
-    # (0.94 MB each): the basis values with their primitives and
-    # coefficients, the primitives again, and the defect's Vandermonde and
-    # products.  The grid fit held its 6.2 MiB grid and two 4.8 MB block
-    # buffers
+    # traced peak of the degree-72 fit of the 1.5 x 1 ellipse, on its 148
+    # nodes: 2.3 MiB, most of it the model's density block buffers, 1.8 MB
+    # (512 x 73 powers and 512 x 3 x 2 x 25 panel products), which its
+    # constructor builds; the fit's own arrays of 148 x 74 complex (0.18 MB
+    # each) peak at 0.7 MB.  The grid fit held its 6.2 MiB grid and two
+    # 4.8 MB block buffers
     tracemalloc.start()
     try:
-        B.fit_kernel_model(ellipse15, degree=72, resolution=0.01)
+        model = B.fit_kernel_model(ellipse15, degree=72, resolution=0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 794 * 74 * 16 + 2**20
+    assert peak <= model._vander.nbytes + model._out.nbytes + 2**20
 
 
 def test_kernel_disc_oracle_values(disc_kernel):
@@ -236,8 +246,7 @@ def test_kernel_disc_oracle_values(disc_kernel):
 
 def test_disc_kernel_matches_the_exact_degree_40_kernel(disc_kernel):
     # the production fit against the exact degree-40 kernel on 2,000 seeded
-    # points with |z| <= 0.9: 1.9e-6 relative (the clipped band; 1.6e-5
-    # with 7 halvings and a midpoint leaf rule)
+    # points with |z| <= 0.9: 8.2e-15 relative
     rng = np.random.default_rng(97)
     z = 0.9 * np.sqrt(rng.uniform(0, 1, 2000)) * np.exp(2j * np.pi * rng.uniform(0, 1, 2000))
     K = B.kernel_eval(disc_kernel, z, z).real
@@ -637,17 +646,17 @@ def _seeded_points(dom, seed, count, min_dist):
 
 def test_fit_matches_the_exact_degree_n_kernels(ellipse15, disc, disc_kernel):
     # the boundary rule is exact, so the fit is the exact degree-N kernel
-    # up to the rounding of its monomial basis.  Degree-72 E(1.5, 1) at
-    # resolution 0.01 on 2,000 points with d >= 0.01: K within 5.2e-9 and
-    # rho within 1.0e-8 of perfbench's oracle (the grid fit: 1.7e-6 and
-    # 4.9e-6 at d >= 0.1)
+    # up to the rounding of its monomial basis.  Degree-72 E(1.5, 1) on its
+    # 148 nodes, on 2,000 points with d >= 0.01: K within 1.5e-9 and rho
+    # within 4.2e-9 of perfbench's oracle (the grid fit: 1.7e-6 and 4.9e-6
+    # at d >= 0.1)
     z = _seeded_points(ellipse15, 1, 2000, 0.01)
     K, rho = _perfbench_oracle()(1.5, 1.0, 72, z)
     model = B.fit_kernel_model(ellipse15, degree=72, resolution=0.01)
     assert np.max(np.abs(B.kernel_eval(model, z, z).real / K - 1)) <= 1e-7
     assert np.max(np.abs(B.bergman_density(model, z) / rho - 1)) <= 1e-7
     # the degree-40 disc against 1/(pi (1 - z conj(w))^2) truncated at
-    # degree 40, at pairs of points with d >= 0.01: 8.6e-14
+    # degree 40, at pairs of points with d >= 0.01: 3.7e-13
     z = _seeded_points(disc, 2, 2000, 0.01)
     w = z[::-1]
     got = B.kernel_eval(disc_kernel, z, w)

@@ -182,6 +182,14 @@ def test_config_hash_ignores_out_dir():
     assert c.config_hash() != a.config_hash()
 
 
+def test_a_config_equals_only_itself():
+    # two parses of one text hold equal but distinct radii arrays, which ==
+    # compared elementwise; the hash is what compares their computations
+    a, b = (E.parse_config_text(HL1_CUSP) for _ in range(2))
+    assert a == a and a != b and a in [b, a]
+    assert a.config_hash() == b.config_hash()
+
+
 # ---------------------------------------------------------------------------
 # runners
 
@@ -354,11 +362,11 @@ REPORT_DIGESTS = {
         "yamashita_9599e852c80c.modulus_sup.dat": "80395e28b142e12a506087d1d9d57b3b7839f4ad225795e369cef2121870a2fa",
     },
     "qh_compare_disc_quick": {
-        "qh_compare_7e0f3b70929c.distance_ratios.dat": "d7063f7722c5dc88b63c123119cb36997476baf375c868717a3a4eb263311f87",
-        "qh_compare_7e0f3b70929c.json": "a3fbf24d780e02ed44fe73e2a3e950539d9682f08757d187f30a4b1043a540d5",
-        "qh_compare_7e0f3b70929c.ring_0.dat": "f27fb6cbf56546cdc7629e24913103beffc1172eb00efc3f9f937432d5c5bd8f",
-        "qh_compare_7e0f3b70929c.ring_1.dat": "9962c6de8bd27e747ad138248f1b0dbb62d596edc14eaf436ca6a495059f118b",
-        "qh_compare_7e0f3b70929c.ring_2.dat": "733d925374f55a0ecb9af606ca87d42cac822c7e975fe68f7c477169d6d18c3b",
+        "qh_compare_7e0f3b70929c.distance_ratios.dat": "110439f278bcb24e9149cca23748ec68f72930c5da2b51101c946626caf6863f",
+        "qh_compare_7e0f3b70929c.json": "92b8c039ee5d07b0c4239f5cbf634b16883c83e93791d3415b864363a45bbe68",
+        "qh_compare_7e0f3b70929c.ring_0.dat": "25c49c27162ef3a21937a6dd5e375412eedf968bf6d7238ca43bd1ce7b53130e",
+        "qh_compare_7e0f3b70929c.ring_1.dat": "b94fabfa07129a0db8e35f7f23d649ffddeeb60f81e6c969c5cd741762bd1c1f",
+        "qh_compare_7e0f3b70929c.ring_2.dat": "5071b8ee48ad9daa7c8e24cc1fce5dd43c6b358d6c8f32e0fcdc8d54471b0843",
     },
 }
 

@@ -449,6 +449,36 @@ def _poly_primitive_error(rule, center, scale):
     return np.max(np.abs(diff - diff[0])) / np.abs(F).max()
 
 
+def _per_call_divisor(n):
+    # the trapezoid primitive's Fourier divisor as it was once rebuilt on
+    # every call
+    k = np.fft.fftfreq(n, 1.0 / n)
+    inv = np.zeros(n, dtype=complex)
+    inv[1:] = n / (2 * np.pi) / (1j * k[1:])
+    if n % 2 == 0:
+        inv[n // 2] = 0.0
+    return inv
+
+
+@pytest.mark.parametrize("n", [148, 21])
+def test_trapezoid_rule_builds_the_per_call_divisor_once(ellipse15, trapezoid_rule, n):
+    # bit for bit, on an even node count (Nyquist mode zeroed) and an odd
+    # one; a hand-built rule gets the divisor too, and the primitive of a
+    # fixed polynomial keeps its bits
+    rule = trapezoid_rule(ellipse15, n)
+    inv = _per_call_divisor(n)
+    assert rule.divisor.tobytes() == inv.tobytes()
+    f = np.polynomial.polynomial.polyval(rule.nodes / 1.25, [0.3 - 1j, 2, -1j, 0.5, 1 + 1j])
+    want = np.fft.ifft(np.fft.fft(f * rule.dz) * inv)
+    assert rule.primitive(f).tobytes() == want.tobytes()
+    if n % 2 == 0:
+        built = G.boundary_rule(ellipse15, (n - 4) // 2, 0.01)
+        for name in ("nodes", "dz", "divisor"):
+            assert getattr(built, name).tobytes() == getattr(rule, name).tobytes()
+        assert built.descriptor == rule.descriptor
+    assert G.boundary_rule(_GRID_DOMAINS["square"], 8, 0.5).divisor is None
+
+
 @pytest.mark.parametrize("name", ["disc", "ellipse", "square", "rounded square",
                                   "smoothed L", "sharp L"])
 def test_clipped_band_grid_invariants(name):
@@ -474,15 +504,15 @@ def test_clipped_band_grid_invariants(name):
         assert _poly_primitive_error(rule, center, scale) < 1e-13
 
 
-@pytest.mark.parametrize("name", ["disc", "ellipse", "rounded square", "smoothed L"])
+@pytest.mark.parametrize("name", ["rounded square", "smoothed L"])
 def test_clipped_band_area_error_is_second_order(name):
-    # resolution alone must resolve what the rule's degree does not: the
-    # weighted areas <zeta^j, zeta^j> = int int |zeta|^2j dA, j <= 96, under
-    # the rule made for degree 0, against the rule made for degree 96, fall
-    # at least as h^2, (0.02 / 0.05)^2 = 0.16, from h 0.05 to 0.02.  The
-    # trapezoid rule's 126 and 159 nodes alias them and its 315 and 397
-    # are exact (2 x 96 + 2 < n); the two-node Gauss panels fall by 0.07
-    # and 0.11
+    # on a polygon, resolution alone must resolve what the rule's degree
+    # does not: the weighted areas <zeta^j, zeta^j> = int int |zeta|^2j dA,
+    # j <= 96, under the rule made for degree 0, against the rule made for
+    # degree 96, fall at least as h^2, (0.02 / 0.05)^2 = 0.16, from h 0.05
+    # to 0.02; the two-node Gauss panels fall by 0.07 and 0.11.  An
+    # ellipse's trapezoid rule has the degree's 2 degree + 4 nodes at any
+    # resolution
     dom = _GRID_DOMAINS[name]
     center, scale = dom.center, G.capacity_radius(dom)
 
@@ -520,10 +550,12 @@ def test_gauss_grid_disc_moments(disc):
 
 
 def test_boundary_rule_node_counts(ellipse15):
-    # the trapezoid rule: max(2 degree + 4, ceil(perimeter / resolution))
-    # nodes, perimeter 7.9327 of the 1.5 x 1 ellipse; a polygon piece:
+    # the trapezoid rule: 2 degree + 4 nodes, whatever the resolution (the
+    # 1.5 x 1 ellipse's perimeter is 7.9327); a polygon piece:
     # ceil(length / ((degree + 2) resolution)) panels, at least one
-    assert G.boundary_rule(ellipse15, 72, 0.01).descriptor == "trapezoid:794:ellipse:1.5:1.0"
+    assert G.boundary_rule(ellipse15, 72, 0.01).descriptor == "trapezoid:148:ellipse:1.5:1.0"
+    for h in (1.0, 0.01, 0.001):
+        assert G.boundary_rule(ellipse15, 72, h).nodes.size == 2 * 72 + 4
     assert G.boundary_rule(ellipse15, 400, 0.01).nodes.size == 804
     square = _GRID_DOMAINS["square"]
     assert G.boundary_rule(square, 8, 0.1).descriptor.startswith("gauss-legendre:10x8:polygon:")
@@ -542,8 +574,8 @@ def test_grids_deterministic(disc):
 # sha256 of the boundary rules' nodes' and weights' bytes at degree 20
 _GRID_DIGESTS = {
     ("ellipse", 0.01): (
-        "ac82ca4ede57404db125cf41e5d55f360724a8c8a4943afb9637367773f33e09",
-        "d5ea60289d1ce58bd2a575f0ee93373d7f72778af5b4d7fc90e5845d2414a29e"),
+        "b4642c2bb9addf7eba9a4adf15373eb4a846a991bebf376fe7773d75c597bcee",
+        "c0e05e20c612f8b84f4514ba7683db8bc1b99125d83ca8464195472211aed38d"),
     ("sharp L", 0.02): (
         "6efaef13f5ebc786174091b5b70aba42b084d898475ce1b0cd3644ae339010f4",
         "2621a4dd3548ec90f642b3932d5ca9dedb1caa1fd77f42db34806cfd0111dfda"),
@@ -561,17 +593,16 @@ def test_grid_is_bit_identical_to_its_recorded_digest(name, h):
 
 
 def test_grid_build_peak_memory_is_bounded(ellipse15):
-    # the boundary rule of the degree-72 fit of the 1.5 x 1 ellipse at
-    # resolution 0.01: 794 nodes in 25 KB, a traced peak of 129 KB, at the
-    # perimeter's 4,096-node sums.  The clipped-band grid of the same fit
-    # peaked at 13.2 MiB
+    # the boundary rule of the degree-72 fit of the 1.5 x 1 ellipse: 148
+    # nodes and their divisor in 7 KB, a traced peak of 15 KB.  The
+    # clipped-band grid of the same fit peaked at 13.2 MiB
     tracemalloc.start()
     try:
         rule = G.boundary_rule(ellipse15, 72, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= rule.nodes.nbytes + rule.dz.nbytes + 2**18
+    assert peak <= rule.nodes.nbytes + rule.dz.nbytes + rule.divisor.nbytes + 2**14
 
 
 def test_capacity_radius(disc, ellipse15):
