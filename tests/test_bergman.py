@@ -41,10 +41,10 @@ def test_fit_kernel_disc_basis(disc):
     assert model.orthonormality_defect < 1e-8
 
 
-def _coarse_rule(monkeypatch, degree):
-    # every fit gets the boundary rule made for ``degree``, whatever its own
-    real_rule = G.boundary_rule
-    monkeypatch.setattr(B, "boundary_rule", lambda dom, _, res: real_rule(dom, degree, res))
+def _fit_on(monkeypatch, rule, domain, degree):
+    # the fit of ``domain`` on a given ``rule``, whatever its degree
+    monkeypatch.setattr(B, "boundary_rule", lambda *args: rule)
+    return B.fit_kernel_model(domain, degree)
 
 
 def test_factorization_failure_reports_degree(monkeypatch, disc):
@@ -52,18 +52,12 @@ def test_factorization_failure_reports_degree(monkeypatch, disc):
     # for degree 8 has 20 nodes, on which the primitive z^10 / 10 of z^9 is
     # the Nyquist mode, which the FFT drops.  So degree 9's <v, v> is
     # rounding, far under its relative rank threshold
-    _coarse_rule(monkeypatch, 8)
-    assert G.boundary_rule(disc, 8, 10.0).nodes.size == 20
+    rule = G.boundary_rule(disc, 8, 10.0)
+    assert rule.nodes.size == 20
     for degree in (10, 16):
         with pytest.raises(FactorizationError) as err:
-            B.fit_kernel_model(disc, degree=degree, resolution=10.0)
+            _fit_on(monkeypatch, rule, disc, degree)
         assert err.value.degree == 9
-
-
-def _fit_on(monkeypatch, rule, domain, degree):
-    # the fit of ``domain`` on a hand-built ``rule``, whatever its degree
-    monkeypatch.setattr(B, "boundary_rule", lambda *args: rule)
-    return B.fit_kernel_model(domain, degree)
 
 
 def test_rank_deficient_overlap_reports_degree(monkeypatch, disc, trapezoid_rule):
