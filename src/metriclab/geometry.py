@@ -582,12 +582,13 @@ def _lattice(domain: DomainSpec, h: float):
 # boundary rule
 
 
-@dataclass
+@dataclass(eq=False)
 class BoundaryRule:
     """A contour rule on the boundary, traversed counterclockwise: nodes
     z_i and complex weights dz_i, so that sum_i f(z_i) dz_i approximates
     the contour integral of f dz, and :meth:`primitive`, the running
-    integral of f dz along the boundary at the nodes.
+    integral of f dz along the boundary at the nodes.  A rule equals only
+    itself.
 
     By Green's theorem the area inner product of polynomials is a contour
     integral: with Q' = q, d(p conj(Q))/d(zbar) = p conj(q), so

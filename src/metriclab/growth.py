@@ -36,12 +36,6 @@ class ExponentFit:
     n_excluded: int = 0
 
 
-def integral_means(g, r: float, p: float, n: int = 4096) -> float:
-    """p-mean of g over the circle of radius r: (sum g(r e^{it_j})^p / n)^{1/p};
-    the one-radius case of :func:`means_curve`."""
-    return float(means_curve(g, [r], p, n).values[0])
-
-
 def _shift_set(n: int, h: float, p: float) -> list[int]:
     """Grid shifts that make up the step-h modulus of an n-sample trace.
 

@@ -479,6 +479,13 @@ def test_trapezoid_rule_builds_the_per_call_divisor_once(ellipse15, trapezoid_ru
     assert G.boundary_rule(_GRID_DOMAINS["square"], 8, 0.5).divisor is None
 
 
+def test_a_boundary_rule_equals_only_itself(ellipse15):
+    # two builds hold equal but distinct node arrays, which == compared
+    # elementwise
+    a, b = (G.boundary_rule(ellipse15, 8, 1.0) for _ in range(2))
+    assert a == a and a != b and a in [b, a]
+
+
 @pytest.mark.parametrize("name", ["disc", "ellipse", "square", "rounded square",
                                   "smoothed L", "sharp L"])
 def test_clipped_band_grid_invariants(name):

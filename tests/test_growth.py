@@ -36,26 +36,27 @@ def quad_mean_oracle(f, omega, r, p):
 
 
 def test_means_constant_function():
-    assert GR.integral_means(lambda z: np.full(z.shape, 5.0), 0.3, 1.0, 128) == 5.0
-    assert GR.integral_means(lambda z: np.full(z.shape, 5.0), 0.9, 7.0, 128) == pytest.approx(5.0)
+    five = lambda z: np.full(z.shape, 5.0)
+    assert GR.means_curve(five, [0.3], 1.0, 128).values[0] == 5.0
+    assert GR.means_curve(five, [0.9], 7.0, 128).values[0] == pytest.approx(5.0)
 
 
 def test_means_modulus_of_identity():
-    assert GR.integral_means(np.abs, 0.7, 2.0, 256) == pytest.approx(0.7)
+    assert GR.means_curve(np.abs, [0.7], 2.0, 256).values[0] == pytest.approx(0.7)
 
 
 def test_means_sup_variant():
-    vals = GR.integral_means(lambda z: z.real + 2.0, 0.5, math.inf, 256)
+    vals = GR.means_curve(lambda z: z.real + 2.0, [0.5], math.inf, 256).values[0]
     assert vals == pytest.approx(2.5)
 
 
 def test_means_parameter_validation():
     with pytest.raises(ValueError):
-        GR.integral_means(np.abs, 1.2, 1.0, 128)
+        GR.means_curve(np.abs, [1.2], 1.0, 128)
     with pytest.raises(ValueError):
-        GR.integral_means(np.abs, 0.5, 0.5, 128)
+        GR.means_curve(np.abs, [0.5], 0.5, 128)
     with pytest.raises(ValueError):
-        GR.integral_means(np.abs, 0.5, 1.0, 32)
+        GR.means_curve(np.abs, [0.5], 1.0, 32)
 
 
 def test_means_divergent_propagates():
@@ -64,7 +65,7 @@ def test_means_divergent_propagates():
             return 1.0 / (1.0 - np.abs(z) ** 0)  # identically inf
 
     with pytest.raises(DivergentValueError):
-        GR.integral_means(g, 0.5, 1.0, 128)
+        GR.means_curve(g, [0.5], 1.0, 128)
 
 
 def test_means_cusp_against_quadrature_oracle(hyp, cusp50):
@@ -72,7 +73,7 @@ def test_means_cusp_against_quadrature_oracle(hyp, cusp50):
     for r in (0.9, 0.99):
         for p in (1.0, 2.0):
             oracle = quad_mean_oracle(cusp50, hyp, r, p)
-            got = GR.integral_means(g, r, p, 4096)
+            got = GR.means_curve(g, [r], p, 4096).values[0]
             assert got == pytest.approx(oracle, rel=2e-3), (r, p)
 
 
@@ -104,7 +105,7 @@ def test_means_curve_bitwise_against_the_per_radius_route(hyp, p):
             got = GR.means_curve(g, radii, p, n)
             assert np.array_equal(got.values, _means_per_radius(g, radii, p, n)), (name, n)
             assert np.array_equal(got.abscissa, 1.0 - radii)
-            assert GR.integral_means(g, radii[3], p, n) == got.values[3]
+            assert GR.means_curve(g, [radii[3]], p, n).values[0] == got.values[3]
     for args in (([0.5, 1.0], p, 128), ([0.0], p, 128), ([0.5], p, 32), ([0.5], 0.5, 128)):
         with pytest.raises(ValueError) as want:
             _means_per_radius(np.abs, *args)

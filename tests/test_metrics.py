@@ -394,7 +394,7 @@ def _four_branch_edges(omega, graph):
     the window, from the graph's own ids and nodes."""
     ids, nodes = graph.ids, graph.nodes
     rows, cols, vals = [], [], []
-    for di, dj in M._NEIGHBOR_OFFSETS:
+    for di, dj in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2)]:
         ni, nj = ids.shape
         if di >= ni or abs(dj) >= nj:
             continue
@@ -418,6 +418,7 @@ def _four_branch_edges(omega, graph):
 
 
 _LSHAPE = G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
+_ROUNDED_L = G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15)
 # (domain, window, lattice shape): the whole box, windows clipped at each
 # side of the box, and windows one and two cells wide
 _GRAPH_WINDOWS = [
@@ -437,6 +438,9 @@ _GRAPH_WINDOWS = [
     (_LSHAPE, (0, 2, 0, 2), (21, 21)),
     (_LSHAPE, (0.5, 3, 0.5, 3), (17, 17)),
     (_LSHAPE, (-1, 0.15, -1, 1.5), (2, 16)),
+    (_ROUNDED_L, (0, 2, 0, 2), (21, 21)),
+    (_ROUNDED_L, (0.5, 3, 0.5, 3), (17, 17)),
+    (_ROUNDED_L, (-1, 0.15, -1, 1.5), (2, 16)),
 ]
 
 
@@ -453,12 +457,34 @@ def test_graph_edges_match_the_four_branch_slicing(dom, window, shape):
     want = csr_matrix(_four_branch_edges(omega, graph), shape=(n, n))
     assert want.has_canonical_format
     nnz = want.nnz
-    assert np.array_equal(edges.indptr[:n + 1], want.indptr)
-    assert np.array_equal(edges.indices[:nnz], want.indices)
-    assert np.array_equal(edges.data[:nnz], want.data)
-    # row n, a query's source, starts empty with room for every connector
+    assert edges.indptr.dtype == edges.indices.dtype == want.indices.dtype == np.int32
+    assert edges.indptr[:n + 1].tobytes() == want.indptr.tobytes()
+    assert edges.indices[:nnz].tobytes() == want.indices.tobytes()
+    assert edges.data[:nnz].tobytes() == want.data.tobytes()
+    # row n, a query's source, starts empty with zeroed room for every connector
     assert edges.indptr[n + 1] == nnz
     assert edges.indices.size == edges.data.size == nnz + M._NEARBY_MAX
+    assert not edges.indices[nnz:].any() and edges.data[nnz:].tobytes() == bytes(8 * M._NEARBY_MAX)
+
+
+def test_graph_build_peaks_under_two_and_a_half_graphs(ellipse15):
+    # nt-bounds' full-window graph (7,228 nodes, 112,916 lattice entries)
+    # under the stored degree-72 kernel.  Assembled from COO, sorted and
+    # grown by two np.append copies, its build peaked at 4.4 times the
+    # graph's own bytes (6.67 MiB of tracemalloc for 1.51 MiB)
+    stored = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "ellipse_1.5x1_deg72_h0.01.kernel")
+    omega = M.bergman_metric_density(load_kernel(stored, ellipse15))
+    tracemalloc.start()
+    try:
+        graph = M._build_graph(omega, 0.025, ellipse15.bounding_box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    edges = graph.edges
+    own = sum(a.nbytes for a in (graph.nodes, graph.ids, edges.indptr, edges.indices, edges.data))
+    assert graph.nodes.size == 7228 and edges.indptr[-1] == 112916
+    assert peak < 2.5 * own
 
 
 def _n_plus_2_graph_path(omega, z, w, resolution, full_window=False):
@@ -530,6 +556,38 @@ def test_graph_path_matches_the_n_plus_2_node_search():
             direct += got[0].size == 2
             routed += got[0].size > 2
     assert direct and routed
+
+
+def test_search_bounded_by_the_direct_edge_returns_the_unbounded_path(monkeypatch):
+    # the same points and cost with and without limit=direct, on a convex
+    # domain, where every search is bounded, and on a non-convex one, where
+    # a chord that leaves it (the last pair's) leaves the search unbounded
+    searches = []
+
+    def unbounded(matrix, limit, **kwargs):
+        return dijkstra(matrix, **kwargs)
+
+    def bounded(matrix, limit, **kwargs):
+        dist, pred = dijkstra(matrix, limit=limit, **kwargs)
+        searches.append((limit, np.isfinite(dist).sum() < dist.size))
+        return dist, pred
+
+    for omega, h, pairs in (
+            (M.quasihyperbolic_density(G.ellipse(1.5, 1)), 0.05,
+             _seeded_pairs(G.ellipse(1.5, 1), 8, 81)),
+            (M.quasihyperbolic_density(_ROUNDED_L), 0.05,
+             _seeded_pairs(_ROUNDED_L, 8, 82) + [(0.5 + 1.8j, 1.8 + 0.5j)])):
+        for z, w in pairs:
+            for full in (False, True):
+                monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", unbounded)
+                want = M._graph_path(omega, z, w, h, full)
+                monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", bounded)
+                got = M._graph_path(omega, z, w, h, full)
+                assert np.array_equal(got[0], want[0]), (omega.domain.grid_key(), z, w, full)
+                assert got[1] == want[1]
+    assert all(math.isfinite(limit) for limit, _ in searches[:-2])
+    assert all(math.isinf(limit) for limit, _ in searches[-2:])
+    assert sum(pruned for _, pruned in searches) > len(searches) // 2
 
 
 @pytest.mark.parametrize("dom, z, w", [

@@ -239,9 +239,11 @@ def test_bench_pairs_alternates_sides_and_prints_the_bench_block(tmp_path):
     # run_s moved 35% the better way, 25% allowed, though one change run is
     # slower than three parent runs; and RSS 0.7% the worse way, 5% allowed
     assert block["verdicts"]["run_s"] == {"moved": pytest.approx((2.7 - 4.15) / 4.15),
-                                          "bound": 0.25, "verdict": "better"}
+                                          "bound": 0.25, "verdict": "better",
+                                          "pairs_won": "3 of 4", "gap_beats_iqr": True}
     assert block["verdicts"]["peak_rss_mb"] == {"moved": pytest.approx(0.5 / 68.0),
-                                                "bound": 0.05, "verdict": "within"}
+                                                "bound": 0.05, "verdict": "within",
+                                                "pairs_won": "0 of 4", "gap_beats_iqr": False}
 
     # parent runs that spread by more than run_s's bound (interquartile
     # range 2.5 on a median of 3.5) under change runs that do not all beat
@@ -252,10 +254,13 @@ def test_bench_pairs_alternates_sides_and_prints_the_bench_block(tmp_path):
     assert code == 0, err
     verdicts = json.loads(out)["verdicts"]
     assert verdicts["run_s"] == {"moved": pytest.approx(-0.25 / 3.5), "bound": 0.25,
-                                 "verdict": "unresolved"}
+                                 "verdict": "unresolved", "pairs_won": "2 of 4",
+                                 "gap_beats_iqr": False}
     assert verdicts["peak_rss_mb"] == {"moved": pytest.approx(4.0 / 68.0), "bound": 0.05,
-                                       "verdict": "worse"}
-    assert verdicts["ok_ratio"] == {"moved": 0.0, "bound": 0.001, "verdict": "within"}
+                                       "verdict": "worse", "pairs_won": "0 of 4",
+                                       "gap_beats_iqr": False}
+    assert verdicts["ok_ratio"] == {"moved": 0.0, "bound": 0.001, "verdict": "within",
+                                    "pairs_won": "0 of 4", "gap_beats_iqr": False}
 
     # every change run beats every parent run, by less than the bound
     parent = _stub_checkout(tmp_path / "p3", "parent", log, [4.0, 4.1, 4.2, 4.3] + [0] * 6, 68.0)
@@ -264,10 +269,35 @@ def test_bench_pairs_alternates_sides_and_prints_the_bench_block(tmp_path):
     assert code == 0, err
     verdicts = json.loads(out)["verdicts"]
     assert verdicts["run_s"] == {"moved": pytest.approx((3.875 - 4.15) / 4.15), "bound": 0.25,
-                                 "verdict": "better"}
+                                 "verdict": "better", "pairs_won": "4 of 4",
+                                 "gap_beats_iqr": True}
     assert verdicts["peak_rss_mb"] == {"moved": pytest.approx(-0.1 / 68.0), "bound": 0.05,
-                                       "verdict": "better"}
-    assert verdicts["setup_s"] == {"moved": 0.0, "bound": 0.25, "verdict": "within"}
+                                       "verdict": "better", "pairs_won": "4 of 4",
+                                       "gap_beats_iqr": True}
+    assert verdicts["setup_s"] == {"moved": 0.0, "bound": 0.25, "verdict": "within",
+                                   "pairs_won": "0 of 4", "gap_beats_iqr": False}
+
+
+def test_bench_pairs_prints_the_gain_rule_next_to_each_verdict(tmp_path):
+    # a claimed gain needs CHANGE better in 9 of 10 pairs and a median gap
+    # wider than PARENT's interquartile range: run_s wins 9 of 10 pairs by
+    # 0.05 s under a range of about 0.4 s, peak_rss_mb all 10 by 1.3 MiB
+    # under a range of 0
+    log = tmp_path / "log.jsonl"
+    parent_s = [4.0, 4.4, 4.1, 4.5, 4.2, 4.6, 4.3, 4.7, 4.0, 4.4]
+    change_s = [v - 0.05 for v in parent_s[:9]] + [4.5]
+    parent = _stub_checkout(tmp_path / "p", "parent", log, parent_s, 68.0)
+    change = _stub_checkout(tmp_path / "c", "change", log, change_s, 66.7)
+    code, out, err = _bench_pairs(parent, change, 10, 0)
+    assert code == 0, err
+    block = json.loads(out)
+    verdicts = block["verdicts"]
+    q1, _, q3 = statistics.quantiles(parent_s, n=4)
+    assert block["parent"]["run_s"]["median"] - block["change"]["run_s"]["median"] < q3 - q1
+    assert (verdicts["run_s"]["pairs_won"], verdicts["run_s"]["gap_beats_iqr"]) == ("9 of 10", False)
+    assert (verdicts["peak_rss_mb"]["pairs_won"], verdicts["peak_rss_mb"]["gap_beats_iqr"]) == \
+        ("10 of 10", True)
+    assert block["change_better_in_pairs"] == {name: v["pairs_won"] for name, v in verdicts.items()}
 
 
 def test_bench_pairs_counts_a_failed_run_as_not_correct(tmp_path):

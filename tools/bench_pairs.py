@@ -23,6 +23,11 @@ gets one JSON object, the workload's block of a BENCH file:
   better by more than the bound or every CHANGE run beats every PARENT
   run, else ``unresolved`` when PARENT's interquartile range, relative to
   its median, exceeds the bound (or a side has no value), else ``within``.
+  Next to it stand the two tests a claimed gain must pass: ``pairs_won``,
+  the pairs where CHANGE is better out of the pairs run (a gain needs 9 of
+  10), and ``gap_beats_iqr``, whether CHANGE's median is better than
+  PARENT's by more than PARENT's interquartile range (None when a side has
+  no value).
 
 A run that exits non-zero or prints no result counts as not correct and has
 no metric values.  Exits 0 when every run is correct, 1 when one is not, 2
@@ -79,12 +84,18 @@ def verdict(parent: dict, change: dict, better: str, bound: float) -> dict:
     """How the CHANGE summary of one metric compares with the PARENT one
     (see the module docstring)."""
     p, c = parent["median"], change["median"]
-    out = {"moved": None, "bound": bound, "verdict": "unresolved"}
-    if p is None or c is None or p == 0:
-        return out
-    out["moved"] = (c - p) / abs(p)
     # signed so that lower is better
     sign = 1 if better == "lower" else -1
+    won = sum(a is not None and b is not None and sign * b < sign * a
+              for a, b in zip(parent["runs"], change["runs"]))
+    out = {"moved": None, "bound": bound, "verdict": "unresolved",
+           "pairs_won": f"{won} of {len(parent['runs'])}", "gap_beats_iqr": None}
+    if p is None or c is None:
+        return out
+    out["gap_beats_iqr"] = sign * (p - c) > parent["q3"] - parent["q1"]
+    if p == 0:
+        return out
+    out["moved"] = (c - p) / abs(p)
     worst_change = max(sign * v for v in change["runs"] if v is not None)
     best_parent = min(sign * v for v in parent["runs"] if v is not None)
     if sign * out["moved"] > bound:
@@ -115,15 +126,10 @@ def bench_pairs(checkouts: dict, workload: str, pairs: int, first_seed: int) -> 
                                for r in results[side]] for name in better}
         block[side] = {"correct": [r is not None and r["correct"] for r in results[side]]}
         block[side].update({name: summary(runs) for name, runs in values[side].items()})
-    won = {}
-    for name, direction in better.items():
-        pairs_won = sum(
-            p is not None and c is not None and (c < p if direction == "lower" else c > p)
-            for p, c in zip(values["parent"][name], values["change"][name]))
-        won[name] = f"{pairs_won} of {pairs}"
-    block["change_better_in_pairs"] = won
-    block["verdicts"] = {name: verdict(block["parent"][name], block["change"][name], *spec)
-                         for name, spec in metrics.items()}
+    verdicts = {name: verdict(block["parent"][name], block["change"][name], *spec)
+                for name, spec in metrics.items()}
+    block["change_better_in_pairs"] = {name: v["pairs_won"] for name, v in verdicts.items()}
+    block["verdicts"] = verdicts
     return block
 
 
