@@ -16,7 +16,8 @@ its family fixes once when it is built:
 
 Each piece states once its point and derivative in its own parameter, which
 runs over [0, span], its length, the distance to it and its Green's-theorem
-area term (1/2) Im int conj(z) dz; the operations below walk the pieces.
+area term (1/2) Im int conj(z) dz, and a polygon's pieces whether a chord
+meets them; the operations below walk the pieces.
 Boundary points are outside: a polygon counts ray crossings with an exact
 orientation test, so a point on an edge is outside, in exact arithmetic.
 
@@ -68,10 +69,18 @@ class _Segment:
     def area_term(self) -> float:
         return 0.5 * (np.conj(self.p0) * self.p1).imag
 
+    @functools.cached_property
+    def box(self) -> tuple[float, float, float, float]:
+        return _box((self.p0, self.p1))
+
     def distance(self, z: np.ndarray) -> np.ndarray:
         d = self.p1 - self.p0
         return np.abs(z - self.point(np.clip(((z - self.p0) * np.conj(d)).real / abs(d) ** 2,
                                              0.0, 1.0)))
+
+    def meets(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact test whether the closed chords [a, b] meet the segment."""
+        return _closed_segments_meet(a, b, self.p0, self.p1)
 
     def settle(self, z: np.ndarray, inside: np.ndarray) -> None:
         """The polygon test has decided every point near a straight piece."""
@@ -109,12 +118,35 @@ class _Arc:
         return 0.5 * (self.radius**2 * self.turn
                       + (np.conj(self.center) * (self.t_out - self.t_in)).imag)
 
+    @functools.cached_property
+    def box(self) -> tuple[float, float, float, float]:
+        # the arc lies in its corner triangle
+        return _box((self.t_in, self.vertex, self.t_out))
+
+    def _on_arc(self, w: np.ndarray) -> np.ndarray:
+        """Whether the angle of w, taken from the center, lies in the arc's."""
+        rel = (np.angle(w) - self.ang_in) % (2 * np.pi)
+        return rel <= self.turn if self.turn >= 0 else rel - 2 * np.pi >= self.turn
+
     def distance(self, z: np.ndarray) -> np.ndarray:
         w = z - self.center
-        rel = (np.angle(w) - self.ang_in) % (2 * np.pi)
-        on_arc = rel <= self.turn if self.turn >= 0 else rel - 2 * np.pi >= self.turn
         ends = np.minimum(np.abs(z - self.point(0.0)), np.abs(z - self.point(1.0)))
-        return np.where(on_arc, np.abs(np.abs(w) - self.radius), ends)
+        return np.where(self._on_arc(w), np.abs(np.abs(w) - self.radius), ends)
+
+    def meets(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether the closed chords [a, b] meet the arc: a root t in [0, 1]
+        of |a + t (b - a) - center|^2 = r^2 whose point lies in the arc's
+        angle range.  Touching counts; a zero-length chord meets nothing."""
+        d, w = b - a, a - self.center
+        qa = d.real**2 + d.imag**2
+        qb = w.real * d.real + w.imag * d.imag
+        disc = qb**2 - qa * (w.real**2 + w.imag**2 - self.radius**2)
+        k = np.flatnonzero((qa > 0) & (disc >= 0))
+        meet = np.zeros(a.shape, dtype=bool)
+        root = np.sqrt(disc[k])
+        for t in ((-qb[k] - root) / qa[k], (-qb[k] + root) / qa[k]):
+            meet[k] |= (t >= 0) & (t <= 1) & self._on_arc(w[k] + t * d[k])
+        return meet
 
     def settle(self, z: np.ndarray, inside: np.ndarray) -> None:
         """In the closed corner triangle (t_in, vertex, t_out), on its polygon
@@ -239,8 +271,8 @@ class DomainSpec:
     vertices: tuple[complex, ...] = ()      # a polygon's; ``_inside`` binds its own copy
     # (z, threshold): the points a closed-form distance bound clears
     _clears: Callable = lambda z, threshold: np.zeros(z.shape, dtype=bool)
-    convex: bool = False
-    edges: list | tuple = ()     # a sharp polygon's edges, which a chord must not meet
+    # the pieces a chord between interior points can meet: a convex domain's none
+    chord_pieces: list | tuple = ()
     _anchor: complex | None = None   # interior_anchor: fixed, or searched on first use
     _scale: float | None = None      # capacity_radius: fixed, or averaged on first use
 
@@ -274,21 +306,20 @@ def unit_disc() -> DomainSpec:
 
 def ellipse(a: float, b: float) -> DomainSpec:
     """The open ellipse with semi-axes a >= b > 0, and its closed forms:
-    membership, anchor, capacity, distance bound, trapezoid rule, convexity."""
+    membership, anchor, capacity, distance bound, trapezoid rule; being
+    convex, it keeps no chord pieces."""
     a, b = float(a), float(b)
     if not (a >= b > 0):
         raise ValueError("ellipse requires semi-axes a >= b > 0")
     curve = _Ellipse(a, b)
     return DomainSpec(f"ellipse:{a!r}:{b!r}", [curve], (-a, a, -b, b), curve.inside,
-                      _trapezoid_rule, _clears=curve.clears, convex=True, _anchor=0j,
+                      _trapezoid_rule, _clears=curve.clears, _anchor=0j,
                       _scale=0.5 * (a + b))
 
 
 def polygon(vertices) -> DomainSpec:
     """The open simple polygon with these counterclockwise vertices."""
-    domain = _polygon("polygon", vertices, None)
-    domain.edges = domain._pieces   # its sharp corners need the exact chord test
-    return domain
+    return _polygon("polygon", vertices, None)
 
 
 def smoothed_polygon(vertices, corner_radius: float) -> DomainSpec:
@@ -318,7 +349,7 @@ def _polygon(name: str, vertices, r: float | None) -> DomainSpec:
     key = ",".join(f"{z.real!r}:{z.imag!r}" for z in v.tolist())
     box = (float(v.real.min()), float(v.real.max()), float(v.imag.min()), float(v.imag.max()))
     return DomainSpec(f"{name}:{key}", pieces, box, functools.partial(_polygon_inside, v, pieces),
-                      _panel_rule, tuple(v.tolist()))
+                      _panel_rule, tuple(v.tolist()), chord_pieces=pieces)
 
 
 def _scaled_int(x) -> int:
@@ -362,15 +393,30 @@ def _closed_segments_meet(a: np.ndarray, b: np.ndarray, c: complex, d: complex) 
 
 
 def segments_meet_boundary(domain: DomainSpec, a, b) -> np.ndarray:
-    """Exact test whether the closed segments [a, b] meet a sharp polygon's
-    closed edges (a smooth boundary has none); touching a vertex counts."""
+    """Whether the closed segments [a, b] meet the domain's chord pieces, a
+    polygon's segments and arcs (a convex domain has none), in the broadcast
+    shape of a and b; touching counts.  Each piece tests only the segments
+    whose bounding box meets its own."""
+    if not domain.chord_pieces:
+        return np.zeros(np.broadcast(a, b).shape, dtype=bool)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     shape = a.shape
     a, b = a.ravel(), b.ravel()
+    xlo, xhi = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
+    ylo, yhi = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
     meet = np.zeros(a.shape, dtype=bool)
-    for edge in domain.edges:
-        meet |= _closed_segments_meet(a, b, edge.p0, edge.p1)
+    for piece in domain.chord_pieces:
+        x0, x1, y0, y1 = piece.box
+        k = np.flatnonzero((xhi >= x0) & (xlo <= x1) & (yhi >= y0) & (ylo <= y1) & ~meet)
+        if k.size:
+            meet[k] = piece.meets(a[k], b[k])
     return meet.reshape(shape)
+
+
+def _box(points) -> tuple[float, float, float, float]:
+    x = [p.real for p in points]
+    y = [p.imag for p in points]
+    return (min(x), max(x), min(y), max(y))
 
 
 def _is_simple(v: np.ndarray) -> bool:

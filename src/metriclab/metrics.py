@@ -127,7 +127,7 @@ class PolylinePath:
         self.vertices = v
         if not np.all(contains(self.domain, v)):
             raise InvalidPathError("path vertex outside the domain")
-        if v.size > 1 and not _segment_inside(self.domain, v[:-1], v[1:], 0.0, 16).all():
+        if v.size > 1 and not _segment_inside(self.domain, v[:-1], v[1:], 0.0).all():
             raise InvalidPathError("path segment leaves the domain")
 
 
@@ -404,23 +404,21 @@ class _GridGraph:
         return np.sort(block[block >= 0])
 
 
-def _segment_inside(domain: DomainSpec, a, b, margin: float, n_samples: int = 8):
+def _segment_inside(domain: DomainSpec, a, b, margin: float):
     """Vectorized check that segments [a,b] stay inside with clearance;
     the result has the broadcast shape of a and b.
 
-    The endpoints must lie inside.  On a convex domain (an ellipse) a chord
-    between interior points lies inside, so margin == 0 samples nothing;
-    otherwise every sample must pass :func:`clear_of_boundary`, and a sharp
-    polygon's segment must also meet none of its edges (tested exactly)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if margin == 0 and domain.convex:
-        return np.ones(np.broadcast(a, b).shape, dtype=bool)
-    t = (np.arange(n_samples) + 0.5) / n_samples
-    pts = a[..., None] + t * (b - a)[..., None]
-    ok = clear_of_boundary(domain, pts, margin).all(axis=-1)
-    if domain.edges:
-        ok &= ~segments_meet_boundary(domain, a, b)
+    The endpoints must lie inside, so a segment stays inside when it meets
+    no boundary piece (:func:`segments_meet_boundary`, which on a convex
+    domain samples and walks nothing).  A clearance margin > 0 also asks
+    16 points along the segment to pass :func:`clear_of_boundary`."""
+    ok = segments_meet_boundary(domain, a, b)
+    np.logical_not(ok, out=ok)
+    if margin > 0:
+        a = np.asarray(a, dtype=complex)
+        b = np.asarray(b, dtype=complex)
+        t = (np.arange(16) + 0.5) / 16
+        ok &= clear_of_boundary(domain, a[..., None] + t * (b - a)[..., None], margin).all(axis=-1)
     return ok
 
 
@@ -585,7 +583,7 @@ def _shortcut(omega: MetricDensity, pts: np.ndarray, margin: float) -> np.ndarra
         j = i + 1
         if js.size:   # only jumps that stay inside are priced
             a = np.full(js.size, pts[i])
-            js = js[_segment_inside(omega.domain, a, pts[js], margin, 16)]
+            js = js[_segment_inside(omega.domain, a, pts[js], margin)]
         if js.size:
             seg = _segment_cost(omega, np.full(js.size, pts[i]), pts[js])
             good = seg <= (cum[js] - cum[i]) * (1 + 1e-12)
@@ -655,8 +653,8 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                                       axis=1)
                 ok = clear_of_boundary(domain, cand, margin)
                 # segments count only where ok holds, so both ends are inside
-                ok &= _segment_inside(domain, prev_pts[:, None], cand, 0.0, 16)
-                ok &= _segment_inside(domain, cand, next_pts[:, None], 0.0, 16)
+                ok &= _segment_inside(domain, prev_pts[:, None], cand, 0.0)
+                ok &= _segment_inside(domain, cand, next_pts[:, None], 0.0)
                 # the stay column keeps its known costs; only the admissible
                 # moves' unpriced sides are priced
                 L, R = lcost[idx], rcost[idx]
@@ -711,7 +709,7 @@ def _refine(omega: MetricDensity, pts: np.ndarray, resolution: float,
         if delta >= L:
             continue
         cand = _resample(pts, delta)
-        if not np.all(_segment_inside(omega.domain, cand[:-1], cand[1:], 0.0, 16)):
+        if not np.all(_segment_inside(omega.domain, cand[:-1], cand[1:], 0.0)):
             cand = pts   # coarsening would leave the domain; keep the mesh
         pts = _sweep_level(omega, cand, delta / 2.0, margin, budget)
         if budget[0] <= 0:

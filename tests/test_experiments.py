@@ -361,6 +361,10 @@ REPORT_DIGESTS = {
         "yamashita_9599e852c80c.means_sup.dat": "addc20fce375939b9625fc8d9c9cc6914fb2e79e702766d171b3df37b2ee9e04",
         "yamashita_9599e852c80c.modulus_sup.dat": "80395e28b142e12a506087d1d9d57b3b7839f4ad225795e369cef2121870a2fa",
     },
+    "nt_bounds_smoothed_lshape": {
+        "nt_bounds_5a85b295f28f.beta_vs_q.dat": "7006b329dd71723c647f61b868b0673eb734f218933c52f2d428ed34ac8e98ad",
+        "nt_bounds_5a85b295f28f.json": "73dd9c7cd9cd6c91655409042f90e10ac1c125a42aaf1a79ef803fec17803382",
+    },
     "qh_compare_disc_quick": {
         "qh_compare_7e0f3b70929c.distance_ratios.dat": "110439f278bcb24e9149cca23748ec68f72930c5da2b51101c946626caf6863f",
         "qh_compare_7e0f3b70929c.json": "92b8c039ee5d07b0c4239f5cbf634b16883c83e93791d3415b864363a45bbe68",

@@ -311,6 +311,16 @@ def test_segments_meet_boundary_exact(square):
     # edge but past its end
     expected = [False, True, True, False, True, True, True, False]
     assert G.segments_meet_boundary(square, a, b).tolist() == expected
+    # the smoothed L's arcs: the convex one at 0 (center 0.15+0.15j) and the
+    # reflex one at 1+1j (center 1.15+1.15j, its lower-left quarter), each
+    # clear of every segment.  Crosses the convex arc; crosses the reflex
+    # arc; cuts the reflex arc's circle twice outside its angle range; a
+    # zero-length chord inside that circle
+    lshape = G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15)
+    a = np.array([0.3 + 0.3j, 0.4 + 1.7j, 1.1 + 1.3j, 1.05 + 1.05j])
+    b = np.array([0.02 + 0.02j, 1.7 + 0.4j, 1.3 + 1.1j, 1.05 + 1.05j])
+    assert G.segments_meet_boundary(lshape, a, b).tolist() == [True, True, False, False]
+    assert G.segments_meet_boundary(lshape, b, a).tolist() == [True, True, False, False]
     # in floating point q - p and r - p round and the determinant is 0; the
     # exact determinant is -12 * 2**-52
     p, q, r = np.array([0.5 + 2.0**-52 + 0.5j]), np.array([12 + 12j]), np.array([24 + 24j])

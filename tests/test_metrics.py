@@ -113,6 +113,12 @@ def test_invalid_path_rejected(disc):
         # the chord touches the reflex vertex 1+1j between two samples
         M.PolylinePath(lshape, np.array([1.5 + 0.5j, 0.5 + 1.5j]))
     M.PolylinePath(lshape, np.array([1.5 + 0.5j, 0.5 + 1.2j]))  # passes below it
+    # on the smoothed L the chord cuts the reflex arc between its 16 samples
+    # (its midpoint 1.05+1.05j is 0.141 from the arc's center 1.15+1.15j)
+    smooth = G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15)
+    assert not M._segment_inside(smooth, 0.4 + 1.7j, 1.7 + 0.4j, 0.0)
+    with pytest.raises(InvalidPathError):
+        M.PolylinePath(smooth, np.array([0.4 + 1.7j, 1.7 + 0.4j]))
 
 
 def _recursive_line_quad(fun, a, b):
@@ -350,7 +356,8 @@ def test_lshape_certificate_stays_inside_around_corner():
 def test_segment_inside_samples_only_clearance_on_convex_domains(disc, ellipse15):
     # a chord between interior points of the disc or an ellipse lies
     # inside: with no margin nothing is sampled, and the result is all-True
-    # in the broadcast shape; a clearance margin is still sampled
+    # in the broadcast shape; a clearance margin is still sampled, at 16
+    # points
     rng = np.random.default_rng(31)
     t = (np.arange(16) + 0.5) / 16
     for dom in (disc, ellipse15):
@@ -358,14 +365,35 @@ def test_segment_inside_samples_only_clearance_on_convex_domains(disc, ellipse15
         pts = x0 + (x1 - x0) * rng.random(4000) + 1j * (y0 + (y1 - y0) * rng.random(4000))
         pts = pts[G.contains(dom, pts)]
         a, b = pts[:60, None], pts[None, 60:100]
-        ok = M._segment_inside(dom, a, b, 0.0, 16)
+        ok = M._segment_inside(dom, a, b, 0.0)
         assert ok.shape == (60, 40) and ok.all()
         assert M._segment_inside(dom, a[0, 0], b[0, 0], 0.0).shape == ()
         samples = (a[..., None] + t * (b - a)[..., None]).ravel()
         want = (G.contains(dom, samples) & (G.curve_distance(dom, samples) >= 0.05))
         want = want.reshape(60, 40, 16).all(axis=-1)
         assert 0 < want.sum() < want.size
-        assert np.array_equal(M._segment_inside(dom, a, b, 0.05, 16), want)
+        assert np.array_equal(M._segment_inside(dom, a, b, 0.05), want)
+
+
+@pytest.mark.parametrize("vertices, r, convex", [
+    ([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15, False),
+    ([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 0.3, True),
+])
+def test_chord_rule_matches_a_dense_membership_oracle(vertices, r, convex):
+    # a chord between interior points stays inside exactly when it meets no
+    # boundary piece: the margin-0 rule against 4,096 contains points along
+    # each of 2,000 seeded chords; on the convex rounded square every chord
+    # stays inside, on the L some cut the notch
+    dom = G.smoothed_polygon(vertices, r)
+    rng = np.random.default_rng(35)
+    x0, x1, y0, y1 = dom.bounding_box
+    pts = x0 + (x1 - x0) * rng.random(8000) + 1j * (y0 + (y1 - y0) * rng.random(8000))
+    pts = pts[G.contains(dom, pts)]
+    a, b = pts[:2000], pts[2000:4000]
+    t = (np.arange(4096) + 0.5) / 4096
+    want = np.array([G.contains(dom, p + t * (q - p)).all() for p, q in zip(a, b)])
+    assert want.all() if convex else 0 < want.sum() < want.size
+    assert np.array_equal(M._segment_inside(dom, a, b, 0.0), want)
 
 
 def test_graphs_live_and_die_with_their_density(disc):
@@ -727,7 +755,6 @@ def _full_pricing_sweep_level(omega, pts, step0, margin, budget):
     dirs = np.array([1, -1, 1j, -1j,
                      (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
                      (-1 + 1j) / math.sqrt(2), (-1 - 1j) / math.sqrt(2)])
-    check_segments = not domain.convex   # a convex ellipse needs no segment test
     step = step0
     total = path_cost(pts)
     while step > step0 / 64 and (budget is None or budget[0] > 0):
@@ -751,9 +778,8 @@ def _full_pricing_sweep_level(omega, pts, step0, margin, budget):
                 if margin > 0:
                     ok &= G.curve_distance(domain, cand.ravel()) >= margin
                 ok = ok.reshape(cand.shape)
-                if check_segments:
-                    ok &= M._segment_inside(domain, prev_pts[:, None], cand, 0.0, 16)
-                    ok &= M._segment_inside(domain, cand, next_pts[:, None], 0.0, 16)
+                ok &= M._segment_inside(domain, prev_pts[:, None], cand, 0.0)
+                ok &= M._segment_inside(domain, cand, next_pts[:, None], 0.0)
                 cost = (M._segment_cost(omega, prev_pts[:, None], cand)
                         + M._segment_cost(omega, cand, next_pts[:, None]))
                 cost = np.where(ok, cost, np.inf)
