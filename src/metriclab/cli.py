@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: ``kernel fit``, ``density eval``, ``distance``, ``means``,
-``modulus``, ``verify <hl1|hl2|yamashita|qh-compare|nt-bounds>``, ``report``.
+Subcommands: ``density eval``, ``distance``, ``means``, ``modulus``,
+``verify <hl1|hl2|yamashita|qh-compare|nt-bounds>``, ``report``.
 
 Exit codes: 0 = all criteria passed, 1 = a criterion failed,
 2 = configuration or numerical error.
@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import __version__
-from .bergman import fit_kernel_model, save_kernel
 from .errors import MetricLabError
 from .experiments import (
     _EXPERIMENTS,
@@ -48,11 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="random seed override")
         p.add_argument("--tolerance", type=float, help="exponent tolerance override")
 
-    kernel = sub.add_parser("kernel", help="kernel model operations")
-    ksub = kernel.add_subparsers(dest="kernel_command", required=True)
-    kfit = ksub.add_parser("fit", help="fit and store a kernel model")
-    common(kfit, _cmd_kernel_fit)
-
     density = sub.add_parser("density", help="metric density operations")
     dsub = density.add_subparsers(dest="density_command", required=True)
     deval = dsub.add_parser("eval", help="evaluate the configured density at a point")
@@ -84,19 +78,6 @@ def _load_config(args):
     keys = ("experiment", "out", "resolution", "kernel_degree", "seed", "tolerance")
     # ``experiment`` is an argument of verify only
     return parse_config_file(args.config, {k: getattr(args, k, None) for k in keys})
-
-
-def _cmd_kernel_fit(args) -> int:
-    cfg = _load_config(args)
-    model = fit_kernel_model(cfg.domain, degree=cfg.kernel_degree,
-                             resolution=cfg.kernel_resolution)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, f"kernel_{cfg.config_hash()}.txt")
-    save_kernel(model, path)
-    print(f"kernel degree {model.degree} on {cfg.domain.grid_key()}: "
-          f"orthonormality defect {model.orthonormality_defect:.3e}")
-    print(f"wrote {path}")
-    return 0
 
 
 def _cmd_density_eval(args) -> int:

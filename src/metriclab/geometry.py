@@ -395,7 +395,9 @@ def _closed_segments_meet(a: np.ndarray, b: np.ndarray, c: complex, d: complex) 
 def segments_meet_boundary(domain: DomainSpec, a, b) -> np.ndarray:
     """Whether the closed segments [a, b] meet the domain's chord pieces, a
     polygon's segments and arcs (a convex domain has none), in the broadcast
-    shape of a and b; touching counts.  Each piece tests only the segments
+    shape of a and b; touching counts.  A segment between interior points
+    that meets none lies inside, with no point along it sampled: the
+    geodesic solver's one chord rule.  Each piece tests only the segments
     whose bounding box meets its own."""
     if not domain.chord_pieces:
         return np.zeros(np.broadcast(a, b).shape, dtype=bool)

@@ -308,7 +308,8 @@ def from_name(name: str, target: DomainSpec | None = None) -> AnalyticMap:
 
 
 def catalog(target: DomainSpec | None = None) -> dict[str, AnalyticMap]:
-    """The standing test-map catalog used by the experiment suites."""
+    """Every named map (:func:`from_name`), into ``target``; the tests
+    sweep it, and configs name one map each."""
     names = ("identity", "square", "scale_50", "cusp_a30", "cusp_a50",
              "cusp_a70", "cusp_a100", "blaschke_pair", "const_25")
     return {name: from_name(name, target) for name in names}

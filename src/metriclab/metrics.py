@@ -127,7 +127,7 @@ class PolylinePath:
         self.vertices = v
         if not np.all(contains(self.domain, v)):
             raise InvalidPathError("path vertex outside the domain")
-        if v.size > 1 and not _segment_inside(self.domain, v[:-1], v[1:], 0.0).all():
+        if v.size > 1 and segments_meet_boundary(self.domain, v[:-1], v[1:]).any():
             raise InvalidPathError("path segment leaves the domain")
 
 
@@ -404,24 +404,6 @@ class _GridGraph:
         return np.sort(block[block >= 0])
 
 
-def _segment_inside(domain: DomainSpec, a, b, margin: float):
-    """Vectorized check that segments [a,b] stay inside with clearance;
-    the result has the broadcast shape of a and b.
-
-    The endpoints must lie inside, so a segment stays inside when it meets
-    no boundary piece (:func:`segments_meet_boundary`, which on a convex
-    domain samples and walks nothing).  A clearance margin > 0 also asks
-    16 points along the segment to pass :func:`clear_of_boundary`."""
-    ok = segments_meet_boundary(domain, a, b)
-    np.logical_not(ok, out=ok)
-    if margin > 0:
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        t = (np.arange(16) + 0.5) / 16
-        ok &= clear_of_boundary(domain, a[..., None] + t * (b - a)[..., None], margin).all(axis=-1)
-    return ok
-
-
 def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
     domain = omega.domain
     h = resolution
@@ -458,7 +440,8 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
     for di, dj in _NEIGHBOR_OFFSETS:
         dst = pad[2 + di:2 + di + ni, 2 + dj:2 + dj + nj]
         ok = (src >= 0) & (dst >= 0)
-        ok[ok] = _segment_inside(domain, nodes[src[ok]], nodes[dst[ok]], 0.0)
+        meet = segments_meet_boundary(domain, nodes[src[ok]], nodes[dst[ok]])
+        ok[ok] = np.logical_not(meet, out=meet)
         s, d = src[ok], dst[ok]
         count[s] += 1
         count[d] += 1
@@ -535,15 +518,16 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex,
         if idx.size == 0:
             raise ResolutionTooCoarseError(
                 f"no grid node within reach of endpoint {p} at resolution {resolution}")
-        conn.append(idx[_segment_inside(domain, np.full(idx.shape, p), graph.nodes[idx], 0.0)])
+        meet = segments_meet_boundary(domain, p, graph.nodes[idx])
+        conn.append(idx[np.logical_not(meet, out=meet)])
     cz, cw = conn
     if cz.size == 0 or cw.size == 0:
         raise ResolutionTooCoarseError(
             f"endpoint connectors leave the domain at resolution {resolution}")
     cost_z, cost_w = (_segment_cost(omega, np.full(c.shape, p), graph.nodes[c], _GL_X6, _GL_W6)
                       for p, c in ((z, cz), (w, cw)))
-    inside = _segment_inside(domain, np.array([z]), np.array([w]), 0.0)[0]
-    direct = float(_segment_cost(omega, z, w, _GL_X6, _GL_W6)) if inside else math.inf
+    meet = segments_meet_boundary(domain, z, w)
+    direct = math.inf if meet else float(_segment_cost(omega, z, w, _GL_X6, _GL_W6))
     edges, start = graph.edges, graph.edges.indptr[n]
     edges.indices[start:start + cz.size] = cz
     edges.data[start:start + cz.size] = cost_z
@@ -569,9 +553,11 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex,
     return pts, float(reach[best])
 
 
-def _shortcut(omega: MetricDensity, pts: np.ndarray, margin: float) -> np.ndarray:
+def _shortcut(omega: MetricDensity, pts: np.ndarray) -> np.ndarray:
     """Replace subpaths by straight segments wherever that does not cost
-    more; greedy forward scan, always taking the farthest admissible jump."""
+    more; greedy forward scan, always taking the farthest jump that meets
+    no boundary piece (:func:`segments_meet_boundary`; the vertices are
+    inside, so such a jump is inside)."""
     n = pts.size
     if n <= 2:
         return pts
@@ -582,8 +568,8 @@ def _shortcut(omega: MetricDensity, pts: np.ndarray, margin: float) -> np.ndarra
         js = np.arange(i + 2, n)
         j = i + 1
         if js.size:   # only jumps that stay inside are priced
-            a = np.full(js.size, pts[i])
-            js = js[_segment_inside(omega.domain, a, pts[js], margin)]
+            meet = segments_meet_boundary(omega.domain, pts[i], pts[js])
+            js = js[np.logical_not(meet, out=meet)]
         if js.size:
             seg = _segment_cost(omega, np.full(js.size, pts[i]), pts[js])
             good = seg <= (cum[js] - cum[i]) * (1 + 1e-12)
@@ -653,8 +639,9 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                                       axis=1)
                 ok = clear_of_boundary(domain, cand, margin)
                 # segments count only where ok holds, so both ends are inside
-                ok &= _segment_inside(domain, prev_pts[:, None], cand, 0.0)
-                ok &= _segment_inside(domain, cand, next_pts[:, None], 0.0)
+                meet = segments_meet_boundary(domain, prev_pts[:, None], cand)
+                meet |= segments_meet_boundary(domain, cand, next_pts[:, None])
+                ok &= np.logical_not(meet, out=meet)
                 # the stay column keeps its known costs; only the admissible
                 # moves' unpriced sides are priced
                 L, R = lcost[idx], rcost[idx]
@@ -709,7 +696,7 @@ def _refine(omega: MetricDensity, pts: np.ndarray, resolution: float,
         if delta >= L:
             continue
         cand = _resample(pts, delta)
-        if not np.all(_segment_inside(omega.domain, cand[:-1], cand[1:], 0.0)):
+        if segments_meet_boundary(omega.domain, cand[:-1], cand[1:]).any():
             cand = pts   # coarsening would leave the domain; keep the mesh
         pts = _sweep_level(omega, cand, delta / 2.0, margin, budget)
         if budget[0] <= 0:
@@ -748,7 +735,7 @@ def weighted_distance(omega: MetricDensity, z: complex, w: complex,
     else:
         # small clearance keeps refined paths off corners of the open domain
         margin = min(resolution / 8.0, 0.5 * endpoint_dist)
-    pts = _shortcut(omega, pts, margin)
+    pts = _shortcut(omega, pts)
     pts = _refine(omega, pts, resolution, margin, max_sweeps=max_sweeps)
     if swapped:
         pts = pts[::-1].copy()

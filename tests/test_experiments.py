@@ -864,19 +864,10 @@ def test_cli_distance_uses_refine_sweeps(tmp_path, capsys):
         assert f"= {expected} " in capsys.readouterr().out, sweeps
 
 
-def test_cli_kernel_fit(tmp_path, capsys):
-    cfg = _write_config(tmp_path, QH_DISC_SMALL + f"\nout = {tmp_path}/kern")
-    assert cli.main(["kernel", "fit", "--config", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "orthonormality defect" in out
-    files = os.listdir(tmp_path / "kern")
-    assert any(f.startswith("kernel_") for f in files)
-
-
 def test_cli_degree_overrides_kernel_degree(tmp_path):
     cfg = _write_config(tmp_path, QH_DISC_SMALL)
     for argv, degree in ((["verify", "qh-compare", "--degree", "30"], 30),
-                         (["kernel", "fit"], 24)):
+                         (["means"], 24)):
         args = cli._build_parser().parse_args(argv + ["--config", cfg])
         assert cli._load_config(args).kernel_degree == degree
 

@@ -14,13 +14,14 @@ from scipy.sparse.csgraph import dijkstra
 
 from metriclab import geometry as G
 from metriclab import metrics as M
-from metriclab.bergman import load_kernel
+from metriclab.bergman import fit_kernel_model, load_kernel
 from metriclab.errors import (
     DivergentDistanceError,
     DomainError,
     InvalidPathError,
     ResolutionTooCoarseError,
 )
+from metriclab.experiments import _sample_interior
 
 
 @pytest.fixture(scope="module")
@@ -113,10 +114,10 @@ def test_invalid_path_rejected(disc):
         # the chord touches the reflex vertex 1+1j between two samples
         M.PolylinePath(lshape, np.array([1.5 + 0.5j, 0.5 + 1.5j]))
     M.PolylinePath(lshape, np.array([1.5 + 0.5j, 0.5 + 1.2j]))  # passes below it
-    # on the smoothed L the chord cuts the reflex arc between its 16 samples
+    # on the smoothed L the chord cuts the reflex arc
     # (its midpoint 1.05+1.05j is 0.141 from the arc's center 1.15+1.15j)
     smooth = G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15)
-    assert not M._segment_inside(smooth, 0.4 + 1.7j, 1.7 + 0.4j, 0.0)
+    assert G.segments_meet_boundary(smooth, 0.4 + 1.7j, 1.7 + 0.4j)
     with pytest.raises(InvalidPathError):
         M.PolylinePath(smooth, np.array([0.4 + 1.7j, 1.7 + 0.4j]))
 
@@ -353,26 +354,37 @@ def test_lshape_certificate_stays_inside_around_corner():
     assert bool(G.contains(lshape, samples.ravel()).all())
 
 
-def test_segment_inside_samples_only_clearance_on_convex_domains(disc, ellipse15):
+def test_chords_meet_no_piece_on_convex_domains(disc, ellipse15):
     # a chord between interior points of the disc or an ellipse lies
-    # inside: with no margin nothing is sampled, and the result is all-True
-    # in the broadcast shape; a clearance margin is still sampled, at 16
-    # points
+    # inside: nothing is sampled, and the result is all-False in the
+    # broadcast shape
     rng = np.random.default_rng(31)
-    t = (np.arange(16) + 0.5) / 16
     for dom in (disc, ellipse15):
         x0, x1, y0, y1 = dom.bounding_box
         pts = x0 + (x1 - x0) * rng.random(4000) + 1j * (y0 + (y1 - y0) * rng.random(4000))
         pts = pts[G.contains(dom, pts)]
         a, b = pts[:60, None], pts[None, 60:100]
-        ok = M._segment_inside(dom, a, b, 0.0)
+        ok = ~G.segments_meet_boundary(dom, a, b)
         assert ok.shape == (60, 40) and ok.all()
-        assert M._segment_inside(dom, a[0, 0], b[0, 0], 0.0).shape == ()
-        samples = (a[..., None] + t * (b - a)[..., None]).ravel()
-        want = (G.contains(dom, samples) & (G.curve_distance(dom, samples) >= 0.05))
-        want = want.reshape(60, 40, 16).all(axis=-1)
-        assert 0 < want.sum() < want.size
-        assert np.array_equal(M._segment_inside(dom, a, b, 0.05), want)
+        assert G.segments_meet_boundary(dom, a[0, 0], b[0, 0]).shape == ()
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse", "rounded square"])
+def test_convex_chords_clear_the_margin_of_their_ends(name):
+    # the boundary distance is concave on a convex domain, so a chord whose
+    # ends clear a margin clears it at every point: 256 points along each of
+    # 2,000 seeded chords per margin, so no chord needs sampling
+    dom = {"disc": G.unit_disc(), "ellipse": G.ellipse(1.5, 1.0),
+           "rounded square": G.smoothed_polygon([0, 2, 2 + 2j, 2j], 0.3)}[name]
+    rng = np.random.default_rng(36)
+    x0, x1, y0, y1 = dom.bounding_box
+    t = np.linspace(0.0, 1.0, 256)
+    for m in (0.01, 0.04):
+        pts = x0 + (x1 - x0) * rng.random(8000) + 1j * (y0 + (y1 - y0) * rng.random(8000))
+        pts = pts[G.clear_of_boundary(dom, pts, m + 1e-9)]
+        a, b = pts[:2000, None], pts[2000:4000, None]
+        assert b.size == 2000
+        assert G.clear_of_boundary(dom, a + t * (b - a), m).all()
 
 
 @pytest.mark.parametrize("vertices, r, convex", [
@@ -393,7 +405,34 @@ def test_chord_rule_matches_a_dense_membership_oracle(vertices, r, convex):
     t = (np.arange(4096) + 0.5) / 4096
     want = np.array([G.contains(dom, p + t * (q - p)).all() for p, q in zip(a, b)])
     assert want.all() if convex else 0 < want.sum() < want.size
-    assert np.array_equal(M._segment_inside(dom, a, b, 0.0), want)
+    assert np.array_equal(~G.segments_meet_boundary(dom, a, b), want)
+
+
+# seed-7 pair 15 of the polygon solver probe (tools/solver_probe.py): the
+# sharp L at h 0.04 and the smoothed L (r 0.15) at h 0.02
+_POLYGON_CERTIFICATES = {
+    ("sharp", "bergman"): "0x1.a5d3f99cfab68p+1",
+    ("sharp", "qh"): "0x1.293480be8d8fap+2",
+    ("smoothed", "bergman"): "0x1.b0aa3a6126e3fp+1",
+    ("smoothed", "qh"): "0x1.204c67b09ae5ep+2",
+}
+
+
+def test_polygon_certificates_are_pinned():
+    # every chord of these paths, the shortcut's jumps among them, passes
+    # the exact piece test; the sharp L's Bergman path passes within 1e-3
+    # of the reflex corner 1+1j
+    vertices = [0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]
+    for shape, dom, h in (("sharp", G.polygon(vertices), 0.04),
+                          ("smoothed", G.smoothed_polygon(vertices, 0.15), 0.02)):
+        pts = _sample_interior(dom, np.random.default_rng(7), 40, max(2 * h, 0.1))
+        z, w = pts[0::2][15], pts[1::2][15]
+        densities = {"bergman": M.bergman_metric_density(fit_kernel_model(dom, 40, 0.02)),
+                     "qh": M.quasihyperbolic_density(dom)}
+        for label, omega in densities.items():
+            res = M.weighted_distance(omega, z, w, h, max_sweeps=16, full_window=True)
+            assert res.distance.hex() == _POLYGON_CERTIFICATES[shape, label], (shape, label)
+            M.PolylinePath(dom, res.path.vertices)
 
 
 def test_graphs_live_and_die_with_their_density(disc):
@@ -434,7 +473,7 @@ def _four_branch_edges(omega, graph):
         s, d = src[ok], dst[ok]
         if s.size == 0:
             continue
-        keep = M._segment_inside(omega.domain, nodes[s], nodes[d], 0.0)
+        keep = ~G.segments_meet_boundary(omega.domain, nodes[s], nodes[d])
         s, d = s[keep], d[keep]
         rows.append(s)
         cols.append(d)
@@ -532,12 +571,12 @@ def _n_plus_2_graph_path(omega, z, w, resolution, full_window=False):
     rows, cols, vals = [lattice.row], [lattice.col], [lattice.data]
     for j, p in enumerate((z, w)):
         idx = graph.nearby_ids(p)
-        c = idx[M._segment_inside(domain, np.full(idx.shape, p), graph.nodes[idx], 0.0)]
+        c = idx[~G.segments_meet_boundary(domain, np.full(idx.shape, p), graph.nodes[idx])]
         cost = M._segment_cost(omega, np.full(c.shape, p), graph.nodes[c], M._GL_X6, M._GL_W6)
         rows += [np.full(c.size, n + j), c]
         cols += [c, np.full(c.size, n + j)]
         vals += [cost, cost]
-    if M._segment_inside(domain, np.array([z]), np.array([w]), 0.0)[0]:
+    if not G.segments_meet_boundary(domain, np.array([z]), np.array([w]))[0]:
         cost = float(M._segment_cost(omega, z, w, M._GL_X6, M._GL_W6))
         rows += [[n], [n + 1]]
         cols += [[n + 1], [n]]
@@ -647,7 +686,7 @@ def test_query_csr_matches_the_coo_route(monkeypatch, dom, z, w):
     assert np.array_equal(data[:nnz], want.data)
     # row n: z's connectors and their costs, and nothing of w
     idx = graph.nearby_ids(z)
-    c = idx[M._segment_inside(dom, np.full(idx.shape, z), graph.nodes[idx], 0.0)]
+    c = idx[~G.segments_meet_boundary(dom, np.full(idx.shape, z), graph.nodes[idx])]
     cost = M._segment_cost(omega, np.full(c.shape, z), graph.nodes[c], M._GL_X6, M._GL_W6)
     assert indptr[n + 1] == nnz + c.size
     assert np.array_equal(indices[nnz:nnz + c.size], c)
@@ -778,8 +817,8 @@ def _full_pricing_sweep_level(omega, pts, step0, margin, budget):
                 if margin > 0:
                     ok &= G.curve_distance(domain, cand.ravel()) >= margin
                 ok = ok.reshape(cand.shape)
-                ok &= M._segment_inside(domain, prev_pts[:, None], cand, 0.0)
-                ok &= M._segment_inside(domain, cand, next_pts[:, None], 0.0)
+                ok &= ~G.segments_meet_boundary(domain, prev_pts[:, None], cand)
+                ok &= ~G.segments_meet_boundary(domain, cand, next_pts[:, None])
                 cost = (M._segment_cost(omega, prev_pts[:, None], cand)
                         + M._segment_cost(omega, cand, next_pts[:, None]))
                 cost = np.where(ok, cost, np.inf)
@@ -825,7 +864,7 @@ def test_refine_matches_full_pricing_bit_for_bit(monkeypatch, hyp, ellipse15,
             pts, _ = M._graph_path(omega, z, w, h)
             end = min(float(G.curve_distance(omega.domain, p)) for p in (z, w))
             margin = min(h, 0.999 * end) if omega.blows_up else min(h / 8, 0.5 * end)
-            pts = M._shortcut(omega, pts, margin)
+            pts = M._shortcut(omega, pts)
             for max_sweeps in (None, 6):
                 monkeypatch.setattr(M, "_sweep_level", _full_pricing_sweep_level)
                 want = M._refine(omega, pts.copy(), h, margin, max_sweeps)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -9,9 +10,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from metriclab.geometry import curve_distance
+
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_DIFF = ROOT / "tools" / "report_diff.py"
 RUN_CONFIGS = ROOT / "tools" / "run_configs.py"
+SOLVER_PROBE = ROOT / "tools" / "solver_probe.py"
 
 
 def _tree(root: Path, reports: dict) -> Path:
@@ -312,3 +316,26 @@ def test_bench_pairs_counts_a_failed_run_as_not_correct(tmp_path):
     assert block["change"]["run_s"] == {"runs": [None, 3.0], "median": 3.0, "q1": 3.0,
                                         "q3": 3.0, "n": 1}
     assert block["change_better_in_pairs"]["run_s"] == "1 of 2"
+
+
+def test_solver_probe_writes_each_solve_as_hex(tmp_path):
+    # 2 pairs of each domain, density and resolution; a quasihyperbolic
+    # distance bounds k from above, so it is at least j(z, w) =
+    # log(1 + |z - w| / min(d(z), d(w)))
+    spec = importlib.util.spec_from_file_location("solver_probe", SOLVER_PROBE)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    out = tmp_path / "probe.json"
+    assert tool.main([str(out)], pairs=2) == 0
+    probe = json.loads(out.read_text())
+    domains = tool.domains()
+    assert sorted(probe) == sorted(f"{name}/{label}/{h}/{k}" for name in domains
+                                   for label in ("qh", "bergman40")
+                                   for h in (0.04, 0.02) for k in (0, 1))
+    for name, domain in domains.items():
+        for h in (0.04, 0.02):
+            for k, (z, w) in enumerate(tool.seeded_pairs(domain, h, 2)):
+                j = math.log1p(abs(z - w) / min(curve_distance(domain, z),
+                                                curve_distance(domain, w)))
+                assert float.fromhex(probe[f"{name}/qh/{h}/{k}"]) >= j
+                assert 0 < float.fromhex(probe[f"{name}/bergman40/{h}/{k}"]) < math.inf
