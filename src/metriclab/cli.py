@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .errors import MetricLabError
 from .experiments import (
-    _EXPERIMENTS,
+    _RUNNERS,
     _build_density,
     emit_report,
     load_report,
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(modulus, _cmd_modulus)
 
     verify = sub.add_parser("verify", help="run a named verification experiment")
-    verify.add_argument("experiment", choices=_EXPERIMENTS)
+    verify.add_argument("experiment", choices=_RUNNERS)
     common(verify, _cmd_verify)
 
     report = sub.add_parser("report", help="print the verdicts of a stored report")

@@ -55,8 +55,6 @@ from .metrics import (
     weighted_distance,
 )
 
-_EXPERIMENTS = ("hl1", "hl2", "yamashita", "qh-compare", "nt-bounds")
-
 # the values of the ``density`` key, by constructor
 HYPERBOLIC = "hyperbolic"
 QUASIHYPERBOLIC = "quasihyperbolic"
@@ -66,35 +64,41 @@ CONSTANT = "constant"
 BLOW_UP_KINDS = (HYPERBOLIC, QUASIHYPERBOLIC, BERGMAN)
 DENSITY_KINDS = (*BLOW_UP_KINDS, CONSTANT)
 
-_DEFAULTS = {
-    "alpha": "0.5",
-    "p": "1",
-    "radii_k": "2 3 4 5 6 7 8 9",
-    "steps_k": "3 4 5 6 7 8",
-    "circle_samples": "4096",
-    "resolution": "0.01",
-    "kernel_degree": "40",
-    "kernel_resolution": "0.01",
-    "seed": "1234",
-    "tolerance": "0.1",
-    "trace_radius": "1",
-    "rays": "16",
-    "ring_distances": "0.4 0.2 0.1 0.05",
-    "comparability_cap": "3",
-    "distance_cap": "6",
-    "compare_pairs": "12",
-    "pairs": "200",
-    "nt_cap": "10",
-    "pair_margin": "0.1",
-    "refine_sweeps": "24",
-    "out": "reports",
-    "map": "identity",
-}
+# the parser kind of a ladder key: one float per whitespace-separated token
+_LADDER = "ladder"
 
-_KNOWN_KEYS = set(_DEFAULTS) | {"experiment", "domain", "density"}
-# the smallest value of each bounded numeric key; the resolutions must be positive
-_AT_LEAST = {"p": 1, "kernel_degree": 0, "rays": 1, "circle_samples": 64, "pairs": 1,
-             "refine_sweeps": 0, "pair_margin": 0}
+# Each config key once: (parser kind, default, the interval that each of its
+# numbers must lie in).  Kind None: parsed on its own; default None: required.
+# A band [1/C, C] holds 1 only for C >= 1; radii 1 - 2^-k lie in (0, 1); steps
+# 2^-k stay at most 2, below the modulus's bound pi.  compare_pairs is checked
+# when qh-compare runs.
+_KEYS = {
+    "experiment": (None, None, None),
+    "domain": (None, None, None),
+    "density": (None, None, None),
+    "map": (None, "identity", None),
+    "alpha": (float, "0.5", "(0, 1]"),
+    "p": (float, "1", "[1, inf]"),
+    "radii_k": (_LADDER, "2 3 4 5 6 7 8 9", "(0, inf)"),
+    "steps_k": (_LADDER, "3 4 5 6 7 8", "[-1, inf)"),
+    "circle_samples": (int, "4096", "[64, inf)"),
+    "resolution": (float, "0.01", "(0, inf)"),
+    "kernel_degree": (int, "40", "[0, inf)"),
+    "kernel_resolution": (float, "0.01", "(0, inf)"),
+    "seed": (int, "1234", "[0, inf)"),
+    "tolerance": (float, "0.1", "[0, inf)"),
+    "trace_radius": (float, "1", "(0, 1]"),
+    "rays": (int, "16", "[1, inf)"),
+    "ring_distances": (_LADDER, "0.4 0.2 0.1 0.05", "(0, inf)"),
+    "comparability_cap": (float, "3", "[1, inf)"),
+    "distance_cap": (float, "6", "[1, inf)"),
+    "compare_pairs": (int, "12", None),
+    "pairs": (int, "200", "[1, inf)"),
+    "nt_cap": (float, "10", "[1, inf)"),
+    "pair_margin": (float, "0.1", "[0, inf)"),
+    "refine_sweeps": (int, "24", "[0, inf)"),
+    "out": (None, "reports", None),
+}
 
 
 @dataclass(eq=False)
@@ -144,6 +148,14 @@ def _number(kind, key: str, text: str):
         return kind(text)
     except ValueError:
         raise ConfigError(f"{key} = {text!r} is not a valid {kind.__name__}") from None
+
+
+def _within(value, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval``, written like "(0, 1]"; nan
+    lies in none."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return ((lo <= value) if interval[0] == "[" else (lo < value)) and \
+        ((value <= hi) if interval[-1] == "]" else (value < hi))
 
 
 def _parse_domain(text: str) -> DomainSpec:
@@ -207,46 +219,39 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         items[key] = " ".join(value.split())
     if overrides:
         for key, value in overrides.items():
             if value is not None:
                 items[key] = str(value)
-    for key in ("experiment", "domain", "density"):
-        if not items.get(key, "").strip():
+    for key, (_, default, _) in _KEYS.items():
+        if default is None and not items.get(key, "").strip():
             raise ConfigError(f"missing required config key {key!r}")
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default, _) in _KEYS.items() if default is not None}
     merged.update(items)
 
     experiment = merged["experiment"]
-    if experiment not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; pick one of {_EXPERIMENTS}")
+    if experiment not in _RUNNERS:
+        raise ConfigError(f"unknown experiment {experiment!r}; pick one of {tuple(_RUNNERS)}")
     domain = _parse_domain(merged["domain"])
     density_kind, density_value = _parse_density(merged["density"], domain)
 
-    def num(kind, key):
-        value = _number(kind, key, merged[key])
-        if key.endswith("resolution") and not value > 0:
-            raise ConfigError(f"{key} must be positive, not {merged[key]}")
-        if key in _AT_LEAST and not value >= _AT_LEAST[key]:
-            raise ConfigError(f"{key} must be at least {_AT_LEAST[key]}, not {merged[key]}")
-        return value
-
-    def ladder(key):
-        return np.array([_number(float, key, v) for v in merged[key].split()])
-
-    alpha = num(float, "alpha")
-    if not (0 < alpha <= 1):
-        raise ConfigError("alpha must lie in (0, 1]")
-    p = num(float, "p")
-    radii_k = ladder("radii_k")
-    steps_k = ladder("steps_k")
+    numbers = {}
+    for key, (kind, _, interval) in _KEYS.items():
+        if kind is None:
+            continue
+        tokens = merged[key].split() if kind == _LADDER else [merged[key]]
+        values = [_number(float if kind == _LADDER else kind, key, t) for t in tokens]
+        for token, value in zip(tokens, values):
+            if interval and not _within(value, interval):
+                raise ConfigError(f"{key} must be in {interval}, not {token}")
+        numbers[key] = np.array(values) if kind == _LADDER else values[0]
+    radii_k, steps_k = numbers.pop("radii_k"), numbers.pop("steps_k")
     if np.any(np.diff(radii_k) <= 0) or np.any(np.diff(steps_k) <= 0):
         raise ConfigError("ladders radii_k and steps_k must be strictly increasing")
-    ring = ladder("ring_distances")
-    if np.any(np.diff(ring) >= 0):
+    if np.any(np.diff(numbers["ring_distances"]) >= 0):
         raise ConfigError("ring_distances must be strictly decreasing")
 
     return ExperimentConfig(
@@ -255,28 +260,11 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         density_kind=density_kind,
         density_value=density_value,
         map=_parse_map(merged["map"], domain),
-        alpha=alpha,
-        p=p,
         radii=1.0 - 2.0 ** (-radii_k),
         steps=2.0 ** (-steps_k),
-        circle_samples=num(int, "circle_samples"),
-        resolution=num(float, "resolution"),
-        kernel_degree=num(int, "kernel_degree"),
-        kernel_resolution=num(float, "kernel_resolution"),
-        seed=num(int, "seed"),
-        tolerance=num(float, "tolerance"),
-        trace_radius=num(float, "trace_radius"),
-        rays=num(int, "rays"),
-        ring_distances=ring,
-        comparability_cap=num(float, "comparability_cap"),
-        distance_cap=num(float, "distance_cap"),
-        compare_pairs=num(int, "compare_pairs"),
-        pairs=num(int, "pairs"),
-        nt_cap=num(float, "nt_cap"),
-        pair_margin=num(float, "pair_margin"),
-        refine_sweeps=num(int, "refine_sweeps"),
         out_dir=merged["out"],
         raw=merged,
+        **numbers,
     )
 
 

@@ -97,20 +97,26 @@ def test_parse_config_errors():
             E.parse_config_text(HL1_CUSP.replace(old, new))
 
 
-@pytest.mark.parametrize("key, lowest, below", [
+@pytest.mark.parametrize("key, accepted, rejected", [
     ("kernel_degree", "0", "-1"), ("rays", "1", "-3"), ("circle_samples", "64", "63"),
     ("pairs", "1", "0"), ("refine_sweeps", "0", "-1"), ("pair_margin", "0", "-0.1"),
     ("pair_margin", "0", "nan"), ("resolution", "1e-300", "0"),
-    ("kernel_resolution", "1e-300", "-1")])
-def test_parse_config_rejects_out_of_range_values(tmp_path, capsys, key, lowest, below):
-    # the lowest value parses; one below it is a ConfigError naming the key,
-    # which verify reports on one line before any work
-    assert E.parse_config_text(HL1_CUSP + f"\n{key} = {lowest}").raw[key] == lowest
-    with pytest.raises(ConfigError, match=f"^{key} must be "):
-        E.parse_config_text(HL1_CUSP + f"\n{key} = {below}")
-    cfg = _write_config(tmp_path, QH_DISC_SMALL + f"\n{key} = {below}\nout = {tmp_path}\n")
+    ("kernel_resolution", "1e-300", "-1"), ("comparability_cap", "1", "0"),
+    ("distance_cap", "1", "0"), ("trace_radius", "0.5", "2"),
+    ("radii_k", "1 2 4 6", "0 2 4 6"), ("steps_k", "-1 1 2 3 4", "-3 1 2 3 4"),
+    ("seed", "0", "-1"), ("ring_distances", "0.4 0.1", "0.4 -0.1"),
+    ("alpha", "1", "1.0001"), ("trace_radius", "1", "0"), ("tolerance", "0", "-0.1"),
+    ("nt_cap", "1", "0.5")])
+def test_parse_config_rejects_out_of_range_values(tmp_path, capsys, key, accepted, rejected):
+    # the accepted value parses; the rejected one is a ConfigError naming the
+    # key, which verify reports on one line before any work
+    assert E.parse_config_text(HL1_CUSP + f"\n{key} = {accepted}").raw[key] == accepted
+    with pytest.raises(ConfigError, match=f"^{key} must be in "):
+        E.parse_config_text(HL1_CUSP + f"\n{key} = {rejected}")
+    cfg = _write_config(tmp_path, QH_DISC_SMALL + f"\n{key} = {rejected}\nout = {tmp_path}\n")
     assert cli.main(["verify", "qh-compare", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be in ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == ["exp.txt"]
 
 
@@ -146,15 +152,16 @@ def test_parse_config_rejects_a_bad_map(text, name):
 
 
 def test_readme_config_keys_table_matches_the_parser():
-    # every key the parser accepts, with its default ("–" for a required
-    # key), so the documented ranges sit beside the keys the code reads
+    # every key the parser accepts, with its default and the interval its
+    # numbers are checked against ("–" for none), as the parser states them
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md")) as fh:
         section = fh.read().split("### Config keys", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `(\w+)` \| ([^|]*?) \|", section, re.M)
-    assert len(rows) == len(E._KNOWN_KEYS)
-    assert {key: default.strip("`") for key, default in rows} == {
-        key: E._DEFAULTS.get(key, "–") for key in E._KNOWN_KEYS}
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*?) \| ([^|]*?) \|", section, re.M)
+    assert len(rows) == len(E._KEYS)
+    assert {key: (default.strip("`"), interval.strip("`")) for key, default, interval in rows} \
+        == {key: (default or "–", interval or "–")
+            for key, (_, default, interval) in E._KEYS.items()}
 
 
 def test_readme_command_line_block_lists_the_parser_subcommands():
