@@ -104,8 +104,8 @@ _KEYS = {
 @dataclass(eq=False)
 class ExperimentConfig:
     """Parsed experiment description; ``raw`` holds the normalized key-value
-    lines that the config hash and the report echo are derived from.  A
-    config equals only itself."""
+    lines, all but ``out``, that the config hash and the report echo are
+    derived from.  A config equals only itself."""
 
     experiment: str
     domain: DomainSpec
@@ -136,9 +136,7 @@ class ExperimentConfig:
     raw: dict[str, str] = field(default_factory=dict)
 
     def config_hash(self) -> str:
-        # the output directory does not change what gets computed
-        text = "\n".join(f"{k} = {self.raw[k]}" for k in sorted(self.raw)
-                         if k != "out")
+        text = "\n".join(f"{k} = {self.raw[k]}" for k in sorted(self.raw))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -262,7 +260,9 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
         map=_parse_map(merged["map"], domain),
         radii=1.0 - 2.0 ** (-radii_k),
         steps=2.0 ** (-steps_k),
-        out_dir=merged["out"],
+        # the output directory does not change what gets computed, so it
+        # stays out of the echo and the hash
+        out_dir=merged.pop("out"),
         raw=merged,
         **numbers,
     )

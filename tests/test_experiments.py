@@ -185,6 +185,7 @@ def test_config_hash_ignores_out_dir():
     a = E.parse_config_text(HL1_CUSP + "\nout = here")
     b = E.parse_config_text(HL1_CUSP + "\nout = there")
     assert a.config_hash() == b.config_hash()
+    assert a.out_dir == "here" and "out" not in a.raw and a.raw == b.raw
     c = E.parse_config_text(HL1_CUSP.replace("0.5", "0.7"))
     assert c.config_hash() != a.config_hash()
 
@@ -354,27 +355,27 @@ def test_closed_form_config_values_bitwise(name, tmp_path):
 # 2 BLAS threads
 REPORT_DIGESTS = {
     "hl1_cusp50": {
-        "hl1_f0c0df00bc39.json": "49804910a2a136d6e723cb3a39fda912022d8776b1f1c57e084cff4b750e1c31",
+        "hl1_f0c0df00bc39.json": "10275ab6f86a31c1d4fb7d684ae306240960cf62ea4010353d255c04c22de3a4",
         "hl1_f0c0df00bc39.means_sup.dat": "164ff5b703c9bc5a3a7569798a36a57eebbd03b72162165f184a2b7f49fcbe3b",
         "hl1_f0c0df00bc39.modulus_sup.dat": "912f2736ad812f4c1b42e35758df7484bbbabf958bd3d509d889cf2b54d26be7",
     },
     "hl2_cusp50_p1": {
-        "hl2_1548eea0de26.json": "bf083879d66711513fef5bdd8c006c49de2c8dbe56ace02f8db4280508330d68",
+        "hl2_1548eea0de26.json": "c60f7c3169a1412f723c7cfe75f061c69b78d8eb3f0f6e901619e8d7fee251e9",
         "hl2_1548eea0de26.means_p1.dat": "329f77c729a5ef97911738d94e75ab1387d373c89b9351987056133018d6b0b7",
         "hl2_1548eea0de26.modulus_p1.dat": "6bff384a5dda8051bc1fe9e698884cf1fe1dd709bdf370ef40416f19fa8bb432",
     },
     "yamashita_scale50": {
-        "yamashita_9599e852c80c.json": "c09fa4bf9fa851241cc4fd78ff5120121494d3185b78c8b6c11a432de1db4e8c",
+        "yamashita_9599e852c80c.json": "04fe8c497e8ef4383b6d623e221eee95ba540d611964fd3c94488e348f94f408",
         "yamashita_9599e852c80c.means_sup.dat": "addc20fce375939b9625fc8d9c9cc6914fb2e79e702766d171b3df37b2ee9e04",
         "yamashita_9599e852c80c.modulus_sup.dat": "80395e28b142e12a506087d1d9d57b3b7839f4ad225795e369cef2121870a2fa",
     },
     "nt_bounds_smoothed_lshape": {
         "nt_bounds_5a85b295f28f.beta_vs_q.dat": "7006b329dd71723c647f61b868b0673eb734f218933c52f2d428ed34ac8e98ad",
-        "nt_bounds_5a85b295f28f.json": "73dd9c7cd9cd6c91655409042f90e10ac1c125a42aaf1a79ef803fec17803382",
+        "nt_bounds_5a85b295f28f.json": "1a9b3104bc7b6ea9875985515a7f1690ea456b32191eb0f34b4c00fe7959df29",
     },
     "qh_compare_disc_quick": {
         "qh_compare_7e0f3b70929c.distance_ratios.dat": "110439f278bcb24e9149cca23748ec68f72930c5da2b51101c946626caf6863f",
-        "qh_compare_7e0f3b70929c.json": "92b8c039ee5d07b0c4239f5cbf634b16883c83e93791d3415b864363a45bbe68",
+        "qh_compare_7e0f3b70929c.json": "335f7c09012054fdb8e17ec61392019347988c9ff08040e30ba83bbed253a8f1",
         "qh_compare_7e0f3b70929c.ring_0.dat": "25c49c27162ef3a21937a6dd5e375412eedf968bf6d7238ca43bd1ce7b53130e",
         "qh_compare_7e0f3b70929c.ring_1.dat": "b94fabfa07129a0db8e35f7f23d649ffddeeb60f81e6c969c5cd741762bd1c1f",
         "qh_compare_7e0f3b70929c.ring_2.dat": "5071b8ee48ad9daa7c8e24cc1fce5dd43c6b358d6c8f32e0fcdc8d54471b0843",
@@ -383,20 +384,18 @@ REPORT_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
-def test_fast_config_reports_are_byte_identical(name, tmp_path, monkeypatch):
-    # the config keeps its own ``out = reports``, so its config echo holds
-    # no temporary path
-    path = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
-                                        "configs", f"{name}.txt"))
-    monkeypatch.chdir(tmp_path)
-    cfg = E.parse_config_file(path)
+def test_fast_config_reports_are_byte_identical(name, tmp_path):
+    # the config echo leaves ``out`` out, so a temporary report directory
+    # writes the same bytes as the config's own ``out = reports``
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.txt")
+    cfg = E.parse_config_file(path, {"out": str(tmp_path)})
     written = E.emit_report(E.run_experiment(cfg), cfg.out_dir)
     got = {}
     for f in written:
         with open(f, "rb") as fh:
             got[os.path.basename(f)] = hashlib.sha256(fh.read()).hexdigest()
     assert got == REPORT_DIGESTS[name]
-    assert sorted(os.listdir("reports")) == sorted(got)
+    assert sorted(os.listdir(tmp_path)) == sorted(got)
 
 
 _L = [0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]
