@@ -339,6 +339,9 @@ def load_report(path) -> dict:
 # shared experiment plumbing
 
 
+# kernel models by (grid key, degree, kernel resolution), read and never
+# written here: a caller that preloads a stored kernel puts it in; every
+# other Bergman density fits its own, in milliseconds
 _KERNEL_CACHE: dict = {}
 
 
@@ -349,14 +352,10 @@ def _build_density(cfg: ExperimentConfig) -> MetricDensity:
         return quasihyperbolic_density(cfg.domain)
     if cfg.density_kind == CONSTANT:
         return constant_density(cfg.domain, cfg.density_value)
-    key = (cfg.domain.grid_key(), cfg.kernel_degree, cfg.kernel_resolution)
-    model = _KERNEL_CACHE.get(key)
+    model = _KERNEL_CACHE.get((cfg.domain.grid_key(), cfg.kernel_degree, cfg.kernel_resolution))
     if model is None:
         model = fit_kernel_model(cfg.domain, degree=cfg.kernel_degree,
                                  resolution=cfg.kernel_resolution)
-        if len(_KERNEL_CACHE) >= 4:
-            _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-        _KERNEL_CACHE[key] = model
     return bergman_metric_density(model)
 
 

@@ -618,6 +618,21 @@ def test_build_density_uses_the_cached_kernel_without_a_refit(monkeypatch):
     assert E._KERNEL_CACHE[key] is model
 
 
+def test_runs_fit_their_kernels_and_leave_the_kernel_cache_alone(tmp_path):
+    # only a caller that preloads a stored kernel fills the cache; two runs
+    # of one config each fit their own and write the same bytes
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "qh_compare_disc_quick.txt")
+    before = dict(E._KERNEL_CACHE)
+    reports = []
+    for tag in ("a", "b"):
+        cfg = E.parse_config_file(path, {"out": str(tmp_path / tag)})
+        written = E.emit_report(E.run_experiment(cfg), cfg.out_dir)
+        reports.append({os.path.basename(f): open(f, "rb").read() for f in written})
+    assert E._KERNEL_CACHE == before
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("line, key", [
     ("ring_distances = 0.4", "ring_distances"),  # no inner ring pair to compare
     ("ring_distances =", "ring_distances"),
