@@ -147,21 +147,26 @@ def test_tier1_compares_failures_with_the_known_red_list(monkeypatch, capsys):
     known = sorted(tool.known_red())
     assert len(known) == 7 and all(node.startswith("tests/") for node in known)
     commands = []
+    durations = ["16.70s call     tests/test_acceptance.py::test_criterion_4",
+                 "0.51s setup    tests/test_bergman.py::test_fit[disc]"]
 
     def fake_pytest(failed, code=1):
         def run(cmd, **kwargs):
             commands.append((cmd, kwargs))
             summary = [f"FAILED {node} - AssertionError: x - y" for node in failed]
             return SimpleNamespace(returncode=code, stdout="\n".join(
-                ["..F..", "=== short test summary info ===", *summary,
+                ["..F..", "=== slowest 5 durations ===", *durations,
+                 "=== short test summary info ===", *summary,
                  f"{len(failed)} failed, 240 passed in 100.00s"]) + "\n")
         return run
 
     monkeypatch.setattr(tool.subprocess, "run", fake_pytest(known))
     assert tool.main([]) == 0
-    assert capsys.readouterr().out.splitlines() == ["7 failed, 240 passed in 100.00s"]
+    assert capsys.readouterr().out.splitlines() == ["7 failed, 240 passed in 100.00s",
+                                                    *durations]
     cmd, kwargs = commands[-1]
-    assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors", "-rfE"]
+    assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors", "-rfE",
+                       "--durations=5"]
     assert kwargs["cwd"] == str(ROOT)
     assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == str(ROOT / "src")
 
@@ -169,7 +174,7 @@ def test_tier1_compares_failures_with_the_known_red_list(monkeypatch, capsys):
     other = "tests/test_growth.py::test_fit_insufficient_data"
     monkeypatch.setattr(tool.subprocess, "run", fake_pytest(known[1:] + [other]))
     assert tool.main([]) == 1
-    assert capsys.readouterr().out.splitlines()[1:] == [
+    assert capsys.readouterr().out.splitlines()[3:] == [
         f"unexpected failure: {other}", f"unexpected pass: {known[0]}"]
 
     # a run that pytest did not finish is never a match

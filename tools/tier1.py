@@ -4,13 +4,14 @@
 
 Runs, from the checkout root and with its src/ on PYTHONPATH,
 
-    python -m pytest -q --continue-on-collection-errors -rfE
+    python -m pytest -q --continue-on-collection-errors -rfE --durations=5
 
 and reads the failed and errored node ids from pytest's short summary.  The
 expected ones are the fenced list under README's "Known red acceptance
-checks".  The script prints pytest's closing line, then every unexpected
-failure and every unexpected pass (a listed node id that did not fail), and
-exits 0 only when the two sets match exactly.
+checks".  The script prints pytest's closing line and its 5 slowest test
+phases, then every unexpected failure and every unexpected pass (a listed
+node id that did not fail), and exits 0 only when the two sets match
+exactly.
 """
 
 from __future__ import annotations
@@ -49,10 +50,14 @@ def main(argv: list[str]) -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-rfE"],
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-rfE",
+         "--durations=5"],
         cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     lines = proc.stdout.strip().splitlines()
     print(lines[-1] if lines else f"pytest printed nothing (exit {proc.returncode})")
+    # the durations block: "16.70s call     tests/test_acceptance.py::test_..."
+    for line in re.findall(r"^\d+\.\d+s (?:setup|call|teardown) .*$", proc.stdout, re.M):
+        print(line)
     if proc.returncode not in (0, 1):
         print(proc.stdout, end="")
         print(f"pytest exited {proc.returncode}: the suite did not run to the end")
