@@ -625,10 +625,9 @@ def test_runs_fit_their_kernels_and_leave_the_kernel_cache_alone(tmp_path):
                         "qh_compare_disc_quick.txt")
     before = dict(E._KERNEL_CACHE)
     reports = []
-    for tag in ("a", "b"):
-        cfg = E.parse_config_file(path, {"out": str(tmp_path / tag)})
-        written = E.emit_report(E.run_experiment(cfg), cfg.out_dir)
-        reports.append({os.path.basename(f): open(f, "rb").read() for f in written})
+    for out in (tmp_path / "a", tmp_path / "b"):
+        E.emit_report(E.run_experiment(E.parse_config_file(path)), out)
+        reports.append({f.name: f.read_bytes() for f in out.iterdir()})
     assert E._KERNEL_CACHE == before
     assert reports[0] == reports[1]
 
