@@ -64,11 +64,9 @@ CONSTANT = "constant"
 BLOW_UP_KINDS = (HYPERBOLIC, QUASIHYPERBOLIC, BERGMAN)
 DENSITY_KINDS = (*BLOW_UP_KINDS, CONSTANT)
 
-# the parser kind of a ladder key: one float per whitespace-separated token
-_LADDER = "ladder"
-
 # Each config key once: (parser kind, default, the interval that each of its
-# numbers must lie in).  Kind None: parsed on its own; default None: required.
+# numbers must lie in).  Kind list: a ladder, one float per whitespace-separated
+# token; kind None: parsed on its own; default None: required.
 # A band [1/C, C] holds 1 only for C >= 1; radii 1 - 2^-k lie in (0, 1); steps
 # 2^-k stay at most 2, below the modulus's bound pi.  compare_pairs is checked
 # when qh-compare runs.
@@ -79,8 +77,8 @@ _KEYS = {
     "map": (None, "identity", None),
     "alpha": (float, "0.5", "(0, 1]"),
     "p": (float, "1", "[1, inf]"),
-    "radii_k": (_LADDER, "2 3 4 5 6 7 8 9", "(0, inf)"),
-    "steps_k": (_LADDER, "3 4 5 6 7 8", "[-1, inf)"),
+    "radii_k": (list, "2 3 4 5 6 7 8 9", "(0, inf)"),
+    "steps_k": (list, "3 4 5 6 7 8", "[-1, inf)"),
     "circle_samples": (int, "4096", "[64, inf)"),
     "resolution": (float, "0.01", "(0, inf)"),
     "kernel_degree": (int, "40", "[0, inf)"),
@@ -89,7 +87,7 @@ _KEYS = {
     "tolerance": (float, "0.1", "[0, inf)"),
     "trace_radius": (float, "1", "(0, 1]"),
     "rays": (int, "16", "[1, inf)"),
-    "ring_distances": (_LADDER, "0.4 0.2 0.1 0.05", "(0, inf)"),
+    "ring_distances": (list, "0.4 0.2 0.1 0.05", "(0, inf)"),
     "comparability_cap": (float, "3", "[1, inf)"),
     "distance_cap": (float, "6", "[1, inf)"),
     "compare_pairs": (int, "12", None),
@@ -240,12 +238,12 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     for key, (kind, _, interval) in _KEYS.items():
         if kind is None:
             continue
-        tokens = merged[key].split() if kind == _LADDER else [merged[key]]
-        values = [_number(float if kind == _LADDER else kind, key, t) for t in tokens]
+        tokens = merged[key].split() if kind is list else [merged[key]]
+        values = [_number(float if kind is list else kind, key, t) for t in tokens]
         for token, value in zip(tokens, values):
             if interval and not _within(value, interval):
                 raise ConfigError(f"{key} must be in {interval}, not {token}")
-        numbers[key] = np.array(values) if kind == _LADDER else values[0]
+        numbers[key] = np.array(values) if kind is list else values[0]
     radii_k, steps_k = numbers.pop("radii_k"), numbers.pop("steps_k")
     if np.any(np.diff(radii_k) <= 0) or np.any(np.diff(steps_k) <= 0):
         raise ConfigError("ladders radii_k and steps_k must be strictly increasing")
