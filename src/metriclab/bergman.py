@@ -102,13 +102,6 @@ def kernel_eval(model: KernelModel, z, w):
     return complex(out) if out.ndim == 0 else out
 
 
-def kernel_cross(model: KernelModel, zs, ws) -> np.ndarray:
-    """Kernel matrix K(z_i, w_j) for two point arrays."""
-    pz = model.basis_values(np.asarray(zs, dtype=complex).ravel())
-    pw = model.basis_values(np.asarray(ws, dtype=complex).ravel())
-    return pz @ pw.conj().T
-
-
 def _density_terms(model: KernelModel, z: np.ndarray):
     """(K, K_z, K_zzbar) on the diagonal at the points z (at most
     _DENSITY_BLOCK of them), from one product per degree panel, in the
@@ -190,7 +183,7 @@ def reproducing_residual(model: KernelModel, rule: BoundaryRule,
         raise DomainError(f"{z} is not inside the kernel's domain")
     f = np.polynomial.polynomial.polyval(rule.nodes, c)
     # <f, K(., z)> = conj(<K(., z), f>), with a primitive of f
-    Kwz = kernel_cross(model, rule.nodes, np.array([z]))[:, 0]
+    Kwz = kernel_eval(model, rule.nodes, z)
     integral = np.conj(rule.area_inner(Kwz, rule.primitive(f)))
     return float(abs(np.polynomial.polynomial.polyval(z, c) - integral))
 

@@ -36,12 +36,13 @@ class AnalyticMap:
     def __call__(self, z):
         raise NotImplementedError
 
-    def derivative(self, z):
+    def value_and_derivative(self, z):
+        """(f(z), f'(z)), the value exactly f(z); a map whose two share work
+        forms them together."""
         raise NotImplementedError
 
-    def value_and_derivative(self, z):
-        """(f(z), f'(z)); a map whose two share work forms them together."""
-        return self(z), self.derivative(z)
+    def derivative(self, z):
+        return self.value_and_derivative(z)[1]
 
     # -- construction-time checks ------------------------------------------
 
@@ -95,11 +96,11 @@ class PolynomialMap(AnalyticMap):
         zz = np.asarray(z, dtype=complex)
         return _as_out(np.polynomial.polynomial.polyval(zz, self._c), z)
 
-    def derivative(self, z):
+    def value_and_derivative(self, z):
         zz = np.asarray(z, dtype=complex)
         if self._dc.size == 0:
-            return _as_out(np.zeros_like(zz), z)
-        return _as_out(np.polynomial.polynomial.polyval(zz, self._dc), z)
+            return self(z), _as_out(np.zeros_like(zz), z)
+        return self(z), _as_out(np.polynomial.polynomial.polyval(zz, self._dc), z)
 
 
 @dataclass
@@ -138,7 +139,7 @@ class BlaschkeProduct(AnalyticMap):
             out = out * factor
         return _as_out(out, z)
 
-    def derivative(self, z):
+    def value_and_derivative(self, z):
         # product rule, sum_k b_k' prod_{j != k} b_j, exact also at the zeros
         zz = np.asarray(z, dtype=complex)
         out = np.zeros_like(zz)
@@ -149,7 +150,7 @@ class BlaschkeProduct(AnalyticMap):
                     factor = self._factor(b, zz)
                     term = term * factor
             out += term
-        return _as_out(out, z)
+        return self(z), _as_out(out, z)
 
 
 @dataclass
@@ -183,9 +184,6 @@ class PowerCusp(AnalyticMap):
         zz = np.asarray(z, dtype=complex)
         u = self._power(1.0 - zz, self.alpha)
         return _as_out(self.w0 + self.c * u, z)
-
-    def derivative(self, z):
-        return self.value_and_derivative(z)[1]
 
     def value_and_derivative(self, z):
         # one power u = (1 - z)^alpha serves both: f' = -alpha c u / (1 - z),
@@ -224,9 +222,6 @@ class AffineInto(AnalyticMap):
         zz = np.asarray(z, dtype=complex)
         out = self.anchor + self.contraction * self.radius * np.asarray(self.inner(zz))
         return _as_out(out, z)
-
-    def derivative(self, z):
-        return self.value_and_derivative(z)[1]
 
     def value_and_derivative(self, z):
         zz = np.asarray(z, dtype=complex)

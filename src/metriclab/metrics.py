@@ -132,7 +132,6 @@ class PolylinePath:
 
 
 _GL_X12, _GL_W12 = np.polynomial.legendre.leggauss(12)
-_GL_T12 = 0.5 * (_GL_X12 + 1.0)
 _GL_X8, _GL_W8 = np.polynomial.legendre.leggauss(8)
 _GL_X6, _GL_W6 = np.polynomial.legendre.leggauss(6)
 
@@ -148,31 +147,26 @@ def _segment_cost(omega: MetricDensity, a, b, nodes=_GL_X8, weights=_GL_W8):
     return 0.5 * np.abs(b - a) * np.sum(vals * weights, axis=-1)
 
 
-def _line_quad(fun, a, b) -> np.ndarray:
-    """Adaptive 12-point Gauss-Legendre estimates of int_[a_k,b_k] fun |dz|
+def _line_quad(omega: MetricDensity, a, b) -> np.ndarray:
+    """Adaptive 12-point Gauss-Legendre estimates of int_[a_k,b_k] omega |dz|
     for the segments between matching entries of the endpoint arrays.
 
     Each interval is split in two until the halves agree with the whole to
     1e-12 relative (or 24 levels deep); a half is evaluated once and handed
     down as the whole of its own split.  The segments are refined breadth
-    first, so each bisection level of all of them is one ``fun`` call, and
-    the leaves are summed back in the depth-first recursion's order.  A
-    value of ``fun`` does not depend on its batch, so each estimate is bit
-    for bit that of its segment refined alone.
+    first, so each bisection level of all of them is one
+    :func:`_segment_cost` call, and the leaves are summed back in the
+    depth-first recursion's order.  A density value does not depend on its
+    batch, so each estimate is bit for bit that of its segment refined alone.
     """
     lo = np.asarray(a, dtype=complex)
     hi = np.asarray(b, dtype=complex)
-
-    def gl(lo, hi):
-        pts = lo[:, None] + _GL_T12 * (hi - lo)[:, None]
-        vals = fun(pts.ravel()).reshape(pts.shape)
-        return 0.5 * np.abs(hi - lo) * np.sum(vals * _GL_W12, axis=1)
-
-    whole = gl(lo, hi)
+    whole = _segment_cost(omega, lo, hi, _GL_X12, _GL_W12)
     levels = []
     for depth in range(25):
         mid = 0.5 * (lo + hi)
-        halves = gl(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        halves = _segment_cost(omega, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                               _GL_X12, _GL_W12)
         left, right = halves[:lo.size], halves[lo.size:]
         both = left + right
         split = ~(np.abs(whole - both) <= 1e-12 * (np.abs(both) + 1e-30)) & (depth < 24)
@@ -195,7 +189,7 @@ def path_length(omega: MetricDensity, path: PolylinePath) -> float:
     v = path.vertices
     if v.size < 2:
         return 0.0
-    return float(sum(_line_quad(omega.eval_array, v[:-1], v[1:]).tolist()))
+    return float(sum(_line_quad(omega, v[:-1], v[1:]).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -335,29 +329,6 @@ def hyperbolic_sup_screen(values, tops) -> dict[int, float] | None:
         dist = hyperbolic_distance_closed(z[(t + 1 + r[:, None]) % n], z[t])
         np.maximum.at(best, group[r], dist.max(axis=1))
     return dict(zip(tops, np.maximum.accumulate(best).tolist()))
-
-@dataclass
-class DiscAutomorphism:
-    """Moebius self-map of the disc: phi(z) = e^{i theta}(a - z)/(1 - conj(a) z)."""
-
-    a: complex
-    theta: float = 0.0
-
-    def __post_init__(self):
-        self.a = complex(self.a)
-        if abs(self.a) >= 1:
-            raise ValueError("automorphism parameter needs |a| < 1")
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.exp(1j * self.theta) * (self.a - z) / (1.0 - np.conj(self.a) * z)
-        return complex(out) if out.ndim == 0 else out
-
-    def derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = (np.exp(1j * self.theta) * (abs(self.a) ** 2 - 1.0)
-               / (1.0 - np.conj(self.a) * z) ** 2)
-        return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

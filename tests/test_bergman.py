@@ -14,7 +14,8 @@ from scipy.spatial import cKDTree
 from metriclab import bergman as B
 from metriclab import geometry as G
 from metriclab.errors import FactorizationError, KernelInstabilityError
-from metriclab.metrics import DiscAutomorphism, bergman_metric_density, density_eval
+from metriclab.maps import BlaschkeProduct
+from metriclab.metrics import bergman_metric_density, density_eval
 
 
 def disc_kernel_exact(z, w, degree=None):
@@ -105,8 +106,8 @@ def test_tsqr_and_cholesky_routes_agree(disc):
     via_gram = _gram_cholesky_model(disc, rule, 16)
     via_arnoldi = B.fit_kernel_model(disc, degree=16, resolution=0.02)
     zs = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.6])
-    K1 = B.kernel_cross(via_gram, zs, zs)
-    K2 = B.kernel_cross(via_arnoldi, zs, zs)
+    K1 = B.kernel_eval(via_gram, zs[:, None], zs[None, :])
+    K2 = B.kernel_eval(via_arnoldi, zs[:, None], zs[None, :])
     assert np.max(np.abs(K1 - K2)) < 1e-9
 
 
@@ -176,7 +177,8 @@ def test_lshape_kernel_is_symmetric_under_the_swap(lshape_fit):
     # against the kernel assembled from the Gram matrix
     zs = np.array([1.5 + 0.5j, 0.5 + 1.5j, 0.3 + 0.3j, 1.2 + 0.8j])
     ref = _gram_cholesky_model(dom, rule, 20)
-    K, K_ref = B.kernel_cross(model, zs, zs), B.kernel_cross(ref, zs, zs)
+    K = B.kernel_eval(model, zs[:, None], zs[None, :])
+    K_ref = B.kernel_eval(ref, zs[:, None], zs[None, :])
     assert np.max(np.abs(K / K_ref - 1)) < 1e-8
 
 
@@ -528,15 +530,15 @@ def test_reproducing_residual(disc, disc_kernel):
 
 
 def test_conformal_derivative_lemma():
-    # |phi'(z)| (1 - |z|^2) = 1 - |phi(z)|^2 for disc automorphisms: the
-    # conformal-invariance identity specialized to the disc density
+    # |phi'(z)| (1 - |z|^2) = 1 - |phi(z)|^2 for disc automorphisms, here
+    # the one-zero Blaschke factors: the conformal-invariance identity
+    # specialized to the disc density
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(100):
         a = 0.95 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        theta = 2 * np.pi * rng.random()
         z = 0.9 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        phi = DiscAutomorphism(a, theta)
+        phi = BlaschkeProduct((a,))
         lhs = abs(phi.derivative(z)) * (1 - abs(z) ** 2)
         rhs = 1 - abs(phi(z)) ** 2
         worst = max(worst, abs(lhs - rhs))

@@ -13,6 +13,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from metriclab import geometry as G
+from metriclab import maps as MP
 from metriclab import metrics as M
 from metriclab.bergman import fit_kernel_model, load_kernel
 from metriclab.errors import (
@@ -126,7 +127,7 @@ def _recursive_line_quad(fun, a, b):
     """The depth-first adaptive quadrature of one segment: each half
     refined in turn, one ``fun`` call per 12-node interval."""
     def gl(lo, hi):
-        pts = lo + M._GL_T12 * (hi - lo)
+        pts = lo + 0.5 * (M._GL_X12 + 1.0) * (hi - lo)
         return 0.5 * float(np.abs(hi - lo)) * float(np.sum(fun(pts) * M._GL_W12))
 
     def split(lo, hi, whole, depth):
@@ -186,23 +187,12 @@ def test_hyperbolic_distance_closed_forms():
 
 def test_hyperbolic_distance_mobius_invariance():
     rng = np.random.default_rng(7)
-    phi = M.DiscAutomorphism(0.3, 1.0)
+    phi = MP.BlaschkeProduct((0.3,))
     z = 0.8 * (rng.random(32) - 0.5 + 1j * (rng.random(32) - 0.5))
     w = 0.8 * (rng.random(32) - 0.5 + 1j * (rng.random(32) - 0.5))
     gap = np.abs(M.hyperbolic_distance_closed(phi(z), phi(w))
                  - M.hyperbolic_distance_closed(z, w))
     assert float(gap.max()) < 1e-12
-
-
-def test_DiscAutomorphism_basics():
-    neg = M.DiscAutomorphism(0.0, 0.0)
-    assert neg(0.4 + 0.1j) == pytest.approx(-(0.4 + 0.1j))
-    assert abs(neg.derivative(0.2)) == pytest.approx(1.0)
-    phi = M.DiscAutomorphism(0.5, 0.7)
-    assert phi(0.5) == pytest.approx(0.0)
-    assert abs(M.DiscAutomorphism(0.5).derivative(0.0)) == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        M.DiscAutomorphism(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +762,7 @@ def test_write_path_file(tmp_path, hyp):
 
 def test_bergman_distance_invariance_small(disc_kernel_coarse):
     omega = M.bergman_metric_density(disc_kernel_coarse)
-    phi = M.DiscAutomorphism(0.3, 1.0)
+    phi = MP.BlaschkeProduct((0.3,))
     z, w = 0.4 + 0.1j, -0.3 + 0.2j
     d0 = M.weighted_distance(omega, z, w, 0.02, full_window=True).distance
     d1 = M.weighted_distance(omega, complex(phi(z)), complex(phi(w)), 0.02,
