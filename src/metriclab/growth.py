@@ -111,7 +111,11 @@ def fit_exponent(curve: Curve) -> ExponentFit:
         raise InsufficientDataError(
             f"abscissa spans {span:.2f} decades; need at least 1.5")
     lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
+    # the least-squares line in closed form, its sums by fsum: no LAPACK
+    # call, so the fit does not depend on the BLAS kernels
+    mx, my = math.fsum(lx) / lx.size, math.fsum(ly) / ly.size
+    slope = math.fsum((lx - mx) * (ly - my)) / math.fsum((lx - mx) ** 2)
+    intercept = my - slope * mx
     fitted = slope * lx + intercept
     resid = ly - fitted
     ss_res = float(np.sum(resid ** 2))

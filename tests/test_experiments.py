@@ -355,17 +355,17 @@ def test_closed_form_config_values_bitwise(name, tmp_path):
 # 2 BLAS threads
 REPORT_DIGESTS = {
     "hl1_cusp50": {
-        "hl1_f0c0df00bc39.json": "10275ab6f86a31c1d4fb7d684ae306240960cf62ea4010353d255c04c22de3a4",
+        "hl1_f0c0df00bc39.json": "51886675f79edbac31bf7f107987a25a3b820f768cae3e1138d1076e45164451",
         "hl1_f0c0df00bc39.means_sup.dat": "164ff5b703c9bc5a3a7569798a36a57eebbd03b72162165f184a2b7f49fcbe3b",
         "hl1_f0c0df00bc39.modulus_sup.dat": "912f2736ad812f4c1b42e35758df7484bbbabf958bd3d509d889cf2b54d26be7",
     },
     "hl2_cusp50_p1": {
-        "hl2_1548eea0de26.json": "c60f7c3169a1412f723c7cfe75f061c69b78d8eb3f0f6e901619e8d7fee251e9",
+        "hl2_1548eea0de26.json": "e18a3b77c0dd76f4cc7f690b86b045a2618ab195d7e6f3415a14a9e61bdcbcbe",
         "hl2_1548eea0de26.means_p1.dat": "329f77c729a5ef97911738d94e75ab1387d373c89b9351987056133018d6b0b7",
         "hl2_1548eea0de26.modulus_p1.dat": "6bff384a5dda8051bc1fe9e698884cf1fe1dd709bdf370ef40416f19fa8bb432",
     },
     "yamashita_scale50": {
-        "yamashita_9599e852c80c.json": "04fe8c497e8ef4383b6d623e221eee95ba540d611964fd3c94488e348f94f408",
+        "yamashita_9599e852c80c.json": "86aa027a3afd23de28e172ba0df1e82b07279915031b1b265eb837d97e1e65c7",
         "yamashita_9599e852c80c.means_sup.dat": "addc20fce375939b9625fc8d9c9cc6914fb2e79e702766d171b3df37b2ee9e04",
         "yamashita_9599e852c80c.modulus_sup.dat": "80395e28b142e12a506087d1d9d57b3b7839f4ad225795e369cef2121870a2fa",
     },
@@ -396,6 +396,49 @@ def test_fast_config_reports_are_byte_identical(name, tmp_path):
             got[os.path.basename(f)] = hashlib.sha256(fh.read()).hexdigest()
     assert got == REPORT_DIGESTS[name]
     assert sorted(os.listdir(tmp_path)) == sorted(got)
+
+
+def _haswell_unavailable():
+    """Why OpenBLAS's Haswell kernels cannot run here, or None."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "").lower():
+        return f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = set(re.search(r"^flags\s*:(.*)$", fh.read(), re.M).group(1).split())
+    except (OSError, AttributeError):
+        return "no CPU flags to read"
+    return None if {"avx2", "fma"} <= flags else "the CPU lacks AVX2 or FMA"
+
+
+def test_closed_form_reports_do_not_depend_on_the_openblas_kernels(tmp_path):
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernels for this CPU family; the
+    # closed-form configs must write the same bytes under Haswell's as
+    # under the CPU's own
+    reason = _haswell_unavailable()
+    if reason:
+        pytest.skip(reason)
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    script = (
+        "import sys\n"
+        "from metriclab import experiments as E\n"
+        "for path in sys.argv[2:]:\n"
+        "    cfg = E.parse_config_file(path, {'out': sys.argv[1]})\n"
+        "    E.emit_report(E.run_experiment(cfg), cfg.out_dir)\n")
+    configs = [os.path.join(root, "configs", f"{name}.txt")
+               for name in ("hl1_cusp50", "hl2_cusp50_p1", "yamashita_scale50")]
+    written = []
+    for coretype in (None, "Haswell"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.path.join(root, "src"))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / (coretype or "default")
+        subprocess.run([sys.executable, "-c", script, str(out), *configs], env=env,
+                       capture_output=True, text=True, timeout=120, check=True)
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(written[0]) == 9 and written[0] == written[1]
 
 
 _L = [0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]
