@@ -601,21 +601,20 @@ def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
         raise ConfigError("ring_distances needs at least 2 distances")
     if cfg.compare_pairs < 1:
         raise ConfigError("compare_pairs must be at least 1")
-    omega = _build_density(cfg)
     domain = cfg.domain
     anchor = interior_anchor(domain)
+    ring = cfg.ring_distances
+    max_ring = 0.9 * float(curve_distance(domain, anchor))
+    if ring.max() > max_ring:
+        raise ConfigError(f"ring_distances: {ring.max()} exceeds the anchor's "
+                          f"boundary clearance {max_ring:.3f}")
+    omega = _build_density(cfg)
     cap = cfg.comparability_cap
     checks = []
     flags: list[str] = []
     notes = []
     curves: dict[str, dict] = {}
     values = {}
-
-    ring = cfg.ring_distances
-    max_ring = 0.9 * float(curve_distance(domain, anchor))
-    if ring.max() > max_ring:
-        raise ConfigError(f"ring distance {ring.max()} exceeds the anchor's "
-                          f"boundary clearance {max_ring:.3f}")
     ratios = np.full((cfg.rays, ring.size), np.nan)
     truncated = 0
     directions = np.exp(1j * (2 * np.pi * np.arange(cfg.rays) / cfg.rays))

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 
 from metriclab import bergman as B
 from metriclab import geometry as G
-from metriclab.errors import FactorizationError, KernelInstabilityError
+from metriclab.errors import DomainError, FactorizationError, KernelInstabilityError
 from metriclab.maps import BlaschkeProduct
 from metriclab.metrics import bergman_metric_density, density_eval
 
@@ -525,6 +525,8 @@ def test_reproducing_residual(disc, disc_kernel):
     assert B.reproducing_residual(disc_kernel, rule, [1.0], 0.0) < 1e-4
     assert B.reproducing_residual(disc_kernel, rule, [0.0], 0.37 + 0.1j) == 0.0
     assert B.reproducing_residual(disc_kernel, rule, [0, 0, 0, 1.0], 0.3) < 1e-4
+    with pytest.raises(DomainError, match="not inside the kernel's domain"):
+        B.reproducing_residual(disc_kernel, rule, [1.0], 1.2)
     with pytest.raises(ValueError):
         B.reproducing_residual(disc_kernel, rule, np.ones(disc_kernel.degree + 2), 0.0)
 

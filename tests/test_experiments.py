@@ -66,6 +66,12 @@ def test_parse_config_errors():
         E.parse_config_text(HL1_CUSP.replace("alpha = 0.5", "alpha = 1.5"))
     with pytest.raises(ConfigError, match="strictly increasing"):
         E.parse_config_text(HL1_CUSP + "\nradii_k = 3 2 5 6")
+    with pytest.raises(ConfigError, match="strictly decreasing"):
+        E.parse_config_text(HL1_CUSP + "\nring_distances = 0.4 0.4 0.1")
+    with pytest.raises(ConfigError, match="line 3: expected 'key = value'"):
+        E.parse_config_text("experiment = hl1\ndomain = unit_disc\ndensity hyperbolic\n")
+    with pytest.raises(ConfigError, match="unknown domain kind 'torus'"):
+        E.parse_config_text(HL1_CUSP.replace("unit_disc", "torus 1 2"))
     with pytest.raises(ConfigError, match="unknown experiment"):
         E.parse_config_text(HL1_CUSP.replace("hl1", "hl9"))
     with pytest.raises(ConfigError, match="unknown density"):
@@ -81,7 +87,9 @@ def test_parse_config_errors():
             ("unit_disc 2 3", "domain: unit_disc takes no numbers, not '2 3'"),
             ("ellipse 1 2", "domain: ellipse requires semi-axes a >= b > 0"),
             ("polygon 0 0 0 1 1 0", "domain: polygon vertices must be counterclockwise"),
-            ("smoothed_polygon 0.6 0 0 1 0 1 1 0 1", "domain: corner_radius 0.6 too large")]:
+            ("smoothed_polygon 0.6 0 0 1 0 1 1 0 1", "domain: corner_radius 0.6 too large"),
+            ("smoothed_polygon 0 0 0 1 0 1 1 0 1", "domain: smoothed_polygon needs corner_radius > 0"),
+            ("polygon 0 0 1 0 1 0 1 1 0 1", "domain: polygon has a zero-length edge")]:
         with pytest.raises(ConfigError, match=re.escape(match)):
             E.parse_config_text(HL1_CUSP.replace("unit_disc", new))
     # a malformed number names its key and value
@@ -132,7 +140,7 @@ def test_parse_config_rejects_a_blank_required_override(override):
     ("unit_disc", "hyperbolic 3"), ("unit_disc", "bergman 7"),
     ("unit_disc", "quasihyperbolic x"), ("unit_disc", "constant inf"),
     ("unit_disc", "constant 0"), ("unit_disc", "constant -1"),
-    ("unit_disc", "constant nan"), ("ellipse 1.5 1", "hyperbolic")])
+    ("unit_disc", "constant nan"), ("unit_disc", "constant"), ("ellipse 1.5 1", "hyperbolic")])
 def test_parse_config_rejects_bad_density_values(domain, density):
     # each is a ConfigError naming the key before any density is built
     with pytest.raises(ConfigError, match="^density"):
@@ -231,6 +239,10 @@ def test_hl1_requires_blowup_density():
     cfg = E.parse_config_text(HL1_CUSP.replace("hyperbolic", "constant 1.0"))
     with pytest.raises(ConfigError):
         E.run_theorem1_check(cfg)
+    # and hl2 a finite p, which the config's p interval [1, inf] admits
+    cfg = E.parse_config_text(HL1_CUSP.replace("hl1", "hl2") + "\np = inf")
+    with pytest.raises(ConfigError, match="needs a finite p"):
+        E.run_theorem23_check(cfg)
 
 
 def test_hl1_identity_divergent_fails():
@@ -613,14 +625,15 @@ ring_distances = 0.4 0.2 0.1
 
 
 def test_qh_compare_counts_every_ring_dropped_on_instability(monkeypatch):
-    cfg = E.parse_config_text("""
+    cfg_text = """
 experiment = qh-compare
 domain = unit_disc
 density = constant 1.0
 rays = 4
 ring_distances = 0.4 0.2 0.1 0.05
 compare_pairs = 1
-""")
+"""
+    cfg = E.parse_config_text(cfg_text)
     real = E.MetricDensity.eval_array
 
     def unstable_near_boundary(self, z):
@@ -641,6 +654,14 @@ compare_pairs = 1
     (inner,) = [c for c in rep.checks if c["name"] == "innermost_rings_agree"]
     assert not inner["passed"] and math.isnan(inner["worst_agreement"])
     assert math.isnan(rep.values["worst_inner_ring_agreement"])
+    # a ring point that misses its distance by more than 2% is dropped too:
+    # no float point on a ray lies 1e-20 from the circle
+    monkeypatch.undo()
+    monkeypatch.setattr(E, "_pair_distance", lambda cfg, omega, z, w: 1.0)
+    rep = E.run_qh_comparability(E.parse_config_text(
+        cfg_text.replace("0.4 0.2 0.1 0.05", "0.4 0.2 1e-20")))
+    assert rep.notes[0].startswith("4 ring samples dropped")
+    assert rep.flags == [] and sorted(rep.curves) == ["distance_ratios", "ring_0", "ring_1"]
 
 
 def test_build_density_uses_the_cached_kernel_without_a_refit(monkeypatch):
@@ -678,6 +699,7 @@ def test_runs_fit_their_kernels_and_leave_the_kernel_cache_alone(tmp_path):
 @pytest.mark.parametrize("line, key", [
     ("ring_distances = 0.4", "ring_distances"),  # no inner ring pair to compare
     ("ring_distances =", "ring_distances"),
+    ("ring_distances = 0.95 0.5", "ring_distances"),  # beyond the anchor's clearance
     ("compare_pairs = 0", "compare_pairs"),  # no distance ratio to bound
 ])
 def test_qh_compare_rejects_checks_with_nothing_to_measure(monkeypatch, line, key):
@@ -688,7 +710,7 @@ def test_qh_compare_rejects_checks_with_nothing_to_measure(monkeypatch, line, ke
         raise AssertionError("built a density before checking the config")
 
     monkeypatch.setattr(E, "_build_density", no_work)
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=f"^{key}"):
         E.run_qh_comparability(cfg)
 
 
@@ -891,6 +913,13 @@ def test_cli_report_command(tmp_path, capsys):
     report = [f for f in os.listdir(tmp_path / "rep") if f.endswith(".json")][0]
     assert cli.main(["report", str(tmp_path / "rep" / report)]) == 0
     assert "[PASS]" in capsys.readouterr().out
+    # a failed run's report prints its flags and exits 1
+    rep = E.run_theorem1_check(E.parse_config_text(HL1_CUSP.replace("cusp_a50", "identity")))
+    summary = E.emit_report(rep, tmp_path / "flagged")[0]
+    assert cli.main(["report", summary]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] modulus_finite" in out
+    assert out.endswith("flag: divergent-modulus\nflag: alpha-out-of-range\n")
 
 
 def test_cli_distance_density_means_modulus(tmp_path, capsys):

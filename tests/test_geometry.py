@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from metriclab import bergman
 from metriclab import geometry as G
-from metriclab.errors import DomainError
+from metriclab.errors import DomainError, GridError
 
 
 def brute_force_boundary_distance(domain, z, n=200001):
@@ -377,6 +377,8 @@ _GRID_DOMAINS = {
     "ellipse": G.ellipse(1.5, 1),
     "square": G.polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]),
     "rounded square": G.smoothed_polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 0.3),
+    # the rounded square with a straight vertex, which gets no arc
+    "straight vertex": G.smoothed_polygon([1 + 1j, -1 + 1j, -1 - 1j, -1j, 1 - 1j], 0.3),
     "smoothed L": G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15),
     "sharp L": G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]),
     # non-convex and not symmetric under conjugation
@@ -648,6 +650,13 @@ def test_interior_anchor(disc, ellipse15):
         # the smoothed L's center 1+1j lies in its fillet, 0.062 from the
         # boundary
         assert float(G.curve_distance(lshape, anchor)) > 0.5
+    # a thin L along two sides of the unit square: the center is outside,
+    # and the first lattice misses an L 0.003 wide, which the lattice at a
+    # quarter of its step meets; every lattice misses an L 1e-4 wide
+    thin = G.polygon([0, 1, 1 + 1j, 0.997 + 1j, 0.997 + 0.003j, 0.003j])
+    assert G.contains(thin, G.interior_anchor(thin))
+    with pytest.raises(GridError, match="interior anchor"):
+        G.interior_anchor(G.polygon([0, 1, 1 + 1j, 0.9999 + 1j, 0.9999 + 1e-4j, 1e-4j]))
 
 
 def test_polygon_boundary_points_are_outside(tmp_path):
@@ -678,7 +687,8 @@ def test_polygon_boundary_points_are_outside(tmp_path):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("name", ["disc", "ellipse", "sharp L", "smoothed L", "rounded square"])
+@pytest.mark.parametrize("name", ["disc", "ellipse", "sharp L", "smoothed L", "rounded square",
+                                  "straight vertex"])
 def test_boundary_pieces_form_a_closed_chain(name):
     dom = _GRID_DOMAINS[name]
     pieces = dom._pieces
@@ -702,7 +712,8 @@ def test_boundary_pieces_form_a_closed_chain(name):
     # which the L's reflex corner gives back once
     want = {"disc": math.pi, "ellipse": 1.5 * math.pi, "sharp L": 3.0,
             "smoothed L": 3 - (4 - math.pi) * 0.15**2,
-            "rounded square": 4 - (4 - math.pi) * 0.3**2}[name]
+            "rounded square": 4 - (4 - math.pi) * 0.3**2,
+            "straight vertex": 4 - (4 - math.pi) * 0.3**2}[name]
     assert abs(dom.area() - want) <= 1e-13 * want
 
 

@@ -31,6 +31,9 @@ def test_power_cusp_values():
     # alpha = 1 has a finite derivative everywhere on the closed disc
     g = MP.PowerCusp(0.0, 0.25, 1.0)
     assert g.derivative(1.0) == pytest.approx(-0.25)
+    for alpha in (0.0, 1.5):
+        with pytest.raises(ValueError, match="cusp exponent"):
+            MP.PowerCusp(0.0, 0.25, alpha)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
@@ -155,6 +158,14 @@ def test_map_validation_rejects_escaping_image():
     with pytest.raises(DomainError):
         MP.PolynomialMap((0.0, 3.0))  # 3z leaves the unit disc
 
+    class Doubled(MP.PolynomialMap):
+        def value_and_derivative(self, z):
+            val, der = super().value_and_derivative(z)
+            return val, 2 * der
+
+    with pytest.raises(ValueError, match="disagrees with finite differences"):
+        Doubled((0.0, 0.5))
+
 
 def test_affine_into_compact_image(ellipse15):
     f = MP.AffineInto(ellipse15, MP.PolynomialMap((0.0, 1.0)), 0.5)
@@ -165,6 +176,8 @@ def test_affine_into_compact_image(ellipse15):
     assert float(G.curve_distance(ellipse15, img).min()) > 0.4
     with pytest.raises(ValueError):
         MP.AffineInto(ellipse15, MP.PolynomialMap((0.0, 1.0)), 1.5)
+    with pytest.raises(ValueError, match="values in the unit disc"):
+        MP.AffineInto(ellipse15, MP.PolynomialMap((0.0, 1.0), ellipse15), 0.5)
 
 
 def test_weighted_derivative_values(hyp):
@@ -287,6 +300,10 @@ def test_boundary_trace_validation():
         MP.boundary_trace(ident, 16, 1.5)
     approx = MP.boundary_trace(ident, 16, 1 - 1e-4)
     assert np.allclose(approx, (1 - 1e-4) * MP.boundary_trace(ident, 16), rtol=0, atol=1e-15)
+    # (1 + 1e-5) z keeps the validation's sample, |z| <= 1 - 1e-4, inside
+    # the disc; its exact trace does not
+    with pytest.raises(DomainError, match="leaves the closure"):
+        MP.boundary_trace(MP.PolynomialMap((0.0, 1 + 1e-5)), 16)
 
 
 @pytest.mark.parametrize("n", [64, 4096, 8192])

@@ -102,6 +102,8 @@ def test_path_length_constant_is_euclidean(disc):
 
 def test_single_point_path(hyp, disc):
     assert M.path_length(hyp, M.PolylinePath(disc, np.array([0.2j]))) == 0.0
+    with pytest.raises(ValueError, match="at least one vertex"):
+        M.PolylinePath(disc, np.array([]))
 
 
 def test_invalid_path_rejected(disc):
@@ -297,6 +299,23 @@ def test_weighted_distance_resolution_too_coarse(disc):
     qh = M.quasihyperbolic_density(disc)
     with pytest.raises(ResolutionTooCoarseError):
         M.weighted_distance(qh, 0.05, -0.05, 0.9)
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        M.weighted_distance(qh, 0.05, -0.05, 0.0)
+    # the unit square with a spike 0.002 wide on its right side, and that
+    # spike leading on to a second square.  At h = 0.02 no node clears the
+    # spike's walls by h / 8: an endpoint deep in the spike has no node
+    # within two cells, one at its root reaches only nodes behind its
+    # walls, and the two squares' graphs do not meet
+    spike = [0, 1, 1 + 0.5j, 1.5 + 0.5j, 1.5 + 0.502j, 1 + 0.502j, 1 + 1j, 1j]
+    joined = [0, 1, 1 + 0.5j, 1.5 + 0.5j, 1.5, 2.5, 2.5 + 1j, 1.5 + 1j, 1.5 + 0.502j,
+              1 + 0.502j, 1 + 1j, 1j]
+    for vertices, z, w, match in [
+            (spike, 1.45 + 0.501j, 0.5 + 0.5j, "no grid node within reach"),
+            (spike, 1.03 + 0.501j, 0.5 + 0.5j, "connectors leave the domain"),
+            (joined, 0.5 + 0.2j, 2 + 0.8j, "does not connect the endpoints")]:
+        const = M.constant_density(G.polygon(vertices), 1.0)
+        with pytest.raises(ResolutionTooCoarseError, match=match):
+            M.weighted_distance(const, z, w, 0.02)
 
 
 def test_difference_quotient_limit_hyperbolic(hyp):
