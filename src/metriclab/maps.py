@@ -37,8 +37,8 @@ class AnalyticMap:
         raise NotImplementedError
 
     def value_and_derivative(self, z):
-        """(f(z), f'(z)), the value exactly f(z); a map whose two share work
-        forms them together."""
+        """(f(z), f'(z)), the value bit for bit f(z): each map's one
+        derivative route, which :meth:`derivative` reads."""
         raise NotImplementedError
 
     def derivative(self, z):
