@@ -585,7 +585,12 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
     # at this step chose to stay is settled until it or a neighbour moves.
     # lcost[i] and rcost[i] are the costs of the segments from pts[i - 1] to
     # pts[i]'s 8 moves and from those to pts[i + 1], nan where not priced
-    # since the vertex, that neighbour or the step last changed
+    # since the vertex, that neighbour or the step last changed.  Measured
+    # on nt-pairs' 100 Bergman solves (2-core Xeon, 12 alternated pairs per
+    # variant): without the per-side costs they price 1,323,228 density
+    # points, not 1,260,892 (+4.9%), and run_s reads +1.5%; without
+    # ``settled`` they price the same points and run_s reads -2.8%.  Both
+    # run_s moves lie inside the runs' interquartile range (16-24%)
     seg = _segment_cost(omega, pts[:-1], pts[1:])
     settled = np.zeros(pts.size, dtype=bool)
     lcost = np.full((pts.size, dirs.size), np.nan)
