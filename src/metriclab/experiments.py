@@ -157,7 +157,7 @@ def _within(value, interval: str) -> bool:
 def _parse_domain(text: str) -> DomainSpec:
     kind, *tokens = text.split()
     if kind not in ("unit_disc", "ellipse", "polygon", "smoothed_polygon"):
-        raise ConfigError(f"unknown domain kind {kind!r}")
+        raise ConfigError(f"domain: unknown domain kind {kind!r}")
     nums = [_number(float, "domain", v) for v in tokens]
     try:
         if kind == "unit_disc":

@@ -6,6 +6,13 @@ computed by a shortest-path search on a grid graph (8-connected plus knight
 moves, so 16 neighbors) followed by local polyline refinement; the result is
 an upper bound on the true distance that converges as the resolution goes
 to zero, and the returned path is its certificate.
+
+The search only chooses the path, so it may price with a cheaper stand-in
+for the density: a Bergman density's graph carries a guide, the cubic
+interpolant of log rho on a lattice of step 0.4 h over the graph's window
+(:class:`_Guide`), and every other density's search prices with the
+density itself.  The returned distance is always the adaptive-quadrature
+length of the returned path under the density itself (:func:`path_length`).
 """
 
 from __future__ import annotations
@@ -49,8 +56,10 @@ class MetricDensity:
     :func:`bergman_metric_density` or :func:`constant_density`, each of which
     fixes once its values, whether it blows up at the boundary, its
     closed-form distance ``closed_form(u, v)`` (None: only the geodesic
-    solver measures it) and the ``sup_screen`` that goes with that distance
-    (None: every pair is priced).  A density equals only itself.
+    solver measures it), the ``sup_screen`` that goes with that distance
+    (None: every pair is priced) and whether its searches price with a
+    lattice guide (:class:`_Guide`; False: with its own values).  A density
+    equals only itself.
 
     The density owns the geodesic grid graphs built under it, at most 8
     (see :func:`_build_graph`), so they live and die with it.
@@ -61,6 +70,7 @@ class MetricDensity:
     blows_up: bool
     closed_form: Callable | None = None
     sup_screen: Callable | None = None
+    guided: bool = False
     _graphs: dict = field(default_factory=dict, init=False, repr=False)
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
@@ -82,10 +92,11 @@ def quasihyperbolic_density(domain: DomainSpec) -> MetricDensity:
 
 
 def bergman_metric_density(model: KernelModel) -> MetricDensity:
-    """The metric density of a fitted kernel, on the model's domain."""
+    """The metric density of a fitted kernel, on the model's domain; its
+    searches price with a lattice guide of its log (:class:`_Guide`)."""
     return MetricDensity(model.domain,
                          lambda z: bergman_density(model, z.ravel()).reshape(z.shape),
-                         blows_up=True)
+                         blows_up=True, guided=True)
 
 
 def constant_density(domain: DomainSpec, value: float) -> MetricDensity:
@@ -136,14 +147,15 @@ _GL_X8, _GL_W8 = np.polynomial.legendre.leggauss(8)
 _GL_X6, _GL_W6 = np.polynomial.legendre.leggauss(6)
 
 
-def _segment_cost(omega: MetricDensity, a, b, nodes=_GL_X8, weights=_GL_W8):
-    """Gauss-Legendre estimate of int_[a,b] omega |dz|, vectorized over
-    endpoint arrays of any matching shape."""
+def _segment_cost(price: Callable, a, b, nodes=_GL_X8, weights=_GL_W8):
+    """Gauss-Legendre estimate of int_[a,b] price |dz|, vectorized over
+    endpoint arrays of any matching shape; ``price`` is a density's
+    ``eval_array`` or a search's guide."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     t = 0.5 * (nodes + 1.0)
     pts = a[..., None] + t * (b - a)[..., None]
-    vals = omega.eval_array(pts)
+    vals = price(pts)
     return 0.5 * np.abs(b - a) * np.sum(vals * weights, axis=-1)
 
 
@@ -155,18 +167,18 @@ def _line_quad(omega: MetricDensity, a, b) -> np.ndarray:
     1e-12 relative (or 24 levels deep); a half is evaluated once and handed
     down as the whole of its own split.  The segments are refined breadth
     first, so each bisection level of all of them is one
-    :func:`_segment_cost` call, and the leaves are summed back in the
-    depth-first recursion's order.  A density value does not depend on its
+    :func:`_segment_cost` call on ``omega.eval_array``, and the leaves are
+    summed back in the depth-first recursion's order.  A density value does not depend on its
     batch, so each estimate is bit for bit that of its segment refined alone.
     """
     lo = np.asarray(a, dtype=complex)
     hi = np.asarray(b, dtype=complex)
-    whole = _segment_cost(omega, lo, hi, _GL_X12, _GL_W12)
+    whole = _segment_cost(omega.eval_array, lo, hi, _GL_X12, _GL_W12)
     levels = []
     for depth in range(25):
         mid = 0.5 * (lo + hi)
-        halves = _segment_cost(omega, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-                               _GL_X12, _GL_W12)
+        halves = _segment_cost(omega.eval_array, np.concatenate([lo, mid]),
+                               np.concatenate([mid, hi]), _GL_X12, _GL_W12)
         left, right = halves[:lo.size], halves[lo.size:]
         both = left + right
         split = ~(np.abs(whole - both) <= 1e-12 * (np.abs(both) + 1e-30)) & (depth < 24)
@@ -337,6 +349,13 @@ def hyperbolic_sup_screen(values, tops) -> dict[int, float] | None:
 
 @dataclass
 class GeodesicResult:
+    """A solve's distance, the path that certifies it and its resolution.
+
+    ``refinement_gain`` is (graph cost - distance) / graph cost, where the
+    graph cost is the search's price of its path: under the graph's guide
+    for a guided density, so the gain then also carries the guide's error.
+    """
+
     distance: float
     path: PolylinePath
     resolution: float
@@ -354,6 +373,84 @@ _NEARBY_MAX = 25
 # density blocks.  On nt-bounds' 7,228-node graph 1,024-edge chunks peaked
 # 0.34 MiB higher (tracemalloc) and built no faster
 _PRICE_CHUNK = 256
+# a guide's lattice step, in units of the graph's h, and the lattice nodes
+# its build evaluates per density call
+_GUIDE_STEP = 0.4
+_GUIDE_BLOCK = 4096
+
+
+def _cubic_weights(t: np.ndarray) -> np.ndarray:
+    """((4,) + t.shape): the cubic Lagrange weights of the nodes -1, 0, 1,
+    2 at t, each formed elementwise."""
+    a, c, d = t + 1.0, t - 1.0, t - 2.0
+    ab, cd = a * t, c * d
+    w = np.empty((4,) + t.shape)
+    np.multiply(t * cd, -1.0 / 6.0, out=w[0])
+    np.multiply(a * cd, 0.5, out=w[1])
+    np.multiply(ab * d, -0.5, out=w[2])
+    np.multiply(ab * c, 1.0 / 6.0, out=w[3])
+    return w
+
+
+@dataclass(eq=False)
+class _Guide:
+    """A search's stand-in for a density: log rho at the lattice nodes
+    x0 + i step + 1j (y0 + j step), 0 <= i < nx and 0 <= j < ny, that
+    clear the boundary by the step, read back at a point by the
+    tensor-product cubic Lagrange interpolant on the 4 x 4 nodes around
+    it.  Where that stencil leaves the lattice or touches a node not
+    admitted, the point gets the density's own value, ``values``.
+
+    ``logs`` holds node (i, j) at [i + 2, j + 2], nan at the nodes not
+    admitted and on a frame two nodes wide, so a stencil clamped into the
+    frame reads a nan and its point falls back.  Each point's value is
+    formed by elementwise operations, so it does not depend on its batch.
+    """
+
+    values: Callable = field(repr=False)   # the density's own, on a complex array
+    logs: np.ndarray                       # (nx + 4, ny + 4)
+    x0: float
+    y0: float
+    step: float
+
+    def __call__(self, z) -> np.ndarray:
+        zz = np.asarray(z, dtype=complex)
+        flat = zz.ravel()
+        nx, ny = self.logs.shape
+        uv = np.stack((flat.real - self.x0, flat.imag - self.y0)) / self.step
+        # the stencil's rows run from floor - 1 to floor + 2, held inside
+        # the frame; fmax sends nan to the frame too
+        base = np.fmin(np.fmax(np.floor(uv), -1.0), [[nx - 5.0], [ny - 5.0]])
+        w = _cubic_weights(uv - base)
+        i, j = base.astype(np.intp) + 1
+        corner = i * ny + j
+        # vals[a, b, k]: node (a, b) of point k's stencil
+        offsets = (ny * np.arange(4)[:, None] + np.arange(4)).reshape(16, 1)
+        vals = self.logs.take(offsets + corner).reshape(4, 4, flat.size)
+        # along y in each of the stencil's 4 rows, then along x
+        vals *= w[:, 1]
+        rows = vals[:, 0] + vals[:, 1] + vals[:, 2] + vals[:, 3]
+        rows *= w[:, 0]
+        out = np.exp(rows[0] + rows[1] + rows[2] + rows[3])
+        off = np.flatnonzero(np.isnan(out))
+        if off.size:
+            out[off] = self.values(flat[off])
+        return out.reshape(zz.shape)
+
+
+def _build_guide(omega: MetricDensity, x0: float, y0: float, step: float,
+                 nx: int, ny: int) -> _Guide:
+    """The guide of ``omega`` on the nx x ny lattice from x0 + 1j y0, its
+    nodes evaluated in row-major blocks of at most _GUIDE_BLOCK; a density
+    error at a node raises."""
+    logs = np.full(nx * ny, np.nan)
+    for lo in range(0, logs.size, _GUIDE_BLOCK):
+        k = np.arange(lo, min(lo + _GUIDE_BLOCK, logs.size))
+        P = (x0 + (k // ny) * step) + 1j * (y0 + (k % ny) * step)
+        ok = clear_of_boundary(omega.domain, P, step)
+        logs[k[ok]] = np.log(omega.eval_array(P[ok]))
+    framed = np.pad(logs.reshape(nx, ny), 2, constant_values=np.nan)
+    return _Guide(omega._values, framed, x0, y0, step)
 
 
 @dataclass
@@ -366,6 +463,7 @@ class _GridGraph:
     edges: scipy.sparse.csr_matrix  # (n + 1)-square: lattice edges in rows < n, z in row n
     xmin: float
     ymin: float
+    guide: _Guide | None         # the search's price; None: the density's own
 
     def nearby_ids(self, z: complex) -> np.ndarray:
         """Sorted ids of the nodes at most 2 lattice cells from z's cell."""
@@ -400,6 +498,15 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
     nodes = P[mask]
     if nodes.size == 0:
         raise ResolutionTooCoarseError("no admissible grid node in the search window")
+    # a guided density's search prices on a lattice over the window's cells
+    # (cell (i, j) spans xmin + [i, i + 1] h): about 6 density points per
+    # graph node, where its edges would take 48
+    guide = None
+    if omega.guided:
+        guide = _build_guide(omega, xmin + i0 * h, ymin + j0 * h, _GUIDE_STEP * h,
+                             math.ceil((i1 - i0 + 1) / _GUIDE_STEP) + 1,
+                             math.ceil((j1 - j0 + 1) / _GUIDE_STEP) + 1)
+    price = omega.eval_array if guide is None else guide
 
     # pad[2 + i + di, 2 + j + dj] is cell (i, j)'s neighbour at (di, dj), -1 off
     # the window; src, its centre, is ids
@@ -438,12 +545,12 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
         for k in range(0, s.size, _PRICE_CHUNK):
             c = slice(k, k + _PRICE_CHUNK)
             data[forward[c]] = data[backward[c]] = _segment_cost(
-                omega, nodes[s[c]], nodes[d[c]], _GL_X6, _GL_W6)
+                price, nodes[s[c]], nodes[d[c]], _GL_X6, _GL_W6)
     # the constructor trims indices and data to the lattice entries
     edges = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
     edges.indices, edges.data = indices, data
     graph = _GridGraph(nodes=nodes, ids=ids, i0=i0, j0=j0, h=h, edges=edges,
-                       xmin=xmin, ymin=ymin)
+                       xmin=xmin, ymin=ymin, guide=guide)
     if len(omega._graphs) >= 8:   # oldest first out
         omega._graphs.pop(next(iter(omega._graphs)))
     omega._graphs[key] = graph
@@ -469,8 +576,11 @@ def _endpoint_admissible(omega: MetricDensity, z: complex, resolution: float) ->
     return d
 
 
-def _graph_path(omega: MetricDensity, z: complex, w: complex,
-                resolution: float, full_window: bool = False) -> tuple[np.ndarray, float]:
+def _graph_path(omega: MetricDensity, z: complex, w: complex, resolution: float,
+                full_window: bool = False) -> tuple[np.ndarray, float, Callable]:
+    """The search's path from z to w on the graph of the pair's window, its
+    cost under the search's price and that price: the graph's guide, or
+    the density's own values."""
     domain = omega.domain
     if full_window:
         window = domain.bounding_box
@@ -479,6 +589,7 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex,
         window = (min(z.real, w.real) - pad, max(z.real, w.real) + pad,
                   min(z.imag, w.imag) - pad, max(z.imag, w.imag) + pad)
     graph = _build_graph(omega, resolution, window)
+    price = omega.eval_array if graph.guide is None else graph.guide
 
     # z is the source row n of the graph's matrix; w is reached after the
     # search, through its connectors or the direct edge
@@ -495,10 +606,10 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex,
     if cz.size == 0 or cw.size == 0:
         raise ResolutionTooCoarseError(
             f"endpoint connectors leave the domain at resolution {resolution}")
-    cost_z, cost_w = (_segment_cost(omega, np.full(c.shape, p), graph.nodes[c], _GL_X6, _GL_W6)
+    cost_z, cost_w = (_segment_cost(price, np.full(c.shape, p), graph.nodes[c], _GL_X6, _GL_W6)
                       for p, c in ((z, cz), (w, cw)))
     meet = segments_meet_boundary(domain, z, w)
-    direct = math.inf if meet else float(_segment_cost(omega, z, w, _GL_X6, _GL_W6))
+    direct = math.inf if meet else float(_segment_cost(price, z, w, _GL_X6, _GL_W6))
     edges, start = graph.edges, graph.edges.indptr[n]
     edges.indices[start:start + cz.size] = cz
     edges.data[start:start + cz.size] = cost_z
@@ -516,15 +627,15 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex,
         raise ResolutionTooCoarseError(
             f"grid graph at resolution {resolution} does not connect the endpoints")
     if direct <= reach[best]:
-        return np.array([z, w]), direct
+        return np.array([z, w]), direct, price
     chain = [int(cw[best])]
     while chain[-1] != n:
         chain.append(int(pred[chain[-1]]))
     pts = np.array([z, *graph.nodes[chain[-2::-1]], w], dtype=complex)
-    return pts, float(reach[best])
+    return pts, float(reach[best]), price
 
 
-def _shortcut(omega: MetricDensity, pts: np.ndarray) -> np.ndarray:
+def _shortcut(price: Callable, domain: DomainSpec, pts: np.ndarray) -> np.ndarray:
     """Replace subpaths by straight segments wherever that does not cost
     more; greedy forward scan, always taking the farthest jump that meets
     no boundary piece (:func:`segments_meet_boundary`; the vertices are
@@ -532,17 +643,17 @@ def _shortcut(omega: MetricDensity, pts: np.ndarray) -> np.ndarray:
     n = pts.size
     if n <= 2:
         return pts
-    cum = np.concatenate([[0.0], np.cumsum(_segment_cost(omega, pts[:-1], pts[1:]))])
+    cum = np.concatenate([[0.0], np.cumsum(_segment_cost(price, pts[:-1], pts[1:]))])
     out = [0]
     i = 0
     while i < n - 1:
         js = np.arange(i + 2, n)
         j = i + 1
         if js.size:   # only jumps that stay inside are priced
-            meet = segments_meet_boundary(omega.domain, pts[i], pts[js])
+            meet = segments_meet_boundary(domain, pts[i], pts[js])
             js = js[np.logical_not(meet, out=meet)]
         if js.size:
-            seg = _segment_cost(omega, np.full(js.size, pts[i]), pts[js])
+            seg = _segment_cost(price, np.full(js.size, pts[i]), pts[js])
             good = seg <= (cum[js] - cum[i]) * (1 + 1e-12)
             if good.any():
                 j = int(js[np.nonzero(good)[0][-1]])
@@ -570,29 +681,26 @@ def _resample(pts: np.ndarray, target: float) -> np.ndarray:
     return out
 
 
-def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
+def _sweep_level(price: Callable, domain: DomainSpec, pts: np.ndarray, step0: float,
                  margin: float, budget) -> np.ndarray:
     """Red-black pattern-search sweeps at one vertex spacing, with the probe
     step shrinking geometrically from step0; a sweep counts as an
     improvement when it cuts the path cost by more than 1e-8 relative.
     ``budget`` is [sweeps left], shared by the levels (inf: unbounded)."""
-    domain = omega.domain
     dirs = np.array([1, -1, 1j, -1j,
                      (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
                      (-1 + 1j) / math.sqrt(2), (-1 - 1j) / math.sqrt(2)])
     step = step0
-    # seg[i] is the cost of [pts[i], pts[i+1]]; a vertex whose last pricing
-    # at this step chose to stay is settled until it or a neighbour moves.
-    # lcost[i] and rcost[i] are the costs of the segments from pts[i - 1] to
-    # pts[i]'s 8 moves and from those to pts[i + 1], nan where not priced
-    # since the vertex, that neighbour or the step last changed.  Measured
-    # on nt-pairs' 100 Bergman solves (2-core Xeon, 12 alternated pairs per
-    # variant): without the per-side costs they price 1,323,228 density
-    # points, not 1,260,892 (+4.9%), and run_s reads +1.5%; without
-    # ``settled`` they price the same points and run_s reads -2.8%.  Both
-    # run_s moves lie inside the runs' interquartile range (16-24%)
-    seg = _segment_cost(omega, pts[:-1], pts[1:])
-    settled = np.zeros(pts.size, dtype=bool)
+    # seg[i] is the cost of [pts[i], pts[i+1]].  lcost[i] and rcost[i] are
+    # the costs of the segments from pts[i - 1] to pts[i]'s 8 moves and from
+    # those to pts[i + 1], nan where not priced since the vertex, that
+    # neighbour or the step last changed, so a vertex that chose to stay is
+    # not priced again until it or a neighbour moves.  Measured on nt-pairs'
+    # 100 Bergman solves (2-core Xeon, 12 alternated pairs, before the
+    # guide): without the per-side costs they price 1,323,228 density
+    # points, not 1,260,892 (+4.9%), and run_s reads +1.5%, inside the runs'
+    # interquartile range (16-24%)
+    seg = _segment_cost(price, pts[:-1], pts[1:])
     lcost = np.full((pts.size, dirs.size), np.nan)
     rcost = np.full((pts.size, dirs.size), np.nan)
     total = float(np.sum(seg))
@@ -605,7 +713,6 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
             before = total
             for parity in (1, 2):
                 idx = np.arange(parity, pts.size - 1, 2)
-                idx = idx[~settled[idx]]
                 if idx.size == 0:
                     continue
                 P = pts[idx]
@@ -625,7 +732,7 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                 rr, cr = np.nonzero(ok[:, 1:] & np.isnan(R))
                 if rl.size or rr.size:
                     both = _segment_cost(
-                        omega, np.concatenate([prev_pts[rl], cand[rr, cr + 1]]),
+                        price, np.concatenate([prev_pts[rl], cand[rr, cr + 1]]),
                         np.concatenate([cand[rl, cl + 1], next_pts[rr]]))
                     L[rl, cl] = both[:rl.size]
                     R[rr, cr] = both[rl.size:]
@@ -639,8 +746,6 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                 seg[idx - 1] = left[pick, best]
                 seg[idx] = right[pick, best]
                 moved = idx[best != 0]
-                settled[idx] = best == 0
-                settled[moved - 1] = settled[moved + 1] = False
                 lcost[moved] = rcost[moved] = rcost[moved - 1] = lcost[moved + 1] = np.nan
             total = float(np.sum(seg))
             if before - total > 1e-8 * max(total, 1e-300):
@@ -649,12 +754,11 @@ def _sweep_level(omega: MetricDensity, pts: np.ndarray, step0: float,
                 break
         if not improved_level:
             step /= 2
-            settled[:] = False
             lcost[:] = rcost[:] = np.nan
     return pts
 
 
-def _refine(omega: MetricDensity, pts: np.ndarray, resolution: float,
+def _refine(price: Callable, domain: DomainSpec, pts: np.ndarray, resolution: float,
             margin: float, max_sweeps: int | None = None) -> np.ndarray:
     """Multiscale polyline relaxation: the global shape is settled on a
     coarsened polyline first (few vertices relax in few sweeps), then the
@@ -672,9 +776,9 @@ def _refine(omega: MetricDensity, pts: np.ndarray, resolution: float,
         if delta >= L:
             continue
         cand = _resample(pts, delta)
-        if segments_meet_boundary(omega.domain, cand[:-1], cand[1:]).any():
+        if segments_meet_boundary(domain, cand[:-1], cand[1:]).any():
             cand = pts   # coarsening would leave the domain; keep the mesh
-        pts = _sweep_level(omega, cand, delta / 2.0, margin, budget)
+        pts = _sweep_level(price, domain, cand, delta / 2.0, margin, budget)
         if budget[0] <= 0:
             break
     return pts
@@ -685,8 +789,10 @@ def weighted_distance(omega: MetricDensity, z: complex, w: complex,
                       full_window: bool = False) -> GeodesicResult:
     """Weighted geodesic distance via grid search plus local refinement.
 
-    The returned distance is the adaptive-quadrature length of the returned
-    path, hence always an upper bound on the true infimum; halving the
+    The search (graph, shortcut and refinement) prices with the graph's
+    guide when the density has one, but the returned distance is the
+    adaptive-quadrature length of the returned path under the density
+    itself, hence always an upper bound on the true infimum; halving the
     resolution tightens it.  Endpoints within one resolution step of the
     boundary yield :class:`DivergentDistanceError` for blow-up densities.
     ``full_window`` builds the graph over the whole domain (amortized across
@@ -705,14 +811,14 @@ def weighted_distance(omega: MetricDensity, z: complex, w: complex,
     swapped = (w.real, w.imag) < (z.real, z.imag)
     a, b = (w, z) if swapped else (z, w)
 
-    pts, graph_cost = _graph_path(omega, a, b, resolution, full_window)
+    pts, graph_cost, price = _graph_path(omega, a, b, resolution, full_window)
     if omega.blows_up:
         margin = min(resolution, 0.999 * endpoint_dist)
     else:
         # small clearance keeps refined paths off corners of the open domain
         margin = min(resolution / 8.0, 0.5 * endpoint_dist)
-    pts = _shortcut(omega, pts)
-    pts = _refine(omega, pts, resolution, margin, max_sweeps=max_sweeps)
+    pts = _shortcut(price, omega.domain, pts)
+    pts = _refine(price, omega.domain, pts, resolution, margin, max_sweeps=max_sweeps)
     if swapped:
         pts = pts[::-1].copy()
     path = PolylinePath(omega.domain, pts)

@@ -422,7 +422,7 @@ def test_chord_rule_matches_a_dense_membership_oracle(vertices, r, convex):
 _POLYGON_CERTIFICATES = {
     ("sharp", "bergman"): "0x1.a5d3f99cfab68p+1",
     ("sharp", "qh"): "0x1.293480be8d8fap+2",
-    ("smoothed", "bergman"): "0x1.b0aa3a6126e3fp+1",
+    ("smoothed", "bergman"): "0x1.b0aa38f78db08p+1",
     ("smoothed", "qh"): "0x1.204c67b09ae5ep+2",
 }
 
@@ -486,7 +486,7 @@ def _four_branch_edges(omega, graph):
         s, d = s[keep], d[keep]
         rows.append(s)
         cols.append(d)
-        vals.append(M._segment_cost(omega, nodes[s], nodes[d], M._GL_X6, M._GL_W6))
+        vals.append(M._segment_cost(omega.eval_array, nodes[s], nodes[d], M._GL_X6, M._GL_W6))
     if not rows:
         return np.zeros(0), (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     return (np.concatenate(vals + vals),
@@ -581,12 +581,13 @@ def _n_plus_2_graph_path(omega, z, w, resolution, full_window=False):
     for j, p in enumerate((z, w)):
         idx = graph.nearby_ids(p)
         c = idx[~G.segments_meet_boundary(domain, np.full(idx.shape, p), graph.nodes[idx])]
-        cost = M._segment_cost(omega, np.full(c.shape, p), graph.nodes[c], M._GL_X6, M._GL_W6)
+        cost = M._segment_cost(omega.eval_array, np.full(c.shape, p), graph.nodes[c],
+                               M._GL_X6, M._GL_W6)
         rows += [np.full(c.size, n + j), c]
         cols += [c, np.full(c.size, n + j)]
         vals += [cost, cost]
     if not G.segments_meet_boundary(domain, np.array([z]), np.array([w]))[0]:
-        cost = float(M._segment_cost(omega, z, w, M._GL_X6, M._GL_W6))
+        cost = float(M._segment_cost(omega.eval_array, z, w, M._GL_X6, M._GL_W6))
         rows += [[n], [n + 1]]
         cols += [[n + 1], [n]]
         vals += [[cost], [cost]]
@@ -696,7 +697,8 @@ def test_query_csr_matches_the_coo_route(monkeypatch, dom, z, w):
     # row n: z's connectors and their costs, and nothing of w
     idx = graph.nearby_ids(z)
     c = idx[~G.segments_meet_boundary(dom, np.full(idx.shape, z), graph.nodes[idx])]
-    cost = M._segment_cost(omega, np.full(c.shape, z), graph.nodes[c], M._GL_X6, M._GL_W6)
+    cost = M._segment_cost(omega.eval_array, np.full(c.shape, z), graph.nodes[c],
+                           M._GL_X6, M._GL_W6)
     assert indptr[n + 1] == nnz + c.size
     assert np.array_equal(indices[nnz:nnz + c.size], c)
     assert np.array_equal(data[nnz:nnz + c.size], cost)
@@ -793,13 +795,12 @@ def test_bergman_distance_invariance_small(disc_kernel_coarse):
 # refinement pricing
 
 
-def _full_pricing_sweep_level(omega, pts, step0, margin, budget):
+def _full_pricing_sweep_level(price, domain, pts, step0, margin, budget):
     """Oracle: the pattern search that prices all 9 candidates of every
     vertex in every sweep and recomputes the path cost after each sweep."""
     def path_cost(p):
-        return float(np.sum(M._segment_cost(omega, p[:-1], p[1:])))
+        return float(np.sum(M._segment_cost(price, p[:-1], p[1:])))
 
-    domain = omega.domain
     dirs = np.array([1, -1, 1j, -1j,
                      (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
                      (-1 + 1j) / math.sqrt(2), (-1 - 1j) / math.sqrt(2)])
@@ -828,8 +829,8 @@ def _full_pricing_sweep_level(omega, pts, step0, margin, budget):
                 ok = ok.reshape(cand.shape)
                 ok &= ~G.segments_meet_boundary(domain, prev_pts[:, None], cand)
                 ok &= ~G.segments_meet_boundary(domain, cand, next_pts[:, None])
-                cost = (M._segment_cost(omega, prev_pts[:, None], cand)
-                        + M._segment_cost(omega, cand, next_pts[:, None]))
+                cost = (M._segment_cost(price, prev_pts[:, None], cand)
+                        + M._segment_cost(price, cand, next_pts[:, None]))
                 cost = np.where(ok, cost, np.inf)
                 best = np.argmin(cost, axis=1)
                 pts[idx] = cand[np.arange(idx.size), best]
@@ -870,16 +871,125 @@ def test_refine_matches_full_pricing_bit_for_bit(monkeypatch, hyp, ellipse15,
     fast = M._sweep_level
     for seed, (omega, h) in enumerate(cases):
         for z, w in _seeded_pairs(omega.domain, 2, seed):
-            pts, _ = M._graph_path(omega, z, w, h)
+            # the Bergman density's search prices with its graph's guide
+            pts, _, price = M._graph_path(omega, z, w, h)
             end = min(float(G.curve_distance(omega.domain, p)) for p in (z, w))
             margin = min(h, 0.999 * end) if omega.blows_up else min(h / 8, 0.5 * end)
-            pts = M._shortcut(omega, pts)
+            pts = M._shortcut(price, omega.domain, pts)
             for max_sweeps in (None, 6):
                 monkeypatch.setattr(M, "_sweep_level", _full_pricing_sweep_level)
-                want = M._refine(omega, pts.copy(), h, margin, max_sweeps)
+                want = M._refine(price, omega.domain, pts.copy(), h, margin, max_sweeps)
                 monkeypatch.setattr(M, "_sweep_level", fast)
-                got = M._refine(omega, pts.copy(), h, margin, max_sweeps)
+                got = M._refine(price, omega.domain, pts.copy(), h, margin, max_sweeps)
                 assert np.array_equal(got, want), (omega.domain.grid_key(), z, w, max_sweeps)
+
+
+# ---------------------------------------------------------------------------
+# the search guide
+
+
+@pytest.fixture(scope="module")
+def stored_ellipse_density():
+    """The degree-72 E(1.5, 1) fit stored for the benchmark, as a density."""
+    dom = G.ellipse(1.5, 1)
+    stored = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "ellipse_1.5x1_deg72_h0.01.kernel")
+    return M.bergman_metric_density(load_kernel(stored, dom))
+
+
+def _guide_points(domain, count, seed, box=None):
+    """``count`` seeded points inside the domain, drawn from ``box``
+    (default: the domain's bounding box)."""
+    rng = np.random.default_rng(seed)
+    x0, x1, y0, y1 = box or domain.bounding_box
+    out = np.zeros(0, dtype=complex)
+    while out.size < count:
+        z = x0 + (x1 - x0) * rng.random(4 * count) + 1j * (y0 + (y1 - y0) * rng.random(4 * count))
+        out = np.concatenate([out, z[G.contains(domain, z)]])
+    return out[:count]
+
+
+def _stencil_admitted(guide, z):
+    """Whether z's 4 x 4 stencil lies on the guide's lattice with every
+    node admitted, by a scan of the nodes around z."""
+    nx, ny = guide.logs.shape[0] - 4, guide.logs.shape[1] - 4
+    i = math.floor((z.real - guide.x0) / guide.step)
+    j = math.floor((z.imag - guide.y0) / guide.step)
+    return all(0 <= a < nx and 0 <= b < ny and math.isfinite(guide.logs[a + 2, b + 2])
+               for a in range(i - 1, i + 3) for b in range(j - 1, j + 3))
+
+
+def test_only_a_bergman_graph_carries_a_guide(disc, disc_kernel_coarse):
+    for omega in (M.hyperbolic_density(), M.quasihyperbolic_density(disc),
+                  M.constant_density(disc, 1.0)):
+        assert M._build_graph(omega, 0.1, disc.bounding_box).guide is None
+    omega = M.bergman_metric_density(disc_kernel_coarse)
+    graph = M._build_graph(omega, 0.1, (-0.5, 0.2, -0.3, 0.4))
+    # the lattice of step 0.4 h covers the window's cells
+    assert graph.guide.step == pytest.approx(0.04)
+    assert (graph.guide.x0, graph.guide.y0) == (-1 + graph.i0 * 0.1, -1 + graph.j0 * 0.1)
+    ni, nj = graph.ids.shape
+    assert graph.guide.logs.shape == (math.ceil(ni / 0.4) + 5, math.ceil(nj / 0.4) + 5)
+
+
+def test_a_wrong_guide_leaves_the_certificate_the_fits_length(stored_ellipse_density):
+    # the guide only steers the search: with a wrong constant in its place
+    # the solve still returns the fit's length of a valid in-domain path
+    omega = stored_ellipse_density
+    dom = omega.domain
+    z, w = -0.9 + 0.2j, 0.7 - 0.4j
+    guided = M.weighted_distance(omega, z, w, 0.05, max_sweeps=16, full_window=True)
+    graph = M._build_graph(omega, 0.05, dom.bounding_box)
+    graph.guide = lambda p: np.full(np.shape(p), 3.0)
+    try:
+        res = M.weighted_distance(omega, z, w, 0.05, max_sweeps=16, full_window=True)
+    finally:
+        omega._graphs.clear()
+    assert isinstance(res.path, M.PolylinePath)
+    M.PolylinePath(dom, res.path.vertices)
+    assert res.distance == M.path_length(omega, res.path)
+    assert guided.distance == M.path_length(omega, guided.path)
+    assert not np.array_equal(res.path.vertices, guided.path.vertices)
+
+
+def test_guide_falls_back_to_the_fit_off_its_lattice(stored_ellipse_density):
+    # a window reaching the boundary on two sides, and points drawn from a
+    # box larger than it: stencils leave the lattice or touch nodes not
+    # admitted, and there the guide is the fit bit for bit
+    omega = stored_ellipse_density
+    graph = M._build_graph(omega, 0.025, (0.2, 1.5, -0.3, 1.0))
+    guide = graph.guide
+    pts = _guide_points(omega.domain, 3000, 91, (0.0, 1.5, -0.5, 1.0))
+    admitted = np.array([_stencil_admitted(guide, z) for z in pts])
+    assert 500 < admitted.sum() < pts.size - 500
+    got = guide(pts)
+    fit = omega.eval_array(pts)
+    assert got[~admitted].tobytes() == fit[~admitted].tobytes()
+    assert np.all(got[admitted] != fit[admitted])
+
+
+def test_guide_value_does_not_depend_on_its_batch(stored_ellipse_density):
+    omega = stored_ellipse_density
+    guide = M._build_graph(omega, 0.025, (0.2, 1.5, -0.3, 1.0)).guide
+    pts = _guide_points(omega.domain, 513, 92, (0.0, 1.5, -0.5, 1.0))
+    batch = guide(pts)
+    alone = np.array([guide(np.array([z]))[0] for z in pts])
+    assert batch.tobytes() == alone.tobytes()
+    assert guide(pts[7]).shape == () and guide(pts[7]) == batch[7]
+    assert guide(pts.reshape(27, 19)).tobytes() == batch.tobytes()
+
+
+def test_guide_is_within_1e_3_of_the_fit_a_step_from_the_boundary(stored_ellipse_density):
+    # nt-bounds' full-window graph at h 0.025; at the lattice step 0.01 the
+    # interpolant's largest relative error was 2.3e-4 for d in [0.025,
+    # 0.05) and 2.2e-5 for d >= 0.1
+    omega = stored_ellipse_density
+    dom = omega.domain
+    guide = M._build_graph(omega, 0.025, dom.bounding_box).guide
+    pts = _guide_points(dom, 6000, 93)
+    pts = pts[G.curve_distance(dom, pts) >= 0.025][:2000]
+    assert pts.size == 2000
+    assert np.max(np.abs(guide(pts) / omega.eval_array(pts) - 1)) <= 1e-3
 
 
 def _count_points(monkeypatch, omega):
