@@ -416,16 +416,16 @@ class _Guide:
     def __call__(self, z) -> np.ndarray:
         zz = np.asarray(z, dtype=complex)
         flat = zz.ravel()
-        nx, ny = self.logs.shape
+        fx, fy = self.logs.shape   # nx + 4, ny + 4
         uv = np.stack((flat.real - self.x0, flat.imag - self.y0)) / self.step
-        # the stencil's rows run from floor - 1 to floor + 2, held inside
-        # the frame; fmax sends nan to the frame too
-        base = np.fmin(np.fmax(np.floor(uv), -1.0), [[nx - 5.0], [ny - 5.0]])
+        # the stencil's nodes run from floor - 1 to floor + 2, with floor
+        # held in [-1, n - 1] so they stay in the frame; fmax sends nan there
+        base = np.fmin(np.fmax(np.floor(uv), -1.0), [[fx - 5.0], [fy - 5.0]])
         w = _cubic_weights(uv - base)
         i, j = base.astype(np.intp) + 1
-        corner = i * ny + j
+        corner = i * fy + j
         # vals[a, b, k]: node (a, b) of point k's stencil
-        offsets = (ny * np.arange(4)[:, None] + np.arange(4)).reshape(16, 1)
+        offsets = (fy * np.arange(4)[:, None] + np.arange(4)).reshape(16, 1)
         vals = self.logs.take(offsets + corner).reshape(4, 4, flat.size)
         # along y in each of the stencil's 4 rows, then along x
         vals *= w[:, 1]
