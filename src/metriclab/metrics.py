@@ -691,18 +691,8 @@ def _sweep_level(price: Callable, domain: DomainSpec, pts: np.ndarray, step0: fl
                      (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
                      (-1 + 1j) / math.sqrt(2), (-1 - 1j) / math.sqrt(2)])
     step = step0
-    # seg[i] is the cost of [pts[i], pts[i+1]].  lcost[i] and rcost[i] are
-    # the costs of the segments from pts[i - 1] to pts[i]'s 8 moves and from
-    # those to pts[i + 1], nan where not priced since the vertex, that
-    # neighbour or the step last changed, so a vertex that chose to stay is
-    # not priced again until it or a neighbour moves.  Measured on nt-pairs'
-    # 100 Bergman solves (2-core Xeon, 12 alternated pairs, before the
-    # guide): without the per-side costs they price 1,323,228 density
-    # points, not 1,260,892 (+4.9%), and run_s reads +1.5%, inside the runs'
-    # interquartile range (16-24%)
+    # seg[i] is the cost of [pts[i], pts[i+1]]
     seg = _segment_cost(price, pts[:-1], pts[1:])
-    lcost = np.full((pts.size, dirs.size), np.nan)
-    rcost = np.full((pts.size, dirs.size), np.nan)
     total = float(np.sum(seg))
     while step > step0 / 64 and budget[0] > 0:
         improved_level = False
@@ -725,28 +715,22 @@ def _sweep_level(price: Callable, domain: DomainSpec, pts: np.ndarray, step0: fl
                 meet = segments_meet_boundary(domain, prev_pts[:, None], cand)
                 meet |= segments_meet_boundary(domain, cand, next_pts[:, None])
                 ok &= np.logical_not(meet, out=meet)
-                # the stay column keeps its known costs; only the admissible
-                # moves' unpriced sides are priced
-                L, R = lcost[idx], rcost[idx]
-                rl, cl = np.nonzero(ok[:, 1:] & np.isnan(L))
-                rr, cr = np.nonzero(ok[:, 1:] & np.isnan(R))
-                if rl.size or rr.size:
-                    both = _segment_cost(
-                        price, np.concatenate([prev_pts[rl], cand[rr, cr + 1]]),
-                        np.concatenate([cand[rl, cl + 1], next_pts[rr]]))
-                    L[rl, cl] = both[:rl.size]
-                    R[rr, cr] = both[rl.size:]
-                    lcost[idx], rcost[idx] = L, R
-                left = np.column_stack([seg[idx - 1], L])
-                right = np.column_stack([seg[idx], R])
+                # the stay column keeps seg; both sides of every admissible
+                # move are priced in one call
+                left, right = np.full((2,) + cand.shape, np.inf)
+                left[:, 0], right[:, 0] = seg[idx - 1], seg[idx]
+                r, c = np.nonzero(ok[:, 1:])
+                if r.size:
+                    moves = cand[r, c + 1]
+                    both = _segment_cost(price, np.concatenate([prev_pts[r], moves]),
+                                         np.concatenate([moves, next_pts[r]]))
+                    left[r, c + 1], right[r, c + 1] = both[:r.size], both[r.size:]
                 cost = np.where(ok, left + right, np.inf)
                 best = np.argmin(cost, axis=1)
                 pick = np.arange(idx.size)
                 pts[idx] = cand[pick, best]
                 seg[idx - 1] = left[pick, best]
                 seg[idx] = right[pick, best]
-                moved = idx[best != 0]
-                lcost[moved] = rcost[moved] = rcost[moved - 1] = lcost[moved + 1] = np.nan
             total = float(np.sum(seg))
             if before - total > 1e-8 * max(total, 1e-300):
                 improved_level = True
@@ -754,7 +738,6 @@ def _sweep_level(price: Callable, domain: DomainSpec, pts: np.ndarray, step0: fl
                 break
         if not improved_level:
             step /= 2
-            lcost[:] = rcost[:] = np.nan
     return pts
 
 

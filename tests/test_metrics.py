@@ -859,24 +859,27 @@ def _seeded_pairs(domain, count, seed):
 
 
 def test_refine_matches_full_pricing_bit_for_bit(monkeypatch, hyp, ellipse15,
-                                                  disc_kernel_coarse):
+                                                  disc_kernel_coarse, stored_ellipse_density):
     lshape = G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
-    cases = [
-        (hyp, 0.04),
-        (M.quasihyperbolic_density(ellipse15), 0.05),
-        (M.quasihyperbolic_density(lshape), 0.05),   # non-convex: segment checks run
-        (M.constant_density(lshape, 1.0), 0.05),
-        (M.bergman_metric_density(disc_kernel_coarse), 0.05),
+    cases = [   # density, h, full window, sweep budgets
+        (hyp, 0.04, False, (None, 6)),
+        (M.quasihyperbolic_density(ellipse15), 0.05, False, (None, 6)),
+        # non-convex: segment checks run
+        (M.quasihyperbolic_density(lshape), 0.05, False, (None, 6)),
+        (M.constant_density(lshape, 1.0), 0.05, False, (None, 6)),
+        (M.bergman_metric_density(disc_kernel_coarse), 0.05, False, (None, 6)),
+        # nt-pairs' own search: the full-window guide of the stored fit
+        (stored_ellipse_density, 0.025, True, (16,)),
     ]
     fast = M._sweep_level
-    for seed, (omega, h) in enumerate(cases):
+    for seed, (omega, h, full_window, budgets) in enumerate(cases):
         for z, w in _seeded_pairs(omega.domain, 2, seed):
             # the Bergman density's search prices with its graph's guide
-            pts, _, price = M._graph_path(omega, z, w, h)
+            pts, _, price = M._graph_path(omega, z, w, h, full_window)
             end = min(float(G.curve_distance(omega.domain, p)) for p in (z, w))
             margin = min(h, 0.999 * end) if omega.blows_up else min(h / 8, 0.5 * end)
             pts = M._shortcut(price, omega.domain, pts)
-            for max_sweeps in (None, 6):
+            for max_sweeps in budgets:
                 monkeypatch.setattr(M, "_sweep_level", _full_pricing_sweep_level)
                 want = M._refine(price, omega.domain, pts.copy(), h, margin, max_sweeps)
                 monkeypatch.setattr(M, "_sweep_level", fast)
@@ -1011,9 +1014,10 @@ def test_hyperbolic_solve_density_point_count(monkeypatch):
     rng = np.random.default_rng(11)
     z, w = (complex(*0.75 * (2 * rng.random(2) - 1)) for _ in range(2))
     M.weighted_distance(omega, z, w, 0.02)
-    # full pricing of every sweep candidate took 529,070 points, and
-    # re-pricing both sides of an unsettled vertex's moves 425,822
-    assert sum(b.size for b in batches) == 421406
+    # each sweep prices both sides of every admissible move once: 501,342
+    # points.  Full pricing of every candidate took 529,070, and caching the
+    # sides of a vertex that stayed 421,406
+    assert sum(b.size for b in batches) == 501342
 
 
 def test_lshape_solves_price_only_points_inside(monkeypatch):
