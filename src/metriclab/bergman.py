@@ -15,7 +15,9 @@ phi_j = sum_k B_{jk} zeta^k.  Then
              = (K * K_zzbar - K_z * conj(K_z)) / K^2,
 
 with the derivatives taken termwise on the basis (no finite differences,
-which would cancel catastrophically near the boundary).
+which would cancel catastrophically near the boundary): a block of points
+gets phi and phi' together from one product of its powers of zeta with
+the stacked coefficients [B^T | D].
 
 The monomial variable zeta = (z - center)/scale is an affine renormalization
 of the plane that conditions the basis for off-center domains; kernel and
@@ -34,15 +36,6 @@ from .geometry import BoundaryRule, DomainSpec, boundary_rule, capacity_radius, 
 # points per block of a density evaluation: keeps its N x (degree+1)
 # temporaries cache-sized
 _DENSITY_BLOCK = 512
-# degree panels of a density block's basis product.  The basis values of
-# degrees [lo, hi) need only the powers zeta^0..zeta^(hi-1), so k equal
-# panels do (k+1)/(2k) of the full product's arithmetic in k smaller
-# products.  At degree 72 with one BLAS thread on a 2-core Xeon (fastest
-# of 40 interleaved rounds) 512-point calls took 1.64, 1.54, 1.54 and
-# 1.55 us per point with 1, 2, 3 and 4 panels, 100-point calls 1.92,
-# 1.84, 1.84 and 1.93; 3 ties with 2 and does less arithmetic, which
-# counts for more at higher degrees
-_DENSITY_PANELS = 3
 _POSITIVITY_FLOOR = 1e-12   # K(z, z) at or below it is no kernel value to trust
 
 
@@ -51,12 +44,10 @@ class KernelModel:
     """Orthonormalized kernel basis: phi_j(z) = sum_{k<=j} B[j,k] zeta(z)^k,
     on the domain it was fitted on.  A model equals only itself.
 
-    The constructor builds what every density block reuses: panels of
-    [B^T | D], D[m, j] = (m+1) B[j, m+1] / scale, so that
+    The constructor builds what every density block reuses: the stacked
+    coefficients [B^T | D], D[m, j] = (m+1) B[j, m+1] / scale, so that
     phi_j = sum_m zeta^m B^T[m, j] and phi_j' = sum_m zeta^m D[m, j], the
     derivative taken in the original z variable, and the block's buffers.
-    The panels are equally wide; columns past degree N are zero and add
-    nothing.
     """
 
     degree: int
@@ -69,17 +60,12 @@ class KernelModel:
 
     def __post_init__(self):
         n = self.degree + 1
-        width = -(-n // _DENSITY_PANELS)
-        bt = np.zeros((n, _DENSITY_PANELS * width), dtype=complex)
-        bt[:, :n] = self.coefficients.T
+        bt = self.coefficients.T
         d = np.zeros_like(bt)
         d[:-1] = np.arange(1, n)[:, None] * bt[1:] / self.scale
-        self._panels = []   # (hi, [B^T | D] rows :hi of the panel's columns)
-        for lo in range(0, _DENSITY_PANELS * width, width):
-            hi = min(lo + width, n)
-            self._panels.append((hi, np.hstack([bt[:hi, lo:lo + width], d[:hi, lo:lo + width]])))
+        self._stacked = np.hstack([bt, d])
         self._vander = np.empty(_DENSITY_BLOCK * n, dtype=complex)   # a block's powers
-        self._out = np.empty((_DENSITY_BLOCK, _DENSITY_PANELS, 2, width), dtype=complex)
+        self._out = np.empty((_DENSITY_BLOCK, 2, n), dtype=complex)
 
     # -- basis evaluation --------------------------------------------------
 
@@ -104,8 +90,8 @@ def kernel_eval(model: KernelModel, z, w):
 
 def _density_terms(model: KernelModel, z: np.ndarray):
     """(K, K_z, K_zzbar) on the diagonal at the points z (at most
-    _DENSITY_BLOCK of them), from one product per degree panel, in the
-    model's buffers."""
+    _DENSITY_BLOCK of them), from one product with the stacked
+    coefficients, in the model's buffers."""
     p, n = z.size, model.degree + 1
     # column-major and contiguous, so each power is one run of memory:
     # numpy would buffer a strided 2-D operand in fresh arrays
@@ -121,13 +107,12 @@ def _density_terms(model: KernelModel, z: np.ndarray):
         np.multiply(V[:, 1:e - s + 1], V[:, s - 1:s], out=V[:, s:e])
         s = e
     out = model._out[:p]
-    for k, (hi, C) in enumerate(model._panels):
-        np.matmul(V[:, :hi], C, out=out[:, k].reshape(p, -1))
+    np.matmul(V, model._stacked, out=out.reshape(p, 2 * n))
     flat = out.view(float)
-    A = np.einsum("ikj,ikj->i", flat[:, :, 0], flat[:, :, 0])
-    Azz = np.einsum("ikj,ikj->i", flat[:, :, 1], flat[:, :, 1])
+    A = np.einsum("ij,ij->i", flat[:, 0], flat[:, 0])
+    Azz = np.einsum("ij,ij->i", flat[:, 1], flat[:, 1])
     # vecdot conjugates its first argument: sum_j conj(phi_j) phi_j'
-    Az = np.vecdot(out[:, :, 0], out[:, :, 1]).sum(axis=1)
+    Az = np.vecdot(out[:, 0], out[:, 1])
     return A, Az, Azz
 
 

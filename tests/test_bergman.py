@@ -221,7 +221,7 @@ def test_lshape_kernel_reproduces_polynomials(lshape_fit, coeffs):
 def test_kernel_fit_peak_memory_is_bounded(ellipse15):
     # traced peak of the degree-72 fit of the 1.5 x 1 ellipse, on its 148
     # nodes: 2.3 MiB, most of it the model's density block buffers, 1.8 MB
-    # (512 x 73 powers and 512 x 3 x 2 x 25 panel products), which its
+    # (512 x 73 powers and 512 x 2 x 73 basis products), which its
     # constructor builds; the fit's own arrays of 148 x 74 complex (0.18 MB
     # each) peak at 0.7 MB.  The grid fit held its 6.2 MiB grid and two
     # 4.8 MB block buffers
@@ -296,12 +296,10 @@ def test_density_boundary_blowup(disc_kernel, ellipse15):
 
 def _one_batch_density(model, z):
     """bergman_density as one batch (the oracle of the blocked form): the
-    powers of zeta by doubling for every point at once, one product per
-    degree panel with [B^T | D] written into an array laid out like the
-    workspace's, and the same sums over it."""
+    powers of zeta by doubling for every point at once, one product with
+    [B^T | D], and the same sums over its (points, 2, N+1) view."""
     zz = np.asarray(z, dtype=complex)
-    p, n, k = zz.size, model.degree + 1, B._DENSITY_PANELS
-    w = -(-n // k)
+    p, n = zz.size, model.degree + 1
     V = np.empty((p, n), dtype=complex, order="F")
     V[:, 0] = 1.0
     V[:, 1] = zz.ravel() - model.center
@@ -312,27 +310,22 @@ def _one_batch_density(model, z):
         # written in place: a product into a fresh array may round otherwise
         np.multiply(V[:, 1:e - s + 1], V[:, s - 1:s], out=V[:, s:e])
         s = e
-    bt = np.zeros((n, k * w), dtype=complex)
-    bt[:, :n] = model.coefficients.T
+    bt = model.coefficients.T
     d = np.zeros_like(bt)
     for m in range(n - 1):
         d[m] = (m + 1) * bt[m + 1] / model.scale
-    out = np.empty((p, k, 2, w), dtype=complex)
-    for j in range(k):
-        hi = min((j + 1) * w, n)
-        cols = slice(j * w, (j + 1) * w)
-        out[:, j] = (V[:, :hi] @ np.hstack([bt[:hi, cols], d[:hi, cols]])).reshape(p, 2, w)
+    out = (V @ np.hstack([bt, d])).reshape(p, 2, n)
     flat = out.view(float)
-    A = np.einsum("ikj,ikj->i", flat[:, :, 0], flat[:, :, 0])
-    Azz = np.einsum("ikj,ikj->i", flat[:, :, 1], flat[:, :, 1])
-    Az = np.vecdot(out[:, :, 0], out[:, :, 1]).sum(axis=1)
+    A = np.einsum("ij,ij->i", flat[:, 0], flat[:, 0])
+    Azz = np.einsum("ij,ij->i", flat[:, 1], flat[:, 1])
+    Az = np.vecdot(out[:, 0], out[:, 1])
     rho = np.sqrt((A * Azz - (Az * np.conj(Az)).real) / (A * A))
     return rho.reshape(zz.shape)
 
 
 def _two_product_density(model, z):
     """The density by two full products with the Vandermonde and its
-    derivative matrix (the formula before the stacked panels)."""
+    derivative matrix (the formula before the stacked coefficients)."""
     zz = np.asarray(z, dtype=complex)
     n = model.degree + 1
     V = np.vander(model._zeta(zz).ravel(), n, increasing=True)
@@ -412,7 +405,7 @@ def ellipse15_kernel48(ellipse15):
 
 
 def test_panel_density_matches_the_two_product_formula(ellipse15, ellipse15_kernel48):
-    # the stacked panels and the doubled powers change only the rounding:
+    # the stacked coefficients and the doubled powers change only the rounding:
     # 2,000 points at least 0.01 from the boundary, degree 48
     model = ellipse15_kernel48
     rng = np.random.default_rng(67)

@@ -382,15 +382,15 @@ REPORT_DIGESTS = {
         "yamashita_9599e852c80c.modulus_sup.dat": "80395e28b142e12a506087d1d9d57b3b7839f4ad225795e369cef2121870a2fa",
     },
     "nt_bounds_smoothed_lshape": {
-        "nt_bounds_5a85b295f28f.beta_vs_q.dat": "7006b329dd71723c647f61b868b0673eb734f218933c52f2d428ed34ac8e98ad",
-        "nt_bounds_5a85b295f28f.json": "1a9b3104bc7b6ea9875985515a7f1690ea456b32191eb0f34b4c00fe7959df29",
+        "nt_bounds_5a85b295f28f.beta_vs_q.dat": "66be463c8c377403b447252d90dfdd23802b91596564a3dcb06ba123dbdfa0ae",
+        "nt_bounds_5a85b295f28f.json": "e0f020bbd707cdeba11f64c4361181bafdb501f6ff9435220c26a1b81654b023",
     },
     "qh_compare_disc_quick": {
-        "qh_compare_7e0f3b70929c.distance_ratios.dat": "110439f278bcb24e9149cca23748ec68f72930c5da2b51101c946626caf6863f",
-        "qh_compare_7e0f3b70929c.json": "335f7c09012054fdb8e17ec61392019347988c9ff08040e30ba83bbed253a8f1",
-        "qh_compare_7e0f3b70929c.ring_0.dat": "25c49c27162ef3a21937a6dd5e375412eedf968bf6d7238ca43bd1ce7b53130e",
-        "qh_compare_7e0f3b70929c.ring_1.dat": "b94fabfa07129a0db8e35f7f23d649ffddeeb60f81e6c969c5cd741762bd1c1f",
-        "qh_compare_7e0f3b70929c.ring_2.dat": "5071b8ee48ad9daa7c8e24cc1fce5dd43c6b358d6c8f32e0fcdc8d54471b0843",
+        "qh_compare_7e0f3b70929c.distance_ratios.dat": "81de335022dcd4d3a0589ada4138704d8285978ee3520de1a0043a7267beeff0",
+        "qh_compare_7e0f3b70929c.json": "8da83d6b7d71fca5ea3c5da47ab687f906f59df88c721975a6a536a2d3fc66de",
+        "qh_compare_7e0f3b70929c.ring_0.dat": "4a464526a86ed013f3aa0fffd8311c049a7648a7e3ab37fde7ff0212d2548c09",
+        "qh_compare_7e0f3b70929c.ring_1.dat": "83acf4dda49c47441389f03e89b757b5b0243dfb5a377eca64706536c4595dc7",
+        "qh_compare_7e0f3b70929c.ring_2.dat": "3edb80730ae58e44ec2d235b09859e516a04bf80116772a22cfbcfbee124f7a5",
     },
 }
 

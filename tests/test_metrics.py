@@ -420,9 +420,9 @@ def test_chord_rule_matches_a_dense_membership_oracle(vertices, r, convex):
 # seed-7 pair 15 of the polygon solver probe (tools/solver_probe.py): the
 # sharp L at h 0.04 and the smoothed L (r 0.15) at h 0.02
 _POLYGON_CERTIFICATES = {
-    ("sharp", "bergman"): "0x1.a5d3f99cfab68p+1",
+    ("sharp", "bergman"): "0x1.a5d3f99cfab65p+1",
     ("sharp", "qh"): "0x1.293480be8d8fap+2",
-    ("smoothed", "bergman"): "0x1.b0aa38f78db08p+1",
+    ("smoothed", "bergman"): "0x1.b0aa38f78dafep+1",
     ("smoothed", "qh"): "0x1.204c67b09ae5ep+2",
 }
 
