@@ -369,9 +369,10 @@ _NEIGHBOR_OFFSETS = np.array([
 ])
 # the most nodes :meth:`_GridGraph.nearby_ids` returns, from its 5 x 5 cells
 _NEARBY_MAX = 25
-# edges a graph build prices per density call: 1,536 points, three Bergman
-# density blocks.  On nt-bounds' 7,228-node graph 1,024-edge chunks peaked
-# 0.34 MiB higher (tracemalloc) and built no faster
+# edges a graph build prices per call of its price, 1,536 points.  On
+# nt-bounds' 7,228-node guided build (one BLAS thread, 2-core Xeon) it
+# peaked at 3.37 MiB (tracemalloc) in 0.14-0.15 s; 1,024-edge chunks, with
+# 4 times the guide's stencil temporaries, at 5.12 MiB in 0.16-0.18 s
 _PRICE_CHUNK = 256
 # a guide's lattice step, in units of the graph's h, and the lattice nodes
 # its build evaluates per density call

@@ -1014,9 +1014,8 @@ def test_hyperbolic_solve_density_point_count(monkeypatch):
     rng = np.random.default_rng(11)
     z, w = (complex(*0.75 * (2 * rng.random(2) - 1)) for _ in range(2))
     M.weighted_distance(omega, z, w, 0.02)
-    # each sweep prices both sides of every admissible move once: 501,342
-    # points.  Full pricing of every candidate took 529,070, and caching the
-    # sides of a vertex that stayed 421,406
+    # each sweep prices both sides of every admissible move once; full
+    # pricing of every sweep candidate took 529,070 points
     assert sum(b.size for b in batches) == 501342
 
 
