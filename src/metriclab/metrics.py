@@ -5,7 +5,8 @@ the infimum of weighted path lengths over connecting paths.  Distances are
 computed by a shortest-path search on a grid graph (8-connected plus knight
 moves, so 16 neighbors) followed by local polyline refinement; the result is
 an upper bound on the true distance that converges as the resolution goes
-to zero, and the returned path is its certificate.
+to zero, and the returned path is its certificate.  A graph keeps its edges
+in a padded table, searched by an exact round-based Dijkstra (:func:`_search`).
 
 The search only chooses the path, so it may price with a cheaper stand-in
 for the density: a Bergman density's graph carries a guide, the cubic
@@ -22,10 +23,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-# scipy loads scipy.sparse and scipy.sparse.csgraph on first attribute
-# access, so only a process that builds a grid graph pays for them: about
-# 0.2 s of CPU and 25 MiB of peak RSS (SciPy 1.17.1 on a 2-core Xeon)
-import scipy
 
 from .bergman import KernelModel, bergman_density
 from .errors import (
@@ -363,16 +360,16 @@ class GeodesicResult:
 
 
 # the 8 forward offsets, each to a neighbour with a higher id (ids run
-# row-major), in falling (di, dj) order; their negatives are the backward 8
+# row-major), in falling (di, dj) order; their negatives are the backward 8.
+# A table row holds offset k's backward neighbour in column k and its forward
+# one in column 15 - k, so its columns rise by (di, dj), and so by id
 _NEIGHBOR_OFFSETS = np.array([
     (2, 1), (2, -1), (1, 2), (1, 1), (1, 0), (1, -1), (1, -2), (0, 1),
 ])
-# the most nodes :meth:`_GridGraph.nearby_ids` returns, from its 5 x 5 cells
-_NEARBY_MAX = 25
 # edges a graph build prices per call of its price, 1,536 points.  On
 # nt-bounds' 7,228-node guided build (one BLAS thread, 2-core Xeon) it
-# peaked at 3.37 MiB (tracemalloc) in 0.14-0.15 s; 1,024-edge chunks, with
-# 4 times the guide's stencil temporaries, at 5.12 MiB in 0.16-0.18 s
+# peaked at 2.84 MiB (tracemalloc); 1,024-edge chunks, with 4 times the
+# guide's stencil temporaries, at 4.56 MiB and no faster
 _PRICE_CHUNK = 256
 # a guide's lattice step, in units of the graph's h, and the lattice nodes
 # its build evaluates per density call
@@ -414,25 +411,31 @@ class _Guide:
     y0: float
     step: float
 
+    def __post_init__(self):
+        fx, fy = self.logs.shape   # nx + 4, ny + 4
+        self._flat = self.logs.ravel()
+        # stencil node (a, b) of the floor (i, j) is logs[i + 1 + a, j + 1 + b]
+        self._offsets = (fy * np.arange(1, 5)[:, None] + np.arange(1, 5)).reshape(16, 1)
+        self._top = np.array([[fx - 5.0], [fy - 5.0]])
+
     def __call__(self, z) -> np.ndarray:
         zz = np.asarray(z, dtype=complex)
         flat = zz.ravel()
-        fx, fy = self.logs.shape   # nx + 4, ny + 4
         uv = np.stack((flat.real - self.x0, flat.imag - self.y0)) / self.step
         # the stencil's nodes run from floor - 1 to floor + 2, with floor
         # held in [-1, n - 1] so they stay in the frame; fmax sends nan there
-        base = np.fmin(np.fmax(np.floor(uv), -1.0), [[fx - 5.0], [fy - 5.0]])
+        base = np.fmin(np.fmax(np.floor(uv), -1.0), self._top)
         w = _cubic_weights(uv - base)
-        i, j = base.astype(np.intp) + 1
-        corner = i * fy + j
+        corner, j = base.astype(np.intp)
+        corner *= self.logs.shape[1]
+        corner += j
         # vals[a, b, k]: node (a, b) of point k's stencil
-        offsets = (fy * np.arange(4)[:, None] + np.arange(4)).reshape(16, 1)
-        vals = self.logs.take(offsets + corner).reshape(4, 4, flat.size)
+        vals = self._flat.take(self._offsets + corner).reshape(4, 4, flat.size)
         # along y in each of the stencil's 4 rows, then along x
         vals *= w[:, 1]
-        rows = vals[:, 0] + vals[:, 1] + vals[:, 2] + vals[:, 3]
+        rows = np.add.reduce(vals, axis=1)
         rows *= w[:, 0]
-        out = np.exp(rows[0] + rows[1] + rows[2] + rows[3])
+        out = np.exp(np.add.reduce(rows, axis=0))
         off = np.flatnonzero(np.isnan(out))
         if off.size:
             out[off] = self.values(flat[off])
@@ -461,7 +464,9 @@ class _GridGraph:
     i0: int
     j0: int
     h: float
-    edges: scipy.sparse.csr_matrix  # (n + 1)-square: lattice edges in rows < n, z in row n
+    nbr: np.ndarray              # (n + 1, 16) int32 neighbour ids, n where none
+    cost: np.ndarray             # (n + 1, 16) their edge costs, inf where none
+    least: np.ndarray            # (n + 1,) each row's least cost
     xmin: float
     ymin: float
     guide: _Guide | None         # the search's price; None: the density's own
@@ -515,47 +520,56 @@ def _build_graph(omega: MetricDensity, resolution: float, window) -> _GridGraph:
     pad = np.pad(ids.astype(np.int32), 2, constant_values=-1)
     src = pad[2:2 + ni, 2:2 + nj]
     n = nodes.size
-    found, count = [], np.zeros(n, dtype=np.int32)
-    for di, dj in _NEIGHBOR_OFFSETS:
+    nbr = np.full((n + 1, 16), n, dtype=np.int32)
+    cost = np.full((n + 1, 16), np.inf)
+    for k, (di, dj) in enumerate(_NEIGHBOR_OFFSETS):
         dst = pad[2 + di:2 + di + ni, 2 + dj:2 + dj + nj]
         ok = (src >= 0) & (dst >= 0)
         meet = segments_meet_boundary(domain, nodes[src[ok]], nodes[dst[ok]])
         ok[ok] = np.logical_not(meet, out=meet)
         s, d = src[ok], dst[ok]
-        count[s] += 1
-        count[d] += 1
-        found.append((s, d))
-    # the CSR arrays, in place: row s holds its backward neighbours, then its
-    # forward ones, each in rising (di, dj) order and so in column order.
-    # Taking the forward offsets in falling order, each offset's backward
-    # entry goes at the next free slot from its row's start, and its forward
-    # entry at the next from its row's end.  Row n, the query's source,
-    # starts empty, with room for the connectors after the lattice entries
-    indptr = np.zeros(n + 2, dtype=np.int32)
-    np.cumsum(count, out=indptr[1:n + 1])
-    nnz = indptr[n + 1] = indptr[n]
-    indices = np.zeros(nnz + _NEARBY_MAX, dtype=np.int32)
-    data = np.zeros(nnz + _NEARBY_MAX)
-    lo, hi = indptr[:n].copy(), indptr[1:n + 1].copy()
-    for s, d in found:
-        hi[s] -= 1
-        forward, backward = hi[s], lo[d]
-        lo[d] += 1
-        indices[forward], indices[backward] = d, s
+        nbr[s, 15 - k], nbr[d, k] = d, s
         # each edge priced once, from its lower id, in chunks of bounded memory
-        for k in range(0, s.size, _PRICE_CHUNK):
-            c = slice(k, k + _PRICE_CHUNK)
-            data[forward[c]] = data[backward[c]] = _segment_cost(
+        for lo in range(0, s.size, _PRICE_CHUNK):
+            c = slice(lo, lo + _PRICE_CHUNK)
+            cost[s[c], 15 - k] = cost[d[c], k] = _segment_cost(
                 price, nodes[s[c]], nodes[d[c]], _GL_X6, _GL_W6)
-    # the constructor trims indices and data to the lattice entries
-    edges = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
-    edges.indices, edges.data = indices, data
-    graph = _GridGraph(nodes=nodes, ids=ids, i0=i0, j0=j0, h=h, edges=edges,
-                       xmin=xmin, ymin=ymin, guide=guide)
+    graph = _GridGraph(nodes=nodes, ids=ids, i0=i0, j0=j0, h=h, nbr=nbr, cost=cost,
+                       least=cost.min(axis=1), xmin=xmin, ymin=ymin, guide=guide)
     if len(omega._graphs) >= 8:   # oldest first out
         omega._graphs.pop(next(iter(omega._graphs)))
     omega._graphs[key] = graph
     return graph
+
+
+def _search(graph: _GridGraph, cz, cost_z, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dijkstra from z, whose edges go to the nodes cz at the costs cost_z:
+    each node's distance and predecessor (n: z; inf and -1 past ``limit``).
+    A round settles every open node within the least open distance plus its
+    own least edge cost, or within the least, over open u, of dist[u] plus
+    u's (Crauser, Mehlhorn, Meyer and Sanders, 1998): rounding is monotone,
+    so no later candidate is smaller.  The predecessor is, of the neighbours
+    u with dist[u] + cost == the distance, the one of least dist[u], then of
+    least id (z, at 0, first); each such u settles by the end of the round."""
+    n = graph.nodes.size
+    dist = np.full(n + 1, np.inf)
+    dist[cz] = cost_z
+    pred = np.full(n + 1, -1, dtype=np.int32)   # -1 until settled
+    cap = min(limit, np.finfo(float).max)   # an inf distance is not reached
+    while (live := np.flatnonzero((dist <= cap) & (pred < 0))).size:
+        d, lv = dist.take(live), graph.least.take(live)
+        settle = live[d <= np.maximum(lv + d.min(), (d + lv).min())]
+        rows, edge = graph.nbr.take(settle, axis=0), graph.cost.take(settle, axis=0)
+        own = dist.take(settle)[:, None]
+        via = dist.take(rows)
+        via[via + edge != own] = np.inf
+        pred[settle] = rows[np.arange(settle.size), via.argmin(axis=1)]
+        # minima do not depend on the order of duplicate targets
+        edge += own
+        np.minimum.at(dist, rows.ravel(), edge.ravel())
+    dist[pred < 0] = np.inf
+    pred[cz[dist[cz] == cost_z]] = n
+    return dist, pred
 
 
 def _endpoint_admissible(omega: MetricDensity, z: complex, resolution: float) -> float:
@@ -592,9 +606,8 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex, resolution: float,
     graph = _build_graph(omega, resolution, window)
     price = omega.eval_array if graph.guide is None else graph.guide
 
-    # z is the source row n of the graph's matrix; w is reached after the
-    # search, through its connectors or the direct edge
-    n = graph.nodes.size
+    # the search starts from z's connectors; w is reached after it, through
+    # its connectors or the direct edge
     conn = []
     for p in (z, w):
         idx = graph.nearby_ids(p)
@@ -611,17 +624,12 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex, resolution: float,
                       for p, c in ((z, cz), (w, cw)))
     meet = segments_meet_boundary(domain, z, w)
     direct = math.inf if meet else float(_segment_cost(price, z, w, _GL_X6, _GL_W6))
-    edges, start = graph.edges, graph.edges.indptr[n]
-    edges.indices[start:start + cz.size] = cz
-    edges.data[start:start + cz.size] = cost_z
-    edges.indptr[n + 1] = start + cz.size
     # a node beyond the direct edge's cost keeps dist inf, and a connector
     # there would lose to the direct edge anyway; a chord that leaves the
     # domain leaves the search unbounded
-    dist, pred = scipy.sparse.csgraph.dijkstra(edges, indices=n, return_predecessors=True,
-                                               limit=direct)
-    # the cheapest reach of w; on a tie the connector the search settled
-    # first, and the direct edge, relaxed as z is settled, before any
+    dist, pred = _search(graph, cz, cost_z, direct)
+    # the cheapest reach of w; on a tie the connector nearest z (the one
+    # Dijkstra settles first), and the direct edge before any
     reach = dist[cw] + cost_w
     best = np.lexsort((dist[cw], reach))[0]
     if math.isinf(min(direct, reach[best])):
@@ -630,7 +638,7 @@ def _graph_path(omega: MetricDensity, z: complex, w: complex, resolution: float,
     if direct <= reach[best]:
         return np.array([z, w]), direct, price
     chain = [int(cw[best])]
-    while chain[-1] != n:
+    while chain[-1] != graph.nodes.size:
         chain.append(int(pred[chain[-1]]))
     pts = np.array([z, *graph.nodes[chain[-2::-1]], w], dtype=complex)
     return pts, float(reach[best]), price

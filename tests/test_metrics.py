@@ -526,28 +526,27 @@ def test_graph_edges_match_the_four_branch_slicing(dom, window, shape):
     graph = M._build_graph(omega, 0.1, window)
     assert graph.ids.shape == shape
     n = graph.nodes.size
-    edges = graph.edges
-    assert edges.shape == (n + 1, n + 1)
-    # rows 0..n-1 are the canonical lattice matrix: sorted rows, both
-    # directions of each edge, no edge twice
-    want = csr_matrix(_four_branch_edges(omega, graph), shape=(n, n))
-    assert want.has_canonical_format
-    nnz = want.nnz
-    assert edges.indptr.dtype == edges.indices.dtype == want.indices.dtype == np.int32
-    assert edges.indptr[:n + 1].tobytes() == want.indptr.tobytes()
-    assert edges.indices[:nnz].tobytes() == want.indices.tobytes()
-    assert edges.data[:nnz].tobytes() == want.data.tobytes()
-    # row n, a query's source, starts empty with zeroed room for every connector
-    assert edges.indptr[n + 1] == nnz
-    assert edges.indices.size == edges.data.size == nnz + M._NEARBY_MAX
-    assert not edges.indices[nnz:].any() and edges.data[nnz:].tobytes() == bytes(8 * M._NEARBY_MAX)
+    nbr, cost = graph.nbr, graph.cost
+    assert nbr.shape == cost.shape == (n + 1, 16) and nbr.dtype == np.int32
+    # a slot holds an edge or the pad (n, inf); row n, the sentinel's, only pads
+    real = nbr < n
+    assert np.array_equal(real, np.isfinite(cost)) and not real[n].any()
+    assert np.all(nbr >= 0)
+    # each row holds its (neighbour, cost) pairs of the four-branch slicing,
+    # both directions of each edge, none twice, in rising neighbour order
+    vals, (rows, cols) = _four_branch_edges(omega, graph)
+    order = np.lexsort((cols, rows))
+    r, c = np.nonzero(real)
+    assert np.array_equal(r, rows[order]) and np.array_equal(nbr[r, c], cols[order])
+    assert cost[r, c].tobytes() == vals[order].tobytes()
+    assert graph.least.tobytes() == cost.min(axis=1).tobytes()
 
 
 def test_graph_build_peaks_under_two_and_a_half_graphs(ellipse15):
     # nt-bounds' full-window graph (7,228 nodes, 112,916 lattice entries)
     # under the stored degree-72 kernel.  Assembled from COO, sorted and
-    # grown by two np.append copies, its build peaked at 4.4 times the
-    # graph's own bytes (6.67 MiB of tracemalloc for 1.51 MiB)
+    # grown by two np.append copies, its CSR matrix's build peaked at 4.4
+    # times the graph's own bytes (6.67 MiB of tracemalloc for 1.51 MiB)
     stored = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                           "ellipse_1.5x1_deg72_h0.01.kernel")
     omega = M.bergman_metric_density(load_kernel(stored, ellipse15))
@@ -557,9 +556,8 @@ def test_graph_build_peaks_under_two_and_a_half_graphs(ellipse15):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    edges = graph.edges
-    own = sum(a.nbytes for a in (graph.nodes, graph.ids, edges.indptr, edges.indices, edges.data))
-    assert graph.nodes.size == 7228 and edges.indptr[-1] == 112916
+    own = sum(a.nbytes for a in (graph.nodes, graph.ids, graph.nbr, graph.cost, graph.least))
+    assert graph.nodes.size == 7228 and np.isfinite(graph.cost).sum() == 112916
     assert peak < 2.5 * own
 
 
@@ -576,8 +574,8 @@ def _n_plus_2_graph_path(omega, z, w, resolution, full_window=False):
                   min(z.imag, w.imag) - pad, max(z.imag, w.imag) + pad)
     graph = M._build_graph(omega, resolution, window)
     n = graph.nodes.size
-    lattice = graph.edges[:n, :n].tocoo()
-    rows, cols, vals = [lattice.row], [lattice.col], [lattice.data]
+    real = graph.nbr[:n] < n
+    rows, cols, vals = [np.nonzero(real)[0]], [graph.nbr[:n][real]], [graph.cost[:n][real]]
     for j, p in enumerate((z, w)):
         idx = graph.nearby_ids(p)
         c = idx[~G.segments_meet_boundary(domain, np.full(idx.shape, p), graph.nodes[idx])]
@@ -636,17 +634,19 @@ def test_graph_path_matches_the_n_plus_2_node_search():
 
 
 def test_search_bounded_by_the_direct_edge_returns_the_unbounded_path(monkeypatch):
-    # the same points and cost with and without limit=direct, on a convex
-    # domain, where every search is bounded, and on a non-convex one, where
-    # a chord that leaves it (the last pair's) leaves the search unbounded
+    # the same points and cost with the direct edge's limit and with
+    # limit=inf, on a convex domain, where every search is bounded, and on a
+    # non-convex one, where a chord that leaves it (the last pair's) leaves
+    # the search unbounded
     searches = []
+    search = M._search
 
-    def unbounded(matrix, limit, **kwargs):
-        return dijkstra(matrix, **kwargs)
+    def unbounded(graph, cz, cost_z, limit):
+        return search(graph, cz, cost_z, math.inf)
 
-    def bounded(matrix, limit, **kwargs):
-        dist, pred = dijkstra(matrix, limit=limit, **kwargs)
-        searches.append((limit, np.isfinite(dist).sum() < dist.size))
+    def bounded(graph, cz, cost_z, limit):
+        dist, pred = search(graph, cz, cost_z, limit)
+        searches.append((limit, np.isfinite(dist[:-1]).sum() < dist.size - 1))
         return dist, pred
 
     for omega, h, pairs in (
@@ -656,9 +656,9 @@ def test_search_bounded_by_the_direct_edge_returns_the_unbounded_path(monkeypatc
              _seeded_pairs(_ROUNDED_L, 8, 82) + [(0.5 + 1.8j, 1.8 + 0.5j)])):
         for z, w in pairs:
             for full in (False, True):
-                monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", unbounded)
+                monkeypatch.setattr(M, "_search", unbounded)
                 want = M._graph_path(omega, z, w, h, full)
-                monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", bounded)
+                monkeypatch.setattr(M, "_search", bounded)
                 got = M._graph_path(omega, z, w, h, full)
                 assert np.array_equal(got[0], want[0]), (omega.domain.grid_key(), z, w, full)
                 assert got[1] == want[1]
@@ -667,76 +667,112 @@ def test_search_bounded_by_the_direct_edge_returns_the_unbounded_path(monkeypatc
     assert sum(pruned for _, pruned in searches) > len(searches) // 2
 
 
+def _scipy_search(graph, cz, cost_z, limit):
+    """SciPy's Dijkstra from z on the (n + 1)-node CSR matrix of the graph's
+    table, z as node n; an unreached node's predecessor reads -1."""
+    n = graph.nodes.size
+    real = graph.nbr < n
+    rows = np.concatenate([np.nonzero(real)[0], np.full(cz.size, n)])
+    cols = np.concatenate([graph.nbr[real], cz])
+    vals = np.concatenate([graph.cost[real], cost_z])
+    dist, pred = dijkstra(csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)), indices=n,
+                          return_predecessors=True, limit=limit)
+    return dist, np.where(pred == -9999, -1, pred)
+
+
+def test_search_matches_scipy_dijkstra_bit_for_bit(stored_ellipse_density):
+    # nt-bounds' full-window graph of the stored fit, priced by its guide,
+    # and the sharp L under its quasihyperbolic and constant densities
+    cases = [(stored_ellipse_density, 0.025, 6),
+             (M.quasihyperbolic_density(_LSHAPE), 0.05, 8),
+             (M.constant_density(_LSHAPE, 1.0), 0.05, 8)]
+    for seed, (omega, h, count) in enumerate(cases):
+        graph = M._build_graph(omega, h, omega.domain.bounding_box)
+        price = omega.eval_array if graph.guide is None else graph.guide
+        n = graph.nodes.size
+        for z, w in _seeded_pairs(omega.domain, count, 60 + seed):
+            idx = graph.nearby_ids(z)
+            cz = idx[~G.segments_meet_boundary(omega.domain, np.full(idx.shape, z),
+                                               graph.nodes[idx])]
+            cost_z = M._segment_cost(price, np.full(cz.shape, z), graph.nodes[cz],
+                                     M._GL_X6, M._GL_W6)
+            direct = float(M._segment_cost(price, z, w, M._GL_X6, M._GL_W6))
+            for limit in (direct, math.inf):
+                dist, pred = M._search(graph, cz, cost_z, limit)
+                want_dist, want_pred = _scipy_search(graph, cz, cost_z, limit)
+                assert dist[:n].tobytes() == want_dist[:n].tobytes(), (seed, z, limit)
+                assert np.array_equal(pred[:n], want_pred[:n]), (seed, z, limit)
+                assert math.isinf(dist[n]) and pred[n] == -1
+
+
 @pytest.mark.parametrize("dom, z, w", [
     (G.ellipse(1.5, 1), -0.9 + 0.2j, 0.7 - 0.4j),
     (_LSHAPE, 0.3 + 1.6j, 1.7 + 0.4j),
 ])
-def test_query_csr_matches_the_coo_route(monkeypatch, dom, z, w):
+def test_query_table_matches_the_coo_route(monkeypatch, dom, z, w):
     omega = M.quasihyperbolic_density(dom)
-    seen = []
-
-    def capture(matrix, **kwargs):
-        # row n is rewritten by the next query: keep the arrays as searched
-        seen.append((matrix, matrix.indptr.copy(), matrix.indices.copy(), matrix.data.copy()))
-        return dijkstra(matrix, **kwargs)
-
-    monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", capture)
-    got = M._graph_path(omega, z, w, 0.1, full_window=True)
     graph = M._build_graph(omega, 0.1, dom.bounding_box)
-    n = graph.nodes.size
-    ((full, indptr, indices, data),) = seen
-    # the search runs on the graph's cached matrix, not a per-query copy
-    assert full is graph.edges
-    assert full.shape == (n + 1, n + 1)
-    # rows 0..n-1: the canonical lattice matrix
-    want = csr_matrix(_four_branch_edges(omega, graph), shape=(n, n))
-    nnz = want.nnz
-    assert np.array_equal(indptr[:n + 1], want.indptr)
-    assert np.array_equal(indices[:nnz], want.indices)
-    assert np.array_equal(data[:nnz], want.data)
-    # row n: z's connectors and their costs, and nothing of w
+    built = [a.copy() for a in (graph.nbr, graph.cost, graph.least)]
+    seen = []
+    search = M._search
+
+    def capture(g, cz, cost_z, limit):
+        seen.append((g, cz, cost_z))
+        return search(g, cz, cost_z, limit)
+
+    monkeypatch.setattr(M, "_search", capture)
+    got = M._graph_path(omega, z, w, 0.1, full_window=True)
+    ((searched, cz, cost_z),) = seen
+    # the search runs on the graph's cached table, not a per-query copy
+    assert searched is graph
+    # z's connectors and their costs, and nothing of w
     idx = graph.nearby_ids(z)
     c = idx[~G.segments_meet_boundary(dom, np.full(idx.shape, z), graph.nodes[idx])]
     cost = M._segment_cost(omega.eval_array, np.full(c.shape, z), graph.nodes[c],
                            M._GL_X6, M._GL_W6)
-    assert indptr[n + 1] == nnz + c.size
-    assert np.array_equal(indices[nnz:nnz + c.size], c)
-    assert np.array_equal(data[nnz:nnz + c.size], cost)
+    assert np.array_equal(cz, c)
+    assert np.array_equal(cost_z, cost)
+    # the query leaves the cached table as built
+    for before, after in zip(built, (graph.nbr, graph.cost, graph.least)):
+        assert before.tobytes() == after.tobytes()
     # the path and its cost are those of the (n + 2)-node COO route
     want_pts, want_cost = _n_plus_2_graph_path(omega, z, w, 0.1, full_window=True)
     assert np.array_equal(got[0], want_pts)
     assert got[1] == want_cost
 
 
-def test_only_a_geodesic_search_loads_the_sparse_graph_stack(tmp_path):
-    # pytest has scipy.sparse loaded already, so a fresh interpreter runs a
-    # closed-form hl1 config, then one search under the hyperbolic density
+def test_no_run_or_solve_loads_scipy(tmp_path, stored_ellipse_density):
+    # pytest has scipy loaded already, so a fresh interpreter runs a
+    # closed-form hl1 config, one search under the hyperbolic density and
+    # one under the stored fit's Bergman density
     root = os.path.join(os.path.dirname(__file__), os.pardir)
+    stored = os.path.join(root, "perfbench", "ellipse_1.5x1_deg72_h0.01.kernel")
     z, w = 0.3 + 0.2j, -0.4 - 0.5j
     script = (
         "import json, sys\n"
-        "import metriclab\n"
-        "from metriclab import experiments as E, metrics as M\n"
+        "from metriclab import experiments as E, geometry as G, metrics as M\n"
+        "from metriclab.bergman import load_kernel\n"
         "E.run_experiment(E.parse_config_file(sys.argv[1], {'out': sys.argv[2]}))\n"
-        "def sparse(): return sorted(m for m in sys.modules if m.startswith('scipy.sparse'))\n"
-        "before = sparse()\n"
         f"d = M.weighted_distance(M.hyperbolic_density(), {z!r}, {w!r}, 0.05).distance\n"
-        "print(json.dumps([before, sparse(), d.hex()]))\n")
+        "omega = M.bergman_metric_density(load_kernel(sys.argv[3], G.ellipse(1.5, 1)))\n"
+        f"b = M.weighted_distance(omega, {z!r}, {w!r}, 0.05).distance\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "                  d.hex(), b.hex()]))\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.path.join(root, "src"))
     run = subprocess.run([sys.executable, "-c", script,
-                          os.path.join(root, "configs", "hl1_cusp50.txt"), str(tmp_path)],
+                          os.path.join(root, "configs", "hl1_cusp50.txt"), str(tmp_path), stored],
                          env=env, capture_output=True, text=True, timeout=120, check=True)
-    before, after, d = json.loads(run.stdout.splitlines()[-1])
-    assert before == []
-    assert {"scipy.sparse", "scipy.sparse.csgraph"} <= set(after)
+    loaded, d, b = json.loads(run.stdout.splitlines()[-1])
+    assert loaded == []
     assert d == M.weighted_distance(M.hyperbolic_density(), z, w, 0.05).distance.hex()
+    assert b == M.weighted_distance(stored_ellipse_density, z, w, 0.05).distance.hex()
 
 
 def test_warm_full_window_query_allocates_no_graph_sized_array(ellipse15):
     # nt-bounds' graph (7,228 nodes) under the stored degree-72 kernel, which
-    # needs no fit.  A query writes z's connectors into the cached matrix's
-    # spare row; a per-query copy of the graph's edges peaked at 4.9 MB.
+    # needs no fit.  A query seeds z's connectors into its own distance
+    # array; a per-query copy of the graph's edges peaked at 4.9 MB.
     # (The ellipse's quasihyperbolic density would not do: its boundary
     # distance scan allocates about 590 KB to price 25 connectors.)
     stored = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -980,6 +1016,44 @@ def test_guide_value_does_not_depend_on_its_batch(stored_ellipse_density):
     assert batch.tobytes() == alone.tobytes()
     assert guide(pts[7]).shape == () and guide(pts[7]) == batch[7]
     assert guide(pts.reshape(27, 19)).tobytes() == batch.tobytes()
+
+
+def _four_term_guide_read(guide, z):
+    """Oracle: the guide's read with its stencil offsets and clamp formed per
+    call, the corner in floats and the 4 x 4 products summed term by term."""
+    flat = np.asarray(z, dtype=complex).ravel()
+    fx, fy = guide.logs.shape
+    uv = np.stack((flat.real - guide.x0, flat.imag - guide.y0)) / guide.step
+    base = np.fmin(np.fmax(np.floor(uv), -1.0), [[fx - 5.0], [fy - 5.0]])
+    w = M._cubic_weights(uv - base)
+    i, j = base.astype(np.intp) + 1
+    offsets = (fy * np.arange(4)[:, None] + np.arange(4)).reshape(16, 1)
+    vals = guide.logs.take(offsets + i * fy + j).reshape(4, 4, flat.size)
+    vals *= w[:, 1]
+    rows = vals[:, 0] + vals[:, 1] + vals[:, 2] + vals[:, 3]
+    rows *= w[:, 0]
+    out = np.exp(rows[0] + rows[1] + rows[2] + rows[3])
+    off = np.flatnonzero(np.isnan(out))
+    out[off] = guide.values(flat[off])
+    return out
+
+
+def test_guide_read_matches_the_four_term_read(stored_ellipse_density):
+    # the window of the fallback test: seeded points off the lattice, on it
+    # (the admitted nodes and some not admitted) and falling back
+    omega = stored_ellipse_density
+    guide = M._build_graph(omega, 0.025, (0.2, 1.5, -0.3, 1.0)).guide
+    off = _guide_points(omega.domain, 4000, 94, (0.0, 1.5, -0.5, 1.0))
+    nx, ny = guide.logs.shape[0] - 4, guide.logs.shape[1] - 4
+    rng = np.random.default_rng(95)
+    i, j = rng.integers(0, nx, 2000), rng.integers(0, ny, 2000)
+    on = (guide.x0 + i * guide.step) + 1j * (guide.y0 + j * guide.step)
+    on = on[G.contains(omega.domain, on)]
+    falls = np.array([not _stencil_admitted(guide, z) for z in off])
+    assert 500 < falls.sum() < off.size - 500
+    assert np.isnan(guide.logs[i + 2, j + 2]).any() and np.isfinite(guide.logs[i + 2, j + 2]).any()
+    for pts in (off, on, off[falls], off[:8], on[:1]):
+        assert guide(pts).tobytes() == _four_term_guide_read(guide, pts).tobytes()
 
 
 def test_guide_is_within_1e_3_of_the_fit_a_step_from_the_boundary(stored_ellipse_density):

@@ -39,6 +39,18 @@ def test_every_import_is_declared():
     assert not undeclared, f"imports missing from pyproject.toml dependencies: {sorted(undeclared)}"
 
 
+def test_runtime_dependencies_are_exactly_the_imports():
+    # a declared dependency that src never imports is one more install for
+    # nothing; scipy, the search's test oracle, belongs to the test extra
+    third_party = {
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for name in imported_top_level(path)
+        if name not in set(sys.stdlib_module_names) | {"metriclab"}
+    }
+    assert declared_dependencies() == third_party
+
+
 def test_imports_are_module_level():
     local = []
     for path in sorted(SRC.glob("*.py")):
