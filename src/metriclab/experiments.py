@@ -703,8 +703,7 @@ def _seeded_pairs(cfg: ExperimentConfig, draws: int):
 
 
 def _pair_distance(cfg: ExperimentConfig, omega: MetricDensity, z, w) -> float:
-    return weighted_distance(omega, z, w, cfg.resolution, max_sweeps=cfg.refine_sweeps,
-                             full_window=True).distance
+    return weighted_distance(omega, z, w, cfg.resolution, max_sweeps=cfg.refine_sweeps).distance
 
 
 def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
@@ -725,8 +724,7 @@ def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
 
     c_required = []
     excluded = 0
-    betas = []
-    qs = []
+    betas, qs = [], []
     target = cfg.pairs
     for z, w in _seeded_pairs(cfg, 400 * target):
         try:
@@ -734,8 +732,8 @@ def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
         except MetricLabError:
             excluded += 1
             continue
-        q = abs(z - w) / math.sqrt(float(curve_distance(domain, z))
-                                   * float(curve_distance(domain, w)))
+        dz, dw = curve_distance(domain, np.array([z, w]))
+        q = abs(z - w) / math.sqrt(float(dz) * float(dw))
         e = math.expm1(beta / root2)
         c_required.append(max(1.0, e / q, q / e))
         betas.append(beta)
@@ -747,8 +745,7 @@ def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
     ok = c_star <= cfg.nt_cap and len(betas) == target
     checks = [_check("finite_certificate_constant", ok, c_star=c_star,
                      cap=cfg.nt_cap, pairs=int(len(betas)), excluded=excluded)]
-    qs = np.asarray(qs)
-    betas = np.asarray(betas)
+    qs, betas = np.asarray(qs), np.asarray(betas)
     margins_up = root2 * np.log1p(c_star * qs) - betas
     margins_lo = betas - root2 * np.log1p(qs / c_star)
     values = {

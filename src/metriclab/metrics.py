@@ -148,8 +148,7 @@ def _segment_cost(price: Callable, a, b, nodes=_GL_X8, weights=_GL_W8):
     """Gauss-Legendre estimate of int_[a,b] price |dz|, vectorized over
     endpoint arrays of any matching shape; ``price`` is a density's
     ``eval_array`` or a search's guide."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     t = 0.5 * (nodes + 1.0)
     pts = a[..., None] + t * (b - a)[..., None]
     vals = price(pts)
@@ -168,8 +167,7 @@ def _line_quad(omega: MetricDensity, a, b) -> np.ndarray:
     summed back in the depth-first recursion's order.  A density value does not depend on its
     batch, so each estimate is bit for bit that of its segment refined alone.
     """
-    lo = np.asarray(a, dtype=complex)
-    hi = np.asarray(b, dtype=complex)
+    lo, hi = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     whole = _segment_cost(omega.eval_array, lo, hi, _GL_X12, _GL_W12)
     levels = []
     for depth in range(25):
@@ -212,8 +210,7 @@ def hyperbolic_distance_closed(z, w):
     Returns +inf where the denominator vanishes (both points on the
     boundary); inputs with modulus beyond 1 are rejected.
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     if np.any(np.abs(z) > 1 + 1e-12) or np.any(np.abs(w) > 1 + 1e-12):
         raise DomainError("hyperbolic distance needs points in the closed disc")
     cross = np.abs(1.0 - np.conj(z) * w)
@@ -371,6 +368,10 @@ _NEIGHBOR_OFFSETS = np.array([
 # peaked at 2.84 MiB (tracemalloc); 1,024-edge chunks, with 4 times the
 # guide's stencil temporaries, at 4.56 MiB and no faster
 _PRICE_CHUNK = 256
+# bounding-box cells of side h up to which the search's graph covers the
+# whole domain, one graph for every pair; past it, each pair's window.  Cold
+# builds at 2^15 cells took at most 0.96 s and 9.1 MiB (BENCH_45)
+_WHOLE_DOMAIN = 2 ** 15
 # a guide's lattice step, in units of the graph's h, and the lattice nodes
 # its build evaluates per density call
 _GUIDE_STEP = 0.4
@@ -591,19 +592,23 @@ def _endpoint_admissible(omega: MetricDensity, z: complex, resolution: float) ->
     return d
 
 
-def _graph_path(omega: MetricDensity, z: complex, w: complex, resolution: float,
-                full_window: bool = False) -> tuple[np.ndarray, float, Callable]:
-    """The search's path from z to w on the graph of the pair's window, its
-    cost under the search's price and that price: the graph's guide, or
+def _graph_window(domain: DomainSpec, z: complex, w: complex, h: float):
+    """The search graph's window: the domain's bounding box up to
+    _WHOLE_DOMAIN cells, else the pair's box padded by max(3 |z - w|, 4 h)."""
+    x0, x1, y0, y1 = box = domain.bounding_box
+    pad = max(3.0 * abs(z - w), 4.0 * h)
+    return box if (x1 - x0) * (y1 - y0) <= _WHOLE_DOMAIN * h * h else (
+        min(z.real, w.real) - pad, max(z.real, w.real) + pad,
+        min(z.imag, w.imag) - pad, max(z.imag, w.imag) + pad)
+
+
+def _graph_path(omega: MetricDensity, z: complex, w: complex,
+                resolution: float) -> tuple[np.ndarray, float, Callable]:
+    """The search's path from z to w on the graph of :func:`_graph_window`,
+    its cost under the search's price and that price: the graph's guide, or
     the density's own values."""
     domain = omega.domain
-    if full_window:
-        window = domain.bounding_box
-    else:
-        pad = max(3.0 * abs(z - w), 4.0 * resolution)
-        window = (min(z.real, w.real) - pad, max(z.real, w.real) + pad,
-                  min(z.imag, w.imag) - pad, max(z.imag, w.imag) + pad)
-    graph = _build_graph(omega, resolution, window)
+    graph = _build_graph(omega, resolution, _graph_window(domain, z, w, resolution))
     price = omega.eval_array if graph.guide is None else graph.guide
 
     # the search starts from z's connectors; w is reached after it, through
@@ -777,8 +782,7 @@ def _refine(price: Callable, domain: DomainSpec, pts: np.ndarray, resolution: fl
 
 
 def weighted_distance(omega: MetricDensity, z: complex, w: complex,
-                      resolution: float, max_sweeps: int | None = None,
-                      full_window: bool = False) -> GeodesicResult:
+                      resolution: float, max_sweeps: int | None = None) -> GeodesicResult:
     """Weighted geodesic distance via grid search plus local refinement.
 
     The search (graph, shortcut and refinement) prices with the graph's
@@ -787,13 +791,12 @@ def weighted_distance(omega: MetricDensity, z: complex, w: complex,
     itself, hence always an upper bound on the true infimum; halving the
     resolution tightens it.  Endpoints within one resolution step of the
     boundary yield :class:`DivergentDistanceError` for blow-up densities.
-    ``full_window`` builds the graph over the whole domain (amortized across
-    many queries on the same density) instead of a window around the pair.
+    The search's graph covers the whole domain while its bounding box holds
+    at most _WHOLE_DOMAIN cells of side ``resolution``, else the pair's window.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    z = complex(z)
-    w = complex(w)
+    z, w = complex(z), complex(w)
     endpoint_dist = min(_endpoint_admissible(omega, z, resolution),
                         _endpoint_admissible(omega, w, resolution))
     if z == w:
@@ -803,7 +806,7 @@ def weighted_distance(omega: MetricDensity, z: complex, w: complex,
     swapped = (w.real, w.imag) < (z.real, z.imag)
     a, b = (w, z) if swapped else (z, w)
 
-    pts, graph_cost, price = _graph_path(omega, a, b, resolution, full_window)
+    pts, graph_cost, price = _graph_path(omega, a, b, resolution)
     if omega.blows_up:
         margin = min(resolution, 0.999 * endpoint_dist)
     else:

@@ -127,9 +127,8 @@ def test_criterion_5_conformal_lemma_and_invariance(acceptance_kernel):
             if abs(z) > 0.6 or abs(w) > 0.6 or abs(z - w) < 0.2:
                 continue
             pairs += 1
-            d0 = M.weighted_distance(omega, z, w, 0.02, full_window=True).distance
-            d1 = M.weighted_distance(omega, complex(phi(z)), complex(phi(w)), 0.02,
-                                     full_window=True).distance
+            d0 = M.weighted_distance(omega, z, w, 0.02).distance
+            d1 = M.weighted_distance(omega, complex(phi(z)), complex(phi(w)), 0.02).distance
             worst_inv = max(worst_inv, abs(d1 - d0) / d0)
     ok = worst_identity < 1e-12 and worst_inv < 0.03
     assert _verdict(5, ok, f"conformal identity within {worst_identity:.2e} "

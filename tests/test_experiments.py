@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -423,34 +424,65 @@ def _haswell_unavailable():
     return None if {"avx2", "fma"} <= flags else "the CPU lacks AVX2 or FMA"
 
 
-def test_closed_form_reports_do_not_depend_on_the_openblas_kernels(tmp_path):
-    # OPENBLAS_CORETYPE picks OpenBLAS's kernels for this CPU family; the
-    # closed-form configs must write the same bytes under Haswell's as
-    # under the CPU's own
+def _report_diff_tool():
+    """tools/report_diff.py as a module: its value walk of a report."""
+    spec = importlib.util.spec_from_file_location(
+        "report_diff", os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                                    "report_diff.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_reports_agree_across_the_openblas_kernels(tmp_path):
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernels for this CPU family.  Under
+    # Haswell's, the closed-form configs must write the same bytes as under
+    # the CPU's own, and two searching Bergman configs every report value
+    # within 1e-12 relative (measured: at most 7.1e-16 and 3.0e-13), with
+    # every boolean and string equal
     reason = _haswell_unavailable()
     if reason:
         pytest.skip(reason)
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     script = (
-        "import sys\n"
+        "import os, sys\n"
         "from metriclab import experiments as E\n"
         "for path in sys.argv[2:]:\n"
-        "    cfg = E.parse_config_file(path, {'out': sys.argv[1]})\n"
+        "    stem = os.path.splitext(os.path.basename(path))[0]\n"
+        "    cfg = E.parse_config_file(path, {'out': os.path.join(sys.argv[1], stem)})\n"
         "    E.emit_report(E.run_experiment(cfg), cfg.out_dir)\n")
-    configs = [os.path.join(root, "configs", f"{name}.txt")
-               for name in ("hl1_cusp50", "hl2_cusp50_p1", "yamashita_scale50")]
-    written = []
+    closed = ("hl1_cusp50", "hl2_cusp50_p1", "yamashita_scale50")
+    searching = ("qh_compare_disc_quick", "nt_bounds_smoothed_lshape")
+    configs = [os.path.join(root, "configs", f"{name}.txt") for name in closed + searching]
     for coretype in (None, "Haswell"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    PYTHONPATH=os.path.join(root, "src"))
         env.pop("OPENBLAS_CORETYPE", None)
         if coretype:
             env["OPENBLAS_CORETYPE"] = coretype
-        out = tmp_path / (coretype or "default")
-        subprocess.run([sys.executable, "-c", script, str(out), *configs], env=env,
-                       capture_output=True, text=True, timeout=120, check=True)
-        written.append({p.name: p.read_bytes() for p in out.iterdir()})
-    assert len(written[0]) == 9 and written[0] == written[1]
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / (coretype or "default")),
+                        *configs], env=env, capture_output=True, text=True, timeout=300,
+                       check=True)
+    default, haswell = ({name: {p.name: p for p in (tmp_path / side / name).iterdir()}
+                         for name in closed + searching} for side in ("default", "Haswell"))
+    assert sum(len(default[name]) for name in closed) == 9
+    for name in closed:
+        assert {f: p.read_bytes() for f, p in default[name].items()} \
+            == {f: p.read_bytes() for f, p in haswell[name].items()}, name
+    tool = _report_diff_tool()
+    for name in searching:
+        assert default[name].keys() == haswell[name].keys(), name
+        (report,) = (f for f in default[name] if f.endswith(".json"))
+        a, b = (tool.flatten(json.loads(side[name][report].read_text()))
+                for side in (default, haswell))
+        assert a.keys() == b.keys(), name
+        for key, value in a.items():
+            other = b[key]
+            if tool.is_number(value) and tool.is_number(other):
+                assert value == other or (math.isnan(value) and math.isnan(other)) \
+                    or tool.relative_change(value, other) <= 1e-12, (name, key, value, other)
+            else:
+                assert value == other, (name, key)
 
 
 _L = [0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]
@@ -954,6 +986,26 @@ def test_cli_distance_uses_refine_sweeps(tmp_path, capsys):
                             f"refine_sweeps = {sweeps}\n")
         assert cli.main(["distance", "0", "0.9+0.5j", "--config", cfg]) == 0
         assert f"= {expected} " in capsys.readouterr().out, sweeps
+
+
+def test_cli_distance_of_a_report_pair_is_its_beta(monkeypatch):
+    # seed pair 18 of nt_bounds_ellipse under its fitted kernel:
+    # `metriclab distance` searches the graph the run does, the whole
+    # domain's, so it returns the report's beta[18] bit for bit (a
+    # window of its own gave 1.6936678228497841)
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    z, w = 0.5782772807444871 - 0.8143339525161155j, 0.1692047117537192 - 0.7950117305390012j
+    solves = []
+    solve = cli.weighted_distance
+
+    def keep(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(cli, "weighted_distance", keep)
+    assert cli.main(["distance", str(z), str(w), "--config",
+                     os.path.join(root, "configs", "nt_bounds_ellipse.txt")]) == 0
+    assert solves[0].distance == 1.694397643321174
 
 
 def test_cli_degree_overrides_kernel_degree(tmp_path):

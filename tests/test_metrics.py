@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from metriclab import experiments as E
 from metriclab import geometry as G
 from metriclab import maps as MP
 from metriclab import metrics as M
@@ -439,7 +441,7 @@ def test_polygon_certificates_are_pinned():
         densities = {"bergman": M.bergman_metric_density(fit_kernel_model(dom, 40, 0.02)),
                      "qh": M.quasihyperbolic_density(dom)}
         for label, omega in densities.items():
-            res = M.weighted_distance(omega, z, w, h, max_sweeps=16, full_window=True)
+            res = M.weighted_distance(omega, z, w, h, max_sweeps=16)
             assert res.distance.hex() == _POLYGON_CERTIFICATES[shape, label], (shape, label)
             M.PolylinePath(dom, res.path.vertices)
 
@@ -543,7 +545,7 @@ def test_graph_edges_match_the_four_branch_slicing(dom, window, shape):
 
 
 def test_graph_build_peaks_under_two_and_a_half_graphs(ellipse15):
-    # nt-bounds' full-window graph (7,228 nodes, 112,916 lattice entries)
+    # nt-bounds' whole-domain graph (7,228 nodes, 112,916 lattice entries)
     # under the stored degree-72 kernel.  Assembled from COO, sorted and
     # grown by two np.append copies, its CSR matrix's build peaked at 4.4
     # times the graph's own bytes (6.67 MiB of tracemalloc for 1.51 MiB)
@@ -561,18 +563,12 @@ def test_graph_build_peaks_under_two_and_a_half_graphs(ellipse15):
     assert peak < 2.5 * own
 
 
-def _n_plus_2_graph_path(omega, z, w, resolution, full_window=False):
+def _n_plus_2_graph_path(omega, z, w, resolution):
     """The search the solver ran while its graph was an edge list: z and w
     are nodes n and n + 1, every endpoint edge and the direct edge go both
     ways, and each query converts its own (n + 2)-node COO list to CSR."""
     domain = omega.domain
-    if full_window:
-        window = domain.bounding_box
-    else:
-        pad = max(3.0 * abs(z - w), 4.0 * resolution)
-        window = (min(z.real, w.real) - pad, max(z.real, w.real) + pad,
-                  min(z.imag, w.imag) - pad, max(z.imag, w.imag) + pad)
-    graph = M._build_graph(omega, resolution, window)
+    graph = M._build_graph(omega, resolution, M._graph_window(domain, z, w, resolution))
     n = graph.nodes.size
     real = graph.nbr[:n] < n
     rows, cols, vals = [np.nonzero(real)[0]], [graph.nbr[:n][real]], [graph.cost[:n][real]]
@@ -600,37 +596,70 @@ def _n_plus_2_graph_path(omega, z, w, resolution, full_window=False):
 
 
 def _graph_path_cases():
-    """(density, resolution, full_window, pairs) covering each domain kind
-    and density kind, windowed and full-window."""
+    """(density, resolution, pairs) covering each domain kind and density
+    kind, on the whole domain's graph and, at h 0.01 (40,000 cells of the
+    box, past _WHOLE_DOMAIN), on the pair's window."""
     disc = G.unit_disc()
     qh_disc = M.quasihyperbolic_density(disc)
-    # exact ties along the diagonal of the quasihyperbolic disc
+    # exact ties along the diagonal of the quasihyperbolic disc, on the
+    # whole disc and on a window symmetric about that diagonal
     diagonal = [(0.2 + 0.2j, -0.2 - 0.2j)]
+    cases = [(qh_disc, h, diagonal) for h in (0.05, 0.04, 0.02)]
+    cases += [(qh_disc, 0.01, [(0.05 + 0.05j, -0.05 - 0.05j)])]
     # endpoints closer than a lattice cell: the direct edge is the search's path
-    close = [(0.1 + 0.1j, 0.12 + 0.11j)]
-    cases = [(qh_disc, h, full, diagonal) for h in (0.05, 0.04, 0.02) for full in (False, True)]
-    cases += [(qh_disc, 0.05, False, close)]
+    cases += [(qh_disc, 0.05, [(0.1 + 0.1j, 0.12 + 0.11j)]),
+              (qh_disc, 0.01, [(0.1 + 0.1j, 0.105 + 0.103j)])]
+    # a window holding the L's reflex corner, which cuts the pair's chord
+    cases += [(M.quasihyperbolic_density(_LSHAPE), 0.01, [(0.95 + 1.05j, 1.05 + 0.95j)])]
     for omega, h in ((M.hyperbolic_density(), 0.05), (qh_disc, 0.04),
                      (M.constant_density(disc, 1.0), 0.05),
                      (M.quasihyperbolic_density(G.ellipse(1.5, 1)), 0.05),
                      (M.quasihyperbolic_density(_LSHAPE), 0.05),
                      (M.constant_density(_LSHAPE, 1.0), 0.05)):
-        for full in (False, True):
-            cases.append((omega, h, full, _seeded_pairs(omega.domain, 4, 40 + len(cases))))
+        cases.append((omega, h, _seeded_pairs(omega.domain, 4, 40 + len(cases))))
     return cases
 
 
 def test_graph_path_matches_the_n_plus_2_node_search():
     direct = routed = 0
-    for omega, h, full, pairs in _graph_path_cases():
+    for omega, h, pairs in _graph_path_cases():
         for z, w in pairs:
-            want = _n_plus_2_graph_path(omega, z, w, h, full)
-            got = M._graph_path(omega, z, w, h, full)
-            assert np.array_equal(got[0], want[0]), (omega.domain.grid_key(), h, full, z, w)
+            want = _n_plus_2_graph_path(omega, z, w, h)
+            got = M._graph_path(omega, z, w, h)
+            assert np.array_equal(got[0], want[0]), (omega.domain.grid_key(), h, z, w)
             assert got[1] == want[1]
             direct += got[0].size == 2
             routed += got[0].size > 2
     assert direct and routed
+
+
+def test_the_graph_covers_the_whole_domain_up_to_its_cell_budget():
+    # a pair 8 cells apart, whose padded window is a small part of the box.
+    # At the searching configs' and the solver probe's resolutions the
+    # search builds the box's graph, cached under the box's key; at
+    # criterion 3's (h 0.01 on the disc, 40,000 cells) and criterion 4's
+    # (h / 20 for h = 0.08, 0.04, 0.02), the pair's window
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    configs = [E.parse_config_file(os.path.join(root, "configs", f"{name}.txt"))
+               for name in ("nt_bounds_ellipse", "nt_bounds_smoothed_lshape",
+                            "qh_compare_disc_quick", "qh_compare_ellipse")]
+    spec = importlib.util.spec_from_file_location(
+        "solver_probe", os.path.join(root, "tools", "solver_probe.py"))
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    whole = [(cfg.domain, cfg.resolution) for cfg in configs]
+    whole += [(dom, h) for dom in probe.domains().values() for h in (0.04, 0.02)]
+    window = [(G.unit_disc(), h) for h in (0.01, 0.004, 0.002, 0.001)]
+    for dom, h in whole + window:
+        omega = M.constant_density(dom, 1.0)
+        z = G.interior_anchor(dom)
+        M._graph_path(omega, z, z + 8 * h, h)
+        (graph,) = omega._graphs.values()
+        if (dom, h) in whole:
+            assert graph.i0 == graph.j0 == 0, (dom.grid_key(), h)
+            assert M._build_graph(omega, h, dom.bounding_box) is graph
+        else:
+            assert graph.i0 > 0 and graph.j0 > 0 and graph.ids.size < 4096, h
 
 
 def test_search_bounded_by_the_direct_edge_returns_the_unbounded_path(monkeypatch):
@@ -655,15 +684,14 @@ def test_search_bounded_by_the_direct_edge_returns_the_unbounded_path(monkeypatc
             (M.quasihyperbolic_density(_ROUNDED_L), 0.05,
              _seeded_pairs(_ROUNDED_L, 8, 82) + [(0.5 + 1.8j, 1.8 + 0.5j)])):
         for z, w in pairs:
-            for full in (False, True):
-                monkeypatch.setattr(M, "_search", unbounded)
-                want = M._graph_path(omega, z, w, h, full)
-                monkeypatch.setattr(M, "_search", bounded)
-                got = M._graph_path(omega, z, w, h, full)
-                assert np.array_equal(got[0], want[0]), (omega.domain.grid_key(), z, w, full)
-                assert got[1] == want[1]
-    assert all(math.isfinite(limit) for limit, _ in searches[:-2])
-    assert all(math.isinf(limit) for limit, _ in searches[-2:])
+            monkeypatch.setattr(M, "_search", unbounded)
+            want = M._graph_path(omega, z, w, h)
+            monkeypatch.setattr(M, "_search", bounded)
+            got = M._graph_path(omega, z, w, h)
+            assert np.array_equal(got[0], want[0]), (omega.domain.grid_key(), z, w)
+            assert got[1] == want[1]
+    assert all(math.isfinite(limit) for limit, _ in searches[:-1])
+    assert math.isinf(searches[-1][0])
     assert sum(pruned for _, pruned in searches) > len(searches) // 2
 
 
@@ -681,7 +709,7 @@ def _scipy_search(graph, cz, cost_z, limit):
 
 
 def test_search_matches_scipy_dijkstra_bit_for_bit(stored_ellipse_density):
-    # nt-bounds' full-window graph of the stored fit, priced by its guide,
+    # nt-bounds' whole-domain graph of the stored fit, priced by its guide,
     # and the sharp L under its quasihyperbolic and constant densities
     cases = [(stored_ellipse_density, 0.025, 6),
              (M.quasihyperbolic_density(_LSHAPE), 0.05, 8),
@@ -721,7 +749,7 @@ def test_query_table_matches_the_coo_route(monkeypatch, dom, z, w):
         return search(g, cz, cost_z, limit)
 
     monkeypatch.setattr(M, "_search", capture)
-    got = M._graph_path(omega, z, w, 0.1, full_window=True)
+    got = M._graph_path(omega, z, w, 0.1)
     ((searched, cz, cost_z),) = seen
     # the search runs on the graph's cached table, not a per-query copy
     assert searched is graph
@@ -736,7 +764,7 @@ def test_query_table_matches_the_coo_route(monkeypatch, dom, z, w):
     for before, after in zip(built, (graph.nbr, graph.cost, graph.least)):
         assert before.tobytes() == after.tobytes()
     # the path and its cost are those of the (n + 2)-node COO route
-    want_pts, want_cost = _n_plus_2_graph_path(omega, z, w, 0.1, full_window=True)
+    want_pts, want_cost = _n_plus_2_graph_path(omega, z, w, 0.1)
     assert np.array_equal(got[0], want_pts)
     assert got[1] == want_cost
 
@@ -769,7 +797,7 @@ def test_no_run_or_solve_loads_scipy(tmp_path, stored_ellipse_density):
     assert b == M.weighted_distance(stored_ellipse_density, z, w, 0.05).distance.hex()
 
 
-def test_warm_full_window_query_allocates_no_graph_sized_array(ellipse15):
+def test_warm_whole_domain_query_allocates_no_graph_sized_array(ellipse15):
     # nt-bounds' graph (7,228 nodes) under the stored degree-72 kernel, which
     # needs no fit.  A query seeds z's connectors into its own distance
     # array; a per-query copy of the graph's edges peaked at 4.9 MB.
@@ -778,10 +806,10 @@ def test_warm_full_window_query_allocates_no_graph_sized_array(ellipse15):
     stored = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                           "ellipse_1.5x1_deg72_h0.01.kernel")
     omega = M.bergman_metric_density(load_kernel(stored, ellipse15))
-    M._graph_path(omega, -0.9 + 0.2j, 0.7 - 0.4j, 0.025, full_window=True)
+    M._graph_path(omega, -0.9 + 0.2j, 0.7 - 0.4j, 0.025)
     tracemalloc.start()
     try:
-        M._graph_path(omega, -0.3 - 0.6j, 1.1 + 0.3j, 0.025, full_window=True)
+        M._graph_path(omega, -0.3 - 0.6j, 1.1 + 0.3j, 0.025)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -821,9 +849,8 @@ def test_bergman_distance_invariance_small(disc_kernel_coarse):
     omega = M.bergman_metric_density(disc_kernel_coarse)
     phi = MP.BlaschkeProduct((0.3,))
     z, w = 0.4 + 0.1j, -0.3 + 0.2j
-    d0 = M.weighted_distance(omega, z, w, 0.02, full_window=True).distance
-    d1 = M.weighted_distance(omega, complex(phi(z)), complex(phi(w)), 0.02,
-                             full_window=True).distance
+    d0 = M.weighted_distance(omega, z, w, 0.02).distance
+    d1 = M.weighted_distance(omega, complex(phi(z)), complex(phi(w)), 0.02).distance
     assert abs(d1 - d0) / d0 < 0.03
 
 
@@ -897,21 +924,21 @@ def _seeded_pairs(domain, count, seed):
 def test_refine_matches_full_pricing_bit_for_bit(monkeypatch, hyp, ellipse15,
                                                   disc_kernel_coarse, stored_ellipse_density):
     lshape = G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
-    cases = [   # density, h, full window, sweep budgets
-        (hyp, 0.04, False, (None, 6)),
-        (M.quasihyperbolic_density(ellipse15), 0.05, False, (None, 6)),
+    cases = [   # density, h, sweep budgets
+        (hyp, 0.04, (None, 6)),
+        (M.quasihyperbolic_density(ellipse15), 0.05, (None, 6)),
         # non-convex: segment checks run
-        (M.quasihyperbolic_density(lshape), 0.05, False, (None, 6)),
-        (M.constant_density(lshape, 1.0), 0.05, False, (None, 6)),
-        (M.bergman_metric_density(disc_kernel_coarse), 0.05, False, (None, 6)),
-        # nt-pairs' own search: the full-window guide of the stored fit
-        (stored_ellipse_density, 0.025, True, (16,)),
+        (M.quasihyperbolic_density(lshape), 0.05, (None, 6)),
+        (M.constant_density(lshape, 1.0), 0.05, (None, 6)),
+        (M.bergman_metric_density(disc_kernel_coarse), 0.05, (None, 6)),
+        # nt-pairs' own search: the whole domain's guide of the stored fit
+        (stored_ellipse_density, 0.025, (16,)),
     ]
     fast = M._sweep_level
-    for seed, (omega, h, full_window, budgets) in enumerate(cases):
+    for seed, (omega, h, budgets) in enumerate(cases):
         for z, w in _seeded_pairs(omega.domain, 2, seed):
             # the Bergman density's search prices with its graph's guide
-            pts, _, price = M._graph_path(omega, z, w, h, full_window)
+            pts, _, price = M._graph_path(omega, z, w, h)
             end = min(float(G.curve_distance(omega.domain, p)) for p in (z, w))
             margin = min(h, 0.999 * end) if omega.blows_up else min(h / 8, 0.5 * end)
             pts = M._shortcut(price, omega.domain, pts)
@@ -977,11 +1004,11 @@ def test_a_wrong_guide_leaves_the_certificate_the_fits_length(stored_ellipse_den
     omega = stored_ellipse_density
     dom = omega.domain
     z, w = -0.9 + 0.2j, 0.7 - 0.4j
-    guided = M.weighted_distance(omega, z, w, 0.05, max_sweeps=16, full_window=True)
+    guided = M.weighted_distance(omega, z, w, 0.05, max_sweeps=16)
     graph = M._build_graph(omega, 0.05, dom.bounding_box)
     graph.guide = lambda p: np.full(np.shape(p), 3.0)
     try:
-        res = M.weighted_distance(omega, z, w, 0.05, max_sweeps=16, full_window=True)
+        res = M.weighted_distance(omega, z, w, 0.05, max_sweeps=16)
     finally:
         omega._graphs.clear()
     assert isinstance(res.path, M.PolylinePath)
@@ -1057,7 +1084,7 @@ def test_guide_read_matches_the_four_term_read(stored_ellipse_density):
 
 
 def test_guide_is_within_1e_3_of_the_fit_a_step_from_the_boundary(stored_ellipse_density):
-    # nt-bounds' full-window graph at h 0.025; at the lattice step 0.01 the
+    # nt-bounds' whole-domain graph at h 0.025; at the lattice step 0.01 the
     # interpolant's largest relative error was 2.3e-4 for d in [0.025,
     # 0.05) and 2.2e-5 for d >= 0.1
     omega = stored_ellipse_density

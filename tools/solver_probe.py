@@ -13,7 +13,9 @@ Solves 240 seeded pairs with this checkout's src/ and one BLAS thread
 
 The pairs are the seed-7 draws ``_sample_interior(domain, default_rng(7), 40,
 max(2 h, 0.1))``, pair k being the even draw k and the odd draw k, each
-solved by ``weighted_distance(..., max_sweeps=16, full_window=True)``.
+solved by ``weighted_distance(..., max_sweeps=16)``.  Every bounding box
+here holds at most 10,000 cells of side h, so each search runs on the graph
+of the whole domain (``metrics._WHOLE_DOMAIN``).
 OUT.json maps ``domain/density/h/pair`` to the distance's ``float.hex``, so
 two checkouts solve alike when ``diff`` of their OUT.json files is empty.
 """
@@ -60,7 +62,7 @@ def probe(pairs: int = 20) -> dict[str, str]:
         for label, omega in densities.items():
             for h in (0.04, 0.02):
                 for k, (z, w) in enumerate(seeded_pairs(domain, h, pairs)):
-                    d = weighted_distance(omega, z, w, h, max_sweeps=16, full_window=True)
+                    d = weighted_distance(omega, z, w, h, max_sweeps=16)
                     out[f"{name}/{label}/{h}/{k}"] = d.distance.hex()
     return out
 
