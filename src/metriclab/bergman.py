@@ -44,10 +44,10 @@ class KernelModel:
     """Orthonormalized kernel basis: phi_j(z) = sum_{k<=j} B[j,k] zeta(z)^k,
     on the domain it was fitted on.  A model equals only itself.
 
-    The constructor builds what every density block reuses: the stacked
-    coefficients [B^T | D], D[m, j] = (m+1) B[j, m+1] / scale, so that
+    The constructor stacks the coefficients every density block reuses,
+    [B^T | D], D[m, j] = (m+1) B[j, m+1] / scale, so that
     phi_j = sum_m zeta^m B^T[m, j] and phi_j' = sum_m zeta^m D[m, j], the
-    derivative taken in the original z variable, and the block's buffers.
+    derivative taken in the original z variable.
     """
 
     degree: int
@@ -64,8 +64,6 @@ class KernelModel:
         d = np.zeros_like(bt)
         d[:-1] = np.arange(1, n)[:, None] * bt[1:] / self.scale
         self._stacked = np.hstack([bt, d])
-        self._vander = np.empty(_DENSITY_BLOCK * n, dtype=complex)   # a block's powers
-        self._out = np.empty((_DENSITY_BLOCK, 2, n), dtype=complex)
 
     # -- basis evaluation --------------------------------------------------
 
@@ -90,24 +88,11 @@ def kernel_eval(model: KernelModel, z, w):
 
 def _density_terms(model: KernelModel, z: np.ndarray):
     """(K, K_z, K_zzbar) on the diagonal at the points z (at most
-    _DENSITY_BLOCK of them), from one product with the stacked
-    coefficients, in the model's buffers."""
-    p, n = z.size, model.degree + 1
-    # column-major and contiguous, so each power is one run of memory:
-    # numpy would buffer a strided 2-D operand in fresh arrays
-    V = model._vander[:p * n].reshape((p, n), order="F")
-    V[:, 0] = 1.0
-    if n > 1:
-        np.subtract(z, model.center, out=V[:, 1])
-        V[:, 1] /= model.scale
-    # powers by doubling: zeta^(s-1+j) = zeta^(s-1) zeta^j
-    s = 2
-    while s < n:
-        e = min(2 * s - 1, n)
-        np.multiply(V[:, 1:e - s + 1], V[:, s - 1:s], out=V[:, s:e])
-        s = e
-    out = model._out[:p]
-    np.matmul(V, model._stacked, out=out.reshape(p, 2 * n))
+    _DENSITY_BLOCK of them), from one product of their powers of zeta with
+    the stacked coefficients."""
+    n = model.degree + 1
+    V = np.vander(model._zeta(z), n, increasing=True)
+    out = (V @ model._stacked).reshape(z.size, 2, n)
     flat = out.view(float)
     A = np.einsum("ij,ij->i", flat[:, 0], flat[:, 0])
     Azz = np.einsum("ij,ij->i", flat[:, 1], flat[:, 1])

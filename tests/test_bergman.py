@@ -99,7 +99,7 @@ def _gram_cholesky_model(domain, rule, degree):
     return B.KernelModel(degree, coeffs, domain, center=center, scale=scale)
 
 
-def test_tsqr_and_cholesky_routes_agree(disc):
+def test_arnoldi_and_cholesky_routes_agree(disc):
     # the fit's route (Arnoldi on the boundary rule) against the Gram-
     # Cholesky reference under the same rule
     rule = G.boundary_rule(disc, 16, 0.02)
@@ -220,18 +220,16 @@ def test_lshape_kernel_reproduces_polynomials(lshape_fit, coeffs):
 
 def test_kernel_fit_peak_memory_is_bounded(ellipse15):
     # traced peak of the degree-72 fit of the 1.5 x 1 ellipse, on its 148
-    # nodes: 2.3 MiB, most of it the model's density block buffers, 1.8 MB
-    # (512 x 73 powers and 512 x 2 x 73 basis products), which its
-    # constructor builds; the fit's own arrays of 148 x 74 complex (0.18 MB
-    # each) peak at 0.7 MB.  The grid fit held its 6.2 MiB grid and two
-    # 4.8 MB block buffers
+    # nodes: 0.74 MB, the fit's own arrays of 148 x 74 complex (0.18 MB
+    # each).  The model held 1.8 MB of density block buffers until they
+    # went; the grid fit held its 6.2 MiB grid and two 4.8 MB block buffers
     tracemalloc.start()
     try:
         model = B.fit_kernel_model(ellipse15, degree=72, resolution=0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= model._vander.nbytes + model._out.nbytes + 2**20
+    assert peak <= 2**20
 
 
 def test_kernel_disc_oracle_values(disc_kernel):
@@ -296,25 +294,16 @@ def test_density_boundary_blowup(disc_kernel, ellipse15):
 
 def _one_batch_density(model, z):
     """bergman_density as one batch (the oracle of the blocked form): the
-    powers of zeta by doubling for every point at once, one product with
+    Vandermonde of zeta for every point at once, one product with
     [B^T | D], and the same sums over its (points, 2, N+1) view."""
     zz = np.asarray(z, dtype=complex)
-    p, n = zz.size, model.degree + 1
-    V = np.empty((p, n), dtype=complex, order="F")
-    V[:, 0] = 1.0
-    V[:, 1] = zz.ravel() - model.center
-    V[:, 1] /= model.scale
-    s = 2
-    while s < n:
-        e = min(2 * s - 1, n)
-        # written in place: a product into a fresh array may round otherwise
-        np.multiply(V[:, 1:e - s + 1], V[:, s - 1:s], out=V[:, s:e])
-        s = e
+    n = model.degree + 1
+    V = np.vander((zz.ravel() - model.center) / model.scale, n, increasing=True)
     bt = model.coefficients.T
     d = np.zeros_like(bt)
     for m in range(n - 1):
         d[m] = (m + 1) * bt[m + 1] / model.scale
-    out = (V @ np.hstack([bt, d])).reshape(p, 2, n)
+    out = (V @ np.hstack([bt, d])).reshape(zz.size, 2, n)
     flat = out.view(float)
     A = np.einsum("ij,ij->i", flat[:, 0], flat[:, 0])
     Azz = np.einsum("ij,ij->i", flat[:, 1], flat[:, 1])
@@ -405,7 +394,7 @@ def ellipse15_kernel48(ellipse15):
 
 
 def test_panel_density_matches_the_two_product_formula(ellipse15, ellipse15_kernel48):
-    # the stacked coefficients and the doubled powers change only the rounding:
+    # the stacked coefficients change only the rounding:
     # 2,000 points at least 0.01 from the boundary, degree 48
     model = ellipse15_kernel48
     rng = np.random.default_rng(67)
@@ -416,10 +405,12 @@ def test_panel_density_matches_the_two_product_formula(ellipse15, ellipse15_kern
     assert np.max(np.abs(rho / _two_product_density(model, z) - 1)) < 1e-7
 
 
-def test_density_block_allocates_no_block_arrays(ellipse15_kernel48):
-    # one 512 x 49 complex block array is 401 KB; the powers, products and
-    # conjugates live in the buffers the model's constructor built
+def test_density_block_allocates_its_two_block_arrays(ellipse15_kernel48):
+    # a full block holds its 512 x 49 powers of zeta (401 KB) and their
+    # 512 x 98 product with [B^T | D] (803 KB), and little else: 1.24 MB
+    # traced at its peak
     model = ellipse15_kernel48
+    n = model.degree + 1
     z = _ellipse_points(B._DENSITY_BLOCK, 73)
     B.bergman_density(model, z)
     tracemalloc.start()
@@ -428,7 +419,7 @@ def test_density_block_allocates_no_block_arrays(ellipse15_kernel48):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 256 * 2**10
+    assert peak <= B._DENSITY_BLOCK * 3 * n * 16 + 64 * 2**10
 
 
 def test_a_kernel_model_equals_only_itself(disc):
@@ -657,15 +648,24 @@ def test_fit_matches_the_exact_degree_n_kernels(ellipse15, disc, disc_kernel):
 
 def test_fit_does_not_depend_on_the_blas_thread_count():
     # each product of the fit sums every entry in one BLAS dot product, so
-    # one and two OpenBLAS threads give the same bits
+    # one and two OpenBLAS threads give the same bits; so do the density's
+    # blocks, on 1,025 seeded points 0.01 or more inside (two full blocks
+    # and a 1-point tail)
     script = (
         "import hashlib\n"
+        "import numpy as np\n"
         "from metriclab import bergman as B, geometry as G\n"
         "for dom, degree in ((G.ellipse(1.5, 1), 72),\n"
         "                    (G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15), 24)):\n"
         "    m = B.fit_kernel_model(dom, degree, 0.01)\n"
+        "    x0, x1, y0, y1 = dom.bounding_box\n"
+        "    rng = np.random.default_rng(29)\n"
+        "    z = rng.uniform(x0, x1, 4000) + 1j * rng.uniform(y0, y1, 4000)\n"
+        "    z = z[G.contains(dom, z) & (G.curve_distance(dom, z) >= 0.01)][:1025]\n"
+        "    assert z.size == 1025\n"
         "    print(hashlib.sha256(m.coefficients.tobytes()).hexdigest(),\n"
-        "          m.orthonormality_defect.hex())\n")
+        "          m.orthonormality_defect.hex(),\n"
+        "          hashlib.sha256(B.bergman_density(m, z).tobytes()).hexdigest())\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     out = []
     for threads in ("1", "2"):

@@ -383,15 +383,15 @@ REPORT_DIGESTS = {
         "yamashita_9599e852c80c.modulus_sup.dat": "80395e28b142e12a506087d1d9d57b3b7839f4ad225795e369cef2121870a2fa",
     },
     "nt_bounds_smoothed_lshape": {
-        "nt_bounds_5a85b295f28f.beta_vs_q.dat": "66be463c8c377403b447252d90dfdd23802b91596564a3dcb06ba123dbdfa0ae",
-        "nt_bounds_5a85b295f28f.json": "e0f020bbd707cdeba11f64c4361181bafdb501f6ff9435220c26a1b81654b023",
+        "nt_bounds_5a85b295f28f.beta_vs_q.dat": "79cb4edb7051c77cae505e7848eaf1ca4e38bfff17fc5180d74d1e9aa77934f9",
+        "nt_bounds_5a85b295f28f.json": "8eeb42755cc8a4da358319ecb6ab66fcdc08e80c66b0745473bd0a794a655192",
     },
     "qh_compare_disc_quick": {
         "qh_compare_7e0f3b70929c.distance_ratios.dat": "81de335022dcd4d3a0589ada4138704d8285978ee3520de1a0043a7267beeff0",
-        "qh_compare_7e0f3b70929c.json": "8da83d6b7d71fca5ea3c5da47ab687f906f59df88c721975a6a536a2d3fc66de",
-        "qh_compare_7e0f3b70929c.ring_0.dat": "4a464526a86ed013f3aa0fffd8311c049a7648a7e3ab37fde7ff0212d2548c09",
-        "qh_compare_7e0f3b70929c.ring_1.dat": "83acf4dda49c47441389f03e89b757b5b0243dfb5a377eca64706536c4595dc7",
-        "qh_compare_7e0f3b70929c.ring_2.dat": "3edb80730ae58e44ec2d235b09859e516a04bf80116772a22cfbcfbee124f7a5",
+        "qh_compare_7e0f3b70929c.json": "681ad7951d99005bcae9ed4f7c0258009972a9caeae62ec2a76c57d6c88317f6",
+        "qh_compare_7e0f3b70929c.ring_0.dat": "fa068298bc503e909ab2d10da69308114a69df77da3b3fc30f82b0ca895cdf1b",
+        "qh_compare_7e0f3b70929c.ring_1.dat": "089a6d48a5f4b32ab4435fdd314094922cbdd79ced05bbda0f8bf4301aa9a707",
+        "qh_compare_7e0f3b70929c.ring_2.dat": "20914d0e2605cc82dbbe5468575401e3ff9b1e099b9af014cf27a210e90c0bd4",
     },
 }
 

@@ -65,6 +65,26 @@ def test_report_diff_identical_trees_exit_zero(tmp_path):
     assert lines == ["c: identical"]
 
 
+def test_report_diff_lists_moved_solver_probe_values(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"L/qh/0.04/0": (1.5).hex(), "L/bergman40/0.04/0": (2.0).hex(),
+                             "L/bergman40/0.04/1": (3.0).hex(), "L/bergman40/0.02/0": (1.0).hex()}))
+    b.write_text(json.dumps({"L/qh/0.04/0": (1.5).hex(), "L/bergman40/0.04/0": (2.5).hex(),
+                             "L/bergman40/0.04/1": (3.0).hex(), "L/bergman40/0.02/0": (1.001).hex(),
+                             "L/qh/0.02/0": (4.0).hex()}))
+    code, lines = _report_diff(a, b)
+    assert code == 1
+    assert lines == [
+        "L/bergman40/0.02/0: 1.0 -> 1.001 (rel 1.000e-03)",
+        "L/bergman40/0.04/0: 2.0 -> 2.5 (rel 2.500e-01)",
+        "L/qh/0.02/0: missing in A",
+        "L/bergman40: 2 values moved, largest rel 2.500e-01 at L/bergman40/0.04/0",
+        "L/qh: 1 other differences",
+    ]
+    assert _report_diff(a, a) == (0, ["L/bergman40: identical", "L/qh: identical"])
+    assert _report_diff(a, tmp_path)[0] == 2
+
+
 def _run_configs_module():
     spec = importlib.util.spec_from_file_location("run_configs", RUN_CONFIGS)
     module = importlib.util.module_from_spec(spec)

@@ -1,10 +1,11 @@
-"""List the report values that differ between two ``tools/run_configs.py`` trees.
+"""List the values that differ between two ``tools/run_configs.py`` trees,
+or between two ``tools/solver_probe.py`` outputs.
 
     python tools/report_diff.py A B
 
-For every report JSON under A (``<config>/reports/*.json``) and its
-counterpart at the same relative path under B, prints each numeric value
-that differs as
+Given two directories, for every report JSON under A
+(``<config>/reports/*.json``) and its counterpart at the same relative path
+under B, prints each numeric value that differs as
 
     <config>/reports/<file>.json <path>: <value in A> -> <value in B> (rel <change>)
 
@@ -16,7 +17,15 @@ one line per config that holds reports: its count of moved values with the
 largest relative change and its place, its count of other differences, or
 ``identical``.
 
-Exits 0 when no report differs, 1 when one does, 2 on a usage error.
+Given two files, reads each as a solver probe (``domain/density/h/pair``
+mapped to a distance's ``float.hex``), prints each moved distance as
+
+    <domain>/<density>/<h>/<pair>: <value in A> -> <value in B> (rel <change>)
+
+and a key present on one side only as a non-numeric difference, then one
+line per ``domain/density`` in the same form as a config's.
+
+Exits 0 when no value differs, 1 when one does, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ import json
 import math
 import os
 import sys
+
+MISSING = object()   # a key or value present on one side only
 
 
 def flatten(value, path: str = "") -> dict:
@@ -57,10 +68,42 @@ def reports(tree: str) -> set[str]:
             for p in glob.glob(os.path.join(tree, "*", "reports", "*.json"))}
 
 
+def diff_value(name: str, place: str, a, b, tally: list) -> None:
+    """Print how value ``a`` differs from ``b`` (either may be MISSING) as
+    ``name: ...`` and count it in ``tally``, [moved values, other
+    differences, largest rel, its place]."""
+    if a is MISSING or b is MISSING:
+        print(f"{name}: missing in {'B' if b is MISSING else 'A'}")
+        tally[1] += 1
+    elif is_number(a) and is_number(b):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return
+        change = relative_change(a, b)
+        print(f"{name}: {a!r} -> {b!r} (rel {change:.3e})")
+        tally[0] += 1
+        if change > tally[2] or not tally[3]:
+            tally[2], tally[3] = change, place
+    elif a != b:
+        print(f"{name}: {a!r} -> {b!r}")
+        tally[1] += 1
+
+
+def print_summary(summary: dict[str, list]) -> int:
+    """Print one line per group of tallies; return how many differences
+    they count."""
+    for group, (moved, other, top, where) in sorted(summary.items()):
+        parts = []
+        if moved:
+            parts.append(f"{moved} values moved, largest rel {top:.3e} at {where}")
+        if other:
+            parts.append(f"{other} other differences")
+        print(f"{group}: {'; '.join(parts) or 'identical'}")
+    return sum(moved + other for moved, other, _, _ in summary.values())
+
+
 def compare(a_tree: str, b_tree: str) -> int:
     """Print the differences of the two trees; return how many there are."""
     a_files, b_files = reports(a_tree), reports(b_tree)
-    # per config: [moved values, other differences, largest rel, its place]
     summary: dict[str, list] = {}
     for rel_path in sorted(a_files | b_files):
         tally = summary.setdefault(rel_path.split(os.sep, 1)[0], [0, 0, 0.0, ""])
@@ -73,35 +116,33 @@ def compare(a_tree: str, b_tree: str) -> int:
         with open(os.path.join(b_tree, rel_path)) as fh:
             b = flatten(json.load(fh))
         for key in sorted(a.keys() | b.keys()):
-            if key not in a or key not in b:
-                print(f"{rel_path} {key}: missing in {'B' if key in a else 'A'}")
-                tally[1] += 1
-            elif is_number(a[key]) and is_number(b[key]):
-                if a[key] == b[key] or (math.isnan(a[key]) and math.isnan(b[key])):
-                    continue
-                change = relative_change(a[key], b[key])
-                print(f"{rel_path} {key}: {a[key]!r} -> {b[key]!r} (rel {change:.3e})")
-                tally[0] += 1
-                if change > tally[2] or not tally[3]:
-                    tally[2], tally[3] = change, f"{os.path.basename(rel_path)} {key}"
-            elif a[key] != b[key]:
-                print(f"{rel_path} {key}: {a[key]!r} -> {b[key]!r}")
-                tally[1] += 1
-    for config, (moved, other, top, where) in sorted(summary.items()):
-        parts = []
-        if moved:
-            parts.append(f"{moved} values moved, largest rel {top:.3e} at {where}")
-        if other:
-            parts.append(f"{other} other differences")
-        print(f"{config}: {'; '.join(parts) or 'identical'}")
-    return sum(moved + other for moved, other, _, _ in summary.values())
+            diff_value(f"{rel_path} {key}", f"{os.path.basename(rel_path)} {key}",
+                       a.get(key, MISSING), b.get(key, MISSING), tally)
+    return print_summary(summary)
+
+
+def compare_probes(a_path: str, b_path: str) -> int:
+    """Print the differences of the two solver probes; return how many
+    there are."""
+    with open(a_path) as fh:
+        a = json.load(fh)
+    with open(b_path) as fh:
+        b = json.load(fh)
+    summary: dict[str, list] = {}
+    for key in sorted(a.keys() | b.keys()):
+        tally = summary.setdefault(key.rsplit("/", 2)[0], [0, 0, 0.0, ""])
+        va, vb = (float.fromhex(p[key]) if key in p else MISSING for p in (a, b))
+        diff_value(key, key, va, vb, tally)
+    return print_summary(summary)
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or not all(os.path.isdir(p) for p in argv):
-        print(__doc__, file=sys.stderr)
-        return 2
-    return 1 if compare(*argv) else 0
+    if len(argv) == 2 and all(os.path.isdir(p) for p in argv):
+        return 1 if compare(*argv) else 0
+    if len(argv) == 2 and all(os.path.isfile(p) for p in argv):
+        return 1 if compare_probes(*argv) else 0
+    print(__doc__, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":
