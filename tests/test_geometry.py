@@ -97,17 +97,57 @@ def test_ellipse_distance_against_brentq_oracle(a, b):
     assert np.max(np.abs(got - want)) < 1e-14
 
 
+def _axis_inside_the_evolute(a, b):
+    """x = +-(1 - 10^-k) c^2 / a, k = 2..8: the major axis just inside the
+    evolute, where the footpoint root is the pole u = 0."""
+    k = np.arange(2, 9)
+    return np.concatenate([1 - 10.0 ** -k, 10.0 ** -k - 1]) * (a - b) * (a + b) / a
+
+
+def _ellipse_hard_points(a, b):
+    """The inputs where the footpoint root is hardest to reach: the major
+    axis just inside the evolute, just off the axis at the evolute, the
+    minor axis, points within 1e-9 of the boundary and points 100 times
+    outside."""
+    e = G.ellipse(a, b)
+    t = np.linspace(0.1, 2 * np.pi, 12)
+    g, normal = G.boundary_point(e, t), _inward_normal(e, t)
+    evolute = (a - b) * (a + b) / a
+    return np.concatenate([
+        _axis_inside_the_evolute(a, b) + 0j,
+        evolute * np.array([1.0, -1.0, 1 + 1e-8]) + 1j * np.array([1e-300, -1e-16, 1e-8]),
+        1j * b * np.array([-1.0, -0.5, 0.0, 0.7, 1 - 1e-12]),
+        g + 1e-9 * normal, g - 1e-9 * normal,
+        100 * g,
+    ])
+
+
+@pytest.mark.parametrize("a", [1.5, 3.0, 10.0])
+def test_ellipse_distance_on_the_axis_inside_the_evolute(a):
+    # the root of y = 0, a x <= c^2 is the pole u = 0: the footpoint leaves
+    # the axis at x' = a^2 x / c^2, and d = b sqrt(1 - x^2 / c^2).  A root
+    # search that stops on the axis there returns |x - a|, off by up to
+    # 5e-8 at a = 10
+    b = 1.0
+    x = _axis_inside_the_evolute(a, b)
+    want = b * np.sqrt(1 - x * x / ((a - b) * (a + b)))
+    assert np.max(np.abs(G.curve_distance(G.ellipse(a, b), x + 0j) - want)) <= 1e-15
+
+
 @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
 def test_ellipse_distance_independent_of_batch(a):
-    # a batch spanning several scan chunks; each point stops on its own
+    # each point stops its Newton root on its own, so one call per point
+    # and one call for the whole batch agree bit for bit
     e = G.ellipse(a, 1)
     rng = np.random.default_rng(29)
     n = 20000
-    z = rng.uniform(-1.3 * a, 1.3 * a, n) + 1j * rng.uniform(-1.3, 1.3, n)
+    hard = _ellipse_hard_points(a, 1.0)
+    z = np.concatenate([hard, rng.uniform(-1.3 * a, 1.3 * a, n) + 1j * rng.uniform(-1.3, 1.3, n)])
     batch = G.curve_distance(e, z)
-    idx = np.arange(0, n, 10)
+    idx = np.concatenate([np.arange(hard.size), np.arange(hard.size, z.size, 10)])
     single = np.array([G.curve_distance(e, complex(z[i])) for i in idx])
     assert np.array_equal(single, batch[idx])
+    assert np.array_equal(G.curve_distance(e, hard), batch[:hard.size])
 
 
 def _inward_normal(domain, t):
@@ -196,12 +236,10 @@ def test_grid_build_skips_footpoints_the_bound_settles(monkeypatch, a, h):
     assert np.max(np.abs((rule.nodes.real / a) ** 2 + rule.nodes.imag ** 2 - 1)) < 1e-14
 
 
-def test_ellipse_scan_allocates_two_rows_per_point():
-    # the 150 quadrature points of one query's 25 graph connectors.  The
-    # scan forms |g(t) - z|^2 in two reused rows of 97 doubles per point;
-    # numpy adds its broadcast iterator buffers (128 KiB) and the Newton
-    # loop its temporaries.  Five fresh scan temporaries per point peak at
-    # 589 KB here
+def test_ellipse_distance_allocates_sixteen_floats_per_point():
+    # the 150 quadrature points of one query's 25 graph connectors.  x, y,
+    # u, the active indices and the Newton loop's temporaries peak at about
+    # 12 floats per point: 1,472,080 bytes for 15,000 points, 16,780 here
     e = G.ellipse(1.5, 1)
     rng = np.random.default_rng(83)
     z = rng.uniform(-1.5, 1.5, 150) + 1j * rng.uniform(-1, 1, 150)
@@ -212,7 +250,7 @@ def test_ellipse_scan_allocates_two_rows_per_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= z.size * 2 * 97 * 8 + 160 * 2**10
+    assert peak <= z.size * 16 * 8 + 8 * 2**10
 
 
 @pytest.mark.parametrize("name", list(_CLEARANCE_DOMAINS))

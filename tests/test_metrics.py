@@ -799,21 +799,22 @@ def test_no_run_or_solve_loads_scipy(tmp_path, stored_ellipse_density):
 
 def test_warm_whole_domain_query_allocates_no_graph_sized_array(ellipse15):
     # nt-bounds' graph (7,228 nodes) under the stored degree-72 kernel, which
-    # needs no fit.  A query seeds z's connectors into its own distance
-    # array; a per-query copy of the graph's edges peaked at 4.9 MB.
-    # (The ellipse's quasihyperbolic density would not do: its boundary
-    # distance scan allocates about 590 KB to price 25 connectors.)
+    # needs no fit, and under the quasihyperbolic density.  A query seeds z's
+    # connectors into its own distance array; a per-query copy of the
+    # graph's edges peaked at 4.9 MB.  The quasihyperbolic query peaks at
+    # 188 KB, its boundary distances included
     stored = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                           "ellipse_1.5x1_deg72_h0.01.kernel")
-    omega = M.bergman_metric_density(load_kernel(stored, ellipse15))
-    M._graph_path(omega, -0.9 + 0.2j, 0.7 - 0.4j, 0.025)
-    tracemalloc.start()
-    try:
-        M._graph_path(omega, -0.3 - 0.6j, 1.1 + 0.3j, 0.025)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 2**10
+    for omega in (M.bergman_metric_density(load_kernel(stored, ellipse15)),
+                  M.quasihyperbolic_density(ellipse15)):
+        M._graph_path(omega, -0.9 + 0.2j, 0.7 - 0.4j, 0.025)
+        tracemalloc.start()
+        try:
+            M._graph_path(omega, -0.3 - 0.6j, 1.1 + 0.3j, 0.025)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**10
 
 
 def test_nearby_ids_match_a_cell_scan(disc):
