@@ -10,6 +10,7 @@ byte-deterministic for a fixed config.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -573,10 +574,12 @@ def run_yamashita_check(cfg: ExperimentConfig) -> VerificationReport:
 
 
 def _ring_points(domain: DomainSpec, anchor: complex, directions: np.ndarray,
-                 targets: np.ndarray) -> np.ndarray:
-    """Points on the rays anchor + s * direction (rows) at boundary distances
-    close to the targets (columns), nan where one misses by more than 2%:
-    bisection on the inside-with-clearance predicate, all points at once."""
+                 targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points on the rays anchor + s * direction (rows) near the boundary
+    distances ``targets`` (columns), and their boundary distances, both nan
+    where a point misses its target by more than 2%: bisection on the
+    inside-with-clearance predicate, all points at once, each distance the
+    one that the last bisection step's ``curve_distance`` measured."""
     span = 4.0 * domain.half_diagonal
     want = np.broadcast_to(targets, (directions.size, targets.size))
     lo, hi = np.zeros(want.shape), np.ones(want.shape)
@@ -587,7 +590,17 @@ def _ring_points(domain: DomainSpec, anchor: complex, directions: np.ndarray,
         ok[ok] = curve_distance(domain, z[ok]) > want[ok]
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     z = anchor + lo * span * directions[:, None]
-    return np.where(np.abs(curve_distance(domain, z) - want) > 0.02 * want, np.nan, z)
+    d = curve_distance(domain, z)
+    miss = np.abs(d - want) > 0.02 * want
+    return np.where(miss, np.nan, z), np.where(miss, np.nan, d)
+
+
+def _band_check(name: str, values: np.ndarray, cap: float, needed: int = 1, **detail) -> dict:
+    """Passes when at least ``needed`` values were measured and each lies in
+    [1/cap, cap]; lo and hi read nan when there is none."""
+    lo, hi = (float(values.min()), float(values.max())) if values.size else (math.nan, math.nan)
+    return _check(name, values.size >= needed and 1 / cap <= lo and hi <= cap,
+                  lo=lo, hi=hi, cap=cap, **detail)
 
 
 def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
@@ -609,67 +622,41 @@ def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
         raise ConfigError(f"ring_distances: {ring.max()} exceeds the anchor's "
                           f"boundary clearance {max_ring:.3f}")
     omega = _build_density(cfg)
-    cap = cfg.comparability_cap
-    checks = []
-    flags: list[str] = []
-    notes = []
-    curves: dict[str, dict] = {}
-    values = {}
-    ratios = np.full((cfg.rays, ring.size), np.nan)
-    truncated = 0
     directions = np.exp(1j * (2 * np.pi * np.arange(cfg.rays) / cfg.rays))
-    points = _ring_points(domain, anchor, directions, ring)
+    points, dist = _ring_points(domain, anchor, directions, ring)
+    ratios = np.full(points.shape, np.nan)
     for i in range(cfg.rays):
-        for j, z in enumerate(points[i]):
-            if np.isnan(z):
-                truncated += 1
-                continue
+        for j in np.flatnonzero(~np.isnan(points[i])):
             try:
-                ratios[i, j] = float(omega.eval_array(np.array([z]))[0]
-                                     * curve_distance(domain, z))
+                ratios[i, j] = float(omega.eval_array(points[i, j:j + 1])[0] * dist[i, j])
             except KernelInstabilityError:
                 # this ring and every ring nearer the boundary on the ray
-                truncated += ring.size - j
-                flags.append("kernel-instability")
                 break
+    # every evaluated ratio is finite, so each nan ratio is a dropped sample
     finite = np.isfinite(ratios)
-    if truncated:
-        notes.append(f"{truncated} ring samples dropped (instability or ray "
-                     f"geometry); last trusted ring per ray is what remains")
-    for j, dd in enumerate(ring):
-        col = ratios[:, j][finite[:, j]]
-        if col.size:
-            curves[f"ring_{j}"] = _curve_dict([dd] * col.size, col)
-    vals = ratios[finite]
-    in_band = bool(np.all((vals >= 1 / cap) & (vals <= cap))) and vals.size > 0
-    checks.append(_check("ratios_within_band", in_band,
-                         lo=float(vals.min()) if vals.size else math.nan,
-                         hi=float(vals.max()) if vals.size else math.nan,
-                         cap=cap))
+    dropped = int(ratios.size - finite.sum())
+    notes = [f"{dropped} ring samples dropped (instability or ray geometry); last "
+             f"trusted ring per ray is what remains"] if dropped else []
+    flags = ["kernel-instability"] if np.any(~finite & ~np.isnan(points)) else []
+    curves = {f"ring_{j}": _curve_dict([dd] * finite[:, j].sum(), ratios[finite[:, j], j])
+              for j, dd in enumerate(ring) if finite[:, j].any()}
+    checks = [_band_check("ratios_within_band", ratios[finite], cfg.comparability_cap)]
     # a ray counts when it measured both innermost rings; with none, nothing agreed
     inner = ratios[np.all(finite[:, -2:], axis=1), -2:]
     inner_worst = float((inner.min(axis=1) / inner.max(axis=1)).min()) if inner.size else math.nan
     checks.append(_check("innermost_rings_agree", inner_worst >= 0.75,
                          worst_agreement=inner_worst, required=0.75))
-    values["worst_inner_ring_agreement"] = float(inner_worst)
+    values = {"worst_inner_ring_agreement": inner_worst}
 
     # geodesic distances under the density vs the quasihyperbolic one
     qh = quasihyperbolic_density(domain)
-    pair_ratios = []
-    for z, w in _seeded_pairs(cfg, 200 * cfg.compare_pairs):
-        pair_ratios.append(_pair_distance(cfg, omega, z, w) / _pair_distance(cfg, qh, z, w))
-        if len(pair_ratios) == cfg.compare_pairs:
-            break
-    pair_ratios = np.asarray(pair_ratios)
-    dcap = cfg.distance_cap
-    dist_ok = bool(np.all((pair_ratios >= 1 / dcap) & (pair_ratios <= dcap))) \
-        and pair_ratios.size == cfg.compare_pairs
-    checks.append(_check("distance_ratio_within_band", dist_ok,
-                         lo=float(pair_ratios.min()) if pair_ratios.size else math.nan,
-                         hi=float(pair_ratios.max()) if pair_ratios.size else math.nan,
-                         cap=dcap, pairs=int(pair_ratios.size)))
+    pairs = itertools.islice(_seeded_pairs(cfg, 200 * cfg.compare_pairs), cfg.compare_pairs)
+    pair_ratios = np.array([_pair_distance(cfg, omega, z, w) / _pair_distance(cfg, qh, z, w)
+                            for z, w in pairs])
+    checks.append(_band_check("distance_ratio_within_band", pair_ratios, cfg.distance_cap,
+                              needed=cfg.compare_pairs, pairs=int(pair_ratios.size)))
     curves["distance_ratios"] = _curve_dict(np.arange(pair_ratios.size), pair_ratios)
-    return _report(cfg, "qh-compare", checks, curves, sorted(set(flags)), notes, values)
+    return _report(cfg, "qh-compare", checks, curves, flags, notes, values)
 
 
 def _sample_interior(domain: DomainSpec, rng, count: int, margin: float) -> np.ndarray:

@@ -128,29 +128,28 @@ class BlaschkeProduct(AnalyticMap):
             return np.ones_like(z)
         return (abs(a) / a) * (abs(a) ** 2 - 1.0) / (1.0 - np.conj(a) * z) ** 2
 
+    @staticmethod
+    def _product(out, factors):
+        # the factors are named: numpy computes out times a temporary of
+        # 256 KiB or more in place as factor * out, which rounds otherwise,
+        # so a value would depend on the batch size
+        for factor in factors:
+            out = out * factor
+        return out
+
     def __call__(self, z):
         zz = np.asarray(z, dtype=complex)
-        out = np.ones_like(zz)
-        for a in self.zeros:
-            # the factor is named: numpy computes out times a temporary of
-            # 256 KiB or more in place as factor * out, which rounds
-            # otherwise, so a value would depend on the batch size
-            factor = self._factor(a, zz)
-            out = out * factor
-        return _as_out(out, z)
+        return _as_out(self._product(np.ones_like(zz), [self._factor(a, zz) for a in self.zeros]), z)
 
     def value_and_derivative(self, z):
-        # product rule, sum_k b_k' prod_{j != k} b_j, exact also at the zeros
+        # product rule, sum_k b_k' prod_{j != k} b_j, exact also at the zeros,
+        # each factor formed once
         zz = np.asarray(z, dtype=complex)
+        factors = [self._factor(a, zz) for a in self.zeros]
         out = np.zeros_like(zz)
         for k, a in enumerate(self.zeros):
-            term = self._factor_derivative(a, zz)
-            for j, b in enumerate(self.zeros):
-                if j != k:
-                    factor = self._factor(b, zz)
-                    term = term * factor
-            out += term
-        return self(z), _as_out(out, z)
+            out += self._product(self._factor_derivative(a, zz), factors[:k] + factors[k + 1:])
+        return _as_out(self._product(np.ones_like(zz), factors), z), _as_out(out, z)
 
 
 @dataclass

@@ -16,6 +16,7 @@ from metriclab import bergman as B
 from metriclab import cli
 from metriclab import experiments as E
 from metriclab import geometry as G
+from metriclab import growth
 from metriclab import maps
 from metriclab.errors import ConfigError, DivergentDistanceError, KernelInstabilityError
 
@@ -537,8 +538,8 @@ def test_ring_points_equal_the_scalar_bisection(domain):
     targets = np.array([3.0, 0.2, 0.05, 0.0125, 0.003125])
     rays = 9
     directions = np.exp(1j * (2 * np.pi * np.arange(rays) / rays))
-    got = E._ring_points(domain, anchor, directions, targets)
-    assert got.shape == (rays, targets.size)
+    got, dist = E._ring_points(domain, anchor, directions, targets)
+    assert got.shape == dist.shape == (rays, targets.size)
     for i, direction in enumerate(directions):
         for j, target in enumerate(targets):
             want = _scalar_ring_point(domain, anchor, direction, float(target))
@@ -546,7 +547,10 @@ def test_ring_points_equal_the_scalar_bisection(domain):
                 assert np.isnan(got[i, j]), (i, j)
             else:
                 assert got[i, j] == want, (i, j)
+                # the distance that the bisection measured, bit for bit
+                assert dist[i, j] == G.curve_distance(domain, want), (i, j)
     assert np.isnan(got[:, 0]).all() and not np.isnan(got[:, 1:]).any()
+    assert np.array_equal(np.isnan(dist), np.isnan(got))
 
 
 def test_ellipse_1_1_is_the_unit_disc(tmp_path):
@@ -986,6 +990,33 @@ def test_cli_distance_uses_refine_sweeps(tmp_path, capsys):
                             f"refine_sweeps = {sweeps}\n")
         assert cli.main(["distance", "0", "0.9+0.5j", "--config", cfg]) == 0
         assert f"= {expected} " in capsys.readouterr().out, sweeps
+
+
+def test_cli_modulus_without_a_closed_form_uses_the_geodesic_evaluator(
+        tmp_path, capsys, monkeypatch):
+    # the quasihyperbolic density has no closed-form distance, so `modulus`
+    # prices the trace with the geodesic solver at the config's resolution
+    # and sweep budget; a chordal recorder stands in for the slow solver
+    calls = []
+
+    def recorder(omega, resolution, max_sweeps):
+        calls.append((omega.closed_form, resolution, max_sweeps))
+        return lambda u, v: 2.0 * np.abs(np.asarray(u) - np.asarray(v))
+
+    monkeypatch.setattr(cli, "geodesic_evaluator", recorder)
+    cfg_path = _write_config(tmp_path, "experiment = hl1\ndomain = unit_disc\n"
+                             "density = quasihyperbolic\nmap = cusp_a50\n"
+                             "resolution = 0.03\nrefine_sweeps = 5\n")
+    assert cli.main(["modulus", "--config", cfg_path]) == 0
+    assert calls == [(None, 0.03, 5)]
+    cfg = E.parse_config_file(cfg_path)
+    trace = maps.boundary_trace(cfg.map, cfg.circle_samples, cfg.trace_radius)
+    omega = E._build_density(cfg)
+    curve = growth.modulus_curve(trace, recorder(omega, 0.03, 5), cfg.steps, cfg.p,
+                                 screen=omega.sup_screen)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"h = {h:.6f}  M = {v:.10g}" for h, v in zip(cfg.steps, curve.values)]
+    assert lines[-1].startswith("slope vs log h: ")
 
 
 def test_cli_distance_of_a_report_pair_is_its_beta(monkeypatch):
