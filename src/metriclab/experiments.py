@@ -53,7 +53,7 @@ from .metrics import (
     geodesic_evaluator,
     hyperbolic_density,
     quasihyperbolic_density,
-    weighted_distance,
+    weighted_distances,
 )
 
 # the values of the ``density`` key, by constructor
@@ -649,10 +649,16 @@ def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
     values = {"worst_inner_ring_agreement": inner_worst}
 
     # geodesic distances under the density vs the quasihyperbolic one
-    qh = quasihyperbolic_density(domain)
-    pairs = itertools.islice(_seeded_pairs(cfg, 200 * cfg.compare_pairs), cfg.compare_pairs)
-    pair_ratios = np.array([_pair_distance(cfg, omega, z, w) / _pair_distance(cfg, qh, z, w)
-                            for z, w in pairs])
+    pairs = list(itertools.islice(_seeded_pairs(cfg, 200 * cfg.compare_pairs),
+                                  cfg.compare_pairs))
+    ratios = []
+    for pair in zip(*(_pair_distances(cfg, o, pairs)
+                      for o in (omega, quasihyperbolic_density(domain)))):
+        for res in pair:
+            if isinstance(res, MetricLabError):
+                raise res
+        ratios.append(pair[0].distance / pair[1].distance)
+    pair_ratios = np.array(ratios)
     checks.append(_band_check("distance_ratio_within_band", pair_ratios, cfg.distance_cap,
                               needed=cfg.compare_pairs, pairs=int(pair_ratios.size)))
     curves["distance_ratios"] = _curve_dict(np.arange(pair_ratios.size), pair_ratios)
@@ -689,8 +695,10 @@ def _seeded_pairs(cfg: ExperimentConfig, draws: int):
             yield z, w
 
 
-def _pair_distance(cfg: ExperimentConfig, omega: MetricDensity, z, w) -> float:
-    return weighted_distance(omega, z, w, cfg.resolution, max_sweeps=cfg.refine_sweeps).distance
+def _pair_distances(cfg: ExperimentConfig, omega: MetricDensity, pairs) -> list:
+    """Each pair's GeodesicResult or MetricLabError, from one batch solve."""
+    return weighted_distances(omega, [z for z, _ in pairs], [w for _, w in pairs],
+                              cfg.resolution, max_sweeps=cfg.refine_sweeps)
 
 
 def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
@@ -709,24 +717,26 @@ def run_nt_bound_fit(cfg: ExperimentConfig) -> VerificationReport:
     domain = cfg.domain
     root2 = math.sqrt(2.0)
 
-    c_required = []
+    # batches of the pairs still needed, so the pairs drawn are those of
+    # solving one at a time until the target is kept
     excluded = 0
-    betas, qs = [], []
+    kept, betas = [], []
     target = cfg.pairs
-    for z, w in _seeded_pairs(cfg, 400 * target):
-        try:
-            beta = _pair_distance(cfg, omega, z, w)
-        except MetricLabError:
-            excluded += 1
-            continue
-        dz, dw = curve_distance(domain, np.array([z, w]))
+    draws = _seeded_pairs(cfg, 400 * target)
+    while batch := list(itertools.islice(draws, target - len(betas))):
+        for pair, res in zip(batch, _pair_distances(cfg, omega, batch)):
+            if isinstance(res, MetricLabError):
+                excluded += 1
+            else:
+                kept.append(pair)
+                betas.append(res.distance)
+    d = curve_distance(domain, np.array([p for pair in kept for p in pair], dtype=complex))
+    c_required, qs = [], []
+    for (z, w), dz, dw, beta in zip(kept, d[0::2], d[1::2], betas):
         q = abs(z - w) / math.sqrt(float(dz) * float(dw))
         e = math.expm1(beta / root2)
         c_required.append(max(1.0, e / q, q / e))
-        betas.append(beta)
         qs.append(q)
-        if len(betas) == target:
-            break
 
     c_star = float(max(c_required)) if c_required else math.inf
     ok = c_star <= cfg.nt_cap and len(betas) == target

@@ -513,10 +513,11 @@ def curve_distance(domain: DomainSpec, z) -> float | np.ndarray:
     return float(res[0]) if zz.ndim == 0 else res.reshape(zz.shape)
 
 
-def clear_of_boundary(domain: DomainSpec, z, margin: float) -> bool | np.ndarray:
+def clear_of_boundary(domain: DomainSpec, z, margin) -> bool | np.ndarray:
     """``contains(domain, z) & (curve_distance(domain, z) >= margin)``,
-    elementwise: inside the open domain and, for margin > 0, at least
-    ``margin`` from the boundary; with margin <= 0 it is :func:`contains`.
+    elementwise, with ``margin`` a number or an array that broadcasts
+    against z: inside the open domain and, where the margin is > 0, at
+    least that far from the boundary; where it is <= 0, :func:`contains`.
 
     Only inside points are tested for clearance, and points that the
     ellipse's distance bound (:meth:`_Ellipse.clears`) already clears skip
@@ -524,12 +525,12 @@ def clear_of_boundary(domain: DomainSpec, z, margin: float) -> bool | np.ndarray
     """
     zz = np.asarray(z, dtype=complex)
     arr = zz.ravel()
+    m = np.broadcast_to(np.asarray(margin, dtype=float), zz.shape).ravel()
     ok = contains(domain, arr)
-    if margin > 0:
-        rest = np.flatnonzero(ok)
-        rest = rest[~domain._clears(arr[rest], margin)]
-        if rest.size:
-            ok[rest] = curve_distance(domain, arr[rest]) >= margin
+    rest = np.flatnonzero(ok & (m > 0))
+    rest = rest[~domain._clears(arr[rest], m[rest])]
+    if rest.size:
+        ok[rest] = curve_distance(domain, arr[rest]) >= m[rest]
     return bool(ok[0]) if zz.ndim == 0 else ok.reshape(zz.shape)
 
 

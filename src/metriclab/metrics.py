@@ -14,6 +14,12 @@ interpolant of log rho on a lattice of step 0.4 h over the graph's window
 (:class:`_Guide`), and every other density's search prices with the
 density itself.  The returned distance is always the adaptive-quadrature
 length of the returned path under the density itself (:func:`path_length`).
+
+The solver's one entry is :func:`weighted_distances`, a batch of pairs;
+:func:`weighted_distance` is its one-pair case.  Each pair is searched,
+shortcut and priced on its own, and the refinement sweeps of all of a
+batch's pairs run in lockstep (:func:`_refine`), one set of numpy calls
+per half-sweep.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import (
     DivergentDistanceError,
     DomainError,
     InvalidPathError,
+    MetricLabError,
     ResolutionTooCoarseError,
 )
 from .geometry import (
@@ -164,8 +171,11 @@ def _line_quad(omega: MetricDensity, a, b) -> np.ndarray:
     down as the whole of its own split.  The segments are refined breadth
     first, so each bisection level of all of them is one
     :func:`_segment_cost` call on ``omega.eval_array``, and the leaves are
-    summed back in the depth-first recursion's order.  A density value does not depend on its
-    batch, so each estimate is bit for bit that of its segment refined alone.
+    summed back in the depth-first recursion's order.  A closed-form
+    density's value does not depend on its batch, so its estimates are bit
+    for bit those of each segment refined alone; a fit's value is
+    batch-independent only under this CPU's OpenBLAS kernel (ROADMAP item
+    19), so a solve prices one path per call.
     """
     lo, hi = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     whole = _segment_cost(omega.eval_array, lo, hi, _GL_X12, _GL_W12)
@@ -363,7 +373,8 @@ class GeodesicResult:
 _NEIGHBOR_OFFSETS = np.array([
     (2, 1), (2, -1), (1, 2), (1, 1), (1, 0), (1, -1), (1, -2), (0, 1),
 ])
-# edges a graph build prices per call of its price, 1,536 points.  On
+# segments priced per call of a price: a graph build's edges, 1,536 points,
+# and a sweep's moves, 2,048 points (:func:`_price`).  On
 # nt-bounds' 7,228-node guided build (one BLAS thread, 2-core Xeon) it
 # peaked at 2.84 MiB (tracemalloc); 1,024-edge chunks, with 4 times the
 # guide's stencil temporaries, at 4.56 MiB and no faster
@@ -402,8 +413,11 @@ class _Guide:
 
     ``logs`` holds node (i, j) at [i + 2, j + 2], nan at the nodes not
     admitted and on a frame two nodes wide, so a stencil clamped into the
-    frame reads a nan and its point falls back.  Each point's value is
-    formed by elementwise operations, so it does not depend on its batch.
+    frame reads a nan and its point falls back.  A lattice read is formed
+    by elementwise operations, with no BLAS call, so it does not depend on
+    its batch under any kernel.  A fallback value is the density's own:
+    for the fit, batch-independent only under this CPU's OpenBLAS kernel
+    (ROADMAP item 19), and a lockstep refinement batches it across pairs.
     """
 
     values: Callable = field(repr=False)   # the density's own, on a complex array
@@ -695,75 +709,45 @@ def _resample(pts: np.ndarray, target: float) -> np.ndarray:
     return out
 
 
-def _sweep_level(price: Callable, domain: DomainSpec, pts: np.ndarray, step0: float,
-                 margin: float, budget) -> np.ndarray:
-    """Red-black pattern-search sweeps at one vertex spacing, with the probe
-    step shrinking geometrically from step0; a sweep counts as an
-    improvement when it cuts the path cost by more than 1e-8 relative.
-    ``budget`` is [sweeps left], shared by the levels (inf: unbounded)."""
-    dirs = np.array([1, -1, 1j, -1j,
-                     (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
-                     (-1 + 1j) / math.sqrt(2), (-1 - 1j) / math.sqrt(2)])
-    step = step0
-    # seg[i] is the cost of [pts[i], pts[i+1]]
-    seg = _segment_cost(price, pts[:-1], pts[1:])
-    total = float(np.sum(seg))
-    while step > step0 / 64 and budget[0] > 0:
-        improved_level = False
-        for _ in range(8):
-            if budget[0] <= 0:
-                break
-            budget[0] -= 1
-            before = total
-            for parity in (1, 2):
-                idx = np.arange(parity, pts.size - 1, 2)
-                if idx.size == 0:
-                    continue
-                P = pts[idx]
-                prev_pts = pts[idx - 1]
-                next_pts = pts[idx + 1]
-                cand = np.concatenate([P[:, None], P[:, None] + step * dirs[None, :]],
-                                      axis=1)
-                ok = clear_of_boundary(domain, cand, margin)
-                # segments count only where ok holds, so both ends are inside
-                meet = segments_meet_boundary(domain, prev_pts[:, None], cand)
-                meet |= segments_meet_boundary(domain, cand, next_pts[:, None])
-                ok &= np.logical_not(meet, out=meet)
-                # the stay column keeps seg; both sides of every admissible
-                # move are priced in one call
-                left, right = np.full((2,) + cand.shape, np.inf)
-                left[:, 0], right[:, 0] = seg[idx - 1], seg[idx]
-                r, c = np.nonzero(ok[:, 1:])
-                if r.size:
-                    moves = cand[r, c + 1]
-                    both = _segment_cost(price, np.concatenate([prev_pts[r], moves]),
-                                         np.concatenate([moves, next_pts[r]]))
-                    left[r, c + 1], right[r, c + 1] = both[:r.size], both[r.size:]
-                cost = np.where(ok, left + right, np.inf)
-                best = np.argmin(cost, axis=1)
-                pick = np.arange(idx.size)
-                pts[idx] = cand[pick, best]
-                seg[idx - 1] = left[pick, best]
-                seg[idx] = right[pick, best]
-            total = float(np.sum(seg))
-            if before - total > 1e-8 * max(total, 1e-300):
-                improved_level = True
-            else:
-                break
-        if not improved_level:
-            step /= 2
-    return pts
+# the probe directions of a sweep: the 4 axes, then the 4 diagonals
+_DIRS = np.array([1, -1, 1j, -1j,
+                  (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2),
+                  (-1 + 1j) / math.sqrt(2), (-1 - 1j) / math.sqrt(2)])
 
 
-def _refine(price: Callable, domain: DomainSpec, pts: np.ndarray, resolution: float,
-            margin: float, max_sweeps: int | None = None) -> np.ndarray:
-    """Multiscale polyline relaxation: the global shape is settled on a
+def _price(price: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_segment_cost` of the segments [a_k, b_k] (1-d arrays), in
+    calls of at most _PRICE_CHUNK segments; no cost depends on its chunk."""
+    return np.concatenate([np.zeros(0)] + [
+        _segment_cost(price, a[lo:lo + _PRICE_CHUNK], b[lo:lo + _PRICE_CHUNK])
+        for lo in range(0, a.size, _PRICE_CHUNK)])
+
+
+@dataclass(eq=False)
+class _Relaxation:
+    """One path's state in a lockstep refinement (:func:`_refine`)."""
+
+    price: Callable
+    margin: float
+    budget: float                # sweeps left (inf: unbounded)
+    pts: np.ndarray
+    seg: np.ndarray | None = None   # seg[i] is the cost of [pts[i], pts[i + 1]]
+    step: float = 0.0            # the probe step of its next sweep
+
+
+def _relax(r: _Relaxation, domain: DomainSpec, resolution: float):
+    """One path's multiscale relaxation: the global shape is settled on a
     coarsened polyline first (few vertices relax in few sweeps), then the
     spacing is halved down to the grid scale.  This keeps convergence
     independent of the vertex count, so finer resolutions strictly tighten
-    the result."""
-    L = float(np.sum(np.abs(np.diff(pts))))
-    budget = [math.inf if max_sweeps is None else max_sweeps]
+    the result.
+
+    At each spacing, red-black pattern-search sweeps run with the probe step
+    shrinking geometrically from half the spacing; a sweep counts as an
+    improvement when it cuts the path cost by more than 1e-8 relative.  The
+    generator yields "price" when ``r.seg`` must be priced for ``r.pts`` and
+    "sweep" before each sweep at ``r.step``; :func:`_refine` does both."""
+    L = float(np.sum(np.abs(np.diff(r.pts))))
     target = 2.0 * resolution
     deltas = [L / 8.0]
     while deltas[-1] > target * 2:
@@ -772,22 +756,159 @@ def _refine(price: Callable, domain: DomainSpec, pts: np.ndarray, resolution: fl
     for delta in deltas:
         if delta >= L:
             continue
-        cand = _resample(pts, delta)
-        if segments_meet_boundary(domain, cand[:-1], cand[1:]).any():
-            cand = pts   # coarsening would leave the domain; keep the mesh
-        pts = _sweep_level(price, domain, cand, delta / 2.0, margin, budget)
-        if budget[0] <= 0:
+        cand = _resample(r.pts, delta)
+        # coarsening that would leave the domain keeps the mesh
+        if not segments_meet_boundary(domain, cand[:-1], cand[1:]).any():
+            r.pts = cand
+        yield "price"
+        step0 = r.step = delta / 2.0
+        total = float(np.sum(r.seg))
+        while r.step > step0 / 64 and r.budget > 0:
+            improved_level = False
+            for _ in range(8):
+                if r.budget <= 0:
+                    break
+                r.budget -= 1
+                before = total
+                yield "sweep"
+                total = float(np.sum(r.seg))
+                if before - total > 1e-8 * max(total, 1e-300):
+                    improved_level = True
+                else:
+                    break
+            if not improved_level:
+                r.step /= 2
+        if r.budget <= 0:
             break
-    return pts
 
 
-def weighted_distance(omega: MetricDensity, z: complex, w: complex,
-                      resolution: float, max_sweeps: int | None = None) -> GeodesicResult:
-    """Weighted geodesic distance via grid search plus local refinement.
+def _sweep(price: Callable, domain: DomainSpec, group: list[_Relaxation]) -> None:
+    """One red-black sweep of each path of ``group``, all priced by
+    ``price``.  A half-sweep takes every path's vertices of one parity at
+    once: their 9 candidates (stay, then a probe step along each of _DIRS)
+    pass one clearance test at each path's margin and one chord test per
+    side, and both sides of every admissible move are priced by
+    :func:`_price`.  The stay column keeps seg, and each vertex takes its
+    cheapest candidate, the first on a tie."""
+    n = np.array([r.pts.size for r in group])
+    ends = np.cumsum(n)
+    pts = np.concatenate([r.pts for r in group])
+    seg = np.concatenate([r.seg for r in group])
+    owner = np.repeat(np.arange(n.size), n)
+    local = np.arange(pts.size) - np.repeat(ends - n, n)
+    inner = (local >= 1) & (local <= n[owner] - 2)
+    step = np.array([r.step for r in group])[owner]
+    margin = np.array([r.margin for r in group])[owner]
+    for parity in (1, 0):
+        idx = np.flatnonzero(inner & (local % 2 == parity))
+        if idx.size == 0:
+            continue
+        # path k's segments sit k places before its vertices in seg: a
+        # vertex's left one at lo, its right one at hi
+        hi = idx - owner[idx]
+        lo = hi - 1
+        P, prev_pts, next_pts = pts[idx], pts[idx - 1], pts[idx + 1]
+        cand = np.concatenate([P[:, None], P[:, None] + step[idx, None] * _DIRS], axis=1)
+        ok = clear_of_boundary(domain, cand, margin[idx, None])
+        # segments count only where ok holds, so both ends are inside
+        meet = segments_meet_boundary(domain, prev_pts[:, None], cand)
+        meet |= segments_meet_boundary(domain, cand, next_pts[:, None])
+        ok &= np.logical_not(meet, out=meet)
+        left, right = np.full((2,) + cand.shape, np.inf)
+        left[:, 0], right[:, 0] = seg[lo], seg[hi]
+        r, c = np.nonzero(ok[:, 1:])
+        if r.size:
+            moves = cand[r, c + 1]
+            both = _price(price, np.concatenate([prev_pts[r], moves]),
+                          np.concatenate([moves, next_pts[r]]))
+            left[r, c + 1], right[r, c + 1] = both[:r.size], both[r.size:]
+        cost = np.where(ok, left + right, np.inf)
+        best = np.argmin(cost, axis=1)
+        pick = np.arange(idx.size)
+        pts[idx] = cand[pick, best]
+        seg[lo] = left[pick, best]
+        seg[hi] = right[pick, best]
+    for r, p, s in zip(group, np.split(pts, ends[:-1]),
+                       np.split(seg, ends[:-1] - np.arange(1, n.size))):
+        r.pts, r.seg = p, s
 
-    The search (graph, shortcut and refinement) prices with the graph's
-    guide when the density has one, but the returned distance is the
-    adaptive-quadrature length of the returned path under the density
+
+def _by_price(paths: list[_Relaxation]):
+    """The paths grouped by their price, in first-seen order."""
+    groups = {}
+    for r in paths:
+        groups.setdefault(r.price, []).append(r)
+    return groups.items()
+
+
+def _refine(domain: DomainSpec, jobs, resolution: float,
+            max_sweeps: int | None = None) -> list[np.ndarray]:
+    """Each (price, pts, margin) job's path relaxed by :func:`_relax`, all
+    of them in lockstep.  Each round advances every path once: the paths
+    that start a spacing have their segments priced together, and those
+    that sweep run one :func:`_sweep` per price.  A path keeps its own
+    points, step, budget and gain test, and leaves when its relaxation
+    ends; a price value does not depend on its batch, so each path is bit
+    for bit the one it gets refined alone."""
+    budget = math.inf if max_sweeps is None else max_sweeps
+    paths = [_Relaxation(price, margin, budget, pts) for price, pts, margin in jobs]
+    live = [(r, _relax(r, domain, resolution)) for r in paths]
+    while live:
+        asked = {"price": [], "sweep": []}
+        for item in live:
+            ask = next(item[1], None)
+            if ask is not None:
+                asked[ask].append(item)
+        for price, group in _by_price([r for r, _ in asked["price"]]):
+            cost = _price(price, np.concatenate([r.pts[:-1] for r in group]),
+                          np.concatenate([r.pts[1:] for r in group]))
+            ends = np.cumsum([r.pts.size - 1 for r in group])
+            for r, seg in zip(group, np.split(cost, ends[:-1])):
+                r.seg = seg
+        for price, group in _by_price([r for r, _ in asked["sweep"]]):
+            _sweep(price, domain, group)
+        live = asked["price"] + asked["sweep"]
+    return [r.pts for r in paths]
+
+
+# pairs refined in one lockstep, which bounds a half-sweep's arrays: on
+# nt-bounds' pairs with 16 sweeps, one pair's refinement peaked at 0.27
+# MiB, 100 pairs' at 1.45 MiB and 256 pairs' at 2.56 MiB (tracemalloc)
+_LOCKSTEP_PAIRS = 256
+
+
+def _refine_each(domain: DomainSpec, jobs, resolution: float, max_sweeps) -> list:
+    """:func:`_refine` of the jobs, _LOCKSTEP_PAIRS at a time, each job's
+    entry its refined points or the MetricLabError that its refinement
+    raised.  When a lockstep raises one, its jobs are refined again one at
+    a time, so the error is its own pair's."""
+    out = []
+    for lo in range(0, len(jobs), _LOCKSTEP_PAIRS):
+        block = jobs[lo:lo + _LOCKSTEP_PAIRS]
+        try:
+            out += _refine(domain, block, resolution, max_sweeps)
+        except MetricLabError:
+            for job in block:
+                try:
+                    out += _refine(domain, [job], resolution, max_sweeps)
+                except MetricLabError as err:
+                    out.append(err)
+    return out
+
+
+def weighted_distances(omega: MetricDensity, zs, ws, resolution: float,
+                       max_sweeps: int | None = None) -> list:
+    """Weighted geodesic distances of the pairs (zs[k], ws[k]) via grid
+    search plus local refinement: entry k is pair k's
+    :class:`GeodesicResult`, or the :class:`MetricLabError` it raised.  Any
+    other exception propagates.
+
+    Each pair's endpoint checks, search, shortcut and final quadrature run
+    on their own; the refinement sweeps of all pairs run in lockstep
+    (:func:`_refine`), so each entry is bit for bit that pair's solve
+    alone.  The search (graph, shortcut and refinement) prices with the
+    graph's guide when the density has one, but the returned distance is
+    the adaptive-quadrature length of the returned path under the density
     itself, hence always an upper bound on the true infimum; halving the
     resolution tightens it.  Endpoints within one resolution step of the
     boundary yield :class:`DivergentDistanceError` for blow-up densities.
@@ -796,30 +917,56 @@ def weighted_distance(omega: MetricDensity, z: complex, w: complex,
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    z, w = complex(z), complex(w)
-    endpoint_dist = min(_endpoint_admissible(omega, z, resolution),
-                        _endpoint_admissible(omega, w, resolution))
-    if z == w:
-        return GeodesicResult(0.0, PolylinePath(omega.domain, np.array([z])),
-                              resolution, 0.0)
+    domain = omega.domain
+    out, solved, jobs = [], [], []
+    for k, (z, w) in enumerate(zip(zs, ws)):
+        z, w = complex(z), complex(w)
+        try:
+            endpoint_dist = min(_endpoint_admissible(omega, z, resolution),
+                                _endpoint_admissible(omega, w, resolution))
+            if z == w:
+                out.append(GeodesicResult(0.0, PolylinePath(domain, np.array([z])),
+                                          resolution, 0.0))
+                continue
+            swapped = (w.real, w.imag) < (z.real, z.imag)
+            pts, graph_cost, price = _graph_path(omega, *((w, z) if swapped else (z, w)),
+                                                 resolution)
+            pts = _shortcut(price, domain, pts)
+        except MetricLabError as err:
+            out.append(err)
+            continue
+        if omega.blows_up:
+            margin = min(resolution, 0.999 * endpoint_dist)
+        else:
+            # small clearance keeps refined paths off corners of the open domain
+            margin = min(resolution / 8.0, 0.5 * endpoint_dist)
+        out.append(None)
+        solved.append((k, swapped, graph_cost))
+        jobs.append((price, pts, margin))
+    for (k, swapped, graph_cost), pts in zip(solved, _refine_each(domain, jobs, resolution,
+                                                                   max_sweeps)):
+        if isinstance(pts, MetricLabError):
+            out[k] = pts
+            continue
+        try:
+            path = PolylinePath(domain, pts[::-1].copy() if swapped else pts)
+            distance = path_length(omega, path)
+        except MetricLabError as err:
+            out[k] = err
+            continue
+        gain = (graph_cost - distance) / graph_cost if graph_cost > 0 else 0.0
+        out[k] = GeodesicResult(distance, path, resolution, gain)
+    return out
 
-    swapped = (w.real, w.imag) < (z.real, z.imag)
-    a, b = (w, z) if swapped else (z, w)
 
-    pts, graph_cost, price = _graph_path(omega, a, b, resolution)
-    if omega.blows_up:
-        margin = min(resolution, 0.999 * endpoint_dist)
-    else:
-        # small clearance keeps refined paths off corners of the open domain
-        margin = min(resolution / 8.0, 0.5 * endpoint_dist)
-    pts = _shortcut(price, omega.domain, pts)
-    pts = _refine(price, omega.domain, pts, resolution, margin, max_sweeps=max_sweeps)
-    if swapped:
-        pts = pts[::-1].copy()
-    path = PolylinePath(omega.domain, pts)
-    distance = path_length(omega, path)
-    gain = (graph_cost - distance) / graph_cost if graph_cost > 0 else 0.0
-    return GeodesicResult(distance, path, resolution, gain)
+def weighted_distance(omega: MetricDensity, z: complex, w: complex,
+                      resolution: float, max_sweeps: int | None = None) -> GeodesicResult:
+    """The one-pair case of :func:`weighted_distances`; raises the pair's
+    MetricLabError."""
+    (res,) = weighted_distances(omega, [z], [w], resolution, max_sweeps)
+    if isinstance(res, MetricLabError):
+        raise res
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -837,23 +984,25 @@ def scaled_euclidean_evaluator(c: float):
 
 
 def geodesic_evaluator(omega: MetricDensity, resolution: float, max_sweeps: int | None):
-    """Distance evaluator backed by the geodesic solver (slow; loops pairs).
+    """Distance evaluator backed by the geodesic solver (slow).
 
-    Each pair is one :func:`weighted_distance` solve with the refinement
-    budget ``max_sweeps``.  Divergent pairs evaluate to +inf so that modulus
-    computations can report them instead of crashing.
+    Each call's pairs are one :func:`weighted_distances` batch with the
+    refinement budget ``max_sweeps``.  Divergent pairs evaluate to +inf so
+    that modulus computations can report them instead of crashing; any
+    other MetricLabError is raised, the first in pair order.
     """
 
     def d(u, v):
         uu = np.asarray(u, dtype=complex).ravel()
         vv = np.asarray(v, dtype=complex).ravel()
         out = np.empty(uu.shape, dtype=float)
-        for k in range(uu.size):
-            try:
-                out[k] = weighted_distance(omega, uu[k], vv[k], resolution,
-                                           max_sweeps=max_sweeps).distance
-            except DivergentDistanceError:
+        for k, res in enumerate(weighted_distances(omega, uu, vv, resolution, max_sweeps)):
+            if isinstance(res, DivergentDistanceError):
                 out[k] = np.inf
+            elif isinstance(res, MetricLabError):
+                raise res
+            else:
+                out[k] = res.distance
         shape = np.asarray(u).shape
         return out.reshape(shape) if shape else float(out[0])
 

@@ -18,6 +18,7 @@ from metriclab import experiments as E
 from metriclab import geometry as G
 from metriclab import growth
 from metriclab import maps
+from metriclab import metrics as M
 from metriclab.errors import ConfigError, DivergentDistanceError, KernelInstabilityError
 
 HL1_CUSP = """
@@ -660,6 +661,11 @@ ring_distances = 0.4 0.2 0.1
         rel=1e-6)
 
 
+def _unit_distances(cfg, omega, pairs):
+    """A stand-in batch solve: distance 1 for every pair."""
+    return [M.GeodesicResult(1.0, None, cfg.resolution, 0.0) for _ in pairs]
+
+
 def test_qh_compare_counts_every_ring_dropped_on_instability(monkeypatch):
     cfg_text = """
 experiment = qh-compare
@@ -680,7 +686,7 @@ compare_pairs = 1
     monkeypatch.setattr(E.MetricDensity, "eval_array", unstable_near_boundary)
     # the pair solves would meet the forced instability too; they are not
     # the subject here
-    monkeypatch.setattr(E, "_pair_distance", lambda cfg, omega, z, w: 1.0)
+    monkeypatch.setattr(E, "_pair_distances", _unit_distances)
     rep = E.run_qh_comparability(cfg)
     # the rings at 0.1 and 0.05 of each of the 4 rays
     assert rep.notes[0].startswith("8 ring samples dropped")
@@ -693,7 +699,7 @@ compare_pairs = 1
     # a ring point that misses its distance by more than 2% is dropped too:
     # no float point on a ray lies 1e-20 from the circle
     monkeypatch.undo()
-    monkeypatch.setattr(E, "_pair_distance", lambda cfg, omega, z, w: 1.0)
+    monkeypatch.setattr(E, "_pair_distances", _unit_distances)
     rep = E.run_qh_comparability(E.parse_config_text(
         cfg_text.replace("0.4 0.2 0.1 0.05", "0.4 0.2 1e-20")))
     assert rep.notes[0].startswith("4 ring samples dropped")
@@ -788,28 +794,31 @@ def test_nt_bounds_small_disc():
 
 def test_nt_bounds_excludes_only_metriclab_errors(monkeypatch):
     cfg = E.parse_config_text(NT_DISC_SMALL)
-    real = E.weighted_distance
+    real = E.weighted_distances
 
     def bug(*args, **kwargs):
         raise TypeError("a defect, not an excluded pair")
 
-    monkeypatch.setattr(E, "weighted_distance", bug)
+    monkeypatch.setattr(E, "weighted_distances", bug)
     with pytest.raises(TypeError):
         E.run_nt_bound_fit(cfg)
 
-    calls = []
+    batches = []
 
-    def divergent_once(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 1:
-            raise DivergentDistanceError("endpoint too close to the boundary")
-        return real(*args, **kwargs)
+    def divergent_once(omega, zs, ws, *args, **kwargs):
+        out = real(omega, zs, ws, *args, **kwargs)
+        batches.append(len(zs))
+        if len(batches) == 1:
+            out[0] = DivergentDistanceError("endpoint too close to the boundary")
+        return out
 
-    monkeypatch.setattr(E, "weighted_distance", divergent_once)
+    monkeypatch.setattr(E, "weighted_distances", divergent_once)
     rep = E.run_nt_bound_fit(cfg)
     assert rep.values["excluded_pairs"] == 1
     assert rep.checks[0]["excluded"] == 1
     assert rep.checks[0]["pairs"] == 8
+    # one batch of the 8 pairs needed, then one for the pair excluded
+    assert batches == [8, 1]
 
 
 def test_pair_sampler_keeps_its_stream_and_stops_without_room(disc):

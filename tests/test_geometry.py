@@ -190,6 +190,20 @@ def test_clear_of_boundary_matches_curve_distance(name, margin):
             (G.contains(dom, complex(p)) and float(G.curve_distance(dom, complex(p))) >= margin)
 
 
+@pytest.mark.parametrize("name", list(_CLEARANCE_DOMAINS))
+def test_clear_of_boundary_takes_a_margin_per_point(name):
+    # a margin array broadcast against z answers as each point's own margin
+    dom = _CLEARANCE_DOMAINS[name]
+    rng = np.random.default_rng(62)
+    xmin, xmax, ymin, ymax = dom.bounding_box
+    z = rng.uniform(xmin, xmax, (300, 3)) + 1j * rng.uniform(ymin, ymax, (300, 3))
+    margins = np.array([0.0, 0.025, 0.1])[rng.integers(0, 3, 300)][:, None]
+    got = G.clear_of_boundary(dom, z, margins)
+    for m in (0.0, 0.025, 0.1):
+        rows = margins[:, 0] == m
+        assert np.array_equal(got[rows], G.clear_of_boundary(dom, z[rows], m))
+
+
 @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
 def test_clear_of_boundary_skips_footpoints_the_bound_clears(monkeypatch, a):
     e = G.ellipse(a, 1)

@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from metriclab.errors import (
     DivergentDistanceError,
     DomainError,
     InvalidPathError,
+    KernelInstabilityError,
     ResolutionTooCoarseError,
 )
 from metriclab.experiments import _sample_interior
@@ -908,6 +910,27 @@ def _full_pricing_sweep_level(price, domain, pts, step0, margin, budget):
     return pts
 
 
+def _full_pricing_refine(price, domain, pts, resolution, margin, max_sweeps):
+    """Oracle: one path refined alone, on the multiscale schedule of the
+    solver, each spacing swept by :func:`_full_pricing_sweep_level`."""
+    L = float(np.sum(np.abs(np.diff(pts))))
+    budget = None if max_sweeps is None else [max_sweeps]
+    deltas = [L / 8.0]
+    while deltas[-1] > 4.0 * resolution:
+        deltas.append(deltas[-1] / 2)
+    deltas.append(2.0 * resolution)
+    for delta in deltas:
+        if delta >= L:
+            continue
+        cand = M._resample(pts, delta)
+        if G.segments_meet_boundary(domain, cand[:-1], cand[1:]).any():
+            cand = pts
+        pts = _full_pricing_sweep_level(price, domain, cand, delta / 2.0, margin, budget)
+        if budget is not None and budget[0] <= 0:
+            break
+    return pts
+
+
 def _seeded_pairs(domain, count, seed):
     """Seeded endpoint pairs at least 0.15 from the boundary."""
     rng = np.random.default_rng(seed)
@@ -922,8 +945,10 @@ def _seeded_pairs(domain, count, seed):
     return pairs
 
 
-def test_refine_matches_full_pricing_bit_for_bit(monkeypatch, hyp, ellipse15,
-                                                  disc_kernel_coarse, stored_ellipse_density):
+def test_refine_matches_full_pricing_bit_for_bit(hyp, ellipse15, disc_kernel_coarse,
+                                                  stored_ellipse_density):
+    # one lockstep refinement of a case's pairs against the oracle that
+    # prices every candidate of one path alone
     lshape = G.polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
     cases = [   # density, h, sweep budgets
         (hyp, 0.04, (None, 6)),
@@ -935,20 +960,124 @@ def test_refine_matches_full_pricing_bit_for_bit(monkeypatch, hyp, ellipse15,
         # nt-pairs' own search: the whole domain's guide of the stored fit
         (stored_ellipse_density, 0.025, (16,)),
     ]
-    fast = M._sweep_level
     for seed, (omega, h, budgets) in enumerate(cases):
+        jobs = []
         for z, w in _seeded_pairs(omega.domain, 2, seed):
             # the Bergman density's search prices with its graph's guide
             pts, _, price = M._graph_path(omega, z, w, h)
             end = min(float(G.curve_distance(omega.domain, p)) for p in (z, w))
             margin = min(h, 0.999 * end) if omega.blows_up else min(h / 8, 0.5 * end)
-            pts = M._shortcut(price, omega.domain, pts)
-            for max_sweeps in budgets:
-                monkeypatch.setattr(M, "_sweep_level", _full_pricing_sweep_level)
-                want = M._refine(price, omega.domain, pts.copy(), h, margin, max_sweeps)
-                monkeypatch.setattr(M, "_sweep_level", fast)
-                got = M._refine(price, omega.domain, pts.copy(), h, margin, max_sweeps)
-                assert np.array_equal(got, want), (omega.domain.grid_key(), z, w, max_sweeps)
+            jobs.append((price, M._shortcut(price, omega.domain, pts), margin))
+        for max_sweeps in budgets:
+            want = [_full_pricing_refine(price, omega.domain, pts.copy(), h, margin, max_sweeps)
+                    for price, pts, margin in jobs]
+            got = M._refine(omega.domain, jobs, h, max_sweeps)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (omega.domain.grid_key(), max_sweeps)
+
+
+@pytest.mark.parametrize("case", ["ellipse_fit", "smoothed_L_qh", "disc_hyperbolic"])
+def test_batch_solves_each_pair_as_it_solves_alone(case, hyp, stored_ellipse_density):
+    smoothed_l = G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15)
+    h = {"ellipse_fit": 0.025, "smoothed_L_qh": 0.04, "disc_hyperbolic": 0.04}[case]
+    omega = {"ellipse_fit": stored_ellipse_density,
+             "smoothed_L_qh": M.quasihyperbolic_density(smoothed_l),
+             "disc_hyperbolic": hyp}[case]
+    dom = omega.domain
+    pairs = _seeded_pairs(dom, 4, 17)
+    # w half a step from the boundary diverges; z == w is a point path
+    near = {"ellipse_fit": 1.5 - 0.5 * h, "smoothed_L_qh": 1.5 + 0.5j * h,
+            "disc_hyperbolic": 1 - 0.5 * h}[case]
+    pairs[2:2] = [(pairs[0][0], near), (pairs[1][1], pairs[1][1])]
+    if case == "smoothed_L_qh":
+        # an endpoint 1.0005 h above the bottom edge: its margin is 0.9995 h,
+        # the others' h
+        pairs.append((1.5 + 1.0005j * h, pairs[0][1]))
+        margins = {min(h, 0.999 * min(float(G.curve_distance(dom, p)) for p in pair))
+                   for k, pair in enumerate(pairs) if k not in (2, 3)}
+        assert len(margins) == 2
+    batch = M.weighted_distances(omega, [z for z, _ in pairs], [w for _, w in pairs], h,
+                                 max_sweeps=16)
+    assert len(batch) == len(pairs)
+    assert isinstance(batch[2], DivergentDistanceError)
+    assert batch[3].distance == 0.0 and batch[3].path.vertices.size == 1
+    for (z, w), got in zip(pairs, batch):
+        if isinstance(got, Exception):
+            with pytest.raises(type(got)) as alone:
+                M.weighted_distance(omega, z, w, h, max_sweeps=16)
+            assert str(alone.value) == str(got)
+            continue
+        alone = M.weighted_distance(omega, z, w, h, max_sweeps=16)
+        assert got.distance.hex() == alone.distance.hex()
+        assert got.path.vertices.tobytes() == alone.path.vertices.tobytes()
+        assert got.refinement_gain.hex() == alone.refinement_gain.hex()
+        assert (got.path.vertices[0], got.path.vertices[-1]) == (z, w)
+
+
+def test_a_lockstep_keeps_each_pairs_own_margin():
+    # constant density around the smoothed L's reflex corner: each path
+    # hugs the corner down to its own margin, h / 8 = 0.005 for the first
+    # pair and half the second's endpoint clearance, 0.003, for the second
+    smoothed_l = G.smoothed_polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.15)
+    omega = M.constant_density(smoothed_l, 1.0)
+    zs, ws = [1.8 + 0.8j, 1.8 + 0.8j], [0.8 + 1.8j, 0.006 + 1.8j]
+    batch = M.weighted_distances(omega, zs, ws, 0.04, max_sweeps=16)
+    for z, w, got in zip(zs, ws, batch):
+        alone = M.weighted_distance(omega, z, w, 0.04, max_sweeps=16)
+        assert got.distance.hex() == alone.distance.hex()
+        assert got.path.vertices.tobytes() == alone.path.vertices.tobytes()
+    # the second path passes the corner closer than the first one's margin
+    clearance = float(G.curve_distance(smoothed_l, batch[1].path.vertices[1:-1]).min())
+    assert 0.003 <= clearance < 0.005
+
+
+def test_a_refinement_error_is_only_its_own_pairs():
+    # a density that fails near the origin once refinement starts: the pair
+    # whose path crosses it reports the error, the other solves as alone
+    disc = G.unit_disc()
+    refining = [False]
+
+    def values(z):
+        if refining[0] and np.any(np.abs(z) < 0.05):
+            raise KernelInstabilityError("forced near the origin")
+        return np.ones(z.shape)
+
+    omega = M.MetricDensity(disc, values, blows_up=False)
+    real = M._refine
+
+    def armed(*args, **kwargs):
+        refining[0] = True
+        try:
+            return real(*args, **kwargs)
+        finally:
+            refining[0] = False
+
+    zs, ws = [-0.5 + 0.01j, 0.3 + 0.4j], [0.5 - 0.01j, 0.6 + 0.5j]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(M, "_refine", armed)
+        crossing, aside = M.weighted_distances(omega, zs, ws, 0.05, max_sweeps=6)
+        alone = M.weighted_distance(omega, zs[1], ws[1], 0.05, max_sweeps=6)
+    assert isinstance(crossing, KernelInstabilityError)
+    assert aside.distance == alone.distance
+    assert aside.path.vertices.tobytes() == alone.path.vertices.tobytes()
+
+
+def test_nt_batch_certificates_reprice_to_their_distances(stored_ellipse_density):
+    # every result of an nt batch is its path's own length, bit for bit,
+    # on a valid in-domain path between the pair's endpoints
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    cfg = E.parse_config_file(os.path.join(root, "configs", "nt_bounds_ellipse.txt"))
+    omega = stored_ellipse_density
+    pairs = list(itertools.islice(E._seeded_pairs(cfg, 400), 12))
+    batch = M.weighted_distances(omega, [z for z, _ in pairs], [w for _, w in pairs],
+                                 cfg.resolution, max_sweeps=cfg.refine_sweeps)
+    for (z, w), res in zip(pairs, batch):
+        assert isinstance(res, M.GeodesicResult)
+        v = res.path.vertices
+        assert (v[0], v[-1]) == (z, w)
+        M.PolylinePath(omega.domain, v)
+        assert M.path_length(omega, res.path).hex() == res.distance.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ Solves 240 seeded pairs with this checkout's src/ and one BLAS thread
 - resolutions h 0.04 and 0.02.
 
 The pairs are the seed-7 draws ``_sample_interior(domain, default_rng(7), 40,
-max(2 h, 0.1))``, pair k being the even draw k and the odd draw k, each
-solved by ``weighted_distance(..., max_sweeps=16)``.  Every bounding box
+max(2 h, 0.1))``, pair k being the even draw k and the odd draw k; the 20
+pairs of each domain, density and h are one ``weighted_distances(...,
+max_sweeps=16)`` batch, and a pair whose solve raised stops the probe.  Every bounding box
 here holds at most 10,000 cells of side h, so each search runs on the graph
 of the whole domain (``metrics._WHOLE_DOMAIN``).
 OUT.json maps ``domain/density/h/pair`` to the distance's ``float.hex``, so
@@ -52,8 +53,9 @@ def probe(pairs: int = 20) -> dict[str, str]:
     """``domain/density/h/pair`` -> distance hex for the first ``pairs`` pairs."""
     named = domains()
     from metriclab.bergman import fit_kernel_model
+    from metriclab.errors import MetricLabError
     from metriclab.metrics import (bergman_metric_density, quasihyperbolic_density,
-                                   weighted_distance)
+                                   weighted_distances)
 
     out = {}
     for name, domain in named.items():
@@ -61,9 +63,11 @@ def probe(pairs: int = 20) -> dict[str, str]:
                      "bergman40": bergman_metric_density(fit_kernel_model(domain, 40, 0.02))}
         for label, omega in densities.items():
             for h in (0.04, 0.02):
-                for k, (z, w) in enumerate(seeded_pairs(domain, h, pairs)):
-                    d = weighted_distance(omega, z, w, h, max_sweeps=16)
-                    out[f"{name}/{label}/{h}/{k}"] = d.distance.hex()
+                zs, ws = zip(*seeded_pairs(domain, h, pairs))
+                for k, res in enumerate(weighted_distances(omega, zs, ws, h, max_sweeps=16)):
+                    if isinstance(res, MetricLabError):
+                        raise res
+                    out[f"{name}/{label}/{h}/{k}"] = res.distance.hex()
     return out
 
 
