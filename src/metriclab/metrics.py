@@ -828,9 +828,9 @@ def _sweep(price: Callable, domain: DomainSpec, group: list[_Relaxation]) -> Non
         pts[idx] = cand[pick, best]
         seg[lo] = left[pick, best]
         seg[hi] = right[pick, best]
-    for r, p, s in zip(group, np.split(pts, ends[:-1]),
-                       np.split(seg, ends[:-1] - np.arange(1, n.size))):
-        r.pts, r.seg = p, s
+    for path, p, s in zip(group, np.split(pts, ends[:-1]),
+                          np.split(seg, ends[:-1] - np.arange(1, n.size))):
+        path.pts, path.seg = p, s
 
 
 def _by_price(paths: list[_Relaxation]):
@@ -848,8 +848,10 @@ def _refine(domain: DomainSpec, jobs, resolution: float,
     that start a spacing have their segments priced together, and those
     that sweep run one :func:`_sweep` per price.  A path keeps its own
     points, step, budget and gain test, and leaves when its relaxation
-    ends; a price value does not depend on its batch, so each path is bit
-    for bit the one it gets refined alone."""
+    ends.  Where no price value depends on its batch (a closed-form
+    density, a guide's lattice read; the fit under this CPU's OpenBLAS
+    kernel, see :class:`_Guide`), each path is bit for bit the one it gets
+    refined alone."""
     budget = math.inf if max_sweeps is None else max_sweeps
     paths = [_Relaxation(price, margin, budget, pts) for price, pts, margin in jobs]
     live = [(r, _relax(r, domain, resolution)) for r in paths]
@@ -906,14 +908,15 @@ def weighted_distances(omega: MetricDensity, zs, ws, resolution: float,
     Each pair's endpoint checks, search, shortcut and final quadrature run
     on their own; the refinement sweeps of all pairs run in lockstep
     (:func:`_refine`), so each entry is bit for bit that pair's solve
-    alone.  The search (graph, shortcut and refinement) prices with the
-    graph's guide when the density has one, but the returned distance is
-    the adaptive-quadrature length of the returned path under the density
-    itself, hence always an upper bound on the true infimum; halving the
-    resolution tightens it.  Endpoints within one resolution step of the
-    boundary yield :class:`DivergentDistanceError` for blow-up densities.
-    The search's graph covers the whole domain while its bounding box holds
-    at most _WHOLE_DOMAIN cells of side ``resolution``, else the pair's window.
+    alone wherever :func:`_refine`'s paths are.  The search (graph,
+    shortcut and refinement) prices with the graph's guide when the
+    density has one, but the returned distance is the adaptive-quadrature
+    length of the returned path under the density itself, hence always an
+    upper bound on the true infimum; halving the resolution tightens it.
+    Endpoints within one resolution step of the boundary yield
+    :class:`DivergentDistanceError` for blow-up densities.  The search's
+    graph covers the whole domain while its bounding box holds at most
+    _WHOLE_DOMAIN cells of side ``resolution``, else the pair's window.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
