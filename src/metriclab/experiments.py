@@ -652,8 +652,8 @@ def run_qh_comparability(cfg: ExperimentConfig) -> VerificationReport:
     pairs = list(itertools.islice(_seeded_pairs(cfg, 200 * cfg.compare_pairs),
                                   cfg.compare_pairs))
     ratios = []
-    for pair in zip(*(_pair_distances(cfg, o, pairs)
-                      for o in (omega, quasihyperbolic_density(domain)))):
+    for pair in zip(*(_pair_distances(cfg, density, pairs)
+                      for density in (omega, quasihyperbolic_density(domain)))):
         for res in pair:
             if isinstance(res, MetricLabError):
                 raise res

@@ -718,7 +718,7 @@ _DIRS = np.array([1, -1, 1j, -1j,
 def _price(price: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`_segment_cost` of the segments [a_k, b_k] (1-d arrays), in
     calls of at most _PRICE_CHUNK segments; no cost depends on its chunk."""
-    return np.concatenate([np.zeros(0)] + [
+    return np.concatenate([
         _segment_cost(price, a[lo:lo + _PRICE_CHUNK], b[lo:lo + _PRICE_CHUNK])
         for lo in range(0, a.size, _PRICE_CHUNK)])
 

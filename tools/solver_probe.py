@@ -14,9 +14,9 @@ Solves 240 seeded pairs with this checkout's src/ and one BLAS thread
 The pairs are the seed-7 draws ``_sample_interior(domain, default_rng(7), 40,
 max(2 h, 0.1))``, pair k being the even draw k and the odd draw k; the 20
 pairs of each domain, density and h are one ``weighted_distances(...,
-max_sweeps=16)`` batch, and a pair whose solve raised stops the probe.  Every bounding box
-here holds at most 10,000 cells of side h, so each search runs on the graph
-of the whole domain (``metrics._WHOLE_DOMAIN``).
+max_sweeps=16)`` batch, and a pair whose solve raised stops the probe.
+Every bounding box here holds at most 10,000 cells of side h, so each
+search runs on the graph of the whole domain (``metrics._WHOLE_DOMAIN``).
 OUT.json maps ``domain/density/h/pair`` to the distance's ``float.hex``, so
 two checkouts solve alike when ``diff`` of their OUT.json files is empty.
 """
